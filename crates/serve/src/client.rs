@@ -1,6 +1,6 @@
 //! A blocking client for the analysis daemon: connects over TCP or a Unix
 //! socket, exchanges [`crate::protocol`] frames strictly
-//! request-by-response, and offers typed helpers plus a polling
+//! request-by-response, and offers typed helpers plus a blocking
 //! [`Client::wait_settled`] for batch-style callers.
 
 use crate::protocol::{self, JobReport, JobStatus, Request, Response};
@@ -11,7 +11,7 @@ use sparqlog_obs::MetricsSnapshot;
 use sparqlog_shard::codec::{FrameReader, StreamError};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -258,13 +258,18 @@ impl Client {
         }
     }
 
-    /// Polls one job's progress.
-    pub fn status(&mut self, job: u64) -> Result<JobStatus, ClientError> {
-        match self.request(&Request::Status { job })? {
+    /// Sends a request that is answered with a job's status.
+    fn request_status(&mut self, request: &Request) -> Result<JobStatus, ClientError> {
+        match self.request(request)? {
             Response::Status(status) => Ok(status),
             Response::Error { message } => Err(ClientError::Server(message)),
             other => Err(unexpected(&other)),
         }
+    }
+
+    /// Reads one job's progress.
+    pub fn status(&mut self, job: u64) -> Result<JobStatus, ClientError> {
+        self.request_status(&Request::Status { job })
     }
 
     /// Fetches a job's report — incremental while partitions are still
@@ -304,17 +309,14 @@ impl Client {
         }
     }
 
-    /// Polls `status` until the job settles (completes or fails) or
-    /// `timeout` elapses; returns the last status seen either way.
+    /// Blocks until the job settles (completes or fails) or `timeout`
+    /// elapses; returns the job's status at that moment either way. One
+    /// [`Request::Wait`]: the server answers the instant the job settles.
+    /// From a daemon with a store, `Complete` means the job's completion
+    /// commit has already been attempted.
     pub fn wait_settled(&mut self, job: u64, timeout: Duration) -> Result<JobStatus, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let status = self.status(job)?;
-            if status.phase != crate::protocol::JobPhase::Running || Instant::now() >= deadline {
-                return Ok(status);
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        self.request_status(&Request::Wait { job, timeout_ms })
     }
 }
 

@@ -20,8 +20,14 @@ use sparqlog_core::report;
 use sparqlog_core::{ErrorTally, RecoveryPolicy};
 use sparqlog_shard::LogSpec;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// How long a condvar wait may sleep before re-checking its deadline and
+/// cancel flag (wake-ups on settle are immediate; this only bounds how
+/// late a stopping daemon notices).
+const WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// One job's mutable state.
 #[derive(Debug)]
@@ -57,6 +63,14 @@ pub struct JobState {
     pub cache: CacheStats,
     /// Total decoded snapshot bytes.
     pub snapshot_bytes: u64,
+    /// Set by the supervisor, in the critical section that merges the last
+    /// partition of a job on a store-backed daemon, and cleared once the
+    /// completion commit has been attempted. While set the job still reads
+    /// as `Running`: a client that sees `Complete` can rely on the commit
+    /// (or its `store-skip` / `store-error` event) having happened.
+    pub commit_pending: bool,
+    /// When the job was accepted.
+    accepted: Instant,
 }
 
 impl JobState {
@@ -82,6 +96,8 @@ impl JobState {
             failed: None,
             cache: CacheStats::default(),
             snapshot_bytes: 0,
+            commit_pending: false,
+            accepted: Instant::now(),
         }
     }
 
@@ -89,21 +105,27 @@ impl JobState {
     pub fn phase(&self) -> JobPhase {
         if self.failed.is_some() {
             JobPhase::Failed
-        } else if self.completed == self.slots.len() {
+        } else if self.is_complete() {
             JobPhase::Complete
         } else {
             JobPhase::Running
         }
     }
 
-    /// Whether every partition has merged.
+    /// Whether every partition has merged and, on a store-backed daemon,
+    /// the completion commit has been attempted.
     pub fn is_complete(&self) -> bool {
-        self.completed == self.slots.len() && self.failed.is_none()
+        self.completed == self.slots.len() && self.failed.is_none() && !self.commit_pending
     }
 
     /// Whether the job can make no further progress (complete or failed).
     pub fn is_settled(&self) -> bool {
-        self.failed.is_some() || self.completed == self.slots.len()
+        self.failed.is_some() || self.is_complete()
+    }
+
+    /// Time since the job was accepted.
+    pub fn age(&self) -> Duration {
+        self.accepted.elapsed()
     }
 
     /// Merges one completed partition. Returns `false` (and changes
@@ -191,7 +213,7 @@ impl JobState {
 }
 
 /// The server's job table: id allocation, per-job state behind one lock,
-/// and a condvar so waiters (drain, tests) can block until jobs settle.
+/// and a condvar so waiters (drain, `Wait` requests) block until jobs settle.
 #[derive(Debug, Default)]
 pub struct Jobs {
     next_id: AtomicU64,
@@ -244,23 +266,49 @@ impl Jobs {
 
     /// Blocks until every job settles or `timeout` elapses. Returns whether
     /// everything settled.
-    pub fn wait_all_settled(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+    pub fn wait_all_settled(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
         let mut table = self.table.lock().expect("jobs lock");
         loop {
             if table.values().all(|job| job.is_settled()) {
                 return true;
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 return false;
             }
             let (guard, _) = self
                 .settled
-                .wait_timeout(
-                    table,
-                    (deadline - now).min(std::time::Duration::from_millis(100)),
-                )
+                .wait_timeout(table, (deadline - now).min(WAIT_SLICE))
+                .expect("jobs lock");
+            table = guard;
+        }
+    }
+
+    /// Blocks until `job` settles, `timeout` elapses or `cancel` turns true
+    /// (checked every 100 ms), woken by the mutation that settles
+    /// the job. Returns the job's status at that moment — still `Running`
+    /// on timeout or cancellation — or `None` for an unknown id.
+    pub fn wait_settled(
+        &self,
+        job: u64,
+        timeout: Duration,
+        cancel: &AtomicBool,
+    ) -> Option<JobStatus> {
+        // A timeout too large for the clock means "no deadline".
+        let deadline = Instant::now().checked_add(timeout);
+        let mut table = self.table.lock().expect("jobs lock");
+        loop {
+            let state = table.get(&job)?;
+            let remaining = deadline.map_or(WAIT_SLICE, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
+            if state.is_settled() || remaining.is_zero() || cancel.load(Ordering::Acquire) {
+                return Some(state.status());
+            }
+            let (guard, _) = self
+                .settled
+                .wait_timeout(table, remaining.min(WAIT_SLICE))
                 .expect("jobs lock");
             table = guard;
         }
@@ -277,6 +325,25 @@ mod tests {
             .collect()
     }
 
+    fn empty_summary() -> LogSummary {
+        LogSummary {
+            label: "log".to_string(),
+            counts: Default::default(),
+            occurrences: Vec::new(),
+            errors: Default::default(),
+        }
+    }
+
+    fn merge_empty(job: &mut JobState, partition: usize) -> bool {
+        job.merge_partition(
+            partition,
+            empty_summary(),
+            DatasetAnalysis::default(),
+            CacheStats::default(),
+            0,
+        )
+    }
+
     #[test]
     fn partitions_merge_once_and_phase_progresses() {
         let jobs = Jobs::new();
@@ -284,12 +351,7 @@ mod tests {
         assert_eq!(id, 1);
         assert_eq!(jobs.accepted(), 1);
 
-        let summary = LogSummary {
-            label: "log0".to_string(),
-            counts: Default::default(),
-            occurrences: Vec::new(),
-            errors: Default::default(),
-        };
+        let summary = empty_summary();
         let merged = jobs
             .with(id, |job| {
                 assert_eq!(job.phase(), JobPhase::Running);
@@ -353,16 +415,88 @@ mod tests {
     }
 
     #[test]
+    fn wait_settled_is_woken_by_a_merge_on_another_thread() {
+        let jobs = Jobs::new();
+        let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
+        let cancel = AtomicBool::new(false);
+        // The merger starts only once the waiter has seen the job running,
+        // and with an hour-long timeout only the merge can end the wait.
+        let looked = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                looked.wait();
+                jobs.with(id, |job| assert!(merge_empty(job, 0)));
+            });
+            let phase = jobs.with(id, |job| job.phase()).unwrap();
+            assert_eq!(phase, JobPhase::Running);
+            looked.wait();
+            let status = jobs
+                .wait_settled(id, Duration::from_secs(3600), &cancel)
+                .unwrap();
+            assert_eq!(status.phase, JobPhase::Complete);
+            assert_eq!(status.completed, 1);
+        });
+    }
+
+    #[test]
+    fn wait_settled_times_out_running_and_knows_no_unknown_job() {
+        let jobs = Jobs::new();
+        let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
+        let cancel = AtomicBool::new(false);
+        for timeout in [Duration::ZERO, Duration::from_millis(30)] {
+            let status = jobs.wait_settled(id, timeout, &cancel).unwrap();
+            assert_eq!(status.phase, JobPhase::Running);
+        }
+        assert!(jobs.wait_settled(99, Duration::ZERO, &cancel).is_none());
+        // u64::MAX milliseconds overflows the clock: no deadline, not a panic.
+        jobs.with(id, |job| job.failed = Some("boom".to_string()));
+        let status = jobs
+            .wait_settled(id, Duration::from_millis(u64::MAX), &cancel)
+            .unwrap();
+        assert_eq!(status.phase, JobPhase::Failed);
+    }
+
+    #[test]
+    fn wait_settled_returns_when_the_cancel_flag_turns_true() {
+        let jobs = Jobs::new();
+        let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
+        let cancel = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| jobs.wait_settled(id, Duration::from_secs(3600), &cancel));
+            // No notification accompanies the flag: the waiter must find it
+            // on its own, within a wait slice.
+            cancel.store(true, Ordering::Release);
+            let status = waiter.join().unwrap().unwrap();
+            assert_eq!(status.phase, JobPhase::Running);
+        });
+    }
+
+    #[test]
+    fn a_pending_commit_keeps_a_merged_job_running_for_clients() {
+        let jobs = Jobs::new();
+        let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
+        jobs.with(id, |job| {
+            assert!(merge_empty(job, 0));
+            job.commit_pending = true;
+            assert_eq!(job.status().phase, JobPhase::Running);
+            assert!(!job.report(false).complete);
+        });
+        assert!(!jobs.all_settled());
+        let cancel = AtomicBool::new(false);
+        let status = jobs.wait_settled(id, Duration::ZERO, &cancel).unwrap();
+        assert_eq!(status.phase, JobPhase::Running);
+        jobs.with(id, |job| job.commit_pending = false);
+        assert!(jobs.all_settled());
+        let status = jobs.wait_settled(id, Duration::ZERO, &cancel).unwrap();
+        assert_eq!(status.phase, JobPhase::Complete);
+    }
+
+    #[test]
     fn budget_is_metered_once_when_the_last_partition_merges() {
         use sparqlog_core::ErrorKind;
 
         let dirty = |defects: u64, total: u64| {
-            let mut summary = LogSummary {
-                label: "log".to_string(),
-                counts: Default::default(),
-                occurrences: Vec::new(),
-                errors: Default::default(),
-            };
+            let mut summary = empty_summary();
             summary.counts.total = total;
             for position in 0..defects {
                 summary.errors.record(ErrorKind::InvalidUtf8, position);

@@ -28,6 +28,7 @@ mod req {
     pub const DRAIN: u8 = 5;
     pub const EVENTS: u8 = 6;
     pub const METRICS: u8 = 7;
+    pub const WAIT: u8 = 8;
 }
 
 /// Response tag bytes.
@@ -58,7 +59,7 @@ pub enum Request {
         /// `(label, path)` pairs in report order.
         logs: Vec<(String, String)>,
     },
-    /// Poll a job's progress.
+    /// Read a job's progress.
     Status {
         /// The job id from [`Response::Accepted`].
         job: u64,
@@ -80,6 +81,15 @@ pub enum Request {
     /// Fetch the server's metric registry: a merged snapshot covering the
     /// pipeline, cache, shard, persist, and serve layers.
     Metrics,
+    /// Block until a job settles (completes or fails) or the timeout
+    /// elapses; answered with [`Response::Status`] either way. The server
+    /// answers the moment the job settles — nothing polls.
+    Wait {
+        /// The job id.
+        job: u64,
+        /// How long the server may hold the request, in milliseconds.
+        timeout_ms: u64,
+    },
 }
 
 /// A job's lifecycle phase.
@@ -275,6 +285,11 @@ impl Request {
                 out.put_varint(*job);
             }
             Request::Metrics => out.put_u8(req::METRICS),
+            Request::Wait { job, timeout_ms } => {
+                out.put_u8(req::WAIT);
+                out.put_varint(*job);
+                out.put_varint(*timeout_ms);
+            }
         }
         out.into_bytes()
     }
@@ -315,6 +330,10 @@ impl Request {
                 job: decoder.take_varint()?,
             },
             req::METRICS => Request::Metrics,
+            req::WAIT => Request::Wait {
+                job: decoder.take_varint()?,
+                timeout_ms: decoder.take_varint()?,
+            },
             tag => return Err(decoder.invalid("request tag", u64::from(tag))),
         };
         decoder.finish()?;
@@ -525,6 +544,14 @@ mod tests {
         round_trip_request(Request::Drain);
         round_trip_request(Request::Events { job: 0 });
         round_trip_request(Request::Metrics);
+        round_trip_request(Request::Wait {
+            job: 5,
+            timeout_ms: 0,
+        });
+        round_trip_request(Request::Wait {
+            job: u64::MAX,
+            timeout_ms: u64::MAX,
+        });
     }
 
     #[test]

@@ -604,6 +604,12 @@ fn session(stream: Box<dyn SessionStream>, id: u64, ctx: &Arc<Shared>) {
     ctx.events.emit(format!("event=session-close session={id}"));
 }
 
+fn unknown_job(job: u64) -> Response {
+    Response::Error {
+        message: format!("unknown job {job}"),
+    }
+}
+
 /// Computes the one response a request maps to.
 fn answer(ctx: &Shared, request: &Request) -> Response {
     obs::global().counter("serve_requests_total").incr();
@@ -634,18 +640,22 @@ fn answer(ctx: &Shared, request: &Request) -> Response {
             let (job, partitions) = ctx.supervisor.submit(*population, *recovery, specs);
             Response::Accepted { job, partitions }
         }
-        Request::Status { job } => match ctx.jobs.with(*job, |state| state.status()) {
-            Some(status) => Response::Status(status),
-            None => Response::Error {
-                message: format!("unknown job {job}"),
-            },
-        },
-        Request::Report { job, full } => match ctx.jobs.with(*job, |state| state.report(*full)) {
-            Some(report) => Response::Report(report),
-            None => Response::Error {
-                message: format!("unknown job {job}"),
-            },
-        },
+        Request::Status { job } => ctx
+            .jobs
+            .with(*job, |state| state.status())
+            .map_or_else(|| unknown_job(*job), Response::Status),
+        Request::Wait { job, timeout_ms } => {
+            obs::global().counter("serve_wait_requests_total").incr();
+            // Blocks this session's reader thread only; `closing` cuts the
+            // wait short so a stopping daemon can join the session.
+            ctx.jobs
+                .wait_settled(*job, Duration::from_millis(*timeout_ms), &ctx.closing)
+                .map_or_else(|| unknown_job(*job), Response::Status)
+        }
+        Request::Report { job, full } => ctx
+            .jobs
+            .with(*job, |state| state.report(*full))
+            .map_or_else(|| unknown_job(*job), Response::Report),
         Request::Drain => {
             ctx.begin_drain("client request");
             Response::Pong {

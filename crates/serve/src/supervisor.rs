@@ -22,15 +22,19 @@
 //! # Snapshot store
 //!
 //! With a [`SnapshotStore`] attached, submit hashes each log's canonical
-//! identity first: logs whose analysis the store already holds merge
-//! immediately (`store-hit`, no worker process), the rest run as usual and
-//! their snapshots are staged into the store as partitions merge. When the
-//! last partition completes, the job's manifest is staged and everything
-//! is committed durably in one fsync (`store-commit`) — so a restarted
-//! daemon warm-starts the job and a resubmission is pure store hits.
+//! identity first — outside the store lock, the job's logs spread over the
+//! available cores — and then looks the keys up: logs whose analysis the
+//! store already holds merge immediately (`store-hit`, no worker process),
+//! the rest run as usual and each snapshot is staged into the store just
+//! before its partition merges. When the last partition merges, the job's
+//! manifest is staged and everything is committed durably in one fsync
+//! (`store-commit`) — so a restarted daemon warm-starts the job and a
+//! resubmission is pure store hits. Only after that commit has been
+//! attempted does the job read as `Complete` to clients
+//! ([`JobState::commit_pending`]).
 
 use crate::events::{quoted, EventLog};
-use crate::job::Jobs;
+use crate::job::{JobState, Jobs};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::{file_identity, PersistedLog, RecoveryPolicy};
@@ -169,26 +173,26 @@ impl Supervisor {
             recovery.resolve().spelling()
         ));
 
-        // Identity pass: hash each log (no parsing) and pull store hits. A
-        // hit is usable unless the resolved policy is strict and the
-        // persisted tally has defects — strict must re-analyse and
-        // reproduce the failure, exactly like the incremental engine.
+        // Identity pass: hash each log (no parsing), then pull store hits.
+        // Hashing is the expensive half and touches no shared state, so it
+        // runs before the store lock is taken — concurrent submits hash in
+        // parallel and serialise only on the lookups. A hit is usable unless
+        // the resolved policy is strict and the persisted tally has defects
+        // — strict must re-analyse and reproduce the failure, exactly like
+        // the incremental engine.
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
         let mut hits: Vec<(usize, PersistedLog)> = Vec::new();
         if let Some(store) = &self.shared.store {
+            keys = hash_identities(population, &logs);
             let policy = recovery.resolve();
             let guard = store.lock().expect("snapshot store");
-            for (partition, log) in logs.iter().enumerate() {
-                let Ok(key) = file_identity(population, &log.label, &log.path) else {
-                    continue; // unreadable now; the worker will report it
+            for (partition, key) in keys.iter().enumerate() {
+                // An unhashable log stays keyless; the worker will report it.
+                let Some(hit) = key.and_then(|key| guard.get(key)) else {
+                    continue;
                 };
-                keys[partition] = Some(key);
-                if let Some(hit) = guard.get(key) {
-                    let usable = !matches!(policy, RecoveryPolicy::Strict)
-                        || hit.summary.errors.defects() == 0;
-                    if usable {
-                        hits.push((partition, hit.clone()));
-                    }
+                if !matches!(policy, RecoveryPolicy::Strict) || hit.summary.errors.defects() == 0 {
+                    hits.push((partition, hit.clone()));
                 }
             }
         }
@@ -196,48 +200,31 @@ impl Supervisor {
             .jobs
             .with(job, |state| state.keys = keys.clone());
 
+        let mut from_store = vec![false; logs.len()];
         let mut completed_now = false;
-        for (partition, hit) in &hits {
-            self.shared.jobs.with(job, |state| {
-                let merged = state.merge_partition(
-                    *partition,
-                    hit.summary.clone(),
-                    hit.analysis.clone(),
-                    CacheStats::default(),
-                    0,
-                );
-                // Inside the job lock for the same ordering guarantee as
-                // worker merges: a complete status implies the events.
-                self.shared.events.emit(format!(
-                    "event=store-hit job={job} partition={partition} merged={merged}"
-                ));
-                if state.is_complete() {
-                    self.shared
-                        .events
-                        .emit(format!("event=job-complete job={job}"));
-                    obs::global().counter("serve_jobs_completed_total").incr();
-                    completed_now = true;
-                } else if state.failed.is_some() && !completed_now {
-                    if let Some(error) = state.failed.as_deref() {
-                        self.shared.events.emit(format!(
-                            "event=job-failed job={job} partition={partition} error={}",
-                            quoted(error)
-                        ));
-                        obs::global().counter("serve_jobs_failed_total").incr();
-                    }
-                }
-            });
+        for (partition, hit) in hits {
+            from_store[partition] = true;
+            completed_now |= merge_partition(
+                &self.shared,
+                job,
+                partition,
+                hit,
+                CacheStats::default(),
+                0,
+                |merged| {
+                    self.shared.events.emit(format!(
+                        "event=store-hit job={job} partition={partition} merged={merged}"
+                    ));
+                },
+            );
         }
         if completed_now {
-            if let Some(store) = &self.shared.store {
-                persist_completion(store, &self.shared.jobs, &self.shared.events, job);
-            }
+            publish_completion(&self.shared, job);
         }
 
-        let hit_partitions: Vec<usize> = hits.iter().map(|(partition, _)| *partition).collect();
         let mut queue = self.shared.queue.lock().expect("supervisor queue");
         for (partition, log) in logs.into_iter().enumerate() {
-            if hit_partitions.contains(&partition) {
+            if from_store[partition] {
                 continue;
             }
             queue.push_back(PartitionTask {
@@ -404,71 +391,51 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
                 // epilogue frame; fold them into this process's registry so
                 // the service's Metrics answer spans every worker.
                 obs::global().absorb(&output.snapshot.epilogue.metrics);
-                // Clone the pair for the store *before* the frame moves into
-                // the merge; only needed when this partition has a key.
-                let persisted =
-                    (shared.store.is_some() && task.key.is_some()).then(|| PersistedLog {
-                        summary: frame.summary.clone(),
-                        analysis: frame.analysis.clone(),
-                    });
-                // Emit while the job-table lock is still held: a client whose
-                // status poll observes the job as complete is then guaranteed
-                // to find the recovery/completion events already logged.
-                let mut completed_now = false;
-                shared.jobs.with(job, |state| {
-                    let was_failed = state.failed.is_some();
-                    let merged = state.merge_partition(
-                        partition,
-                        frame.summary,
-                        frame.analysis,
-                        output.snapshot.epilogue.cache,
-                        output.bytes,
-                    );
-                    if let Some(since) = first_failure {
-                        let latency_ms = since.elapsed().as_millis() as u64;
+                let log = PersistedLog {
+                    summary: frame.summary,
+                    analysis: frame.analysis,
+                };
+                // Staged *before* the merge (and before the job lock — the
+                // store lock is never held across it): whichever partition
+                // completes the job then finds every sibling's snapshot
+                // already staged, so one commit makes snapshots and manifest
+                // durable together.
+                if let (Some(store), Some(key)) = (&shared.store, task.key) {
+                    let staged = store
+                        .lock()
+                        .expect("snapshot store")
+                        .record_snapshot(key, &log);
+                    if let Err(error) = staged {
                         events.emit(format!(
-                            "event=partition-recovered job={job} partition={partition} attempt={attempt} latency_ms={latency_ms}"
+                            "event=store-error job={job} partition={partition} error={}",
+                            quoted(&error.to_string())
                         ));
-                        obs::global()
-                            .histogram("serve_recovery_latency_ms")
-                            .record(latency_ms);
                     }
-                    events.emit(format!(
-                        "event=partition-complete job={job} partition={partition} merged={merged}"
-                    ));
-                    if state.is_complete() {
-                        events.emit(format!("event=job-complete job={job}"));
-                        obs::global().counter("serve_jobs_completed_total").incr();
-                        completed_now = true;
-                    } else if !was_failed {
-                        // The only way a merge can fail a job: the final
-                        // partition pushed the defect rate over the budget.
-                        if let Some(error) = state.failed.as_deref() {
+                }
+                let completed_now = merge_partition(
+                    shared,
+                    job,
+                    partition,
+                    log,
+                    output.snapshot.epilogue.cache,
+                    output.bytes,
+                    |merged| {
+                        if let Some(since) = first_failure {
+                            let latency_ms = since.elapsed().as_millis() as u64;
                             events.emit(format!(
-                                "event=job-failed job={job} partition={partition} error={}",
-                                quoted(error)
+                                "event=partition-recovered job={job} partition={partition} attempt={attempt} latency_ms={latency_ms}"
                             ));
-                            obs::global().counter("serve_jobs_failed_total").incr();
+                            obs::global()
+                                .histogram("serve_recovery_latency_ms")
+                                .record(latency_ms);
                         }
-                    }
-                });
-                // Store work strictly *after* the job lock is released
-                // (submit locks store→jobs; taking them in the other order
-                // here would deadlock). Staged records only become durable
-                // at the completion commit.
-                if let Some(store) = &shared.store {
-                    if let (Some(key), Some(pair)) = (task.key, persisted) {
-                        let mut guard = store.lock().expect("snapshot store");
-                        if let Err(error) = guard.record_snapshot(key, &pair) {
-                            events.emit(format!(
-                                "event=store-error job={job} partition={partition} error={}",
-                                quoted(&error.to_string())
-                            ));
-                        }
-                    }
-                    if completed_now {
-                        persist_completion(store, &shared.jobs, events, job);
-                    }
+                        events.emit(format!(
+                            "event=partition-complete job={job} partition={partition} merged={merged}"
+                        ));
+                    },
+                );
+                if completed_now {
+                    publish_completion(shared, job);
                 }
                 return;
             }
@@ -497,6 +464,96 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
             }
         }
     }
+}
+
+/// Hashes every log's canonical identity (`None` = unreadable right now),
+/// the logs claimed by index across up to `available_parallelism()` scoped
+/// threads, the caller's included — a one-log job spawns nothing.
+fn hash_identities(population: Population, logs: &[LogSpec]) -> Vec<Option<u128>> {
+    let _span = obs::global().histogram("serve_identity_us").span();
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(logs.len());
+    // Relaxed: the counter only hands out indices; the keys are published
+    // by the mutex and the scope's joins.
+    let next = AtomicUsize::new(0);
+    let keys = Mutex::new(vec![None; logs.len()]);
+    let claim = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(log) = logs.get(index) else {
+            return;
+        };
+        let key = file_identity(population, &log.label, &log.path).ok();
+        keys.lock().expect("identity keys")[index] = key;
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(claim);
+        }
+        claim();
+    });
+    keys.into_inner().expect("identity keys")
+}
+
+/// Merges one finished partition into its job and logs the outcome.
+/// `emit` (called with whether the slot merged) and the completion/failure
+/// events run while the job-table lock is still held: a client that observes
+/// the job as settled is guaranteed to find those events already logged.
+/// Returns whether this merge completed the job — the caller then owes a
+/// [`publish_completion`].
+fn merge_partition(
+    shared: &Shared,
+    job: u64,
+    partition: usize,
+    log: PersistedLog,
+    cache: CacheStats,
+    snapshot_bytes: u64,
+    emit: impl FnOnce(bool),
+) -> bool {
+    let events = &shared.events;
+    let merge = |state: &mut JobState| {
+        let was_failed = state.failed.is_some();
+        let merged =
+            state.merge_partition(partition, log.summary, log.analysis, cache, snapshot_bytes);
+        emit(merged);
+        if merged && state.is_complete() {
+            events.emit(format!("event=job-complete job={job}"));
+            obs::global().counter("serve_jobs_completed_total").incr();
+            // With a store, clients keep seeing `Running` until the
+            // completion commit has been attempted.
+            state.commit_pending = shared.store.is_some();
+            return true;
+        }
+        if !was_failed {
+            // The only way a merge can fail a job: the final partition
+            // pushed the defect rate over the budget.
+            if let Some(error) = state.failed.as_deref() {
+                events.emit(format!(
+                    "event=job-failed job={job} partition={partition} error={}",
+                    quoted(error)
+                ));
+                obs::global().counter("serve_jobs_failed_total").incr();
+            }
+        }
+        false
+    };
+    shared.jobs.with(job, merge).unwrap_or(false)
+}
+
+/// Makes a job whose last partition just merged visible as `Complete`: on a
+/// store-backed daemon only after its completion commit has been attempted
+/// (`store-commit`, `store-skip` or `store-error` is logged by then).
+/// Called outside the job lock — the commit fsyncs.
+fn publish_completion(shared: &Shared, job: u64) {
+    if let Some(store) = &shared.store {
+        persist_completion(store, &shared.jobs, &shared.events, job);
+    }
+    shared.jobs.with(job, |state| {
+        state.commit_pending = false;
+        obs::global()
+            .histogram("serve_job_ms")
+            .record(state.age().as_millis() as u64);
+    });
 }
 
 /// Stages the completed job's manifest and commits everything durably.

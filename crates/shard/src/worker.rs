@@ -58,7 +58,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One log assigned to this worker: its index in the coordinator's corpus
 /// order, its dataset label, and the file to stream it from.
@@ -227,32 +227,42 @@ pub fn run(config: &WorkerConfig, out: &mut (impl Write + Send)) -> io::Result<(
     let stop = AtomicBool::new(false);
     let shared = Mutex::new(out);
     std::thread::scope(|scope| {
-        if let Some(period) = config.heartbeat {
+        let beat = config.heartbeat.map(|period| {
             let (shared, stop) = (&shared, &stop);
-            scope.spawn(move || heartbeat_loop(period, shared, stop));
-        }
+            scope.spawn(move || heartbeat_loop(period, shared, stop))
+        });
         let result = stream_frames(config, fault, readers, &shared, &stop);
-        // Error paths must release the heartbeat thread too.
+        // Error paths must release the heartbeat thread too — and every path
+        // wakes it, so the scope's join (and with it the process's exit and
+        // the consumer's EOF) never waits out the rest of a beat period.
         stop.store(true, Ordering::Release);
+        if let Some(beat) = &beat {
+            beat.thread().unpark();
+        }
         result
     })
 }
 
 /// Interleaves heartbeat frames into the shared writer every `period` until
-/// `stop` is set. Sleeps in short steps so shutdown is prompt, and re-checks
-/// `stop` *after* taking the writer lock — the analysis thread sets it while
-/// holding the lock after the epilogue, so no beat can trail the epilogue.
+/// `stop` is set. Parks between beats — [`run`] unparks it right after
+/// setting `stop`, so shutdown is immediate — and re-checks `stop` *after*
+/// taking the writer lock: the analysis thread sets it while holding the lock
+/// after the epilogue, so no beat can trail the epilogue.
 fn heartbeat_loop<W: Write>(period: Duration, shared: &Mutex<&mut W>, stop: &AtomicBool) {
     let mut seq = 0u64;
     loop {
-        let mut slept = Duration::ZERO;
-        while slept < period {
+        let deadline = Instant::now() + period;
+        loop {
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            let step = (period - slept).min(Duration::from_millis(20));
-            std::thread::sleep(step);
-            slept += step;
+            // A park may return early (spuriously, or on the unpark that
+            // follows `stop`); both re-check above.
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            std::thread::park_timeout(deadline - now);
         }
         let Ok(mut guard) = shared.lock() else {
             return;
@@ -507,6 +517,46 @@ mod tests {
         assert_eq!(bytes, stream.len() as u64);
         assert_eq!(snapshot.logs.len(), 1);
         assert_eq!(snapshot.epilogue.log_frames, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_heartbeating_worker_returns_as_soon_as_its_work_is_done() {
+        let dir = std::env::temp_dir().join(format!(
+            "sparqlog-worker-prompt-exit-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("one.txt");
+        std::fs::write(&path, "ASK { ?a <http://p> ?b }\n").unwrap();
+
+        // The daemon's default period. A beat thread that only notices
+        // `stop` at the end of a sleep step (20 ms) would make 50 runs take
+        // at least a second; woken by `run`, they take a few ms each.
+        let config = WorkerConfig {
+            shard: 0,
+            population: Population::Unique,
+            workers: 1,
+            heartbeat: Some(Duration::from_millis(200)),
+            recovery: RecoveryPolicy::Strict,
+            logs: vec![AssignedLog {
+                index: 0,
+                label: "unit".to_string(),
+                path,
+            }],
+        };
+        let start = Instant::now();
+        for _ in 0..50 {
+            let mut stream = Vec::new();
+            run(&config, &mut stream).unwrap();
+            let (snapshot, _) = read_snapshot(stream.as_slice()).unwrap();
+            assert_eq!(snapshot.logs[0].summary.counts.total, 1);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "50 heartbeat-enabled runs took {elapsed:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

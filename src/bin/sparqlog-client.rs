@@ -15,7 +15,7 @@
 //!
 //! * `ping`                          liveness check (prints drain state)
 //! * `submit [--valid] [--wait] [--full] [--recovery POLICY] <label>=<path>...`
-//!   submit a job (paths resolved on the server); with `--wait`, poll
+//!   submit a job (paths resolved on the server); with `--wait`, block
 //!   until it settles and print the report. `POLICY` is `strict`,
 //!   `lenient`, or `budget:<n>` (defects per 10k entries); the default
 //!   defers to the server's `SPARQLOG_RECOVERY` environment

@@ -302,9 +302,19 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
         "serve_jobs_submitted_total",
         "serve_jobs_completed_total",
         "serve_requests_total",
+        "serve_wait_requests_total",
     ] {
         assert!(
             on_snapshot.counter(name).is_some(),
+            "metrics answer missing {name}: {on_text}"
+        );
+    }
+    // The served path's own latencies: the identity pass of the submit and
+    // job-accepted → client-visible `Complete`.
+    for name in ["serve_identity_us", "serve_job_ms"] {
+        assert_eq!(
+            on_snapshot.histogram(name).map(|histogram| histogram.count),
+            Some(1),
             "metrics answer missing {name}: {on_text}"
         );
     }

@@ -4,7 +4,10 @@
 //! consumer must not stall other sessions, a graceful drain must finish
 //! in-flight jobs while refusing new ones, and a worker killed
 //! mid-partition must be restarted and reassigned with no double-counted
-//! occurrence in the Unique population.
+//! occurrence in the Unique population. With a snapshot store attached, a
+//! client that sees a job `Complete` must find its completion commit already
+//! made, and two clients submitting overlapping logs must not disturb each
+//! other.
 //!
 //! The CI determinism matrix pins `SPARQLOG_WORKERS` (analysis threads per
 //! worker process); without it the tests default to 2.
@@ -12,6 +15,7 @@
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RecoveryPolicy};
+use sparqlog::persist::SnapshotStore;
 use sparqlog::serve::protocol::{self, Request, Response};
 use sparqlog::serve::{
     Client, ClientError, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SlowConsumerPolicy,
@@ -477,6 +481,131 @@ fn a_stalled_worker_is_killed_by_the_heartbeat_timeout_and_recovered() {
         lines
             .iter()
             .any(|l| l.contains("event=worker-death") && l.contains("stalled")),
+        "{lines:?}"
+    );
+
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn a_complete_status_implies_the_completion_commit() {
+    // Twenty never-seen jobs in a row (the label is part of a log's
+    // identity): each needs its own commit, and the instant the client is
+    // told `Complete` that commit must be in the journal and in the file.
+    let scratch = Scratch::new("commit-order");
+    let logs = write_corpus(scratch.path());
+    let store_path = scratch.path().join("store.sqps");
+    let config = ServeConfig {
+        store_path: Some(store_path.clone()),
+        ..base_config(WorkerCommand::new(WORKER))
+    };
+    let (addr, handle, runner) = start_server(config);
+    let mut client = Client::connect(&addr).expect("connect");
+
+    for round in 0..20 {
+        let label = format!("round{round:02}");
+        let path = logs[round % logs.len()].path.display().to_string();
+        let (job, _) = client
+            .submit(
+                Population::Unique,
+                RecoveryPolicy::Auto,
+                vec![(label.clone(), path)],
+            )
+            .expect("submit");
+        let status = client.wait_settled(job, SETTLE).expect("wait");
+        assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+
+        let lines = client.events(job).expect("events");
+        assert!(
+            lines.iter().any(|l| l.contains("event=store-commit")),
+            "round {round}: complete before its store-commit: {lines:?}"
+        );
+        // A copy, so the recovery scan of `open` never touches the live file.
+        let copy = scratch.path().join("store-copy.sqps");
+        std::fs::copy(&store_path, &copy).expect("copy store");
+        let (store, recovery) = SnapshotStore::open(&copy).expect("open store copy");
+        assert!(recovery.is_clean(), "round {round}: {recovery}");
+        assert!(
+            store
+                .jobs()
+                .iter()
+                .any(|manifest| manifest.logs.len() == 1 && manifest.logs[0].label == label),
+            "round {round}: complete, but no manifest for {label} in the store file"
+        );
+    }
+
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn two_clients_share_one_store_without_disturbing_each_other() {
+    let scratch = Scratch::new("two-clients");
+    let logs = write_corpus(scratch.path());
+    let config = ServeConfig {
+        store_path: Some(scratch.path().join("store.sqps")),
+        max_restarts: 1,
+        ..base_config(WorkerCommand::new(WORKER))
+    };
+    let (addr, handle, runner) = start_server(config);
+
+    // Overlapping jobs submitted at the same moment: both hash all their
+    // logs (outside the store lock), and whichever partitions the other job
+    // has already staged may or may not be store hits — either way each
+    // report must equal the fused engine's over that job's own logs.
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for subset in [&logs[..2], &logs[1..]] {
+            let (addr, go) = (&addr, &go);
+            scope.spawn(move || {
+                let reference = fused_reference(subset, Population::Unique);
+                let mut client = Client::connect(addr).expect("connect");
+                go.wait();
+                let (job, partitions) = client
+                    .submit(
+                        Population::Unique,
+                        RecoveryPolicy::Auto,
+                        submit_specs(subset),
+                    )
+                    .expect("submit");
+                assert_eq!(partitions, subset.len() as u64);
+                let status = client.wait_settled(job, SETTLE).expect("wait");
+                assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+                let report = client.report(job, true).expect("report");
+                assert!(report.complete);
+                assert_eq!(report.text, reference);
+            });
+        }
+    });
+
+    // A log that cannot be read at submit time gets no key (so the job can
+    // never be persisted under a wrong identity) and still goes to a
+    // worker, whose exit is the job's error.
+    let missing = scratch.path().join("missing.log");
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut specs = submit_specs(&logs[..1]);
+    specs.push(("ghost".to_string(), missing.display().to_string()));
+    let (job, _) = client
+        .submit(Population::Unique, RecoveryPolicy::Auto, specs)
+        .expect("submit");
+    let status = client.wait_settled(job, SETTLE).expect("wait");
+    assert_eq!(status.phase, JobPhase::Failed);
+    assert!(
+        status.error.contains("partition 1 failed") && status.error.contains("worker exited"),
+        "{}",
+        status.error
+    );
+    let keys = handle
+        .jobs()
+        .with(job, |state| state.keys.clone())
+        .expect("job");
+    assert!(keys[0].is_some() && keys[1].is_none(), "{keys:?}");
+    let lines = client.events(job).expect("events");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("event=worker-start") && l.contains("partition=1")),
         "{lines:?}"
     );
 
