@@ -61,19 +61,19 @@ pub fn is_simple_filter(e: &Expression) -> bool {
     e.variables().len() <= 1
 }
 
-/// Extracts the pairs of variables equated by top-level `?x = ?y` filters.
-/// The shape analysis collapses such pairs into a single node (footnote 20 of
-/// the paper).
-pub fn variable_equalities(filters: &[&Expression]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for f in filters {
-        if let Expression::Equal(a, b) = f {
-            if let (Expression::Var(x), Expression::Var(y)) = (a.as_ref(), b.as_ref()) {
-                out.push((x.clone(), y.clone()));
-            }
-        }
-    }
-    out
+/// Extracts the pairs of variables equated by top-level `?x = ?y` filters,
+/// borrowed from the filters. The shape analysis collapses such pairs into a
+/// single node (footnote 20 of the paper).
+pub fn variable_equalities<'a>(
+    filters: impl IntoIterator<Item = &'a Expression>,
+) -> impl Iterator<Item = (&'a str, &'a str)> {
+    filters.into_iter().filter_map(|f| match f {
+        Expression::Equal(a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expression::Var(x), Expression::Var(y)) => Some((x.as_str(), y.as_str())),
+            _ => None,
+        },
+        _ => None,
+    })
 }
 
 /// Classifies a query into the fragment hierarchy.
@@ -364,10 +364,9 @@ mod tests {
         assert!(r.cqf);
         let q = parse_query("SELECT ?x WHERE { ?x <p> ?y . ?x <q> ?z FILTER(?y = ?z) }").unwrap();
         let tree = PatternTree::build(&q).unwrap();
-        let filters = tree.all_filters();
         assert_eq!(
-            variable_equalities(&filters),
-            vec![("y".to_string(), "z".to_string())]
+            variable_equalities(tree.filters()).collect::<Vec<_>>(),
+            [("y", "z")]
         );
     }
 

@@ -205,30 +205,80 @@ impl PatternTree {
         (well_designed, width)
     }
 
+    /// Every triple in the tree, in preorder, borrowed straight from the
+    /// nodes. A single-node tree (every CQ and CQF query) is walked without
+    /// allocating.
+    pub fn triples(&self) -> impl Iterator<Item = &TriplePattern> {
+        Preorder::new(&self.root, |node| &node.triples)
+    }
+
+    /// Every filter in the tree, in preorder; see [`PatternTree::triples`].
+    pub fn filters(&self) -> impl Iterator<Item = &Expression> {
+        Preorder::new(&self.root, |node| &node.filters)
+    }
+
     /// Flattens every triple in the tree (preorder).
     pub fn all_triples(&self) -> Vec<&TriplePattern> {
-        let mut out = Vec::new();
-        fn walk<'a>(n: &'a PatternNode, out: &mut Vec<&'a TriplePattern>) {
-            out.extend(n.triples.iter());
-            for c in &n.children {
-                walk(c, out);
-            }
-        }
-        walk(&self.root, &mut out);
-        out
+        self.triples().collect()
     }
 
     /// Flattens every filter in the tree (preorder).
     pub fn all_filters(&self) -> Vec<&Expression> {
-        let mut out = Vec::new();
-        fn walk<'a>(n: &'a PatternNode, out: &mut Vec<&'a Expression>) {
-            out.extend(n.filters.iter());
-            for c in &n.children {
-                walk(c, out);
-            }
+        self.filters().collect()
+    }
+}
+
+/// Preorder iteration over one item list (triples or filters) of every node
+/// of a pattern tree.
+struct Preorder<'a, T> {
+    /// The rest of the current node's items.
+    items: std::slice::Iter<'a, T>,
+    /// The unvisited children of the current node and of its ancestors,
+    /// innermost last. Empty — and never allocated — for a single-node tree.
+    pending: Vec<std::slice::Iter<'a, PatternNode>>,
+    select: fn(&'a PatternNode) -> &'a [T],
+}
+
+impl<'a, T> Preorder<'a, T> {
+    fn new(root: &'a PatternNode, select: fn(&'a PatternNode) -> &'a [T]) -> Preorder<'a, T> {
+        let mut walk = Preorder {
+            items: [].iter(),
+            pending: Vec::new(),
+            select,
+        };
+        walk.enter(root);
+        walk
+    }
+
+    fn enter(&mut self, node: &'a PatternNode) {
+        self.items = (self.select)(node).iter();
+        if !node.children.is_empty() {
+            self.pending.push(node.children.iter());
         }
-        walk(&self.root, &mut out);
-        out
+    }
+}
+
+impl<'a, T> Iterator for Preorder<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(item) = self.items.next() {
+                return Some(item);
+            }
+            let child = loop {
+                match self.pending.last_mut()?.next() {
+                    Some(child) => break child,
+                    None => self.pending.pop(),
+                };
+            };
+            self.enter(child);
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let here = self.items.len();
+        (here, self.pending.is_empty().then_some(here))
     }
 }
 
@@ -381,5 +431,25 @@ mod tests {
         let t = tree(P1).unwrap();
         assert_eq!(t.all_triples().len(), 3);
         assert_eq!(t.all_filters().len(), 0);
+    }
+
+    #[test]
+    fn triples_and_filters_iterate_in_preorder() {
+        let t = tree(
+            "SELECT * WHERE { ?a <p1> ?b FILTER(?b > 1) \
+             OPTIONAL { ?b <p2> ?c OPTIONAL { ?c <p3> ?d FILTER(?d > 3) } ?b <p4> ?e } \
+             OPTIONAL { ?a <p5> ?f FILTER(?f > 5) } ?a <p6> ?g }",
+        )
+        .unwrap();
+        let predicates: Vec<String> = t.triples().map(|t| t.predicate.to_string()).collect();
+        assert_eq!(predicates, ["p1", "p6", "p2", "p4", "p3", "p5"]);
+        let filtered: Vec<Vec<String>> = t
+            .filters()
+            .map(|f| f.variables().into_iter().collect())
+            .collect();
+        assert_eq!(filtered, [["b"], ["d"], ["f"]]);
+        // A single-node tree reports its exact length up front.
+        let cq = tree("SELECT * WHERE { ?x <p> ?y . ?y <q> ?z }").unwrap();
+        assert_eq!(cq.triples().size_hint(), (2, Some(2)));
     }
 }

@@ -65,8 +65,7 @@ pub fn structural_report_multiwalk(query: &Query) -> StructuralReport {
         return report;
     };
     let triples: Vec<_> = tree.all_triples().into_iter().cloned().collect();
-    let filters = tree.all_filters();
-    let equalities = variable_equalities(&filters);
+    let equalities: Vec<_> = variable_equalities(tree.all_filters()).collect();
 
     if fragments.has_var_predicate {
         let hg = Hypergraph::from_triples(&triples, &equalities);

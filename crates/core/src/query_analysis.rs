@@ -46,16 +46,16 @@ impl QueryAnalysis {
     /// Analyses one query with exactly one AST traversal and (for CQ-like
     /// queries) one canonical-graph construction, using a throwaway term
     /// interner. Workers analysing many queries should prefer
-    /// [`QueryAnalysis::of_with`] with a long-lived interner so term strings
-    /// repeated across queries are stored once.
+    /// [`QueryAnalysis::of_with`] with a long-lived interner so variable
+    /// names repeated across queries are stored once.
     pub fn of(query: &Query) -> QueryAnalysis {
         QueryAnalysis::of_with(query, &mut Interner::new())
     }
 
     /// [`QueryAnalysis::of`] with an explicit per-worker [`Interner`]: the
-    /// walk's
-    /// visible-variable set, the projection test and the canonical-graph
-    /// construction all run over `u32` symbols instead of strings. The
+    /// walk's visible-variable set, the projection test and the
+    /// canonical-graph construction all tell variables apart as `u32`
+    /// symbols instead of strings (constants are never interned). The
     /// result is byte-identical for any interner state (symbols never leak
     /// into the returned record).
     pub fn of_with(query: &Query, interner: &mut Interner) -> QueryAnalysis {
@@ -166,6 +166,27 @@ mod tests {
             assert_eq!(format!("{fresh:?}"), format!("{reused:?}"), "{text}");
         }
         assert!(interner.stats().hits > 0);
+    }
+
+    #[test]
+    fn constants_never_grow_a_workers_interner() {
+        // A worker's interner lives as long as its stream. Queries that
+        // differ only in a constant must leave it at the size of their
+        // variable vocabulary, whatever the number of distinct IRIs and
+        // literals that went past.
+        let mut interner = Interner::new();
+        let mut arena = sparqlog_parser::Arena::new();
+        for i in 0..10_000 {
+            arena.reset();
+            let text = format!(
+                "SELECT ?s WHERE {{ ?s <http://p> <http://e/{i}> . ?s <http://q> ?o . \
+                 <http://e/{i}> <http://r> \"label {i}\"@en FILTER(?o = ?same) }}"
+            );
+            let query = sparqlog_parser::parse_query_in(&text, &arena).unwrap();
+            let analysis = QueryAnalysis::of_ref(&query, &mut interner);
+            assert!(analysis.structural.shape.unwrap().tree, "{text}");
+        }
+        assert_eq!(interner.stats().distinct, 3); // s, o, same
     }
 
     #[test]

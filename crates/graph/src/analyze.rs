@@ -9,7 +9,7 @@ use crate::graph::CanonicalGraph;
 use crate::hypergraph::Hypergraph;
 use crate::hypertree::{generalized_hypertree_width, HypertreeWidth};
 use crate::shape::ShapeReport;
-use crate::treewidth::{treewidth, Treewidth};
+use crate::treewidth::treewidth_of_cyclic;
 use serde::{Deserialize, Serialize};
 use sparqlog_algebra::fragments::{classify_fragments, variable_equalities, FragmentReport};
 use sparqlog_algebra::pattern_tree::PatternTree;
@@ -70,58 +70,36 @@ impl StructuralReport {
         let tree = (fragments.in_cqof() && fragments.select_or_ask)
             .then(|| PatternTree::build(query))
             .flatten();
-        StructuralReport::from_parts(fragments, tree.as_ref())
+        StructuralReport::from_walk(fragments, tree.as_ref())
     }
 
     /// Analyses one query from a completed
     /// [`QueryWalk`](sparqlog_algebra::walk::QueryWalk): the fragment report
     /// and the pattern tree both come out of the walk's single traversal, so
-    /// no part of the query is visited again.
+    /// no part of the query is visited again. Uses a throwaway [`Interner`];
+    /// workers analysing many queries hand theirs to
+    /// [`StructuralReport::from_walk_interned`].
     pub fn from_walk(fragments: FragmentReport, tree: Option<&PatternTree>) -> StructuralReport {
-        StructuralReport::from_parts(fragments, tree)
+        StructuralReport::from_walk_interned(fragments, tree, &mut Interner::new())
     }
 
-    /// [`StructuralReport::from_walk`] on the interned-term diet: the
-    /// canonical graph is constructed through
-    /// [`CanonicalGraph::from_triples_both_interned`], so node identity, the
-    /// equality union-find and the node index run over `u32` symbols of the
-    /// calling worker's [`Interner`] instead of freshly rendered label
-    /// strings. The produced report is byte-identical to [`from_walk`]
-    /// (differential-tested); only the allocation profile changes.
+    /// [`StructuralReport::from_walk`] with the calling worker's
+    /// [`Interner`], through which the canonical-graph construction
+    /// ([`CanonicalGraph::from_triples_both_interned`]) tells variables and
+    /// blank nodes apart as `u32` symbols. The report does not depend on the
+    /// interner's state.
     ///
-    /// [`from_walk`]: StructuralReport::from_walk
+    /// Non-CQ-like queries get only their fragment classification; CQ-like
+    /// queries additionally get a shape, treewidth and (when they use
+    /// variable predicates) a hypertree width. The canonical graph is
+    /// constructed **once**, in both modes simultaneously, from triples and
+    /// `?x = ?y` equalities borrowed straight out of the pattern tree; the
+    /// built pair (with constants, variables only) feeds the shape,
+    /// treewidth, girth and constants-excluded analyses.
     pub fn from_walk_interned(
         fragments: FragmentReport,
         tree: Option<&PatternTree>,
         interner: &mut Interner,
-    ) -> StructuralReport {
-        StructuralReport::assemble(fragments, tree, |triples, equalities| {
-            CanonicalGraph::from_triples_both_interned(triples, equalities, interner)
-        })
-    }
-
-    /// Non-CQ-like queries get only their fragment classification; CQ-like
-    /// queries additionally get a shape, treewidth and (when they use
-    /// variable predicates) a hypertree width. The canonical graph is
-    /// constructed **once**, in both modes simultaneously, through the
-    /// string-keyed builder ([`CanonicalGraph::from_triples_both`]).
-    fn from_parts(fragments: FragmentReport, tree: Option<&PatternTree>) -> StructuralReport {
-        StructuralReport::assemble(fragments, tree, CanonicalGraph::from_triples_both)
-    }
-
-    /// The shared report assembly: the string and interned paths differ only
-    /// in `build_graphs`, the dual-mode canonical-graph constructor handed
-    /// the tree's triples and `?x = ?y` equalities. The built pair (with
-    /// constants, variables only) feeds the shape, treewidth, girth and
-    /// constants-excluded analyses; variable-predicate queries bypass it for
-    /// the hypergraph.
-    fn assemble(
-        fragments: FragmentReport,
-        tree: Option<&PatternTree>,
-        build_graphs: impl FnOnce(
-            &[&sparqlog_parser::ast::TriplePattern],
-            &[(String, String)],
-        ) -> Option<(CanonicalGraph, CanonicalGraph)>,
     ) -> StructuralReport {
         let mut report = StructuralReport {
             fragments,
@@ -135,28 +113,35 @@ impl StructuralReport {
         if !fragments.in_cqof() || !fragments.select_or_ask {
             return report;
         }
-        // CQ-like query: gather its triples and equality filters through the
+        // CQ-like query: its triples and equality filters come from the
         // pattern tree (CQ and CQF queries are single-node trees; CQOF adds
         // the OPTIONAL levels, whose triples also enter the canonical graph).
         let Some(tree) = tree else {
             return report;
         };
-        let triples = tree.all_triples();
-        let filters = tree.all_filters();
-        let equalities = variable_equalities(&filters);
-
         if fragments.has_var_predicate {
             // Graph analysis is not meaningful; use the hypergraph.
-            let hg = Hypergraph::from_triple_refs(&triples, &equalities);
+            let equalities: Vec<_> = variable_equalities(tree.filters()).collect();
+            let hg = Hypergraph::from_triple_refs(&tree.all_triples(), &equalities);
             report.hypertree = generalized_hypertree_width(&hg, 5).map(Into::into);
             return report;
         }
-        if let Some((with_constants, vars_only)) = build_graphs(&triples, &equalities) {
-            report.shape = Some(ShapeReport::classify(&with_constants));
-            report.treewidth = Some(match treewidth(&with_constants) {
-                Treewidth::Exact(k) | Treewidth::UpperBound(k) => k,
-            });
-            report.shortest_cycle = with_constants.girth();
+        if let Some((with_constants, vars_only)) = CanonicalGraph::from_triples_both_interned(
+            tree.triples(),
+            variable_equalities(tree.filters()),
+            interner,
+        ) {
+            let shape = ShapeReport::classify(&with_constants);
+            // The classification already knows whether the graph is a
+            // forest; only cyclic graphs pay for the treewidth reduction and
+            // the girth search.
+            if shape.forest {
+                report.treewidth = Some(usize::from(!shape.empty));
+            } else {
+                report.treewidth = Some(treewidth_of_cyclic(&with_constants).value());
+                report.shortest_cycle = with_constants.girth();
+            }
+            report.shape = Some(shape);
             report.shape_vars_only = Some(ShapeReport::classify(&vars_only));
         }
         report

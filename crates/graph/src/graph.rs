@@ -9,11 +9,27 @@
 //! supported through [`GraphMode`].
 //!
 //! Filters of the form `?x = ?y` collapse the two nodes (footnote 20).
+//!
+//! # Representation
+//!
+//! A graph is a symmetric, zero-diagonal **bit matrix**: node `v`'s
+//! neighbourhood is a row of `ceil(n / 64)` `u64` words, rows stored back to
+//! back in one allocation. Query graphs are tiny — a single word per row
+//! covers every graph with up to 64 nodes, and the 209-triple outliers of
+//! the paper's corpus take seven — so degrees are popcounts, "neighbours of
+//! `v` inside this component" is an `AND`, and the shape, treewidth and
+//! girth algorithms of this crate run on machine words without ever copying
+//! a subgraph. Nodes are anonymous: they are numbered in first-occurrence
+//! order during one scan over the triples, and nothing downstream needs to
+//! know which term a number stands for.
+//!
+//! The matrix is quadratic in the node count, which comes from the analysed
+//! query, so it is bounded before it is allocated: a pattern with more than
+//! [`CanonicalGraph::MAX_NODES`] distinct nodes gets no canonical graph.
 
 use serde::{Deserialize, Serialize};
 use sparqlog_parser::ast::{Term, TriplePattern};
 use sparqlog_parser::intern::{Interner, Symbol};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Whether constants (IRIs and literals in subject/object position) become
 /// graph nodes, or only variables and blank nodes do.
@@ -28,14 +44,19 @@ pub enum GraphMode {
     VariablesOnly,
 }
 
-/// An undirected simple graph with optional parallel-edge and self-loop
-/// accounting, as produced from a SPARQL graph pattern.
+/// An undirected simple graph with parallel-edge and self-loop accounting,
+/// as produced from a SPARQL graph pattern (see the [module docs](self) for
+/// the bit-matrix representation).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CanonicalGraph {
-    /// Node labels (canonical representative after `?x = ?y` collapsing).
-    pub labels: Vec<String>,
-    /// Adjacency sets over node indices (no self entries).
-    pub adj: Vec<BTreeSet<usize>>,
+    /// Number of nodes.
+    nodes: usize,
+    /// `u64` words per adjacency row: `ceil(nodes / 64)`.
+    words: usize,
+    /// The adjacency matrix, row-major: bit `w` of row `v` is set iff
+    /// `{v, w}` is an edge. Symmetric, no diagonal bits, no bits at or above
+    /// `nodes`.
+    rows: Vec<u64>,
     /// Number of self-loop edges encountered (triples with identical
     /// endpoints after collapsing, e.g. `?x p ?x`).
     pub self_loops: usize,
@@ -48,445 +69,459 @@ pub struct CanonicalGraph {
 }
 
 impl CanonicalGraph {
+    /// The largest node count a canonical graph is built for. The adjacency
+    /// matrix takes `nodes² / 8` bytes (2 MiB at this bound) and the node
+    /// count is set by the analysed query, so it is checked before anything
+    /// is allocated; the largest query of the paper's corpus has 209 triples,
+    /// i.e. at most 418 nodes.
+    pub const MAX_NODES: usize = 4096;
+
     /// Builds the canonical graph of a set of triple patterns.
     ///
     /// `equalities` lists variable pairs equated by simple `?x = ?y` filters;
     /// each pair is collapsed into one node. Triple patterns with a variable
     /// predicate are rejected by returning `None` (such queries must be
     /// analysed through their hypergraph instead, see Section 5 / Example
-    /// 5.1 of the paper).
+    /// 5.1 of the paper), and so are patterns with more than
+    /// [`CanonicalGraph::MAX_NODES`] distinct nodes.
     pub fn from_triples(
         triples: &[TriplePattern],
-        equalities: &[(String, String)],
+        equalities: &[(&str, &str)],
         mode: GraphMode,
     ) -> Option<CanonicalGraph> {
-        let refs: Vec<&TriplePattern> = triples.iter().collect();
-        CanonicalGraph::from_triple_refs(&refs, equalities, mode)
+        let scan = Scan::of(triples, equalities.iter().copied(), &mut Interner::new())?;
+        Some(scan.graph(mode))
     }
 
-    /// [`CanonicalGraph::from_triples`] over borrowed triples — the form the
-    /// single-pass pipeline uses, where the triples are borrowed from a
-    /// pattern tree instead of being cloned.
-    pub fn from_triple_refs(
-        triples: &[&TriplePattern],
-        equalities: &[(String, String)],
-        mode: GraphMode,
-    ) -> Option<CanonicalGraph> {
-        if triples.iter().any(|t| t.predicate.is_var()) {
-            return None;
-        }
-        let mut uf = UnionFind::from_equalities(equalities);
-        let mut builder = GraphBuilder::new(mode);
-        for t in triples {
-            builder.add_triple(t, &mut uf);
-        }
-        Some(builder.graph)
-    }
-
-    /// Builds the canonical graph in **both** modes in a single pass over the
-    /// triples: the with-constants graph (shape, treewidth, girth) and the
-    /// variables-only graph (the Section 6.1 "excluding constants" rerun).
-    /// This is the one canonical-graph construction of the single-pass
-    /// pipeline. Returns `None` when a predicate is a variable, exactly like
-    /// [`CanonicalGraph::from_triples`].
-    pub fn from_triples_both(
-        triples: &[&TriplePattern],
-        equalities: &[(String, String)],
-    ) -> Option<(CanonicalGraph, CanonicalGraph)> {
-        if triples.iter().any(|t| t.predicate.is_var()) {
-            return None;
-        }
-        let mut uf = UnionFind::from_equalities(equalities);
-        let mut with_constants = GraphBuilder::new(GraphMode::WithConstants);
-        let mut vars_only = GraphBuilder::new(GraphMode::VariablesOnly);
-        for t in triples {
-            with_constants.add_triple(t, &mut uf);
-            vars_only.add_triple(t, &mut uf);
-        }
-        Some((with_constants.graph, vars_only.graph))
-    }
-
-    /// [`CanonicalGraph::from_triples_both`] on an interned-term diet: node
-    /// identity, the `?x = ?y` union-find and the node index all work over
-    /// `u32` [`Symbol`]s from the caller's [`Interner`] instead of rendered
-    /// label strings, so each term occurrence costs an integer lookup rather
-    /// than a `String` allocation plus a string-keyed map probe. A node's
-    /// label string is rendered exactly once, at its first occurrence, which
-    /// keeps the produced graphs byte-identical to the string path (proven by
-    /// the differential tests).
+    /// Builds the canonical graph in **both** modes from a single scan over
+    /// the triples: the with-constants graph (shape, treewidth, girth) and
+    /// the variables-only graph (the Section 6.1 "excluding constants"
+    /// rerun). This is the one canonical-graph construction of the
+    /// single-pass pipeline. Returns `None` exactly when
+    /// [`CanonicalGraph::from_triples`] does.
     ///
-    /// The interner is typically the calling analysis worker's long-lived
-    /// table, so IRIs and variable names repeated across queries are stored
-    /// once per worker.
-    pub fn from_triples_both_interned(
-        triples: &[&TriplePattern],
-        equalities: &[(String, String)],
+    /// Node identity only has to hold within the query: variables and blank
+    /// nodes are compared as `u32` [`Symbol`]s of the caller's [`Interner`]
+    /// (variables through the `?x = ?y` union-find), constants are compared
+    /// by value against the query's own node list and never interned — a
+    /// worker's interner therefore grows with the corpus' variable names,
+    /// not with its IRIs and literals.
+    pub fn from_triples_both_interned<'a, 'e>(
+        triples: impl IntoIterator<Item = &'a TriplePattern>,
+        equalities: impl IntoIterator<Item = (&'e str, &'e str)>,
         interner: &mut Interner,
     ) -> Option<(CanonicalGraph, CanonicalGraph)> {
-        if triples.iter().any(|t| t.predicate.is_var()) {
-            return None;
+        let scan = Scan::of(triples, equalities, interner)?;
+        Some((
+            scan.graph(GraphMode::WithConstants),
+            scan.graph(GraphMode::VariablesOnly),
+        ))
+    }
+
+    /// An edgeless graph on `nodes` nodes.
+    fn with_nodes(nodes: usize) -> CanonicalGraph {
+        let words = nodes.div_ceil(64);
+        CanonicalGraph {
+            nodes,
+            words,
+            rows: vec![0; nodes * words],
+            ..CanonicalGraph::default()
         }
-        let mut uf = SymbolUnionFind::default();
-        for (a, b) in equalities {
-            let (a, b) = (interner.intern(a), interner.intern(b));
-            uf.union(a, b);
+    }
+
+    /// Records one triple between the given endpoints (`None` = an endpoint
+    /// that is not a node in this graph's mode).
+    fn add_edge(&mut self, subject: Option<usize>, object: Option<usize>) {
+        match (subject, object) {
+            (Some(a), Some(b)) if a == b => self.self_loops += 1,
+            (Some(a), Some(b)) => {
+                if bits::contains(self.row(a), b) {
+                    self.parallel_edges += 1;
+                } else {
+                    bits::insert(self.row_mut(a), b);
+                    bits::insert(self.row_mut(b), a);
+                }
+            }
+            (Some(_), None) | (None, Some(_)) => self.self_loops += 1,
+            (None, None) => self.skipped_triples += 1,
         }
-        let mut with_constants = InternedGraphBuilder::new(GraphMode::WithConstants);
-        let mut vars_only = InternedGraphBuilder::new(GraphMode::VariablesOnly);
-        for t in triples {
-            with_constants.add_triple(t, &mut uf, interner);
-            vars_only.add_triple(t, &mut uf, interner);
-        }
-        Some((with_constants.graph, vars_only.graph))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.nodes
     }
 
     /// Number of (simple, undirected) edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).sum::<usize>() / 2
+        bits::count(&self.rows) / 2
     }
 
     /// The degree of a node.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        bits::count(self.row(v))
+    }
+
+    /// The neighbourhood of a node as a node set ([`bits`]).
+    pub(crate) fn row(&self, v: usize) -> &[u64] {
+        &self.rows[v * self.words..(v + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, v: usize) -> &mut [u64] {
+        &mut self.rows[v * self.words..(v + 1) * self.words]
+    }
+
+    /// `u64` words per row and per node set of this graph.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The whole matrix, row-major.
+    pub(crate) fn rows(&self) -> &[u64] {
+        &self.rows
     }
 
     /// The connected components, each given as a sorted list of node indices.
     pub fn connected_components(&self) -> Vec<Vec<usize>> {
-        let n = self.node_count();
-        let mut seen = vec![false; n];
-        let mut components = Vec::new();
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut stack = vec![start];
-            let mut comp = Vec::new();
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                comp.push(v);
-                for &w in &self.adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            components.push(comp);
-        }
-        components
-    }
-
-    /// True if the graph is connected (the empty graph counts as connected).
-    pub fn is_connected(&self) -> bool {
-        self.connected_components().len() <= 1
-    }
-
-    /// Returns the subgraph induced by `nodes` (labels are preserved).
-    pub fn induced(&self, nodes: &[usize]) -> CanonicalGraph {
-        let set: BTreeSet<usize> = nodes.iter().copied().collect();
-        let mut map = BTreeMap::new();
-        let mut out = CanonicalGraph::default();
-        for &v in nodes {
-            map.insert(v, out.labels.len());
-            out.labels.push(self.labels[v].clone());
-            out.adj.push(BTreeSet::new());
-        }
-        for &v in nodes {
-            for &w in &self.adj[v] {
-                if set.contains(&w) {
-                    let a = map[&v];
-                    let b = map[&w];
-                    out.adj[a].insert(b);
-                    out.adj[b].insert(a);
-                }
-            }
+        let mut components = Components::of(self);
+        let mut out = Vec::new();
+        while let Some(component) = components.next() {
+            out.push(bits::iter(component).collect());
         }
         out
     }
 
-    /// Removes a node, returning the residual graph (used by the flower
-    /// classifier and the treewidth ≤ 2 reduction).
-    pub fn without_node(&self, v: usize) -> CanonicalGraph {
-        let keep: Vec<usize> = (0..self.node_count()).filter(|&u| u != v).collect();
-        self.induced(&keep)
+    /// True if the graph is connected (the empty graph counts as connected).
+    pub fn is_connected(&self) -> bool {
+        let mut components = Components::of(self);
+        components.next();
+        components.next().is_none()
     }
 
     /// True if the graph contains at least one cycle.
     pub fn has_cycle(&self) -> bool {
-        // A graph is acyclic iff every component has |E| = |V| - 1.
-        for comp in self.connected_components() {
-            let edges: usize = comp
-                .iter()
-                .map(|&v| self.adj[v].iter().filter(|w| comp.contains(w)).count())
-                .sum::<usize>()
-                / 2;
-            if edges >= comp.len() {
-                return true;
-            }
+        // A forest with `c` components has exactly |V| − c edges.
+        let mut components = Components::of(self);
+        let mut count = 0;
+        while components.next().is_some() {
+            count += 1;
         }
-        false
+        self.edge_count() + count > self.nodes
     }
 
     /// The length of the shortest cycle (girth), or `None` if acyclic.
     /// Self-loops and parallel edges are *not* considered (they arise from
     /// multi-edges in the multigraph view and are reported separately).
     pub fn girth(&self) -> Option<usize> {
-        let n = self.node_count();
-        let mut best: Option<usize> = None;
-        for start in 0..n {
-            // BFS from start; a non-tree edge closing back gives a cycle.
-            let mut dist = vec![usize::MAX; n];
-            let mut parent = vec![usize::MAX; n];
-            dist[start] = 0;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(v) = queue.pop_front() {
-                for &w in &self.adj[v] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
-                        parent[w] = v;
-                        queue.push_back(w);
-                    } else if parent[v] != w {
-                        let cycle_len = dist[v] + dist[w] + 1;
-                        best = Some(best.map_or(cycle_len, |b| b.min(cycle_len)));
+        if !self.has_cycle() {
+            return None;
+        }
+        // Level-synchronous BFS from every node. With `level` the nodes at
+        // distance `depth` from the start, an edge inside the level closes
+        // an odd cycle of 2·depth + 1 edges and a node reached from two
+        // level nodes closes an even one of 2·depth + 2. Every detection is
+        // a closed walk, so no start reports less than the girth, and a
+        // start on a shortest cycle reports it exactly.
+        let words = self.words;
+        let mut buf = vec![0u64; 3 * words];
+        let (seen, rest) = buf.split_at_mut(words);
+        let (level, next) = rest.split_at_mut(words);
+        let mut best = usize::MAX;
+        for start in 0..self.nodes {
+            seen.fill(0);
+            level.fill(0);
+            bits::insert(seen, start);
+            bits::insert(level, start);
+            let mut depth = 0;
+            // Nothing found at this depth or deeper can beat `best`.
+            while 2 * depth + 1 < best && !bits::is_empty(level) {
+                next.fill(0);
+                let (mut odd, mut even) = (false, false);
+                for v in bits::iter(level) {
+                    let row = self.row(v);
+                    if bits::intersects(row, level) {
+                        odd = true;
+                        break;
+                    }
+                    for i in 0..words {
+                        let reached = row[i] & !seen[i];
+                        even |= reached & next[i] != 0;
+                        next[i] |= reached;
                     }
                 }
+                if odd || even {
+                    best = best.min(2 * depth + if odd { 1 } else { 2 });
+                    break;
+                }
+                for i in 0..words {
+                    seen[i] |= next[i];
+                }
+                level.copy_from_slice(next);
+                depth += 1;
             }
         }
-        best
+        Some(best)
     }
 }
 
-/// Incremental construction of one [`CanonicalGraph`] under a fixed
-/// [`GraphMode`]; kept separate from the entry points so one triple scan can
-/// feed several builders.
-#[derive(Debug)]
-struct GraphBuilder {
-    graph: CanonicalGraph,
-    index: BTreeMap<String, usize>,
-    mode: GraphMode,
-}
-
-impl GraphBuilder {
-    fn new(mode: GraphMode) -> GraphBuilder {
-        GraphBuilder {
-            graph: CanonicalGraph::default(),
-            index: BTreeMap::new(),
-            mode,
-        }
+/// Node sets as bit masks: a set over a graph's nodes is a slice of
+/// [`CanonicalGraph::words`] `u64`s, bit `v % 64` of word `v / 64` standing
+/// for node `v` — the same layout as an adjacency row, so the two combine
+/// word by word.
+pub(crate) mod bits {
+    /// Number of members.
+    pub fn count(set: &[u64]) -> usize {
+        set.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    fn node_of(&mut self, term: &Term, uf: &mut UnionFind) -> Option<usize> {
-        let label = match term {
-            Term::Var(v) => uf.find(&format!("?{v}")),
-            Term::BlankNode(b) => format!("_:{b}"),
-            Term::Iri(_) | Term::Literal { .. } => {
-                if self.mode == GraphMode::VariablesOnly {
-                    return None;
-                }
-                term.to_string()
-            }
-        };
-        Some(*self.index.entry(label.clone()).or_insert_with(|| {
-            self.graph.labels.push(label);
-            self.graph.adj.push(BTreeSet::new());
-            self.graph.labels.len() - 1
-        }))
+    /// Number of members of `a ∩ b`.
+    pub fn count_and(a: &[u64], b: &[u64]) -> usize {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x & y).count_ones() as usize)
+            .sum()
     }
 
-    fn add_triple(&mut self, t: &TriplePattern, uf: &mut UnionFind) {
-        let s = self.node_of(&t.subject, uf);
-        let o = self.node_of(&t.object, uf);
-        let graph = &mut self.graph;
-        match (s, o) {
-            (Some(a), Some(b)) if a == b => graph.self_loops += 1,
-            (Some(a), Some(b)) => {
-                if graph.adj[a].contains(&b) {
-                    graph.parallel_edges += 1;
-                } else {
-                    graph.adj[a].insert(b);
-                    graph.adj[b].insert(a);
-                }
-            }
-            (Some(_), None) | (None, Some(_)) => graph.self_loops += 1,
-            (None, None) => graph.skipped_triples += 1,
-        }
-    }
-}
-
-/// Node identity under the interned construction: which graph node a term
-/// maps to, as symbols of the active [`Interner`]. Variables carry their
-/// union-find **root** symbol so `?x = ?y` pairs collapse to one key; the
-/// enum discriminant keeps `?x`, `_:x` and constants distinct the way the
-/// rendered labels (`"?x"` / `"_:x"` / `"<x>"`) did on the string path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum NodeKey {
-    Var(Symbol),
-    Blank(Symbol),
-    Iri(Symbol),
-    Literal(Symbol, Option<Symbol>, Option<Symbol>),
-}
-
-/// Incremental construction of one [`CanonicalGraph`] whose node index is
-/// keyed by [`NodeKey`] symbols instead of rendered label strings. Labels
-/// are materialized once per distinct node, on first occurrence, in exactly
-/// the format of the string-keyed [`GraphBuilder`].
-#[derive(Debug)]
-struct InternedGraphBuilder {
-    graph: CanonicalGraph,
-    index: HashMap<NodeKey, usize>,
-    mode: GraphMode,
-}
-
-impl InternedGraphBuilder {
-    fn new(mode: GraphMode) -> InternedGraphBuilder {
-        InternedGraphBuilder {
-            graph: CanonicalGraph::default(),
-            index: HashMap::new(),
-            mode,
-        }
+    /// True if `a ∩ b` is non-empty.
+    pub fn intersects(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).any(|(x, y)| x & y != 0)
     }
 
-    fn node_of(
-        &mut self,
-        term: &Term,
-        uf: &mut SymbolUnionFind,
-        interner: &mut Interner,
-    ) -> Option<usize> {
-        let key = match term {
-            Term::Var(v) => NodeKey::Var(uf.find(interner.intern(v))),
-            Term::BlankNode(b) => NodeKey::Blank(interner.intern(b)),
-            Term::Iri(i) => {
-                if self.mode == GraphMode::VariablesOnly {
-                    return None;
-                }
-                NodeKey::Iri(interner.intern(i))
-            }
-            Term::Literal {
-                lexical,
-                datatype,
-                lang,
-            } => {
-                if self.mode == GraphMode::VariablesOnly {
-                    return None;
-                }
-                NodeKey::Literal(
-                    interner.intern(lexical),
-                    datatype.as_deref().map(|d| interner.intern(d)),
-                    lang.as_deref().map(|l| interner.intern(l)),
-                )
-            }
-        };
-        Some(match self.index.get(&key) {
-            Some(&node) => node,
-            None => {
-                // First occurrence: render the label exactly as the
-                // string-keyed builder would have.
-                let label = match key {
-                    NodeKey::Var(root) => format!("?{}", interner.resolve(root)),
-                    NodeKey::Blank(b) => format!("_:{}", interner.resolve(b)),
-                    NodeKey::Iri(_) | NodeKey::Literal(..) => term.to_string(),
-                };
-                let node = self.graph.labels.len();
-                self.graph.labels.push(label);
-                self.graph.adj.push(BTreeSet::new());
-                self.index.insert(key, node);
-                node
-            }
+    /// True if the set has no members.
+    pub fn is_empty(set: &[u64]) -> bool {
+        set.iter().all(|&w| w == 0)
+    }
+
+    /// The smallest member.
+    pub fn first(set: &[u64]) -> Option<usize> {
+        set.iter()
+            .position(|&w| w != 0)
+            .map(|i| i * 64 + set[i].trailing_zeros() as usize)
+    }
+
+    /// Membership test.
+    pub fn contains(set: &[u64], v: usize) -> bool {
+        set[v / 64] >> (v % 64) & 1 != 0
+    }
+
+    /// Adds a member.
+    pub fn insert(set: &mut [u64], v: usize) {
+        set[v / 64] |= 1 << (v % 64);
+    }
+
+    /// Removes a member.
+    pub fn remove(set: &mut [u64], v: usize) {
+        set[v / 64] &= !(1 << (v % 64));
+    }
+
+    /// The members in increasing order.
+    pub fn iter(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        set.iter().enumerate().flat_map(|(i, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    i * 64 + bit
+                })
+            })
         })
     }
+}
 
-    fn add_triple(&mut self, t: &TriplePattern, uf: &mut SymbolUnionFind, interner: &mut Interner) {
-        let s = self.node_of(&t.subject, uf, interner);
-        let o = self.node_of(&t.object, uf, interner);
-        let graph = &mut self.graph;
-        match (s, o) {
-            (Some(a), Some(b)) if a == b => graph.self_loops += 1,
-            (Some(a), Some(b)) => {
-                if graph.adj[a].contains(&b) {
-                    graph.parallel_edges += 1;
-                } else {
-                    graph.adj[a].insert(b);
-                    graph.adj[b].insert(a);
-                }
-            }
-            (Some(_), None) | (None, Some(_)) => graph.self_loops += 1,
-            (None, None) => graph.skipped_triples += 1,
+/// Walks the connected components of the subgraph induced by a node set,
+/// handing out one component mask at a time from a buffer allocated once —
+/// the replacement for materialising induced subgraphs. Components come in
+/// increasing order of their smallest node.
+pub(crate) struct Components<'g> {
+    graph: &'g CanonicalGraph,
+    /// Three node sets back to back: the nodes not yet handed out, the
+    /// current component, and the search frontier (empty between calls).
+    buf: Vec<u64>,
+}
+
+impl<'g> Components<'g> {
+    /// A walker over no nodes at all; [`Components::reset`] gives it work.
+    pub fn new(graph: &'g CanonicalGraph) -> Components<'g> {
+        Components {
+            graph,
+            buf: vec![0; 3 * graph.words],
         }
+    }
+
+    /// A walker over the whole graph.
+    pub fn of(graph: &'g CanonicalGraph) -> Components<'g> {
+        let mut components = Components::new(graph);
+        let remaining = &mut components.buf[..graph.words];
+        remaining.fill(u64::MAX);
+        if let Some(last) = remaining.last_mut() {
+            // Only the low `nodes % 64` bits of a partial last word are nodes.
+            *last >>= (64 - graph.nodes % 64) % 64;
+        }
+        components
+    }
+
+    /// Restarts the walk over the subgraph induced by `within`.
+    pub fn reset(&mut self, within: &[u64]) {
+        self.buf[..self.graph.words].copy_from_slice(within);
+    }
+
+    /// Drops a node from the part of the graph still to be walked.
+    pub fn exclude(&mut self, v: usize) {
+        bits::remove(&mut self.buf[..self.graph.words], v);
+    }
+
+    /// The next component, as a node set valid until the next call.
+    pub fn next(&mut self) -> Option<&[u64]> {
+        let words = self.graph.words;
+        let (remaining, rest) = self.buf.split_at_mut(words);
+        let (component, frontier) = rest.split_at_mut(words);
+        let start = bits::first(remaining)?;
+        component.fill(0);
+        bits::insert(component, start);
+        bits::insert(frontier, start);
+        while let Some(v) = bits::first(frontier) {
+            bits::remove(frontier, v);
+            let row = self.graph.row(v);
+            for i in 0..words {
+                let reached = row[i] & remaining[i] & !component[i];
+                component[i] |= reached;
+                frontier[i] |= reached;
+            }
+        }
+        for i in 0..words {
+            remaining[i] &= !component[i];
+        }
+        Some(component)
     }
 }
 
-/// A union-find over interned variable symbols — the integer-ops counterpart
-/// of [`UnionFind`], with the same root-selection order (`union(a, b)` keeps
-/// `a`'s root), so the collapsed labels match the string path exactly.
-#[derive(Debug, Default)]
-struct SymbolUnionFind {
-    parent: HashMap<Symbol, Symbol>,
+/// What makes two subject/object terms of one query the same node.
+/// Variables carry their `?x = ?y` union-find root so equated variables
+/// collapse; constants are compared by value (kind and every field), which
+/// needs no table that outlives the query.
+#[derive(Clone, Copy, PartialEq)]
+enum NodeKey<'a> {
+    Var(Symbol),
+    Blank(Symbol),
+    Constant(&'a Term),
 }
 
-impl SymbolUnionFind {
-    fn find(&mut self, key: Symbol) -> Symbol {
-        let parent = match self.parent.get(&key) {
-            None => return key,
-            Some(&p) => p,
-        };
-        if parent == key {
-            return parent;
+/// The `?x = ?y` union-find over variable symbols. Equality filters are rare
+/// and short, so the links are a flat list searched linearly; a symbol
+/// without a link is its own root.
+#[derive(Default)]
+struct Equalities {
+    parent: Vec<(Symbol, Symbol)>,
+}
+
+impl Equalities {
+    fn find(&self, mut key: Symbol) -> Symbol {
+        while let Some(&(_, parent)) = self.parent.iter().find(|(child, _)| *child == key) {
+            key = parent;
         }
-        let root = self.find(parent);
-        self.parent.insert(key, root);
-        root
+        key
     }
 
     fn union(&mut self, a: Symbol, b: Symbol) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(rb, ra);
+        let (a, b) = (self.find(a), self.find(b));
+        if a != b {
+            // `b` was a root, so it had no link yet.
+            self.parent.push((b, a));
         }
     }
 }
 
-/// A tiny union-find over string keys used for `?x = ?y` collapsing.
-#[derive(Debug, Default)]
-struct UnionFind {
-    parent: BTreeMap<String, String>,
+/// The outcome of the one scan over a pattern's triples: node numbers in
+/// first-occurrence order and one endpoint pair per triple, from which the
+/// graph of either [`GraphMode`] is filled in.
+struct Scan<'a> {
+    /// The with-constants nodes, each with its number in the variables-only
+    /// graph (or [`Scan::CONSTANT`]).
+    nodes: Vec<(NodeKey<'a>, u32)>,
+    /// Number of variable and blank nodes.
+    variables: u32,
+    /// Subject and object node of every triple, in with-constants numbering.
+    edges: Vec<(u32, u32)>,
 }
 
-impl UnionFind {
-    /// Builds the union-find for a set of `?x = ?y` equality pairs.
-    fn from_equalities(equalities: &[(String, String)]) -> UnionFind {
-        let mut uf = UnionFind::default();
+impl<'a> Scan<'a> {
+    const CONSTANT: u32 = u32::MAX;
+
+    fn of<'e>(
+        triples: impl IntoIterator<Item = &'a TriplePattern>,
+        equalities: impl IntoIterator<Item = (&'e str, &'e str)>,
+        interner: &mut Interner,
+    ) -> Option<Scan<'a>> {
+        let mut equal = Equalities::default();
         for (a, b) in equalities {
-            uf.union(&format!("?{a}"), &format!("?{b}"));
+            equal.union(interner.intern(a), interner.intern(b));
         }
-        uf
-    }
-
-    fn find(&mut self, key: &str) -> String {
-        let parent = match self.parent.get(key) {
-            None => return key.to_string(),
-            Some(p) => p.clone(),
+        let triples = triples.into_iter();
+        let expected = triples.size_hint().0;
+        let mut scan = Scan {
+            nodes: Vec::with_capacity(expected + 1),
+            variables: 0,
+            edges: Vec::with_capacity(expected),
         };
-        if parent == key {
-            return parent;
+        for t in triples {
+            if t.predicate.is_var() {
+                return None;
+            }
+            let subject = scan.node_of(&t.subject, &equal, interner)?;
+            let object = scan.node_of(&t.object, &equal, interner)?;
+            scan.edges.push((subject, object));
         }
-        let root = self.find(&parent);
-        self.parent.insert(key.to_string(), root.clone());
-        root
+        Some(scan)
     }
 
-    fn union(&mut self, a: &str, b: &str) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(rb, ra);
+    /// The node a term stands for, numbering it on first occurrence; `None`
+    /// once the pattern has more than [`CanonicalGraph::MAX_NODES`] nodes.
+    fn node_of(
+        &mut self,
+        term: &'a Term,
+        equal: &Equalities,
+        interner: &mut Interner,
+    ) -> Option<u32> {
+        let key = match term {
+            Term::Var(v) => NodeKey::Var(equal.find(interner.intern(v))),
+            Term::BlankNode(b) => NodeKey::Blank(interner.intern(b)),
+            Term::Iri(_) | Term::Literal { .. } => NodeKey::Constant(term),
+        };
+        // A handful of nodes per query: a scan beats any hashed index.
+        if let Some(node) = self.nodes.iter().position(|(k, _)| *k == key) {
+            return Some(node as u32);
         }
+        if self.nodes.len() == CanonicalGraph::MAX_NODES {
+            return None;
+        }
+        let variable_id = match key {
+            NodeKey::Constant(_) => Scan::CONSTANT,
+            NodeKey::Var(_) | NodeKey::Blank(_) => {
+                self.variables += 1;
+                self.variables - 1
+            }
+        };
+        self.nodes.push((key, variable_id));
+        Some(self.nodes.len() as u32 - 1)
+    }
+
+    fn graph(&self, mode: GraphMode) -> CanonicalGraph {
+        let node = |v: u32| match mode {
+            GraphMode::WithConstants => Some(v as usize),
+            GraphMode::VariablesOnly => {
+                let id = self.nodes[v as usize].1;
+                (id != Scan::CONSTANT).then_some(id as usize)
+            }
+        };
+        let mut graph = CanonicalGraph::with_nodes(match mode {
+            GraphMode::WithConstants => self.nodes.len(),
+            GraphMode::VariablesOnly => self.variables as usize,
+        });
+        for &(subject, object) in &self.edges {
+            graph.add_edge(node(subject), node(object));
+        }
+        graph
     }
 }
 
@@ -529,6 +564,8 @@ mod tests {
             Term::var("y"),
         )];
         assert!(CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).is_none());
+        let mut interner = Interner::new();
+        assert!(CanonicalGraph::from_triples_both_interned(&triples, [], &mut interner).is_none());
     }
 
     #[test]
@@ -561,12 +598,8 @@ mod tests {
     fn equality_filter_collapses_nodes() {
         // ?x p ?y . ?z q ?w with FILTER(?y = ?z) becomes a chain of length 2.
         let triples = [t("?x", "p", "?y"), t("?z", "q", "?w")];
-        let g = CanonicalGraph::from_triples(
-            &triples,
-            &[("y".to_string(), "z".to_string())],
-            GraphMode::WithConstants,
-        )
-        .unwrap();
+        let g = CanonicalGraph::from_triples(&triples, &[("y", "z")], GraphMode::WithConstants)
+            .unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert!(g.is_connected());
@@ -582,20 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn components_and_induced_subgraphs() {
-        let triples = [t("?a", "p", "?b"), t("?c", "p", "?d")];
+    fn components_are_sorted_node_lists() {
+        let triples = [t("?a", "p", "?b"), t("?c", "p", "?d"), t("?b", "p", "?e")];
         let g = CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap();
-        let comps = g.connected_components();
-        assert_eq!(comps.len(), 2);
-        let sub = g.induced(&comps[0]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
+        assert_eq!(g.connected_components(), vec![vec![0, 1, 4], vec![2, 3]]);
         assert!(!g.is_connected());
     }
 
     #[test]
-    fn interned_construction_matches_string_construction() {
-        let lit = TriplePattern::new(
+    fn one_scan_builds_the_graphs_of_both_modes() {
+        let literal = TriplePattern::new(
             Term::var("x"),
             Term::iri("http://p"),
             Term::Literal {
@@ -604,61 +633,85 @@ mod tests {
                 lang: None,
             },
         );
-        type Case = (Vec<TriplePattern>, Vec<(String, String)>);
-        let cases: Vec<Case> = vec![
-            (
-                vec![
-                    t("?a", "p", "?b"),
-                    t("?b", "p", "?c"),
-                    t("?c", "p", "?d"),
-                    t("?d", "p", "?a"),
-                ],
-                vec![],
+        let triples = [
+            TriplePattern::new(
+                Term::BlankNode("b".to_string()),
+                Term::iri("http://p"),
+                Term::var("x"),
             ),
-            (
-                vec![t("?x", "p", "?y"), t("?z", "q", "?w")],
-                vec![("y".to_string(), "z".to_string())],
-            ),
-            (
-                vec![t("?x", "p", "c1"), t("?x", "q", "c2"), t("?x", "r", "?x")],
-                vec![],
-            ),
-            (
-                vec![
-                    TriplePattern::new(
-                        Term::BlankNode("b".to_string()),
-                        Term::iri("http://p"),
-                        Term::var("x"),
-                    ),
-                    lit,
-                ],
-                vec![],
-            ),
+            literal,
+            t("?x", "q", "c1"),
+            t("c1", "q", "c2"),
         ];
+        // The interner is reused across calls, as an analysis worker reuses
+        // it across queries.
         let mut interner = Interner::new();
-        for (triples, equalities) in cases {
-            let refs: Vec<&TriplePattern> = triples.iter().collect();
-            let reference = CanonicalGraph::from_triples_both(&refs, &equalities).unwrap();
-            // The interner is reused across cases, as an analysis worker
-            // reuses it across queries.
-            let interned =
-                CanonicalGraph::from_triples_both_interned(&refs, &equalities, &mut interner)
-                    .unwrap();
-            assert_eq!(reference, interned);
+        for _ in 0..2 {
+            let (with, without) =
+                CanonicalGraph::from_triples_both_interned(&triples, [], &mut interner).unwrap();
+            assert_eq!(
+                with,
+                CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap()
+            );
+            assert_eq!(
+                without,
+                CanonicalGraph::from_triples(&triples, &[], GraphMode::VariablesOnly).unwrap()
+            );
+            assert_eq!((with.node_count(), with.edge_count()), (5, 4));
+            assert_eq!((without.node_count(), without.edge_count()), (2, 1));
+            assert_eq!((without.self_loops, without.skipped_triples), (2, 1));
         }
         assert!(interner.stats().hits > 0);
     }
 
     #[test]
-    fn interned_construction_rejects_variable_predicates() {
-        let triples = [TriplePattern::new(
-            Term::var("x"),
-            Term::var("p"),
-            Term::var("y"),
-        )];
-        let refs: Vec<&TriplePattern> = triples.iter().collect();
+    fn a_term_kind_is_part_of_node_identity() {
+        // ?n, _:n, <n> and "n" are four nodes; "n"@en and "n"^^<dt> two more.
+        let object = |o: Term| TriplePattern::new(Term::var("s"), Term::iri("p"), o);
+        let triples = [
+            object(Term::var("n")),
+            object(Term::BlankNode("n".to_string())),
+            object(Term::iri("n")),
+            object(Term::literal("n")),
+            object(Term::Literal {
+                lexical: "n".to_string(),
+                datatype: None,
+                lang: Some("en".to_string()),
+            }),
+            object(Term::Literal {
+                lexical: "n".to_string(),
+                datatype: Some("dt".to_string()),
+                lang: None,
+            }),
+        ];
+        let g = CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap();
+        assert_eq!(
+            (g.node_count(), g.edge_count(), g.parallel_edges),
+            (7, 6, 0)
+        );
+    }
+
+    #[test]
+    fn constants_are_never_interned() {
+        let triples = [t("?x", "p", "http://c1"), t("http://c2", "q", "?y")];
         let mut interner = Interner::new();
-        assert!(CanonicalGraph::from_triples_both_interned(&refs, &[], &mut interner).is_none());
+        CanonicalGraph::from_triples_both_interned(&triples, [("x", "z")], &mut interner).unwrap();
+        assert_eq!(interner.stats().distinct, 3); // x, y, z
+    }
+
+    #[test]
+    fn the_node_count_is_bounded_before_the_matrix_is_allocated() {
+        let star = |leaves: usize| -> Vec<TriplePattern> {
+            (0..leaves)
+                .map(|i| t("?centre", "p", &format!("?leaf{i}")))
+                .collect()
+        };
+        let at_bound = star(CanonicalGraph::MAX_NODES - 1);
+        let g = CanonicalGraph::from_triples(&at_bound, &[], GraphMode::WithConstants).unwrap();
+        assert_eq!(g.node_count(), CanonicalGraph::MAX_NODES);
+        assert!(!g.has_cycle());
+        let beyond = star(CanonicalGraph::MAX_NODES);
+        assert!(CanonicalGraph::from_triples(&beyond, &[], GraphMode::WithConstants).is_none());
     }
 
     #[test]

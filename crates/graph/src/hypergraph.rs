@@ -24,7 +24,7 @@ pub struct Hypergraph {
 impl Hypergraph {
     /// Builds the canonical hypergraph of a set of triple patterns.
     /// `equalities` lists `?x = ?y` filter pairs that are collapsed.
-    pub fn from_triples(triples: &[TriplePattern], equalities: &[(String, String)]) -> Hypergraph {
+    pub fn from_triples(triples: &[TriplePattern], equalities: &[(&str, &str)]) -> Hypergraph {
         let refs: Vec<&TriplePattern> = triples.iter().collect();
         Hypergraph::from_triple_refs(&refs, equalities)
     }
@@ -32,10 +32,7 @@ impl Hypergraph {
     /// [`Hypergraph::from_triples`] over borrowed triples — the form the
     /// single-pass pipeline uses, where the triples are borrowed from a
     /// pattern tree instead of being cloned.
-    pub fn from_triple_refs(
-        triples: &[&TriplePattern],
-        equalities: &[(String, String)],
-    ) -> Hypergraph {
+    pub fn from_triple_refs(triples: &[&TriplePattern], equalities: &[(&str, &str)]) -> Hypergraph {
         let mut rename: BTreeMap<String, String> = BTreeMap::new();
         for (a, b) in equalities {
             // Collapse b into a (transitively resolved below).
@@ -279,7 +276,7 @@ mod tests {
     #[test]
     fn equalities_collapse_vertices() {
         let triples = [triple("?x", "p", "?y"), triple("?z", "q", "?w")];
-        let h = Hypergraph::from_triples(&triples, &[("y".to_string(), "z".to_string())]);
+        let h = Hypergraph::from_triples(&triples, &[("y", "z")]);
         assert_eq!(h.vertex_count(), 3);
         assert!(h.is_acyclic());
         assert_eq!(h.connected_components().len(), 1);

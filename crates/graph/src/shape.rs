@@ -7,7 +7,7 @@
 //! each class so the cumulative Table 4 roll-up can be reproduced, and
 //! [`ShapeReport::primary`] names the most specific class for convenience.
 
-use crate::graph::CanonicalGraph;
+use crate::graph::{bits, CanonicalGraph, Components};
 use serde::{Deserialize, Serialize};
 
 /// Membership of one query graph in each shape class of the paper.
@@ -66,11 +66,12 @@ pub enum ShapeClass {
 impl ShapeReport {
     /// Classifies a canonical graph.
     ///
-    /// The connected components and their degree statistics are computed once
-    /// and shared by every class predicate; only cyclic components fall back
-    /// to the (induced-subgraph) flower-centre search. Query graphs are
-    /// overwhelmingly acyclic, so the common case allocates nothing beyond
-    /// the component lists.
+    /// One walk over the connected components yields every class predicate:
+    /// node counts and degrees are popcounts of adjacency rows, and a
+    /// component is acyclic iff it has fewer edges than nodes. Only cyclic
+    /// components go through the flower-centre search, which works on node
+    /// masks of the same matrix. Query graphs are overwhelmingly acyclic, so
+    /// the common case allocates nothing beyond the walk's one buffer.
     pub fn classify(g: &CanonicalGraph) -> ShapeReport {
         let mut r = ShapeReport::default();
         let edge_total = g.edge_count();
@@ -83,63 +84,45 @@ impl ShapeReport {
             r.flower_set = true;
             return r;
         }
-        let components = g.connected_components();
-        let connected = components.len() == 1;
 
-        // Per-component structure: node count, edge count (every edge stays
-        // inside its component, so degrees sum to twice the edge count),
-        // degree extremes.
-        struct CompStats {
-            nodes: usize,
-            edges: usize,
-            max_degree: usize,
-            min_degree: usize,
+        let mut components = Components::of(g);
+        let mut residual = None;
+        let mut count = 0;
+        let mut first = ComponentStats::default();
+        let mut branching = 0;
+        let (mut all_acyclic, mut all_chains, mut all_flowers) = (true, true, true);
+        while let Some(component) = components.next() {
+            let stats = ComponentStats::of(g, component);
+            let acyclic = stats.edges < stats.nodes;
+            all_acyclic &= acyclic;
+            all_chains &= stats.nodes == 1 || (acyclic && stats.max_degree <= 2);
+            // Acyclic components are flowers by definition; only cyclic ones
+            // need the centre search.
+            if all_flowers && !acyclic {
+                let residual = residual.get_or_insert_with(|| Components::new(g));
+                all_flowers = is_flower(g, component, residual);
+            }
+            branching += stats.branching;
+            if count == 0 {
+                first = stats;
+            }
+            count += 1;
         }
-        let stats: Vec<CompStats> = components
-            .iter()
-            .map(|c| {
-                let mut degree_sum = 0;
-                let mut max_degree = 0;
-                let mut min_degree = usize::MAX;
-                for &v in c {
-                    let d = g.degree(v);
-                    degree_sum += d;
-                    max_degree = max_degree.max(d);
-                    min_degree = min_degree.min(d);
-                }
-                CompStats {
-                    nodes: c.len(),
-                    edges: degree_sum / 2,
-                    max_degree,
-                    min_degree,
-                }
-            })
-            .collect();
-        // A component is acyclic iff |E| = |V| − 1 (it is connected).
-        let acyclic = |s: &CompStats| s.edges < s.nodes;
-        let all_acyclic = stats.iter().all(acyclic);
+        let connected = count == 1;
 
         r.single_edge = edge_total == 1 && g.node_count() == 2;
-        r.chain = connected && all_acyclic && stats[0].max_degree <= 2;
-        r.chain_set = stats
-            .iter()
-            .all(|s| s.nodes == 1 || (acyclic(s) && s.max_degree <= 2));
+        r.chain = connected && all_acyclic && first.max_degree <= 2;
+        r.chain_set = all_chains;
         r.tree = connected && all_acyclic;
-        r.star = r.tree && g.adj.iter().filter(|a| a.len() >= 3).count() == 1;
+        r.star = r.tree && branching == 1;
         r.forest = all_acyclic;
         r.cycle = connected
-            && stats[0].nodes >= 3
-            && stats[0].min_degree == 2
-            && stats[0].max_degree == 2
-            && stats[0].edges == stats[0].nodes;
-        // Acyclic (components) are flowers by definition; only cyclic ones
-        // need the centre search.
-        r.flower =
-            connected && (all_acyclic || (0..g.node_count()).any(|x| is_flower_with_center(g, x)));
-        r.flower_set = components
-            .iter()
-            .zip(&stats)
-            .all(|(c, s)| acyclic(s) || is_flower(&g.induced(c)));
+            && first.nodes >= 3
+            && first.min_degree == 2
+            && first.max_degree == 2
+            && first.edges == first.nodes;
+        r.flower = connected && all_flowers;
+        r.flower_set = all_flowers;
         r
     }
 
@@ -171,61 +154,88 @@ impl ShapeReport {
     }
 }
 
-/// True if the (connected) graph is a flower: there is a node `x` such that
-/// every connected component of `G − x`, together with `x`, is either a tree
-/// or a petal with source `x` (Definition 6.1). Trees and single nodes are
-/// flowers (with only stamens/stems and no petals).
-fn is_flower(g: &CanonicalGraph) -> bool {
-    if !g.is_connected() {
-        return false;
-    }
-    if !g.has_cycle() {
-        // Pure trees are flowers (chains are stamens, other trees are stems).
-        return true;
-    }
-    // A plain cycle is a petal on its own; any of its nodes can be the centre.
-    (0..g.node_count()).any(|x| is_flower_with_center(g, x))
+/// The structure of one connected component: node count, edge count (every
+/// edge stays inside its component, so degrees sum to twice the edge count),
+/// degree extremes and the number of nodes of degree ≥ 3.
+#[derive(Default)]
+struct ComponentStats {
+    nodes: usize,
+    edges: usize,
+    max_degree: usize,
+    min_degree: usize,
+    branching: usize,
 }
 
-fn is_flower_with_center(g: &CanonicalGraph, x: usize) -> bool {
-    let residual = g.without_node(x);
-    // Indices in `residual` map back to original indices (all nodes except x,
-    // in order). Build that mapping.
-    let original: Vec<usize> = (0..g.node_count()).filter(|&u| u != x).collect();
-    for comp in residual.connected_components() {
-        // The attachment = component ∪ {x}, induced in the original graph.
-        let mut nodes: Vec<usize> = comp.iter().map(|&i| original[i]).collect();
-        nodes.push(x);
-        let attachment = g.induced(&nodes);
-        let centre_in_attachment = nodes.len() - 1; // x was pushed last
-        if attachment.has_cycle() && !is_petal(&attachment, centre_in_attachment) {
+impl ComponentStats {
+    fn of(g: &CanonicalGraph, component: &[u64]) -> ComponentStats {
+        let mut stats = ComponentStats {
+            min_degree: usize::MAX,
+            ..ComponentStats::default()
+        };
+        let mut degree_sum = 0;
+        for v in bits::iter(component) {
+            let d = g.degree(v);
+            stats.nodes += 1;
+            degree_sum += d;
+            stats.max_degree = stats.max_degree.max(d);
+            stats.min_degree = stats.min_degree.min(d);
+            stats.branching += usize::from(d >= 3);
+        }
+        stats.edges = degree_sum / 2;
+        stats
+    }
+}
+
+/// True if the cyclic connected component `component` is a flower: there is
+/// a node `x` such that every connected component of `G − x`, together with
+/// `x`, is either a tree or a petal with source `x` (Definition 6.1). A plain
+/// cycle is a petal on its own; any of its nodes can be the centre.
+/// `residual` is the scratch walker for the components of `G − x`.
+fn is_flower(g: &CanonicalGraph, component: &[u64], residual: &mut Components<'_>) -> bool {
+    bits::iter(component).any(|x| is_flower_with_center(g, component, x, residual))
+}
+
+fn is_flower_with_center(
+    g: &CanonicalGraph,
+    component: &[u64],
+    x: usize,
+    residual: &mut Components<'_>,
+) -> bool {
+    let centre = g.row(x);
+    residual.reset(component);
+    residual.exclude(x);
+    while let Some(part) = residual.next() {
+        // The attachment is the subgraph induced by `part ∪ {x}`. It is
+        // connected (`part` is, and hangs off `x`), so it is acyclic — a
+        // stamen (chain) or a stem (tree), always fine — iff it has one edge
+        // less than its |part| + 1 nodes.
+        let to_centre = bits::count_and(centre, part);
+        let mut inner_degrees = 0;
+        // Degrees inside the attachment, censused for the petal test.
+        let mut below_two = to_centre < 2;
+        let mut branching = 0;
+        for v in bits::iter(part) {
+            let inner = bits::count_and(g.row(v), part);
+            let degree = inner + usize::from(bits::contains(centre, v));
+            inner_degrees += inner;
+            below_two |= degree < 2;
+            branching += usize::from(degree >= 3);
+        }
+        let edges = inner_degrees / 2 + to_centre;
+        if edges == bits::count(part) {
+            continue;
+        }
+        // A petal with source `x` is a set of at least two internally
+        // node-disjoint paths from `x` to a common target: every node has
+        // degree ≥ 2 and, `x` and the target aside, exactly 2. So either no
+        // node of `part` branches (two paths: a plain cycle through `x`) or
+        // exactly one does, the target, and then `x` branches as well.
+        let petal = !below_two && (branching == 0 || (branching == 1 && to_centre >= 3));
+        if !petal {
             return false;
         }
-        // Acyclic attachments are stamens (chains) or stems (trees): always OK.
     }
     true
-}
-
-/// True if `g` (connected, containing `source`) is a petal with source
-/// `source`: a set of at least two internally node-disjoint paths from
-/// `source` to a common target. Structurally: minimum degree ≥ 2 and every
-/// node except `source` and at most one target has degree exactly 2.
-fn is_petal(g: &CanonicalGraph, source: usize) -> bool {
-    if !g.is_connected() || g.node_count() < 3 {
-        return false;
-    }
-    if g.adj.iter().any(|a| a.len() < 2) {
-        return false;
-    }
-    let high: Vec<usize> = (0..g.node_count())
-        .filter(|&v| g.adj[v].len() >= 3)
-        .collect();
-    match high.len() {
-        0 => true, // a plain cycle
-        1 => high[0] == source,
-        2 => high.contains(&source),
-        _ => false,
-    }
 }
 
 /// Cumulative shape statistics over a set of query graphs (one column of

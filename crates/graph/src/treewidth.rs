@@ -13,8 +13,8 @@
 //!   greedy min-fill upper bound is returned — such graphs do not occur in
 //!   the corpora studied here.
 
-use crate::graph::CanonicalGraph;
-use std::collections::{BTreeSet, HashMap};
+use crate::graph::{bits, CanonicalGraph};
+use std::collections::HashMap;
 
 /// The result of a treewidth computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,29 +40,37 @@ impl Treewidth {
     }
 }
 
-/// Maximum node count for which the exact elimination search is attempted.
+/// Maximum node count for which the exact elimination search is attempted:
+/// its vertex sets are single `u64` masks.
 const EXACT_LIMIT: usize = 63;
 
 /// Computes the treewidth of a canonical graph.
 pub fn treewidth(g: &CanonicalGraph) -> Treewidth {
     if g.edge_count() == 0 {
-        return Treewidth::Exact(0);
+        Treewidth::Exact(0)
+    } else if !g.has_cycle() {
+        Treewidth::Exact(1)
+    } else {
+        treewidth_of_cyclic(g)
     }
-    if !g.has_cycle() {
-        return Treewidth::Exact(1);
-    }
+}
+
+/// [`treewidth`] of a graph already known to contain a cycle (treewidth ≥ 2).
+pub(crate) fn treewidth_of_cyclic(g: &CanonicalGraph) -> Treewidth {
     if has_treewidth_at_most_2(g) {
         return Treewidth::Exact(2);
     }
     if g.node_count() > EXACT_LIMIT {
         return Treewidth::UpperBound(min_fill_upper_bound(g));
     }
-    let adj = bitmask_adjacency(g);
+    // Up to 63 nodes a row is one word, so the matrix is the search's
+    // per-vertex neighbourhood masks as it stands.
+    let adj = g.rows();
     let upper = min_fill_upper_bound(g);
     for k in 3..=upper {
         let mut memo = HashMap::new();
         let all = (0..g.node_count()).fold(0u64, |m, v| m | (1 << v));
-        if tw_at_most(&adj, all, k, &mut memo) {
+        if tw_at_most(adj, all, k, &mut memo) {
             return Treewidth::Exact(k);
         }
     }
@@ -70,45 +78,49 @@ pub fn treewidth(g: &CanonicalGraph) -> Treewidth {
 }
 
 /// Decides whether the graph has treewidth at most two, using the
-/// series-parallel style reduction.
+/// series-parallel style reduction on a working copy of the matrix.
 pub fn has_treewidth_at_most_2(g: &CanonicalGraph) -> bool {
+    /// Degree of a vertex that has been removed.
+    const GONE: usize = usize::MAX;
     let n = g.node_count();
-    let mut adj: Vec<BTreeSet<usize>> = g.adj.clone();
-    let mut alive: Vec<bool> = vec![true; n];
+    let words = g.words();
+    let row = |v: usize| v * words..(v + 1) * words;
+    let mut adj = g.rows().to_vec();
+    let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
     let mut remaining = n;
     loop {
         let mut changed = false;
         for v in 0..n {
-            if !alive[v] {
+            if degree[v] > 2 {
+                // More than two neighbours, or already removed.
                 continue;
             }
-            let deg = adj[v].len();
-            if deg <= 1 {
-                // Remove leaf / isolated vertex.
-                let neighbours: Vec<usize> = adj[v].iter().copied().collect();
-                for u in neighbours {
-                    adj[u].remove(&v);
-                }
-                adj[v].clear();
-                alive[v] = false;
-                remaining -= 1;
-                changed = true;
-            } else if deg == 2 {
-                // Bypass: connect the two neighbours and remove v.
-                let mut it = adj[v].iter().copied();
-                let a = it.next().expect("degree 2");
-                let b = it.next().expect("degree 2");
-                adj[a].remove(&v);
-                adj[b].remove(&v);
-                if a != b {
-                    adj[a].insert(b);
-                    adj[b].insert(a);
-                }
-                adj[v].clear();
-                alive[v] = false;
-                remaining -= 1;
-                changed = true;
+            let (a, b) = {
+                let mut neighbours = bits::iter(&adj[row(v)]);
+                (neighbours.next(), neighbours.next())
+            };
+            for u in [a, b].into_iter().flatten() {
+                bits::remove(&mut adj[row(u)], v);
             }
+            if let (Some(a), Some(b)) = (a, b) {
+                // Bypass: connect the two neighbours, each of which loses
+                // `v` and, unless they were adjacent already, gains the
+                // other.
+                if bits::contains(&adj[row(a)], b) {
+                    degree[a] -= 1;
+                    degree[b] -= 1;
+                } else {
+                    bits::insert(&mut adj[row(a)], b);
+                    bits::insert(&mut adj[row(b)], a);
+                }
+            } else if let Some(a) = a {
+                // Leaf.
+                degree[a] -= 1;
+            }
+            adj[row(v)].fill(0);
+            degree[v] = GONE;
+            remaining -= 1;
+            changed = true;
         }
         if remaining == 0 {
             return true;
@@ -119,17 +131,6 @@ pub fn has_treewidth_at_most_2(g: &CanonicalGraph) -> bool {
     }
 }
 
-fn bitmask_adjacency(g: &CanonicalGraph) -> Vec<u64> {
-    let n = g.node_count();
-    let mut adj = vec![0u64; n];
-    for (v, mask) in adj.iter_mut().enumerate() {
-        for &w in &g.adj[v] {
-            *mask |= 1 << w;
-        }
-    }
-    adj
-}
-
 /// Memoised check: can the subgraph induced by `remaining` (with the original
 /// adjacency, vertices outside `remaining` already eliminated and their
 /// neighbourhoods made cliques, folded into `adj`) be eliminated with bags of
@@ -137,7 +138,12 @@ fn bitmask_adjacency(g: &CanonicalGraph) -> Vec<u64> {
 /// fill-in: when a vertex is eliminated, its neighbours within `remaining`
 /// become a clique. To keep the recursion simple we recompute neighbourhoods
 /// on the fly from a mutable adjacency copy.
-fn tw_at_most(adj: &[u64], remaining: u64, k: usize, memo: &mut HashMap<u64, bool>) -> bool {
+pub(crate) fn tw_at_most(
+    adj: &[u64],
+    remaining: u64,
+    k: usize,
+    memo: &mut HashMap<u64, bool>,
+) -> bool {
     if remaining.count_ones() as usize <= k + 1 {
         return true;
     }
@@ -196,42 +202,42 @@ fn eliminated_neighbourhood(adj: &[u64], remaining: u64, v: usize) -> u64 {
 /// A greedy min-fill elimination producing an upper bound on the treewidth.
 pub fn min_fill_upper_bound(g: &CanonicalGraph) -> usize {
     let n = g.node_count();
-    let mut adj: Vec<BTreeSet<usize>> = g.adj.clone();
-    let mut alive: BTreeSet<usize> = (0..n).collect();
+    let words = g.words();
+    let row = |v: usize| v * words..(v + 1) * words;
+    let mut adj = g.rows().to_vec();
+    let mut alive: Vec<bool> = vec![true; n];
+    let mut neighbours = vec![0u64; words];
     let mut width = 0;
-    while !alive.is_empty() {
-        // Pick the vertex whose elimination adds the fewest fill edges.
+    for _ in 0..n {
+        // Pick the (first) vertex whose elimination adds the fewest fill
+        // edges: the pairs of its neighbours that are not adjacent yet.
         let mut best_v = usize::MAX;
         let mut best_fill = usize::MAX;
-        for &v in &alive {
-            let nbrs: Vec<usize> = adj[v].iter().copied().collect();
-            let mut fill = 0usize;
-            for i in 0..nbrs.len() {
-                for j in i + 1..nbrs.len() {
-                    if !adj[nbrs[i]].contains(&nbrs[j]) {
-                        fill += 1;
-                    }
-                }
-            }
-            if fill < best_fill {
-                best_fill = fill;
+        for v in (0..n).filter(|&v| alive[v]) {
+            let of_v = &adj[row(v)];
+            let missing: usize = bits::iter(of_v)
+                // Neighbours of `v` other than `u` that `u` misses.
+                .map(|u| bits::count(of_v) - 1 - bits::count_and(of_v, &adj[row(u)]))
+                .sum();
+            if missing / 2 < best_fill {
+                best_fill = missing / 2;
                 best_v = v;
             }
         }
         let v = best_v;
-        let nbrs: Vec<usize> = adj[v].iter().copied().collect();
-        width = width.max(nbrs.len());
-        for i in 0..nbrs.len() {
-            for j in i + 1..nbrs.len() {
-                adj[nbrs[i]].insert(nbrs[j]);
-                adj[nbrs[j]].insert(nbrs[i]);
+        neighbours.copy_from_slice(&adj[row(v)]);
+        width = width.max(bits::count(&neighbours));
+        // The neighbours become a clique and lose `v`.
+        for u in bits::iter(&neighbours) {
+            let of_u = &mut adj[row(u)];
+            for (word, &add) in of_u.iter_mut().zip(&neighbours) {
+                *word |= add;
             }
+            bits::remove(of_u, u);
+            bits::remove(of_u, v);
         }
-        for &u in &nbrs {
-            adj[u].remove(&v);
-        }
-        adj[v].clear();
-        alive.remove(&v);
+        adj[row(v)].fill(0);
+        alive[v] = false;
     }
     width.max(if g.edge_count() > 0 { 1 } else { 0 })
 }

@@ -1,17 +1,18 @@
 //! String interning for the analysis hot path.
 //!
-//! The corpus pipeline looks at the same IRIs, prefixed names and variable
-//! names millions of times: every canonical-graph node, union-find key and
-//! visibility test used to re-hash (or re-allocate) the term's string. An
-//! [`Interner`] maps each distinct string to a dense [`Symbol`] — a `u32`
-//! index into a shared string table — so downstream hashing and comparison
-//! become integer operations and each distinct string is stored exactly once
-//! per worker.
+//! The corpus pipeline looks at the same variable names millions of times:
+//! every canonical-graph node, union-find key and visibility test used to
+//! re-hash (or re-allocate) the name's string. An [`Interner`] maps each
+//! distinct string to a dense [`Symbol`] — a `u32` index into a shared
+//! string table — so downstream hashing and comparison become integer
+//! operations and each distinct string is stored exactly once per worker.
 //!
 //! Interners are **per worker**: they are cheap to create, are not shared
 //! across threads, and keep growing over the queries a worker analyses, which
-//! is exactly what makes them effective (the corpus-wide vocabulary of IRIs
-//! and variable names is tiny compared to the number of occurrences). In the
+//! is exactly what makes them effective as long as callers intern names
+//! from a small vocabulary (the corpus-wide set of variable and blank-node
+//! names is tiny compared to the number of occurrences) and not constants
+//! (a log has as many distinct IRIs and literals as it likes). In the
 //! staged analysis engine a worker's interner lives for the fold over its
 //! chunks; in the fused ingest→analyze engine it lives for the whole stream —
 //! threaded through every first-occurrence analysis a worker performs while

@@ -16,8 +16,9 @@
 //!   projection), query fragments (CQ, CPF, CQF, AOF, well-designed, CQOF)
 //!   and the single-pass [`algebra::QueryWalk`] every measure is derived
 //!   from.
-//! * [`graph`] — canonical graph / hypergraph construction, shape
-//!   classification, treewidth and generalized hypertree width.
+//! * [`graph`] — canonical graph / hypergraph construction (the graph as
+//!   a word-parallel bit matrix), shape classification, treewidth and
+//!   generalized hypertree width.
 //! * [`paths`] — property-path taxonomy and C_tract tractability test.
 //! * [`store`] — an in-memory RDF store with a binary-join and a
 //!   worst-case-optimal trie-join engine.
@@ -72,6 +73,12 @@
 //!    canonical form — one traversal feeding features, projection, property
 //!    paths and the AOF pattern tree — and one canonical-graph construction
 //!    shared by the shape, treewidth, girth and constants-excluded analyses.
+//!    The graph is a bit matrix ([`graph::CanonicalGraph`]: one `u64` per
+//!    adjacency row for the 5–9-node graphs real queries have, more words
+//!    for the outliers), numbered in one scan over triples borrowed from
+//!    the pattern tree; shape classes, the treewidth reduction and the
+//!    girth search run on popcounts and node masks of that matrix, and a
+//!    query's IRIs and literals are compared in place, never interned.
 //! 3. The **occurrence-weighted fold**
 //!    ([`core::DatasetAnalysis::add_times`]) turns per-log
 //!    [`core::LogSummary`] records (counts + fingerprint/occurrence pairs)

@@ -69,10 +69,11 @@ fn cache_on_and_cache_off_reports_are_byte_identical_on_a_fixed_corpus() {
 
 #[test]
 fn interned_term_analysis_matches_the_string_term_baseline() {
-    // The baseline multi-walk path runs entirely on string terms (string
-    // union-find, string-keyed canonical-graph index); the engine runs on
-    // the interned diet. Byte-identical corpus reports prove the diet
-    // changes allocations only.
+    // The baseline multi-walk path compares projection and visibility on
+    // strings and hands the canonical graph a throwaway interner per query;
+    // the engine threads one long-lived interner per worker through all of
+    // it. Byte-identical corpus reports prove no result depends on the
+    // interner's state.
     let logs = duplicate_heavy_corpus();
     for population in [Population::Unique, Population::Valid] {
         let reference = analyze_multiwalk(&logs, population);
