@@ -1,6 +1,6 @@
 //! # sparqlog-bench
 //!
-//! The benchmark harness of the `sparqlog` workspace. It contains
+//! The paper-reproduction harness of the `sparqlog` workspace. It contains
 //!
 //! * one **binary per table / figure** of the paper (in `src/bin/`), each of
 //!   which regenerates the corresponding rows from a synthetic corpus or from
@@ -10,28 +10,15 @@
 //!   engines, Levenshtein distance and corpus synthesis.
 //!
 //! This library crate hosts the shared plumbing: command-line options and the
-//! corpus construction used by all harness binaries.
+//! corpus construction used by all harness binaries. Performance is measured
+//! elsewhere — by the `benchmark/` package at the repository root.
 
-// `forbid` everywhere except when the `alloc-stats` feature compiles the
-// counting global allocator in `alloc_stats` (a `GlobalAlloc` impl is
-// inherently unsafe); the rest of the crate stays `deny`-checked.
-#![cfg_attr(not(feature = "alloc-stats"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_stats;
-pub mod gate;
-
-use sparqlog_core::analysis::{
-    AnalysisStats, CachePolicy, CorpusAnalysis, EngineOptions, Population,
-};
-use sparqlog_core::corpus::{
-    analyze_streams, ingest_all_materializing, ingest_streams, FileLogReader, IngestedLog,
-    LogReader, MemoryLogReader, RawLog,
-};
+use sparqlog_core::analysis::{AnalysisStats, CorpusAnalysis, Population};
+use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 use sparqlog_synth::{generate_corpus, CorpusConfig};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Common options for the harness binaries, parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,38 +46,40 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from `std::env::args`. Recognised flags:
-    /// `--scale <f64>`, `--seed <u64>`, `--cap <u64>`, `--valid`.
+    /// Parses options from `std::env::args`; on a bad value prints the
+    /// message and exits with status 2. See [`HarnessOptions::parse`].
     pub fn from_args() -> HarnessOptions {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        HarnessOptions::parse(&args).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses options from an argument list (program name excluded).
+    /// Recognised flags: `--scale <f64>`, `--seed <u64>`, `--cap <u64>`,
+    /// `--valid`. A recognised flag with a missing or unparseable value is
+    /// an error; anything else passes through untouched, so a binary can
+    /// layer flags of its own on top (`table6_streaks --entries`).
+    pub fn parse(args: &[String]) -> Result<HarnessOptions, String> {
+        fn value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("{flag}: invalid value {value:?}"))
+        }
         let mut opts = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.scale = v;
-                    }
-                    i += 1;
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seed = v;
-                    }
-                    i += 1;
-                }
-                "--cap" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.cap = v;
-                    }
-                    i += 1;
-                }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => opts.scale = value(arg, args.next())?,
+                "--seed" => opts.seed = value(arg, args.next())?,
+                "--cap" => opts.cap = value(arg, args.next())?,
                 "--valid" => opts.valid_population = true,
                 _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// The population selected by the options.
@@ -103,119 +92,30 @@ impl HarnessOptions {
     }
 }
 
-/// Generates the synthetic corpus as raw logs (the materializing input).
-pub fn raw_corpus(opts: &HarnessOptions) -> Vec<RawLog> {
-    let corpus = generate_corpus(CorpusConfig {
-        scale: opts.scale,
-        seed: opts.seed,
-        max_entries_per_dataset: opts.cap,
-    });
-    corpus
-        .logs
-        .into_iter()
-        .map(|l| RawLog::new(l.dataset.label(), l.entries))
-        .collect()
-}
-
-/// Wraps raw logs in [`MemoryLogReader`]s: the entries are moved into the
-/// readers and drained batch by batch, so the raw corpus is never duplicated
-/// and shrinks as the pipeline progresses.
-pub fn corpus_readers(raw: Vec<RawLog>) -> Vec<Box<dyn LogReader + 'static>> {
-    raw.into_iter()
-        .map(|log| {
-            Box::new(MemoryLogReader::new(log.label, log.entries)) as Box<dyn LogReader + 'static>
-        })
-        .collect()
-}
-
-/// Writes a duplicate-heavy corpus to one temp log file per dataset — each
-/// log's entries tiled `tile` times, so every query occurs at least that
-/// often, matching the duplication regime the source paper reports for real
-/// logs. Returns `(label, path)` pairs plus the total entry count. Shared by
-/// the file-streaming ablations (`ablation_fused`, `ablation_shard`).
-pub fn write_corpus_files(
-    opts: &HarnessOptions,
-    dir: &Path,
-    tile: usize,
-) -> (Vec<(String, PathBuf)>, u64) {
-    let mut files = Vec::new();
-    let mut total = 0u64;
-    for (index, log) in raw_corpus(opts).into_iter().enumerate() {
-        // Labels are display strings (may contain `/` or spaces); the file
-        // name only needs to be unique — the label rides in the reader.
-        let stem: String = log
-            .label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{index:02}-{stem}.log"));
-        let file = std::fs::File::create(&path).expect("create temp log file");
-        let mut writer = std::io::BufWriter::new(file);
-        for _ in 0..tile {
-            for entry in &log.entries {
-                // Synthesized queries are single-line; keep the invariant
-                // explicit for one-entry-per-line streaming.
-                debug_assert!(!entry.contains('\n'));
-                writeln!(writer, "{entry}").expect("write temp log line");
-            }
-        }
-        writer.flush().expect("flush temp log");
-        total += (log.entries.len() * tile) as u64;
-        files.push((log.label, path));
-    }
-    (files, total)
-}
-
-/// Opens [`FileLogReader`]s over the `(label, path)` pairs produced by
-/// [`write_corpus_files`].
-pub fn open_file_readers(files: &[(String, PathBuf)]) -> Vec<Box<dyn LogReader + 'static>> {
-    files
-        .iter()
-        .map(|(label, path)| {
-            Box::new(FileLogReader::open(label.clone(), path).expect("open temp log"))
-                as Box<dyn LogReader + 'static>
-        })
-        .collect()
-}
-
-/// Generates the synthetic corpus and ingests it through the staged
-/// streaming path (ASTs retained in [`IngestedLog::valid_queries`]) — the
-/// input of the staged analysis engine and the `ablation_*` baselines.
-pub fn build_corpus(opts: &HarnessOptions) -> Vec<IngestedLog> {
-    ingest_streams(corpus_readers(raw_corpus(opts))).expect("in-memory ingestion cannot fail")
-}
-
-/// Generates the synthetic corpus and ingests it through the materializing
-/// reference path (full `RawLog` residency, canonical strings built and then
-/// hashed) — the baseline `ablation_streaming` measures against.
-pub fn build_corpus_materializing(opts: &HarnessOptions) -> Vec<IngestedLog> {
-    ingest_all_materializing(&raw_corpus(opts))
-}
-
-/// Generates, ingests and analyses the synthetic corpus in one call — the
-/// entry point shared by most harness binaries. Runs on the **fused**
-/// ingest→analyze engine: each batch is analysed as it parses and no query
-/// AST outlives its batch (the staged path survives in [`build_corpus`] +
-/// [`CorpusAnalysis::analyze_stats`] as the differential baseline).
+/// Generates and analyses the synthetic corpus in one call — the entry
+/// point shared by most harness binaries.
 pub fn analyzed_corpus(opts: &HarnessOptions) -> CorpusAnalysis {
     analyzed_corpus_stats(opts).0
 }
 
 /// [`analyzed_corpus`] returning the run's cache / interner counters too, so
 /// harness binaries can print the [`stats_banner`] under their headline.
-///
-/// The fused engine structurally requires its fingerprint-keyed memo table,
-/// so the documented `SPARQLOG_ANALYSIS_CACHE=0` differential toggle cannot
-/// disable caching *inside* it; instead it drops the whole harness back to
-/// the staged pipeline with the cache off — the uncached reference the
-/// toggle has always meant.
+/// The generated entries are moved into [`MemoryLogReader`]s and drained
+/// batch by batch, so the raw corpus is never duplicated.
 pub fn analyzed_corpus_stats(opts: &HarnessOptions) -> (CorpusAnalysis, AnalysisStats) {
-    if !CachePolicy::Auto.enabled() {
-        let logs = build_corpus(opts);
-        return CorpusAnalysis::analyze_stats(&logs, opts.population(), EngineOptions::default());
-    }
-    let fused = analyze_streams(corpus_readers(raw_corpus(opts)), opts.population())
-        .expect("in-memory streams cannot fail");
+    let corpus = generate_corpus(CorpusConfig {
+        scale: opts.scale,
+        seed: opts.seed,
+        max_entries_per_dataset: opts.cap,
+    });
+    let readers: Vec<Box<dyn LogReader>> = corpus
+        .logs
+        .into_iter()
+        .map(|log| {
+            Box::new(MemoryLogReader::new(log.dataset.label(), log.entries)) as Box<dyn LogReader>
+        })
+        .collect();
+    let fused = analyze_streams(readers, opts.population()).expect("in-memory streams cannot fail");
     (fused.corpus, fused.stats)
 }
 
@@ -268,16 +168,57 @@ pub fn stats_banner(stats: &AnalysisStats) -> String {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn default_options_build_a_small_corpus() {
-        let opts = HarnessOptions {
-            scale: 1e-6,
-            cap: 50,
-            ..HarnessOptions::default()
-        };
-        let logs = build_corpus(&opts);
-        assert_eq!(logs.len(), 13);
-        assert!(logs.iter().all(|l| l.counts.total > 0));
+    fn flags_parse_into_options() {
+        let opts = HarnessOptions::parse(&args(&[
+            "--scale", "1e-6", "--valid", "--seed", "7", "--cap", "9",
+        ]));
+        assert_eq!(
+            opts,
+            Ok(HarnessOptions {
+                scale: 1e-6,
+                seed: 7,
+                valid_population: true,
+                cap: 9,
+            })
+        );
+        assert_eq!(HarnessOptions::parse(&[]), Ok(HarnessOptions::default()));
+    }
+
+    #[test]
+    fn a_bad_or_missing_value_is_an_error_not_a_default() {
+        for (list, flag) in [
+            (&["--scale", "abc"][..], "--scale"),
+            (&["--seed", "-1"][..], "--seed"),
+            (&["--valid", "--cap", "many"][..], "--cap"),
+            (&["--cap"][..], "--cap"),
+        ] {
+            let message = HarnessOptions::parse(&args(list)).expect_err("must be rejected");
+            assert!(message.contains(flag), "{message}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_pass_through() {
+        let opts = HarnessOptions::parse(&args(&[
+            "--entries",
+            "500",
+            "--seed",
+            "3",
+            "--window",
+            "12",
+        ]));
+        assert_eq!(
+            opts,
+            Ok(HarnessOptions {
+                seed: 3,
+                ..HarnessOptions::default()
+            })
+        );
     }
 
     #[test]
@@ -289,6 +230,7 @@ mod tests {
         };
         let corpus = analyzed_corpus(&opts);
         assert_eq!(corpus.datasets.len(), 13);
+        assert!(corpus.datasets.iter().all(|d| d.counts.total > 0));
         assert!(corpus.combined.keywords.total_queries > 0);
     }
 

@@ -1,20 +1,33 @@
-//! The original multi-walk analysis path, preserved verbatim as a reference
-//! implementation.
+//! The oracle: a sequential reference implementation of the whole
+//! pipeline, from raw entries to a [`CorpusAnalysis`], that the engine
+//! ([`crate::fused`]) is tested against byte for byte.
 //!
-//! The seed pipeline analysed each query by calling four independent entry
-//! points — [`QueryFeatures::of`], [`collect_property_paths`],
-//! [`sparqlog_algebra::ProjectionTally::add`] and [`StructuralReport::of`] —
-//! each of which
-//! traverses the AST on its own. The single-pass engine
-//! ([`crate::query_analysis::QueryAnalysis`]) replaces that with one shared
-//! traversal; this module keeps the old composition alive so that
+//! [`analyze_reference`] is deliberately the naive way to compute the
+//! paper's analyses, and it differs from the engine in every layer it can:
 //!
-//! * the differential tests can assert byte-identical results between the
-//!   two paths on arbitrary corpora, and
-//! * the `single_pass` benchmark can measure the speedup.
+//! * **AST** — each entry is copied out of the arena into an owned
+//!   [`Query`]; the engine analyses the borrowed arena AST in place.
+//! * **Fingerprint** — the canonical string is materialized
+//!   ([`to_canonical_string`]) and then hashed; the engine streams the
+//!   canonical walk into the hash state.
+//! * **Duplicates** — one `HashSet<u128>` per log, filled in entry order;
+//!   the engine merges per-worker occurrence maps.
+//! * **Analysis** — four independent entry points ([`QueryFeatures::of`],
+//!   [`collect_property_paths`], [`sparqlog_algebra::ProjectionTally::add`]
+//!   and the multi-walk structural report below), each re-traversing the
+//!   query; the engine walks it once ([`crate::QueryAnalysis`]).
+//! * **Memoization** — none: every analysed occurrence is analysed from
+//!   scratch, so agreement with the engine *is* the cached-vs-uncached
+//!   differential.
+//! * **Schedule** — no threads.
+//!
+//! What the two share is the guarded per-entry parse (so an entry is
+//! invalid, oversize, too deep or a caught panic for both alike, at the
+//! same position) and the [`DatasetAnalysis`] tallies the results fold into.
 
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
-use crate::corpus::IngestedLog;
+use crate::corpus::RawLog;
+use crate::recover::{RecoveryContext, RecoveryPolicy};
 use sparqlog_algebra::fragments::{classify_fragments, variable_equalities};
 use sparqlog_algebra::opsets::classify_from_features;
 use sparqlog_algebra::pattern_tree::PatternTree;
@@ -24,9 +37,10 @@ use sparqlog_graph::{
     generalized_hypertree_width, treewidth, CanonicalGraph, GraphMode, Hypergraph, ShapeReport,
     StructuralReport, Treewidth,
 };
-use sparqlog_parser::Query;
+use sparqlog_parser::{canonical_fingerprint, to_canonical_string, Arena, ErrorKind, Query};
+use std::collections::HashSet;
 
-/// Folds one query into the tallies through the seed multi-walk path: every
+/// Folds one query into the tallies through the multi-walk path: every
 /// measure re-traverses the query independently.
 pub fn add_query_multiwalk(analysis: &mut DatasetAnalysis, query: &Query) {
     let features = QueryFeatures::of(query);
@@ -43,7 +57,7 @@ pub fn add_query_multiwalk(analysis: &mut DatasetAnalysis, query: &Query) {
     analysis.fold_structural(&structural);
 }
 
-/// The seed implementation of `StructuralReport::of`, verbatim: the fragment
+/// The multi-walk structural report: the fragment
 /// classification runs its own body walk, the pattern tree is built twice
 /// (once inside `classify_fragments`, once here), the tree's triples are
 /// cloned, and the two graph modes are constructed in two separate passes.
@@ -89,37 +103,55 @@ pub fn structural_report_multiwalk(query: &Query) -> StructuralReport {
     report
 }
 
-/// Analyses a corpus sequentially through the multi-walk path — the seed
-/// behaviour of `CorpusAnalysis::analyze`.
-pub fn analyze_multiwalk(logs: &[IngestedLog], population: Population) -> CorpusAnalysis {
-    let mut datasets = Vec::with_capacity(logs.len());
-    for log in logs {
-        let mut analysis = DatasetAnalysis {
-            label: log.label.clone(),
-            counts: log.counts,
-            errors: log.errors.clone(),
-            ..DatasetAnalysis::default()
-        };
-        match population {
-            Population::Unique => {
-                for q in log.unique_queries() {
-                    add_query_multiwalk(&mut analysis, q);
-                }
-            }
-            Population::Valid => {
-                for q in &log.valid_queries {
-                    add_query_multiwalk(&mut analysis, q);
-                }
-            }
-        }
-        datasets.push(analysis);
-    }
+/// Analyses raw logs sequentially, entry by entry, with per-entry recovery
+/// ([`RecoveryPolicy::Lenient`] semantics — the oracle never fails): every
+/// malformed entry is tallied at its position and counted as invalid, every
+/// valid one is counted, deduplicated per log by the fingerprint of its
+/// materialized canonical string, and — on its first occurrence for
+/// [`Population::Unique`], on every occurrence for [`Population::Valid`] —
+/// folded through [`add_query_multiwalk`].
+pub fn analyze_reference(logs: &[RawLog], population: Population) -> CorpusAnalysis {
+    let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
+    let mut arena = Arena::new();
     let mut combined = DatasetAnalysis {
         label: "Total".to_string(),
         ..DatasetAnalysis::default()
     };
-    for d in &datasets {
-        combined.merge(d);
+    let mut datasets = Vec::with_capacity(logs.len());
+    for log in logs {
+        let mut analysis = DatasetAnalysis {
+            label: log.label.clone(),
+            ..DatasetAnalysis::default()
+        };
+        analysis.counts.total = log.entries.len() as u64;
+        let mut seen: HashSet<u128> = HashSet::new();
+        for (position, entry) in log.entries.iter().enumerate() {
+            arena.reset();
+            let query = match ctx.parse_entry(entry, &arena, |query| query.to_owned()) {
+                Ok(query) => query,
+                Err(error) => {
+                    if error.kind == ErrorKind::WorkerPanic {
+                        // The unwind may have left a partially filled chunk.
+                        arena.trim();
+                    }
+                    analysis.errors.record(error.kind, position as u64);
+                    continue;
+                }
+            };
+            analysis.counts.valid += 1;
+            if !query.has_body() {
+                analysis.counts.bodyless += 1;
+            }
+            let first = seen.insert(canonical_fingerprint(&to_canonical_string(&query)));
+            if first {
+                analysis.counts.unique += 1;
+            }
+            if first || population == Population::Valid {
+                add_query_multiwalk(&mut analysis, &query);
+            }
+        }
+        combined.merge(&analysis);
+        datasets.push(analysis);
     }
     CorpusAnalysis { datasets, combined }
 }
@@ -127,25 +159,33 @@ pub fn analyze_multiwalk(logs: &[IngestedLog], population: Population) -> Corpus
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{ingest, RawLog};
 
     #[test]
-    fn multiwalk_agrees_with_single_pass_on_a_small_log() {
-        let log = ingest(&RawLog::new(
+    fn reference_counts_dedups_and_tallies_a_small_log() {
+        let log = RawLog::new(
             "t",
             [
                 "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) }",
-                "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a }",
-                "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }",
+                "not sparql",
+                "SELECT   ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) }",
                 "DESCRIBE <http://r>",
             ]
             .iter()
             .map(|s| s.to_string())
             .collect(),
-        ));
-        let logs = [log];
-        let multi = analyze_multiwalk(&logs, Population::Unique);
-        let single = CorpusAnalysis::analyze(&logs, Population::Unique);
-        assert_eq!(format!("{multi:?}"), format!("{single:?}"));
+        );
+        let unique = analyze_reference(std::slice::from_ref(&log), Population::Unique);
+        let counts = unique.datasets[0].counts;
+        assert_eq!(
+            (counts.total, counts.valid, counts.unique, counts.bodyless),
+            (4, 3, 2, 1)
+        );
+        assert_eq!(unique.datasets[0].errors.total(), 1);
+        assert_eq!(unique.datasets[0].errors.exemplars[0].1, 1);
+        assert_eq!(unique.combined.keywords.total_queries, 2);
+        assert_eq!(unique.combined.counts, counts);
+        let valid = analyze_reference(&[log], Population::Valid);
+        assert_eq!(valid.combined.keywords.total_queries, 3);
+        assert_eq!(valid.datasets[0].counts, counts);
     }
 }

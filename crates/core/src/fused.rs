@@ -1,18 +1,12 @@
-//! The fused ingest→analyze streaming engine: each batch is analysed as it
-//! parses, and no query AST ever outlives its batch.
+//! The engine: one fused ingest→analyze pass in which each batch is
+//! analysed as it parses and no query AST outlives its batch.
 //!
-//! The staged pipeline ([`ingest_streams`](crate::corpus::ingest_streams)
-//! followed by
-//! [`CorpusAnalysis::analyze_cached`](crate::analysis::CorpusAnalysis::analyze_cached))
-//! materializes every valid query's AST in
-//! [`IngestedLog::valid_queries`](crate::corpus::IngestedLog) before the
-//! analysis engine runs — a two-phase design whose peak memory is
-//! O(corpus) and whose parse pool idles during analysis (and vice versa).
-//! [`analyze_streams`] fuses the phases into one self-scheduling worker
-//! pool: workers pull batches from [`LogReader`]s, parse each entry,
-//! fingerprint its canonical form, and immediately resolve the occurrence
-//! against a lock-free per-worker occurrence map backed by the shared
-//! [`AnalysisCache`]:
+//! [`analyze_streams`] runs one self-scheduling worker pool: workers pull
+//! batches from [`LogReader`]s, parse each entry into the worker's arena,
+//! fingerprint its canonical form by streaming the canonical walk into a
+//! 128-bit FNV-1a state (no canonical string is built), and resolve the
+//! occurrence against a lock-free per-worker occurrence map backed by the
+//! shared [`AnalysisCache`]:
 //!
 //! * a **first occurrence** is analysed on the spot (one
 //!   [`QueryAnalysis`] through the worker's term
@@ -24,21 +18,19 @@
 //!
 //! After the stream drains, per-worker occurrence maps merge into per-log
 //! [`LogSummary`] records (Table-1 counts plus the distinct fingerprints
-//! with their occurrence counts — the shard-ready replacement for AST
-//! retention), and one **occurrence-weighted fold**
+//! with their occurrence counts), and one **occurrence-weighted fold**
 //! ([`DatasetAnalysis::add_times`]) builds the corpus analysis: the Unique
 //! population folds each distinct fingerprint once per log, the Valid
 //! population folds it with its occurrence count. Peak residency is
-//! O(in-flight batches + distinct analyses) instead of O(corpus), each
-//! worker holds at most one AST at a time, and parse/analyze overlap
-//! recovers the wall-clock the staged pipeline wastes at its phase
-//! barrier.
+//! O(in-flight batches + distinct analyses), and each worker holds at most
+//! one AST at a time.
 //!
 //! **Determinism and parity.** Every fold is a commutative sum or an
 //! idempotent extremum over exact integers, so reports are byte-identical
 //! for any worker count, batch size or schedule — and byte-identical to
-//! the staged pipeline's, which survives as the differential baseline
-//! (`tests/fused.rs`, the `ablation_fused` harness). The soundness of
+//! the sequential oracle [`crate::baseline::analyze_reference`], which
+//! shares nothing with this module above the guarded per-entry parse and
+//! the tallies (`tests/{differential,fused,cache}.rs`). The soundness of
 //! folding a memoized record for every occurrence is the cache-key
 //! argument of [`crate::cache`]: the fingerprint *is* the canonical form.
 //!
@@ -194,16 +186,14 @@ impl LogSummary {
 }
 
 /// Residency observability of one fused run — evidence for the
-/// O(in-flight + distinct) memory claim, printed by the `ablation_fused`
-/// harness. Never part of the corpus report.
+/// O(in-flight + distinct) memory claim. Never part of the corpus report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FusedStats {
     /// Batches pulled from the readers.
     pub batches: u64,
     /// The largest number of raw entries resident in worker batches at any
-    /// instant — the in-flight bound (≤ workers × batch size) that replaces
-    /// the staged pipeline's O(corpus) residency. Each worker additionally
-    /// holds at most **one** parsed AST at a time.
+    /// instant — the in-flight bound (≤ workers × batch size). Each worker
+    /// additionally holds at most **one** parsed AST at a time.
     pub peak_inflight_entries: usize,
     /// Distinct canonical forms seen by *this run's* streams (what survives
     /// the stream) — not the size of the backing cache, which may carry
@@ -218,7 +208,7 @@ pub struct FusedStats {
 pub struct FusedAnalysis {
     /// Per-log summaries, in reader order.
     pub summaries: Vec<LogSummary>,
-    /// The corpus analysis (byte-identical to the staged pipeline's).
+    /// The corpus analysis over the requested population.
     pub corpus: CorpusAnalysis,
     /// Cache and interner counters of the run.
     pub stats: AnalysisStats,
@@ -265,8 +255,7 @@ impl FusedWorker {
     /// ([`RecoveryContext::parse_entry`]): resource-guard trips and caught
     /// panics either abort with a structured error (strict mode) or are
     /// tallied at the entry's batch-assigned position; plain lex/syntax
-    /// failures are tallied in every mode, exactly as the staged pipeline
-    /// counts them.
+    /// failures are tallied in every mode.
     fn process_batch(
         &mut self,
         log_index: usize,
@@ -312,11 +301,6 @@ impl FusedWorker {
 
 /// Streams every reader through the fused ingest→analyze pipeline with
 /// default options and a run-scoped [`AnalysisCache`].
-///
-/// Equivalent to [`ingest_streams`](crate::corpus::ingest_streams) followed
-/// by [`CorpusAnalysis::analyze_cached`] — proven byte-identical by
-/// `tests/fused.rs` — but no AST survives its batch and the two phases
-/// share one worker pool.
 pub fn analyze_streams(
     readers: Vec<Box<dyn LogReader + '_>>,
     population: Population,
@@ -355,7 +339,8 @@ pub fn analyze_streams_cached(
     // Observability handles, hoisted once: spans are batch-granular (one
     // clock pair per batch, never per entry) and counters flush totals in
     // the epilogue below, so instrumentation stays inside the overhead
-    // budget `ablation_obs` gates — and is entirely free when disabled.
+    // the benchmark reports as `obs.overhead_pct` — and is entirely free
+    // when disabled.
     let metrics_on = obs::enabled();
     let cache_before = cache.stats();
     let read_us = obs::global().histogram("pipeline_read_us");
@@ -555,7 +540,7 @@ pub fn analyze_streams_cached(
 
     // Duplicate occurrences were absorbed by the local maps without touching
     // the shared cache; credit them so `hits + misses` still equals the
-    // number of valid occurrences, as in the staged engine.
+    // number of valid occurrences.
     let valid_total: u64 = summaries.iter().map(|s| s.counts.valid).sum();
     cache.record_reused(valid_total - lookups);
 
@@ -614,9 +599,8 @@ pub fn analyze_streams_cached(
 /// its memoized analysis exactly once — with weight 1 on the Unique
 /// population ("distinct fingerprints") and with its occurrence count on the
 /// Valid population. O(distinct) tally work regardless of duplication,
-/// parallelised over the same chunked self-scheduling pattern as the staged
-/// engine; the weighted adds are exact integer sums, so any schedule yields
-/// the same bytes.
+/// parallelised over a chunked self-scheduling pool; the weighted adds are
+/// exact integer sums, so any schedule yields the same bytes.
 fn fold_populations(
     summaries: &[LogSummary],
     population: Population,
@@ -634,13 +618,12 @@ fn fold_populations(
         })
         .collect();
     let chunk_size = (items.len() / (workers * 8).max(1)).clamp(16, 1024);
-    let results = chunked_fold_pool(
+    let accumulators = chunked_fold_pool(
         &items,
         summaries.len(),
         workers,
         chunk_size,
-        || (),
-        |acc, (), &(log_index, fingerprint, count)| {
+        |acc, &(log_index, fingerprint, count)| {
             let weight = match population {
                 Population::Unique => 1,
                 Population::Valid => count,
@@ -658,22 +641,30 @@ fn fold_populations(
             ..DatasetAnalysis::default()
         })
         .collect();
-    let accumulators: Vec<Vec<DatasetAnalysis>> =
-        results.into_iter().map(|(acc, ())| acc).collect();
     merge_into_corpus(datasets, &accumulators)
+}
+
+/// The fixture of this crate's unit tests: in-memory readers over
+/// `(label, entries)` pairs.
+#[cfg(test)]
+pub(crate) fn test_readers(logs: &[(&str, &[&str])]) -> Vec<Box<dyn LogReader + 'static>> {
+    logs.iter()
+        .map(|(label, entries)| {
+            let entries = entries.iter().map(|s| s.to_string()).collect();
+            Box::new(crate::corpus::MemoryLogReader::new(*label, entries)) as Box<dyn LogReader>
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{ingest, MemoryLogReader, RawLog};
+    use crate::baseline::analyze_reference;
+    use crate::corpus::RawLog;
     use crate::report::full_report;
 
     fn readers_of(entries: &[&str]) -> Vec<Box<dyn LogReader + 'static>> {
-        vec![Box::new(MemoryLogReader::new(
-            "test",
-            entries.iter().map(|s| s.to_string()).collect(),
-        ))]
+        test_readers(&[("test", entries)])
     }
 
     const ENTRIES: [&str; 6] = [
@@ -685,14 +676,18 @@ mod tests {
         "SELECT ?x WHERE { ?x a <http://C> }", // duplicate again
     ];
 
+    fn reference(population: Population) -> CorpusAnalysis {
+        let entries = ENTRIES.iter().map(|s| s.to_string()).collect();
+        analyze_reference(&[RawLog::new("test", entries)], population)
+    }
+
     #[test]
-    fn summary_counts_match_the_staged_ingest() {
+    fn summary_counts_match_the_reference() {
         let fused = analyze_streams(readers_of(&ENTRIES), Population::Unique).unwrap();
-        let staged = ingest(&RawLog::new(
-            "test",
-            ENTRIES.iter().map(|s| s.to_string()).collect(),
-        ));
-        assert_eq!(fused.summaries[0].counts, staged.counts);
+        assert_eq!(
+            fused.summaries[0].counts,
+            reference(Population::Unique).datasets[0].counts
+        );
         let summary = &fused.summaries[0];
         assert_eq!(summary.occurrences.len(), 3);
         let total: u64 = summary.occurrences.iter().map(|&(_, c)| c).sum();
@@ -732,18 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_reports_match_the_staged_pipeline_on_both_populations() {
+    fn fused_reports_match_the_reference_on_both_populations() {
         for population in [Population::Unique, Population::Valid] {
             let fused = analyze_streams(readers_of(&ENTRIES), population).unwrap();
-            let staged_logs = vec![ingest(&RawLog::new(
-                "test",
-                ENTRIES.iter().map(|s| s.to_string()).collect(),
-            ))];
-            let staged = CorpusAnalysis::analyze(&staged_logs, population);
             assert_eq!(
                 full_report(&fused.corpus),
-                full_report(&staged),
-                "fused vs staged mismatch on {population:?}"
+                full_report(&reference(population)),
+                "fused vs reference mismatch on {population:?}"
             );
         }
     }

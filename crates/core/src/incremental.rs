@@ -1,7 +1,7 @@
 //! Incremental (store-aware) ingestion: analyze only the logs a snapshot
 //! memo has not seen, and reuse the persisted per-log results for the rest.
 //!
-//! Every engine so far — fused, staged, sharded, served — re-analyzes the
+//! The engine, whether run in-process, sharded or served, re-analyzes the
 //! whole corpus on every run. This module adds the HTAP-style shortcut the
 //! ROADMAP's persistent-store item calls for: each log gets a **canonical
 //! identity** (a 128-bit FNV-1a over its population, label and raw bytes —

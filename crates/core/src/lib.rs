@@ -4,45 +4,44 @@
 //! primary contribution of *"An Analytical Study of Large SPARQL Query
 //! Logs"* (Bonifati–Martens–Timm, VLDB 2017) turned into a reusable library:
 //!
-//! * [`corpus`] — log ingestion: streaming [`corpus::LogReader`]s feeding a
-//!   parallel parse/fingerprint pool, validity accounting and sharded,
-//!   zero-materialization duplicate elimination (Table 1).
-//! * [`fused`] — the fused ingest→analyze engine
-//!   ([`fused::analyze_streams`]): each batch is analysed as it parses,
-//!   duplicates fold occurrence-weighted, and no query AST outlives its
-//!   batch — the production path; the staged pipeline below is its
-//!   differential baseline.
-//! * [`incremental`] — store-aware ingestion: logs are keyed by a
-//!   canonical identity (population + label + raw bytes) and served from a
-//!   [`incremental::SnapshotMemo`] when already analysed — cold ingest
-//!   once, warm re-serve forever, byte-identical reports either way.
+//! * [`fused`] — the engine ([`fused::analyze_streams`]): each batch is
+//!   analysed as it parses, duplicates fold occurrence-weighted, and no
+//!   query AST outlives its batch. The only path production code takes from
+//!   raw entries to a [`CorpusAnalysis`].
+//! * [`corpus`] — its input side: [`corpus::RawLog`], the Table-1
+//!   [`CorpusCounts`], the streaming [`corpus::LogReader`]s (in-memory,
+//!   line-oriented, file-backed) and the position-assigning batch source.
 //! * [`query_analysis`] — the single-pass per-query intermediate
 //!   ([`QueryAnalysis`]): one AST traversal and one canonical-graph
 //!   construction feed every measure.
 //! * [`cache`] — the sharded, fingerprint-keyed [`cache::AnalysisCache`]:
-//!   each distinct canonical form is analysed once per corpus run and
-//!   duplicate occurrences fold the memoized record.
-//! * [`analysis`] — the per-dataset / corpus-level analysis record combining
-//!   the shallow, structural, property-path and width analyses of the paper,
-//!   folded in parallel by a chunked work-stealing pool over per-worker term
-//!   interners.
-//! * [`baseline`] — the seed multi-walk path, kept as the reference for
-//!   differential tests and benchmarks.
+//!   each distinct canonical form is analysed once per corpus run.
+//! * [`analysis`] — the per-dataset / corpus-level record of commutative
+//!   tallies the per-query analyses fold into, and the fold pool.
+//! * [`baseline`] — the oracle ([`baseline::analyze_reference`]): a
+//!   sequential, uncached, multi-walk implementation of the same pipeline
+//!   over owned ASTs and materialized canonical strings, which the engine
+//!   is tested against byte for byte.
+//! * [`incremental`] — store-aware ingestion: logs are keyed by a
+//!   canonical identity (population + label + raw bytes) and served from a
+//!   [`incremental::SnapshotMemo`] when already analysed — cold ingest
+//!   once, warm re-serve forever, byte-identical reports either way.
 //! * [`recover`] — the malformed-input error model: the stable
 //!   [`ErrorKind`] taxonomy, the per-log [`ErrorTally`], and the
-//!   [`RecoveryPolicy`] (strict / lenient / error-budget) every engine
-//!   honours identically.
+//!   [`RecoveryPolicy`] (strict / lenient / error-budget).
 //! * [`report`] — plain-text renderers, one per table and figure.
 //!
 //! ```
-//! use sparqlog_core::{analysis::{CorpusAnalysis, Population}, corpus::{ingest, RawLog}, report};
+//! use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
+//! use sparqlog_core::{report, Population};
 //!
-//! let log = ingest(&RawLog::new(
+//! let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
 //!     "example",
 //!     vec!["SELECT ?x WHERE { ?x a <http://example.org/C> }".to_string()],
-//! ));
-//! let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
-//! println!("{}", report::table1(&corpus));
+//! ))];
+//! let fused = analyze_streams(readers, Population::Unique)?;
+//! println!("{}", report::table1(&fused.corpus));
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
 //! Dirty logs are first-class: in Lenient mode every malformed entry —
@@ -86,14 +85,11 @@ pub mod query_analysis;
 pub mod recover;
 pub mod report;
 
-pub use analysis::{
-    AnalysisStats, CachePolicy, CorpusAnalysis, DatasetAnalysis, EngineOptions, Population,
-};
+pub use analysis::{AnalysisStats, CorpusAnalysis, DatasetAnalysis, Population};
 pub use cache::{AnalysisCache, CacheStats};
 pub use corpus::{
-    default_workers, ingest, ingest_all, ingest_all_materializing, ingest_streams,
-    ingest_streams_with, CorpusCounts, FileLogReader, FingerprintShards, IngestedLog,
-    LineLogReader, LogReader, MemoryLogReader, RawLog, SliceLogReader, StreamOptions,
+    default_workers, CorpusCounts, FileLogReader, LineLogReader, LogReader, MemoryLogReader,
+    RawLog, SliceLogReader,
 };
 pub use fused::{
     analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,

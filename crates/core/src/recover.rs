@@ -1,11 +1,11 @@
 //! Malformed-input recovery: the per-log error tally, the run-wide
-//! [`RecoveryPolicy`], and the guarded per-entry parse every pipeline path
-//! shares.
+//! [`RecoveryPolicy`], and the guarded per-entry parse the engine and the
+//! oracle share.
 //!
 //! The paper's corpora are real production logs: HTTP noise, truncated
 //! strings, invalid UTF-8 and the occasional adversarially deep query all
-//! show up between valid entries. This module gives every engine — fused,
-//! staged, sharded, served — one error model:
+//! show up between valid entries. This module gives every deployment of the
+//! engine — in-process, sharded, served — and the oracle one error model:
 //!
 //! * **Taxonomy.** Every per-entry failure is classified as a stable
 //!   [`ErrorKind`] (defined in the parser crate, wire codes append-only).
@@ -156,7 +156,7 @@ pub enum RecoveryPolicy {
     /// Follow the `SPARQLOG_RECOVERY` environment variable (`strict`,
     /// `lenient` or `budget:<max-per-10k>`); unset or unparsable means
     /// [`RecoveryPolicy::Strict`]. The same pattern as the
-    /// `SPARQLOG_WORKERS` / `SPARQLOG_ANALYSIS_CACHE` overrides.
+    /// `SPARQLOG_WORKERS` override.
     #[default]
     Auto,
     /// Fail the run on the first defect (the historical reader behaviour,
@@ -293,7 +293,7 @@ pub(crate) fn reader_defect(error: &io::Error) -> bool {
 
 /// Checks a merged end-of-run tally against a resolved policy's budget.
 /// Called exactly once per run, at the top-level merge point (the
-/// in-process engines check their own totals; the shard coordinator and
+/// in-process engine checks its own totals; the shard coordinator and
 /// the serve job table check after merging worker partitions).
 pub fn enforce_budget(policy: RecoveryPolicy, tally: &ErrorTally, total: u64) -> io::Result<()> {
     let Some(max_per_10k) = policy.budget() else {

@@ -498,29 +498,33 @@ pub fn table6_streaks(histograms: &[(String, StreakHistogram)]) -> String {
 mod tests {
     use super::*;
     use crate::analysis::{CorpusAnalysis, Population};
-    use crate::corpus::{ingest, RawLog};
+    use crate::fused::{analyze_streams, test_readers};
+
+    fn analyze(logs: &[(&str, &[&str])]) -> CorpusAnalysis {
+        analyze_streams(test_readers(logs), Population::Unique)
+            .expect("in-memory streams")
+            .corpus
+    }
 
     fn small_corpus() -> CorpusAnalysis {
-        let logs = vec![
-            ingest(&RawLog::new(
+        analyze(&[
+            (
                 "A",
-                vec![
-                    "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) } LIMIT 5"
-                        .to_string(),
-                    "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a }".to_string(),
-                    "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }".to_string(),
-                    "garbage entry".to_string(),
+                &[
+                    "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) } LIMIT 5",
+                    "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a }",
+                    "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }",
+                    "garbage entry",
                 ],
-            )),
-            ingest(&RawLog::new(
+            ),
+            (
                 "B",
-                vec![
-                    "DESCRIBE <http://r>".to_string(),
-                    "ASK { <http://s> <http://p> <http://o> }".to_string(),
+                &[
+                    "DESCRIBE <http://r>",
+                    "ASK { <http://s> <http://p> <http://o> }",
                 ],
-            )),
-        ];
-        CorpusAnalysis::analyze(&logs, Population::Unique)
+            ),
+        ])
     }
 
     #[test]
@@ -589,11 +593,7 @@ mod tests {
 
     #[test]
     fn clean_corpora_render_no_error_table() {
-        let logs = vec![ingest(&RawLog::new(
-            "clean",
-            vec!["ASK { <http://s> <http://p> <http://o> }".to_string()],
-        ))];
-        let corpus = CorpusAnalysis::analyze(&logs, Population::Unique);
+        let corpus = analyze(&[("clean", &["ASK { <http://s> <http://p> <http://o> }"])]);
         assert!(corpus.combined.errors.is_empty());
         assert!(!full_report(&corpus).contains("first errors"));
         assert!(!full_report(&corpus).contains("worker-panic"));

@@ -14,7 +14,7 @@
 //!   when it is `false` a counter add is a load-and-return, and a
 //!   [`Span`] never calls `Instant::now`. `SPARQLOG_METRICS=0` turns the
 //!   whole layer off; [`set_enabled`] overrides in-process (tests, the
-//!   overhead ablation).
+//!   benchmark's overhead passes).
 //! * **Everything merges.** A worker process snapshots its registry into
 //!   the epilogue frame of its result stream; the coordinator absorbs it
 //!   with [`Registry::absorb`]. Histogram merge is commutative and

@@ -66,7 +66,7 @@ impl Counter {
             .sum()
     }
 
-    /// Resets the counter to zero (tests and ablation repeats).
+    /// Resets the counter to zero (tests and benchmark repeats).
     pub fn reset(&self) {
         for shard in &self.shards {
             shard.0.store(0, Ordering::Relaxed);
@@ -227,7 +227,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// Resets every bucket (tests and ablation repeats).
+    /// Resets every bucket (tests and benchmark repeats).
     pub fn reset(&self) {
         for bucket in self.buckets.iter() {
             bucket.store(0, Ordering::Relaxed);
@@ -344,7 +344,7 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::set_enabled;
+    use crate::registry::{set_enabled, set_enabled_for_test};
 
     #[test]
     fn bucket_index_and_bound_are_inverse_at_bucket_resolution() {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn counter_shards_sum_and_reset() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let counter = Counter::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn disabled_primitives_record_nothing() {
-        set_enabled(false);
+        let _flag = set_enabled_for_test(false);
         let counter = Counter::new();
         let gauge = Gauge::new();
         let histogram = LatencyHistogram::new();
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn quantiles_land_in_the_right_bucket() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let histogram = LatencyHistogram::new();
         for value in 1..=1000u64 {
             histogram.record(value);
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn snapshot_merge_equals_single_histogram() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let left = LatencyHistogram::new();
         let right = LatencyHistogram::new();
         let whole = LatencyHistogram::new();

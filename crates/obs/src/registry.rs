@@ -35,11 +35,21 @@ fn resolve_from_env() -> bool {
 }
 
 /// Overrides the enable flag in-process, taking precedence over the
-/// environment. Used by tests and the overhead ablation to compare
+/// environment. Used by tests and the benchmark's overhead passes to compare
 /// enabled and disabled runs inside one process; spawned worker processes
 /// still resolve from their inherited environment.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+}
+
+/// Sets the process-global flag for one unit test and holds it: the tests
+/// of this crate run on parallel threads, and one of them turns the flag off.
+#[cfg(test)]
+pub(crate) fn set_enabled_for_test(on: bool) -> std::sync::MutexGuard<'static, ()> {
+    static FLAG: Mutex<()> = Mutex::new(());
+    let guard = FLAG.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    set_enabled(on);
+    guard
 }
 
 /// The process-wide registry behind [`global`]: named counters, gauges and
@@ -140,7 +150,7 @@ impl Registry {
     }
 
     /// Zeroes every live metric and drops everything absorbed (tests and
-    /// ablation repeats). Handles stay valid.
+    /// benchmark repeats). Handles stay valid.
     pub fn reset(&self) {
         for counter in self.counters.lock().expect("obs registry lock").values() {
             counter.reset();
@@ -286,7 +296,7 @@ mod tests {
 
     #[test]
     fn registry_hands_out_stable_handles_and_snapshots_sorted() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let registry = Registry::new();
         let a = registry.counter("zeta");
         let b = registry.counter("alpha");
@@ -309,7 +319,7 @@ mod tests {
 
     #[test]
     fn absorbed_snapshots_merge_into_the_registry_view() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let registry = Registry::new();
         registry.counter("pipeline_entries_total").add(10);
         let mut worker = MetricsSnapshot::default();
@@ -363,7 +373,7 @@ mod tests {
 
     #[test]
     fn text_exposition_is_prometheus_shaped() {
-        set_enabled(true);
+        let _flag = set_enabled_for_test(true);
         let registry = Registry::new();
         registry.counter("serve_jobs_total").add(2);
         registry.histogram("serve_recovery_us").record(100);

@@ -82,8 +82,8 @@ pub struct Arena {
     /// All live chunks; the last one is the active bump target.
     chunks: RefCell<Vec<Chunk>>,
     /// Bytes handed out since creation or the last [`Arena::reset`]
-    /// (excluding alignment padding) — the measurement hook for the
-    /// `ablation_parse` harness.
+    /// (excluding alignment padding) — the measurement hook behind the
+    /// benchmark's `parser.arena_bytes_per_entry`.
     used: Cell<usize>,
 }
 

@@ -472,8 +472,8 @@ fn worker_thread_budget(worker_threads: usize, spawned_shards: usize) -> Option<
 ///
 /// The report rendered from the returned [`CorpusAnalysis`] is
 /// byte-identical to running the fused single-process engine over the same
-/// files — `tests/shard.rs` and the `ablation_shard` harness prove it
-/// across shard counts and worker matrices.
+/// files — `tests/shard.rs` proves it across shard counts and worker
+/// matrices.
 pub fn analyze_sharded(
     logs: &[LogSpec],
     population: Population,

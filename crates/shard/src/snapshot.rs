@@ -1284,11 +1284,11 @@ fn verify_crc_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_core::analysis::{CorpusAnalysis, Population};
-    use sparqlog_core::corpus::{ingest, RawLog};
+    use sparqlog_core::analysis::Population;
+    use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 
     fn analysed_dataset() -> DatasetAnalysis {
-        let log = ingest(&RawLog::new(
+        let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
             "snapshot-test",
             vec![
                 "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) } LIMIT 5"
@@ -1299,9 +1299,9 @@ mod tests {
                 "DESCRIBE <http://r>".to_string(),
                 "garbage".to_string(),
             ],
-        ));
-        let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
-        corpus.datasets.into_iter().next().unwrap()
+        ))];
+        let fused = analyze_streams(readers, Population::Unique).expect("in-memory streams");
+        fused.corpus.datasets.into_iter().next().unwrap()
     }
 
     #[test]

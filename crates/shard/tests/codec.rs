@@ -4,9 +4,11 @@
 //! prefix length, wrong version bytes, bad magic, bad tags, trailing bytes.
 
 use proptest::prelude::*;
-use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
+use sparqlog_core::analysis::{DatasetAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
-use sparqlog_core::corpus::{ingest, CorpusCounts, FusedStats, LogSummary, RawLog};
+use sparqlog_core::corpus::{
+    analyze_streams, CorpusCounts, FusedStats, LogReader, LogSummary, MemoryLogReader,
+};
 use sparqlog_core::{ErrorKind, ErrorTally};
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
 use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
@@ -24,9 +26,10 @@ fn fingerprint(hi: u64, lo: u64) -> u128 {
 
 /// An analysed dataset with non-trivial values in every tally family.
 fn analysed_dataset(entries: &[String], label: &str) -> DatasetAnalysis {
-    let log = ingest(&RawLog::new(label, entries.to_vec()));
-    let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
-    corpus.datasets.into_iter().next().unwrap()
+    let readers: Vec<Box<dyn LogReader>> =
+        vec![Box::new(MemoryLogReader::new(label, entries.to_vec()))];
+    let fused = analyze_streams(readers, Population::Unique).expect("in-memory streams");
+    fused.corpus.datasets.into_iter().next().unwrap()
 }
 
 /// Entries of a synthesized day log (varied, real-shaped queries).

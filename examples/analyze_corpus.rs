@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release --example analyze_corpus`.
 
-use sparqlog::core::analysis::{CorpusAnalysis, Population};
-use sparqlog::core::corpus::{ingest_all, RawLog};
+use sparqlog::core::analysis::Population;
+use sparqlog::core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 use sparqlog::core::report;
 use sparqlog::synth::{generate_corpus, CorpusConfig};
 
@@ -16,14 +16,15 @@ fn main() {
         seed: 7,
         max_entries_per_dataset: 0,
     });
-    let raw: Vec<RawLog> = corpus
+    let readers: Vec<Box<dyn LogReader>> = corpus
         .logs
-        .iter()
-        .map(|l| RawLog::new(l.dataset.label(), l.entries.clone()))
+        .into_iter()
+        .map(|l| Box::new(MemoryLogReader::new(l.dataset.label(), l.entries)) as Box<dyn LogReader>)
         .collect();
 
-    let ingested = ingest_all(&raw);
-    let analysis = CorpusAnalysis::analyze(&ingested, Population::Unique);
+    let analysis = analyze_streams(readers, Population::Unique)
+        .expect("in-memory streams cannot fail")
+        .corpus;
 
     println!(
         "=== Table 1: corpus sizes ===\n{}",

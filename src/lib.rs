@@ -25,8 +25,8 @@
 //! * [`gmark`] — a schema-driven graph and query-workload generator.
 //! * [`synth`] — a per-dataset calibrated SPARQL query-log synthesizer.
 //! * [`streaks`] — Levenshtein-based streak detection over query logs.
-//! * [`core`] — the corpus pipeline (parallel ingestion, the single-pass
-//!   analysis engine, report drivers).
+//! * [`core`] — the corpus pipeline: the fused ingest→analyze engine, the
+//!   sequential oracle it is tested against, and the report drivers.
 //! * [`shard`] — multi-process sharded analysis: the binary snapshot codec,
 //!   the `sparqlog-shard-worker` mode, the reusable worker supervision
 //!   layer (heartbeats, stall detection) and the coordinator that merges
@@ -87,13 +87,14 @@
 //!    counts. Results are bit-identical for any worker count or batch
 //!    schedule (see `tests/determinism.rs`, `tests/fused.rs`).
 //!
-//! The staged two-phase pipeline ([`core::corpus::ingest_streams`] then
-//! [`core::CorpusAnalysis::analyze`]) survives as the differential baseline
-//! and for callers who need the parsed ASTs; the seed's multi-walk analysis
-//! path survives in [`core::baseline`] and the materializing ingest path as
-//! [`core::corpus::ingest`] / [`core::corpus::ingest_all_materializing`] —
-//! the references for the differential tests (`tests/differential.rs`,
-//! `tests/streaming.rs`, `tests/fused.rs`) and the `ablation_*` harnesses.
+//! That engine is the only path production code takes. Its reference is
+//! [`core::baseline::analyze_reference`], a sequential oracle that computes
+//! the same analysis the naive way — an owned AST per entry, the canonical
+//! string materialized and then hashed, one `HashSet` per log, four
+//! independent walks per query, no cache, no threads — and that the
+//! differential tests (`tests/differential.rs`, `tests/fused.rs`,
+//! `tests/cache.rs`, `tests/robustness.rs`) hold the engine to, byte for
+//! byte, on both populations.
 //!
 //! # Quickstart
 //!
@@ -144,7 +145,7 @@
 //! [`core::RecoveryPolicy`] — `strict` aborts on defects with the log
 //! and line named, `lenient` recovers and tallies everything,
 //! `budget:<n>` tolerates `n` defects per 10k entries — honoured
-//! identically by the fused, staged, sharded and served engines
+//! identically by the in-process, sharded and served engine
 //! (`--recovery` / `SPARQLOG_RECOVERY`; `tests/robustness.rs` and the
 //! `tests/fuzz_recovery.rs` fuzz harness hold the byte-identity line).
 //!
@@ -157,7 +158,7 @@
 //! decodes their framed binary snapshots (a dependency-free varint codec
 //! with an explicit version byte), and merges them into a report **byte-
 //! identical** to the single-process fused engine's at any shard count ×
-//! worker-thread matrix (`tests/shard.rs`, the `ablation_shard` gate):
+//! worker-thread matrix (`tests/shard.rs`):
 //!
 //! ```no_run
 //! use sparqlog::core::{report, Population};

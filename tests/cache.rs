@@ -1,36 +1,62 @@
 //! The fingerprint-keyed analysis cache and the interned-term allocation
-//! diet: differential proof that cache-on vs cache-off (and interned vs
-//! string-term) runs render byte-identical reports, duplicate handling at
-//! shard boundaries, cross-call cache reuse, and the commutative merge.
+//! diet, stated as tests. Cache soundness has two halves: equal canonical
+//! fingerprint ⇒ equal analysis (respelled queries), and the engine's
+//! reports — every duplicate served from the memo — equal those of the
+//! oracle (`baseline::analyze_reference`), which analyses every occurrence
+//! from scratch through throwaway interners. Plus duplicate handling at
+//! cache-shard boundaries, cross-call cache reuse, and the commutative
+//! merge.
 
 use proptest::prelude::*;
-use sparqlog::core::analysis::{CachePolicy, EngineOptions};
-use sparqlog::core::baseline::analyze_multiwalk;
+use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::cache::AnalysisCache;
-use sparqlog::core::corpus::{ingest_all, IngestedLog, RawLog};
+use sparqlog::core::corpus::{
+    analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, RawLog,
+    SliceLogReader,
+};
 use sparqlog::core::report::full_report;
-use sparqlog::core::{CorpusAnalysis, Population, QueryAnalysis};
+use sparqlog::core::{Population, QueryAnalysis};
+use sparqlog::parser::token::{Keyword, Token};
+use sparqlog::parser::{canonical_fingerprint_of, lexer, parse_query, Arena};
 use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
 
-fn cached_options() -> EngineOptions {
-    EngineOptions {
-        recovery: Default::default(),
-        cache: CachePolicy::Enabled,
-        ..EngineOptions::default()
-    }
+fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
+    logs.iter()
+        .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
+        .collect()
 }
 
-fn uncached_options() -> EngineOptions {
-    EngineOptions {
-        recovery: Default::default(),
-        cache: CachePolicy::Disabled,
-        ..EngineOptions::default()
-    }
+fn fused_at(
+    logs: &[RawLog],
+    population: Population,
+    workers: usize,
+    batch: usize,
+) -> FusedAnalysis {
+    let options = FusedOptions {
+        workers,
+        batch,
+        ..FusedOptions::default()
+    };
+    analyze_streams_with(readers(logs), population, options).expect("in-memory streams cannot fail")
+}
+
+fn fused_into(logs: &[RawLog], population: Population, cache: &AnalysisCache) -> FusedAnalysis {
+    analyze_streams_cached(readers(logs), population, FusedOptions::default(), cache)
+        .expect("in-memory streams cannot fail")
+}
+
+/// Every fingerprint the run saw, across all logs.
+fn fingerprints(fused: &FusedAnalysis) -> impl Iterator<Item = u128> + '_ {
+    fused
+        .summaries
+        .iter()
+        .flat_map(|summary| summary.occurrences.iter().map(|&(fp, _)| fp))
 }
 
 /// A fixed duplicate-heavy corpus: three synthesized day logs, each tiled
-/// three times so every canonical form occurs at least three times.
-fn duplicate_heavy_corpus() -> Vec<IngestedLog> {
+/// three times so every canonical form occurs at least three times, with
+/// the first log's head repeated in the last (cross-log duplicates).
+fn duplicate_heavy_corpus() -> Vec<RawLog> {
     let mut raw = Vec::new();
     for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
         .iter()
@@ -43,44 +69,50 @@ fn duplicate_heavy_corpus() -> Vec<IngestedLog> {
         }
         raw.push(RawLog::new(day.dataset.label(), entries));
     }
-    ingest_all(&raw)
+    let head: Vec<String> = raw[0].entries.iter().take(30).cloned().collect();
+    raw[2].entries.extend(head);
+    raw
 }
 
 #[test]
 fn cache_on_and_cache_off_reports_are_byte_identical_on_a_fixed_corpus() {
-    let logs = duplicate_heavy_corpus();
+    let raw = duplicate_heavy_corpus();
     for population in [Population::Unique, Population::Valid] {
-        let (cached, stats) = CorpusAnalysis::analyze_stats(&logs, population, cached_options());
-        let (uncached, _) = CorpusAnalysis::analyze_stats(&logs, population, uncached_options());
-        assert_eq!(
-            full_report(&cached),
-            full_report(&uncached),
-            "cache-on vs cache-off report mismatch on {population:?}"
-        );
-        // The debug representation (every tally field) must agree too.
-        assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
-        let cache_stats = stats.cache.expect("cached run reports cache stats");
-        if population == Population::Valid {
+        let uncached = analyze_reference(&raw, population);
+        for workers in [1, 2, 8] {
+            let cached = fused_at(&raw, population, workers, 0);
+            assert_eq!(
+                full_report(&cached.corpus),
+                full_report(&uncached),
+                "cache-on vs cache-off report mismatch on {population:?}, {workers} workers"
+            );
+            // The debug representation (every tally field) must agree too.
+            assert_eq!(format!("{:?}", cached.corpus), format!("{uncached:?}"));
+            let cache_stats = cached.stats.cache.expect("fused runs report cache stats");
             assert!(cache_stats.hits > 0, "duplicates must hit the cache");
+            assert!(
+                cached.stats.interner.bytes_saved > 0,
+                "interner must save bytes"
+            );
         }
-        assert!(stats.interner.bytes_saved > 0, "interner must save bytes");
     }
 }
 
 #[test]
 fn interned_term_analysis_matches_the_string_term_baseline() {
-    // The baseline multi-walk path compares projection and visibility on
+    // The oracle's multi-walk path compares projection and visibility on
     // strings and hands the canonical graph a throwaway interner per query;
     // the engine threads one long-lived interner per worker through all of
-    // it. Byte-identical corpus reports prove no result depends on the
-    // interner's state.
-    let logs = duplicate_heavy_corpus();
+    // it, and with eight workers on five-entry batches each interner has
+    // seen a different slice of the corpus. Byte-identical tallies prove no
+    // result depends on an interner's state.
+    let raw = duplicate_heavy_corpus();
     for population in [Population::Unique, Population::Valid] {
-        let reference = analyze_multiwalk(&logs, population);
-        let (interned, _) = CorpusAnalysis::analyze_stats(&logs, population, cached_options());
+        let reference = analyze_reference(&raw, population);
+        let interned = fused_at(&raw, population, 8, 5);
         assert_eq!(
             format!("{reference:?}"),
-            format!("{interned:?}"),
+            format!("{:?}", interned.corpus),
             "interned vs string-term mismatch on {population:?}"
         );
     }
@@ -88,38 +120,43 @@ fn interned_term_analysis_matches_the_string_term_baseline() {
 
 #[test]
 fn shared_cache_survives_the_population_switch_and_duplicates_across_logs() {
-    let logs = duplicate_heavy_corpus();
+    let raw = duplicate_heavy_corpus();
     let cache = AnalysisCache::new();
-    let (valid_run, _) =
-        CorpusAnalysis::analyze_cached(&logs, Population::Valid, EngineOptions::default(), &cache);
+    let valid_run = fused_into(&raw, Population::Valid, &cache);
     let after_valid = cache.stats();
-    let (unique_run, _) =
-        CorpusAnalysis::analyze_cached(&logs, Population::Unique, EngineOptions::default(), &cache);
+    let unique_run = fused_into(&raw, Population::Unique, &cache);
     let after_unique = cache.stats();
     // Every unique-population query is a canonical form the Valid run
     // already memoized: the switch must not analyse anything new.
     assert_eq!(after_valid.misses, after_unique.misses);
     assert_eq!(after_valid.distinct, after_unique.distinct);
     assert!(after_unique.hits > after_valid.hits);
-    // And the shared-cache runs agree with fresh uncached runs.
-    let (valid_ref, _) =
-        CorpusAnalysis::analyze_stats(&logs, Population::Valid, uncached_options());
-    let (unique_ref, _) =
-        CorpusAnalysis::analyze_stats(&logs, Population::Unique, uncached_options());
-    assert_eq!(full_report(&valid_run), full_report(&valid_ref));
-    assert_eq!(full_report(&unique_run), full_report(&unique_ref));
+    // A form two logs share is memoized once, not once per log.
+    let per_log_unique: u64 = valid_run.summaries.iter().map(|s| s.counts.unique).sum();
+    assert!(after_valid.distinct < per_log_unique);
+    // And the shared-cache runs agree with the uncached oracle.
+    for (run, population) in [
+        (&valid_run, Population::Valid),
+        (&unique_run, Population::Unique),
+    ] {
+        assert_eq!(
+            full_report(&run.corpus),
+            full_report(&analyze_reference(&raw, population))
+        );
+    }
 }
 
 #[test]
 fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
     // Single-shard and many-shard caches must agree: a fingerprint's shard
     // assignment never affects what is memoized.
-    let logs = duplicate_heavy_corpus();
-    let lookups: u64 = logs.iter().map(|l| l.counts.valid).sum();
+    let raw = duplicate_heavy_corpus();
     let single = AnalysisCache::with_shards(1);
     let many = AnalysisCache::with_shards(64);
+    let run = fused_into(&raw, Population::Valid, &single);
+    fused_into(&raw, Population::Valid, &many);
+    let lookups: u64 = run.summaries.iter().map(|s| s.counts.valid).sum();
     for cache in [&single, &many] {
-        CorpusAnalysis::analyze_cached(&logs, Population::Valid, EngineOptions::default(), cache);
         // Every valid occurrence is exactly one lookup. Exact hit counts are
         // schedule-dependent under concurrency (a cold fingerprint may be
         // analysed by two racing workers), but the duplicate-dominated shape
@@ -129,12 +166,10 @@ fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
         assert!(stats.hits > stats.distinct);
     }
     assert_eq!(single.len(), many.len());
-    for log in &logs {
-        for &fp in &log.fingerprints {
-            let a = single.get(fp).expect("memoized in the single shard");
-            let b = many.get(fp).expect("memoized across 64 shards");
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
+    for fp in fingerprints(&run) {
+        let a = single.get(fp).expect("memoized in the single shard");
+        let b = many.get(fp).expect("memoized across 64 shards");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }
 
@@ -142,11 +177,11 @@ fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
 fn merged_worker_caches_serve_identical_lookups() {
     // Split the corpus in two, analyse each half into its own cache, merge
     // both ways: every fingerprint of the full corpus resolves identically.
-    let logs = duplicate_heavy_corpus();
-    let (first_half, second_half) = logs.split_at(1);
-    let build = |part: &[IngestedLog]| {
+    let raw = duplicate_heavy_corpus();
+    let (first_half, second_half) = raw.split_at(1);
+    let build = |part: &[RawLog]| {
         let cache = AnalysisCache::new();
-        CorpusAnalysis::analyze_cached(part, Population::Valid, EngineOptions::default(), &cache);
+        fused_into(part, Population::Valid, &cache);
         cache
     };
     let ab = build(first_half);
@@ -154,51 +189,136 @@ fn merged_worker_caches_serve_identical_lookups() {
     let ba = build(second_half);
     ba.merge(build(first_half));
     assert_eq!(ab.len(), ba.len());
-    for log in &logs {
-        for &fp in &log.fingerprints {
-            let a = ab.get(fp).expect("merged cache covers the corpus");
-            let b = ba.get(fp).expect("merge is commutative");
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    let whole = fused_at(&raw, Population::Valid, 0, 0);
+    for fp in fingerprints(&whole) {
+        let a = ab.get(fp).expect("merged cache covers the corpus");
+        let b = ba.get(fp).expect("merge is commutative");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+}
+
+/// Respells a query without changing its canonical form: keywords swap
+/// case, `<ns/local>` IRIs are abbreviated through freshly declared
+/// prefixes, and whitespace is added where the grammar cannot care. Works
+/// on the token stream (a token's text runs from its offset to the next
+/// token's), so literals and IRIs that merely look like keywords are left
+/// alone.
+fn respell(text: &str) -> String {
+    let arena = Arena::new();
+    let tokens = lexer::tokenize_in(text, &arena).expect("synthesized queries lex");
+    let mut namespaces: Vec<&str> = Vec::new();
+    let mut body = String::new();
+    for (i, spanned) in tokens.iter().enumerate() {
+        let end = tokens.get(i + 1).map_or(text.len(), |next| next.offset);
+        let chunk = &text[spanned.offset..end];
+        let declares = i > 0
+            && matches!(
+                tokens[i - 1].token,
+                Token::Keyword(Keyword::Base) | Token::PrefixedName(_, "")
+            );
+        match spanned.token {
+            Token::Keyword(_) => {
+                body.extend(chunk.chars().map(|c| {
+                    if c.is_ascii_lowercase() {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                }));
+                body.push_str("\n\t ");
+            }
+            Token::IriRef(iri) if !declares => match split_iri(iri) {
+                Some((namespace, local)) => {
+                    let n = namespaces
+                        .iter()
+                        .position(|known| *known == namespace)
+                        .unwrap_or_else(|| {
+                            namespaces.push(namespace);
+                            namespaces.len() - 1
+                        });
+                    // The space keeps a following `.` out of the local name.
+                    body.push_str(&format!("ns{n}:{local} {}", &chunk[iri.len() + 2..]));
+                }
+                None => body.push_str(chunk),
+            },
+            Token::LBrace | Token::RBrace | Token::Dot => {
+                body.push_str(chunk);
+                body.push_str("  \n");
+            }
+            _ => body.push_str(chunk),
         }
     }
+    let mut respelled = String::from("  ");
+    for (n, namespace) in namespaces.iter().enumerate() {
+        respelled.push_str(&format!("prefix ns{n}: <{namespace}>\n"));
+    }
+    respelled + &body
+}
+
+/// Splits an IRI after its last `/` or `#` when what follows can be written
+/// as the local part of a prefixed name.
+fn split_iri(iri: &str) -> Option<(&str, &str)> {
+    let (namespace, local) = iri.split_at(iri.rfind(['/', '#'])? + 1);
+    let plain = local.starts_with(|c: char| c.is_ascii_alphabetic())
+        && local.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    plain.then_some((namespace, local))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cache-on and cache-off reports agree on any synthesized corpus, for
-    /// any worker count and chunk size, on both populations.
+    /// The engine — every duplicate occurrence served from the memo — and
+    /// the oracle — every occurrence analysed from scratch — agree on any
+    /// synthesized duplicate-heavy log at 1, 2 and 8 workers.
     #[test]
     fn cached_reports_match_uncached_on_synthesized_corpora(
         seed in 0u64..5_000,
         dataset_idx in 0usize..13,
-        workers in 1usize..5,
-        chunk_size in 0usize..16,
+        batch in 1usize..16,
     ) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         let mut entries: Vec<String> = (0..40).map(|_| synth.fresh_query()).collect();
-        // Force duplicates, including across what will be chunk boundaries.
+        // Force duplicates, including across what will be batch boundaries.
         let tiled: Vec<String> = entries.iter().take(20).cloned().collect();
         entries.extend(tiled);
         entries.push("garbage entry".to_string());
-        let logs = ingest_all(&[RawLog::new("prop", entries)]);
-        for population in [Population::Unique, Population::Valid] {
-            let cached = CorpusAnalysis::analyze_with(
-                &logs,
-                population,
-                EngineOptions { workers, chunk_size, cache: CachePolicy::Enabled, recovery: Default::default() },
+        let raw = [RawLog::new("prop", entries)];
+        let uncached = full_report(&analyze_reference(&raw, Population::Valid));
+        for workers in [1, 2, 8] {
+            let cached = fused_at(&raw, Population::Valid, workers, batch);
+            prop_assert_eq!(
+                &full_report(&cached.corpus),
+                &uncached,
+                "cache differential diverged: {} workers, batch {}",
+                workers, batch
             );
-            let uncached = CorpusAnalysis::analyze_with(
-                &logs,
-                population,
-                EngineOptions { workers: 1, chunk_size: 0, cache: CachePolicy::Disabled, recovery: Default::default() },
+        }
+    }
+
+    /// Equal fingerprint ⇒ equal analysis: a query and a respelling of it
+    /// (whitespace, keyword case, prefix abbreviation) share a canonical
+    /// fingerprint, and what the cache would memoize for one is exactly
+    /// what a fresh analysis of the other computes.
+    #[test]
+    fn equal_fingerprints_mean_equal_analyses(seed in 0u64..5_000, dataset_idx in 0usize..13) {
+        let dataset = Dataset::ALL[dataset_idx];
+        let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
+        for _ in 0..8 {
+            let text = synth.fresh_query();
+            let respelled = respell(&text);
+            let query = parse_query(&text).expect("synthesized queries parse");
+            let twin = parse_query(&respelled)
+                .unwrap_or_else(|error| panic!("respelling must parse: {error}\n{respelled}"));
+            prop_assert_eq!(
+                canonical_fingerprint_of(&query),
+                canonical_fingerprint_of(&twin),
+                "respelling changed the canonical form:\n{}\n{}", text, respelled
             );
             prop_assert_eq!(
-                full_report(&cached),
-                full_report(&uncached),
-                "cache differential diverged: {:?}, {} workers, chunk {}",
-                population, workers, chunk_size
+                format!("{:?}", QueryAnalysis::of(&query)),
+                format!("{:?}", QueryAnalysis::of(&twin)),
+                "equal fingerprints, different analyses:\n{}\n{}", text, respelled
             );
         }
     }
@@ -212,8 +332,8 @@ proptest! {
         let cache = AnalysisCache::with_shards(4);
         for _ in 0..8 {
             let text = synth.fresh_query();
-            let query = sparqlog::parser::parse_query(&text).expect("synthesized queries parse");
-            let fp = sparqlog::parser::canonical_fingerprint_of(&query);
+            let query = parse_query(&text).expect("synthesized queries parse");
+            let fp = canonical_fingerprint_of(&query);
             let memoized = cache.get_or_insert_with(fp, || QueryAnalysis::of(&query));
             let fresh = QueryAnalysis::of(&query);
             prop_assert_eq!(

@@ -1,10 +1,12 @@
-//! Multi-threaded determinism: `CorpusAnalysis::analyze` must produce
-//! identical reports regardless of worker count, chunk size (and therefore
-//! chunk boundaries), or the racy order in which workers claim chunks.
+//! Multi-threaded determinism: `analyze_streams` must produce identical
+//! summaries and reports regardless of worker count, batch size (and
+//! therefore which worker parses and folds what), or the racy order in
+//! which workers claim batches and fold chunks.
 
-use sparqlog::core::analysis::{CorpusAnalysis, EngineOptions, Population};
+use sparqlog::core::analysis::Population;
+use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{
-    ingest, ingest_all, ingest_streams_with, LogReader, SliceLogReader, StreamOptions,
+    analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, SliceLogReader,
 };
 use sparqlog::core::RawLog;
 use sparqlog::synth::{generate_corpus, CorpusConfig};
@@ -22,110 +24,75 @@ fn corpus_logs() -> Vec<RawLog> {
         .collect()
 }
 
+fn fused(logs: &[RawLog], population: Population, workers: usize, batch: usize) -> FusedAnalysis {
+    let readers: Vec<Box<dyn LogReader + '_>> = logs
+        .iter()
+        .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
+        .collect();
+    let options = FusedOptions {
+        workers,
+        batch,
+        ..FusedOptions::default()
+    };
+    analyze_streams_with(readers, population, options).expect("in-memory streams cannot fail")
+}
+
 #[test]
 fn analysis_is_identical_across_worker_counts_and_chunk_schedules() {
-    let ingested = ingest_all(&corpus_logs());
+    let logs = corpus_logs();
     for population in [Population::Unique, Population::Valid] {
-        let reference = format!(
-            "{:?}",
-            CorpusAnalysis::analyze_with(
-                &ingested,
-                population,
-                EngineOptions {
-                    recovery: Default::default(),
-                    workers: 1,
-                    chunk_size: 0,
-                    ..EngineOptions::default()
-                },
-            )
-        );
-        // Every worker count × chunk size must reproduce the single-threaded
-        // report bit-for-bit; chunk sizes of 1 and 7 shuffle the chunk
+        let reference = format!("{:?}", fused(&logs, population, 1, 0).corpus);
+        // Every worker count × batch size must reproduce the single-threaded
+        // analysis bit-for-bit; batch sizes of 1 and 7 shuffle the batch
         // boundaries and hand queries of the same dataset to different
         // workers.
         for workers in [1, 2, 8] {
-            for chunk_size in [0, 1, 7, 64] {
-                let run = CorpusAnalysis::analyze_with(
-                    &ingested,
-                    population,
-                    EngineOptions {
-                        recovery: Default::default(),
-                        workers,
-                        chunk_size,
-                        ..EngineOptions::default()
-                    },
-                );
+            for batch in [0, 1, 7, 64] {
+                let run = fused(&logs, population, workers, batch);
                 assert_eq!(
                     reference,
-                    format!("{run:?}"),
-                    "non-deterministic report: {population:?}, {workers} workers, chunk {chunk_size}"
+                    format!("{:?}", run.corpus),
+                    "non-deterministic analysis: {population:?}, {workers} workers, batch {batch}"
                 );
             }
         }
-        // The racy chunk-claim order differs between repeated runs; the
-        // report must not.
+        // The racy batch-claim order differs between repeated runs; the
+        // analysis must not.
         for _ in 0..3 {
-            let run = CorpusAnalysis::analyze_with(
-                &ingested,
-                population,
-                EngineOptions {
-                    recovery: Default::default(),
-                    workers: 8,
-                    chunk_size: 2,
-                    ..EngineOptions::default()
-                },
-            );
-            assert_eq!(reference, format!("{run:?}"));
+            let run = fused(&logs, population, 8, 2);
+            assert_eq!(reference, format!("{:?}", run.corpus));
         }
     }
 }
 
 #[test]
 fn parallel_ingestion_is_identical_to_sequential() {
+    // Eight workers on small batches against the oracle's plain loop over
+    // each log: same counts, same error tallies, entry position by entry
+    // position.
     let logs = corpus_logs();
-    let parallel = ingest_all(&logs);
-    let sequential: Vec<_> = logs.iter().map(ingest).collect();
-    assert_eq!(parallel.len(), sequential.len());
-    for (p, s) in parallel.iter().zip(&sequential) {
+    let parallel = fused(&logs, Population::Unique, 8, 16);
+    let sequential = analyze_reference(&logs, Population::Unique);
+    assert_eq!(parallel.summaries.len(), sequential.datasets.len());
+    for (p, s) in parallel.summaries.iter().zip(&sequential.datasets) {
+        assert_eq!(p.label, s.label);
         assert_eq!(p.counts, s.counts, "{}", p.label);
-        assert_eq!(p.unique_indices, s.unique_indices, "{}", p.label);
-        assert_eq!(p.valid_queries, s.valid_queries, "{}", p.label);
+        assert_eq!(p.errors, s.errors, "{}", p.label);
     }
 }
 
 #[test]
 fn streaming_ingestion_is_deterministic_across_schedules() {
-    // Worker count, batch size and shard count shuffle which worker parses
-    // which batch and which shard dedups which fingerprint; the ingested
-    // output must not move.
+    // Worker count and batch size shuffle which worker parses which batch
+    // and whose occurrence map counts which duplicate; the per-log
+    // summaries (counts, fingerprint/occurrence lists, tallies) must not
+    // move.
     let logs = corpus_logs();
-    let reference: Vec<_> = logs.iter().map(ingest).collect();
+    let reference = fused(&logs, Population::Valid, 1, 0).summaries;
     for workers in [1, 2, 8] {
         for batch in [1, 7, 512] {
-            for shards in [1, 16] {
-                let readers: Vec<Box<dyn LogReader + '_>> = logs
-                    .iter()
-                    .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-                    .collect();
-                let streamed = ingest_streams_with(
-                    readers,
-                    StreamOptions {
-                        workers,
-                        batch,
-                        shards,
-                        recovery: Default::default(),
-                    },
-                )
-                .expect("in-memory ingestion cannot fail");
-                for (s, r) in streamed.iter().zip(&reference) {
-                    assert_eq!(
-                        s.counts, r.counts,
-                        "workers {workers}, batch {batch}, shards {shards}"
-                    );
-                    assert_eq!(s.unique_indices, r.unique_indices, "{}", s.label);
-                    assert_eq!(s.valid_queries, r.valid_queries, "{}", s.label);
-                }
-            }
+            let streamed = fused(&logs, Population::Valid, workers, batch).summaries;
+            assert_eq!(streamed, reference, "workers {workers}, batch {batch}");
         }
     }
 }
@@ -135,10 +102,9 @@ fn shuffled_log_order_only_permutes_dataset_rows() {
     // Reversing the logs permutes the per-dataset rows but must leave each
     // row and the combined totals untouched.
     let logs = corpus_logs();
-    let ingested = ingest_all(&logs);
-    let reversed: Vec<_> = ingested.iter().rev().cloned().collect();
-    let forward = CorpusAnalysis::analyze(&ingested, Population::Unique);
-    let backward = CorpusAnalysis::analyze(&reversed, Population::Unique);
+    let reversed: Vec<_> = logs.iter().rev().cloned().collect();
+    let forward = fused(&logs, Population::Unique, 0, 0).corpus;
+    let backward = fused(&reversed, Population::Unique, 0, 0).corpus;
     for d in &forward.datasets {
         let twin = backward
             .datasets

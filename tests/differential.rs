@@ -1,14 +1,12 @@
-//! Differential test: the single-pass analysis engine must produce
-//! byte-identical `DatasetAnalysis` / `CorpusAnalysis` results to the seed
-//! multi-walk path on a mixed corpus.
+//! Differential test: the fused single-pass engine must produce
+//! byte-identical `DatasetAnalysis` / `CorpusAnalysis` results to the
+//! sequential multi-walk oracle on a mixed corpus.
 
-use sparqlog::core::analysis::{CorpusAnalysis, Population};
-use sparqlog::core::baseline::{add_query_multiwalk, analyze_multiwalk};
-use sparqlog::core::corpus::{
-    ingest, ingest_all, ingest_all_materializing, ingest_streams_with, LogReader, SliceLogReader,
-    StreamOptions,
-};
-use sparqlog::core::{DatasetAnalysis, EngineOptions, QueryAnalysis, RawLog};
+use sparqlog::core::analysis::Population;
+use sparqlog::core::baseline::{add_query_multiwalk, analyze_reference};
+use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
+use sparqlog::core::report::full_report;
+use sparqlog::core::{DatasetAnalysis, QueryAnalysis, RawLog, RecoveryPolicy};
 use sparqlog::parser::parse_query;
 use sparqlog::synth::{generate_single_day_log, Dataset};
 
@@ -89,67 +87,68 @@ fn mixed_corpus() -> Vec<RawLog> {
     logs
 }
 
+fn slice_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
+    logs.iter()
+        .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
+        .collect()
+}
+
 #[test]
 fn corpus_analysis_is_byte_identical_to_the_multiwalk_path() {
-    let ingested = ingest_all(&mixed_corpus());
+    let raw = mixed_corpus();
     for population in [Population::Unique, Population::Valid] {
-        let reference = analyze_multiwalk(&ingested, population);
-        let single_pass = CorpusAnalysis::analyze(&ingested, population);
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{single_pass:?}"),
-            "single-pass vs multi-walk mismatch on {population:?}"
-        );
-        // Also through the explicitly-parallel entry point.
-        let parallel = CorpusAnalysis::analyze_with(
-            &ingested,
-            population,
-            EngineOptions {
-                recovery: Default::default(),
-                workers: 4,
-                chunk_size: 3,
-                ..EngineOptions::default()
-            },
-        );
-        assert_eq!(format!("{reference:?}"), format!("{parallel:?}"));
+        let reference = analyze_reference(&raw, population);
+        for workers in [1, 2, 8] {
+            let fused = analyze_streams_with(
+                slice_readers(&raw),
+                population,
+                FusedOptions {
+                    workers,
+                    ..FusedOptions::default()
+                },
+            )
+            .expect("in-memory streams cannot fail");
+            // Every tally field, not only what the report renders.
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{:?}", fused.corpus),
+                "single-pass vs multi-walk mismatch on {population:?}, {workers} workers"
+            );
+        }
     }
 }
 
 #[test]
 fn streaming_ingestion_is_byte_identical_to_the_materializing_path() {
-    // The streaming engine (incremental LogReader feed, canonical walk
-    // hashed without materializing the string, sharded dedup) must agree
-    // with the sequential materializing reference and the materializing
-    // pool on counts, queries, unique indices AND the downstream reports.
+    // The engine (incremental LogReader feed, canonical walk hashed without
+    // materializing the string, per-worker occurrence maps) must agree with
+    // the sequential oracle (whole log resident, canonical string built and
+    // then hashed, one set per log) on counts, tallies AND the reports, for
+    // batch sizes that split duplicates across batches and workers.
     let raw = mixed_corpus();
-    let reference: Vec<_> = raw.iter().map(ingest).collect();
-    let pooled = ingest_all_materializing(&raw);
-    for (batch, workers) in [(1, 1), (3, 4), (512, 2)] {
-        let readers: Vec<Box<dyn LogReader + '_>> = raw
-            .iter()
-            .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-            .collect();
-        let streamed = ingest_streams_with(
-            readers,
-            StreamOptions {
-                recovery: Default::default(),
-                workers,
-                batch,
-                shards: 8,
-            },
-        )
-        .expect("in-memory ingestion cannot fail");
-        for ((s, r), p) in streamed.iter().zip(&reference).zip(&pooled) {
-            assert_eq!(s.counts, r.counts, "batch {batch}, workers {workers}");
-            assert_eq!(s.unique_indices, r.unique_indices);
-            assert_eq!(s.valid_queries, r.valid_queries);
-            assert_eq!(s.counts, p.counts);
-            assert_eq!(s.unique_indices, p.unique_indices);
-        }
-        for population in [Population::Unique, Population::Valid] {
+    for population in [Population::Unique, Population::Valid] {
+        let reference = analyze_reference(&raw, population);
+        for (batch, workers) in [(1, 1), (3, 4), (512, 2)] {
+            let fused = analyze_streams_with(
+                slice_readers(&raw),
+                population,
+                FusedOptions {
+                    workers,
+                    batch,
+                    recovery: RecoveryPolicy::Lenient,
+                },
+            )
+            .expect("in-memory streams cannot fail");
+            for (summary, dataset) in fused.summaries.iter().zip(&reference.datasets) {
+                assert_eq!(
+                    summary.counts, dataset.counts,
+                    "batch {batch}, workers {workers}"
+                );
+                assert_eq!(summary.errors, dataset.errors, "{}", summary.label);
+            }
             assert_eq!(
-                format!("{:?}", CorpusAnalysis::analyze(&reference, population)),
-                format!("{:?}", CorpusAnalysis::analyze(&streamed, population)),
+                full_report(&fused.corpus),
+                full_report(&reference),
                 "corpus report differs on {population:?} (batch {batch}, workers {workers})"
             );
         }

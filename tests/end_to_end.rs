@@ -3,23 +3,28 @@
 //! hold on it (who dominates, orderings, rough magnitudes).
 
 use sparqlog::core::analysis::{CorpusAnalysis, Population};
-use sparqlog::core::corpus::{ingest_all, RawLog};
+use sparqlog::core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 use sparqlog::core::report;
 use sparqlog::synth::{generate_corpus, CorpusConfig, Dataset};
 
-fn analyzed(scale: f64, seed: u64) -> CorpusAnalysis {
+fn analyzed_population(scale: f64, seed: u64, population: Population) -> CorpusAnalysis {
     let corpus = generate_corpus(CorpusConfig {
         scale,
         seed,
         max_entries_per_dataset: 0,
     });
-    let raw: Vec<RawLog> = corpus
+    let readers: Vec<Box<dyn LogReader>> = corpus
         .logs
-        .iter()
-        .map(|l| RawLog::new(l.dataset.label(), l.entries.clone()))
+        .into_iter()
+        .map(|l| Box::new(MemoryLogReader::new(l.dataset.label(), l.entries)) as Box<dyn LogReader>)
         .collect();
-    let ingested = ingest_all(&raw);
-    CorpusAnalysis::analyze(&ingested, Population::Unique)
+    analyze_streams(readers, population)
+        .expect("in-memory streams cannot fail")
+        .corpus
+}
+
+fn analyzed(scale: f64, seed: u64) -> CorpusAnalysis {
+    analyzed_population(scale, seed, Population::Unique)
 }
 
 #[test]
@@ -127,19 +132,8 @@ fn dataset_idiosyncrasies_survive_the_pipeline() {
 
 #[test]
 fn valid_population_is_a_superset_of_unique() {
-    let corpus = generate_corpus(CorpusConfig {
-        scale: 1e-5,
-        seed: 3,
-        max_entries_per_dataset: 0,
-    });
-    let raw: Vec<RawLog> = corpus
-        .logs
-        .iter()
-        .map(|l| RawLog::new(l.dataset.label(), l.entries.clone()))
-        .collect();
-    let ingested = ingest_all(&raw);
-    let unique = CorpusAnalysis::analyze(&ingested, Population::Unique);
-    let valid = CorpusAnalysis::analyze(&ingested, Population::Valid);
+    let unique = analyzed_population(1e-5, 3, Population::Unique);
+    let valid = analyzed_population(1e-5, 3, Population::Valid);
     assert!(valid.combined.keywords.total_queries >= unique.combined.keywords.total_queries);
     assert!(valid.combined.opsets.total >= unique.combined.opsets.total);
 }

@@ -1,30 +1,21 @@
 //! The fused ingest→analyze streaming engine: differential proof that
-//! `analyze_streams` renders corpus reports byte-identical to the staged
-//! `ingest_streams` + `analyze_cached` pipeline — over synthesized corpora,
+//! `analyze_streams` renders corpus reports byte-identical to the sequential
+//! oracle (`baseline::analyze_reference`) — over synthesized corpora,
 //! worker counts 1/2/8, batch sizes that force duplicates to straddle batch
 //! boundaries, both populations, a shared cache surviving the population
 //! switch, cache shard boundaries, and file-backed streams — plus the
 //! occurrence-weighted fold's equivalence to repeated folds.
 
 use proptest::prelude::*;
-use sparqlog::core::analysis::{CachePolicy, EngineOptions};
+use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, ingest, ingest_all,
-    FileLogReader, FusedOptions, LogReader, MemoryLogReader, RawLog,
+    analyze_streams, analyze_streams_cached, analyze_streams_with, FileLogReader, FusedOptions,
+    LogReader, MemoryLogReader, RawLog,
 };
 use sparqlog::core::report::full_report;
-use sparqlog::core::{CorpusAnalysis, DatasetAnalysis, Population, QueryAnalysis};
+use sparqlog::core::{DatasetAnalysis, Population, QueryAnalysis};
 use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
-
-fn uncached_options() -> EngineOptions {
-    EngineOptions {
-        recovery: Default::default(),
-        workers: 1,
-        chunk_size: 0,
-        cache: CachePolicy::Disabled,
-    }
-}
 
 fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + 'static>> {
     logs.iter()
@@ -56,14 +47,15 @@ fn duplicate_heavy_corpus() -> Vec<RawLog> {
     raw
 }
 
+// This test and `fused_reports_match_staged_on_synthesized_corpora` keep
+// "staged" in their names from the pipeline they used to compare against;
+// the reference is now the sequential oracle.
 #[test]
 fn fused_matches_staged_on_the_fixed_corpus_across_workers_and_batches() {
     let raw = duplicate_heavy_corpus();
-    let staged_logs = ingest_all(&raw);
     for population in [Population::Unique, Population::Valid] {
-        let (staged, _) =
-            CorpusAnalysis::analyze_stats(&staged_logs, population, uncached_options());
-        let staged_report = full_report(&staged);
+        let reference = analyze_reference(&raw, population);
+        let reference_report = full_report(&reference);
         for workers in [1, 2, 8] {
             // Batch 7 splits the tiled logs mid-repeat, so duplicates of one
             // canonical form land in different batches (and, at >1 workers,
@@ -81,11 +73,11 @@ fn fused_matches_staged_on_the_fixed_corpus_across_workers_and_batches() {
                 .unwrap();
                 assert_eq!(
                     full_report(&fused.corpus),
-                    staged_report,
-                    "fused vs staged diverged: {population:?}, {workers} workers, batch {batch}"
+                    reference_report,
+                    "fused vs oracle diverged: {population:?}, {workers} workers, batch {batch}"
                 );
-                for (summary, staged_log) in fused.summaries.iter().zip(&staged_logs) {
-                    assert_eq!(summary.counts, staged_log.counts);
+                for (summary, dataset) in fused.summaries.iter().zip(&reference.datasets) {
+                    assert_eq!(summary.counts, dataset.counts);
                     let occurrence_total: u64 =
                         summary.occurrences.iter().map(|&(_, count)| count).sum();
                     assert_eq!(occurrence_total, summary.counts.valid);
@@ -121,12 +113,9 @@ fn shared_cache_survives_the_population_switch_without_reanalysing() {
     assert_eq!(after_valid.misses, after_unique.misses);
     assert_eq!(after_valid.distinct, after_unique.distinct);
     assert!(after_unique.hits > after_valid.hits);
-    // Both runs agree with fresh staged uncached references.
-    let staged_logs = ingest_all(&raw);
-    let (valid_ref, _) =
-        CorpusAnalysis::analyze_stats(&staged_logs, Population::Valid, uncached_options());
-    let (unique_ref, _) =
-        CorpusAnalysis::analyze_stats(&staged_logs, Population::Unique, uncached_options());
+    // Both runs agree with the uncached oracle.
+    let valid_ref = analyze_reference(&raw, Population::Valid);
+    let unique_ref = analyze_reference(&raw, Population::Unique);
     assert_eq!(full_report(&valid.corpus), full_report(&valid_ref));
     assert_eq!(full_report(&unique.corpus), full_report(&unique_ref));
 }
@@ -154,7 +143,10 @@ fn cache_shard_boundaries_do_not_change_the_fused_report() {
     assert_eq!(reports[0], reports[1]);
     assert_eq!(single.len(), many.len());
     // Occurrence accounting covers every valid entry on both shardings.
-    let lookups: u64 = ingest_all(&raw).iter().map(|l| l.counts.valid).sum();
+    let lookups = analyze_reference(&raw, Population::Valid)
+        .combined
+        .counts
+        .valid;
     for cache in [&single, &many] {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, lookups);
@@ -193,7 +185,7 @@ fn file_backed_streams_match_in_memory_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fused and staged reports agree on any synthesized corpus, for any
+    /// Fused and oracle reports agree on any synthesized corpus, for any
     /// worker count and batch size, on both populations.
     #[test]
     fn fused_reports_match_staged_on_synthesized_corpora(
@@ -210,7 +202,6 @@ proptest! {
         entries.extend(tiled);
         entries.push("garbage entry".to_string());
         let raw = vec![RawLog::new("prop", entries)];
-        let staged_logs = ingest_all(&raw);
         for population in [Population::Unique, Population::Valid] {
             let fused = analyze_streams_with(
                 memory_readers(&raw),
@@ -221,15 +212,14 @@ proptest! {
                         recovery: Default::default(),
                     },
             ).unwrap();
-            let (staged, _) =
-                CorpusAnalysis::analyze_stats(&staged_logs, population, uncached_options());
+            let reference = analyze_reference(&raw, population);
             prop_assert_eq!(
                 full_report(&fused.corpus),
-                full_report(&staged),
+                full_report(&reference),
                 "fused differential diverged: {:?}, {} workers, batch {}",
                 population, workers, batch
             );
-            prop_assert_eq!(fused.summaries[0].counts, staged_logs[0].counts);
+            prop_assert_eq!(fused.summaries[0].counts, reference.datasets[0].counts);
         }
     }
 
@@ -262,7 +252,7 @@ proptest! {
     }
 
     /// The per-log summary's first-occurrence accounting matches the
-    /// sequential reference ingest for any entry mix.
+    /// sequential oracle's for any entry mix.
     #[test]
     fn summary_counts_match_sequential_ingest(
         seed in 0u64..5_000,
@@ -285,7 +275,7 @@ proptest! {
                 recovery: Default::default(),
             },
         ).unwrap();
-        let reference = ingest(&raw);
-        prop_assert_eq!(fused.summaries[0].counts, reference.counts);
+        let reference = analyze_reference(std::slice::from_ref(&raw), Population::Unique);
+        prop_assert_eq!(fused.summaries[0].counts, reference.datasets[0].counts);
     }
 }

@@ -1,8 +1,8 @@
 //! Fuzz harness for malformed-input recovery: byte soup, truncation sweeps
 //! and single-byte mutations of valid queries, all ingested in Lenient
 //! mode. Every case asserts the hardening contract end-to-end — no panic
-//! escapes any engine, and the fused, staged, sharded and served paths
-//! produce byte-identical reports and error tallies.
+//! escapes, and the in-process, sharded and served engine and the
+//! sequential oracle produce byte-identical reports and error tallies.
 //!
 //! The case count defaults to 48 per property and scales with the
 //! `SPARQLOG_FUZZ_CASES` environment variable (the CI fuzz-smoke job runs
@@ -11,13 +11,12 @@
 //! the reproduction seed.
 
 use proptest::prelude::*;
-use sparqlog::core::analysis::CorpusAnalysis;
+use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{
-    analyze_streams_with, ingest_streams_with, FileLogReader, FusedOptions, LogReader,
-    StreamOptions,
+    analyze_streams_with, FileLogReader, FusedOptions, LogReader, SliceLogReader,
 };
 use sparqlog::core::report::full_report;
-use sparqlog::core::{Population, RecoveryPolicy};
+use sparqlog::core::{Population, RawLog, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
@@ -54,6 +53,29 @@ fn reader(path: &PathBuf) -> Vec<Box<dyn LogReader>> {
     vec![Box::new(FileLogReader::open("fuzz".to_string(), path).expect("open fuzz log")) as _]
 }
 
+/// The fuzz corpus as the oracle takes it: the lines as the reader splits
+/// them. An invalid-UTF-8 line is a reader-level defect that never reaches
+/// a parser, so no `RawLog` can hold one: a placeholder that is not SPARQL
+/// stands in for it and fails to parse instead, at the same position.
+/// Returns whether any line needed one.
+fn raw_log(path: &PathBuf) -> (RawLog, bool) {
+    let mut reader = FileLogReader::open("fuzz", path).expect("open fuzz log");
+    let mut entries = Vec::new();
+    let mut defective = false;
+    loop {
+        match reader.read_batch(&mut entries, 64) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(error) => {
+                assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+                defective = true;
+                entries.push("(invalid UTF-8)".to_string());
+            }
+        }
+    }
+    (RawLog::new("fuzz", entries), defective)
+}
+
 /// One server shared by every fuzz case (starting one per case would
 /// dominate the runtime); submissions are serialized through one client.
 fn serve_client() -> &'static Mutex<Client> {
@@ -78,8 +100,8 @@ fn serve_client() -> &'static Mutex<Client> {
 }
 
 /// The hardening contract, asserted for one fuzz corpus: Lenient ingestion
-/// never fails, and the fused (1/2/8 workers), staged, sharded and served
-/// engines agree byte-for-byte on the report and the error tally.
+/// never fails, and the fused (1/2/8 workers), sharded and served engine
+/// and the oracle agree byte-for-byte on the report and the error tally.
 fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
     let path = write_case(prefix, bytes);
 
@@ -110,19 +132,31 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
         assert_eq!(full_report(&fused.corpus), report, "{workers} workers");
     }
 
-    let staged = ingest_streams_with(
-        reader(&path),
-        StreamOptions {
+    // The oracle, against the engine over the same in-memory entries —
+    // and, when every line decoded, against the file-backed runs too.
+    let (raw, defective) = raw_log(&path);
+    let oracle = analyze_reference(std::slice::from_ref(&raw), Population::Unique);
+    let in_memory = analyze_streams_with(
+        vec![Box::new(SliceLogReader::of(&raw))],
+        Population::Unique,
+        FusedOptions {
             workers: 2,
             batch: 3,
-            shards: 4,
             recovery: RecoveryPolicy::Lenient,
         },
     )
-    .expect("lenient staged ingestion must recover any input");
-    assert_eq!(staged[0].errors, reference.summaries[0].errors);
-    let staged_corpus = CorpusAnalysis::analyze(&staged, Population::Unique);
-    assert_eq!(full_report(&staged_corpus), report, "staged");
+    .expect("lenient fused ingestion must recover any input");
+    assert_eq!(in_memory.summaries[0].counts, oracle.datasets[0].counts);
+    assert_eq!(in_memory.summaries[0].errors, oracle.datasets[0].errors);
+    assert_eq!(
+        full_report(&in_memory.corpus),
+        full_report(&oracle),
+        "oracle"
+    );
+    if !defective {
+        assert_eq!(oracle.datasets[0].errors, reference.summaries[0].errors);
+        assert_eq!(full_report(&oracle), report, "oracle");
+    }
 
     let logs = vec![LogSpec::new("fuzz", &path)];
     let options = ShardOptions {

@@ -3,23 +3,29 @@
 //! must re-serve everything from the store with zero re-analyses; the
 //! daemon run with a store must warm-start settled jobs after a restart
 //! and answer resubmissions as pure store hits (no worker processes),
-//! again byte-identically.
+//! again byte-identically; and a real `sparqlog-serve` process killed at
+//! each injected point of the commit protocol must leave a store its
+//! successor recovers and re-serves from, byte-identically once more.
 
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{analyze_files_incremental, Population, RecoveryPolicy};
-use sparqlog::persist::SnapshotStore;
+use sparqlog::persist::{FaultMode, SnapshotStore, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
 use sparqlog::serve::{
     Client, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
 };
 use sparqlog::shard::{LogSpec, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset};
-use std::io::Write as _;
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// The worker binary built alongside this test (same package, profile).
 const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
+
+/// The daemon binary built alongside this test.
+const SERVE: &str = env!("CARGO_BIN_EXE_sparqlog-serve");
 
 /// How long to wait for jobs that should succeed.
 const SETTLE: Duration = Duration::from_secs(300);
@@ -271,4 +277,167 @@ fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
 
     handle.stop();
     runner.join().expect("server thread").expect("server run");
+}
+
+/// A spawned `sparqlog-serve` process plus the address it reported on
+/// stderr; killed and reaped on drop.
+struct Daemon {
+    child: Child,
+    addr: ServeAddr,
+    /// Drains the daemon's remaining stderr so it never blocks on a full
+    /// pipe; ends when the daemon does.
+    drainer: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Daemon {
+    /// Spawns the daemon on an ephemeral port with the given store, journal
+    /// file and environment, and waits for its "listening on tcp" line.
+    fn spawn(store: &Path, journal: &Path, envs: &[(&str, String)]) -> Daemon {
+        let mut child = Command::new(SERVE)
+            .args(["--tcp", "127.0.0.1:0", "--heartbeat-ms", "50"])
+            .arg("--store")
+            .arg(store)
+            .arg("--event-log")
+            .arg(journal)
+            .env("SPARQLOG_SHARD_WORKER", WORKER)
+            .envs(envs.iter().map(|(key, value)| (key, value)))
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn sparqlog-serve");
+        let mut lines = BufReader::new(child.stderr.take().expect("daemon stderr")).lines();
+        let addr = lines.by_ref().find_map(|line| {
+            let line = line.expect("read daemon stderr");
+            let spec = line.split("listening on tcp ").nth(1)?;
+            Some(ServeAddr::Tcp(spec.trim().to_string()))
+        });
+        let Some(addr) = addr else {
+            let _ = child.kill();
+            panic!("daemon exited before reporting its listen address");
+        };
+        let drainer = Some(std::thread::spawn(move || lines.for_each(drop)));
+        Daemon {
+            child,
+            addr,
+            drainer,
+        }
+    }
+
+    /// Waits (bounded) for the daemon to exit on its own; returns the exit
+    /// code, or `None` on timeout or death by signal.
+    fn wait_exit(&mut self, timeout: Duration) -> Option<i32> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                return status.code();
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(drainer) = self.drainer.take() {
+            let _ = drainer.join();
+        }
+    }
+}
+
+/// One crash leg: a daemon dies at the injected point of its first commit,
+/// and a second daemon on the damaged store recovers it and answers a
+/// resubmission of the same logs. `Err` says which expectation broke.
+fn crash_leg(
+    mode: FaultMode,
+    scratch: &Path,
+    logs: &[LogSpec],
+    reference: &str,
+    journals: &[PathBuf; 2],
+) -> Result<(), String> {
+    let leg = mode.name();
+    let store = scratch.join(format!("store-{leg}.sqps"));
+    let flag = scratch.join(format!("flag-{leg}"));
+    let retry = ConnectRetry {
+        attempts: 50,
+        backoff: Duration::from_millis(50),
+        backoff_cap: Duration::from_millis(500),
+    };
+    let failed = |what: &str, error: &dyn std::fmt::Display| format!("{what}: {error}");
+
+    // Daemon 1, under fault injection. The job runs on real worker
+    // processes; the first store commit (at job completion) dies at the
+    // injected point with the persist fault exit.
+    let envs = [
+        (FAULT_ENV, leg.to_string()),
+        (FAULT_FLAG_ENV, flag.display().to_string()),
+    ];
+    let mut daemon = Daemon::spawn(&store, &journals[0], &envs);
+    let mut client =
+        Client::connect_with_retry(&daemon.addr, &retry).map_err(|e| failed("connect", &e))?;
+    client
+        .submit(Population::Unique, RecoveryPolicy::Auto, submit_specs(logs))
+        .map_err(|e| failed("submit under fault", &e))?;
+    drop(client); // the daemon dies mid-commit; don't race its last breath
+    let exit = daemon.wait_exit(SETTLE);
+    drop(daemon);
+    if exit != Some(FAULT_EXIT) {
+        return Err(format!(
+            "daemon exited {exit:?}, expected the fault exit {FAULT_EXIT}"
+        ));
+    }
+
+    // Daemon 2, a clean start on the damaged store. Recovery must not
+    // panic, and a resubmission of the same logs settles to a
+    // byte-identical report (store hits for whatever committed, fresh
+    // workers for the rest).
+    let daemon = Daemon::spawn(&store, &journals[1], &[]);
+    let mut client =
+        Client::connect_with_retry(&daemon.addr, &retry).map_err(|e| failed("reconnect", &e))?;
+    let opened = client.events(0).map_err(|e| failed("events", &e))?;
+    if !opened.iter().any(|line| line.contains("event=store-open")) {
+        return Err("the restarted daemon logged no store-open event".to_string());
+    }
+    let (job, _) = client
+        .submit(Population::Unique, RecoveryPolicy::Auto, submit_specs(logs))
+        .map_err(|e| failed("resubmit after crash", &e))?;
+    let status = client
+        .wait_settled(job, SETTLE)
+        .map_err(|e| failed("wait resubmitted", &e))?;
+    if status.phase != JobPhase::Complete {
+        return Err(format!("resubmitted job failed: {}", status.error));
+    }
+    let report = client
+        .report(job, true)
+        .map_err(|e| failed("report after recovery", &e))?;
+    if report.text != reference {
+        return Err(format!(
+            "report differs from the fused engine's after recovery:\n{}",
+            report.text
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn a_daemon_killed_mid_commit_leaves_a_store_its_successor_recovers() {
+    let scratch = Scratch::new("crash");
+    let logs = write_corpus(scratch.path());
+    let reference = fused_reference(&logs, Population::Unique);
+    for mode in FaultMode::ALL {
+        let leg = mode.name();
+        let journals = [1, 2].map(|n| scratch.path().join(format!("events-{leg}-{n}.log")));
+        if let Err(failure) = crash_leg(mode, scratch.path(), &logs, &reference, &journals) {
+            let [crashed, restarted] =
+                journals.map(|path| std::fs::read_to_string(path).unwrap_or_default());
+            panic!(
+                "{leg}: {failure}\n== crashed daemon ==\n{crashed}\n== restarted daemon ==\n{restarted}"
+            );
+        }
+    }
 }

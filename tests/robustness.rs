@@ -2,20 +2,19 @@
 //! fixture corpus: NUL bytes, lone carriage returns, truncated strings and
 //! IRIs, an 8 MiB single-line entry, 10k-deep nested groups, an
 //! invalid-UTF-8 line, all interleaved with valid entries. In Lenient mode
-//! every engine — fused, staged, sharded, served — must produce
-//! byte-identical reports and error tallies at any worker count; Strict
+//! the engine — in-process, sharded, served — and the sequential oracle must
+//! produce byte-identical reports and error tallies at any worker count; Strict
 //! mode must fail with an actionable error naming the log and line; an
 //! error budget must pass or fail on its exact boundary with the tally
 //! preserved; and a panic planted in a worker process must be caught and
 //! recorded as a `worker-panic` tally instead of killing the run.
 
-use sparqlog::core::analysis::CorpusAnalysis;
+use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{
-    analyze_streams_with, ingest_streams_with, FileLogReader, FusedOptions, LogReader,
-    StreamOptions,
+    analyze_streams_with, FileLogReader, FusedOptions, LogReader, SliceLogReader,
 };
 use sparqlog::core::report::full_report;
-use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RecoveryPolicy};
+use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RawLog, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use std::path::{Path, PathBuf};
@@ -54,8 +53,8 @@ impl Drop for Scratch {
     }
 }
 
-/// Writes the adversarial fixture corpus: one log with every malformed
-/// shape interleaved between valid entries, plus one clean log.
+/// The adversarial fixture corpus: one log with every malformed shape
+/// interleaved between valid entries, plus one clean log.
 ///
 /// The adversarial log's entries, by 0-based position:
 ///
@@ -73,7 +72,7 @@ impl Drop for Scratch {
 /// Expected Lenient tally: `lex + syntax == 4` (1–4), `invalid_utf8 == 1`,
 /// `oversize_entry == 1`, `depth_exceeded == 1` — 7 errors, 3 defects,
 /// 10 total entries, 3 valid, 2 unique.
-fn write_adversarial_corpus(dir: &Path) -> Vec<LogSpec> {
+fn adversarial_corpus() -> [(&'static str, Vec<Vec<u8>>); 2] {
     let mut deep: Vec<u8> = b"ASK ".to_vec();
     deep.extend(std::iter::repeat_n(b'{', 10_000));
     deep.extend(std::iter::repeat_n(b'}', 10_000));
@@ -91,8 +90,12 @@ fn write_adversarial_corpus(dir: &Path) -> Vec<LogSpec> {
     ];
 
     let clean: Vec<Vec<u8>> = vec![VALID_A.into(), VALID_B.into(), VALID_C.into()];
-
     [("adversarial", dirty), ("clean", clean)]
+}
+
+/// Writes the fixture corpus to one newline-terminated file per log.
+fn write_adversarial_corpus(dir: &Path) -> Vec<LogSpec> {
+    adversarial_corpus()
         .into_iter()
         .map(|(label, entries)| {
             let path = dir.join(format!("{label}.log"));
@@ -103,6 +106,26 @@ fn write_adversarial_corpus(dir: &Path) -> Vec<LogSpec> {
             }
             std::fs::write(&path, bytes).expect("write log file");
             LogSpec::new(label, path)
+        })
+        .collect()
+}
+
+/// The fixture corpus as the oracle takes it. An invalid-UTF-8 line is a
+/// reader-level defect that never reaches a parser, so no `RawLog` can hold
+/// one: a placeholder that is not SPARQL stands in for it here and fails
+/// to parse instead, at the same position. Every other shape is carried
+/// over byte for byte.
+fn adversarial_raw_logs() -> Vec<RawLog> {
+    adversarial_corpus()
+        .into_iter()
+        .map(|(label, entries)| {
+            let entries = entries
+                .iter()
+                .map(|entry| {
+                    String::from_utf8(entry.clone()).unwrap_or("(invalid UTF-8)".to_string())
+                })
+                .collect();
+            RawLog::new(label, entries)
         })
         .collect()
 }
@@ -186,24 +209,39 @@ fn lenient_reports_and_tallies_are_byte_identical_across_every_engine() {
             }
         }
 
-        // Staged pipeline: ingest first, analyze after.
-        let staged = ingest_streams_with(
-            readers(&logs),
-            StreamOptions {
-                workers: 2,
-                batch: 3,
-                shards: 8,
-                recovery: RecoveryPolicy::Lenient,
-            },
-        )
-        .expect("lenient staged ingestion");
-        assert_adversarial_tally(&staged[0].errors);
-        let staged_corpus = CorpusAnalysis::analyze(&staged, population);
-        assert_eq!(
-            full_report(&staged_corpus),
-            reference_report,
-            "staged report diverged"
-        );
+        // The oracle, against the engine over the same in-memory entries:
+        // reports, counts and tallies agree on every adversarial shape, and
+        // the offending positions are those of the file-backed run.
+        let raw = adversarial_raw_logs();
+        let oracle = analyze_reference(&raw, population);
+        for workers in [1, 2, 8] {
+            let in_memory = analyze_streams_with(
+                raw.iter()
+                    .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
+                    .collect(),
+                population,
+                fused_options(workers, RecoveryPolicy::Lenient),
+            )
+            .expect("lenient fused run");
+            assert_eq!(
+                full_report(&in_memory.corpus),
+                full_report(&oracle),
+                "fused vs oracle diverged at {workers} workers"
+            );
+            for (summary, dataset) in in_memory.summaries.iter().zip(&oracle.datasets) {
+                assert_eq!(summary.counts, dataset.counts);
+                assert_eq!(summary.errors, dataset.errors);
+            }
+        }
+        assert_eq!(oracle.datasets[0].counts, reference.summaries[0].counts);
+        let tally = &oracle.datasets[0].errors;
+        assert_eq!(tally.count(ErrorKind::OversizeEntry), 1, "{tally:?}");
+        assert_eq!(tally.count(ErrorKind::DepthExceeded), 1, "{tally:?}");
+        assert_eq!(tally.lex + tally.syntax, 5, "{tally:?}");
+        let positions = |tally: &ErrorTally| -> Vec<u64> {
+            tally.exemplars.iter().map(|&(_, pos)| pos).collect()
+        };
+        assert_eq!(positions(tally), positions(&reference.summaries[0].errors));
 
         // Sharded, across a process boundary.
         for shards in [1, 2] {

@@ -2,12 +2,14 @@
 //! and real worker processes: concurrent clients must read byte-identical
 //! complete reports (equal to the single-process fused engine's), a slow
 //! consumer must not stall other sessions, a graceful drain must finish
-//! in-flight jobs while refusing new ones, and a worker killed
-//! mid-partition must be restarted and reassigned with no double-counted
-//! occurrence in the Unique population. With a snapshot store attached, a
-//! client that sees a job `Complete` must find its completion commit already
-//! made, and two clients submitting overlapping logs must not disturb each
-//! other.
+//! in-flight jobs while refusing new ones, and a worker that dies
+//! mid-partition — by any of the six fault modes: `die`, `wrong-version`,
+//! `truncate`, `abort-mid-stream`, a raw SIGKILL from outside, a
+//! heartbeat-timeout stall — must be restarted and reassigned with no
+//! double-counted occurrence in the Unique population. With a snapshot
+//! store attached, a client that sees a job `Complete` must find its
+//! completion commit already made, and two clients submitting overlapping
+//! logs must not disturb each other.
 //!
 //! The CI determinism matrix pins `SPARQLOG_WORKERS` (analysis threads per
 //! worker process); without it the tests default to 2.
@@ -342,12 +344,14 @@ fn graceful_drain_finishes_in_flight_jobs_and_rejects_new_ones() {
 
 #[test]
 fn a_killed_worker_is_restarted_and_nothing_is_double_counted() {
-    // `die` kills the worker before its first frame; `abort-mid-stream`
-    // kills it after it has already flushed a complete log frame — the
-    // stronger case for the no-double-count guarantee, since a careless
-    // merge of the partial snapshot plus the restarted worker's full one
-    // would fold the first log's occurrences twice.
-    for fault in ["die", "abort-mid-stream"] {
+    // `die` kills the worker before its first frame; `wrong-version` and
+    // `truncate` make it write a stream the decoder must reject (a bad
+    // version byte, a frame cut short); `abort-mid-stream` kills it after
+    // it has already flushed a complete log frame — the stronger case for
+    // the no-double-count guarantee, since a careless merge of the partial
+    // snapshot plus the restarted worker's full one would fold the first
+    // log's occurrences twice.
+    for fault in ["die", "wrong-version", "truncate", "abort-mid-stream"] {
         let scratch = Scratch::new(&format!("kill-{fault}"));
         let logs = write_corpus(scratch.path());
         let reference = fused_reference(&logs, Population::Unique);
@@ -399,6 +403,78 @@ fn a_killed_worker_is_restarted_and_nothing_is_double_counted() {
         handle.stop();
         runner.join().expect("server thread").expect("server run");
     }
+}
+
+#[test]
+fn a_worker_sigkilled_from_outside_is_restarted_and_recovered() {
+    // The delay fault holds partition 0's first worker mid-stream, its
+    // heartbeats still flowing; the test reads that worker's pid from the
+    // journal and SIGKILLs it from outside, like an OOM killer would. The
+    // supervisor sees only a pipe that ends.
+    let scratch = Scratch::new("sigkill");
+    let logs = write_corpus(scratch.path());
+    let reference = fused_reference(&logs, Population::Unique);
+    let flag = scratch.path().join("fault.flag");
+    let worker = WorkerCommand::new(WORKER)
+        .env("SPARQLOG_SHARD_FAULT", "delay")
+        .env("SPARQLOG_SHARD_FAULT_SHARD", "0")
+        .env("SPARQLOG_SHARD_FAULT_DELAY_MS", "30000")
+        .env("SPARQLOG_SHARD_FAULT_FLAG", flag.display().to_string());
+    let (addr, handle, runner) = start_server(base_config(worker));
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let (job, _) = client
+        .submit(
+            Population::Unique,
+            RecoveryPolicy::Auto,
+            submit_specs(&logs),
+        )
+        .expect("submit");
+
+    let deadline = Instant::now() + SETTLE;
+    let pid = loop {
+        // Typed journal access: match on parsed fields, not on the event
+        // line's wording.
+        let pid = handle.events().records().iter().find_map(|record| {
+            (record.event() == "worker-start"
+                && record.u64("partition") == Some(0)
+                && record.u64("attempt") == Some(0))
+            .then(|| record.u64("pid"))
+            .flatten()
+        });
+        if let Some(pid) = pid {
+            break pid;
+        }
+        assert!(Instant::now() < deadline, "partition 0 never started");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let killed = std::process::Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success(), "kill -9 {pid}: {killed}");
+
+    let status = client.wait_settled(job, SETTLE).expect("wait");
+    assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+    assert!(status.restarts >= 1, "the killed worker was never replaced");
+    let report = client.report(job, true).expect("report");
+    assert!(report.complete);
+    assert_eq!(report.text, reference, "report diverged after the SIGKILL");
+
+    let lines = client.events(job).expect("events");
+    assert!(
+        lines.iter().any(|l| l.contains("event=worker-death")),
+        "{lines:?}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("event=partition-recovered") && l.contains("latency_ms=")),
+        "{lines:?}"
+    );
+
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
 }
 
 #[test]

@@ -1,17 +1,28 @@
-//! The streaming ingestion subsystem: property tests proving the
+//! The streaming input side: property tests proving the
 //! zero-materialization `CanonicalHasher` fingerprint equal to the
 //! materializing one on generated queries, edge-case coverage for the
-//! streaming log readers, and shard-boundary duplicate elimination.
+//! streaming log readers, and duplicate elimination across batch and
+//! cache-shard boundaries.
 
 use proptest::prelude::*;
+use sparqlog::core::baseline::analyze_reference;
+use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    canonical_fingerprint, ingest, ingest_streams, ingest_streams_with, FileLogReader,
-    FingerprintShards, LineLogReader, LogReader, MemoryLogReader, RawLog, SliceLogReader,
-    StreamOptions,
+    analyze_streams, analyze_streams_cached, analyze_streams_with, canonical_fingerprint,
+    CorpusCounts, FileLogReader, FusedOptions, LineLogReader, LogReader, MemoryLogReader, RawLog,
+    SliceLogReader,
 };
+use sparqlog::core::report::full_report;
+use sparqlog::core::Population;
 use sparqlog::parser::{canonical_fingerprint_of, parse_query, to_canonical_string};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::io::Cursor;
+
+/// The Table-1 counts of a single streamed log.
+fn counts_of(reader: impl LogReader + 'static) -> CorpusCounts {
+    let fused = analyze_streams(vec![Box::new(reader)], Population::Unique).unwrap();
+    fused.summaries[0].counts
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -35,7 +46,7 @@ proptest! {
         }
     }
 
-    /// Streaming ingestion equals the sequential materializing reference for
+    /// The streaming engine equals the sequential materializing oracle for
     /// any batch size and worker count on a synthesized log with injected
     /// duplicates and garbage.
     #[test]
@@ -49,36 +60,34 @@ proptest! {
         entries.push(entries[0].clone()); // duplicate across batch boundaries
         entries.push("garbage entry".to_string());
         let log = RawLog::new("prop", entries);
-        let reference = ingest(&log);
+        let reference = analyze_reference(std::slice::from_ref(&log), Population::Unique);
         let readers: Vec<Box<dyn LogReader + '_>> =
             vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
-        let streamed = ingest_streams_with(
+        let streamed = analyze_streams_with(
             readers,
-            StreamOptions {
+            Population::Unique,
+            FusedOptions {
                 workers,
                 batch,
-                shards: 8,
                 recovery: Default::default(),
             },
         )
-        .expect("in-memory ingestion cannot fail");
-        prop_assert_eq!(streamed[0].counts, reference.counts);
-        prop_assert_eq!(&streamed[0].unique_indices, &reference.unique_indices);
-        prop_assert_eq!(&streamed[0].valid_queries, &reference.valid_queries);
+        .expect("in-memory streams cannot fail");
+        prop_assert_eq!(streamed.summaries[0].counts, reference.datasets[0].counts);
+        prop_assert_eq!(&streamed.summaries[0].errors, &reference.datasets[0].errors);
+        prop_assert_eq!(full_report(&streamed.corpus), full_report(&reference));
     }
 }
 
 #[test]
 fn empty_log_streams_to_zero_counts() {
     let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new("empty", vec![]))];
-    let logs = ingest_streams(readers).unwrap();
-    assert_eq!(logs.len(), 1);
-    assert_eq!(logs[0].label, "empty");
-    assert_eq!(logs[0].counts.total, 0);
-    assert_eq!(logs[0].counts.valid, 0);
-    assert_eq!(logs[0].counts.unique, 0);
-    assert!(logs[0].valid_queries.is_empty());
-    assert!(logs[0].unique_indices.is_empty());
+    let fused = analyze_streams(readers, Population::Valid).unwrap();
+    assert_eq!(fused.summaries.len(), 1);
+    assert_eq!(fused.summaries[0].label, "empty");
+    assert_eq!(fused.summaries[0].counts, CorpusCounts::default());
+    assert!(fused.summaries[0].occurrences.is_empty());
+    assert_eq!(fused.corpus.combined.keywords.total_queries, 0);
 }
 
 #[test]
@@ -115,14 +124,11 @@ fn line_reader_keeps_blank_lines_as_invalid_entries() {
     // A blank line is an entry that fails to parse — it must count towards
     // `total` but not `valid`, exactly like an empty string in a RawLog.
     let text = "ASK { ?x <http://p> ?y }\n\nASK { ?x <http://p> ?y }\n";
-    let readers: Vec<Box<dyn LogReader>> = vec![Box::new(LineLogReader::new(
+    let counts = counts_of(LineLogReader::new(
         "blanks",
         Cursor::new(text.as_bytes().to_vec()),
-    ))];
-    let logs = ingest_streams(readers).unwrap();
-    assert_eq!(logs[0].counts.total, 3);
-    assert_eq!(logs[0].counts.valid, 2);
-    assert_eq!(logs[0].counts.unique, 1);
+    ));
+    assert_eq!((counts.total, counts.valid, counts.unique), (3, 2, 1));
 }
 
 #[test]
@@ -135,12 +141,9 @@ fn file_reader_streams_a_log_from_disk() {
         "SELECT ?x WHERE { ?x a <http://C> }\nSELECT   ?x   WHERE { ?x a <http://C> }\nnot sparql\nASK { ?s <http://p> ?o }",
     )
     .unwrap();
-    let readers: Vec<Box<dyn LogReader>> =
-        vec![Box::new(FileLogReader::open("disk", &path).unwrap())];
-    let logs = ingest_streams(readers).unwrap();
-    assert_eq!(logs[0].counts.total, 4);
-    assert_eq!(logs[0].counts.valid, 3);
-    assert_eq!(logs[0].counts.unique, 2); // whitespace variants collapse
+    let counts = counts_of(FileLogReader::open("disk", &path).unwrap());
+    // Whitespace variants collapse.
+    assert_eq!((counts.total, counts.valid, counts.unique), (4, 3, 2));
     std::fs::remove_file(&path).ok();
 }
 
@@ -182,63 +185,37 @@ fn file_reader_size_hint_estimates_from_metadata() {
 
 #[test]
 fn shard_boundary_duplicates_are_eliminated() {
-    // Duplicates must collapse regardless of shard count and batch size:
-    // equal fingerprints always land in the same shard, and batch boundaries
-    // must not reset the dedup state.
+    // Duplicates must collapse regardless of cache shard count and batch
+    // size: equal fingerprints always land in the same shard, and batch
+    // boundaries (which split the duplicates over both workers' occurrence
+    // maps) must not reset the dedup state.
     let entries: Vec<String> = (0..40)
         .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 7))
         .collect();
     let log = RawLog::new("dups", entries);
-    let reference = ingest(&log);
-    assert_eq!(reference.counts.unique, 7);
     for shards in [1, 2, 16, 128] {
         for batch in [1, 3, 64] {
             let readers: Vec<Box<dyn LogReader + '_>> =
                 vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
-            let streamed = ingest_streams_with(
+            let cache = AnalysisCache::with_shards(shards);
+            let streamed = analyze_streams_cached(
                 readers,
-                StreamOptions {
+                Population::Unique,
+                FusedOptions {
                     workers: 2,
                     batch,
-                    shards,
                     recovery: Default::default(),
                 },
+                &cache,
             )
             .unwrap();
+            let counts = streamed.summaries[0].counts;
             assert_eq!(
-                streamed[0].counts, reference.counts,
+                (counts.total, counts.valid, counts.unique),
+                (40, 40, 7),
                 "shards {shards}, batch {batch}"
             );
-            assert_eq!(streamed[0].unique_indices, reference.unique_indices);
+            assert_eq!(cache.len(), 7);
         }
     }
-}
-
-#[test]
-fn fingerprint_shards_merge_is_commutative_across_logs() {
-    // Per-log shard sets combined in either order give the same corpus-wide
-    // distinct count — the merge the sharded design exists for.
-    let a_entries: Vec<String> = (0..20)
-        .map(|i| format!("SELECT ?x WHERE {{ ?x <http://a{}> ?y }}", i % 5))
-        .collect();
-    let b_entries: Vec<String> = (0..20)
-        .map(|i| format!("SELECT ?x WHERE {{ ?x <http://b{}> ?y }}", i % 3))
-        .collect();
-    let fill = |entries: &[String]| {
-        let mut shards = FingerprintShards::new(8);
-        for e in entries {
-            let q = parse_query(e).unwrap();
-            shards.insert(canonical_fingerprint_of(&q));
-        }
-        shards
-    };
-    let a = fill(&a_entries);
-    let b = fill(&b_entries);
-    let mut ab = a.clone();
-    ab.merge(b.clone());
-    let mut ba = b;
-    ba.merge(a);
-    assert_eq!(ab.len(), 8); // 5 + 3 distinct shapes
-    assert_eq!(ab.len(), ba.len());
-    assert_eq!(ab.max_shard_len(), ba.max_shard_len());
 }

@@ -1,10 +1,11 @@
-//! The `SPARQLOG_WORKERS` environment override honored by the ingestion and
-//! analysis pools — the hook the CI determinism matrix pins worker counts
+//! The `SPARQLOG_WORKERS` environment override honored by the engine's
+//! pools — the hook the CI determinism matrix pins worker counts
 //! with. Kept in its own integration-test binary (and a single `#[test]`)
 //! because environment mutation is process-global.
 
-use sparqlog::core::analysis::{CorpusAnalysis, EngineOptions, Population};
-use sparqlog::core::corpus::{default_workers, ingest, ingest_all, RawLog};
+use sparqlog::core::analysis::Population;
+use sparqlog::core::baseline::analyze_reference;
+use sparqlog::core::corpus::{analyze_streams, default_workers, LogReader, RawLog, SliceLogReader};
 
 #[test]
 fn workers_env_override_pins_the_pools_without_changing_reports() {
@@ -25,33 +26,21 @@ fn workers_env_override_pins_the_pools_without_changing_reports() {
             .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 40))
             .collect(),
     )];
-    let reference_ingest: Vec<_> = logs.iter().map(ingest).collect();
-    let reference = format!(
-        "{:?}",
-        CorpusAnalysis::analyze_with(
-            &reference_ingest,
-            Population::Unique,
-            EngineOptions {
-                recovery: Default::default(),
-                workers: 1,
-                chunk_size: 0,
-                ..EngineOptions::default()
-            },
-        )
-    );
+    let reference = analyze_reference(&logs, Population::Unique);
     for workers in ["1", "2", "8"] {
         std::env::set_var("SPARQLOG_WORKERS", workers);
         assert_eq!(default_workers(), workers.parse::<usize>().unwrap());
-        let ingested = ingest_all(&logs);
-        for (a, b) in ingested.iter().zip(&reference_ingest) {
-            assert_eq!(a.counts, b.counts, "SPARQLOG_WORKERS={workers}");
-            assert_eq!(a.unique_indices, b.unique_indices);
-        }
-        let run = format!(
-            "{:?}",
-            CorpusAnalysis::analyze(&ingested, Population::Unique)
+        let readers: Vec<Box<dyn LogReader + '_>> = vec![Box::new(SliceLogReader::of(&logs[0]))];
+        let run = analyze_streams(readers, Population::Unique).expect("in-memory streams");
+        assert_eq!(
+            run.summaries[0].counts, reference.datasets[0].counts,
+            "SPARQLOG_WORKERS={workers}"
         );
-        assert_eq!(reference, run, "SPARQLOG_WORKERS={workers}");
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{:?}", run.corpus),
+            "SPARQLOG_WORKERS={workers}"
+        );
     }
     std::env::remove_var("SPARQLOG_WORKERS");
     assert!(default_workers() >= 1);
