@@ -11,7 +11,8 @@
 //! * [`projection`] — projection usage per SPARQL 1.1 §18.2.1 (Section 4.4).
 //! * [`fragments`] — CQ / CPF / CQF / AOF / well-designed / CQOF membership.
 //! * [`pattern_tree`] — well-designed pattern trees and interface width.
-//! * [`walk`] — the shared structural walker.
+//! * [`walk`] — the single-pass walker every engine-side measure is derived
+//!   from ([`QueryWalkRef`]) and the per-measure reference walkers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,15 +28,14 @@ pub mod walk;
 
 pub use features::{AggregateUse, QueryFeatures};
 pub use fragments::{
-    classify_fragments, classify_fragments_from_walk, classify_fragments_from_walk_ref,
-    CqLikeClass, FragmentReport, FragmentTally,
+    classify_fragments, classify_fragments_from_walk_ref, CqLikeClass, FragmentReport,
+    FragmentTally,
 };
 pub use keywords::KeywordTally;
 pub use opsets::{classify_opset, OpSetClass, OpSetTally, OperatorSet};
 pub use pattern_tree::{PatternNode, PatternTree};
 pub use projection::{
-    projection_use, projection_use_from_walk, projection_use_from_walk_ref, ProjectionTally,
-    ProjectionUse,
+    projection_use, projection_use_from_walk_ref, ProjectionTally, ProjectionUse,
 };
 pub use triples::TripleHistogram;
-pub use walk::{collect_property_paths, collect_triple_patterns, BodyOps, QueryWalk, QueryWalkRef};
+pub use walk::{collect_property_paths, BodyOps, QueryWalkRef};

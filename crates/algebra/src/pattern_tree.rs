@@ -107,16 +107,6 @@ impl PatternTree {
         }
     }
 
-    /// Builds a pattern tree directly from a group graph pattern.
-    pub fn build_from_group(g: &GroupGraphPattern) -> Option<PatternTree> {
-        let mut root = PatternNode::default();
-        if build_node(g, &mut root) {
-            Some(PatternTree { root })
-        } else {
-            None
-        }
-    }
-
     /// Checks well-designedness: for every variable, the nodes mentioning it
     /// form a connected subtree.
     pub fn is_well_designed(&self) -> bool {

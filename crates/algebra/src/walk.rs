@@ -1,17 +1,19 @@
 //! Structural walks over a query body.
 //!
-//! Two generations of walkers live here:
+//! Two implementations of every per-query measure live here, one per AST:
 //!
-//! * [`BodyOps`], [`collect_property_paths`] and [`collect_triple_patterns`]
-//!   are the original *per-measure* walkers: each entry point traverses the
-//!   AST on its own. They are kept verbatim as the reference ("multi-walk")
-//!   path that the differential tests and the `single_pass` benchmark compare
-//!   against.
-//! * [`QueryWalk`] is the *single-pass* walker: one traversal of the body
+//! * [`BodyOps`] and [`collect_property_paths`] are the *per-measure*
+//!   walkers over the owned [`ast`](sparqlog_parser::ast): each entry point
+//!   traverses the query on its own. They are the reference ("multi-walk")
+//!   path the oracle (`sparqlog_core::baseline`) is built from and the
+//!   differential tests compare against.
+//! * [`QueryWalkRef`] is the *single-pass* walker over the arena-backed
+//!   [`ast_ref`](sparqlog_parser::ast_ref): one traversal of the body
 //!   collecting everything the corpus pipeline needs — the [`BodyOps`]
 //!   counters, aggregate usage, property paths, projection-visibility data
-//!   and the AOF pattern tree. All `*_from_walk` entry points in this crate
-//!   and in `sparqlog-graph` consume it instead of re-traversing the query.
+//!   and the AOF pattern tree. All `*_from_walk_ref` entry points in this
+//!   crate and `StructuralReport::from_walk_interned` in `sparqlog-graph`
+//!   consume it instead of re-traversing the query.
 
 use crate::features::AggregateUse;
 use crate::pattern_tree::{PatternNode, PatternTree};
@@ -71,13 +73,6 @@ impl BodyOps {
         if let Some(body) = &q.where_clause {
             ops.walk_group(body);
         }
-        ops
-    }
-
-    /// Computes the counters for a single group graph pattern.
-    pub fn of_group(g: &GroupGraphPattern) -> BodyOps {
-        let mut ops = BodyOps::default();
-        ops.walk_group(g);
         ops
     }
 
@@ -299,92 +294,6 @@ fn collect_paths_expr<'a>(e: &'a Expression, out: &mut Vec<&'a PropertyPath>) {
     }
 }
 
-/// Collects every triple-like pattern (triples and paths) in the body,
-/// recursing into OPTIONAL / UNION / GRAPH / MINUS / groups / subqueries but
-/// not into FILTER (NOT) EXISTS patterns.
-pub fn collect_triple_patterns(q: &Query) -> Vec<&TripleOrPath> {
-    let mut out = Vec::new();
-    if let Some(body) = &q.where_clause {
-        collect_triples_group(body, &mut out);
-    }
-    out
-}
-
-fn collect_triples_group<'a>(g: &'a GroupGraphPattern, out: &mut Vec<&'a TripleOrPath>) {
-    for el in &g.elements {
-        match el {
-            GroupElement::Triples(ts) => out.extend(ts.iter()),
-            GroupElement::Optional(inner)
-            | GroupElement::Minus(inner)
-            | GroupElement::Group(inner)
-            | GroupElement::Graph { pattern: inner, .. }
-            | GroupElement::Service { pattern: inner, .. } => collect_triples_group(inner, out),
-            GroupElement::Union(branches) => {
-                for b in branches {
-                    collect_triples_group(b, out);
-                }
-            }
-            GroupElement::SubSelect(q) => {
-                if let Some(inner) = &q.where_clause {
-                    collect_triples_group(inner, out);
-                }
-            }
-            GroupElement::Filter(_) | GroupElement::Bind { .. } | GroupElement::Values(_) => {}
-        }
-    }
-}
-
-/// Everything the corpus pipeline needs from one query body, collected in a
-/// **single traversal** of the AST.
-///
-/// The collected channels replicate the older per-measure walkers exactly:
-///
-/// * `ops` — the [`BodyOps`] counters ([`BodyOps::of_query`]);
-/// * `aggregates` — aggregate-function usage inside the body, with the same
-///   coverage as the scan in [`crate::features::QueryFeatures::of`] (it does
-///   not descend into `EXISTS` groups);
-/// * `paths` — the property paths [`collect_property_paths`] returns, in the
-///   same order;
-/// * `visible_vars` / `body_has_var` / `has_bind` — the in-scope-variable and
-///   BIND data [`crate::projection::projection_use`] needs;
-/// * `tree` — the AOF pattern tree [`PatternTree::build`] would produce
-///   (`None` when the body is not an AOF pattern or the query has no body).
-///
-/// The per-channel scoping rules differ subtly (e.g. visible variables stop
-/// at filters, aggregate scanning stops at `EXISTS`, path collection only
-/// enters an `EXISTS` group when it is the top-level filter expression), so
-/// the walk threads a small set of channel flags through the recursion
-/// instead of traversing once per channel.
-///
-/// Variable names are interned into the caller-supplied [`Interner`] as the
-/// walk encounters them, so the visible-variable set holds `u32` [`Symbol`]s
-/// (integer
-/// ordering and comparison) instead of string slices, and repeated variable
-/// names across the queries a worker analyses share one stored string.
-#[derive(Debug, Default)]
-pub struct QueryWalk<'q> {
-    /// The structural counters.
-    pub ops: BodyOps,
-    /// Aggregate functions used inside the body.
-    pub aggregates: AggregateUse,
-    /// Every property path, in source order.
-    pub paths: Vec<&'q PropertyPath>,
-    /// The variables in scope at the top level of the body (SPARQL 1.1
-    /// §18.2.1, as approximated by the projection analysis), as symbols of
-    /// the interner the walk ran with.
-    pub visible_vars: BTreeSet<Symbol>,
-    /// Whether the body mentions any variable at all (the
-    /// `Query::body_variables` emptiness test used for ASK projection).
-    pub body_has_var: bool,
-    /// Whether the body uses BIND outside `EXISTS` groups (the
-    /// `projection::uses_bind` test).
-    pub has_bind: bool,
-    /// The AOF pattern tree, when the body is an AOF pattern.
-    pub tree: Option<PatternTree>,
-    /// Whether the tree under construction is still valid.
-    tree_valid: bool,
-}
-
 /// Channel flags threaded through the group recursion.
 #[derive(Debug, Clone, Copy)]
 struct GroupCtx {
@@ -419,343 +328,35 @@ struct ExprCtx {
     top: bool,
 }
 
-impl<'q> QueryWalk<'q> {
-    /// Walks the body of `q` once, collecting every channel. Variable names
-    /// are interned into `interner` (typically the calling worker's
-    /// long-lived table) so the visibility set works over symbols.
-    pub fn of(q: &'q Query, interner: &mut Interner) -> QueryWalk<'q> {
-        let mut walk = QueryWalk {
-            tree_valid: true,
-            ..QueryWalk::default()
-        };
-        let Some(body) = &q.where_clause else {
-            walk.tree_valid = false;
-            return walk;
-        };
-        let mut root = PatternNode::default();
-        let ctx = GroupCtx {
-            aggs: true,
-            visible: true,
-            vars: true,
-            bindscan: true,
-            paths: true,
-        };
-        walk.walk_group(body, ctx, Some(&mut root), interner);
-        if walk.tree_valid {
-            walk.tree = Some(PatternTree { root });
-        }
-        walk
-    }
-
-    fn walk_group(
-        &mut self,
-        g: &'q GroupGraphPattern,
-        ctx: GroupCtx,
-        mut node: Option<&mut PatternNode>,
-        interner: &mut Interner,
-    ) {
-        let mut joined_elements: u32 = 0;
-        for el in &g.elements {
-            match el {
-                GroupElement::Triples(ts) => {
-                    for t in ts {
-                        match t {
-                            TripleOrPath::Triple(t) => {
-                                self.ops.triples += 1;
-                                if t.predicate.is_var() {
-                                    self.ops.var_predicates += 1;
-                                }
-                                for term in [&t.subject, &t.predicate, &t.object] {
-                                    self.record_term_var(term, ctx, interner);
-                                }
-                                if let Some(node) = node.as_deref_mut() {
-                                    if self.tree_valid {
-                                        node.triples.push(t.clone());
-                                    }
-                                }
-                            }
-                            TripleOrPath::Path(p) => {
-                                self.ops.paths += 1;
-                                self.tree_valid = false;
-                                if ctx.paths {
-                                    self.paths.push(&p.path);
-                                }
-                                for term in [&p.subject, &p.object] {
-                                    self.record_term_var(term, ctx, interner);
-                                }
-                            }
-                        }
-                        joined_elements += 1;
-                    }
-                }
-                GroupElement::Filter(e) => {
-                    self.ops.filters += 1;
-                    let saw_exists = self.walk_expr(
-                        e,
-                        ExprCtx {
-                            ops: true,
-                            aggs: ctx.aggs,
-                            vars: ctx.vars,
-                            paths: ctx.paths,
-                            top: true,
-                        },
-                        interner,
-                    );
-                    if saw_exists {
-                        self.tree_valid = false;
-                    } else if let Some(node) = node.as_deref_mut() {
-                        if self.tree_valid {
-                            node.filters.push(e.clone());
-                        }
-                    }
-                }
-                GroupElement::Bind { var, expr } => {
-                    self.ops.binds += 1;
-                    self.tree_valid = false;
-                    if ctx.bindscan {
-                        self.has_bind = true;
-                    }
-                    if ctx.visible {
-                        let symbol = interner.intern(var);
-                        self.visible_vars.insert(symbol);
-                    }
-                    if ctx.vars {
-                        self.body_has_var = true;
-                    }
-                    self.walk_expr(
-                        expr,
-                        ExprCtx {
-                            ops: true,
-                            aggs: ctx.aggs,
-                            vars: ctx.vars,
-                            paths: ctx.paths,
-                            top: true,
-                        },
-                        interner,
-                    );
-                }
-                GroupElement::Optional(inner) => {
-                    self.ops.optionals += 1;
-                    match node.as_deref_mut().filter(|_| self.tree_valid) {
-                        Some(parent) => {
-                            let mut child = PatternNode::default();
-                            self.walk_group(inner, ctx, Some(&mut child), interner);
-                            if self.tree_valid {
-                                parent.children.push(child);
-                            }
-                        }
-                        None => self.walk_group(inner, ctx, None, interner),
-                    }
-                }
-                GroupElement::Union(branches) => {
-                    self.ops.unions += (branches.len().saturating_sub(1)) as u32;
-                    self.tree_valid = false;
-                    for b in branches {
-                        self.walk_group(b, ctx, None, interner);
-                    }
-                    joined_elements += 1;
-                }
-                GroupElement::Graph { name, pattern } => {
-                    self.ops.graphs += 1;
-                    self.tree_valid = false;
-                    self.record_term_var(name, ctx, interner);
-                    self.walk_group(pattern, ctx, None, interner);
-                    joined_elements += 1;
-                }
-                GroupElement::Minus(inner) => {
-                    self.ops.minuses += 1;
-                    self.tree_valid = false;
-                    self.walk_group(inner, ctx, None, interner);
-                }
-                GroupElement::Service { name, pattern, .. } => {
-                    self.ops.services += 1;
-                    self.tree_valid = false;
-                    self.record_term_var(name, ctx, interner);
-                    self.walk_group(pattern, ctx, None, interner);
-                    joined_elements += 1;
-                }
-                GroupElement::Values(d) => {
-                    self.ops.values_blocks += 1;
-                    self.tree_valid = false;
-                    if ctx.visible {
-                        for v in &d.variables {
-                            let symbol = interner.intern(v);
-                            self.visible_vars.insert(symbol);
-                        }
-                    }
-                    if ctx.vars && !d.variables.is_empty() {
-                        self.body_has_var = true;
-                    }
-                    joined_elements += 1;
-                }
-                GroupElement::SubSelect(q) => {
-                    self.ops.subqueries += 1;
-                    self.tree_valid = false;
-                    // Only the variables the subquery projects are visible.
-                    let inner_visible = ctx.visible && matches!(q.projection, Projection::All);
-                    if ctx.visible {
-                        if let Projection::Items(items) = &q.projection {
-                            for item in items {
-                                let symbol = interner.intern(&item.var);
-                                self.visible_vars.insert(symbol);
-                            }
-                        }
-                    }
-                    if let Some(inner) = &q.where_clause {
-                        self.walk_group(
-                            inner,
-                            GroupCtx {
-                                visible: inner_visible,
-                                ..ctx
-                            },
-                            None,
-                            interner,
-                        );
-                    }
-                    // Projection expressions feed the ops counters and the
-                    // aggregate scan; HAVING clauses only the aggregate scan.
-                    if let Projection::Items(items) = &q.projection {
-                        for item in items {
-                            if let Some(e) = &item.expr {
-                                self.walk_expr(
-                                    e,
-                                    ExprCtx {
-                                        ops: true,
-                                        aggs: ctx.aggs,
-                                        vars: false,
-                                        paths: false,
-                                        top: false,
-                                    },
-                                    interner,
-                                );
-                            }
-                        }
-                    }
-                    for h in &q.modifiers.having {
-                        self.walk_expr(
-                            h,
-                            ExprCtx {
-                                ops: false,
-                                aggs: ctx.aggs,
-                                vars: false,
-                                paths: false,
-                                top: false,
-                            },
-                            interner,
-                        );
-                    }
-                    joined_elements += 1;
-                }
-                GroupElement::Group(inner) => {
-                    match node.as_deref_mut().filter(|_| self.tree_valid) {
-                        // A nested plain group merges into the current tree
-                        // node (Currying / Opt-normal-form flattening).
-                        Some(parent) => self.walk_group(inner, ctx, Some(parent), interner),
-                        None => self.walk_group(inner, ctx, None, interner),
-                    }
-                    joined_elements += 1;
-                }
-            }
-        }
-        self.ops.joins += joined_elements.saturating_sub(1);
-    }
-
-    fn record_term_var(&mut self, term: &'q Term, ctx: GroupCtx, interner: &mut Interner) {
-        if let Term::Var(v) = term {
-            if ctx.visible {
-                let symbol = interner.intern(v);
-                self.visible_vars.insert(symbol);
-            }
-            if ctx.vars {
-                self.body_has_var = true;
-            }
-        }
-    }
-
-    /// Walks one expression; returns whether the subtree contains
-    /// `(NOT) EXISTS` (the `Expression::contains_exists` test, needed to
-    /// decide whether a filter may enter the pattern tree).
-    fn walk_expr(&mut self, e: &'q Expression, ctx: ExprCtx, interner: &mut Interner) -> bool {
-        let inner = ExprCtx { top: false, ..ctx };
-        match e {
-            Expression::Var(_) => {
-                if ctx.vars {
-                    self.body_has_var = true;
-                }
-                false
-            }
-            Expression::Term(_) => false,
-            Expression::Exists(g) | Expression::NotExists(g) => {
-                // The aggregate scan and the BIND/visibility tests stop at
-                // EXISTS; the ops counters and the variable census descend.
-                if ctx.ops {
-                    match e {
-                        Expression::Exists(_) => self.ops.exists += 1,
-                        _ => self.ops.not_exists += 1,
-                    }
-                    let group_ctx = GroupCtx {
-                        aggs: false,
-                        visible: false,
-                        vars: ctx.vars,
-                        bindscan: false,
-                        paths: ctx.paths && ctx.top,
-                    };
-                    self.walk_group(g, group_ctx, None, interner);
-                }
-                true
-            }
-            Expression::Aggregate(agg) => {
-                if ctx.ops {
-                    self.ops.aggregates_in_body += 1;
-                }
-                if ctx.aggs {
-                    self.aggregates.record(agg.kind);
-                }
-                match &agg.expr {
-                    Some(inner_expr) => self.walk_expr(inner_expr, inner, interner),
-                    None => false,
-                }
-            }
-            Expression::Or(a, b)
-            | Expression::And(a, b)
-            | Expression::Equal(a, b)
-            | Expression::NotEqual(a, b)
-            | Expression::Less(a, b)
-            | Expression::Greater(a, b)
-            | Expression::LessEq(a, b)
-            | Expression::GreaterEq(a, b)
-            | Expression::Add(a, b)
-            | Expression::Subtract(a, b)
-            | Expression::Multiply(a, b)
-            | Expression::Divide(a, b) => {
-                let sa = self.walk_expr(a, inner, interner);
-                let sb = self.walk_expr(b, inner, interner);
-                sa || sb
-            }
-            Expression::In(a, list) | Expression::NotIn(a, list) => {
-                let mut saw = self.walk_expr(a, inner, interner);
-                for x in list {
-                    saw |= self.walk_expr(x, inner, interner);
-                }
-                saw
-            }
-            Expression::Not(a) | Expression::UnaryMinus(a) | Expression::UnaryPlus(a) => {
-                self.walk_expr(a, inner, interner)
-            }
-            Expression::FunctionCall(_, args) => {
-                let mut saw = false;
-                for a in args {
-                    saw |= self.walk_expr(a, inner, interner);
-                }
-                saw
-            }
-        }
-    }
-}
-
-/// Borrowed-AST twin of [`QueryWalk`]: one traversal of an
-/// [`ast_ref::Query`](sparqlog_parser::ast_ref::Query) collecting the same
-/// channels with the same scoping rules.
+/// Everything the corpus pipeline needs from one query body, collected in a
+/// **single traversal** of an
+/// [`ast_ref::Query`](sparqlog_parser::ast_ref::Query).
+///
+/// The collected channels replicate the per-measure walkers over the owned
+/// AST exactly:
+///
+/// * `ops` — the [`BodyOps`] counters ([`BodyOps::of_query`]);
+/// * `aggregates` — aggregate-function usage inside the body, with the same
+///   coverage as the scan in [`crate::features::QueryFeatures::of`] (it does
+///   not descend into `EXISTS` groups);
+/// * `paths` — the property paths [`collect_property_paths`] returns, in the
+///   same order;
+/// * `visible_vars` / `body_has_var` / `has_bind` — the in-scope-variable and
+///   BIND data [`crate::projection::projection_use`] needs;
+/// * `tree` — the AOF pattern tree [`PatternTree::build`] would produce
+///   (`None` when the body is not an AOF pattern or the query has no body).
+///
+/// The per-channel scoping rules differ subtly (e.g. visible variables stop
+/// at filters, aggregate scanning stops at `EXISTS`, path collection only
+/// enters an `EXISTS` group when it is the top-level filter expression), so
+/// the walk threads a small set of channel flags through the recursion
+/// instead of traversing once per channel.
+///
+/// Variable names are interned into the caller-supplied [`Interner`] as the
+/// walk encounters them, so the visible-variable set holds `u32` [`Symbol`]s
+/// (integer ordering and comparison) instead of string slices, and repeated
+/// variable names across the queries a worker analyses share one stored
+/// string.
 ///
 /// Everything extracted is either `Copy` borrowed data (`paths`), interned
 /// symbols (`visible_vars`) or owned (`tree` — the AOF pattern tree is built
@@ -771,11 +372,15 @@ pub struct QueryWalkRef<'q> {
     pub aggregates: AggregateUse,
     /// Every property path, in source order (borrowed `Copy` nodes).
     pub paths: Vec<sparqlog_parser::ast_ref::PropertyPath<'q>>,
-    /// The variables in scope at the top level of the body, as symbols.
+    /// The variables in scope at the top level of the body (SPARQL 1.1
+    /// §18.2.1, as approximated by the projection analysis), as symbols of
+    /// the interner the walk ran with.
     pub visible_vars: BTreeSet<Symbol>,
-    /// Whether the body mentions any variable at all.
+    /// Whether the body mentions any variable at all (the
+    /// `Query::body_variables` emptiness test used for ASK projection).
     pub body_has_var: bool,
-    /// Whether the body uses BIND outside `EXISTS` groups.
+    /// Whether the body uses BIND outside `EXISTS` groups (the
+    /// `projection::uses_bind` test).
     pub has_bind: bool,
     /// The AOF pattern tree (owned), when the body is an AOF pattern.
     pub tree: Option<PatternTree>,
@@ -784,9 +389,9 @@ pub struct QueryWalkRef<'q> {
 }
 
 impl<'q> QueryWalkRef<'q> {
-    /// Walks the body of a borrowed query once; see [`QueryWalk::of`]. The
-    /// channels are identical to running [`QueryWalk::of`] on
-    /// `q.to_owned()`.
+    /// Walks the body of `q` once, collecting every channel. Variable names
+    /// are interned into `interner` (typically the calling worker's
+    /// long-lived table) so the visibility set works over symbols.
     pub fn of(
         q: &sparqlog_parser::ast_ref::Query<'q>,
         interner: &mut Interner,
@@ -1016,6 +621,8 @@ impl<'q> QueryWalkRef<'q> {
                 }
                 ar::GroupElement::Group(inner) => {
                     match node.as_deref_mut().filter(|_| self.tree_valid) {
+                        // A nested plain group merges into the current tree
+                        // node (Currying / Opt-normal-form flattening).
                         Some(parent) => self.walk_group(inner, ctx, Some(parent), interner),
                         None => self.walk_group(inner, ctx, None, interner),
                     }
@@ -1043,6 +650,9 @@ impl<'q> QueryWalkRef<'q> {
         }
     }
 
+    /// Walks one expression; returns whether the subtree contains
+    /// `(NOT) EXISTS` (the `Expression::contains_exists` test, needed to
+    /// decide whether a filter may enter the pattern tree).
     fn walk_expr(
         &mut self,
         e: &sparqlog_parser::ast_ref::Expression<'q>,
@@ -1060,6 +670,8 @@ impl<'q> QueryWalkRef<'q> {
             }
             E::Term(_) => false,
             E::Exists(g) | E::NotExists(g) => {
+                // The aggregate scan and the BIND/visibility tests stop at
+                // EXISTS; the ops counters and the variable census descend.
                 if ctx.ops {
                     match e {
                         E::Exists(_) => self.ops.exists += 1,
@@ -1203,7 +815,6 @@ mod tests {
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.subqueries, 1);
         assert_eq!(ops.triples, 3);
-        assert_eq!(collect_triple_patterns(&q).len(), 3);
         // Subquery + triples block join at the outer level.
         assert!(ops.joins >= 1);
     }

@@ -13,7 +13,7 @@
 //! **Soundness.** The cache key is exactly the dedup key: two queries share a
 //! fingerprint iff they share a canonical form (modulo the same 128-bit
 //! FNV-1a collision probability the Table-1 "Unique" numbers already accept),
-//! and every measure [`QueryAnalysis::of`] computes is a function of the
+//! and every measure [`QueryAnalysis::of_ref`] computes is a function of the
 //! canonical form — the only AST content canonicalization erases is the
 //! prologue, which no analysis reads. Caching therefore cannot change any
 //! report. Both halves are tested in `tests/cache.rs`: respelled queries
@@ -254,10 +254,9 @@ impl AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
 
     fn qa(text: &str) -> QueryAnalysis {
-        QueryAnalysis::of(&parse_query(text).unwrap())
+        QueryAnalysis::of_text(text).unwrap()
     }
 
     #[test]

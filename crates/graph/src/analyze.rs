@@ -62,7 +62,7 @@ impl StructuralReport {
     /// Analyses one query through the original multi-walk path: the fragment
     /// classification re-traverses the query and the pattern tree is rebuilt
     /// from scratch. Kept as the reference the differential tests compare the
-    /// single-pass pipeline ([`StructuralReport::from_walk`]) against.
+    /// single-pass pipeline ([`StructuralReport::from_walk_interned`]) against.
     pub fn of(query: &Query) -> StructuralReport {
         let fragments = classify_fragments(query);
         // Build the tree only when the structural analysis will use it,
@@ -70,21 +70,14 @@ impl StructuralReport {
         let tree = (fragments.in_cqof() && fragments.select_or_ask)
             .then(|| PatternTree::build(query))
             .flatten();
-        StructuralReport::from_walk(fragments, tree.as_ref())
+        StructuralReport::from_walk_interned(fragments, tree.as_ref(), &mut Interner::new())
     }
 
     /// Analyses one query from a completed
-    /// [`QueryWalk`](sparqlog_algebra::walk::QueryWalk): the fragment report
-    /// and the pattern tree both come out of the walk's single traversal, so
-    /// no part of the query is visited again. Uses a throwaway [`Interner`];
-    /// workers analysing many queries hand theirs to
-    /// [`StructuralReport::from_walk_interned`].
-    pub fn from_walk(fragments: FragmentReport, tree: Option<&PatternTree>) -> StructuralReport {
-        StructuralReport::from_walk_interned(fragments, tree, &mut Interner::new())
-    }
-
-    /// [`StructuralReport::from_walk`] with the calling worker's
-    /// [`Interner`], through which the canonical-graph construction
+    /// [`QueryWalkRef`](sparqlog_algebra::walk::QueryWalkRef): the fragment
+    /// report and the pattern tree both come out of the walk's single
+    /// traversal, so no part of the query is visited again. `interner` is the
+    /// calling worker's, through which the canonical-graph construction
     /// ([`CanonicalGraph::from_triples_both_interned`]) tells variables and
     /// blank nodes apart as `u32` symbols. The report does not depend on the
     /// interner's state.

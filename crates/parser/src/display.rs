@@ -11,8 +11,8 @@
 //! Every writer in this module is generic over [`std::fmt::Write`], so the
 //! same canonical-form walk can fill a `String` ([`to_canonical_string`]) or
 //! stream straight into the 128-bit FNV-1a state of a [`CanonicalHasher`]
-//! ([`canonical_fingerprint_of`]) without ever materializing the canonical
-//! string — the duplicate-elimination hot path at corpus scale.
+//! ([`canonical_fingerprint_of_ref`]) without ever materializing the
+//! canonical string — the duplicate-elimination hot path at corpus scale.
 
 use crate::ast::*;
 use crate::ast_ref;
@@ -40,16 +40,6 @@ pub fn canonical_fingerprint(canonical: &str) -> u128 {
     hasher.finish()
 }
 
-/// The 128-bit FNV-1a fingerprint of a query's canonical form, computed by
-/// streaming the canonical-form walk directly into the hash state — no
-/// canonical `String` is ever allocated. Equal, byte for byte, to
-/// `canonical_fingerprint(&to_canonical_string(q))`.
-pub fn canonical_fingerprint_of(q: &Query) -> u128 {
-    let mut hasher = CanonicalHasher::new();
-    write_query(&mut hasher, q);
-    hasher.finish()
-}
-
 /// Serializes a borrowed [`ast_ref::Query`] into its canonical textual form.
 /// Byte-identical to [`to_canonical_string`] of the query's `to_owned()`.
 pub fn to_canonical_string_ref(q: &ast_ref::Query<'_>) -> String {
@@ -59,9 +49,10 @@ pub fn to_canonical_string_ref(q: &ast_ref::Query<'_>) -> String {
 }
 
 /// The 128-bit FNV-1a fingerprint of a borrowed query's canonical form,
-/// streamed straight from the arena AST — the zero-copy pipeline's duplicate
-/// key. Equal, byte for byte, to [`canonical_fingerprint_of`] applied to the
-/// query's `to_owned()`.
+/// computed by streaming the canonical-form walk over the arena AST directly
+/// into the hash state — no canonical `String` is ever allocated. The
+/// zero-copy pipeline's duplicate key; equal, byte for byte, to
+/// `canonical_fingerprint(&to_canonical_string(&q.to_owned()))`.
 pub fn canonical_fingerprint_of_ref(q: &ast_ref::Query<'_>) -> u128 {
     let mut hasher = CanonicalHasher::new();
     write_query_ref(&mut hasher, q);
@@ -81,11 +72,6 @@ impl CanonicalHasher {
     /// Creates a hasher seeded with the FNV-1a offset basis.
     pub fn new() -> CanonicalHasher {
         CanonicalHasher { state: FNV_OFFSET }
-    }
-
-    /// Streams a query's canonical form into the state.
-    pub fn write_query(&mut self, q: &Query) {
-        write_query(self, q);
     }
 
     /// The current fingerprint.
@@ -903,11 +889,12 @@ mod tests {
             "SELECT (COUNT(?x) AS ?c) WHERE { ?x <http://p> ?y } GROUP BY ?y HAVING (AVG(?y) > 2)",
             "SELECT ?x WHERE { ?x <http://a> ?y VALUES ?x { <http://v> <http://w> } }",
         ];
+        let arena = crate::arena::Arena::new();
         for q in queries {
-            let parsed = parse_query(q).unwrap();
+            let borrowed = crate::parse_query_in(q, &arena).unwrap();
             assert_eq!(
-                canonical_fingerprint_of(&parsed),
-                canonical_fingerprint(&to_canonical_string(&parsed)),
+                canonical_fingerprint_of_ref(&borrowed),
+                canonical_fingerprint(&to_canonical_string(&borrowed.to_owned())),
                 "streamed fingerprint diverges for {q:?}"
             );
         }
@@ -949,7 +936,7 @@ mod tests {
             );
             assert_eq!(
                 canonical_fingerprint_of_ref(&borrowed),
-                canonical_fingerprint_of(&owned),
+                canonical_fingerprint(&to_canonical_string(&owned)),
                 "borrowed fingerprint diverges for {q:?}"
             );
         }

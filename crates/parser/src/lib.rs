@@ -24,7 +24,7 @@
 //! * [`display`] — canonical serialization, entry point
 //!   [`to_canonical_string`], used for duplicate elimination and streak
 //!   similarity, plus the zero-materialization [`CanonicalHasher`] /
-//!   [`canonical_fingerprint_of`] used by the streaming corpus pipeline.
+//!   [`canonical_fingerprint_of_ref`] used by the streaming corpus pipeline.
 //! * [`intern`] — the per-worker term [`Interner`] mapping IRIs, prefixed
 //!   names and variables to dense `u32` [`Symbol`]s, so the analysis passes
 //!   hash and compare integers instead of strings.
@@ -74,8 +74,7 @@ pub mod token;
 pub use arena::Arena;
 pub use ast::{Query, QueryForm};
 pub use display::{
-    canonical_fingerprint, canonical_fingerprint_of, canonical_fingerprint_of_ref,
-    to_canonical_string, CanonicalHasher,
+    canonical_fingerprint, canonical_fingerprint_of_ref, to_canonical_string, CanonicalHasher,
 };
 pub use error::{ErrorKind, ParseError};
 pub use intern::{InternStats, Interner, Symbol};

@@ -16,7 +16,6 @@ use sparqlog_obs::EventRecord;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -25,52 +24,62 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct EventLog {
     start: Instant,
-    seq: AtomicU64,
-    lines: Mutex<Vec<String>>,
-    sink: Option<Mutex<File>>,
+    journal: Mutex<Journal>,
+}
+
+/// What one lock guards, so a line is stamped, mirrored and stored as one
+/// step: concurrent emitters cannot store `seq=` out of order, and the file
+/// lists lines in the order memory does.
+#[derive(Debug)]
+struct Journal {
+    /// Every line so far, oldest first; a line's `seq=` is its index.
+    lines: Vec<String>,
+    sink: Option<File>,
 }
 
 impl EventLog {
     /// An in-memory event log starting now.
     pub fn new() -> EventLog {
-        EventLog {
-            start: Instant::now(),
-            seq: AtomicU64::new(0),
-            lines: Mutex::new(Vec::new()),
-            sink: None,
-        }
+        EventLog::over(None)
     }
 
     /// An event log that also appends every line to `path` (created or
     /// truncated), flushing per line so a crashed server leaves a usable
     /// artifact.
     pub fn with_file(path: &Path) -> std::io::Result<EventLog> {
-        let file = File::create(path)?;
-        Ok(EventLog {
+        Ok(EventLog::over(Some(File::create(path)?)))
+    }
+
+    fn over(sink: Option<File>) -> EventLog {
+        EventLog {
             start: Instant::now(),
-            seq: AtomicU64::new(0),
-            lines: Mutex::new(Vec::new()),
-            sink: Some(Mutex::new(file)),
-        })
+            journal: Mutex::new(Journal {
+                lines: Vec::new(),
+                sink,
+            }),
+        }
+    }
+
+    fn journal(&self) -> std::sync::MutexGuard<'_, Journal> {
+        self.journal.lock().expect("event log lock")
     }
 
     /// Appends one event line (without the timestamp/sequence prefix —
     /// both are stamped here). The line must already be `key=value`
     /// tokens; [`EventLog::emit_record`] builds that shape safely.
     pub fn emit(&self, line: impl AsRef<str>) {
+        let mut journal = self.journal();
         let stamped = format!(
             "t={} seq={} {}",
             self.start.elapsed().as_millis(),
-            self.seq.fetch_add(1, Ordering::Relaxed),
+            journal.lines.len(),
             line.as_ref().trim_end()
         );
-        if let Some(sink) = &self.sink {
-            if let Ok(mut file) = sink.lock() {
-                let _ = writeln!(file, "{stamped}");
-                let _ = file.flush();
-            }
+        if let Some(file) = &mut journal.sink {
+            let _ = writeln!(file, "{stamped}");
+            let _ = file.flush();
         }
-        self.lines.lock().expect("event log lock").push(stamped);
+        journal.lines.push(stamped);
     }
 
     /// Appends one structured event, stamping `t=` and `seq=` ahead of its
@@ -81,7 +90,7 @@ impl EventLog {
 
     /// All lines emitted so far, oldest first.
     pub fn snapshot(&self) -> Vec<String> {
-        self.lines.lock().expect("event log lock").clone()
+        self.journal().lines.clone()
     }
 
     /// Every line parsed back into a typed [`EventRecord`], oldest first.
@@ -89,9 +98,8 @@ impl EventLog {
     /// in practice; a hand-emitted malformed line is skipped rather than
     /// poisoning the whole journal.
     pub fn records(&self) -> Vec<EventRecord> {
-        self.lines
-            .lock()
-            .expect("event log lock")
+        self.journal()
+            .lines
             .iter()
             .filter_map(|line| EventRecord::parse(line).ok())
             .collect()
@@ -109,9 +117,8 @@ impl EventLog {
     /// job 1 does not match job 11).
     pub fn for_job(&self, job: u64) -> Vec<String> {
         let needle = format!(" job={job}");
-        self.lines
-            .lock()
-            .expect("event log lock")
+        self.journal()
+            .lines
             .iter()
             .filter(|line| {
                 line.split_whitespace()
@@ -173,6 +180,41 @@ mod tests {
         log.emit("event=drain");
         let contents = std::fs::read_to_string(&path).unwrap();
         assert!(contents.contains("event=drain"), "{contents}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_emitters_store_seq_in_order_and_the_file_agrees() {
+        const THREADS: usize = 8;
+        const EMITS: usize = 2_000;
+        let dir =
+            std::env::temp_dir().join(format!("sparqlog-events-concurrent-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.log");
+        let log = EventLog::with_file(&path).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (log, start) = (&log, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..EMITS {
+                        log.emit(format!("event=tick thread={thread}"));
+                    }
+                });
+            }
+        });
+        let lines = log.snapshot();
+        let seqs = log.records().into_iter().filter_map(|r| r.seq());
+        assert!(
+            seqs.eq(0..(THREADS * EMITS) as u64),
+            "seq= must be stored strictly increasing"
+        );
+        let contents = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            contents.lines().eq(lines.iter().map(String::as_str)),
+            "the mirrored file must list lines in memory order"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@ use sparqlog::algebra::{classify_fragments, projection_use, QueryFeatures};
 use sparqlog::core::analysis::Population;
 use sparqlog::core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 use sparqlog::graph::StructuralReport;
-use sparqlog::parser::{canonical_fingerprint_of, parse_query, to_canonical_string};
+use sparqlog::parser::{canonical_fingerprint, parse_query, to_canonical_string};
 
 fn main() {
     // The "Locations of archaeological sites" query from WikiData, quoted in
@@ -84,7 +84,7 @@ fn main() {
         counts.total,
         counts.valid,
         counts.unique,
-        canonical_fingerprint_of(&query)
+        canonical_fingerprint(&to_canonical_string(&query))
     );
     println!(
         "corpus-level keyword census: {} SELECT of {} queries ({} distinct analyses kept)",

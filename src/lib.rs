@@ -14,7 +14,7 @@
 //!   canonical serializer used for duplicate elimination.
 //! * [`algebra`] — shallow analysis (keywords, triples, operator sets,
 //!   projection), query fragments (CQ, CPF, CQF, AOF, well-designed, CQOF)
-//!   and the single-pass [`algebra::QueryWalk`] every measure is derived
+//!   and the single-pass [`algebra::QueryWalkRef`] every measure is derived
 //!   from.
 //! * [`graph`] — canonical graph / hypergraph construction (the graph as
 //!   a word-parallel bit matrix), shape classification, treewidth and
@@ -69,7 +69,7 @@
 //!    and memoized in the [`core::cache::AnalysisCache`], a duplicate's AST
 //!    is dropped inside its batch — peak memory is O(in-flight batches +
 //!    distinct analyses), not O(corpus).
-//! 2. [`core::QueryAnalysis`] runs one [`algebra::QueryWalk`] per distinct
+//! 2. [`core::QueryAnalysis`] runs one [`algebra::QueryWalkRef`] per distinct
 //!    canonical form — one traversal feeding features, projection, property
 //!    paths and the AOF pattern tree — and one canonical-graph construction
 //!    shared by the shape, treewidth, girth and constants-excluded analyses.

@@ -17,7 +17,9 @@ use sparqlog::core::corpus::{
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, QueryAnalysis};
 use sparqlog::parser::token::{Keyword, Token};
-use sparqlog::parser::{canonical_fingerprint_of, lexer, parse_query, Arena};
+use sparqlog::parser::{
+    canonical_fingerprint_of_ref, lexer, parse_query_in, Arena, Interner, ParseError,
+};
 use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
 
 fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
@@ -264,6 +266,22 @@ fn split_iri(iri: &str) -> Option<(&str, &str)> {
     plain.then_some((namespace, local))
 }
 
+/// What a worker computes for one entry on a cache miss: the arena is reset,
+/// the entry parsed into it, and the streamed fingerprint and the analysis
+/// both read the borrowed AST.
+fn fingerprint_and_analysis(
+    text: &str,
+    arena: &mut Arena,
+    interner: &mut Interner,
+) -> Result<(u128, QueryAnalysis), ParseError> {
+    arena.reset();
+    let query = parse_query_in(text, arena)?;
+    Ok((
+        canonical_fingerprint_of_ref(&query),
+        QueryAnalysis::of_ref(&query, interner),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -304,20 +322,22 @@ proptest! {
     fn equal_fingerprints_mean_equal_analyses(seed in 0u64..5_000, dataset_idx in 0usize..13) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
+        let (mut arena, mut interner) = (Arena::new(), Interner::new());
         for _ in 0..8 {
             let text = synth.fresh_query();
             let respelled = respell(&text);
-            let query = parse_query(&text).expect("synthesized queries parse");
-            let twin = parse_query(&respelled)
+            let (fp, analysis) = fingerprint_and_analysis(&text, &mut arena, &mut interner)
+                .expect("synthesized queries parse");
+            let (twin_fp, twin) = fingerprint_and_analysis(&respelled, &mut arena, &mut interner)
                 .unwrap_or_else(|error| panic!("respelling must parse: {error}\n{respelled}"));
             prop_assert_eq!(
-                canonical_fingerprint_of(&query),
-                canonical_fingerprint_of(&twin),
+                fp,
+                twin_fp,
                 "respelling changed the canonical form:\n{}\n{}", text, respelled
             );
             prop_assert_eq!(
-                format!("{:?}", QueryAnalysis::of(&query)),
-                format!("{:?}", QueryAnalysis::of(&twin)),
+                format!("{analysis:?}"),
+                format!("{twin:?}"),
                 "equal fingerprints, different analyses:\n{}\n{}", text, respelled
             );
         }
@@ -330,12 +350,14 @@ proptest! {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         let cache = AnalysisCache::with_shards(4);
+        let (mut arena, mut interner) = (Arena::new(), Interner::new());
         for _ in 0..8 {
             let text = synth.fresh_query();
-            let query = parse_query(&text).expect("synthesized queries parse");
-            let fp = canonical_fingerprint_of(&query);
-            let memoized = cache.get_or_insert_with(fp, || QueryAnalysis::of(&query));
-            let fresh = QueryAnalysis::of(&query);
+            let (fp, analysis) = fingerprint_and_analysis(&text, &mut arena, &mut interner)
+                .expect("synthesized queries parse");
+            let memoized = cache.get_or_insert_with(fp, || analysis);
+            let (_, fresh) = fingerprint_and_analysis(&text, &mut arena, &mut interner)
+                .expect("synthesized queries parse");
             prop_assert_eq!(
                 format!("{:?}", memoized),
                 format!("{fresh:?}"),

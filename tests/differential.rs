@@ -166,7 +166,7 @@ fn per_query_fold_is_byte_identical_on_every_handcrafted_query() {
         let mut reference = DatasetAnalysis::default();
         add_query_multiwalk(&mut reference, &query);
         let mut single_pass = DatasetAnalysis::default();
-        single_pass.add(&QueryAnalysis::of(&query));
+        single_pass.add(&QueryAnalysis::of_text(&text).expect("parsed above"));
         assert_eq!(
             format!("{reference:?}"),
             format!("{single_pass:?}"),
@@ -175,18 +175,27 @@ fn per_query_fold_is_byte_identical_on_every_handcrafted_query() {
     }
 }
 
+/// Queries per dataset profile; `SPARQLOG_FUZZ_CASES` overrides it, as in
+/// `tests/fuzz_recovery.rs` (the CI fuzz-smoke job runs 512).
+fn queries_per_profile() -> u32 {
+    std::env::var("SPARQLOG_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(40)
+}
+
 #[test]
 fn synthesized_queries_fold_identically_across_datasets() {
     use sparqlog::synth::{DatasetProfile, Synthesizer};
     for dataset in Dataset::ALL {
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), 77);
-        for _ in 0..40 {
+        for _ in 0..queries_per_profile() {
             let text = synth.fresh_query();
             let query = parse_query(&text).expect("synthesized queries parse");
             let mut reference = DatasetAnalysis::default();
             add_query_multiwalk(&mut reference, &query);
             let mut single_pass = DatasetAnalysis::default();
-            single_pass.add(&QueryAnalysis::of(&query));
+            single_pass.add(&QueryAnalysis::of_text(&text).expect("parsed above"));
             assert_eq!(
                 format!("{reference:?}"),
                 format!("{single_pass:?}"),

@@ -235,8 +235,7 @@ proptest! {
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         for _ in 0..4 {
             let text = synth.fresh_query();
-            let query = sparqlog::parser::parse_query(&text).expect("synthesized queries parse");
-            let qa = QueryAnalysis::of(&query);
+            let qa = QueryAnalysis::of_text(&text).expect("synthesized queries parse");
             let mut weighted = DatasetAnalysis::default();
             weighted.add_times(&qa, times);
             let mut repeated = DatasetAnalysis::default();

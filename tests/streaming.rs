@@ -14,7 +14,7 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::Population;
-use sparqlog::parser::{canonical_fingerprint_of, parse_query, to_canonical_string};
+use sparqlog::parser::{canonical_fingerprint_of_ref, parse_query_in, to_canonical_string, Arena};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::io::Cursor;
 
@@ -35,12 +35,14 @@ proptest! {
     fn streamed_fingerprint_matches_materialized(seed in 0u64..10_000, dataset_idx in 0usize..13) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
+        let mut arena = Arena::new();
         for _ in 0..5 {
             let text = synth.fresh_query();
-            let query = parse_query(&text).expect("synthesized queries parse");
+            arena.reset();
+            let borrowed = parse_query_in(&text, &arena).expect("synthesized queries parse");
             prop_assert_eq!(
-                canonical_fingerprint_of(&query),
-                canonical_fingerprint(&to_canonical_string(&query)),
+                canonical_fingerprint_of_ref(&borrowed),
+                canonical_fingerprint(&to_canonical_string(&borrowed.to_owned())),
                 "streamed fingerprint diverges for {}", text
             );
         }
