@@ -21,6 +21,21 @@
 //! equal those of the oracle ([`crate::baseline::analyze_reference`]), which
 //! analyses every occurrence from scratch.
 //!
+//! The engine applies the same argument one level down. In front of the
+//! parser each worker keeps a small raw-entry memo ([`crate::fused`]) keyed
+//! by a 128-bit hash of the entry's *bytes* and holding what those bytes
+//! decide — the fingerprint, or a plain lex/syntax failure. Equal bytes ⇒
+//! equal tokens ⇒ equal parse ⇒ equal fingerprint, modulo the same 128-bit
+//! accidental-collision probability accepted above (neither hash is built
+//! to resist an adversary who crafts collisions). Outcomes that depend on
+//! more than the bytes — resource guards, the panic drill, anything the
+//! run's policy makes fatal — are never held there, and a memoized
+//! fingerprint is only counted when its record is known to exist here. The
+//! oracle has no memo either, so every engine-vs-oracle differential is this
+//! memo's differential too; `tests/cache.rs` adds the cases that target it
+//! (byte-identical, respelled and invalid repeats, slot thrashing, repeated
+//! defects).
+//!
 //! The cache is **range-partitioned by the fingerprint's top bits** into
 //! lock-striped shards: concurrent workers only contend when they touch the
 //! same shard, any single rehash stays O(shard), and two caches (e.g. from
@@ -157,8 +172,11 @@ impl AnalysisCache {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
+        // Counted once the analysis exists: if `analyze` panics the caller
+        // tallies the entry as a defect, not as a valid occurrence, and
+        // `hits + misses` must keep equalling the valid occurrences.
         let computed = Arc::new(analyze());
+        shard.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = shard.map.lock().expect("analysis cache shard poisoned");
         Arc::clone(map.entry(fingerprint).or_insert(computed))
     }

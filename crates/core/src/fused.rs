@@ -2,19 +2,38 @@
 //! analysed as it parses and no query AST outlives its batch.
 //!
 //! [`analyze_streams`] runs one self-scheduling worker pool: workers pull
-//! batches from [`LogReader`]s, parse each entry into the worker's arena,
-//! fingerprint its canonical form by streaming the canonical walk into a
-//! 128-bit FNV-1a state (no canonical string is built), and resolve the
-//! occurrence against a lock-free per-worker occurrence map backed by the
-//! shared [`AnalysisCache`]:
+//! batches from [`LogReader`]s and resolve every entry to an occurrence of a
+//! canonical form (or to a tallied error) at the cheapest level that knows
+//! it. An entry meets one of three fates:
 //!
-//! * a **first occurrence** is analysed on the spot (one
-//!   [`QueryAnalysis`] through the worker's term
-//!   [`Interner`](sparqlog_parser::intern)) and memoized under its
-//!   fingerprint — only the fingerprint and the analysis survive;
-//! * a **duplicate occurrence** bumps a per-worker occurrence counter and
-//!   its AST is dropped right there — it is never pushed into a
-//!   corpus-wide vec, never re-fingerprinted, never re-folded.
+//! * a **memo hit** — these exact bytes were resolved by this worker
+//!   before. A fixed-size, direct-mapped, per-worker entry memo maps a
+//!   128-bit hash of the raw bytes ([`hash128`]) to what the bytes alone
+//!   decide: the canonical fingerprint of a valid entry, or the `Lex` /
+//!   `Syntax` kind of an invalid one. The entry is counted (or tallied at
+//!   its own position) without being lexed, parsed or fingerprinted. Real
+//!   logs repeat byte-identical lines far more often than they respell a
+//!   query, so this is the common case on the paper's corpora;
+//! * a **duplicate form** — new bytes, known canonical form (a respelling,
+//!   or a line another worker or an evicted slot saw). The entry is parsed
+//!   into the worker's arena and fingerprinted by streaming the canonical
+//!   walk into a 128-bit FNV-1a state (no canonical string is built); the
+//!   fingerprint bumps a lock-free per-worker occurrence counter and the
+//!   AST is dropped right there — never pushed into a corpus-wide vec,
+//!   never re-folded;
+//! * a **first occurrence** — parsed and fingerprinted as above, then
+//!   analysed on the spot (one [`QueryAnalysis`] through the worker's term
+//!   [`Interner`](sparqlog_parser::intern)) and memoized in the shared
+//!   [`AnalysisCache`] under its fingerprint — only the fingerprint and the
+//!   analysis survive.
+//!
+//! The memo holds only outcomes that are functions of the bytes: resource
+//! guard trips, caught panics and anything fatal under
+//! [`RecoveryPolicy::Strict`] always take the guarded parse, and a valid hit
+//! is used only when the form's record is already known to exist. It is
+//! always on, has one size ([`ENTRY_MEMO_SLOTS`]) and overwrites on
+//! collision, so it can forget but never mislead: a forgotten line is a
+//! duplicate form again.
 //!
 //! After the stream drains, per-worker occurrence maps merge into per-log
 //! [`LogSummary`] records (Table-1 counts plus the distinct fingerprints
@@ -30,9 +49,11 @@
 //! for any worker count, batch size or schedule — and byte-identical to
 //! the sequential oracle [`crate::baseline::analyze_reference`], which
 //! shares nothing with this module above the guarded per-entry parse and
-//! the tallies (`tests/{differential,fused,cache}.rs`). The soundness of
-//! folding a memoized record for every occurrence is the cache-key
-//! argument of [`crate::cache`]: the fingerprint *is* the canonical form.
+//! the tallies, and has no memo of either kind
+//! (`tests/{differential,fused,cache}.rs`). The soundness of folding a
+//! memoized record for every occurrence is the cache-key argument of
+//! [`crate::cache`]: the fingerprint *is* the canonical form — and one level
+//! down, equal bytes parse equally.
 //!
 //! ```
 //! use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
@@ -67,8 +88,10 @@ use crate::query_analysis::QueryAnalysis;
 use crate::recover::{enforce_budget, ErrorTally, RecoveryContext, RecoveryPolicy};
 use serde::{Deserialize, Serialize};
 use sparqlog_obs as obs;
+use sparqlog_parser::bytescan::hash128;
 use sparqlog_parser::intern::{InternStats, Interner};
 use sparqlog_parser::{canonical_fingerprint_of_ref, Arena, ErrorKind};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -216,13 +239,111 @@ pub struct FusedAnalysis {
     pub fused: FusedStats,
 }
 
-/// One worker's private state: lock-free per-log occurrence maps, the term
-/// interner threaded through every analysis, the bump arena every AST is
-/// parsed into, and the number of shared-cache consultations
-/// (first-local-occurrence lookups).
+/// Slots in each worker's entry memo. An entry's slot is the low bits of
+/// [`hash128`] of its bytes; a slot is 32 bytes, so a worker's table is
+/// 128 KiB, allocated zeroed and paged in only where entries land.
+pub const ENTRY_MEMO_SLOTS: usize = 1 << 12;
+
+/// What the bytes of an entry decide on their own, whatever the run's
+/// policy: the canonical fingerprint of a valid entry, or the kind of a
+/// plain lex/syntax failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryOutcome {
+    Valid(u128),
+    Invalid(ErrorKind),
+}
+
+/// The per-worker raw-entry memo: a direct-mapped table from the 128-bit
+/// hash of an entry's bytes to its [`EntryOutcome`]. A collision overwrites;
+/// there is no eviction bookkeeping.
+///
+/// A slot is `[tagged key, fingerprint]`. The key's two low bits are
+/// replaced by the outcome tag (0 = empty, so an all-zero table is an empty
+/// one); they are part of the slot index, so matching the tagged word in the
+/// key's own slot still compares all 128 bits.
+struct EntryMemo {
+    slots: Vec<[u128; 2]>,
+}
+
+impl EntryMemo {
+    const TAG_BITS: u128 = 0b11;
+    const VALID: u128 = 1;
+    const LEX: u128 = 2;
+    const SYNTAX: u128 = 3;
+
+    fn new() -> EntryMemo {
+        EntryMemo {
+            slots: vec![[0; 2]; ENTRY_MEMO_SLOTS],
+        }
+    }
+
+    fn get(&self, key: u128) -> Option<EntryOutcome> {
+        let [tagged, fingerprint] = self.slots[key as usize % ENTRY_MEMO_SLOTS];
+        if (tagged ^ key) & !Self::TAG_BITS != 0 {
+            return None;
+        }
+        match tagged & Self::TAG_BITS {
+            Self::VALID => Some(EntryOutcome::Valid(fingerprint)),
+            Self::LEX => Some(EntryOutcome::Invalid(ErrorKind::Lex)),
+            Self::SYNTAX => Some(EntryOutcome::Invalid(ErrorKind::Syntax)),
+            _ => None,
+        }
+    }
+
+    /// Memoizes `outcome` if it is one the bytes decide (any other error
+    /// kind is left to the guarded parse every time).
+    fn put(&mut self, key: u128, outcome: EntryOutcome) {
+        let (tag, fingerprint) = match outcome {
+            EntryOutcome::Valid(fingerprint) => (Self::VALID, fingerprint),
+            EntryOutcome::Invalid(ErrorKind::Lex) => (Self::LEX, 0),
+            EntryOutcome::Invalid(ErrorKind::Syntax) => (Self::SYNTAX, 0),
+            EntryOutcome::Invalid(_) => return,
+        };
+        self.slots[key as usize % ENTRY_MEMO_SLOTS] = [key & !Self::TAG_BITS | tag, fingerprint];
+    }
+}
+
+/// A worker's occurrence counts for one log.
+type OccurrenceMap = HashMap<u128, u64, FingerprintBuildHasher>;
+
+/// Counts one occurrence of `fingerprint` in a worker's map for one log. A
+/// key enters the map only once `record_exists` has said its analysis is in
+/// the shared cache — by putting it there (a parsed entry) or by finding it
+/// (a memo hit, which has no AST to analyse; `false` sends that entry down
+/// the full path). The order matters: memoizing may panic inside the
+/// analysis (the caller catches it and tallies the entry as a worker panic),
+/// and a key must never sit in the map without a record behind it — the
+/// epilogue fetches one for every key, and `counts.unique` is the number of
+/// keys.
+fn count_occurrence(
+    map: &mut OccurrenceMap,
+    fingerprint: u128,
+    record_exists: impl FnOnce() -> bool,
+) -> bool {
+    match map.entry(fingerprint) {
+        Entry::Occupied(mut count) => *count.get_mut() += 1,
+        Entry::Vacant(vacancy) => {
+            if !record_exists() {
+                return false;
+            }
+            vacancy.insert(1);
+        }
+    }
+    true
+}
+
+/// One worker's private state: lock-free per-log occurrence maps, the
+/// raw-entry memo in front of the parser, the term interner threaded through
+/// every analysis, the bump arena every AST is parsed into, and the number
+/// of shared-cache consultations (first-local-occurrence lookups).
 struct FusedWorker {
-    counts: Vec<HashMap<u128, u64, FingerprintBuildHasher>>,
+    counts: Vec<OccurrenceMap>,
     tallies: Vec<ErrorTally>,
+    memo: EntryMemo,
+    /// Entries looked up in the memo (all but the oversize ones), and how
+    /// many of those it resolved.
+    memo_probes: u64,
+    memo_hits: u64,
     interner: Interner,
     arena: Arena,
     lookups: u64,
@@ -236,6 +357,9 @@ impl FusedWorker {
         FusedWorker {
             counts: (0..log_count).map(|_| HashMap::default()).collect(),
             tallies: vec![ErrorTally::default(); log_count],
+            memo: EntryMemo::new(),
+            memo_probes: 0,
+            memo_hits: 0,
             interner: Interner::new(),
             arena: Arena::new(),
             lookups: 0,
@@ -243,19 +367,23 @@ impl FusedWorker {
         }
     }
 
-    /// Parses, fingerprints and resolves one batch. Each valid entry's AST
-    /// is bump-allocated into the worker's arena and lives exactly as long
-    /// as this loop's iteration: the arena is reset before the next entry
+    /// Resolves one batch. An entry whose bytes the memo knows is counted or
+    /// tallied from the memo alone. Every other entry's AST is
+    /// bump-allocated into the worker's arena and lives exactly as long as
+    /// this loop's iteration: the arena is reset before the next entry
     /// parses, so a first occurrence is analysed into the cache (fingerprint
     /// and analysis own their data), a duplicate only bumps the local
     /// counter, and steady-state parsing touches the global allocator only
     /// when a canonical form is new.
     ///
-    /// Every entry parses through the shared guarded helper
+    /// Those entries parse through the shared guarded helper
     /// ([`RecoveryContext::parse_entry`]): resource-guard trips and caught
     /// panics either abort with a structured error (strict mode) or are
     /// tallied at the entry's batch-assigned position; plain lex/syntax
-    /// failures are tallied in every mode.
+    /// failures are tallied in every mode. Only a fingerprint or a plain
+    /// lex/syntax failure is memoized, so a defect — the panic drill
+    /// included — meets the guard at every repeat, and an entry over the
+    /// byte cap is not even hashed.
     fn process_batch(
         &mut self,
         log_index: usize,
@@ -266,33 +394,60 @@ impl FusedWorker {
         label: &str,
     ) -> io::Result<()> {
         for (offset, entry) in batch.iter().enumerate() {
-            self.arena.reset();
+            let position = start + offset as u64;
             let map = &mut self.counts[log_index];
+            let key = (!ctx.limits.oversize(entry.len())).then(|| hash128(entry.as_bytes()));
+            if let Some(key) = key {
+                self.memo_probes += 1;
+                let hit = match self.memo.get(key) {
+                    Some(EntryOutcome::Valid(fingerprint)) => {
+                        count_occurrence(map, fingerprint, || cache.get(fingerprint).is_some())
+                    }
+                    Some(EntryOutcome::Invalid(kind)) => {
+                        self.tallies[log_index].record(kind, position);
+                        true
+                    }
+                    None => false,
+                };
+                if hit {
+                    self.memo_hits += 1;
+                    continue;
+                }
+            }
+
+            self.arena.reset();
             let interner = &mut self.interner;
             let lookups = &mut self.lookups;
             let analyze_us = self.analyze_us;
             let parsed = ctx.parse_entry(entry, &self.arena, |query| {
                 let fingerprint = canonical_fingerprint_of_ref(&query);
-                let slot = map.entry(fingerprint).or_insert(0);
-                if *slot == 0 {
-                    *lookups += 1;
+                count_occurrence(map, fingerprint, || {
                     cache.get_or_insert_with(fingerprint, || {
                         let _span = analyze_us.span();
                         QueryAnalysis::of_ref(&query, interner)
                     });
-                }
-                *slot += 1;
+                    *lookups += 1;
+                    true
+                });
+                fingerprint
             });
-            if let Err(error) = parsed {
-                if error.kind == ErrorKind::WorkerPanic {
-                    // The unwind may have left a partially filled chunk;
-                    // release the arena's memory entirely.
-                    self.arena.trim();
+            let outcome = match parsed {
+                Ok(fingerprint) => EntryOutcome::Valid(fingerprint),
+                Err(error) => {
+                    if error.kind == ErrorKind::WorkerPanic {
+                        // The unwind may have left a partially filled chunk;
+                        // release the arena's memory entirely.
+                        self.arena.trim();
+                    }
+                    if ctx.fatal(error.kind) {
+                        return Err(ctx.fatal_error(label, position, &error));
+                    }
+                    self.tallies[log_index].record(error.kind, position);
+                    EntryOutcome::Invalid(error.kind)
                 }
-                if ctx.fatal(error.kind) {
-                    return Err(ctx.fatal_error(label, start + offset as u64, &error));
-                }
-                self.tallies[log_index].record(error.kind, start + offset as u64);
+            };
+            if let Some(key) = key {
+                self.memo.put(key, outcome);
             }
         }
         Ok(())
@@ -359,98 +514,49 @@ pub fn analyze_streams_cached(
         inflight.fetch_sub(entries, Ordering::Relaxed);
     };
 
-    let states: Vec<FusedWorker> = if workers == 1 {
-        let mut worker = FusedWorker::new(log_count);
-        let mut batch = Vec::new();
-        loop {
-            let claimed = {
-                let _read_span = read_us.span();
-                source.next_batch(&mut batch)?
-            };
-            let Some((log_index, _sequence, start)) = claimed else {
-                break;
-            };
-            note_claimed(batch.len());
-            if metrics_on {
-                read_bytes.add(batch.iter().map(|entry| entry.len() as u64).sum());
-            }
-            {
-                let _parse_span = parse_us.span();
-                worker.process_batch(log_index, start, &batch, cache, &ctx, &labels[log_index])?;
-            }
-            note_done(batch.len());
-            batch.clear();
-        }
-        vec![worker]
-    } else {
+    // The one claim loop: take the next batch under the source lock, resolve
+    // it outside the lock, until the source drains or an entry is fatal. A
+    // lone worker runs it on the calling thread.
+    let states: Vec<FusedWorker> = {
         let source = Mutex::new(&mut source);
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        let states = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut worker = FusedWorker::new(log_count);
-                        let mut batch = Vec::new();
-                        loop {
-                            batch.clear();
-                            let claimed = {
-                                let _read_span = read_us.span();
-                                source
-                                    .lock()
-                                    .expect("fused workers must not panic")
-                                    .next_batch(&mut batch)
-                            };
-                            match claimed {
-                                Ok(Some((log_index, _sequence, start))) => {
-                                    note_claimed(batch.len());
-                                    if metrics_on {
-                                        read_bytes.add(
-                                            batch.iter().map(|entry| entry.len() as u64).sum(),
-                                        );
-                                    }
-                                    let processed = {
-                                        let _parse_span = parse_us.span();
-                                        worker.process_batch(
-                                            log_index,
-                                            start,
-                                            &batch,
-                                            cache,
-                                            &ctx,
-                                            &labels[log_index],
-                                        )
-                                    };
-                                    note_done(batch.len());
-                                    if let Err(error) = processed {
-                                        failure
-                                            .lock()
-                                            .expect("fused workers must not panic")
-                                            .get_or_insert(error);
-                                        break;
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(error) => {
-                                    failure
-                                        .lock()
-                                        .expect("fused workers must not panic")
-                                        .get_or_insert(error);
-                                    break;
-                                }
-                            }
-                        }
-                        worker
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fused workers must not panic"))
-                .collect()
-        });
-        if let Some(error) = failure.into_inner().expect("no poisoned workers") {
-            return Err(error);
+        let run_worker = || -> io::Result<FusedWorker> {
+            let mut worker = FusedWorker::new(log_count);
+            let mut batch = Vec::new();
+            loop {
+                batch.clear();
+                let claimed = {
+                    let _read_span = read_us.span();
+                    source
+                        .lock()
+                        .expect("fused workers must not panic")
+                        .next_batch(&mut batch)?
+                };
+                let Some((log_index, _sequence, start)) = claimed else {
+                    return Ok(worker);
+                };
+                note_claimed(batch.len());
+                if metrics_on {
+                    read_bytes.add(batch.iter().map(|entry| entry.len() as u64).sum());
+                }
+                let processed = {
+                    let _parse_span = parse_us.span();
+                    worker.process_batch(log_index, start, &batch, cache, &ctx, &labels[log_index])
+                };
+                note_done(batch.len());
+                processed?;
+            }
+        };
+        if workers == 1 {
+            vec![run_worker()?]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("fused workers must not panic"))
+                    .collect::<io::Result<_>>()
+            })?
         }
-        states
     };
 
     // Merge the per-worker occurrence maps and error tallies per log
@@ -460,14 +566,16 @@ pub fn analyze_streams_cached(
     // folded corpus: per-worker state union, summary construction, the
     // budget check and the occurrence-weighted fold.
     let _merge_span = obs::global().histogram("pipeline_merge_us").span();
-    let mut merged: Vec<HashMap<u128, u64, FingerprintBuildHasher>> =
-        (0..log_count).map(|_| HashMap::default()).collect();
+    let mut merged: Vec<OccurrenceMap> = (0..log_count).map(|_| HashMap::default()).collect();
     let mut tallies: Vec<ErrorTally> = std::mem::take(&mut source.tallies);
     let mut interner_stats = InternStats::default();
     let mut lookups = 0u64;
+    let (mut memo_probes, mut memo_hits) = (0u64, 0u64);
     for state in states {
         interner_stats.merge(&state.interner.stats());
         lookups += state.lookups;
+        memo_probes += state.memo_probes;
+        memo_hits += state.memo_hits;
         for (log_index, tally) in state.tallies.iter().enumerate() {
             tallies[log_index].merge(tally);
         }
@@ -538,9 +646,9 @@ pub fn analyze_streams_cached(
     }
     enforce_budget(ctx.policy, &combined_errors, total_entries)?;
 
-    // Duplicate occurrences were absorbed by the local maps without touching
-    // the shared cache; credit them so `hits + misses` still equals the
-    // number of valid occurrences.
+    // Duplicate occurrences — memo hits and duplicate forms alike — were
+    // absorbed by the local maps without touching the shared cache; credit
+    // them so `hits + misses` still equals the number of valid occurrences.
     let valid_total: u64 = summaries.iter().map(|s| s.counts.valid).sum();
     cache.record_reused(valid_total - lookups);
 
@@ -585,6 +693,8 @@ pub fn analyze_streams_cached(
         registry
             .gauge("cache_distinct_forms")
             .set(cache_after.distinct as i64);
+        registry.counter("memo_probes_total").add(memo_probes);
+        registry.counter("memo_hits_total").add(memo_hits);
     }
 
     Ok(FusedAnalysis {
@@ -780,6 +890,136 @@ mod tests {
         .unwrap();
         assert_eq!(second.fused.distinct_forms, 2);
         assert_eq!(cache.len(), 4); // DESCRIBE <http://r> was already memoized
+    }
+
+    #[test]
+    fn a_panicking_analysis_leaves_no_key_in_the_occurrence_map() {
+        // The caller catches the unwind and tallies the entry as a worker
+        // panic; a key left behind (even at count 0) would be counted as a
+        // unique form and looked up in the cache by the epilogue.
+        let cache = AnalysisCache::new();
+        let mut map = OccurrenceMap::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            count_occurrence(&mut map, 7, || {
+                cache.get_or_insert_with(7, || panic!("analysis panicked"));
+                true
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(map.is_empty(), "{map:?}");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.distinct), (0, 0, 0));
+
+        // Nor does a refused memo hit; and once the record exists, the
+        // first occurrence enters at 1 and a repeat only bumps the counter.
+        assert!(!count_occurrence(&mut map, 7, || cache.get(7).is_some()));
+        assert!(map.is_empty(), "{map:?}");
+        cache.get_or_insert_with(7, || QueryAnalysis::of_text(ENTRIES[0]).unwrap());
+        assert!(count_occurrence(&mut map, 7, || cache.get(7).is_some()));
+        assert!(count_occurrence(&mut map, 7, || unreachable!()));
+        assert_eq!(map.get(&7), Some(&2));
+    }
+
+    #[test]
+    fn entry_memo_is_direct_mapped_lossy_and_never_wrong() {
+        let mut memo = EntryMemo::new();
+        assert_eq!(
+            memo.slots.len() * std::mem::size_of::<[u128; 2]>(),
+            128 << 10
+        );
+        // An empty table answers nothing — not even for keys whose every
+        // compared bit is zero.
+        for key in [0u128, 1, 2, 3, ENTRY_MEMO_SLOTS as u128] {
+            assert_eq!(memo.get(key), None, "key {key}");
+        }
+        let key = 0xfeed_0000_0000_0000_0000_0000_0000_0abc_u128;
+        memo.put(key, EntryOutcome::Valid(42));
+        assert_eq!(memo.get(key), Some(EntryOutcome::Valid(42)));
+        // The tag replaces the key's two low bits in the slot; they are
+        // still compared, through the slot index.
+        for neighbour in [key ^ 1, key ^ 2, key ^ 3, key ^ (1 << 127), key ^ (1 << 12)] {
+            assert_eq!(memo.get(neighbour), None, "key {neighbour:#x}");
+        }
+        // Same slot, different key: the newcomer overwrites, the old key
+        // is forgotten, nobody reads the other's outcome.
+        let rival = key ^ (1 << 64);
+        memo.put(rival, EntryOutcome::Invalid(ErrorKind::Syntax));
+        assert_eq!(
+            memo.get(rival),
+            Some(EntryOutcome::Invalid(ErrorKind::Syntax))
+        );
+        assert_eq!(memo.get(key), None);
+        memo.put(key, EntryOutcome::Invalid(ErrorKind::Lex));
+        assert_eq!(memo.get(key), Some(EntryOutcome::Invalid(ErrorKind::Lex)));
+        // Outcomes the bytes do not decide are not kept.
+        for kind in [
+            ErrorKind::InvalidUtf8,
+            ErrorKind::OversizeEntry,
+            ErrorKind::DepthExceeded,
+            ErrorKind::WorkerPanic,
+        ] {
+            memo.put(rival, EntryOutcome::Invalid(kind));
+            assert_eq!(memo.get(rival), None, "{kind:?}");
+        }
+        assert_eq!(memo.get(key), Some(EntryOutcome::Invalid(ErrorKind::Lex)));
+    }
+
+    #[test]
+    fn byte_identical_repeats_hit_the_memo_and_defects_never_do() {
+        let deep = format!("SELECT * WHERE {}{}", "{ ".repeat(300), "} ".repeat(300));
+        let batch: Vec<String> = [
+            ENTRIES[0], ENTRIES[1], // same form, new bytes: a duplicate form, not a hit
+            ENTRIES[2], // plain syntax failure: memoized
+            &deep,      // a defect: guarded every time
+            ENTRIES[0], ENTRIES[2], &deep, ENTRIES[1],
+        ]
+        .iter()
+        .map(|entry| entry.to_string())
+        .collect();
+        let cache = AnalysisCache::new();
+        let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
+        let mut worker = FusedWorker::new(2);
+        worker
+            .process_batch(0, 100, &batch, &cache, &ctx, "test")
+            .unwrap();
+        assert_eq!((worker.memo_probes, worker.memo_hits), (8, 3));
+        assert_eq!(worker.lookups, 1);
+        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [4]);
+        let tally = &worker.tallies[0];
+        assert_eq!(
+            (tally.syntax, tally.depth_exceeded, tally.total()),
+            (2, 2, 4)
+        );
+        let positions: Vec<u64> = tally.exemplars.iter().map(|&(_, at)| at).collect();
+        assert_eq!(positions, [102, 103, 105, 106]);
+
+        // Another log, same worker: the bytes are memoized but this log has
+        // not counted the form yet. The shared cache has the record, so the
+        // hit stands and no lookup is spent.
+        worker
+            .process_batch(1, 0, &batch[..1], &cache, &ctx, "test")
+            .unwrap();
+        assert_eq!((worker.memo_hits, worker.lookups), (4, 1));
+        assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
+
+        // A cache that never saw the form (cannot happen within one run; the
+        // guard is what makes that not matter): the hit is refused, the
+        // entry takes the full path and its record is made.
+        let cold = AnalysisCache::new();
+        worker.counts[1].clear();
+        worker
+            .process_batch(1, 1, &batch[..1], &cold, &ctx, "test")
+            .unwrap();
+        assert_eq!((worker.memo_hits, worker.lookups), (4, 2));
+        assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
+        assert_eq!(cold.len(), 1);
+
+        // Under Strict the repeated defect is fatal where it first stands.
+        let strict = RecoveryContext::new(RecoveryPolicy::Strict);
+        let error = FusedWorker::new(1)
+            .process_batch(0, 100, &batch, &cache, &strict, "test")
+            .unwrap_err();
+        assert!(error.to_string().contains("entry 103"), "{error}");
     }
 
     #[test]

@@ -450,14 +450,6 @@ mod properties {
     use proptest::prelude::*;
     use sparqlog_parser::intern::Interner;
 
-    /// Cases per property: `PROPTEST_CASES` (CI raises it) or 64.
-    fn cases() -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64)
-    }
-
     /// Node `i` of a generated graph as a term. The kind is a function of
     /// the node, so every occurrence of `i` is the same term: half the
     /// kinds are variables, the rest a blank node, an IRI and two literals
@@ -575,7 +567,8 @@ mod properties {
     type Pairs = Vec<(usize, usize)>;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(cases()))]
+        // 64 cases per property; CI raises it through `PROPTEST_CASES`.
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Small and dense: up to seven nodes, self-loops, parallel edges,
         /// constants and equality chains; every batch must reach treewidth

@@ -14,6 +14,10 @@
 //! skipping and the line readers share a single implementation. Its
 //! approximate mask is safe because only the *first* match is consumed:
 //! borrow-induced false flags can only appear in lanes above a true match.
+//!
+//! [`hash128`] lives here for the same reason: it is the other thing the
+//! pipeline does to raw bytes a machine word at a time, before any of them
+//! is a token.
 
 /// `0x01` in every lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -251,6 +255,61 @@ pub fn find_newline(bytes: &[u8]) -> Option<usize> {
     bytes[i..].iter().position(|&b| b == b'\n').map(|p| i + p)
 }
 
+/// Odd 64-bit constants with balanced bit populations (the wyhash secrets);
+/// any such constants do — they only keep zero input words from zeroing a
+/// multiply.
+const HASH_KEYS: [u64; 4] = [
+    0x2d35_8dcc_aa6c_78a5,
+    0x8bb8_4b93_962e_acc9,
+    0x4b33_a62e_d433_d4a3,
+    0x4d5a_2da5_1de1_aa47,
+];
+
+/// The folded 64×64→128 multiply every wyhash-family hash is built from: the
+/// two halves of the full product XORed together, so every input bit reaches
+/// every output bit in one instruction pair.
+#[inline(always)]
+fn fold_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// A 128-bit hash of raw bytes, 16 bytes per step (the wyhash / rapidhash
+/// construction: two accumulators, each absorbing both words of the step
+/// through one folded multiply, in opposite pairings so a word that blinds
+/// one lane's multiply still reaches the other).
+///
+/// The tail is zero-padded to a full step — an empty tail still takes one —
+/// and the length is folded into the finish, so inputs that differ only in
+/// length or in trailing NULs hash apart. The output is a **pure function of
+/// the bytes**: there is no per-process seed, so anything keyed by it
+/// reproduces across runs and hosts. Like the canonical fingerprint it is
+/// not collision-resistant against an adversary; the engine uses it where a
+/// 2⁻¹²⁸ accidental collision is the accepted risk (the raw-entry memo of
+/// `core::fused`).
+pub fn hash128(bytes: &[u8]) -> u128 {
+    let [k0, k1, k2, k3] = HASH_KEYS;
+    let step = |(a, b): (u64, u64), chunk: &[u8; 16]| {
+        let lo = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte half"));
+        let hi = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte half"));
+        (
+            fold_multiply(lo ^ k2, hi ^ a),
+            fold_multiply(hi ^ k3, lo ^ b),
+        )
+    };
+    let mut chunks = bytes.chunks_exact(16);
+    let state = chunks.by_ref().fold((k0, k1), |state, chunk| {
+        step(state, chunk.try_into().expect("16-byte chunk"))
+    });
+    let mut tail = [0u8; 16];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    let (a, b) = step(state, &tail);
+    let len = bytes.len() as u64;
+    let high = fold_multiply(a ^ k0, b ^ len ^ k1);
+    let low = fold_multiply(b ^ k2, a ^ len ^ k3);
+    u128::from(high) << 64 | u128::from(low)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,5 +409,72 @@ mod tests {
     #[test]
     fn find_newline_reports_first_of_several() {
         assert_eq!(find_newline(b"ab\ncd\nef"), Some(2));
+    }
+
+    #[test]
+    fn hash128_separates_lengths_last_bytes_and_trailing_nuls() {
+        // Every length around the 16-byte step boundaries, and for each one
+        // the three near-misses a padded, length-blind hash would conflate.
+        let mut keys = std::collections::HashSet::new();
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33] {
+            let base: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            let key = hash128(&base);
+            assert!(keys.insert(key), "length {len} collides with a shorter one");
+            let mut longer = base.clone();
+            longer.push(b'a' + (len % 26) as u8);
+            assert_ne!(hash128(&longer), key, "length {len} vs {}", len + 1);
+            let mut padded = base.clone();
+            padded.push(0);
+            assert_ne!(hash128(&padded), key, "trailing NUL at length {len}");
+            assert_ne!(hash128(&padded), hash128(&longer));
+            if let Some(last) = base.len().checked_sub(1) {
+                let mut flipped = base.clone();
+                flipped[last] ^= 1;
+                assert_ne!(hash128(&flipped), key, "last byte at length {len}");
+            }
+        }
+        // Zeros of different lengths share every padded word; only the
+        // folded length tells them apart.
+        let zeros = [0u8; 48];
+        let distinct: std::collections::HashSet<u128> =
+            (0..=48).map(|len| hash128(&zeros[..len])).collect();
+        assert_eq!(distinct.len(), 49);
+    }
+
+    #[test]
+    fn hash128_is_a_pure_function_of_the_bytes() {
+        // Pinned values: no per-process seed, no dependence on the host's
+        // endianness or word size. Reports keyed by it must reproduce.
+        // (Cross-checked against an independent big-integer transcription.)
+        assert_eq!(hash128(b""), 0x1b9a_42f3_8815_cea5_3734_1582_10ce_8d2e);
+        assert_eq!(
+            hash128(b"SELECT ?x WHERE { ?x a <http://example.org/C> }"),
+            0xc942_d447_14c3_efc1_ad30_9dd0_bab6_537e
+        );
+        let line = b"ASK { ?s ?p ?o }".to_vec();
+        assert_eq!(hash128(&line), hash128(&line.clone()));
+    }
+
+    #[test]
+    fn hash128_does_not_collide_on_generated_log_lines() {
+        // 204 800 lines that differ in a few bytes at varying offsets, the
+        // way real log entries do. No two may share a key, and their low
+        // twelve bits (what a 4 096-slot table indexes by) must spread: a
+        // slot load far from the mean of 50 would mean the low bits are weak.
+        let mut keys = std::collections::HashSet::new();
+        let mut slots = vec![0u32; 1 << 12];
+        for i in 0..3_200u32 {
+            for j in 0..64u32 {
+                let line = format!(
+                    "SELECT ?v{j} WHERE {{ ?v{j} <http://example.org/p{i}> ?o . FILTER(?o > {}) }}",
+                    i ^ j
+                );
+                let key = hash128(line.as_bytes());
+                assert!(keys.insert(key), "collision on {line}");
+                slots[(key & 0xfff) as usize] += 1;
+            }
+        }
+        let (min, max) = (slots.iter().min().unwrap(), slots.iter().max().unwrap());
+        assert!(*min >= 20 && *max <= 90, "slot loads {min}..{max}");
     }
 }

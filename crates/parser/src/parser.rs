@@ -61,6 +61,12 @@ impl ParseLimits {
             max_depth: 0,
         }
     }
+
+    /// Whether an entry of `len` bytes trips the byte cap — known before a
+    /// single byte of it is read.
+    pub fn oversize(&self, len: usize) -> bool {
+        self.max_entry_bytes > 0 && len > self.max_entry_bytes
+    }
 }
 
 impl Default for ParseLimits {
@@ -153,7 +159,7 @@ pub fn parse_query_in_with_limits<'a>(
     arena: &'a Arena,
     limits: &ParseLimits,
 ) -> Result<Query<'a>> {
-    if limits.max_entry_bytes > 0 && input.len() > limits.max_entry_bytes {
+    if limits.oversize(input.len()) {
         return Err(ParseError::with_kind(
             ErrorKind::OversizeEntry,
             format!(

@@ -6,6 +6,13 @@
 //! from scratch through throwaway interners. Plus duplicate handling at
 //! cache-shard boundaries, cross-call cache reuse, and the commutative
 //! merge.
+//!
+//! The same two halves one level down, for the raw-entry memo in front of
+//! the parser (equal bytes ⇒ equal outcome): byte-identical, respelled and
+//! invalid repeats at every worker count and batch size, slots fought over
+//! by more lines than the table holds, and defects that must meet the
+//! guarded parse at every repeat — all against the oracle, which has no
+//! memo of any kind.
 
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
@@ -14,12 +21,15 @@ use sparqlog::core::corpus::{
     analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, RawLog,
     SliceLogReader,
 };
+use sparqlog::core::fused::ENTRY_MEMO_SLOTS;
 use sparqlog::core::report::full_report;
-use sparqlog::core::{Population, QueryAnalysis};
+use sparqlog::core::{CorpusAnalysis, ErrorKind, Population, QueryAnalysis, RecoveryPolicy};
+use sparqlog::parser::bytescan::hash128;
 use sparqlog::parser::token::{Keyword, Token};
 use sparqlog::parser::{
     canonical_fingerprint_of_ref, lexer, parse_query_in, Arena, Interner, ParseError,
 };
+use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
 
 fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
@@ -28,18 +38,39 @@ fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
         .collect()
 }
 
+fn engine_at(
+    logs: &[RawLog],
+    population: Population,
+    workers: usize,
+    batch: usize,
+    recovery: RecoveryPolicy,
+) -> FusedAnalysis {
+    let options = FusedOptions {
+        workers,
+        batch,
+        recovery,
+    };
+    analyze_streams_with(readers(logs), population, options).expect("in-memory streams cannot fail")
+}
+
 fn fused_at(
     logs: &[RawLog],
     population: Population,
     workers: usize,
     batch: usize,
 ) -> FusedAnalysis {
-    let options = FusedOptions {
-        workers,
-        batch,
-        ..FusedOptions::default()
-    };
-    analyze_streams_with(readers(logs), population, options).expect("in-memory streams cannot fail")
+    engine_at(logs, population, workers, batch, RecoveryPolicy::default())
+}
+
+/// The engine under Lenient recovery (the oracle's semantics), so corpora
+/// may carry defects as well as plain invalid entries.
+fn lenient_at(
+    logs: &[RawLog],
+    population: Population,
+    workers: usize,
+    batch: usize,
+) -> FusedAnalysis {
+    engine_at(logs, population, workers, batch, RecoveryPolicy::Lenient)
 }
 
 fn fused_into(logs: &[RawLog], population: Population, cache: &AnalysisCache) -> FusedAnalysis {
@@ -199,6 +230,153 @@ fn merged_worker_caches_serve_identical_lookups() {
     }
 }
 
+/// Everything the engine reports must equal the memo-less oracle's: Table-1
+/// counts and error tallies (counts *and* first positions) per log, the
+/// full report, and the cache accounting of one lookup per valid occurrence.
+fn assert_matches_oracle(fused: &FusedAnalysis, oracle: &CorpusAnalysis, context: &str) {
+    assert_eq!(fused.summaries.len(), oracle.datasets.len(), "{context}");
+    for (summary, dataset) in fused.summaries.iter().zip(&oracle.datasets) {
+        assert_eq!(
+            summary.counts, dataset.counts,
+            "{context}: {}",
+            summary.label
+        );
+        assert_eq!(
+            summary.errors, dataset.errors,
+            "{context}: {}",
+            summary.label
+        );
+    }
+    assert_eq!(full_report(&fused.corpus), full_report(oracle), "{context}");
+    let stats = fused.stats.cache.expect("fused runs report cache stats");
+    assert_eq!(
+        stats.hits + stats.misses,
+        oracle.combined.counts.valid,
+        "{context}"
+    );
+}
+
+/// A line the recursion guard rejects: a defect, never a memoized outcome.
+fn too_deep() -> String {
+    format!("SELECT * WHERE {}{}", "{ ".repeat(300), "} ".repeat(300))
+}
+
+/// The memo slot a line's bytes map to.
+fn slot_of(line: &str) -> usize {
+    hash128(line.as_bytes()) as usize % ENTRY_MEMO_SLOTS
+}
+
+#[test]
+fn more_distinct_lines_than_memo_slots_still_match_the_oracle() {
+    // Two passes over more distinct lines than a worker's memo has slots:
+    // by the second pass lines have been overwritten by their slot's later
+    // tenants. Overwriting may cost a re-parse; it must never serve one
+    // line another line's outcome.
+    let mut lines: Vec<String> = (0..ENTRY_MEMO_SLOTS * 3 / 4)
+        .map(|i| format!("log noise {i}"))
+        .collect();
+    lines.extend(
+        (0..ENTRY_MEMO_SLOTS / 2).map(|i| format!("ASK {{ ?s <http://example.org/p{i}> ?o }}")),
+    );
+    assert!(lines.len() > ENTRY_MEMO_SLOTS);
+    let mut entries = lines.clone();
+    entries.extend(lines.iter().rev().cloned());
+    let raw = [RawLog::new("crowded", entries)];
+    let oracle = analyze_reference(&raw, Population::Unique);
+    assert_eq!(oracle.combined.counts.unique, ENTRY_MEMO_SLOTS as u64 / 2);
+    for workers in [1, 2] {
+        let fused = lenient_at(&raw, Population::Unique, workers, 0);
+        assert_matches_oracle(&fused, &oracle, &format!("{workers} workers"));
+    }
+}
+
+#[test]
+fn lines_sharing_a_memo_slot_evict_each_other_and_still_match_the_oracle() {
+    // Three lines with different outcomes forced into one slot — two valid
+    // forms and one syntax failure — interleaved so each probe finds the
+    // slot held by someone else.
+    let valid = |i: usize| format!("SELECT ?x WHERE {{ ?x <http://example.org/q{i}> ?y }}");
+    let first = valid(0);
+    let second = (1..)
+        .map(valid)
+        .find(|line| slot_of(line) == slot_of(&first))
+        .expect("some line shares the slot");
+    let invalid = (0..)
+        .map(|i| format!("SELECT WHERE {i}"))
+        .find(|line| slot_of(line) == slot_of(&first))
+        .expect("some line shares the slot");
+    let pattern = [
+        &first, &second, &first, &invalid, &second, &invalid, &first, &first,
+    ];
+    let entries: Vec<String> = pattern
+        .iter()
+        .cycle()
+        .take(64)
+        .map(|s| s.to_string())
+        .collect();
+    let raw = [RawLog::new("thrash", entries)];
+    let oracle = analyze_reference(&raw, Population::Valid);
+    assert_eq!(oracle.combined.counts.unique, 2);
+    assert_eq!(oracle.datasets[0].errors.syntax, 16);
+    for (workers, batch) in [(1, 0), (1, 1), (2, 3)] {
+        let fused = lenient_at(&raw, Population::Valid, workers, batch);
+        assert_matches_oracle(
+            &fused,
+            &oracle,
+            &format!("{workers} workers, batch {batch}"),
+        );
+    }
+}
+
+/// The shard worker built alongside this test: the panic drill is armed
+/// through a child process's environment, never this process's.
+const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
+
+#[test]
+fn a_repeated_defect_is_guarded_at_every_repeat() {
+    // The drill line is byte-identical every time; if its first outcome
+    // were memoized the repeats would skip the check that trips it.
+    const REPEATS: u64 = 12;
+    let drill = "SELECT ?drill WHERE { ?drill a <http://example.org/MemoDrill> }";
+    let valid = "ASK { ?a <http://example.org/p> ?b }";
+    let mut lines = vec![valid, valid];
+    for _ in 0..REPEATS {
+        lines.extend([drill, valid]);
+    }
+    let dir = std::env::temp_dir().join(format!("sparqlog-cache-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("drill.log");
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write log");
+    let logs = vec![LogSpec::new("drill", path)];
+    let run = |worker_threads, recovery| {
+        let options = ShardOptions {
+            shards: 1,
+            worker_threads,
+            worker: WorkerCommand::new(WORKER).env("SPARQLOG_PANIC_DRILL", "MemoDrill"),
+            recovery,
+        };
+        analyze_sharded(&logs, Population::Valid, &options)
+    };
+
+    for worker_threads in [1, 2] {
+        let lenient = run(worker_threads, RecoveryPolicy::Lenient).expect("panics are contained");
+        let summary = &lenient.summaries[0];
+        assert_eq!(summary.errors.count(ErrorKind::WorkerPanic), REPEATS);
+        assert_eq!(summary.errors.total(), REPEATS);
+        let first_positions: Vec<(u8, u64)> = (0..8)
+            .map(|i| (ErrorKind::WorkerPanic.wire_code(), 2 + 2 * i))
+            .collect();
+        assert_eq!(summary.errors.exemplars, first_positions);
+        assert_eq!(summary.counts.valid, REPEATS + 2);
+        assert_eq!(summary.counts.unique, 1);
+    }
+
+    let strict = run(1, RecoveryPolicy::Strict).expect_err("strict mode fails on the drill");
+    let message = strict.to_string();
+    assert!(message.contains("entry 2:"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Respells a query without changing its canonical form: keywords swap
 /// case, `<ns/local>` IRIs are abbreviated through freshly declared
 /// prefixes, and whitespace is added where the grammar cannot care. Works
@@ -311,6 +489,54 @@ proptest! {
                 "cache differential diverged: {} workers, batch {}",
                 workers, batch
             );
+        }
+    }
+
+    /// The raw-entry memo against the memo-less oracle: a log drawn from a
+    /// pool of synthesized queries, plain invalid lines and one defect, each
+    /// draw spelled byte-identically or with perturbed whitespace, read
+    /// forwards as one log and backwards as another (so every line also
+    /// repeats across logs, at different positions).
+    #[test]
+    fn memoized_entries_match_the_oracle_on_repeat_heavy_logs(
+        seed in 0u64..5_000,
+        dataset_idx in 0usize..13,
+        draws in proptest::collection::vec((0usize..40, 0u8..6), 120..200),
+    ) {
+        let dataset = Dataset::ALL[dataset_idx];
+        let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
+        let mut pool: Vec<String> = (0..35).map(|_| synth.fresh_query()).collect();
+        pool.extend([
+            "garbage entry".to_string(),
+            "SELECT ?x WHERE { ?x <http://example.org/p> \"unterminated }".to_string(),
+            "ASK { ?s ?p".to_string(),
+            "SELECT ?x WHERE { ?x <http://example.org/\u{0}> ?y }".to_string(),
+            too_deep(),
+        ]);
+        let entries: Vec<String> = draws
+            .iter()
+            .map(|&(pick, spelling)| {
+                let line = &pool[pick];
+                match spelling {
+                    0 => line.replacen(' ', "  ", 1),
+                    1 => format!("{line} \t"),
+                    _ => line.clone(),
+                }
+            })
+            .collect();
+        let backwards: Vec<String> = entries.iter().rev().cloned().collect();
+        let raw = [RawLog::new("forwards", entries), RawLog::new("backwards", backwards)];
+        let population = if seed % 2 == 0 { Population::Valid } else { Population::Unique };
+        let oracle = analyze_reference(&raw, population);
+        for workers in [1, 2, 8] {
+            for batch in [1, 64] {
+                let fused = lenient_at(&raw, population, workers, batch);
+                assert_matches_oracle(
+                    &fused,
+                    &oracle,
+                    &format!("{population:?}, {workers} workers, batch {batch}"),
+                );
+            }
         }
     }
 

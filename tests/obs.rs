@@ -157,10 +157,29 @@ fn fused_and_staged_reports_are_byte_identical_with_metrics_on_and_off() {
             "pipeline_errors_total",
             "pipeline_read_bytes_total",
             "cache_misses_total",
+            "memo_probes_total",
+            "memo_hits_total",
         ] {
             assert!(
                 snapshot.counter(name).is_some(),
                 "missing counter {name} after an enabled fused run ({workers} workers)"
+            );
+        }
+        // Every entry of this corpus is under the byte cap, so each one is
+        // probed; the logs are tiled three times, so with one worker every
+        // line of the second and third tiling is a byte-identical repeat.
+        let counter = |name| snapshot.counter(name).unwrap_or(0);
+        assert_eq!(
+            counter("memo_probes_total"),
+            counter("pipeline_entries_total")
+        );
+        assert!(counter("memo_hits_total") < counter("memo_probes_total"));
+        if workers == 1 {
+            assert!(
+                3 * counter("memo_hits_total") >= counter("memo_probes_total"),
+                "{} hits in {} probes",
+                counter("memo_hits_total"),
+                counter("memo_probes_total")
             );
         }
         for name in ["pipeline_read_us", "pipeline_parse_us", "pipeline_merge_us"] {
@@ -221,6 +240,8 @@ fn sharded_reports_are_byte_identical_with_metrics_on_and_off() {
             "shard_log_frames_streamed_total",
             "pipeline_runs_total",
             "pipeline_valid_total",
+            "memo_probes_total",
+            "memo_hits_total",
         ] {
             assert!(
                 snapshot.counter(name).is_some(),
@@ -297,8 +318,10 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
 
     // The acceptance bar: one Metrics answer spanning all five layers.
     for name in [
-        "pipeline_valid_total",            // pipeline (absorbed from workers)
-        "cache_misses_total",              // cache (absorbed from workers)
+        "pipeline_valid_total", // pipeline (absorbed from workers)
+        "cache_misses_total",   // cache (absorbed from workers)
+        "memo_probes_total",    // the entry memo in front of it
+        "memo_hits_total",
         "shard_log_frames_streamed_total", // shard (worker epilogue)
         "persist_opens_total",             // persist (the job store)
         "serve_sessions_total",            // serve (the daemon itself)
