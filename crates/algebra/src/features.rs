@@ -3,7 +3,7 @@
 
 use crate::walk::BodyOps;
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::*;
+use sparqlog_parser::ast_ref::*;
 
 /// The features of a single query relevant to the paper's shallow analysis.
 ///
@@ -113,52 +113,10 @@ impl AggregateUse {
         }
     }
 
-    fn scan(&mut self, e: &Expression) {
-        match e {
-            Expression::Aggregate(a) => {
-                self.record(a.kind);
-                if let Some(inner) = &a.expr {
-                    self.scan(inner);
-                }
-            }
-            Expression::Var(_) | Expression::Term(_) => {}
-            Expression::Or(a, b)
-            | Expression::And(a, b)
-            | Expression::Equal(a, b)
-            | Expression::NotEqual(a, b)
-            | Expression::Less(a, b)
-            | Expression::Greater(a, b)
-            | Expression::LessEq(a, b)
-            | Expression::GreaterEq(a, b)
-            | Expression::Add(a, b)
-            | Expression::Subtract(a, b)
-            | Expression::Multiply(a, b)
-            | Expression::Divide(a, b) => {
-                self.scan(a);
-                self.scan(b);
-            }
-            Expression::In(a, list) | Expression::NotIn(a, list) => {
-                self.scan(a);
-                for x in list {
-                    self.scan(x);
-                }
-            }
-            Expression::Not(a) | Expression::UnaryMinus(a) | Expression::UnaryPlus(a) => {
-                self.scan(a)
-            }
-            Expression::FunctionCall(_, args) => {
-                for a in args {
-                    self.scan(a);
-                }
-            }
-            Expression::Exists(_) | Expression::NotExists(_) => {}
-        }
-    }
-
-    /// [`scan`](Self::scan) over the borrowed AST; same coverage (stops at
-    /// `EXISTS`).
-    fn scan_ref(&mut self, e: &sparqlog_parser::ast_ref::Expression<'_>) {
-        use sparqlog_parser::ast_ref::Expression as E;
+    /// Records every aggregate in `e`; does not descend into `EXISTS`
+    /// groups.
+    fn scan_ref(&mut self, e: &Expression<'_>) {
+        use Expression as E;
         match e {
             E::Aggregate(a) => {
                 self.record(a.kind);
@@ -233,27 +191,29 @@ impl From<&BodyOps> for BodyOpsSummary {
 }
 
 impl QueryFeatures {
-    /// Extracts the features of a query in a single pass.
-    pub fn of(q: &Query) -> QueryFeatures {
+    /// Extracts the features of a query through the per-measure walkers: one
+    /// [`BodyOps`] traversal of the body and a second one for the aggregates
+    /// in it. The reference the oracle uses.
+    pub fn of(q: &Query<'_>) -> QueryFeatures {
         let ops = BodyOps::of_query(q);
         let mut aggregates = AggregateUse::default();
         // Scan projection expressions.
         if let Projection::Items(items) = &q.projection {
-            for item in items {
+            for item in *items {
                 if let Some(e) = &item.expr {
-                    aggregates.scan(e);
+                    aggregates.scan_ref(e);
                 }
             }
         }
         // Scan solution modifier expressions.
-        for h in &q.modifiers.having {
-            aggregates.scan(h);
+        for h in q.modifiers.having {
+            aggregates.scan_ref(h);
         }
-        for o in &q.modifiers.order_by {
-            aggregates.scan(&o.expr);
+        for o in q.modifiers.order_by {
+            aggregates.scan_ref(&o.expr);
         }
-        for g in &q.modifiers.group_by {
-            aggregates.scan(&g.expr);
+        for g in q.modifiers.group_by {
+            aggregates.scan_ref(&g.expr);
         }
         // Scan the body (subquery projections, filters).
         if let Some(body) = &q.where_clause {
@@ -295,16 +255,11 @@ impl QueryFeatures {
     /// Builds the features from a completed
     /// [`QueryWalkRef`](crate::walk::QueryWalkRef), touching only the
     /// query-level clauses (projection, HAVING, ORDER BY, GROUP BY) — the body
-    /// itself is not traversed again. Field-identical to
-    /// [`of`](Self::of) on `q.to_owned()`.
-    pub fn from_walk_ref(
-        q: &sparqlog_parser::ast_ref::Query<'_>,
-        walk: &crate::walk::QueryWalkRef<'_>,
-    ) -> QueryFeatures {
-        use sparqlog_parser::ast_ref as ar;
+    /// itself is not traversed again. Field-identical to [`of`](Self::of).
+    pub fn from_walk_ref(q: &Query<'_>, walk: &crate::walk::QueryWalkRef<'_>) -> QueryFeatures {
         let ops = &walk.ops;
         let mut aggregates = walk.aggregates;
-        if let ar::Projection::Items(items) = &q.projection {
+        if let Projection::Items(items) = &q.projection {
             for item in *items {
                 if let Some(e) = &item.expr {
                     aggregates.scan_ref(e);
@@ -366,30 +321,30 @@ impl QueryFeatures {
     }
 }
 
-fn scan_group_aggregates(g: &GroupGraphPattern, agg: &mut AggregateUse) {
-    for el in &g.elements {
+fn scan_group_aggregates(g: &GroupGraphPattern<'_>, agg: &mut AggregateUse) {
+    for el in g.elements {
         match el {
-            GroupElement::Filter(e) | GroupElement::Bind { expr: e, .. } => agg.scan(e),
+            GroupElement::Filter(e) | GroupElement::Bind { expr: e, .. } => agg.scan_ref(e),
             GroupElement::Optional(inner)
             | GroupElement::Minus(inner)
             | GroupElement::Group(inner)
             | GroupElement::Graph { pattern: inner, .. }
             | GroupElement::Service { pattern: inner, .. } => scan_group_aggregates(inner, agg),
             GroupElement::Union(branches) => {
-                for b in branches {
+                for b in *branches {
                     scan_group_aggregates(b, agg);
                 }
             }
             GroupElement::SubSelect(q) => {
                 if let Projection::Items(items) = &q.projection {
-                    for item in items {
+                    for item in *items {
                         if let Some(e) = &item.expr {
-                            agg.scan(e);
+                            agg.scan_ref(e);
                         }
                     }
                 }
-                for h in &q.modifiers.having {
-                    agg.scan(h);
+                for h in q.modifiers.having {
+                    agg.scan_ref(h);
                 }
                 if let Some(inner) = &q.where_clause {
                     scan_group_aggregates(inner, agg);
@@ -403,10 +358,11 @@ fn scan_group_aggregates(g: &GroupGraphPattern, agg: &mut AggregateUse) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn feats(q: &str) -> QueryFeatures {
-        QueryFeatures::of(&parse_query(q).unwrap())
+        let arena = Arena::new();
+        QueryFeatures::of(&parse_query_in(q, &arena).unwrap())
     }
 
     #[test]

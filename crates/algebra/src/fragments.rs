@@ -16,7 +16,7 @@
 use crate::pattern_tree::PatternTree;
 use crate::walk::BodyOps;
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::*;
+use sparqlog_parser::ast_ref::*;
 
 /// The fragment membership of one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,35 +49,37 @@ pub struct FragmentReport {
 
 /// Tests whether a filter constraint is *simple*: it mentions at most one
 /// variable, or it is exactly an equality between two variables.
-pub fn is_simple_filter(e: &Expression) -> bool {
-    if let Expression::Equal(a, b) = e {
-        if matches!(
-            (a.as_ref(), b.as_ref()),
-            (Expression::Var(_), Expression::Var(_))
-        ) {
-            return true;
-        }
+pub fn is_simple_filter(e: &Expression<'_>) -> bool {
+    if let Expression::Equal(Expression::Var(_), Expression::Var(_)) = e {
+        return true;
     }
-    e.variables().len() <= 1
+    let mut first = None;
+    let mut single = true;
+    e.for_each_variable(&mut |v| match first {
+        None => first = Some(v),
+        Some(seen) => single &= seen == v,
+    });
+    single
 }
 
-/// Extracts the pairs of variables equated by top-level `?x = ?y` filters,
-/// borrowed from the filters. The shape analysis collapses such pairs into a
-/// single node (footnote 20 of the paper).
-pub fn variable_equalities<'a>(
-    filters: impl IntoIterator<Item = &'a Expression>,
-) -> impl Iterator<Item = (&'a str, &'a str)> {
+/// Extracts the pairs of variables equated by top-level `?x = ?y` filters.
+/// The shape analysis collapses such pairs into a single node (footnote 20
+/// of the paper).
+pub fn variable_equalities<'a, 'q: 'a, I>(
+    filters: I,
+) -> impl Iterator<Item = (&'q str, &'q str)> + use<'a, 'q, I>
+where
+    I: IntoIterator<Item = &'a Expression<'q>>,
+{
     filters.into_iter().filter_map(|f| match f {
-        Expression::Equal(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expression::Var(x), Expression::Var(y)) => Some((x.as_str(), y.as_str())),
-            _ => None,
-        },
+        Expression::Equal(Expression::Var(x), Expression::Var(y)) => Some((*x, *y)),
         _ => None,
     })
 }
 
-/// Classifies a query into the fragment hierarchy.
-pub fn classify_fragments(q: &Query) -> FragmentReport {
+/// Classifies a query into the fragment hierarchy, with its own body walk
+/// and its own pattern tree (the reference the oracle uses).
+pub fn classify_fragments(q: &Query<'_>) -> FragmentReport {
     let mut report = FragmentReport {
         select_or_ask: matches!(q.form, QueryForm::Select | QueryForm::Ask),
         ..FragmentReport::default()
@@ -111,10 +113,9 @@ pub fn classify_fragments(q: &Query) -> FragmentReport {
 /// [`QueryWalkRef`](crate::walk::QueryWalkRef): the operator counters and the
 /// pattern tree both come from the walk, so no part of the query is
 /// traversed again (the well-designedness and interface-width checks run on
-/// the already-built, owned tree). Result-identical to
-/// [`classify_fragments`] on `q.to_owned()`.
+/// the already-built tree). Result-identical to [`classify_fragments`].
 pub fn classify_fragments_from_walk_ref(
-    q: &sparqlog_parser::ast_ref::Query<'_>,
+    q: &Query<'_>,
     walk: &crate::walk::QueryWalkRef<'_>,
 ) -> FragmentReport {
     let ops = &walk.ops;
@@ -303,10 +304,11 @@ impl FragmentTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn report(q: &str) -> FragmentReport {
-        classify_fragments(&parse_query(q).unwrap())
+        let arena = Arena::new();
+        classify_fragments(&parse_query_in(q, &arena).unwrap())
     }
 
     #[test]
@@ -326,9 +328,14 @@ mod tests {
 
     #[test]
     fn variable_equality_filter_is_simple() {
+        let arena = Arena::new();
         let r = report("SELECT ?x WHERE { ?x <p> ?y . ?x <q> ?z FILTER(?y = ?z) }");
         assert!(r.cqf);
-        let q = parse_query("SELECT ?x WHERE { ?x <p> ?y . ?x <q> ?z FILTER(?y = ?z) }").unwrap();
+        let q = parse_query_in(
+            "SELECT ?x WHERE { ?x <p> ?y . ?x <q> ?z FILTER(?y = ?z) }",
+            &arena,
+        )
+        .unwrap();
         let tree = PatternTree::build(&q).unwrap();
         assert_eq!(
             variable_equalities(tree.filters()).collect::<Vec<_>>(),

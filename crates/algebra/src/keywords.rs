@@ -2,7 +2,7 @@
 
 use crate::features::QueryFeatures;
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::QueryForm;
+use sparqlog_parser::ast_ref::QueryForm;
 
 /// The keyword rows reported in Table 2 of the paper, in the paper's order.
 pub const KEYWORD_ROWS: &[&str] = &[
@@ -259,12 +259,13 @@ impl KeywordTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn tally(queries: &[&str]) -> KeywordTally {
+        let arena = Arena::new();
         let mut t = KeywordTally::new();
         for q in queries {
-            t.add(&QueryFeatures::of(&parse_query(q).unwrap()));
+            t.add(&QueryFeatures::of(&parse_query_in(q, &arena).unwrap()));
         }
         t
     }

@@ -12,7 +12,7 @@
 use crate::features::QueryFeatures;
 use crate::walk::BodyOps;
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::Query;
+use sparqlog_parser::ast_ref::Query;
 use std::collections::BTreeMap;
 
 /// The five operators of Table 3, used as bit flags.
@@ -136,7 +136,7 @@ pub enum OpSetClass {
 }
 
 /// Classifies a query body for Table 3.
-pub fn classify_opset(q: &Query) -> OpSetClass {
+pub fn classify_opset(q: &Query<'_>) -> OpSetClass {
     let ops = BodyOps::of_query(q);
     classify_from_ops(&ops)
 }
@@ -291,10 +291,11 @@ impl OpSetTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn classify(q: &str) -> OpSetClass {
-        classify_opset(&parse_query(q).unwrap())
+        let arena = Arena::new();
+        classify_opset(&parse_query_in(q, &arena).unwrap())
     }
 
     #[test]

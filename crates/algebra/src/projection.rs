@@ -17,7 +17,7 @@
 //!   the 1.3 % bucket the paper describes.
 
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::*;
+use sparqlog_parser::ast_ref::*;
 use std::collections::BTreeSet;
 
 /// Whether a query uses projection.
@@ -34,18 +34,22 @@ pub enum ProjectionUse {
     NotApplicable,
 }
 
-/// Determines whether a query uses projection.
-pub fn projection_use(q: &Query) -> ProjectionUse {
+/// Determines whether a query uses projection, with its own walks over the
+/// body (the reference the oracle uses).
+pub fn projection_use(q: &Query<'_>) -> ProjectionUse {
     match q.form {
         QueryForm::Construct | QueryForm::Describe => ProjectionUse::NotApplicable,
         QueryForm::Ask => {
-            let vars = q.body_variables();
+            let mut mentions_variable = false;
+            if let Some(body) = &q.where_clause {
+                body.for_each_variable(&mut |_| mentions_variable = true);
+            }
             if uses_bind(q) {
                 ProjectionUse::Unknown
-            } else if vars.is_empty() {
-                ProjectionUse::No
-            } else {
+            } else if mentions_variable {
                 ProjectionUse::Yes
+            } else {
+                ProjectionUse::No
             }
         }
         QueryForm::Select => {
@@ -55,9 +59,9 @@ pub fn projection_use(q: &Query) -> ProjectionUse {
                     if uses_bind(q) || items.iter().any(|i| i.expr.is_some()) {
                         return ProjectionUse::Unknown;
                     }
-                    let selected: BTreeSet<&str> = items.iter().map(|i| i.var.as_str()).collect();
+                    let selected: BTreeSet<&str> = items.iter().map(|i| i.var).collect();
                     let visible = visible_variables(q);
-                    if visible.iter().any(|v| !selected.contains(v.as_str())) {
+                    if visible.iter().any(|v| !selected.contains(v)) {
                         ProjectionUse::Yes
                     } else {
                         ProjectionUse::No
@@ -72,17 +76,16 @@ pub fn projection_use(q: &Query) -> ProjectionUse {
 
 /// Determines whether a query uses projection from a completed
 /// [`QueryWalkRef`](crate::walk::QueryWalkRef), without re-traversing the
-/// body. Result-identical to [`projection_use`] on `q.to_owned()`.
+/// body. Result-identical to [`projection_use`].
 ///
 /// `interner` must be the same interner the walk ran with: the selected
 /// variables are interned into it, turning the strict-subset test into a
 /// symbol (integer) membership check against the walk's visibility set.
 pub fn projection_use_from_walk_ref(
-    q: &sparqlog_parser::ast_ref::Query<'_>,
+    q: &Query<'_>,
     walk: &crate::walk::QueryWalkRef<'_>,
     interner: &mut sparqlog_parser::intern::Interner,
 ) -> ProjectionUse {
-    use sparqlog_parser::ast_ref as ar;
     match q.form {
         QueryForm::Construct | QueryForm::Describe => ProjectionUse::NotApplicable,
         QueryForm::Ask => {
@@ -95,8 +98,8 @@ pub fn projection_use_from_walk_ref(
             }
         }
         QueryForm::Select => match &q.projection {
-            ar::Projection::All => ProjectionUse::No,
-            ar::Projection::Items(items) => {
+            Projection::All => ProjectionUse::No,
+            Projection::Items(items) => {
                 if walk.has_bind || items.iter().any(|i| i.expr.is_some()) {
                     return ProjectionUse::Unknown;
                 }
@@ -119,7 +122,7 @@ pub fn projection_use_from_walk_ref(
                     ProjectionUse::No
                 }
             }
-            ar::Projection::Terms(_) | ar::Projection::None => ProjectionUse::No,
+            Projection::Terms(_) | Projection::None => ProjectionUse::No,
         },
     }
 }
@@ -127,34 +130,34 @@ pub fn projection_use_from_walk_ref(
 /// The set of variables *visible* (in scope) at the top level of the query
 /// body: every variable occurring in the body, except those that occur only
 /// inside subqueries and are not selected by the subquery.
-fn visible_variables(q: &Query) -> BTreeSet<String> {
+fn visible_variables<'q>(q: &Query<'q>) -> BTreeSet<&'q str> {
     let mut out = BTreeSet::new();
     if let Some(body) = &q.where_clause {
         visible_in_group(body, &mut out);
     }
     if let Some(values) = &q.values {
-        out.extend(values.variables.iter().cloned());
+        out.extend(values.variables);
     }
     out
 }
 
-fn visible_in_group(g: &GroupGraphPattern, out: &mut BTreeSet<String>) {
-    for el in &g.elements {
+fn visible_in_group<'q>(g: &GroupGraphPattern<'q>, out: &mut BTreeSet<&'q str>) {
+    for el in g.elements {
         match el {
             GroupElement::Triples(ts) => {
-                for t in ts {
+                for t in *ts {
                     match t {
                         TripleOrPath::Triple(t) => {
                             for term in [&t.subject, &t.predicate, &t.object] {
                                 if let Term::Var(v) = term {
-                                    out.insert(v.clone());
+                                    out.insert(v);
                                 }
                             }
                         }
                         TripleOrPath::Path(p) => {
                             for term in [&p.subject, &p.object] {
                                 if let Term::Var(v) = term {
-                                    out.insert(v.clone());
+                                    out.insert(v);
                                 }
                             }
                         }
@@ -165,29 +168,23 @@ fn visible_in_group(g: &GroupGraphPattern, out: &mut BTreeSet<String>) {
             // add to the in-scope set.
             GroupElement::Filter(_) => {}
             GroupElement::Bind { var, .. } => {
-                out.insert(var.clone());
+                out.insert(var);
             }
             GroupElement::Optional(inner)
             | GroupElement::Minus(inner)
             | GroupElement::Group(inner) => visible_in_group(inner, out),
             GroupElement::Union(branches) => {
-                for b in branches {
+                for b in *branches {
                     visible_in_group(b, out);
                 }
             }
-            GroupElement::Graph { name, pattern } => {
+            GroupElement::Graph { name, pattern } | GroupElement::Service { name, pattern, .. } => {
                 if let Term::Var(v) = name {
-                    out.insert(v.clone());
+                    out.insert(v);
                 }
                 visible_in_group(pattern, out);
             }
-            GroupElement::Service { name, pattern, .. } => {
-                if let Term::Var(v) = name {
-                    out.insert(v.clone());
-                }
-                visible_in_group(pattern, out);
-            }
-            GroupElement::Values(d) => out.extend(d.variables.iter().cloned()),
+            GroupElement::Values(d) => out.extend(d.variables),
             GroupElement::SubSelect(q) => {
                 // Only the variables the subquery projects are visible.
                 match &q.projection {
@@ -197,7 +194,7 @@ fn visible_in_group(g: &GroupGraphPattern, out: &mut BTreeSet<String>) {
                         }
                     }
                     Projection::Items(items) => {
-                        out.extend(items.iter().map(|i| i.var.clone()));
+                        out.extend(items.iter().map(|i| i.var));
                     }
                     _ => {}
                 }
@@ -206,8 +203,8 @@ fn visible_in_group(g: &GroupGraphPattern, out: &mut BTreeSet<String>) {
     }
 }
 
-fn uses_bind(q: &Query) -> bool {
-    fn group_uses_bind(g: &GroupGraphPattern) -> bool {
+fn uses_bind(q: &Query<'_>) -> bool {
+    fn group_uses_bind(g: &GroupGraphPattern<'_>) -> bool {
         g.elements.iter().any(|el| match el {
             GroupElement::Bind { .. } => true,
             GroupElement::Optional(inner)
@@ -249,7 +246,7 @@ impl ProjectionTally {
     }
 
     /// Records one query.
-    pub fn add(&mut self, q: &Query) {
+    pub fn add(&mut self, q: &Query<'_>) {
         let use_ = projection_use(q);
         let has_subqueries = crate::walk::BodyOps::of_query(q).subqueries > 0;
         self.record(q.form, use_, has_subqueries);
@@ -314,10 +311,11 @@ impl ProjectionTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn proj(q: &str) -> ProjectionUse {
-        projection_use(&parse_query(q).unwrap())
+        let arena = Arena::new();
+        projection_use(&parse_query_in(q, &arena).unwrap())
     }
 
     #[test]
@@ -404,6 +402,7 @@ mod tests {
 
     #[test]
     fn tally_bounds() {
+        let arena = Arena::new();
         let mut t = ProjectionTally::new();
         for q in [
             "SELECT ?x WHERE { ?x <http://p> ?y }",
@@ -412,7 +411,7 @@ mod tests {
             "SELECT ?x WHERE { ?x <http://p> ?y BIND(1 AS ?z) }",
             "DESCRIBE <http://r>",
         ] {
-            t.add(&parse_query(q).unwrap());
+            t.add(&parse_query_in(q, &arena).unwrap());
         }
         assert_eq!(t.total, 5);
         assert_eq!(t.select_yes, 1);

@@ -128,10 +128,11 @@ impl TripleHistogram {
 mod tests {
     use super::*;
     use crate::features::QueryFeatures;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn add(h: &mut TripleHistogram, q: &str) {
-        h.add(&QueryFeatures::of(&parse_query(q).unwrap()));
+        let arena = Arena::new();
+        h.add(&QueryFeatures::of(&parse_query_in(q, &arena).unwrap()));
     }
 
     #[test]

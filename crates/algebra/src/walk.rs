@@ -1,14 +1,13 @@
 //! Structural walks over a query body.
 //!
-//! Two implementations of every per-query measure live here, one per AST:
+//! Two readers of the one AST ([`ast_ref`](sparqlog_parser::ast_ref)) live
+//! here, and every per-query measure exists once on each side:
 //!
-//! * [`BodyOps`] and [`collect_property_paths`] are the *per-measure*
-//!   walkers over the owned [`ast`](sparqlog_parser::ast): each entry point
-//!   traverses the query on its own. They are the reference ("multi-walk")
-//!   path the oracle (`sparqlog_core::baseline`) is built from and the
-//!   differential tests compare against.
-//! * [`QueryWalkRef`] is the *single-pass* walker over the arena-backed
-//!   [`ast_ref`](sparqlog_parser::ast_ref): one traversal of the body
+//! * [`BodyOps`] and [`collect_property_paths`] are *per-measure* walkers:
+//!   each entry point traverses the query on its own. They are the reference
+//!   ("multi-walk") path the oracle (`sparqlog_core::baseline`) is built from
+//!   and the differential tests compare against.
+//! * [`QueryWalkRef`] is the *single-pass* walker: one traversal of the body
 //!   collecting everything the corpus pipeline needs — the [`BodyOps`]
 //!   counters, aggregate usage, property paths, projection-visibility data
 //!   and the AOF pattern tree. All `*_from_walk_ref` entry points in this
@@ -17,7 +16,7 @@
 
 use crate::features::AggregateUse;
 use crate::pattern_tree::{PatternNode, PatternTree};
-use sparqlog_parser::ast::*;
+use sparqlog_parser::ast_ref::*;
 use sparqlog_parser::intern::{Interner, Symbol};
 use std::collections::BTreeSet;
 
@@ -68,7 +67,7 @@ pub struct BodyOps {
 impl BodyOps {
     /// Computes the counters for a query body. Returns the default (all-zero)
     /// value for body-less queries.
-    pub fn of_query(q: &Query) -> BodyOps {
+    pub fn of_query(q: &Query<'_>) -> BodyOps {
         let mut ops = BodyOps::default();
         if let Some(body) = &q.where_clause {
             ops.walk_group(body);
@@ -108,13 +107,13 @@ impl BodyOps {
         !self.uses_non_table3_features() && self.unions == 0 && self.graphs == 0
     }
 
-    fn walk_group(&mut self, g: &GroupGraphPattern) {
+    fn walk_group(&mut self, g: &GroupGraphPattern<'_>) {
         // Count the pattern elements that combine via Join within this group.
         let mut joined_elements: u32 = 0;
-        for el in &g.elements {
+        for el in g.elements {
             match el {
                 GroupElement::Triples(ts) => {
-                    for t in ts {
+                    for t in *ts {
                         match t {
                             TripleOrPath::Triple(t) => {
                                 self.triples += 1;
@@ -141,7 +140,7 @@ impl BodyOps {
                 }
                 GroupElement::Union(branches) => {
                     self.unions += (branches.len().saturating_sub(1)) as u32;
-                    for b in branches {
+                    for b in *branches {
                         self.walk_group(b);
                     }
                     joined_elements += 1;
@@ -169,8 +168,10 @@ impl BodyOps {
                     if let Some(inner) = &q.where_clause {
                         self.walk_group(inner);
                     }
-                    for item in projected_expressions(q) {
-                        self.walk_expression(item);
+                    if let Projection::Items(items) = &q.projection {
+                        for e in items.iter().filter_map(|i| i.expr.as_ref()) {
+                            self.walk_expression(e);
+                        }
                     }
                     joined_elements += 1;
                 }
@@ -183,7 +184,7 @@ impl BodyOps {
         self.joins += joined_elements.saturating_sub(1);
     }
 
-    fn walk_expression(&mut self, e: &Expression) {
+    fn walk_expression(&mut self, e: &Expression<'_>) {
         match e {
             Expression::Exists(g) => {
                 self.exists += 1;
@@ -195,7 +196,7 @@ impl BodyOps {
             }
             Expression::Aggregate(agg) => {
                 self.aggregates_in_body += 1;
-                if let Some(inner) = &agg.expr {
+                if let Some(inner) = agg.expr {
                     self.walk_expression(inner);
                 }
             }
@@ -217,7 +218,7 @@ impl BodyOps {
             }
             Expression::In(a, list) | Expression::NotIn(a, list) => {
                 self.walk_expression(a);
-                for x in list {
+                for x in *list {
                     self.walk_expression(x);
                 }
             }
@@ -225,7 +226,7 @@ impl BodyOps {
                 self.walk_expression(a)
             }
             Expression::FunctionCall(_, args) => {
-                for a in args {
+                for a in *args {
                     self.walk_expression(a);
                 }
             }
@@ -233,22 +234,9 @@ impl BodyOps {
     }
 }
 
-/// Returns the expressions projected by a query (the `expr` of each
-/// `(expr AS ?v)` select item), used to find aggregates in subqueries.
-fn projected_expressions(q: &Query) -> impl Iterator<Item = &Expression> {
-    match &q.projection {
-        Projection::Items(items) => items
-            .iter()
-            .filter_map(|i| i.expr.as_ref())
-            .collect::<Vec<_>>(),
-        _ => Vec::new(),
-    }
-    .into_iter()
-}
-
 /// Collects every property path used anywhere in the query body (including
 /// nested groups and subqueries), in source order.
-pub fn collect_property_paths(q: &Query) -> Vec<&PropertyPath> {
+pub fn collect_property_paths<'q>(q: &Query<'q>) -> Vec<PropertyPath<'q>> {
     let mut out = Vec::new();
     if let Some(body) = &q.where_clause {
         collect_paths_group(body, &mut out);
@@ -256,13 +244,13 @@ pub fn collect_property_paths(q: &Query) -> Vec<&PropertyPath> {
     out
 }
 
-fn collect_paths_group<'a>(g: &'a GroupGraphPattern, out: &mut Vec<&'a PropertyPath>) {
-    for el in &g.elements {
+fn collect_paths_group<'q>(g: &GroupGraphPattern<'q>, out: &mut Vec<PropertyPath<'q>>) {
+    for el in g.elements {
         match el {
             GroupElement::Triples(ts) => {
-                for t in ts {
+                for t in *ts {
                     if let TripleOrPath::Path(p) = t {
-                        out.push(&p.path);
+                        out.push(p.path);
                     }
                 }
             }
@@ -272,7 +260,7 @@ fn collect_paths_group<'a>(g: &'a GroupGraphPattern, out: &mut Vec<&'a PropertyP
             | GroupElement::Graph { pattern: inner, .. }
             | GroupElement::Service { pattern: inner, .. } => collect_paths_group(inner, out),
             GroupElement::Union(branches) => {
-                for b in branches {
+                for b in *branches {
                     collect_paths_group(b, out);
                 }
             }
@@ -288,7 +276,7 @@ fn collect_paths_group<'a>(g: &'a GroupGraphPattern, out: &mut Vec<&'a PropertyP
     }
 }
 
-fn collect_paths_expr<'a>(e: &'a Expression, out: &mut Vec<&'a PropertyPath>) {
+fn collect_paths_expr<'q>(e: &Expression<'q>, out: &mut Vec<PropertyPath<'q>>) {
     if let Expression::Exists(g) | Expression::NotExists(g) = e {
         collect_paths_group(g, out);
     }
@@ -329,11 +317,9 @@ struct ExprCtx {
 }
 
 /// Everything the corpus pipeline needs from one query body, collected in a
-/// **single traversal** of an
-/// [`ast_ref::Query`](sparqlog_parser::ast_ref::Query).
+/// **single traversal** of a [`Query`].
 ///
-/// The collected channels replicate the per-measure walkers over the owned
-/// AST exactly:
+/// The collected channels replicate the per-measure walkers exactly:
 ///
 /// * `ops` — the [`BodyOps`] counters ([`BodyOps::of_query`]);
 /// * `aggregates` — aggregate-function usage inside the body, with the same
@@ -358,32 +344,29 @@ struct ExprCtx {
 /// variable names across the queries a worker analyses share one stored
 /// string.
 ///
-/// Everything extracted is either `Copy` borrowed data (`paths`), interned
-/// symbols (`visible_vars`) or owned (`tree` — the AOF pattern tree is built
-/// from owned copies of the triples and filters as they are encountered, so
-/// the result is safe to keep after the parse arena is reset). The walk only
-/// runs on analysis-cache misses, so the owned tree copies are off the
-/// per-entry hot path.
+/// Everything extracted is either `Copy` nodes of the query (`paths`, the
+/// triples and filters of `tree`) or interned symbols (`visible_vars`): the
+/// walk copies no string, and its result lives as long as the query it read.
 #[derive(Debug, Default)]
 pub struct QueryWalkRef<'q> {
     /// The structural counters.
     pub ops: BodyOps,
     /// Aggregate functions used inside the body.
     pub aggregates: AggregateUse,
-    /// Every property path, in source order (borrowed `Copy` nodes).
-    pub paths: Vec<sparqlog_parser::ast_ref::PropertyPath<'q>>,
+    /// Every property path, in source order.
+    pub paths: Vec<PropertyPath<'q>>,
     /// The variables in scope at the top level of the body (SPARQL 1.1
     /// §18.2.1, as approximated by the projection analysis), as symbols of
     /// the interner the walk ran with.
     pub visible_vars: BTreeSet<Symbol>,
-    /// Whether the body mentions any variable at all (the
-    /// `Query::body_variables` emptiness test used for ASK projection).
+    /// Whether the body mentions any variable at all (the test for ASK
+    /// projection).
     pub body_has_var: bool,
     /// Whether the body uses BIND outside `EXISTS` groups (the
     /// `projection::uses_bind` test).
     pub has_bind: bool,
-    /// The AOF pattern tree (owned), when the body is an AOF pattern.
-    pub tree: Option<PatternTree>,
+    /// The AOF pattern tree, when the body is an AOF pattern.
+    pub tree: Option<PatternTree<'q>>,
     /// Whether the tree under construction is still valid.
     tree_valid: bool,
 }
@@ -392,10 +375,7 @@ impl<'q> QueryWalkRef<'q> {
     /// Walks the body of `q` once, collecting every channel. Variable names
     /// are interned into `interner` (typically the calling worker's
     /// long-lived table) so the visibility set works over symbols.
-    pub fn of(
-        q: &sparqlog_parser::ast_ref::Query<'q>,
-        interner: &mut Interner,
-    ) -> QueryWalkRef<'q> {
+    pub fn of(q: &Query<'q>, interner: &mut Interner) -> QueryWalkRef<'q> {
         let mut walk = QueryWalkRef {
             tree_valid: true,
             ..QueryWalkRef::default()
@@ -421,19 +401,18 @@ impl<'q> QueryWalkRef<'q> {
 
     fn walk_group(
         &mut self,
-        g: &sparqlog_parser::ast_ref::GroupGraphPattern<'q>,
+        g: &GroupGraphPattern<'q>,
         ctx: GroupCtx,
-        mut node: Option<&mut PatternNode>,
+        mut node: Option<&mut PatternNode<'q>>,
         interner: &mut Interner,
     ) {
-        use sparqlog_parser::ast_ref as ar;
         let mut joined_elements: u32 = 0;
         for el in g.elements {
             match el {
-                ar::GroupElement::Triples(ts) => {
+                GroupElement::Triples(ts) => {
                     for t in *ts {
                         match t {
-                            ar::TripleOrPath::Triple(t) => {
+                            TripleOrPath::Triple(t) => {
                                 self.ops.triples += 1;
                                 if t.predicate.is_var() {
                                     self.ops.var_predicates += 1;
@@ -443,11 +422,11 @@ impl<'q> QueryWalkRef<'q> {
                                 }
                                 if let Some(node) = node.as_deref_mut() {
                                     if self.tree_valid {
-                                        node.triples.push(t.to_owned());
+                                        node.triples.push(*t);
                                     }
                                 }
                             }
-                            ar::TripleOrPath::Path(p) => {
+                            TripleOrPath::Path(p) => {
                                 self.ops.paths += 1;
                                 self.tree_valid = false;
                                 if ctx.paths {
@@ -461,7 +440,7 @@ impl<'q> QueryWalkRef<'q> {
                         joined_elements += 1;
                     }
                 }
-                ar::GroupElement::Filter(e) => {
+                GroupElement::Filter(e) => {
                     self.ops.filters += 1;
                     let saw_exists = self.walk_expr(
                         e,
@@ -478,11 +457,11 @@ impl<'q> QueryWalkRef<'q> {
                         self.tree_valid = false;
                     } else if let Some(node) = node.as_deref_mut() {
                         if self.tree_valid {
-                            node.filters.push(e.to_owned());
+                            node.filters.push(*e);
                         }
                     }
                 }
-                ar::GroupElement::Bind { var, expr } => {
+                GroupElement::Bind { var, expr } => {
                     self.ops.binds += 1;
                     self.tree_valid = false;
                     if ctx.bindscan {
@@ -507,7 +486,7 @@ impl<'q> QueryWalkRef<'q> {
                         interner,
                     );
                 }
-                ar::GroupElement::Optional(inner) => {
+                GroupElement::Optional(inner) => {
                     self.ops.optionals += 1;
                     match node.as_deref_mut().filter(|_| self.tree_valid) {
                         Some(parent) => {
@@ -520,7 +499,7 @@ impl<'q> QueryWalkRef<'q> {
                         None => self.walk_group(inner, ctx, None, interner),
                     }
                 }
-                ar::GroupElement::Union(branches) => {
+                GroupElement::Union(branches) => {
                     self.ops.unions += (branches.len().saturating_sub(1)) as u32;
                     self.tree_valid = false;
                     for b in *branches {
@@ -528,26 +507,26 @@ impl<'q> QueryWalkRef<'q> {
                     }
                     joined_elements += 1;
                 }
-                ar::GroupElement::Graph { name, pattern } => {
+                GroupElement::Graph { name, pattern } => {
                     self.ops.graphs += 1;
                     self.tree_valid = false;
                     self.record_term_var(name, ctx, interner);
                     self.walk_group(pattern, ctx, None, interner);
                     joined_elements += 1;
                 }
-                ar::GroupElement::Minus(inner) => {
+                GroupElement::Minus(inner) => {
                     self.ops.minuses += 1;
                     self.tree_valid = false;
                     self.walk_group(inner, ctx, None, interner);
                 }
-                ar::GroupElement::Service { name, pattern, .. } => {
+                GroupElement::Service { name, pattern, .. } => {
                     self.ops.services += 1;
                     self.tree_valid = false;
                     self.record_term_var(name, ctx, interner);
                     self.walk_group(pattern, ctx, None, interner);
                     joined_elements += 1;
                 }
-                ar::GroupElement::Values(d) => {
+                GroupElement::Values(d) => {
                     self.ops.values_blocks += 1;
                     self.tree_valid = false;
                     if ctx.visible {
@@ -561,13 +540,13 @@ impl<'q> QueryWalkRef<'q> {
                     }
                     joined_elements += 1;
                 }
-                ar::GroupElement::SubSelect(q) => {
+                GroupElement::SubSelect(q) => {
                     self.ops.subqueries += 1;
                     self.tree_valid = false;
                     // Only the variables the subquery projects are visible.
-                    let inner_visible = ctx.visible && matches!(q.projection, ar::Projection::All);
+                    let inner_visible = ctx.visible && matches!(q.projection, Projection::All);
                     if ctx.visible {
-                        if let ar::Projection::Items(items) = &q.projection {
+                        if let Projection::Items(items) = &q.projection {
                             for item in *items {
                                 let symbol = interner.intern(item.var);
                                 self.visible_vars.insert(symbol);
@@ -587,7 +566,7 @@ impl<'q> QueryWalkRef<'q> {
                     }
                     // Projection expressions feed the ops counters and the
                     // aggregate scan; HAVING clauses only the aggregate scan.
-                    if let ar::Projection::Items(items) = &q.projection {
+                    if let Projection::Items(items) = &q.projection {
                         for item in *items {
                             if let Some(e) = &item.expr {
                                 self.walk_expr(
@@ -619,7 +598,7 @@ impl<'q> QueryWalkRef<'q> {
                     }
                     joined_elements += 1;
                 }
-                ar::GroupElement::Group(inner) => {
+                GroupElement::Group(inner) => {
                     match node.as_deref_mut().filter(|_| self.tree_valid) {
                         // A nested plain group merges into the current tree
                         // node (Currying / Opt-normal-form flattening).
@@ -633,13 +612,8 @@ impl<'q> QueryWalkRef<'q> {
         self.ops.joins += joined_elements.saturating_sub(1);
     }
 
-    fn record_term_var(
-        &mut self,
-        term: &sparqlog_parser::ast_ref::Term<'q>,
-        ctx: GroupCtx,
-        interner: &mut Interner,
-    ) {
-        if let sparqlog_parser::ast_ref::Term::Var(v) = term {
+    fn record_term_var(&mut self, term: &Term<'q>, ctx: GroupCtx, interner: &mut Interner) {
+        if let Term::Var(v) = term {
             if ctx.visible {
                 let symbol = interner.intern(v);
                 self.visible_vars.insert(symbol);
@@ -653,13 +627,8 @@ impl<'q> QueryWalkRef<'q> {
     /// Walks one expression; returns whether the subtree contains
     /// `(NOT) EXISTS` (the `Expression::contains_exists` test, needed to
     /// decide whether a filter may enter the pattern tree).
-    fn walk_expr(
-        &mut self,
-        e: &sparqlog_parser::ast_ref::Expression<'q>,
-        ctx: ExprCtx,
-        interner: &mut Interner,
-    ) -> bool {
-        use sparqlog_parser::ast_ref::Expression as E;
+    fn walk_expr(&mut self, e: &Expression<'q>, ctx: ExprCtx, interner: &mut Interner) -> bool {
+        use Expression as E;
         let inner = ExprCtx { top: false, ..ctx };
         match e {
             E::Var(_) => {
@@ -738,11 +707,16 @@ impl<'q> QueryWalkRef<'q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     #[test]
     fn counts_triples_and_joins() {
-        let q = parse_query("SELECT * WHERE { ?a <http://p> ?b . ?b <http://q> ?c }").unwrap();
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT * WHERE { ?a <http://p> ?b . ?b <http://q> ?c }",
+            &arena,
+        )
+        .unwrap();
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.triples, 2);
         assert_eq!(ops.joins, 1);
@@ -751,7 +725,8 @@ mod tests {
 
     #[test]
     fn single_triple_has_no_join() {
-        let q = parse_query("SELECT * WHERE { ?a <http://p> ?b }").unwrap();
+        let arena = Arena::new();
+        let q = parse_query_in("SELECT * WHERE { ?a <http://p> ?b }", &arena).unwrap();
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.triples, 1);
         assert!(!ops.uses_and());
@@ -759,8 +734,12 @@ mod tests {
 
     #[test]
     fn optional_does_not_count_as_join() {
-        let q = parse_query("SELECT * WHERE { ?a <http://p> ?b OPTIONAL { ?b <http://q> ?c } }")
-            .unwrap();
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT * WHERE { ?a <http://p> ?b OPTIONAL { ?b <http://q> ?c } }",
+            &arena,
+        )
+        .unwrap();
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.optionals, 1);
         assert_eq!(ops.joins, 0);
@@ -769,8 +748,9 @@ mod tests {
 
     #[test]
     fn union_counts_branches_minus_one() {
-        let q = parse_query(
-            "SELECT * WHERE { { ?a <http://p> ?b } UNION { ?a <http://q> ?b } UNION { ?a <http://r> ?b } }",
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT * WHERE { { ?a <http://p> ?b } UNION { ?a <http://q> ?b } UNION { ?a <http://r> ?b } }", &arena,
         )
         .unwrap();
         let ops = BodyOps::of_query(&q);
@@ -780,15 +760,17 @@ mod tests {
 
     #[test]
     fn var_predicates_are_counted() {
-        let q = parse_query("ASK { ?x ?p ?y . ?y <http://q> ?z }").unwrap();
+        let arena = Arena::new();
+        let q = parse_query_in("ASK { ?x ?p ?y . ?y <http://q> ?z }", &arena).unwrap();
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.var_predicates, 1);
     }
 
     #[test]
     fn exists_and_aggregates_are_found_in_expressions() {
-        let q = parse_query(
-            "SELECT * WHERE { ?x <http://p> ?y FILTER NOT EXISTS { ?x a <http://C> } FILTER EXISTS { ?y a <http://D> } }",
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT * WHERE { ?x <http://p> ?y FILTER NOT EXISTS { ?x a <http://C> } FILTER EXISTS { ?y a <http://D> } }", &arena,
         )
         .unwrap();
         let ops = BodyOps::of_query(&q);
@@ -799,7 +781,12 @@ mod tests {
 
     #[test]
     fn path_and_graph_detection() {
-        let q = parse_query("SELECT * WHERE { GRAPH ?g { ?x <http://a>/<http://b> ?y } }").unwrap();
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT * WHERE { GRAPH ?g { ?x <http://a>/<http://b> ?y } }",
+            &arena,
+        )
+        .unwrap();
         let ops = BodyOps::of_query(&q);
         assert_eq!(ops.graphs, 1);
         assert_eq!(ops.paths, 1);
@@ -808,8 +795,9 @@ mod tests {
 
     #[test]
     fn subquery_triples_are_included() {
-        let q = parse_query(
-            "SELECT ?x WHERE { { SELECT ?x WHERE { ?x <http://p> ?y . ?y <http://q> ?z } } ?x <http://r> ?w }",
+        let arena = Arena::new();
+        let q = parse_query_in(
+            "SELECT ?x WHERE { { SELECT ?x WHERE { ?x <http://p> ?y . ?y <http://q> ?z } } ?x <http://r> ?w }", &arena,
         )
         .unwrap();
         let ops = BodyOps::of_query(&q);
@@ -821,8 +809,10 @@ mod tests {
 
     #[test]
     fn joined_graph_blocks_count_as_and() {
-        let q = parse_query(
+        let arena = Arena::new();
+        let q = parse_query_in(
             "SELECT * WHERE { ?a <http://p> ?b . GRAPH <http://g> { ?b <http://q> ?c } }",
+            &arena,
         )
         .unwrap();
         let ops = BodyOps::of_query(&q);

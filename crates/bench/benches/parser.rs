@@ -2,7 +2,7 @@
 //! queries (the kernel behind the "Valid" column of Table 1).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sparqlog_parser::parse_query;
+use sparqlog_parser::{parse_query_in, Arena};
 use sparqlog_synth::{Dataset, Synthesizer};
 
 fn bench_parser(c: &mut Criterion) {
@@ -16,17 +16,22 @@ fn bench_parser(c: &mut Criterion) {
         } ORDER BY ?film LIMIT 100"#;
     let path = "SELECT ?label WHERE { ?s <http://www.wikidata.org/prop/direct/P31>/<http://www.wikidata.org/prop/direct/P279>* <http://www.wikidata.org/entity/Q839954> . ?s <http://www.w3.org/2000/01/rdf-schema#label> ?label FILTER(lang(?label) = \"en\") }";
 
+    // One arena, reset per query, as an engine worker holds it.
+    let mut arena = Arena::new();
     let mut group = c.benchmark_group("parser");
     group.sample_size(30);
-    group.bench_function("simple_select", |b| {
-        b.iter(|| parse_query(black_box(simple)).unwrap())
-    });
-    group.bench_function("medium_dbpedia", |b| {
-        b.iter(|| parse_query(black_box(medium)).unwrap())
-    });
-    group.bench_function("property_path", |b| {
-        b.iter(|| parse_query(black_box(path)).unwrap())
-    });
+    for (name, text) in [
+        ("simple_select", simple),
+        ("medium_dbpedia", medium),
+        ("property_path", path),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                arena.reset();
+                parse_query_in(black_box(text), &arena).unwrap().form
+            })
+        });
+    }
 
     // A realistic mixed batch from the synthesizer.
     let mut synth = Synthesizer::for_dataset(Dataset::DBpedia15, 5);
@@ -35,7 +40,8 @@ fn bench_parser(c: &mut Criterion) {
         b.iter(|| {
             let mut ok = 0usize;
             for q in &batch {
-                ok += usize::from(parse_query(black_box(q)).is_ok());
+                arena.reset();
+                ok += usize::from(parse_query_in(black_box(q), &arena).is_ok());
             }
             ok
         })

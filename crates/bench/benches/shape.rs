@@ -3,45 +3,47 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sparqlog_graph::{treewidth, CanonicalGraph, GraphMode, ShapeReport};
-use sparqlog_parser::ast::{Term, TriplePattern};
+use sparqlog_parser::ast_ref::{Term, TriplePattern};
 
-fn chain(n: usize) -> Vec<TriplePattern> {
-    (0..n)
-        .map(|i| {
-            TriplePattern::new(
-                Term::var(format!("x{i}")),
-                Term::iri("http://p"),
-                Term::var(format!("x{}", i + 1)),
-            )
-        })
-        .collect()
+fn edge<'a>(a: &'a str, b: &'a str) -> TriplePattern<'a> {
+    TriplePattern {
+        subject: Term::Var(a),
+        predicate: Term::Iri("http://p"),
+        object: Term::Var(b),
+    }
 }
 
-fn flower() -> Vec<TriplePattern> {
-    let e =
-        |a: &str, b: &str| TriplePattern::new(Term::var(a), Term::iri("http://p"), Term::var(b));
-    vec![
-        e("x", "a"),
-        e("a", "t"),
-        e("x", "b"),
-        e("b", "t"),
-        e("x", "c"),
-        e("c", "t"),
-        e("x", "s1"),
-        e("s1", "s2"),
-        e("x", "m"),
-        e("m", "u"),
-        e("m", "v"),
+/// A chain over the first `n + 1` of `names`.
+fn chain(names: &[String], n: usize) -> Vec<TriplePattern<'_>> {
+    (0..n).map(|i| edge(&names[i], &names[i + 1])).collect()
+}
+
+fn flower() -> Vec<TriplePattern<'static>> {
+    [
+        ("x", "a"),
+        ("a", "t"),
+        ("x", "b"),
+        ("b", "t"),
+        ("x", "c"),
+        ("c", "t"),
+        ("x", "s1"),
+        ("s1", "s2"),
+        ("x", "m"),
+        ("m", "u"),
+        ("m", "v"),
     ]
+    .map(|(a, b)| edge(a, b))
+    .to_vec()
 }
 
 fn bench_shape(c: &mut Criterion) {
+    let names: Vec<String> = (0..=50).map(|i| format!("x{i}")).collect();
     let mut group = c.benchmark_group("shape");
     group.sample_size(50);
     for (name, triples) in [
-        ("chain_10", chain(10)),
+        ("chain_10", chain(&names, 10)),
         ("flower_11", flower()),
-        ("chain_50", chain(50)),
+        ("chain_50", chain(&names, 50)),
     ] {
         group.bench_function(format!("classify_{name}"), |b| {
             b.iter(|| {

@@ -5,10 +5,8 @@
 //! [`analyze_reference`] is deliberately the naive way to compute the
 //! paper's analyses, and it differs from the engine in every layer it can:
 //!
-//! * **AST** — each entry is copied out of the arena into an owned
-//!   [`Query`]; the engine analyses the borrowed arena AST in place.
 //! * **Fingerprint** — the canonical string is materialized
-//!   ([`to_canonical_string`]) and then hashed; the engine streams the
+//!   ([`to_canonical_string_ref`]) and then hashed; the engine streams the
 //!   canonical walk into the hash state.
 //! * **Duplicates** — one `HashSet<u128>` per log, filled in entry order;
 //!   the engine merges per-worker occurrence maps.
@@ -23,7 +21,11 @@
 //!
 //! What the two share is the guarded per-entry parse (so an entry is
 //! invalid, oversize, too deep or a caught panic for both alike, at the
-//! same position) and the [`DatasetAnalysis`] tallies the results fold into.
+//! same position), the tree it produces, and the [`DatasetAnalysis`] tallies
+//! the results fold into. Sharing the tree costs the comparison nothing:
+//! there is one parser, so a tree of the oracle's own could only be a
+//! node-for-node copy of this one. What makes it an oracle is how it reads
+//! the tree, and that is all above.
 
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
 use crate::corpus::RawLog;
@@ -37,18 +39,18 @@ use sparqlog_graph::{
     generalized_hypertree_width, treewidth, CanonicalGraph, GraphMode, Hypergraph, ShapeReport,
     StructuralReport, Treewidth,
 };
-use sparqlog_parser::{canonical_fingerprint, to_canonical_string, Arena, ErrorKind, Query};
+use sparqlog_parser::{canonical_fingerprint, to_canonical_string_ref, Arena, ErrorKind, Query};
 use std::collections::HashSet;
 
 /// Folds one query into the tallies through the multi-walk path: every
 /// measure re-traverses the query independently.
-pub fn add_query_multiwalk(analysis: &mut DatasetAnalysis, query: &Query) {
+pub fn add_query_multiwalk(analysis: &mut DatasetAnalysis, query: &Query<'_>) {
     let features = QueryFeatures::of(query);
     analysis.keywords.add(&features);
     analysis.triples.add(&features);
     analysis.projection.add(query);
     for p in collect_property_paths(query) {
-        analysis.paths.add(p);
+        analysis.paths.add(&p);
     }
     if features.is_select_or_ask() {
         analysis.opsets.add(classify_from_features(&features));
@@ -60,8 +62,8 @@ pub fn add_query_multiwalk(analysis: &mut DatasetAnalysis, query: &Query) {
 /// The multi-walk structural report: the fragment
 /// classification runs its own body walk, the pattern tree is built twice
 /// (once inside `classify_fragments`, once here), the tree's triples are
-/// cloned, and the two graph modes are constructed in two separate passes.
-pub fn structural_report_multiwalk(query: &Query) -> StructuralReport {
+/// copied out, and the two graph modes are constructed in two separate passes.
+pub fn structural_report_multiwalk(query: &Query<'_>) -> StructuralReport {
     let fragments = classify_fragments(query);
     let mut report = StructuralReport {
         fragments,
@@ -78,7 +80,7 @@ pub fn structural_report_multiwalk(query: &Query) -> StructuralReport {
     let Some(tree) = PatternTree::build(query) else {
         return report;
     };
-    let triples: Vec<_> = tree.all_triples().into_iter().cloned().collect();
+    let triples: Vec<_> = tree.all_triples().into_iter().copied().collect();
     let equalities: Vec<_> = variable_equalities(tree.all_filters()).collect();
 
     if fragments.has_var_predicate {
@@ -127,7 +129,7 @@ pub fn analyze_reference(logs: &[RawLog], population: Population) -> CorpusAnaly
         let mut seen: HashSet<u128> = HashSet::new();
         for (position, entry) in log.entries.iter().enumerate() {
             arena.reset();
-            let query = match ctx.parse_entry(entry, &arena, |query| query.to_owned()) {
+            let query = match ctx.parse_entry(entry, &arena, |query| query) {
                 Ok(query) => query,
                 Err(error) => {
                     if error.kind == ErrorKind::WorkerPanic {
@@ -142,7 +144,7 @@ pub fn analyze_reference(logs: &[RawLog], population: Population) -> CorpusAnaly
             if !query.has_body() {
                 analysis.counts.bodyless += 1;
             }
-            let first = seen.insert(canonical_fingerprint(&to_canonical_string(&query)));
+            let first = seen.insert(canonical_fingerprint(&to_canonical_string_ref(&query)));
             if first {
                 analysis.counts.unique += 1;
             }

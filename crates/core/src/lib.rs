@@ -20,8 +20,8 @@
 //!   tallies the per-query analyses fold into, and the fold pool.
 //! * [`baseline`] — the oracle ([`baseline::analyze_reference`]): a
 //!   sequential, uncached, multi-walk implementation of the same pipeline
-//!   over owned ASTs and materialized canonical strings, which the engine
-//!   is tested against byte for byte.
+//!   over materialized canonical strings, which the engine is tested
+//!   against byte for byte.
 //! * [`incremental`] — store-aware ingestion: logs are keyed by a
 //!   canonical identity (population + label + raw bytes) and served from a
 //!   [`incremental::SnapshotMemo`] when already analysed — cold ingest

@@ -18,8 +18,7 @@ use sparqlog_algebra::{
     QueryWalkRef,
 };
 use sparqlog_graph::StructuralReport;
-use sparqlog_parser::ast::QueryForm;
-use sparqlog_parser::ast_ref;
+use sparqlog_parser::ast_ref::{self, QueryForm};
 use sparqlog_parser::intern::Interner;
 use sparqlog_parser::{parse_query_in, Arena, ParseError};
 use sparqlog_paths::PathTally;
@@ -61,10 +60,8 @@ impl QueryAnalysis {
     /// (constants are never interned); the result is byte-identical for any
     /// interner state, since symbols never leak into the returned record.
     ///
-    /// Two kinds of node are converted to owned form on the way — the
-    /// pattern tree's triples and filters, as the walk meets them, and each
-    /// property path, at tally time; everything else reads the borrowed
-    /// tree. The record owns no arena data, so the caller may reset the arena
+    /// Everything reads the tree in place — no node or string is copied out
+    /// of it. The record owns no arena data, so the caller may reset the arena
     /// as soon as this returns.
     pub fn of_ref(query: &ast_ref::Query<'_>, interner: &mut Interner) -> QueryAnalysis {
         let walk = QueryWalkRef::of(query, interner);
@@ -75,7 +72,7 @@ impl QueryAnalysis {
             StructuralReport::from_walk_interned(fragments, walk.tree.as_ref(), interner);
         let mut paths = PathTally::new();
         for p in &walk.paths {
-            paths.add(&p.to_owned());
+            paths.add(p);
         }
         QueryAnalysis {
             form: query.form,
@@ -91,7 +88,6 @@ impl QueryAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
 
     fn qa(text: &str) -> QueryAnalysis {
         QueryAnalysis::of_text(text).unwrap()
@@ -114,7 +110,8 @@ mod tests {
             "SELECT * WHERE { ?x <a>/<b> ?y . ?y <c>* ?z GRAPH ?g { ?z ^<d> ?w } }",
         ] {
             let single = qa(text);
-            let q = parse_query(text).unwrap();
+            let arena = Arena::new();
+            let q = parse_query_in(text, &arena).unwrap();
             assert_eq!(single.features, QueryFeatures::of(&q), "{text}");
             assert_eq!(
                 single.projection,
@@ -124,7 +121,7 @@ mod tests {
             assert_eq!(single.structural, StructuralReport::of(&q), "{text}");
             let mut paths = PathTally::new();
             for p in sparqlog_algebra::collect_property_paths(&q) {
-                paths.add(p);
+                paths.add(&p);
             }
             assert_eq!(single.paths, paths, "{text}");
         }

@@ -350,7 +350,7 @@ impl RecoveryContext {
     /// worker pool (which would poison the shared batch-source mutex).
     ///
     /// `convert` runs inside the isolation boundary too, so a panic while
-    /// fingerprinting or copying the AST out of the arena is also caught.
+    /// fingerprinting is also caught.
     /// After a caught panic the caller must [`Arena::trim`] the arena it
     /// passed, since the unwind may have left a partially filled chunk.
     pub(crate) fn parse_entry<'a, T>(
@@ -509,19 +509,17 @@ mod tests {
             drill: Some("DRILL-ME".to_string()),
         };
         let mut arena = Arena::new();
-        let ok = ctx.parse_entry("ASK { ?x <http://p> ?y }", &arena, |q| q.to_owned());
+        let ok = ctx.parse_entry("ASK { ?x <http://p> ?y }", &arena, |q| q.form);
         assert!(ok.is_ok());
 
         arena.reset();
         let oversize = format!("SELECT ?x WHERE {{ ?x <http://{}> ?y }}", "p".repeat(80));
-        let error = ctx
-            .parse_entry(&oversize, &arena, |q| q.to_owned())
-            .unwrap_err();
+        let error = ctx.parse_entry(&oversize, &arena, |q| q.form).unwrap_err();
         assert_eq!(error.kind, ErrorKind::OversizeEntry);
 
         arena.reset();
         let error = ctx
-            .parse_entry("ASK { ?x <http://DRILL-ME> ?y }", &arena, |q| q.to_owned())
+            .parse_entry("ASK { ?x <http://DRILL-ME> ?y }", &arena, |q| q.form)
             .unwrap_err();
         assert_eq!(error.kind, ErrorKind::WorkerPanic);
         assert!(error.message.contains("SPARQLOG_PANIC_DRILL"));

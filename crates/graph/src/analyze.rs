@@ -13,7 +13,7 @@ use crate::treewidth::treewidth_of_cyclic;
 use serde::{Deserialize, Serialize};
 use sparqlog_algebra::fragments::{classify_fragments, variable_equalities, FragmentReport};
 use sparqlog_algebra::pattern_tree::PatternTree;
-use sparqlog_parser::ast::Query;
+use sparqlog_parser::ast_ref::Query;
 use sparqlog_parser::intern::Interner;
 
 /// The structural analysis of one query.
@@ -63,7 +63,7 @@ impl StructuralReport {
     /// classification re-traverses the query and the pattern tree is rebuilt
     /// from scratch. Kept as the reference the differential tests compare the
     /// single-pass pipeline ([`StructuralReport::from_walk_interned`]) against.
-    pub fn of(query: &Query) -> StructuralReport {
+    pub fn of(query: &Query<'_>) -> StructuralReport {
         let fragments = classify_fragments(query);
         // Build the tree only when the structural analysis will use it,
         // matching the laziness of the original implementation.
@@ -86,12 +86,12 @@ impl StructuralReport {
     /// queries additionally get a shape, treewidth and (when they use
     /// variable predicates) a hypertree width. The canonical graph is
     /// constructed **once**, in both modes simultaneously, from triples and
-    /// `?x = ?y` equalities borrowed straight out of the pattern tree; the
+    /// `?x = ?y` equalities read straight out of the pattern tree; the
     /// built pair (with constants, variables only) feeds the shape,
     /// treewidth, girth and constants-excluded analyses.
     pub fn from_walk_interned(
         fragments: FragmentReport,
-        tree: Option<&PatternTree>,
+        tree: Option<&PatternTree<'_>>,
         interner: &mut Interner,
     ) -> StructuralReport {
         let mut report = StructuralReport {
@@ -144,10 +144,11 @@ impl StructuralReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn analyze(q: &str) -> StructuralReport {
-        StructuralReport::of(&parse_query(q).unwrap())
+        let arena = Arena::new();
+        StructuralReport::of(&parse_query_in(q, &arena).unwrap())
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! [`CanonicalGraph::MAX_NODES`] distinct nodes gets no canonical graph.
 
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::{Term, TriplePattern};
+use sparqlog_parser::ast_ref::{Term, TriplePattern};
 use sparqlog_parser::intern::{Interner, Symbol};
 
 /// Whether constants (IRIs and literals in subject/object position) become
@@ -85,7 +85,7 @@ impl CanonicalGraph {
     /// 5.1 of the paper), and so are patterns with more than
     /// [`CanonicalGraph::MAX_NODES`] distinct nodes.
     pub fn from_triples(
-        triples: &[TriplePattern],
+        triples: &[TriplePattern<'_>],
         equalities: &[(&str, &str)],
         mode: GraphMode,
     ) -> Option<CanonicalGraph> {
@@ -106,8 +106,8 @@ impl CanonicalGraph {
     /// by value against the query's own node list and never interned — a
     /// worker's interner therefore grows with the corpus' variable names,
     /// not with its IRIs and literals.
-    pub fn from_triples_both_interned<'a, 'e>(
-        triples: impl IntoIterator<Item = &'a TriplePattern>,
+    pub fn from_triples_both_interned<'a, 'q: 'a, 'e>(
+        triples: impl IntoIterator<Item = &'a TriplePattern<'q>>,
         equalities: impl IntoIterator<Item = (&'e str, &'e str)>,
         interner: &mut Interner,
     ) -> Option<(CanonicalGraph, CanonicalGraph)> {
@@ -401,10 +401,10 @@ impl<'g> Components<'g> {
 /// collapse; constants are compared by value (kind and every field), which
 /// needs no table that outlives the query.
 #[derive(Clone, Copy, PartialEq)]
-enum NodeKey<'a> {
+enum NodeKey<'a, 'q> {
     Var(Symbol),
     Blank(Symbol),
-    Constant(&'a Term),
+    Constant(&'a Term<'q>),
 }
 
 /// The `?x = ?y` union-find over variable symbols. Equality filters are rare
@@ -435,24 +435,24 @@ impl Equalities {
 /// The outcome of the one scan over a pattern's triples: node numbers in
 /// first-occurrence order and one endpoint pair per triple, from which the
 /// graph of either [`GraphMode`] is filled in.
-struct Scan<'a> {
+struct Scan<'a, 'q> {
     /// The with-constants nodes, each with its number in the variables-only
     /// graph (or [`Scan::CONSTANT`]).
-    nodes: Vec<(NodeKey<'a>, u32)>,
+    nodes: Vec<(NodeKey<'a, 'q>, u32)>,
     /// Number of variable and blank nodes.
     variables: u32,
     /// Subject and object node of every triple, in with-constants numbering.
     edges: Vec<(u32, u32)>,
 }
 
-impl<'a> Scan<'a> {
+impl<'a, 'q> Scan<'a, 'q> {
     const CONSTANT: u32 = u32::MAX;
 
     fn of<'e>(
-        triples: impl IntoIterator<Item = &'a TriplePattern>,
+        triples: impl IntoIterator<Item = &'a TriplePattern<'q>>,
         equalities: impl IntoIterator<Item = (&'e str, &'e str)>,
         interner: &mut Interner,
-    ) -> Option<Scan<'a>> {
+    ) -> Option<Scan<'a, 'q>> {
         let mut equal = Equalities::default();
         for (a, b) in equalities {
             equal.union(interner.intern(a), interner.intern(b));
@@ -479,7 +479,7 @@ impl<'a> Scan<'a> {
     /// once the pattern has more than [`CanonicalGraph::MAX_NODES`] nodes.
     fn node_of(
         &mut self,
-        term: &'a Term,
+        term: &'a Term<'q>,
         equal: &Equalities,
         interner: &mut Interner,
     ) -> Option<u32> {
@@ -528,17 +528,23 @@ impl<'a> Scan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::Term;
 
-    fn t(s: &str, p: &str, o: &str) -> TriplePattern {
-        let term = |x: &str| {
-            if let Some(v) = x.strip_prefix('?') {
-                Term::var(v)
-            } else {
-                Term::iri(x)
-            }
-        };
-        TriplePattern::new(term(s), Term::iri(p), term(o))
+    use crate::triple as t;
+
+    fn object<'a>(subject: Term<'a>, p: &'a str, object: Term<'a>) -> TriplePattern<'a> {
+        TriplePattern {
+            subject,
+            predicate: Term::Iri(p),
+            object,
+        }
+    }
+
+    fn literal<'a>(lexical: &'a str, datatype: Option<&'a str>, lang: Option<&'a str>) -> Term<'a> {
+        Term::Literal {
+            lexical,
+            datatype,
+            lang,
+        }
     }
 
     #[test]
@@ -558,11 +564,7 @@ mod tests {
 
     #[test]
     fn variable_predicate_is_rejected() {
-        let triples = [TriplePattern::new(
-            Term::var("x"),
-            Term::var("p"),
-            Term::var("y"),
-        )];
+        let triples = [t("?x", "?p", "?y")];
         assert!(CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).is_none());
         let mut interner = Interner::new();
         assert!(CanonicalGraph::from_triples_both_interned(&triples, [], &mut interner).is_none());
@@ -624,22 +626,13 @@ mod tests {
 
     #[test]
     fn one_scan_builds_the_graphs_of_both_modes() {
-        let literal = TriplePattern::new(
-            Term::var("x"),
-            Term::iri("http://p"),
-            Term::Literal {
-                lexical: "v".to_string(),
-                datatype: Some("http://dt".to_string()),
-                lang: None,
-            },
-        );
         let triples = [
-            TriplePattern::new(
-                Term::BlankNode("b".to_string()),
-                Term::iri("http://p"),
-                Term::var("x"),
+            object(Term::BlankNode("b"), "http://p", Term::Var("x")),
+            object(
+                Term::Var("x"),
+                "http://p",
+                literal("v", Some("http://dt"), None),
             ),
-            literal,
             t("?x", "q", "c1"),
             t("c1", "q", "c2"),
         ];
@@ -667,23 +660,15 @@ mod tests {
     #[test]
     fn a_term_kind_is_part_of_node_identity() {
         // ?n, _:n, <n> and "n" are four nodes; "n"@en and "n"^^<dt> two more.
-        let object = |o: Term| TriplePattern::new(Term::var("s"), Term::iri("p"), o);
         let triples = [
-            object(Term::var("n")),
-            object(Term::BlankNode("n".to_string())),
-            object(Term::iri("n")),
-            object(Term::literal("n")),
-            object(Term::Literal {
-                lexical: "n".to_string(),
-                datatype: None,
-                lang: Some("en".to_string()),
-            }),
-            object(Term::Literal {
-                lexical: "n".to_string(),
-                datatype: Some("dt".to_string()),
-                lang: None,
-            }),
-        ];
+            Term::Var("n"),
+            Term::BlankNode("n"),
+            Term::Iri("n"),
+            literal("n", None, None),
+            literal("n", None, Some("en")),
+            literal("n", Some("dt"), None),
+        ]
+        .map(|o| object(Term::Var("s"), "p", o));
         let g = CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap();
         assert_eq!(
             (g.node_count(), g.edge_count(), g.parallel_edges),
@@ -701,16 +686,15 @@ mod tests {
 
     #[test]
     fn the_node_count_is_bounded_before_the_matrix_is_allocated() {
-        let star = |leaves: usize| -> Vec<TriplePattern> {
-            (0..leaves)
-                .map(|i| t("?centre", "p", &format!("?leaf{i}")))
-                .collect()
-        };
-        let at_bound = star(CanonicalGraph::MAX_NODES - 1);
-        let g = CanonicalGraph::from_triples(&at_bound, &[], GraphMode::WithConstants).unwrap();
+        let leaves: Vec<String> = (0..CanonicalGraph::MAX_NODES)
+            .map(|i| format!("?leaf{i}"))
+            .collect();
+        let beyond: Vec<TriplePattern<'_>> =
+            leaves.iter().map(|leaf| t("?centre", "p", leaf)).collect();
+        let at_bound = &beyond[..CanonicalGraph::MAX_NODES - 1];
+        let g = CanonicalGraph::from_triples(at_bound, &[], GraphMode::WithConstants).unwrap();
         assert_eq!(g.node_count(), CanonicalGraph::MAX_NODES);
         assert!(!g.has_cycle());
-        let beyond = star(CanonicalGraph::MAX_NODES);
         assert!(CanonicalGraph::from_triples(&beyond, &[], GraphMode::WithConstants).is_none());
     }
 

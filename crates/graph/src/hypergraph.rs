@@ -7,7 +7,7 @@
 //! meaningless (Example 5.1 of the paper).
 
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::{Term, TriplePattern};
+use sparqlog_parser::ast_ref::{Term, TriplePattern};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A hypergraph over named vertices.
@@ -24,15 +24,17 @@ pub struct Hypergraph {
 impl Hypergraph {
     /// Builds the canonical hypergraph of a set of triple patterns.
     /// `equalities` lists `?x = ?y` filter pairs that are collapsed.
-    pub fn from_triples(triples: &[TriplePattern], equalities: &[(&str, &str)]) -> Hypergraph {
-        let refs: Vec<&TriplePattern> = triples.iter().collect();
+    pub fn from_triples(triples: &[TriplePattern<'_>], equalities: &[(&str, &str)]) -> Hypergraph {
+        let refs: Vec<&TriplePattern<'_>> = triples.iter().collect();
         Hypergraph::from_triple_refs(&refs, equalities)
     }
 
-    /// [`Hypergraph::from_triples`] over borrowed triples — the form the
-    /// single-pass pipeline uses, where the triples are borrowed from a
-    /// pattern tree instead of being cloned.
-    pub fn from_triple_refs(triples: &[&TriplePattern], equalities: &[(&str, &str)]) -> Hypergraph {
+    /// [`Hypergraph::from_triples`] over references — the form the
+    /// single-pass pipeline uses, where the triples stay in the pattern tree.
+    pub fn from_triple_refs(
+        triples: &[&TriplePattern<'_>],
+        equalities: &[(&str, &str)],
+    ) -> Hypergraph {
         let mut rename: BTreeMap<String, String> = BTreeMap::new();
         for (a, b) in equalities {
             // Collapse b into a (transitively resolved below).
@@ -202,18 +204,7 @@ impl Hypergraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::Term;
-
-    fn triple(s: &str, p: &str, o: &str) -> TriplePattern {
-        let term = |x: &str| {
-            if let Some(v) = x.strip_prefix('?') {
-                Term::var(v)
-            } else {
-                Term::iri(x)
-            }
-        };
-        TriplePattern::new(term(s), term(p), term(o))
-    }
+    use crate::triple;
 
     #[test]
     fn example_5_1_variable_predicate_query_is_cyclic() {

@@ -291,20 +291,10 @@ fn subsets_up_to(items: &[usize], k: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::{Term, TriplePattern};
+    use crate::triple;
+    use sparqlog_parser::ast_ref::TriplePattern;
 
-    fn triple(s: &str, p: &str, o: &str) -> TriplePattern {
-        let term = |x: &str| {
-            if let Some(v) = x.strip_prefix('?') {
-                Term::var(v)
-            } else {
-                Term::iri(x)
-            }
-        };
-        TriplePattern::new(term(s), term(p), term(o))
-    }
-
-    fn hg(triples: &[TriplePattern]) -> Hypergraph {
+    fn hg(triples: &[TriplePattern<'_>]) -> Hypergraph {
         Hypergraph::from_triples(triples, &[])
     }
 
@@ -347,15 +337,10 @@ mod tests {
 
     #[test]
     fn long_cycle_has_width_two() {
-        let mut triples = Vec::new();
-        let n = 6;
-        for i in 0..n {
-            triples.push(triple(
-                &format!("?v{i}"),
-                "p",
-                &format!("?v{}", (i + 1) % n),
-            ));
-        }
+        let names: Vec<String> = (0..6).map(|i| format!("?v{i}")).collect();
+        let triples: Vec<_> = (0..6)
+            .map(|i| triple(&names[i], "p", &names[(i + 1) % 6]))
+            .collect();
         let h = hg(&triples);
         let w = generalized_hypertree_width(&h, 4).unwrap();
         assert_eq!(w.width, 2);
@@ -365,14 +350,15 @@ mod tests {
     #[test]
     fn grid_3x3_of_binary_edges_needs_width_at_least_two() {
         let mut triples = Vec::new();
-        let name = |r: usize, c: usize| format!("?n{r}{c}");
+        let names: Vec<String> = (0..9).map(|i| format!("?n{}{}", i / 3, i % 3)).collect();
+        let name = |r: usize, c: usize| names[3 * r + c].as_str();
         for r in 0..3 {
             for c in 0..3 {
                 if c + 1 < 3 {
-                    triples.push(triple(&name(r, c), "p", &name(r, c + 1)));
+                    triples.push(triple(name(r, c), "p", name(r, c + 1)));
                 }
                 if r + 1 < 3 {
-                    triples.push(triple(&name(r, c), "p", &name(r + 1, c)));
+                    triples.push(triple(name(r, c), "p", name(r + 1, c)));
                 }
             }
         }

@@ -41,3 +41,39 @@ pub use hypergraph::Hypergraph;
 pub use hypertree::{generalized_hypertree_width, HypertreeWidth};
 pub use shape::{ShapeClass, ShapeReport, ShapeTally};
 pub use treewidth::{treewidth, Treewidth};
+
+/// A triple pattern for this crate's unit tests: `?name` is a variable,
+/// anything else an IRI.
+#[cfg(test)]
+pub(crate) fn triple<'a>(
+    s: &'a str,
+    p: &'a str,
+    o: &'a str,
+) -> sparqlog_parser::ast_ref::TriplePattern<'a> {
+    use sparqlog_parser::ast_ref::{Term, TriplePattern};
+    let term = |x: &'a str| match x.strip_prefix('?') {
+        Some(v) => Term::Var(v),
+        None => Term::Iri(x),
+    };
+    TriplePattern {
+        subject: term(s),
+        predicate: term(p),
+        object: term(o),
+    }
+}
+
+/// The with-constants graph of one edge per pair of variable names, for this
+/// crate's unit tests.
+#[cfg(test)]
+pub(crate) fn graph_of(edges: &[(&str, &str)]) -> CanonicalGraph {
+    use sparqlog_parser::ast_ref::{Term, TriplePattern};
+    let triples: Vec<TriplePattern<'_>> = edges
+        .iter()
+        .map(|(s, o)| TriplePattern {
+            subject: Term::Var(s),
+            predicate: Term::Iri("p"),
+            object: Term::Var(o),
+        })
+        .collect();
+    CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap()
+}

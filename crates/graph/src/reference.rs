@@ -13,7 +13,7 @@
 use crate::graph::GraphMode;
 use crate::shape::ShapeReport;
 use crate::treewidth::{tw_at_most, Treewidth};
-use sparqlog_parser::ast::{Term, TriplePattern};
+use sparqlog_parser::ast_ref::{Term, TriplePattern};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// The reference graph: rendered labels and adjacency sets.
@@ -28,7 +28,7 @@ pub struct RefGraph {
 
 impl RefGraph {
     pub fn from_triples(
-        triples: &[TriplePattern],
+        triples: &[TriplePattern<'_>],
         equalities: &[(&str, &str)],
         mode: GraphMode,
     ) -> Option<RefGraph> {
@@ -42,7 +42,7 @@ impl RefGraph {
         let mut graph = RefGraph::default();
         let mut index: BTreeMap<String, usize> = BTreeMap::new();
         for t in triples {
-            let mut node_of = |term: &Term| -> Option<usize> {
+            let mut node_of = |term: &Term<'_>| -> Option<usize> {
                 let label = match term {
                     Term::Var(v) => uf.find(&format!("?{v}")),
                     Term::BlankNode(b) => format!("_:{b}"),
@@ -454,53 +454,71 @@ mod properties {
     /// the node, so every occurrence of `i` is the same term: half the
     /// kinds are variables, the rest a blank node, an IRI and two literals
     /// sharing a lexical form.
-    fn term(kind: u8, i: usize) -> Term {
+    fn term(kind: u8, name: &str) -> Term<'_> {
         match kind % 8 {
-            0..=3 => Term::var(format!("v{i}")),
-            4 => Term::BlankNode(format!("v{i}")),
-            5 => Term::iri(format!("v{i}")),
-            6 => Term::literal(format!("v{i}")),
-            _ => Term::Literal {
-                lexical: format!("v{i}"),
+            0..=3 => Term::Var(name),
+            4 => Term::BlankNode(name),
+            5 => Term::Iri(name),
+            6 => Term::Literal {
+                lexical: name,
                 datatype: None,
-                lang: Some("en".to_string()),
+                lang: None,
+            },
+            _ => Term::Literal {
+                lexical: name,
+                datatype: None,
+                lang: Some("en"),
             },
         }
     }
 
     /// One generated multigraph as the builder's input: a triple per edge
     /// (self-loops and repeats included) and `?x = ?y` pairs between the
-    /// variables of the given nodes.
+    /// variables of the given nodes. The case owns the node names (`v{i}`)
+    /// its triples borrow.
     struct Case {
-        triples: Vec<TriplePattern>,
-        equalities: Vec<(String, String)>,
+        names: Vec<String>,
+        kinds: Vec<u8>,
+        edges: Vec<(usize, usize)>,
+        equalities: Vec<(usize, usize)>,
     }
 
     impl Case {
         fn new(kinds: &[u8], edges: &[(usize, usize)], equalities: &[(usize, usize)]) -> Case {
-            let node = |i: usize| term(kinds[i % kinds.len()], i);
+            let nodes = edges.iter().chain(equalities).map(|&(a, b)| a.max(b) + 1);
             Case {
-                triples: edges
-                    .iter()
-                    .map(|&(a, b)| TriplePattern::new(node(a), Term::iri("p"), node(b)))
+                names: (0..nodes.max().unwrap_or(0))
+                    .map(|i| format!("v{i}"))
                     .collect(),
-                equalities: equalities
-                    .iter()
-                    .map(|&(a, b)| (format!("v{a}"), format!("v{b}")))
-                    .collect(),
+                kinds: kinds.to_vec(),
+                edges: edges.to_vec(),
+                equalities: equalities.to_vec(),
             }
+        }
+
+        fn triples(&self) -> Vec<TriplePattern<'_>> {
+            let node = |i: usize| term(self.kinds[i % self.kinds.len()], &self.names[i]);
+            self.edges
+                .iter()
+                .map(|&(a, b)| TriplePattern {
+                    subject: node(a),
+                    predicate: Term::Iri("p"),
+                    object: node(b),
+                })
+                .collect()
         }
 
         /// Holds the bit-matrix code to the reference in both modes and
         /// returns the with-constants graph's treewidth.
         fn check(&self) -> usize {
+            let triples = self.triples();
             let equalities: Vec<(&str, &str)> = self
                 .equalities
                 .iter()
-                .map(|(a, b)| (a.as_str(), b.as_str()))
+                .map(|&(a, b)| (self.names[a].as_str(), self.names[b].as_str()))
                 .collect();
             let (with, without) = CanonicalGraph::from_triples_both_interned(
-                &self.triples,
+                &triples,
                 equalities.iter().copied(),
                 &mut Interner::new(),
             )
@@ -510,9 +528,9 @@ mod properties {
                 (GraphMode::WithConstants, with),
                 (GraphMode::VariablesOnly, without),
             ] {
-                let new = CanonicalGraph::from_triples(&self.triples, &equalities, mode)
+                let new = CanonicalGraph::from_triples(&triples, &equalities, mode)
                     .expect("constant predicates");
-                let old = RefGraph::from_triples(&self.triples, &equalities, mode)
+                let old = RefGraph::from_triples(&triples, &equalities, mode)
                     .expect("constant predicates");
                 assert_eq!(new, both, "{mode:?}: one scan vs. one mode");
                 assert_eq!(new.node_count(), old.node_count(), "{mode:?}");
@@ -646,7 +664,8 @@ mod properties {
         let edges: Pairs = (1..=209).map(|leaf| (0, leaf)).collect();
         let case = variables(&edges);
         assert_eq!(case.check(), 1);
-        let g = CanonicalGraph::from_triples(&case.triples, &[], GraphMode::WithConstants).unwrap();
+        let g =
+            CanonicalGraph::from_triples(&case.triples(), &[], GraphMode::WithConstants).unwrap();
         assert_eq!((g.node_count(), g.degree(0)), (210, 209));
         let shape = ShapeReport::classify(&g);
         assert!(shape.star && shape.tree && !shape.chain);
@@ -657,7 +676,8 @@ mod properties {
         let edges: Pairs = (0..100).map(|i| (i, (i + 1) % 100)).collect();
         let case = variables(&edges);
         assert_eq!(case.check(), 2);
-        let g = CanonicalGraph::from_triples(&case.triples, &[], GraphMode::WithConstants).unwrap();
+        let g =
+            CanonicalGraph::from_triples(&case.triples(), &[], GraphMode::WithConstants).unwrap();
         assert!(ShapeReport::classify(&g).cycle);
         assert_eq!(crate::treewidth::treewidth(&g), Treewidth::Exact(2));
         assert_eq!(g.girth(), Some(100));
@@ -677,7 +697,8 @@ mod properties {
         }
         let case = variables(&edges);
         assert_eq!(case.check(), 2);
-        let g = CanonicalGraph::from_triples(&case.triples, &[], GraphMode::WithConstants).unwrap();
+        let g =
+            CanonicalGraph::from_triples(&case.triples(), &[], GraphMode::WithConstants).unwrap();
         assert_eq!((g.node_count(), g.edge_count()), (70, 103));
         assert_eq!(g.girth(), Some(4));
         let shape = ShapeReport::classify(&g);

@@ -376,16 +376,7 @@ impl ShapeTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphMode;
-    use sparqlog_parser::ast::{Term, TriplePattern};
-
-    fn graph(edges: &[(&str, &str)]) -> CanonicalGraph {
-        let triples: Vec<TriplePattern> = edges
-            .iter()
-            .map(|(s, o)| TriplePattern::new(Term::var(*s), Term::iri("p"), Term::var(*o)))
-            .collect();
-        CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap()
-    }
+    use crate::graph_of as graph;
 
     #[test]
     fn single_edge_is_also_chain_tree_forest_flower() {

@@ -245,16 +245,7 @@ pub fn min_fill_upper_bound(g: &CanonicalGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphMode;
-    use sparqlog_parser::ast::{Term, TriplePattern};
-
-    fn graph(edges: &[(&str, &str)]) -> CanonicalGraph {
-        let triples: Vec<TriplePattern> = edges
-            .iter()
-            .map(|(s, o)| TriplePattern::new(Term::var(*s), Term::iri("p"), Term::var(*o)))
-            .collect();
-        CanonicalGraph::from_triples(&triples, &[], GraphMode::WithConstants).unwrap()
-    }
+    use crate::graph_of as graph;
 
     #[test]
     fn forest_has_treewidth_one() {

@@ -14,9 +14,8 @@
 //!
 //! Everything handed out borrows the arena (`&'a T`, `&'a str`,
 //! `&'a [T]`). [`Arena::reset`] takes `&mut self`, so the borrow checker
-//! statically guarantees no slice survives a reset: data that must outlive
-//! the batch has to be copied out first (the AST offers `to_owned()` for
-//! exactly this).
+//! statically guarantees no slice survives a reset: what must outlive the
+//! batch (a fingerprint, an analysis record) is computed before it.
 //!
 //! # Safety
 //!

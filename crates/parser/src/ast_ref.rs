@@ -1,35 +1,89 @@
-//! Borrowed, arena-resident mirrors of the owned [`ast`] types.
+//! The abstract syntax tree the parser produces: arena-resident, borrowed,
+//! `Copy`.
 //!
-//! Every type here is `Copy` and borrows either the query source text or the
+//! The tree stays close to the *surface syntax* of SPARQL 1.1 rather than to
+//! the evaluation algebra: the analyses in the paper (keyword census,
+//! operator-set classification, fragment membership, canonical graphs) are
+//! all defined on the syntactic structure of queries, so group boundaries,
+//! UNION branches and OPTIONAL nesting are preserved exactly as written.
+//!
+//! Every node type is `Copy` and borrows either the query source text or the
 //! parse [`Arena`](crate::arena::Arena): strings are `&'a str`, child nodes
 //! are arena references, and lists are arena slices. The parser builds these
 //! (via [`parse_query_in`](crate::parse_query_in)) with zero per-node global
 //! allocations; tearing a query down is a single arena
-//! [`reset`](crate::arena::Arena::reset).
+//! [`reset`](crate::arena::Arena::reset). Nodes built by hand from string
+//! literals (`Term::Var("x")`, `TriplePattern { .. }`) need no arena at all.
 //!
 //! # Lifetime rules
 //!
-//! A borrowed query is valid only while *both* its input buffer and its arena
-//! are alive and the arena has not been reset. Nothing from a borrowed query
-//! may escape the batch that parsed it: anything that must outlive the batch
-//! (cache keys, reports, interner symbols) must be copied out first — either
-//! through [`Query::to_owned`], which produces the exact owned
-//! [`ast::Query`], or by interning individual strings.
-//! The `to_owned` adapters define the equivalence contract with the owned
-//! surface: a round trip through them is byte-identical under canonical
-//! serialization.
-//!
-//! Structure, field names and `Display` output deliberately match `ast`
-//! one-to-one so the canonical-form writers can be mirrored mechanically.
+//! A parsed query is valid only while *both* its input buffer and its arena
+//! are alive and the arena has not been reset — the borrow checker enforces
+//! it, since [`reset`](crate::arena::Arena::reset) takes `&mut self`. What
+//! must outlive the query (fingerprints, analysis records, interner symbols)
+//! is computed from it first; nothing in the workspace keeps a tree.
 
-use crate::ast;
-pub use crate::ast::{AggregateKind, OrderDirection, QueryForm};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// An RDF term or variable (borrowed). See [`ast::Term`].
+/// The four SPARQL query forms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum QueryForm {
+    /// `SELECT` — returns projected variable bindings.
+    Select,
+    /// `ASK` — returns a boolean.
+    Ask,
+    /// `CONSTRUCT` — returns a new RDF graph built from a template.
+    Construct,
+    /// `DESCRIBE` — returns RDF describing the given resources.
+    Describe,
+}
+
+impl fmt::Display for QueryForm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            QueryForm::Select => "SELECT",
+            QueryForm::Ask => "ASK",
+            QueryForm::Construct => "CONSTRUCT",
+            QueryForm::Describe => "DESCRIBE",
+        })
+    }
+}
+
+/// Aggregate function kinds supported by SPARQL 1.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum AggregateKind {
+    /// `COUNT`.
+    Count,
+    /// `SUM`.
+    Sum,
+    /// `MIN`.
+    Min,
+    /// `MAX`.
+    Max,
+    /// `AVG`.
+    Avg,
+    /// `SAMPLE`.
+    Sample,
+    /// `GROUP_CONCAT`.
+    GroupConcat,
+}
+
+/// `ASC` / `DESC` order directions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum OrderDirection {
+    /// Ascending (the default).
+    Asc,
+    /// Descending.
+    Desc,
+}
+
+/// An RDF term or variable appearing in a triple pattern, expression, or
+/// DESCRIBE / GRAPH argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term<'a> {
-    /// An IRI (expanded or verbatim `prefix:local`).
+    /// An IRI. Prefixed names are expanded by the parser when the prefix is
+    /// declared; otherwise they are stored as `prefix:local` verbatim.
     Iri(&'a str),
     /// A literal with optional datatype IRI or language tag.
     Literal {
@@ -40,9 +94,9 @@ pub enum Term<'a> {
         /// Language tag, if `@tag` was used.
         lang: Option<&'a str>,
     },
-    /// A blank node label.
+    /// A blank node (explicit label or generated for `[]` / property lists).
     BlankNode(&'a str),
-    /// A query variable (without the sigil).
+    /// A query variable (without the `?` / `$` sigil).
     Var(&'a str),
 }
 
@@ -57,7 +111,8 @@ impl<'a> Term<'a> {
         matches!(self, Term::BlankNode(_))
     }
 
-    /// Returns `true` if this term is a variable or blank node.
+    /// Returns `true` if this term is a variable or blank node — the "join
+    /// positions" used when building canonical graphs and hypergraphs.
     pub fn is_var_or_blank(&self) -> bool {
         self.is_var() || self.is_blank()
     }
@@ -69,32 +124,24 @@ impl<'a> Term<'a> {
             _ => None,
         }
     }
-
-    /// Copies the term into the owned representation.
-    pub fn to_owned(&self) -> ast::Term {
-        match *self {
-            Term::Iri(i) => ast::Term::Iri(i.to_string()),
-            Term::Literal {
-                lexical,
-                datatype,
-                lang,
-            } => ast::Term::Literal {
-                lexical: lexical.to_string(),
-                datatype: datatype.map(str::to_string),
-                lang: lang.map(str::to_string),
-            },
-            Term::BlankNode(b) => ast::Term::BlankNode(b.to_string()),
-            Term::Var(v) => ast::Term::Var(v.to_string()),
-        }
-    }
 }
 
 impl fmt::Display for Term<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Must stay byte-identical to `ast::Term`'s Display.
         match self {
             Term::Iri(i) => {
-                if i.contains("://") || i.starts_with("urn:") || i.starts_with("mailto:") {
+                // Bare only what reads back as a prefixed name (an undeclared
+                // `prefix:local`). Anything else keeps its brackets, or
+                // `<?x>` would print as the variable `?x`, `<_:b>` as a blank
+                // node, `<a>` as the keyword `a` and `<UNDEF>` as `UNDEF`.
+                // Absolute IRIs, nearly all there are, leave at the first test.
+                if i.contains("://")
+                    || i.starts_with("urn:")
+                    || i.starts_with("mailto:")
+                    || !i.contains(':')
+                    || i.starts_with(['?', '$'])
+                    || i.starts_with("_:")
+                {
                     write!(f, "<{i}>")
                 } else {
                     write!(f, "{i}")
@@ -120,29 +167,18 @@ impl fmt::Display for Term<'_> {
     }
 }
 
-/// A triple pattern (borrowed). See [`ast::TriplePattern`].
+/// A triple pattern `subject predicate object`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TriplePattern<'a> {
     /// The subject position.
     pub subject: Term<'a>,
-    /// The predicate position.
+    /// The predicate position (an IRI or a variable; never a literal).
     pub predicate: Term<'a>,
     /// The object position.
     pub object: Term<'a>,
 }
 
-impl<'a> TriplePattern<'a> {
-    /// Copies the pattern into the owned representation.
-    pub fn to_owned(&self) -> ast::TriplePattern {
-        ast::TriplePattern {
-            subject: self.subject.to_owned(),
-            predicate: self.predicate.to_owned(),
-            object: self.object.to_owned(),
-        }
-    }
-}
-
-/// A property path expression (borrowed). See [`ast::PropertyPath`].
+/// A SPARQL 1.1 property path expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PropertyPath<'a> {
     /// A single IRI step.
@@ -164,38 +200,15 @@ pub enum PropertyPath<'a> {
 }
 
 impl PropertyPath<'_> {
-    /// Returns `true` if the path is a single forward IRI step.
+    /// Returns `true` if the path is a single forward IRI step (i.e. it could
+    /// have been written as a plain triple pattern).
     pub fn is_trivial(&self) -> bool {
         matches!(self, PropertyPath::Iri(_))
-    }
-
-    /// Copies the path into the owned representation.
-    pub fn to_owned(&self) -> ast::PropertyPath {
-        match *self {
-            PropertyPath::Iri(i) => ast::PropertyPath::Iri(i.to_string()),
-            PropertyPath::Inverse(p) => ast::PropertyPath::Inverse(Box::new(p.to_owned())),
-            PropertyPath::Sequence(a, b) => {
-                ast::PropertyPath::Sequence(Box::new(a.to_owned()), Box::new(b.to_owned()))
-            }
-            PropertyPath::Alternative(a, b) => {
-                ast::PropertyPath::Alternative(Box::new(a.to_owned()), Box::new(b.to_owned()))
-            }
-            PropertyPath::ZeroOrMore(p) => ast::PropertyPath::ZeroOrMore(Box::new(p.to_owned())),
-            PropertyPath::OneOrMore(p) => ast::PropertyPath::OneOrMore(Box::new(p.to_owned())),
-            PropertyPath::ZeroOrOne(p) => ast::PropertyPath::ZeroOrOne(Box::new(p.to_owned())),
-            PropertyPath::NegatedPropertySet(items) => ast::PropertyPath::NegatedPropertySet(
-                items
-                    .iter()
-                    .map(|&(iri, inv)| (iri.to_string(), inv))
-                    .collect(),
-            ),
-        }
     }
 }
 
 impl fmt::Display for PropertyPath<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Must stay byte-identical to `ast::PropertyPath`'s Display.
         match self {
             PropertyPath::Iri(i) => write!(f, "<{i}>"),
             PropertyPath::Inverse(p) => write!(f, "^({p})"),
@@ -221,7 +234,7 @@ impl fmt::Display for PropertyPath<'_> {
     }
 }
 
-/// A property path pattern (borrowed). See [`ast::PathPattern`].
+/// A property path pattern `subject path object`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathPattern<'a> {
     /// The subject position.
@@ -232,18 +245,8 @@ pub struct PathPattern<'a> {
     pub object: Term<'a>,
 }
 
-impl PathPattern<'_> {
-    /// Copies the pattern into the owned representation.
-    pub fn to_owned(&self) -> ast::PathPattern {
-        ast::PathPattern {
-            subject: self.subject.to_owned(),
-            path: self.path.to_owned(),
-            object: self.object.to_owned(),
-        }
-    }
-}
-
-/// A triple-like element (borrowed). See [`ast::TripleOrPath`].
+/// A triple-like element inside a basic graph pattern: either a plain triple
+/// pattern or a property path pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TripleOrPath<'a> {
     /// A plain triple pattern.
@@ -268,17 +271,9 @@ impl<'a> TripleOrPath<'a> {
             TripleOrPath::Path(p) => &p.object,
         }
     }
-
-    /// Copies the element into the owned representation.
-    pub fn to_owned(&self) -> ast::TripleOrPath {
-        match self {
-            TripleOrPath::Triple(t) => ast::TripleOrPath::Triple(t.to_owned()),
-            TripleOrPath::Path(p) => ast::TripleOrPath::Path(p.to_owned()),
-        }
-    }
 }
 
-/// An aggregate expression (borrowed). See [`ast::Aggregate`].
+/// An aggregate expression such as `COUNT(DISTINCT ?x)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aggregate<'a> {
     /// Which aggregate function.
@@ -291,19 +286,8 @@ pub struct Aggregate<'a> {
     pub separator: Option<&'a str>,
 }
 
-impl Aggregate<'_> {
-    /// Copies the aggregate into the owned representation.
-    pub fn to_owned(&self) -> ast::Aggregate {
-        ast::Aggregate {
-            kind: self.kind,
-            distinct: self.distinct,
-            expr: self.expr.map(|e| Box::new(e.to_owned())),
-            separator: self.separator.map(str::to_string),
-        }
-    }
-}
-
-/// A SPARQL expression (borrowed). See [`ast::Expression`].
+/// A SPARQL expression (filter constraint, BIND / select expression, HAVING
+/// condition, ORDER BY condition).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Expression<'a> {
     /// A variable reference.
@@ -344,7 +328,9 @@ pub enum Expression<'a> {
     UnaryMinus(&'a Expression<'a>),
     /// `+a`.
     UnaryPlus(&'a Expression<'a>),
-    /// A built-in or custom function call `name(args…)`.
+    /// A built-in call or custom function call `name(args…)`. Built-in names
+    /// are stored upper-cased (`LANG`, `REGEX`, …); IRI-named functions keep
+    /// the IRI.
     FunctionCall(&'a str, &'a [Expression<'a>]),
     /// `EXISTS { … }`.
     Exists(&'a GroupGraphPattern<'a>),
@@ -426,78 +412,25 @@ impl<'a> Expression<'a> {
             Expression::Aggregate(agg) => agg.expr.is_some_and(|e| e.contains_exists()),
         }
     }
-
-    /// Copies the expression into the owned representation.
-    pub fn to_owned(&self) -> ast::Expression {
-        fn bx(e: &Expression<'_>) -> Box<ast::Expression> {
-            Box::new(e.to_owned())
-        }
-        match *self {
-            Expression::Var(v) => ast::Expression::Var(v.to_string()),
-            Expression::Term(t) => ast::Expression::Term(t.to_owned()),
-            Expression::Or(a, b) => ast::Expression::Or(bx(a), bx(b)),
-            Expression::And(a, b) => ast::Expression::And(bx(a), bx(b)),
-            Expression::Equal(a, b) => ast::Expression::Equal(bx(a), bx(b)),
-            Expression::NotEqual(a, b) => ast::Expression::NotEqual(bx(a), bx(b)),
-            Expression::Less(a, b) => ast::Expression::Less(bx(a), bx(b)),
-            Expression::Greater(a, b) => ast::Expression::Greater(bx(a), bx(b)),
-            Expression::LessEq(a, b) => ast::Expression::LessEq(bx(a), bx(b)),
-            Expression::GreaterEq(a, b) => ast::Expression::GreaterEq(bx(a), bx(b)),
-            Expression::In(a, list) => {
-                ast::Expression::In(bx(a), list.iter().map(|e| e.to_owned()).collect())
-            }
-            Expression::NotIn(a, list) => {
-                ast::Expression::NotIn(bx(a), list.iter().map(|e| e.to_owned()).collect())
-            }
-            Expression::Add(a, b) => ast::Expression::Add(bx(a), bx(b)),
-            Expression::Subtract(a, b) => ast::Expression::Subtract(bx(a), bx(b)),
-            Expression::Multiply(a, b) => ast::Expression::Multiply(bx(a), bx(b)),
-            Expression::Divide(a, b) => ast::Expression::Divide(bx(a), bx(b)),
-            Expression::Not(a) => ast::Expression::Not(bx(a)),
-            Expression::UnaryMinus(a) => ast::Expression::UnaryMinus(bx(a)),
-            Expression::UnaryPlus(a) => ast::Expression::UnaryPlus(bx(a)),
-            Expression::FunctionCall(name, args) => ast::Expression::FunctionCall(
-                name.to_string(),
-                args.iter().map(|e| e.to_owned()).collect(),
-            ),
-            Expression::Exists(g) => ast::Expression::Exists(Box::new(g.to_owned())),
-            Expression::NotExists(g) => ast::Expression::NotExists(Box::new(g.to_owned())),
-            Expression::Aggregate(agg) => ast::Expression::Aggregate(agg.to_owned()),
-        }
-    }
 }
 
-/// One row of an inline `VALUES` block; `None` represents `UNDEF`.
+/// One row of an inline `VALUES` data block; `None` represents `UNDEF`.
 pub type ValuesRow<'a> = &'a [Option<Term<'a>>];
 
-/// An inline data block (borrowed). See [`ast::InlineData`].
+/// An inline data block `VALUES (?x ?y) { (…) (…) }`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InlineData<'a> {
     /// The declared variables.
     pub variables: &'a [&'a str],
-    /// The data rows.
+    /// The data rows (each the same length as `variables`).
     pub rows: &'a [ValuesRow<'a>],
 }
 
-impl InlineData<'_> {
-    /// Copies the block into the owned representation.
-    pub fn to_owned(&self) -> ast::InlineData {
-        ast::InlineData {
-            variables: self.variables.iter().map(|v| v.to_string()).collect(),
-            rows: self
-                .rows
-                .iter()
-                .map(|row| row.iter().map(|t| t.map(|t| t.to_owned())).collect())
-                .collect(),
-        }
-    }
-}
-
-/// A single element of a group graph pattern (borrowed). See
-/// [`ast::GroupElement`].
+/// A single syntactic element of a group graph pattern (the content between
+/// one pair of braces).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupElement<'a> {
-    /// A block of triple / path patterns.
+    /// A block of triple / path patterns joined by `.` / `;` / `,`.
     Triples(&'a [TripleOrPath<'a>]),
     /// `FILTER constraint`.
     Filter(Expression<'a>),
@@ -510,7 +443,7 @@ pub enum GroupElement<'a> {
     },
     /// `OPTIONAL { … }`.
     Optional(GroupGraphPattern<'a>),
-    /// A union chain (two or more branches).
+    /// A union chain `{A} UNION {B} UNION …` (two or more branches).
     Union(&'a [GroupGraphPattern<'a>]),
     /// `GRAPH term { … }`.
     Graph {
@@ -530,52 +463,15 @@ pub enum GroupElement<'a> {
         /// The nested pattern.
         pattern: GroupGraphPattern<'a>,
     },
-    /// An inline `VALUES` block.
+    /// An inline `VALUES` block inside the group.
     Values(InlineData<'a>),
-    /// A nested subquery.
+    /// A nested subquery `{ SELECT … }`.
     SubSelect(&'a Query<'a>),
-    /// A plain nested group.
+    /// A plain nested group `{ … }` that is not part of a UNION / OPTIONAL.
     Group(GroupGraphPattern<'a>),
 }
 
-impl GroupElement<'_> {
-    /// Copies the element into the owned representation.
-    pub fn to_owned(&self) -> ast::GroupElement {
-        match *self {
-            GroupElement::Triples(ts) => {
-                ast::GroupElement::Triples(ts.iter().map(|t| t.to_owned()).collect())
-            }
-            GroupElement::Filter(e) => ast::GroupElement::Filter(e.to_owned()),
-            GroupElement::Bind { expr, var } => ast::GroupElement::Bind {
-                expr: expr.to_owned(),
-                var: var.to_string(),
-            },
-            GroupElement::Optional(g) => ast::GroupElement::Optional(g.to_owned()),
-            GroupElement::Union(branches) => {
-                ast::GroupElement::Union(branches.iter().map(|b| b.to_owned()).collect())
-            }
-            GroupElement::Graph { name, pattern } => ast::GroupElement::Graph {
-                name: name.to_owned(),
-                pattern: pattern.to_owned(),
-            },
-            GroupElement::Minus(g) => ast::GroupElement::Minus(g.to_owned()),
-            GroupElement::Service {
-                silent,
-                name,
-                pattern,
-            } => ast::GroupElement::Service {
-                silent,
-                name: name.to_owned(),
-                pattern: pattern.to_owned(),
-            },
-            GroupElement::Values(d) => ast::GroupElement::Values(d.to_owned()),
-            GroupElement::SubSelect(q) => ast::GroupElement::SubSelect(Box::new(q.to_owned())),
-            GroupElement::Group(g) => ast::GroupElement::Group(g.to_owned()),
-        }
-    }
-}
-
-/// A group graph pattern (borrowed). See [`ast::GroupGraphPattern`].
+/// A group graph pattern: the ordered list of elements between `{` and `}`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GroupGraphPattern<'a> {
     /// The elements in source order.
@@ -588,8 +484,8 @@ impl<'a> GroupGraphPattern<'a> {
         self.elements.is_empty()
     }
 
-    /// Visits every variable occurrence in the group (duplicates included),
-    /// with the same coverage as [`ast::GroupGraphPattern::all_variables`].
+    /// Visits every variable syntactically occurring anywhere in the group
+    /// (duplicates included), nested groups, filters and subquery bodies too.
     pub fn for_each_variable(&self, f: &mut impl FnMut(&'a str)) {
         for el in self.elements {
             match el {
@@ -646,16 +542,9 @@ impl<'a> GroupGraphPattern<'a> {
             }
         }
     }
-
-    /// Copies the group into the owned representation.
-    pub fn to_owned(&self) -> ast::GroupGraphPattern {
-        ast::GroupGraphPattern {
-            elements: self.elements.iter().map(|el| el.to_owned()).collect(),
-        }
-    }
 }
 
-/// One item of a SELECT clause (borrowed). See [`ast::SelectItem`].
+/// One item of a SELECT clause: a plain variable or `(expr AS ?var)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectItem<'a> {
     /// The expression, if the item is `(expr AS ?var)`.
@@ -664,46 +553,20 @@ pub struct SelectItem<'a> {
     pub var: &'a str,
 }
 
-impl SelectItem<'_> {
-    /// Copies the item into the owned representation.
-    pub fn to_owned(&self) -> ast::SelectItem {
-        ast::SelectItem {
-            expr: self.expr.map(|e| e.to_owned()),
-            var: self.var.to_string(),
-        }
-    }
-}
-
-/// What a query projects / describes (borrowed). See [`ast::Projection`].
+/// What a query projects / describes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Projection<'a> {
     /// `SELECT *` (or DESCRIBE *).
     All,
     /// An explicit list of SELECT items.
     Items(&'a [SelectItem<'a>]),
-    /// The resource list of a DESCRIBE query.
+    /// The resource list of a DESCRIBE query (IRIs and/or variables).
     Terms(&'a [Term<'a>]),
     /// ASK and CONSTRUCT queries have no projection.
     None,
 }
 
-impl Projection<'_> {
-    /// Copies the projection into the owned representation.
-    pub fn to_owned(&self) -> ast::Projection {
-        match *self {
-            Projection::All => ast::Projection::All,
-            Projection::Items(items) => {
-                ast::Projection::Items(items.iter().map(|i| i.to_owned()).collect())
-            }
-            Projection::Terms(terms) => {
-                ast::Projection::Terms(terms.iter().map(|t| t.to_owned()).collect())
-            }
-            Projection::None => ast::Projection::None,
-        }
-    }
-}
-
-/// A single ORDER BY condition (borrowed). See [`ast::OrderCondition`].
+/// A single ORDER BY condition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrderCondition<'a> {
     /// Direction of this condition.
@@ -712,17 +575,7 @@ pub struct OrderCondition<'a> {
     pub expr: Expression<'a>,
 }
 
-impl OrderCondition<'_> {
-    /// Copies the condition into the owned representation.
-    pub fn to_owned(&self) -> ast::OrderCondition {
-        ast::OrderCondition {
-            direction: self.direction,
-            expr: self.expr.to_owned(),
-        }
-    }
-}
-
-/// One GROUP BY condition (borrowed). See [`ast::GroupCondition`].
+/// One GROUP BY condition: an expression with an optional `AS ?var` alias.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupCondition<'a> {
     /// The grouping expression.
@@ -731,17 +584,8 @@ pub struct GroupCondition<'a> {
     pub alias: Option<&'a str>,
 }
 
-impl GroupCondition<'_> {
-    /// Copies the condition into the owned representation.
-    pub fn to_owned(&self) -> ast::GroupCondition {
-        ast::GroupCondition {
-            expr: self.expr.to_owned(),
-            alias: self.alias.map(str::to_string),
-        }
-    }
-}
-
-/// Solution modifiers (borrowed). See [`ast::SolutionModifiers`].
+/// Solution modifiers attached to a query (Section 4.1 of the paper, second
+/// block of Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolutionModifiers<'a> {
     /// `DISTINCT` on the projection.
@@ -760,22 +604,7 @@ pub struct SolutionModifiers<'a> {
     pub offset: Option<u64>,
 }
 
-impl SolutionModifiers<'_> {
-    /// Copies the modifiers into the owned representation.
-    pub fn to_owned(&self) -> ast::SolutionModifiers {
-        ast::SolutionModifiers {
-            distinct: self.distinct,
-            reduced: self.reduced,
-            group_by: self.group_by.iter().map(|g| g.to_owned()).collect(),
-            having: self.having.iter().map(|e| e.to_owned()).collect(),
-            order_by: self.order_by.iter().map(|o| o.to_owned()).collect(),
-            limit: self.limit,
-            offset: self.offset,
-        }
-    }
-}
-
-/// A `FROM` / `FROM NAMED` clause (borrowed). See [`ast::DatasetClause`].
+/// A `FROM` / `FROM NAMED` dataset clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetClause<'a> {
     /// Whether the clause was `FROM NAMED`.
@@ -784,17 +613,7 @@ pub struct DatasetClause<'a> {
     pub iri: &'a str,
 }
 
-impl DatasetClause<'_> {
-    /// Copies the clause into the owned representation.
-    pub fn to_owned(&self) -> ast::DatasetClause {
-        ast::DatasetClause {
-            named: self.named,
-            iri: self.iri.to_string(),
-        }
-    }
-}
-
-/// The prologue of a query (borrowed). See [`ast::Prologue`].
+/// The prologue of a query: BASE and PREFIX declarations.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Prologue<'a> {
     /// The BASE IRI, if declared.
@@ -803,21 +622,7 @@ pub struct Prologue<'a> {
     pub prefixes: &'a [(&'a str, &'a str)],
 }
 
-impl Prologue<'_> {
-    /// Copies the prologue into the owned representation.
-    pub fn to_owned(&self) -> ast::Prologue {
-        ast::Prologue {
-            base: self.base.map(str::to_string),
-            prefixes: self
-                .prefixes
-                .iter()
-                .map(|&(p, i)| (p.to_string(), i.to_string()))
-                .collect(),
-        }
-    }
-}
-
-/// A complete SPARQL query (borrowed). See [`ast::Query`].
+/// A complete SPARQL query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Query<'a> {
     /// BASE / PREFIX declarations.
@@ -843,24 +648,6 @@ impl Query<'_> {
     pub fn has_body(&self) -> bool {
         self.where_clause.as_ref().is_some_and(|g| !g.is_empty())
     }
-
-    /// Copies the borrowed query into the owned [`ast::Query`]
-    /// representation — the adapter that keeps the owned surface (serde,
-    /// baseline engine, external consumers) unchanged.
-    pub fn to_owned(&self) -> ast::Query {
-        ast::Query {
-            prologue: self.prologue.to_owned(),
-            form: self.form,
-            projection: self.projection.to_owned(),
-            construct_template: self
-                .construct_template
-                .map(|ts| ts.iter().map(|t| t.to_owned()).collect()),
-            dataset: self.dataset.iter().map(|d| d.to_owned()).collect(),
-            where_clause: self.where_clause.map(|g| g.to_owned()),
-            modifiers: self.modifiers.to_owned(),
-            values: self.values.map(|v| v.to_owned()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -868,60 +655,91 @@ mod tests {
     use super::*;
 
     #[test]
-    fn term_display_matches_owned() {
-        let cases: Vec<Term<'_>> = vec![
+    fn term_predicates() {
+        assert!(Term::Var("x").is_var());
+        assert!(Term::BlankNode("b").is_blank());
+        assert!(Term::Var("x").is_var_or_blank());
+        assert!(!Term::Iri("http://x").is_var_or_blank());
+        assert_eq!(Term::Var("x").as_var(), Some("x"));
+        assert_eq!(Term::Iri("http://x").as_var(), None);
+    }
+
+    #[test]
+    fn distinct_terms_display_distinctly() {
+        let plain = |lexical| Term::Literal {
+            lexical,
+            datatype: None,
+            lang: None,
+        };
+        let terms = [
+            Term::Var("x"),
+            Term::Iri("?x"),
+            Term::Iri("$x"),
+            plain("?x"),
+            Term::BlankNode("b"),
+            Term::Iri("_:b"),
+            Term::Iri("b"),
+            plain("b"),
+            Term::Iri("a"),
+            Term::Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+            Term::Iri("UNDEF"),
+            Term::Iri("true"),
+            plain("true"),
             Term::Iri("http://example.org/p"),
-            Term::Iri("wdt:P31"),
             Term::Iri("urn:x"),
+            Term::Iri("mailto:x@example.org"),
+            Term::Iri("wdt:P31"),
+            plain("wdt:P31"),
             Term::Literal {
-                lexical: "hi \"there\"",
-                datatype: Some("http://www.w3.org/2001/XMLSchema#string"),
+                lexical: "b",
+                datatype: None,
+                lang: Some("en"),
+            },
+            Term::Literal {
+                lexical: "b",
+                datatype: Some("en"),
                 lang: None,
             },
-            Term::Literal {
-                lexical: "bonjour",
-                datatype: None,
-                lang: Some("fr"),
-            },
-            Term::BlankNode("b0"),
-            Term::Var("x"),
+            plain("b\"@en"),
         ];
-        for t in cases {
-            assert_eq!(t.to_string(), t.to_owned().to_string());
+        let shown: Vec<String> = terms.iter().map(Term::to_string).collect();
+        for (i, a) in shown.iter().enumerate() {
+            for (j, b) in shown.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} and {:?}", terms[i], terms[j]);
+            }
         }
+        // Absolute IRIs and undeclared prefixed names print as they always did.
+        assert_eq!(
+            Term::Iri("http://example.org/p").to_string(),
+            "<http://example.org/p>"
+        );
+        assert_eq!(Term::Iri("wdt:P31").to_string(), "wdt:P31");
     }
 
     #[test]
-    fn path_display_matches_owned() {
+    fn property_path_display_and_trivial() {
         let a = PropertyPath::Iri("a");
         let b = PropertyPath::Iri("b");
-        let seq = PropertyPath::Sequence(&a, &b);
-        let star = PropertyPath::ZeroOrMore(&seq);
-        let inv = PropertyPath::Inverse(&star);
+        let star = PropertyPath::ZeroOrMore(&b);
+        let seq = PropertyPath::Sequence(&a, &star);
+        assert_eq!(seq.to_string(), "(<a>/(<b>)*)");
+        assert!(!seq.is_trivial());
+        assert!(a.is_trivial());
         let neg = PropertyPath::NegatedPropertySet(&[("p", false), ("q", true)]);
-        for p in [a, seq, star, inv, neg] {
-            assert_eq!(p.to_string(), p.to_owned().to_string());
-            assert_eq!(p.is_trivial(), p.to_owned().is_trivial());
-        }
+        assert_eq!(neg.to_string(), "!(<p>|^<q>)");
     }
 
     #[test]
-    fn expression_for_each_variable_matches_owned_collect() {
+    fn for_each_variable_traverses_nested_structures() {
         let x = Expression::Var("x");
         let y = Expression::Var("y");
         let eq = Expression::Equal(&x, &y);
         let args = [Expression::Var("x")];
         let call = Expression::FunctionCall("LANG", &args);
-        let e = Expression::And(&eq, &call);
         let mut seen = Vec::new();
-        e.for_each_variable(&mut |v| seen.push(v.to_string()));
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen, e.to_owned().variables());
-    }
+        Expression::And(&eq, &call).for_each_variable(&mut |v| seen.push(v));
+        assert_eq!(seen, ["x", "y", "x"]);
 
-    #[test]
-    fn group_for_each_variable_matches_owned() {
         let triples = [TripleOrPath::Triple(TriplePattern {
             subject: Term::Var("a"),
             predicate: Term::Iri("p"),
@@ -935,13 +753,26 @@ mod tests {
             GroupElement::Optional(inner),
             GroupElement::Filter(Expression::Var("c")),
         ];
-        let g = GroupGraphPattern {
-            elements: &elements,
-        };
         let mut seen = Vec::new();
-        g.for_each_variable(&mut |v| seen.push(v.to_string()));
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen, g.to_owned().all_variables());
+        GroupGraphPattern {
+            elements: &elements,
+        }
+        .for_each_variable(&mut |v| seen.push(v));
+        assert_eq!(seen, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn body_less_describe_has_no_body() {
+        let q = Query {
+            prologue: Prologue::default(),
+            form: QueryForm::Describe,
+            projection: Projection::Terms(&[Term::Iri("http://x")]),
+            construct_template: None,
+            dataset: &[],
+            where_clause: None,
+            modifiers: SolutionModifiers::default(),
+            values: None,
+        };
+        assert!(!q.has_body());
     }
 }

@@ -16,13 +16,12 @@
 //! * [`arena`] — the bump [`Arena`] that owns every token, AST node and
 //!   expanded string for one parse batch; one [`Arena::reset`] call retires
 //!   the whole batch.
-//! * [`ast`] — the owned surface-syntax AST (serde-friendly, long-lived).
-//! * [`ast_ref`] — the borrowed arena-allocated mirror of [`ast`], produced
-//!   by [`parse_query_in`] and converted with `to_owned()` when needed.
-//! * [`parser`] — the recursive-descent parser; [`parse_query_in`] is the
-//!   zero-copy entry point, [`parse_query`] the owned convenience wrapper.
+//! * [`ast_ref`] — the AST: `Copy` nodes borrowing the source text and the
+//!   arena, close to the surface syntax. The one tree every analysis reads.
+//! * [`parser`] — the recursive-descent parser, entry point
+//!   [`parse_query_in`].
 //! * [`display`] — canonical serialization, entry point
-//!   [`to_canonical_string`], used for duplicate elimination and streak
+//!   [`to_canonical_string_ref`], used for duplicate elimination and streak
 //!   similarity, plus the zero-materialization [`CanonicalHasher`] /
 //!   [`canonical_fingerprint_of_ref`] used by the streaming corpus pipeline.
 //! * [`intern`] — the per-worker term [`Interner`] mapping IRIs, prefixed
@@ -33,35 +32,37 @@
 //!
 //! A [`parse_query_in`] result borrows both the input string and the arena:
 //! nothing derived from it (terms, slices, the query itself) may outlive the
-//! next [`Arena::reset`]. Extract anything long-lived — fingerprints, interned
-//! symbols, owned ASTs via `to_owned()` — *before* resetting. The fused
+//! next [`Arena::reset`]. Compute anything long-lived — fingerprints,
+//! interned symbols, analysis records — *before* resetting. The fused
 //! pipeline follows exactly this discipline: one arena per worker, reset once
 //! per log entry.
 //!
 //! # Example
 //!
 //! ```
-//! use sparqlog_parser::{parse_query, ast::QueryForm};
+//! use sparqlog_parser::{parse_query_in, to_canonical_string_ref, Arena, QueryForm};
 //!
-//! let q = parse_query(
-//!     "PREFIX wdt: <http://www.wikidata.org/prop/direct/>
+//! let text = "PREFIX wdt: <http://www.wikidata.org/prop/direct/>
 //!      PREFIX wd:  <http://www.wikidata.org/entity/>
 //!      SELECT ?label ?coord ?subj WHERE {
 //!        ?subj wdt:P31/wdt:P279* wd:Q839954 .
 //!        ?subj wdt:P625 ?coord .
 //!        ?subj <http://www.w3.org/2000/01/rdf-schema#label> ?label
 //!        FILTER(lang(?label) = \"en\")
-//!      }",
-//! )
-//! .unwrap();
+//!      }";
+//! let arena = Arena::new();
+//! let q = parse_query_in(text, &arena).unwrap();
 //! assert_eq!(q.form, QueryForm::Select);
+//! // `parse ∘ display` is a fixpoint: the canonical form parses to itself.
+//! let canonical = to_canonical_string_ref(&q);
+//! let again = parse_query_in(&canonical, &arena).unwrap();
+//! assert_eq!(to_canonical_string_ref(&again), canonical);
 //! ```
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod ast;
 pub mod ast_ref;
 pub mod bytescan;
 pub mod display;
@@ -72,10 +73,10 @@ pub mod parser;
 pub mod token;
 
 pub use arena::Arena;
-pub use ast::{Query, QueryForm};
+pub use ast_ref::{Query, QueryForm};
 pub use display::{
-    canonical_fingerprint, canonical_fingerprint_of_ref, to_canonical_string, CanonicalHasher,
+    canonical_fingerprint, canonical_fingerprint_of_ref, to_canonical_string_ref, CanonicalHasher,
 };
 pub use error::{ErrorKind, ParseError};
 pub use intern::{InternStats, Interner, Symbol};
-pub use parser::{parse_query, parse_query_in, parse_query_in_with_limits, ParseLimits};
+pub use parser::{parse_query_in, parse_query_in_with_limits, ParseLimits};

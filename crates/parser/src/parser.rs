@@ -10,27 +10,23 @@
 //! It builds the borrowed [`ast_ref`](crate::ast_ref) representation
 //! directly in a caller-supplied [`Arena`]: every node, list and expanded
 //! IRI is bump-allocated, so parsing performs no steady-state global
-//! allocation. [`parse_query`] wraps this with a thread-local arena and a
-//! `to_owned()` conversion for callers that want the owned
-//! [`ast::Query`] surface.
+//! allocation.
 //!
 //! Update requests (`INSERT` / `DELETE` / `LOAD` …) are *not* supported: the
 //! paper's corpus consists of queries, and update entries count as invalid.
 
 use crate::arena::{Arena, ArenaVec};
-use crate::ast;
 use crate::ast_ref::*;
 use crate::error::{ErrorKind, ParseError, Result};
 use crate::lexer::tokenize_in_limited;
 use crate::token::{Keyword, Spanned, Token};
-use std::cell::RefCell;
 
 /// Hard resource guards for parsing adversarial input. Each field is a cap;
 /// `0` disables that guard. The corpus pipeline parses every entry under
 /// [`ParseLimits::default`], so a pathological log line trips a structured
 /// [`ErrorKind::OversizeEntry`] / [`ErrorKind::DepthExceeded`] error instead
-/// of exhausting a worker's memory or stack; the plain [`parse_query`] /
-/// [`parse_query_in`] entry points stay unguarded for API compatibility.
+/// of exhausting a worker's memory or stack; the plain [`parse_query_in`]
+/// entry point stays unguarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseLimits {
     /// Per-entry byte cap (`0` = unlimited).
@@ -88,39 +84,8 @@ pub const RDF_REST: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#rest";
 /// `rdf:nil`, used when desugaring collections.
 pub const RDF_NIL: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil";
 
-thread_local! {
-    static PARSE_ARENA: RefCell<Arena> = RefCell::new(Arena::new());
-}
-
-/// Parses a complete SPARQL query string into an owned [`ast::Query`].
-///
-/// Internally parses into a thread-local arena (reset on each call) and
-/// copies the result out; use [`parse_query_in`] to keep the zero-copy
-/// borrowed form instead.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] if the input is not a syntactically valid SPARQL
-/// 1.1 query (of the supported query subset).
-///
-/// # Examples
-///
-/// ```
-/// use sparqlog_parser::parse_query;
-/// let q = parse_query("ASK { ?x a <http://example.org/Person> }").unwrap();
-/// assert_eq!(q.form, sparqlog_parser::ast::QueryForm::Ask);
-/// ```
-pub fn parse_query(input: &str) -> Result<ast::Query> {
-    PARSE_ARENA.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        arena.reset();
-        parse_query_in(input, &arena).map(|q| q.to_owned())
-    })
-}
-
-/// Parses a complete SPARQL query string into the borrowed
-/// [`Query`] representation, allocating every node
-/// into `arena`.
+/// Parses a complete SPARQL query string into a [`Query`], allocating every
+/// node into `arena`.
 ///
 /// The returned query borrows both `input` and `arena`; see the
 /// [`ast_ref`](crate::ast_ref) module docs for the lifetime rules (nothing
@@ -173,7 +138,7 @@ pub fn parse_query_in_with_limits<'a>(
     }
     let tokens = tokenize_in_limited(input, arena, limits.max_tokens)?;
     let mut p = Parser::new(tokens, arena, limits.max_depth);
-    let q = p.parse_query()?;
+    let q = p.parse_query_unit()?;
     p.expect_eof()?;
     Ok(q)
 }
@@ -391,7 +356,7 @@ impl<'a> Parser<'a> {
     // Query forms
     // ------------------------------------------------------------------
 
-    fn parse_query(&mut self) -> Result<Query<'a>> {
+    fn parse_query_unit(&mut self) -> Result<Query<'a>> {
         let prologue = self.parse_prologue()?;
         let q = match self.peek() {
             Some(Token::Keyword(Keyword::Select)) => self.parse_select(prologue, true)?,

@@ -8,7 +8,7 @@
 //! (e.g. `a*/b` covers `b/a*`).
 
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::ast::PropertyPath;
+use sparqlog_parser::ast_ref::PropertyPath;
 
 /// A normalized view of a property path where single steps (IRIs, inverse
 /// steps, single-negation steps) become opaque "literals" and nested
@@ -33,7 +33,7 @@ pub enum Normalized {
 
 impl Normalized {
     /// Normalizes a parsed property path.
-    pub fn of(p: &PropertyPath) -> Normalized {
+    pub fn of(p: &PropertyPath<'_>) -> Normalized {
         match p {
             PropertyPath::Iri(_) => Normalized::Lit,
             PropertyPath::Inverse(inner) => {
@@ -70,7 +70,7 @@ impl Normalized {
     }
 }
 
-fn flatten_seq(p: &PropertyPath, out: &mut Vec<Normalized>) {
+fn flatten_seq(p: &PropertyPath<'_>, out: &mut Vec<Normalized>) {
     if let PropertyPath::Sequence(a, b) = p {
         flatten_seq(a, out);
         flatten_seq(b, out);
@@ -79,7 +79,7 @@ fn flatten_seq(p: &PropertyPath, out: &mut Vec<Normalized>) {
     }
 }
 
-fn flatten_alt(p: &PropertyPath, out: &mut Vec<Normalized>) {
+fn flatten_alt(p: &PropertyPath<'_>, out: &mut Vec<Normalized>) {
     if let PropertyPath::Alternative(a, b) = p {
         flatten_alt(a, out);
         flatten_alt(b, out);
@@ -248,7 +248,7 @@ pub struct PathClassification {
 }
 
 /// Classifies a parsed property path.
-pub fn classify_path(p: &PropertyPath) -> PathClassification {
+pub fn classify_path(p: &PropertyPath<'_>) -> PathClassification {
     let uses_inverse = uses_inverse(p);
     // The two special single-step classes are decided on the raw AST.
     match p {
@@ -284,7 +284,7 @@ pub fn classify_path(p: &PropertyPath) -> PathClassification {
     }
 }
 
-fn uses_inverse(p: &PropertyPath) -> bool {
+fn uses_inverse(p: &PropertyPath<'_>) -> bool {
     match p {
         PropertyPath::Iri(_) => false,
         PropertyPath::Inverse(_) => true,
@@ -430,8 +430,6 @@ fn classify_sequence(parts: &[Normalized]) -> (PathExpressionType, Option<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::GroupElement;
-    use sparqlog_parser::parse_query;
 
     #[test]
     fn wire_codes_round_trip_every_type() {
@@ -446,26 +444,8 @@ mod tests {
         assert_eq!(PathExpressionType::from_code(u8::MAX), None);
     }
 
-    /// Parses the path expression out of `ASK { ?s <path> ?o }`.
-    fn path_of(expr: &str) -> PropertyPath {
-        let q = parse_query(&format!("ASK {{ ?s {expr} ?o }}")).unwrap();
-        let body = q.where_clause.unwrap();
-        let GroupElement::Triples(ts) = &body.elements[0] else {
-            panic!("triples")
-        };
-        match &ts[0] {
-            sparqlog_parser::ast::TripleOrPath::Path(p) => p.path.clone(),
-            sparqlog_parser::ast::TripleOrPath::Triple(t) => {
-                let sparqlog_parser::ast::Term::Iri(i) = &t.predicate else {
-                    panic!()
-                };
-                PropertyPath::Iri(i.clone())
-            }
-        }
-    }
-
     fn classify(expr: &str) -> PathClassification {
-        classify_path(&path_of(expr))
+        crate::with_path(expr, classify_path)
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! coincides with C_tract membership.
 
 use crate::classify::{classify_path, PathExpressionType};
-use sparqlog_parser::ast::PropertyPath;
+use sparqlog_parser::ast_ref::PropertyPath;
 
 /// Whether a property path is (syntactically recognised as) in C_tract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum Tractability {
 }
 
 /// Tests membership in (the syntactic fragment of) C_tract.
-pub fn tractability(p: &PropertyPath) -> Tractability {
+pub fn tractability(p: &PropertyPath<'_>) -> Tractability {
     if closures_only_over_letter_sets(p) {
         Tractability::Tractable
     } else {
@@ -38,13 +38,13 @@ pub fn tractability(p: &PropertyPath) -> Tractability {
 }
 
 /// Convenience: classify and test in one call, returning `(type, tractable)`.
-pub fn classify_and_check(p: &PropertyPath) -> (PathExpressionType, Tractability) {
+pub fn classify_and_check(p: &PropertyPath<'_>) -> (PathExpressionType, Tractability) {
     (classify_path(p).ty, tractability(p))
 }
 
 /// True when every `*` / `+` in the expression is applied to a single step or
 /// an alternation of single steps.
-fn closures_only_over_letter_sets(p: &PropertyPath) -> bool {
+fn closures_only_over_letter_sets(p: &PropertyPath<'_>) -> bool {
     match p {
         PropertyPath::Iri(_) | PropertyPath::NegatedPropertySet(_) => true,
         PropertyPath::Inverse(inner) => closures_only_over_letter_sets(inner),
@@ -58,7 +58,7 @@ fn closures_only_over_letter_sets(p: &PropertyPath) -> bool {
 
 /// A "letter set": a single step, an inverse step, a negated set, or an
 /// alternation of letter sets.
-fn is_letter_set(p: &PropertyPath) -> bool {
+fn is_letter_set(p: &PropertyPath<'_>) -> bool {
     match p {
         PropertyPath::Iri(_) | PropertyPath::NegatedPropertySet(_) => true,
         PropertyPath::Inverse(inner) => is_letter_set(inner),
@@ -70,20 +70,7 @@ fn is_letter_set(p: &PropertyPath) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::{GroupElement, TripleOrPath};
-    use sparqlog_parser::parse_query;
-
-    fn path_of(expr: &str) -> PropertyPath {
-        let q = parse_query(&format!("ASK {{ ?s {expr} ?o }}")).unwrap();
-        let body = q.where_clause.unwrap();
-        let GroupElement::Triples(ts) = &body.elements[0] else {
-            panic!()
-        };
-        match &ts[0] {
-            TripleOrPath::Path(p) => p.path.clone(),
-            TripleOrPath::Triple(_) => panic!("expected a non-trivial path"),
-        }
-    }
+    use crate::with_path;
 
     #[test]
     fn table5_expressions_are_tractable() {
@@ -109,7 +96,7 @@ mod tests {
             "<a>+|<b>+",
         ] {
             assert_eq!(
-                tractability(&path_of(expr)),
+                with_path(expr, tractability),
                 Tractability::Tractable,
                 "{expr}"
             );
@@ -119,11 +106,11 @@ mod tests {
     #[test]
     fn star_over_sequence_is_hard() {
         assert_eq!(
-            tractability(&path_of("(<a>/<b>)*")),
+            with_path("(<a>/<b>)*", tractability),
             Tractability::PotentiallyHard
         );
         assert_eq!(
-            tractability(&path_of("(<a>/<b>)+")),
+            with_path("(<a>/<b>)+", tractability),
             Tractability::PotentiallyHard
         );
     }
@@ -131,7 +118,7 @@ mod tests {
     #[test]
     fn nested_hard_closure_is_detected() {
         assert_eq!(
-            tractability(&path_of("<c>/((<a>/<b>)*)")),
+            with_path("<c>/((<a>/<b>)*)", tractability),
             Tractability::PotentiallyHard
         );
     }
@@ -139,14 +126,14 @@ mod tests {
     #[test]
     fn inverse_inside_closure_is_fine() {
         assert_eq!(
-            tractability(&path_of("(^<a>|<b>)*")),
+            with_path("(^<a>|<b>)*", tractability),
             Tractability::Tractable
         );
     }
 
     #[test]
     fn classify_and_check_combines_both() {
-        let (ty, tr) = classify_and_check(&path_of("(<a>/<b>)*"));
+        let (ty, tr) = with_path("(<a>/<b>)*", classify_and_check);
         assert_eq!(ty, PathExpressionType::StarOverSequence);
         assert_eq!(tr, Tractability::PotentiallyHard);
     }

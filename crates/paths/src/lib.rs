@@ -62,7 +62,7 @@ impl PathTally {
     }
 
     /// Records one property path.
-    pub fn add(&mut self, p: &sparqlog_parser::ast::PropertyPath) {
+    pub fn add(&mut self, p: &sparqlog_parser::ast_ref::PropertyPath<'_>) {
         self.total += 1;
         let c = classify_path(p);
         match c.ty {
@@ -153,37 +153,45 @@ impl PathTally {
     }
 }
 
+/// Runs `f` on the path expression parsed out of `ASK { ?s <expr> ?o }` (a
+/// single forward step comes back from the parser as a plain triple).
+#[cfg(test)]
+pub(crate) fn with_path<R>(
+    expr: &str,
+    f: impl FnOnce(&sparqlog_parser::ast_ref::PropertyPath<'_>) -> R,
+) -> R {
+    use sparqlog_parser::ast_ref::{GroupElement, PropertyPath, Term, TripleOrPath};
+    let arena = sparqlog_parser::Arena::new();
+    let text = format!("ASK {{ ?s {expr} ?o }}");
+    let q = sparqlog_parser::parse_query_in(&text, &arena).unwrap();
+    let GroupElement::Triples(ts) = &q.where_clause.unwrap().elements[0] else {
+        panic!("triples")
+    };
+    match &ts[0] {
+        TripleOrPath::Path(p) => f(&p.path),
+        TripleOrPath::Triple(t) => {
+            let Term::Iri(i) = t.predicate else { panic!() };
+            f(&PropertyPath::Iri(i))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::ast::{GroupElement, TripleOrPath};
-    use sparqlog_parser::parse_query;
 
-    fn path_of(expr: &str) -> sparqlog_parser::ast::PropertyPath {
-        let q = parse_query(&format!("ASK {{ ?s {expr} ?o }}")).unwrap();
-        let body = q.where_clause.unwrap();
-        let GroupElement::Triples(ts) = &body.elements[0] else {
-            panic!()
-        };
-        match &ts[0] {
-            TripleOrPath::Path(p) => p.path.clone(),
-            TripleOrPath::Triple(t) => {
-                let sparqlog_parser::ast::Term::Iri(i) = &t.predicate else {
-                    panic!()
-                };
-                sparqlog_parser::ast::PropertyPath::Iri(i.clone())
-            }
-        }
+    fn add(t: &mut PathTally, expr: &str) {
+        with_path(expr, |p| t.add(p));
     }
 
     #[test]
     fn tally_separates_pre_table_and_navigational() {
         let mut t = PathTally::new();
-        t.add(&path_of("!<a>"));
-        t.add(&path_of("^<a>"));
-        t.add(&path_of("<a>*"));
-        t.add(&path_of("(<a>|<b>)*"));
-        t.add(&path_of("(<a>/<b>)*"));
+        add(&mut t, "!<a>");
+        add(&mut t, "^<a>");
+        add(&mut t, "<a>*");
+        add(&mut t, "(<a>|<b>)*");
+        add(&mut t, "(<a>/<b>)*");
         assert_eq!(t.total, 5);
         assert_eq!(t.negated_literal, 1);
         assert_eq!(t.inverse_literal, 1);
@@ -194,8 +202,8 @@ mod tests {
     #[test]
     fn k_ranges_are_tracked() {
         let mut t = PathTally::new();
-        t.add(&path_of("<a>/<b>"));
-        t.add(&path_of("<a>/<b>/<c>/<d>/<e>/<f>"));
+        add(&mut t, "<a>/<b>");
+        add(&mut t, "<a>/<b>/<c>/<d>/<e>/<f>");
         let entry = t.by_type[&PathExpressionType::SequenceOfLiterals];
         assert_eq!(entry.count, 2);
         assert_eq!(entry.min_k, Some(2));
@@ -206,9 +214,9 @@ mod tests {
     fn rows_sorted_by_count() {
         let mut t = PathTally::new();
         for _ in 0..3 {
-            t.add(&path_of("<a>*"));
+            add(&mut t, "<a>*");
         }
-        t.add(&path_of("<a>/<b>"));
+        add(&mut t, "<a>/<b>");
         let rows = t.rows();
         assert_eq!(rows[0].0, "a*");
         assert_eq!(rows[0].1, 3);
@@ -218,10 +226,10 @@ mod tests {
     #[test]
     fn merge_combines_ranges() {
         let mut a = PathTally::new();
-        a.add(&path_of("<a>/<b>"));
+        add(&mut a, "<a>/<b>");
         let mut b = PathTally::new();
-        b.add(&path_of("<a>/<b>/<c>"));
-        b.add(&path_of("^<x>/<y>"));
+        add(&mut b, "<a>/<b>/<c>");
+        add(&mut b, "^<x>/<y>");
         a.merge(&b);
         let entry = a.by_type[&PathExpressionType::SequenceOfLiterals];
         assert_eq!(entry.count, 3);

@@ -19,6 +19,15 @@
 //! record leaves them in the file, and the next [`SnapshotStore::open`]
 //! drops them.
 //!
+//! A snapshot's fingerprint/occurrence pairs are fingerprints of canonical
+//! query text (`sparqlog_parser::display`). Version 1 stores written before
+//! relative IRIs kept their angle brackets in that text (`<?x>`, `<_:b>`,
+//! `<a>`, `<UNDEF>`: any IRI with no `:` or starting with `?`, `$` or `_:`)
+//! may hold entries whose fingerprint such a query shared with a query
+//! spelling the variable, blank node or keyword instead. Those values were
+//! ambiguous, not a different format: every other query fingerprints as it
+//! did, so the version is not bumped and old stores stay readable.
+//!
 //! # Durability protocol
 //!
 //! * Creating the store writes the header, `fsync`s the file, then

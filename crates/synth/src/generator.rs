@@ -615,7 +615,18 @@ enum BodyShape {
 mod tests {
     use super::*;
     use sparqlog_algebra::QueryFeatures;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query_in, Arena, QueryForm};
+
+    fn parses(text: &str) -> bool {
+        parse_query_in(text, &Arena::new()).is_ok()
+    }
+
+    /// The features of `text`, or `None` when it does not parse.
+    fn features(text: &str) -> Option<QueryFeatures> {
+        let arena = Arena::new();
+        let query = parse_query_in(text, &arena).ok()?;
+        Some(QueryFeatures::of(&query))
+    }
 
     #[test]
     fn generated_valid_queries_parse() {
@@ -625,7 +636,7 @@ mod tests {
             for i in 0..300 {
                 let q = synth.fresh_query();
                 assert!(
-                    parse_query(&q).is_ok(),
+                    parses(&q),
                     "dataset {dataset:?} query #{i} failed to parse: {q}"
                 );
             }
@@ -645,7 +656,7 @@ mod tests {
     fn log_contains_expected_share_of_invalid_entries() {
         let mut synth = Synthesizer::for_dataset(Dataset::Lgd13, 3);
         let log = synth.generate_log(4000);
-        let invalid = log.iter().filter(|e| parse_query(e).is_err()).count();
+        let invalid = log.iter().filter(|e| !parses(e)).count();
         let share = invalid as f64 / log.len() as f64;
         // LGD13 has ~18% invalid entries; allow a generous tolerance.
         assert!(share > 0.10 && share < 0.28, "invalid share {share}");
@@ -658,9 +669,9 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..1500 {
             let q = synth.fresh_query();
-            if let Ok(parsed) = parse_query(&q) {
+            if let Some(f) = features(&q) {
                 total += 1;
-                if parsed.form == sparqlog_parser::QueryForm::Describe {
+                if f.form == QueryForm::Describe {
                     describe += 1;
                 }
             }
@@ -679,8 +690,7 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..800 {
             let q = synth.fresh_query();
-            if let Ok(parsed) = parse_query(&q) {
-                let f = QueryFeatures::of(&parsed);
+            if let Some(f) = features(&q) {
                 total += 1;
                 if f.uses_graph {
                     graph += 1;
@@ -698,7 +708,7 @@ mod tests {
     fn duplicates_reduce_unique_share() {
         let mut synth = Synthesizer::for_dataset(Dataset::BioMed13, 13);
         let log = synth.generate_log(3000);
-        let valid: Vec<&String> = log.iter().filter(|e| parse_query(e).is_ok()).collect();
+        let valid: Vec<&String> = log.iter().filter(|e| parses(e)).collect();
         let unique: std::collections::BTreeSet<&String> = valid.iter().copied().collect();
         let share = unique.len() as f64 / valid.len() as f64;
         // BioMed13's unique share is ~3%; synthetic duplicates use a small
@@ -749,8 +759,7 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..400 {
             let q = synth.fresh_query();
-            if let Ok(parsed) = parse_query(&q) {
-                let f = QueryFeatures::of(&parsed);
+            if let Some(f) = features(&q) {
                 total += 1;
                 if f.uses_property_path {
                     paths += 1;

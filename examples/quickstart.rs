@@ -4,11 +4,12 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use sparqlog::algebra::{classify_fragments, projection_use, QueryFeatures};
 use sparqlog::core::analysis::Population;
 use sparqlog::core::corpus::{analyze_streams, LogReader, MemoryLogReader};
-use sparqlog::graph::StructuralReport;
-use sparqlog::parser::{canonical_fingerprint, parse_query, to_canonical_string};
+use sparqlog::core::QueryAnalysis;
+use sparqlog::parser::{
+    canonical_fingerprint_of_ref, parse_query_in, to_canonical_string_ref, Arena,
+};
 
 fn main() {
     // The "Locations of archaeological sites" query from WikiData, quoted in
@@ -24,18 +25,23 @@ fn main() {
           ?subj rdfs:label ?label FILTER(lang(?label) = "en")
         }"#;
 
-    let query = parse_query(text).expect("the example query is valid SPARQL");
-    println!("canonical form:\n  {}\n", to_canonical_string(&query));
+    // The parsed query borrows its text and the arena it was parsed into.
+    let arena = Arena::new();
+    let query = parse_query_in(text, &arena).expect("the example query is valid SPARQL");
+    println!("canonical form:\n  {}\n", to_canonical_string_ref(&query));
 
-    let features = QueryFeatures::of(&query);
+    // One query's text → its analysis record, exactly what the corpus engine
+    // computes for a query it has not seen before.
+    let analysis = QueryAnalysis::of_text(text).expect("parsed above");
+    let features = &analysis.features;
     println!("query form:          {:?}", features.form);
     println!("triple patterns:     {}", features.triple_patterns);
     println!("property paths:      {}", features.path_patterns);
     println!("uses FILTER:         {}", features.uses_filter);
     println!("uses And (joins):    {}", features.uses_and);
-    println!("projection:          {:?}", projection_use(&query));
+    println!("projection:          {:?}", analysis.projection);
 
-    let fragments = classify_fragments(&query);
+    let fragments = analysis.structural.fragments;
     println!(
         "\nfragments: AOF={} CQ={} CPF={} CQF={} well-designed={} CQOF={}",
         fragments.aof,
@@ -47,11 +53,11 @@ fn main() {
     );
 
     // A plain conjunctive query gets the full structural treatment.
-    let cq = parse_query(
+    let report = QueryAnalysis::of_text(
         "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a . ?a <http://q> ?d }",
     )
-    .unwrap();
-    let report = StructuralReport::of(&cq);
+    .expect("valid SPARQL")
+    .structural;
     let shape = report.shape.expect("CQ has a canonical graph");
     println!("\nsecond query (a triangle with a tail):");
     println!(
@@ -84,7 +90,7 @@ fn main() {
         counts.total,
         counts.valid,
         counts.unique,
-        canonical_fingerprint(&to_canonical_string(&query))
+        canonical_fingerprint_of_ref(&query)
     );
     println!(
         "corpus-level keyword census: {} SELECT of {} queries ({} distinct analyses kept)",

@@ -5,8 +5,7 @@
 //! Run with
 //! `cargo run --example shape_of_query -- 'SELECT * WHERE { ?a <p> ?b . ?b <p> ?a }'`
 
-use sparqlog::graph::StructuralReport;
-use sparqlog::parser::parse_query;
+use sparqlog::core::QueryAnalysis;
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -16,14 +15,13 @@ fn main() {
          ?x <http://q> ?s1 . ?x <http://q> ?s2 }"
             .to_string()
     });
-    let query = match parse_query(&text) {
-        Ok(q) => q,
+    let report = match QueryAnalysis::of_text(&text) {
+        Ok(analysis) => analysis.structural,
         Err(e) => {
             eprintln!("not a valid SPARQL query: {e}");
             std::process::exit(1);
         }
     };
-    let report = StructuralReport::of(&query);
     println!("triples:        {}", report.triples);
     println!(
         "fragment:       AOF={} CQ={} CQF={} CQOF={}",

@@ -75,8 +75,8 @@
 //!    shared by the shape, treewidth, girth and constants-excluded analyses.
 //!    The graph is a bit matrix ([`graph::CanonicalGraph`]: one `u64` per
 //!    adjacency row for the 5–9-node graphs real queries have, more words
-//!    for the outliers), numbered in one scan over triples borrowed from
-//!    the pattern tree; shape classes, the treewidth reduction and the
+//!    for the outliers), numbered in one scan over the pattern tree's
+//!    triples; shape classes, the treewidth reduction and the
 //!    girth search run on popcounts and node masks of that matrix, and a
 //!    query's IRIs and literals are compared in place, never interned.
 //! 3. The **occurrence-weighted fold**
@@ -89,7 +89,7 @@
 //!
 //! That engine is the only path production code takes. Its reference is
 //! [`core::baseline::analyze_reference`], a sequential oracle that computes
-//! the same analysis the naive way — an owned AST per entry, the canonical
+//! the same analysis the naive way over the same parsed tree — the canonical
 //! string materialized and then hashed, one `HashSet` per log, four
 //! independent walks per query, no cache, no threads — and that the
 //! differential tests (`tests/differential.rs`, `tests/fused.rs`,
@@ -101,19 +101,16 @@
 //! Run `cargo run --example quickstart` for the full tour, or start with:
 //!
 //! ```
-//! use sparqlog::algebra::QueryFeatures;
 //! use sparqlog::core::analysis::Population;
 //! use sparqlog::core::corpus::{analyze_streams, LogReader, MemoryLogReader};
-//! use sparqlog::core::report;
-//! use sparqlog::parser::parse_query;
+//! use sparqlog::core::{report, QueryAnalysis};
 //!
-//! // Per-query analysis.
-//! let q = parse_query(
+//! // Per-query analysis: one query's text to its record.
+//! let analysis = QueryAnalysis::of_text(
 //!     "SELECT ?s WHERE { ?s <http://xmlns.com/foaf/0.1/name> ?n . FILTER(lang(?n) = 'en') }",
 //! ).expect("valid SPARQL");
-//! let feats = QueryFeatures::of(&q);
-//! assert_eq!(feats.triple_patterns, 1);
-//! assert!(feats.uses_filter);
+//! assert_eq!(analysis.features.triple_patterns, 1);
+//! assert!(analysis.features.uses_filter);
 //!
 //! // Corpus analysis on the fused engine: each batch is parsed,
 //! // fingerprinted, deduplicated and folded in one pass — no AST outlives

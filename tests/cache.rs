@@ -460,6 +460,30 @@ fn fingerprint_and_analysis(
     ))
 }
 
+/// Pairs that read alike once written canonically unless a relative IRI
+/// keeps its angle brackets: `<?x>` beside the variable `?x` in subject,
+/// predicate and object position, `<_:b>` beside the blank node `_:b`, and a
+/// 3-cycle that is only a cycle of variables when `<?y>` is read as `?y`.
+const NEAR_COLLISIONS: [(&str, &str); 5] = [
+    (
+        "SELECT ?y WHERE { <?x> <http://p> ?y }",
+        "SELECT ?y WHERE { ?x <http://p> ?y }",
+    ),
+    ("ASK { ?s <?p> ?o }", "ASK { ?s ?p ?o }"),
+    (
+        "SELECT ?x WHERE { ?x <http://p> <?y> }",
+        "SELECT ?x WHERE { ?x <http://p> ?y }",
+    ),
+    (
+        "SELECT * WHERE { ?x <http://p> <_:b> . <_:b> <http://q> ?z }",
+        "SELECT * WHERE { ?x <http://p> _:b . _:b <http://q> ?z }",
+    ),
+    (
+        "ASK { ?x <http://p> <?y> . <?y> <http://p> ?z . ?z <http://p> ?x }",
+        "ASK { ?x <http://p> ?y . ?y <http://p> ?z . ?z <http://p> ?x }",
+    ),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -543,12 +567,28 @@ proptest! {
     /// Equal fingerprint ⇒ equal analysis: a query and a respelling of it
     /// (whitespace, keyword case, prefix abbreviation) share a canonical
     /// fingerprint, and what the cache would memoize for one is exactly
-    /// what a fresh analysis of the other computes.
+    /// what a fresh analysis of the other computes. In the other direction,
+    /// the hand-written [`NEAR_COLLISIONS`] differ in their analyses, so
+    /// they must differ in their fingerprints.
     #[test]
     fn equal_fingerprints_mean_equal_analyses(seed in 0u64..5_000, dataset_idx in 0usize..13) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         let (mut arena, mut interner) = (Arena::new(), Interner::new());
+        for (a, b) in NEAR_COLLISIONS {
+            let (fp_a, analysis_a) = fingerprint_and_analysis(a, &mut arena, &mut interner)
+                .unwrap_or_else(|error| panic!("{a}: {error}"));
+            let (fp_b, analysis_b) = fingerprint_and_analysis(b, &mut arena, &mut interner)
+                .unwrap_or_else(|error| panic!("{b}: {error}"));
+            prop_assert!(
+                format!("{analysis_a:?}") != format!("{analysis_b:?}"),
+                "fixture pair no longer differs in analysis:\n{}\n{}", a, b
+            );
+            prop_assert!(
+                fp_a != fp_b,
+                "different analyses, one fingerprint:\n{}\n{}", a, b
+            );
+        }
         for _ in 0..8 {
             let text = synth.fresh_query();
             let respelled = respell(&text);

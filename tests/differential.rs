@@ -7,7 +7,7 @@ use sparqlog::core::baseline::{add_query_multiwalk, analyze_reference};
 use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{DatasetAnalysis, QueryAnalysis, RawLog, RecoveryPolicy};
-use sparqlog::parser::parse_query;
+use sparqlog::parser::{parse_query_in, Arena};
 use sparqlog::synth::{generate_single_day_log, Dataset};
 
 /// Handcrafted queries exercising every corner the pipeline measures:
@@ -159,8 +159,10 @@ fn streaming_ingestion_is_byte_identical_to_the_materializing_path() {
 fn per_query_fold_is_byte_identical_on_every_handcrafted_query() {
     // Pinpointing variant: fold each parseable query individually so a
     // regression names the exact query instead of a whole-corpus diff.
+    let mut arena = Arena::new();
     for text in handcrafted() {
-        let Ok(query) = parse_query(&text) else {
+        arena.reset();
+        let Ok(query) = parse_query_in(&text, &arena) else {
             continue;
         };
         let mut reference = DatasetAnalysis::default();
@@ -187,11 +189,13 @@ fn queries_per_profile() -> u32 {
 #[test]
 fn synthesized_queries_fold_identically_across_datasets() {
     use sparqlog::synth::{DatasetProfile, Synthesizer};
+    let mut arena = Arena::new();
     for dataset in Dataset::ALL {
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), 77);
         for _ in 0..queries_per_profile() {
             let text = synth.fresh_query();
-            let query = parse_query(&text).expect("synthesized queries parse");
+            arena.reset();
+            let query = parse_query_in(&text, &arena).expect("synthesized queries parse");
             let mut reference = DatasetAnalysis::default();
             add_query_multiwalk(&mut reference, &query);
             let mut single_pass = DatasetAnalysis::default();

@@ -15,13 +15,14 @@
 use proptest::prelude::*;
 use sparqlog::core::QueryAnalysis;
 use sparqlog::graph::{ShapeClass, ShapeReport, StructuralReport};
-use sparqlog::parser::parse_query;
+use sparqlog::parser::{parse_query_in, Arena};
 
 /// The per-query record of a query, through the fused engine's per-query
 /// entry point; the multi-walk reference must agree on its structural part.
 fn analysis(text: &str) -> QueryAnalysis {
     let fused = QueryAnalysis::of_text(text).expect("fixture parses");
-    let query = parse_query(text).expect("fixture parses");
+    let arena = Arena::new();
+    let query = parse_query_in(text, &arena).expect("fixture parses");
     assert_eq!(fused.structural, StructuralReport::of(&query), "{text}");
     fused
 }

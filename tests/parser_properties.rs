@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sparqlog::algebra::QueryFeatures;
-use sparqlog::parser::{parse_query, to_canonical_string};
+use sparqlog::parser::{parse_query_in, to_canonical_string_ref, Arena};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 
 proptest! {
@@ -16,15 +16,17 @@ proptest! {
     fn synthesized_queries_parse_and_canonicalize(seed in 0u64..10_000, dataset_idx in 0usize..13) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
+        let mut arena = Arena::new();
         for _ in 0..5 {
             let text = synth.fresh_query();
-            let parsed = parse_query(&text);
+            arena.reset();
+            let parsed = parse_query_in(&text, &arena);
             prop_assert!(parsed.is_ok(), "failed to parse {text:?}: {:?}", parsed.err());
             let parsed = parsed.unwrap();
-            let canon = to_canonical_string(&parsed);
-            let reparsed = parse_query(&canon);
+            let canon = to_canonical_string_ref(&parsed);
+            let reparsed = parse_query_in(&canon, &arena);
             prop_assert!(reparsed.is_ok(), "canonical form unparseable: {canon:?}");
-            let recanon = to_canonical_string(&reparsed.unwrap());
+            let recanon = to_canonical_string_ref(&reparsed.unwrap());
             prop_assert_eq!(&canon, &recanon, "canonicalization is not a fixpoint for {}", text);
         }
     }
@@ -35,10 +37,13 @@ proptest! {
     #[test]
     fn features_survive_canonicalization(seed in 0u64..10_000) {
         let mut synth = Synthesizer::new(DatasetProfile::of(Dataset::DBpedia15), seed);
+        let mut arena = Arena::new();
         for _ in 0..5 {
             let text = synth.fresh_query();
-            let q1 = parse_query(&text).expect("synthesized queries parse");
-            let q2 = parse_query(&to_canonical_string(&q1)).expect("canonical form parses");
+            arena.reset();
+            let q1 = parse_query_in(&text, &arena).expect("synthesized queries parse");
+            let canon = to_canonical_string_ref(&q1);
+            let q2 = parse_query_in(&canon, &arena).expect("canonical form parses");
             let f1 = QueryFeatures::of(&q1);
             let f2 = QueryFeatures::of(&q2);
             prop_assert_eq!(f1.form, f2.form);
@@ -58,7 +63,7 @@ proptest! {
     /// with an error, not a crash.
     #[test]
     fn parser_never_panics_on_arbitrary_input(input in ".{0,200}") {
-        let _ = parse_query(&input);
+        let _ = parse_query_in(&input, &Arena::new());
     }
 
     /// Arbitrary mutations of a valid query (truncations) never panic either.
@@ -72,6 +77,6 @@ proptest! {
         while !text.is_char_boundary(boundary) {
             boundary -= 1;
         }
-        let _ = parse_query(&text[..boundary]);
+        let _ = parse_query_in(&text[..boundary], &Arena::new());
     }
 }

@@ -14,7 +14,9 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::Population;
-use sparqlog::parser::{canonical_fingerprint_of_ref, parse_query_in, to_canonical_string, Arena};
+use sparqlog::parser::{
+    canonical_fingerprint_of_ref, parse_query_in, to_canonical_string_ref, Arena,
+};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::io::Cursor;
 
@@ -39,10 +41,10 @@ proptest! {
         for _ in 0..5 {
             let text = synth.fresh_query();
             arena.reset();
-            let borrowed = parse_query_in(&text, &arena).expect("synthesized queries parse");
+            let query = parse_query_in(&text, &arena).expect("synthesized queries parse");
             prop_assert_eq!(
-                canonical_fingerprint_of_ref(&borrowed),
-                canonical_fingerprint(&to_canonical_string(&borrowed.to_owned())),
+                canonical_fingerprint_of_ref(&query),
+                canonical_fingerprint(&to_canonical_string_ref(&query)),
                 "streamed fingerprint diverges for {}", text
             );
         }

@@ -6,18 +6,19 @@ use proptest::prelude::*;
 use sparqlog::graph::{
     generalized_hypertree_width, treewidth, CanonicalGraph, GraphMode, Hypergraph, ShapeReport,
 };
-use sparqlog::parser::ast::{Term, TriplePattern};
+use sparqlog::parser::ast_ref::{Term, TriplePattern};
+
+/// The variable pool the random edge lists index into.
+const POOL: [&str; 10] = ["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"];
 
 /// Builds triple patterns from a random edge list over a small variable pool.
-fn triples_from_edges(edges: &[(u8, u8)]) -> Vec<TriplePattern> {
+fn triples_from_edges(edges: &[(u8, u8)]) -> Vec<TriplePattern<'static>> {
     edges
         .iter()
-        .map(|(a, b)| {
-            TriplePattern::new(
-                Term::var(format!("v{a}")),
-                Term::iri("http://p"),
-                Term::var(format!("v{b}")),
-            )
+        .map(|&(a, b)| TriplePattern {
+            subject: Term::Var(POOL[usize::from(a)]),
+            predicate: Term::Iri("http://p"),
+            object: Term::Var(POOL[usize::from(b)]),
         })
         .collect()
 }
