@@ -4,16 +4,21 @@
 //! prefix length, wrong version bytes, bad magic, bad tags, trailing bytes.
 
 use proptest::prelude::*;
-use sparqlog_core::analysis::{DatasetAnalysis, Population};
+use sparqlog_algebra::{
+    FragmentTally, KeywordTally, OpSetTally, OperatorSet, ProjectionTally, TripleHistogram,
+};
+use sparqlog_core::analysis::{DatasetAnalysis, FragmentSizeHistogram, HypertreeTally, Population};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{
     analyze_streams, CorpusCounts, FusedStats, LogReader, LogSummary, MemoryLogReader,
 };
 use sparqlog_core::{ErrorKind, ErrorTally};
+use sparqlog_graph::ShapeTally;
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
 use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
 use sparqlog_shard::codec::{
-    write_stream_header, DecodeErrorKind, Decoder, Encoder, StreamError, MAGIC, VERSION,
+    write_stream_header, DecodeError, DecodeErrorKind, Decoder, Encoder, StreamError, MAGIC,
+    VERSION,
 };
 use sparqlog_shard::snapshot::{read_snapshot, EpilogueFrame, Frame, LogFrame, Snapshot};
 use sparqlog_synth::{generate_single_day_log, Dataset};
@@ -443,6 +448,206 @@ fn summaries_split_across_processes_merge_to_the_whole() {
     let mut merged = first;
     merged.merge(&second);
     assert_eq!(merged, whole);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes. The round-trip properties cannot see a reordered field
+// (encode and decode would move together); these literal bytes can. A new
+// field or a new order is a `VERSION` bump and an update here.
+// ---------------------------------------------------------------------------
+
+/// A 10-byte varint.
+const X: u64 = u64::MAX;
+
+/// Every flat record with a distinct value per field, spanning 1-, 2-, 3-,
+/// 5- and 10-byte varints; the irregular members are small but non-empty.
+#[rustfmt::skip]
+fn golden_dataset() -> DatasetAnalysis {
+    let filter = OperatorSet::from_bits(OperatorSet::FILTER).unwrap();
+    let entry = TypeEntry { count: 4, min_k: Some(1), max_k: None };
+    DatasetAnalysis {
+        label: "g".to_string(),
+        counts: CorpusCounts { total: 1, valid: 300, unique: 70_000, bodyless: X },
+        errors: ErrorTally { lex: 1, syntax: 2, exemplars: vec![(1, 300)], ..ErrorTally::default() },
+        keywords: KeywordTally {
+            total_queries: X, select: 1, ask: 2, describe: 3, construct: 130, distinct: 131,
+            limit: 16_400, offset: 16_401, order_by: 4, filter: 5, and: 132, union: 133,
+            opt: 16_402, graph: 6, not_exists: 7, minus: 134, exists: 8, count: 9, max: 135,
+            min: 16_403, avg: 10, sum: 11, group_by: 136, having: 12, service: 13, bind: 137,
+            values: 16_404, reduced: 14, subquery: 15, property_path: X - 1,
+        },
+        triples: TripleHistogram {
+            buckets: [1, 2, 3, 130, 131, 16_400, 4, 5, 6, 7, 8],
+            eleven_plus: 9, select_ask_queries: 132, all_queries: X, triple_sum: 16_401,
+            max_triples: u32::MAX,
+        },
+        opsets: OpSetTally { pure: BTreeMap::from([(filter, 5)]), other_features: 6, total: 7 },
+        projection: ProjectionTally {
+            select_yes: 1, ask_yes: 130, no: 16_400, unknown: X, not_applicable: 2,
+            with_subqueries: 131, total: 3,
+        },
+        fragments: FragmentTally {
+            select_ask: X, aof: 1, cq: 2, cqf: 130, well_designed: 16_400, cqof: 3,
+            aof_var_predicate: 131, wide_interface: 4,
+        },
+        shapes_cq: ShapeTally {
+            single_edge: 1, chain: 2, chain_set: 130, star: 3, tree: 16_400, forest: 4,
+            cycle: 131, flower: 5, flower_set: 6, treewidth_le2: 132, treewidth_3: 7,
+            treewidth_ge4: 16_401, total: X,
+        },
+        sizes_cqf: FragmentSizeHistogram {
+            buckets: [1, 2, 130, 3, 16_400, 4, 5, 131, 6],
+            eleven_plus: 7, one_triple: 132, total: X, max_triples: 70_000,
+        },
+        cycle_lengths: BTreeMap::from([(3, 9)]),
+        hypertree: HypertreeTally {
+            total: X, width1: 1, width2: 130, width3: 16_400, wider_or_unknown: 2,
+            over_100_nodes: 3, max_nodes: 131,
+        },
+        paths: PathTally {
+            total: 1, negated_literal: 2, inverse_literal: 3,
+            by_type: BTreeMap::from([(PathExpressionType::ALL[0], entry)]),
+            with_inverse: 5, potentially_hard: 6,
+        },
+        single_edge_with_constants: 300,
+        ..DatasetAnalysis::default()
+    }
+}
+
+const COUNTS: &[u8] = &[
+    0x01, 0xac, 0x02, 0xf0, 0xa2, 0x04, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+];
+const CACHE: &[u8] = &[
+    0x81, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x80, 0x80, 0x01,
+];
+const FUSED: &[u8] = &[
+    0x03, 0x80, 0x89, 0x7a, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+];
+const KEYWORDS: &[u8] = &[
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01, 0x02, 0x03, 0x82, 0x01, 0x83,
+    0x01, 0x90, 0x80, 0x01, 0x91, 0x80, 0x01, 0x04, 0x05, 0x84, 0x01, 0x85, 0x01, 0x92, 0x80, 0x01,
+    0x06, 0x07, 0x86, 0x01, 0x08, 0x09, 0x87, 0x01, 0x93, 0x80, 0x01, 0x0a, 0x0b, 0x88, 0x01, 0x0c,
+    0x0d, 0x89, 0x01, 0x94, 0x80, 0x01, 0x0e, 0x0f, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0x01,
+];
+const TRIPLES: &[u8] = &[
+    0x01, 0x02, 0x03, 0x82, 0x01, 0x83, 0x01, 0x90, 0x80, 0x01, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09,
+    0x84, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x91, 0x80, 0x01, 0xff,
+    0xff, 0xff, 0xff, 0x0f,
+];
+const PROJECTION: &[u8] = &[
+    0x01, 0x82, 0x01, 0x90, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+    0x02, 0x83, 0x01, 0x03,
+];
+const FRAGMENTS: &[u8] = &[
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01, 0x02, 0x82, 0x01, 0x90, 0x80,
+    0x01, 0x03, 0x83, 0x01, 0x04,
+];
+const SHAPES: &[u8] = &[
+    0x01, 0x02, 0x82, 0x01, 0x03, 0x90, 0x80, 0x01, 0x04, 0x83, 0x01, 0x05, 0x06, 0x84, 0x01, 0x07,
+    0x91, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+];
+const SIZES: &[u8] = &[
+    0x01, 0x02, 0x82, 0x01, 0x03, 0x90, 0x80, 0x01, 0x04, 0x05, 0x83, 0x01, 0x06, 0x07, 0x84, 0x01,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xf0, 0xa2, 0x04,
+];
+const HYPERTREE: &[u8] = &[
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01, 0x82, 0x01, 0x90, 0x80, 0x01,
+    0x02, 0x03, 0x83, 0x01,
+];
+
+#[test]
+fn golden_bytes_pin_the_wire_layout() {
+    let dataset = golden_dataset();
+    let cache = CacheStats {
+        hits: 129,
+        misses: X,
+        distinct: 16_384,
+    };
+    let fused = FusedStats {
+        batches: 3,
+        peak_inflight_entries: 2_000_000,
+        distinct_forms: X - 1,
+    };
+    let records: [(&str, Vec<u8>, &[u8]); 10] = [
+        ("CorpusCounts", dataset.counts.to_bytes(), COUNTS),
+        ("CacheStats", cache.to_bytes(), CACHE),
+        ("FusedStats", fused.to_bytes(), FUSED),
+        ("KeywordTally", dataset.keywords.to_bytes(), KEYWORDS),
+        ("TripleHistogram", dataset.triples.to_bytes(), TRIPLES),
+        ("ProjectionTally", dataset.projection.to_bytes(), PROJECTION),
+        ("FragmentTally", dataset.fragments.to_bytes(), FRAGMENTS),
+        ("ShapeTally", dataset.shapes_cq.to_bytes(), SHAPES),
+        ("FragmentSizeHistogram", dataset.sizes_cqf.to_bytes(), SIZES),
+        ("HypertreeTally", dataset.hypertree.to_bytes(), HYPERTREE),
+    ];
+    for (name, actual, expected) in &records {
+        assert_eq!(actual.as_slice(), *expected, "{name}: wire bytes moved");
+    }
+
+    // The dataset: label, counts, errors (lex 1, syntax 2, one exemplar),
+    // the tallies in member order with three all-zero shape / size
+    // tallies, one opset, one cycle length, one path type, 300.
+    let dataset_bytes = [
+        &[0x01, b'g'][..],
+        COUNTS,
+        &[0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0xac, 0x02],
+        KEYWORDS,
+        TRIPLES,
+        &[0x01, OperatorSet::FILTER, 0x05, 0x06, 0x07],
+        PROJECTION,
+        FRAGMENTS,
+        SHAPES,
+        &[0x00; 39],
+        SIZES,
+        &[0x00; 13],
+        &[0x01, 0x03, 0x09],
+        HYPERTREE,
+        &[
+            0x01, 0x02, 0x03, 0x01, 0x00, 0x04, 0x02, 0x00, 0x05, 0x06, 0xac, 0x02,
+        ],
+    ]
+    .concat();
+    assert_eq!(dataset.to_bytes(), dataset_bytes, "DatasetAnalysis");
+
+    // A log frame: tag, index, the summary (one occurrence, no errors),
+    // then the dataset.
+    let frame = Frame::from(LogFrame {
+        index: 2,
+        summary: LogSummary {
+            label: "g".to_string(),
+            counts: dataset.counts,
+            occurrences: vec![((1 << 120) | 5, 3)],
+            errors: ErrorTally::default(),
+        },
+        analysis: dataset,
+    });
+    let fingerprint_le = [&[0x05][..], &[0x00; 14], &[0x01]].concat();
+    let frame_bytes = [
+        &[0x01, 0x02, 0x01, b'g'][..],
+        COUNTS,
+        &[0x01],
+        &fingerprint_le,
+        &[0x03],
+        &[0x00; 7],
+        &dataset_bytes,
+    ]
+    .concat();
+    assert_eq!(frame.to_payload(), frame_bytes, "LogFrame payload");
+}
+
+#[test]
+fn a_max_triples_beyond_u32_is_a_length_overflow_at_its_varint() {
+    // Fifteen zero counters, then a `max_triples` varint of 2^32.
+    let bytes = [&[0x00; 15][..], &[0x80, 0x80, 0x80, 0x80, 0x10]].concat();
+    let error = TripleHistogram::from_bytes(&bytes).unwrap_err();
+    assert_eq!(
+        error,
+        DecodeError {
+            kind: DecodeErrorKind::LengthOverflow { value: 1 << 32 },
+            offset: 20,
+        }
+    );
 }
 
 fn summary_of(entries: &[String]) -> LogSummary {
