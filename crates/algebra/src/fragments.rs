@@ -193,25 +193,27 @@ impl FragmentReport {
     }
 }
 
-/// Aggregated fragment statistics over SELECT/ASK queries (Section 5.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FragmentTally {
-    /// Total SELECT/ASK queries seen.
-    pub select_ask: u64,
-    /// AOF patterns.
-    pub aof: u64,
-    /// Conjunctive queries.
-    pub cq: u64,
-    /// CQF queries (cumulative, includes CQ).
-    pub cqf: u64,
-    /// Well-designed AOF patterns.
-    pub well_designed: u64,
-    /// CQOF queries (cumulative).
-    pub cqof: u64,
-    /// AOF patterns containing a variable predicate.
-    pub aof_var_predicate: u64,
-    /// Well-designed patterns with simple filters and interface width > 1.
-    pub wide_interface: u64,
+crate::tally! {
+    /// Aggregated fragment statistics over SELECT/ASK queries (Section 5.2).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FragmentTally {
+        /// Total SELECT/ASK queries seen.
+        sum pub select_ask: u64,
+        /// AOF patterns.
+        sum pub aof: u64,
+        /// Conjunctive queries.
+        sum pub cq: u64,
+        /// CQF queries (cumulative, includes CQ).
+        sum pub cqf: u64,
+        /// Well-designed AOF patterns.
+        sum pub well_designed: u64,
+        /// CQOF queries (cumulative).
+        sum pub cqof: u64,
+        /// AOF patterns containing a variable predicate.
+        sum pub aof_var_predicate: u64,
+        /// Well-designed patterns with simple filters and interface width > 1.
+        sum pub wide_interface: u64,
+    }
 }
 
 impl FragmentTally {
@@ -247,32 +249,6 @@ impl FragmentTally {
         if r.wide_interface {
             self.wide_interface += 1;
         }
-    }
-
-    /// Merges another tally.
-    pub fn merge(&mut self, other: &FragmentTally) {
-        self.select_ask += other.select_ask;
-        self.aof += other.aof;
-        self.cq += other.cq;
-        self.cqf += other.cqf;
-        self.well_designed += other.well_designed;
-        self.cqof += other.cqof;
-        self.aof_var_predicate += other.aof_var_predicate;
-        self.wide_interface += other.wide_interface;
-    }
-
-    /// Multiplies every counter by `times`: a tally built from one
-    /// [`FragmentTally::add`] and then scaled equals `times` repeated adds of
-    /// the same report. Used by the fused engine's occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        self.select_ask *= times;
-        self.aof *= times;
-        self.cq *= times;
-        self.cqf *= times;
-        self.well_designed *= times;
-        self.cqof *= times;
-        self.aof_var_predicate *= times;
-        self.wide_interface *= times;
     }
 
     /// Share of AOF patterns among SELECT/ASK queries.

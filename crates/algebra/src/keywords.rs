@@ -31,73 +31,75 @@ pub const KEYWORD_ROWS: &[&str] = &[
     "Having",
 ];
 
-/// Aggregated keyword usage counts over a set of queries.
-///
-/// Each counter holds the number of *queries* that use the keyword at least
-/// once (not the number of keyword occurrences), matching the semantics of
-/// Table 2 in the paper.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KeywordTally {
-    /// Total number of queries aggregated.
-    pub total_queries: u64,
-    /// Query-form counts.
-    pub select: u64,
-    /// Number of ASK queries.
-    pub ask: u64,
-    /// Number of DESCRIBE queries.
-    pub describe: u64,
-    /// Number of CONSTRUCT queries.
-    pub construct: u64,
-    /// Solution-modifier counts.
-    pub distinct: u64,
-    /// Queries with LIMIT.
-    pub limit: u64,
-    /// Queries with OFFSET.
-    pub offset: u64,
-    /// Queries with ORDER BY.
-    pub order_by: u64,
-    /// Body-operator counts.
-    pub filter: u64,
-    /// Queries using conjunction.
-    pub and: u64,
-    /// Queries using UNION.
-    pub union: u64,
-    /// Queries using OPTIONAL.
-    pub opt: u64,
-    /// Queries using GRAPH.
-    pub graph: u64,
-    /// Queries using NOT EXISTS.
-    pub not_exists: u64,
-    /// Queries using MINUS.
-    pub minus: u64,
-    /// Queries using EXISTS.
-    pub exists: u64,
-    /// Aggregation-operator counts.
-    pub count: u64,
-    /// Queries using MAX.
-    pub max: u64,
-    /// Queries using MIN.
-    pub min: u64,
-    /// Queries using AVG.
-    pub avg: u64,
-    /// Queries using SUM.
-    pub sum: u64,
-    /// Queries using GROUP BY.
-    pub group_by: u64,
-    /// Queries using HAVING.
-    pub having: u64,
-    /// Additional (sub-1%) features tracked for completeness.
-    pub service: u64,
-    /// Queries using BIND.
-    pub bind: u64,
-    /// Queries using VALUES.
-    pub values: u64,
-    /// Queries using REDUCED.
-    pub reduced: u64,
-    /// Queries using subqueries.
-    pub subquery: u64,
-    /// Queries using property paths.
-    pub property_path: u64,
+crate::tally! {
+    /// Aggregated keyword usage counts over a set of queries.
+    ///
+    /// Each counter holds the number of *queries* that use the keyword at least
+    /// once (not the number of keyword occurrences), matching the semantics of
+    /// Table 2 in the paper.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct KeywordTally {
+        /// Total number of queries aggregated.
+        sum pub total_queries: u64,
+        /// Query-form counts.
+        sum pub select: u64,
+        /// Number of ASK queries.
+        sum pub ask: u64,
+        /// Number of DESCRIBE queries.
+        sum pub describe: u64,
+        /// Number of CONSTRUCT queries.
+        sum pub construct: u64,
+        /// Solution-modifier counts.
+        sum pub distinct: u64,
+        /// Queries with LIMIT.
+        sum pub limit: u64,
+        /// Queries with OFFSET.
+        sum pub offset: u64,
+        /// Queries with ORDER BY.
+        sum pub order_by: u64,
+        /// Body-operator counts.
+        sum pub filter: u64,
+        /// Queries using conjunction.
+        sum pub and: u64,
+        /// Queries using UNION.
+        sum pub union: u64,
+        /// Queries using OPTIONAL.
+        sum pub opt: u64,
+        /// Queries using GRAPH.
+        sum pub graph: u64,
+        /// Queries using NOT EXISTS.
+        sum pub not_exists: u64,
+        /// Queries using MINUS.
+        sum pub minus: u64,
+        /// Queries using EXISTS.
+        sum pub exists: u64,
+        /// Aggregation-operator counts.
+        sum pub count: u64,
+        /// Queries using MAX.
+        sum pub max: u64,
+        /// Queries using MIN.
+        sum pub min: u64,
+        /// Queries using AVG.
+        sum pub avg: u64,
+        /// Queries using SUM.
+        sum pub sum: u64,
+        /// Queries using GROUP BY.
+        sum pub group_by: u64,
+        /// Queries using HAVING.
+        sum pub having: u64,
+        /// Additional (sub-1%) features tracked for completeness.
+        sum pub service: u64,
+        /// Queries using BIND.
+        sum pub bind: u64,
+        /// Queries using VALUES.
+        sum pub values: u64,
+        /// Queries using REDUCED.
+        sum pub reduced: u64,
+        /// Queries using subqueries.
+        sum pub subquery: u64,
+        /// Queries using property paths.
+        sum pub property_path: u64,
+    }
 }
 
 impl KeywordTally {
@@ -145,78 +147,6 @@ impl KeywordTally {
         bump(f.uses_reduced, &mut self.reduced);
         bump(f.uses_subquery, &mut self.subquery);
         bump(f.uses_property_path, &mut self.property_path);
-    }
-
-    /// Merges another tally into this one (used for parallel aggregation).
-    pub fn merge(&mut self, other: &KeywordTally) {
-        self.total_queries += other.total_queries;
-        self.select += other.select;
-        self.ask += other.ask;
-        self.describe += other.describe;
-        self.construct += other.construct;
-        self.distinct += other.distinct;
-        self.limit += other.limit;
-        self.offset += other.offset;
-        self.order_by += other.order_by;
-        self.filter += other.filter;
-        self.and += other.and;
-        self.union += other.union;
-        self.opt += other.opt;
-        self.graph += other.graph;
-        self.not_exists += other.not_exists;
-        self.minus += other.minus;
-        self.exists += other.exists;
-        self.count += other.count;
-        self.max += other.max;
-        self.min += other.min;
-        self.avg += other.avg;
-        self.sum += other.sum;
-        self.group_by += other.group_by;
-        self.having += other.having;
-        self.service += other.service;
-        self.bind += other.bind;
-        self.values += other.values;
-        self.reduced += other.reduced;
-        self.subquery += other.subquery;
-        self.property_path += other.property_path;
-    }
-
-    /// Multiplies every counter by `times`, so that a tally built from one
-    /// [`KeywordTally::add`] and then scaled equals `times` repeated adds of
-    /// the same features. This is the occurrence-weighted fold used by the
-    /// fused streaming engine, which records each distinct canonical form
-    /// once together with its occurrence count.
-    pub fn scale(&mut self, times: u64) {
-        self.total_queries *= times;
-        self.select *= times;
-        self.ask *= times;
-        self.describe *= times;
-        self.construct *= times;
-        self.distinct *= times;
-        self.limit *= times;
-        self.offset *= times;
-        self.order_by *= times;
-        self.filter *= times;
-        self.and *= times;
-        self.union *= times;
-        self.opt *= times;
-        self.graph *= times;
-        self.not_exists *= times;
-        self.minus *= times;
-        self.exists *= times;
-        self.count *= times;
-        self.max *= times;
-        self.min *= times;
-        self.avg *= times;
-        self.sum *= times;
-        self.group_by *= times;
-        self.having *= times;
-        self.service *= times;
-        self.bind *= times;
-        self.values *= times;
-        self.reduced *= times;
-        self.subquery *= times;
-        self.property_path *= times;
     }
 
     /// Returns the Table-2 rows as `(label, absolute count, relative share)`

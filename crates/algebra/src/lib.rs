@@ -13,6 +13,8 @@
 //! * [`pattern_tree`] — well-designed pattern trees and interface width.
 //! * [`walk`] — the single-pass walker every engine-side measure is derived
 //!   from ([`QueryWalkRef`]) and the per-measure reference walkers.
+//! * [`tally`](mod@tally) — [`tally!`], the one field list behind every flat tally's
+//!   struct, `merge`, `scale` and wire layout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +25,7 @@ pub mod keywords;
 pub mod opsets;
 pub mod pattern_tree;
 pub mod projection;
+pub mod tally;
 pub mod triples;
 pub mod walk;
 

@@ -220,23 +220,25 @@ fn uses_bind(q: &Query<'_>) -> bool {
     q.where_clause.as_ref().is_some_and(group_uses_bind)
 }
 
-/// Aggregated projection statistics over a corpus (the Section 4.4 numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProjectionTally {
-    /// SELECT queries that use projection.
-    pub select_yes: u64,
-    /// ASK queries that use projection.
-    pub ask_yes: u64,
-    /// Queries that definitely do not use projection.
-    pub no: u64,
-    /// Queries where the test is inconclusive because of BIND.
-    pub unknown: u64,
-    /// CONSTRUCT / DESCRIBE queries (not applicable).
-    pub not_applicable: u64,
-    /// Queries using subqueries.
-    pub with_subqueries: u64,
-    /// Total queries recorded.
-    pub total: u64,
+crate::tally! {
+    /// Aggregated projection statistics over a corpus (the Section 4.4 numbers).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ProjectionTally {
+        /// SELECT queries that use projection.
+        sum pub select_yes: u64,
+        /// ASK queries that use projection.
+        sum pub ask_yes: u64,
+        /// Queries that definitely do not use projection.
+        sum pub no: u64,
+        /// Queries where the test is inconclusive because of BIND.
+        sum pub unknown: u64,
+        /// CONSTRUCT / DESCRIBE queries (not applicable).
+        sum pub not_applicable: u64,
+        /// Queries using subqueries.
+        sum pub with_subqueries: u64,
+        /// Total queries recorded.
+        sum pub total: u64,
+    }
 }
 
 impl ProjectionTally {
@@ -269,31 +271,6 @@ impl ProjectionTally {
             // Yes for other forms cannot occur.
             (_, ProjectionUse::Yes) => {}
         }
-    }
-
-    /// Merges another tally.
-    pub fn merge(&mut self, other: &ProjectionTally) {
-        self.select_yes += other.select_yes;
-        self.ask_yes += other.ask_yes;
-        self.no += other.no;
-        self.unknown += other.unknown;
-        self.not_applicable += other.not_applicable;
-        self.with_subqueries += other.with_subqueries;
-        self.total += other.total;
-    }
-
-    /// Multiplies every counter by `times`: a tally built from one
-    /// [`ProjectionTally::record`] and then scaled equals `times` repeated
-    /// records of the same classification. Used by the fused engine's
-    /// occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        self.select_yes *= times;
-        self.ask_yes *= times;
-        self.no *= times;
-        self.unknown *= times;
-        self.not_applicable *= times;
-        self.with_subqueries *= times;
-        self.total *= times;
     }
 
     /// Lower bound on the share of queries using projection.

@@ -7,22 +7,24 @@ use serde::{Deserialize, Serialize};
 /// fall into the `eleven_plus` bucket, mirroring Figure 1's legend.
 pub const EXPLICIT_BUCKETS: usize = 11;
 
-/// A histogram of the number of triple patterns per query, restricted to
-/// SELECT and ASK queries exactly as in Section 4.2 of the paper.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TripleHistogram {
-    /// Counts for exactly 0..=10 triples.
-    pub buckets: [u64; EXPLICIT_BUCKETS],
-    /// Count for 11 or more triples.
-    pub eleven_plus: u64,
-    /// Total number of SELECT/ASK queries observed.
-    pub select_ask_queries: u64,
-    /// Total number of queries observed (any form), used for the S/A share.
-    pub all_queries: u64,
-    /// Sum of triple counts over all SELECT/ASK queries (for the average).
-    pub triple_sum: u64,
-    /// The largest triple count observed.
-    pub max_triples: u32,
+crate::tally! {
+    /// A histogram of the number of triple patterns per query, restricted to
+    /// SELECT and ASK queries exactly as in Section 4.2 of the paper.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct TripleHistogram {
+        /// Counts for exactly 0..=10 triples.
+        sum pub buckets: [u64; EXPLICIT_BUCKETS],
+        /// Count for 11 or more triples.
+        sum pub eleven_plus: u64,
+        /// Total number of SELECT/ASK queries observed.
+        sum pub select_ask_queries: u64,
+        /// Total number of queries observed (any form), used for the S/A share.
+        sum pub all_queries: u64,
+        /// Sum of triple counts over all SELECT/ASK queries (for the average).
+        sum pub triple_sum: u64,
+        /// The largest triple count observed.
+        max pub max_triples: u32,
+    }
 }
 
 impl TripleHistogram {
@@ -47,33 +49,6 @@ impl TripleHistogram {
         } else {
             self.eleven_plus += 1;
         }
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &TripleHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.eleven_plus += other.eleven_plus;
-        self.select_ask_queries += other.select_ask_queries;
-        self.all_queries += other.all_queries;
-        self.triple_sum += other.triple_sum;
-        self.max_triples = self.max_triples.max(other.max_triples);
-    }
-
-    /// Multiplies every additive counter by `times` while leaving the
-    /// `max_triples` extremum untouched: a histogram built from one
-    /// [`TripleHistogram::add`] and then scaled equals `times` repeated adds
-    /// of the same features (the maximum is idempotent under repetition).
-    /// Used by the fused engine's occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        for bucket in &mut self.buckets {
-            *bucket *= times;
-        }
-        self.eleven_plus *= times;
-        self.select_ask_queries *= times;
-        self.all_queries *= times;
-        self.triple_sum *= times;
     }
 
     /// The share of SELECT/ASK queries among all queries (the "S/A" row at the

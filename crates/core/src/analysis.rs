@@ -24,20 +24,22 @@ use sparqlog_paths::PathTally;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Size histogram of CQ-like queries with at least two triples (Figure 5 /
-/// Figure 9): buckets for 2..=10 triples and 11+.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FragmentSizeHistogram {
-    /// Counts for exactly 2..=10 triples (index 0 = 2 triples).
-    pub buckets: [u64; 9],
-    /// Count for 11 or more triples.
-    pub eleven_plus: u64,
-    /// Queries with exactly one triple (reported in the Figure-5 caption).
-    pub one_triple: u64,
-    /// Total queries in the fragment.
-    pub total: u64,
-    /// The largest query observed (number of triples).
-    pub max_triples: u32,
+sparqlog_algebra::tally! {
+    /// Size histogram of CQ-like queries with at least two triples (Figure 5 /
+    /// Figure 9): buckets for 2..=10 triples and 11+.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FragmentSizeHistogram {
+        /// Counts for exactly 2..=10 triples (index 0 = 2 triples).
+        sum pub buckets: [u64; 9],
+        /// Count for 11 or more triples.
+        sum pub eleven_plus: u64,
+        /// Queries with exactly one triple (reported in the Figure-5 caption).
+        sum pub one_triple: u64,
+        /// Total queries in the fragment.
+        sum pub total: u64,
+        /// The largest query observed (number of triples).
+        max pub max_triples: u32,
+    }
 }
 
 impl FragmentSizeHistogram {
@@ -52,54 +54,32 @@ impl FragmentSizeHistogram {
         }
     }
 
-    /// Merges another histogram.
-    pub fn merge(&mut self, other: &FragmentSizeHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.eleven_plus += other.eleven_plus;
-        self.one_triple += other.one_triple;
-        self.total += other.total;
-        self.max_triples = self.max_triples.max(other.max_triples);
-    }
-
-    /// Multiplies every additive counter by `times`, leaving the
-    /// `max_triples` extremum untouched (a maximum is idempotent under
-    /// repeated adds of the same value). Used by the fused engine's
-    /// occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        for bucket in &mut self.buckets {
-            *bucket *= times;
-        }
-        self.eleven_plus *= times;
-        self.one_triple *= times;
-        self.total *= times;
-    }
-
     /// The share of one-triple queries in the fragment.
     pub fn one_triple_share(&self) -> f64 {
         self.one_triple as f64 / self.total.max(1) as f64
     }
 }
 
-/// Aggregated hypertree-width results for variable-predicate CQOF queries
-/// (Section 6.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HypertreeTally {
-    /// Queries analysed through their hypergraph.
-    pub total: u64,
-    /// Hypertree width 1 (acyclic).
-    pub width1: u64,
-    /// Hypertree width 2.
-    pub width2: u64,
-    /// Hypertree width 3.
-    pub width3: u64,
-    /// Width 4 or more, or inexact results.
-    pub wider_or_unknown: u64,
-    /// Decompositions with more than 100 nodes.
-    pub over_100_nodes: u64,
-    /// The largest decomposition node count observed.
-    pub max_nodes: u64,
+sparqlog_algebra::tally! {
+    /// Aggregated hypertree-width results for variable-predicate CQOF queries
+    /// (Section 6.2).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct HypertreeTally {
+        /// Queries analysed through their hypergraph.
+        sum pub total: u64,
+        /// Hypertree width 1 (acyclic).
+        sum pub width1: u64,
+        /// Hypertree width 2.
+        sum pub width2: u64,
+        /// Hypertree width 3.
+        sum pub width3: u64,
+        /// Width 4 or more, or inexact results.
+        sum pub wider_or_unknown: u64,
+        /// Decompositions with more than 100 nodes.
+        sum pub over_100_nodes: u64,
+        /// The largest decomposition node count observed.
+        max pub max_nodes: u64,
+    }
 }
 
 impl HypertreeTally {
@@ -120,29 +100,6 @@ impl HypertreeTally {
         if nodes > 100 {
             self.over_100_nodes += 1;
         }
-    }
-
-    /// Merges another tally.
-    pub fn merge(&mut self, other: &HypertreeTally) {
-        self.total += other.total;
-        self.width1 += other.width1;
-        self.width2 += other.width2;
-        self.width3 += other.width3;
-        self.wider_or_unknown += other.wider_or_unknown;
-        self.over_100_nodes += other.over_100_nodes;
-        self.max_nodes = self.max_nodes.max(other.max_nodes);
-    }
-
-    /// Multiplies every additive counter by `times`, leaving the `max_nodes`
-    /// extremum untouched. Used by the fused engine's occurrence-weighted
-    /// fold.
-    pub fn scale(&mut self, times: u64) {
-        self.total *= times;
-        self.width1 *= times;
-        self.width2 *= times;
-        self.width3 *= times;
-        self.wider_or_unknown *= times;
-        self.over_100_nodes *= times;
     }
 }
 

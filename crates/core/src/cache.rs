@@ -74,19 +74,21 @@ use std::sync::{Arc, Mutex};
 /// Default shard count for [`AnalysisCache`].
 const CACHE_SHARDS: usize = 16;
 
-/// Cumulative counters of an [`AnalysisCache`]: how many lookups were served
-/// from the cache, how many had to analyse, and how many distinct canonical
-/// forms the cache holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups that found a memoized analysis.
-    pub hits: u64,
-    /// Lookups that analysed the query (first occurrence of a fingerprint —
-    /// or, rarely, a concurrent re-analysis that lost the insert race; the
-    /// winning record is identical either way).
-    pub misses: u64,
-    /// Distinct canonical forms currently memoized.
-    pub distinct: u64,
+sparqlog_algebra::tally! {
+    /// Cumulative counters of an [`AnalysisCache`]: how many lookups were served
+    /// from the cache, how many had to analyse, and how many distinct canonical
+    /// forms the cache holds.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CacheStats {
+        /// Lookups that found a memoized analysis.
+        sum pub hits: u64,
+        /// Lookups that analysed the query (first occurrence of a fingerprint —
+        /// or, rarely, a concurrent re-analysis that lost the insert race; the
+        /// winning record is identical either way).
+        sum pub misses: u64,
+        /// Distinct canonical forms currently memoized.
+        sum pub distinct: u64,
+    }
 }
 
 impl CacheStats {

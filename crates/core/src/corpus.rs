@@ -47,37 +47,19 @@ impl RawLog {
     }
 }
 
-/// The Table-1 accounting for one dataset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorpusCounts {
-    /// Total log entries.
-    pub total: u64,
-    /// Entries that parse as SPARQL queries.
-    pub valid: u64,
-    /// Distinct valid queries (after canonicalization).
-    pub unique: u64,
-    /// Valid queries without a body (the paper reports 4.47 % corpus-wide,
-    /// almost all of them DESCRIBE queries).
-    pub bodyless: u64,
-}
-
-impl CorpusCounts {
-    /// Merges another count (used for the corpus-level "Total" row).
-    pub fn merge(&mut self, other: &CorpusCounts) {
-        self.total += other.total;
-        self.valid += other.valid;
-        self.unique += other.unique;
-        self.bodyless += other.bodyless;
-    }
-
-    /// Multiplies every counter by `times` (the occurrence-weighted fold of
-    /// the fused engine; see
-    /// [`DatasetAnalysis::scale`](crate::analysis::DatasetAnalysis::scale)).
-    pub fn scale(&mut self, times: u64) {
-        self.total *= times;
-        self.valid *= times;
-        self.unique *= times;
-        self.bodyless *= times;
+sparqlog_algebra::tally! {
+    /// The Table-1 accounting for one dataset.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CorpusCounts {
+        /// Total log entries.
+        sum pub total: u64,
+        /// Entries that parse as SPARQL queries.
+        sum pub valid: u64,
+        /// Distinct valid queries (after canonicalization).
+        sum pub unique: u64,
+        /// Valid queries without a body (the paper reports 4.47 % corpus-wide,
+        /// almost all of them DESCRIBE queries).
+        sum pub bodyless: u64,
     }
 }
 

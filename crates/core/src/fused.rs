@@ -192,9 +192,7 @@ impl LogSummary {
             }
         }
         self.occurrences = merged;
-        self.counts.total += other.counts.total;
-        self.counts.valid += other.counts.valid;
-        self.counts.bodyless += other.counts.bodyless;
+        self.counts.merge(&other.counts);
         self.counts.unique = self.occurrences.len() as u64;
         self.errors.merge(&other.errors);
     }
@@ -208,20 +206,22 @@ impl LogSummary {
     }
 }
 
-/// Residency observability of one fused run — evidence for the
-/// O(in-flight + distinct) memory claim. Never part of the corpus report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FusedStats {
-    /// Batches pulled from the readers.
-    pub batches: u64,
-    /// The largest number of raw entries resident in worker batches at any
-    /// instant — the in-flight bound (≤ workers × batch size). Each worker
-    /// additionally holds at most **one** parsed AST at a time.
-    pub peak_inflight_entries: usize,
-    /// Distinct canonical forms seen by *this run's* streams (what survives
-    /// the stream) — not the size of the backing cache, which may carry
-    /// entries from other corpora when the caller shares it across runs.
-    pub distinct_forms: u64,
+sparqlog_algebra::tally! {
+    /// Residency observability of one fused run — evidence for the
+    /// O(in-flight + distinct) memory claim. Never part of the corpus report.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FusedStats {
+        /// Batches pulled from the readers.
+        sum pub batches: u64,
+        /// The largest number of raw entries resident in worker batches at any
+        /// instant — the in-flight bound (≤ workers × batch size). Each worker
+        /// additionally holds at most **one** parsed AST at a time.
+        max pub peak_inflight_entries: usize,
+        /// Distinct canonical forms seen by *this run's* streams (what survives
+        /// the stream) — not the size of the backing cache, which may carry
+        /// entries from other corpora when the caller shares it across runs.
+        sum pub distinct_forms: u64,
+    }
 }
 
 /// The result of a fused run: per-log summaries (counts + fingerprints),

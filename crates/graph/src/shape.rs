@@ -238,36 +238,38 @@ fn is_flower_with_center(
     true
 }
 
-/// Cumulative shape statistics over a set of query graphs (one column of
-/// Table 4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShapeTally {
-    /// Queries whose graph is a single edge.
-    pub single_edge: u64,
-    /// Chains.
-    pub chain: u64,
-    /// Chain sets.
-    pub chain_set: u64,
-    /// Stars.
-    pub star: u64,
-    /// Trees.
-    pub tree: u64,
-    /// Forests.
-    pub forest: u64,
-    /// Cycles.
-    pub cycle: u64,
-    /// Flowers.
-    pub flower: u64,
-    /// Flower sets.
-    pub flower_set: u64,
-    /// Queries with treewidth ≤ 2.
-    pub treewidth_le2: u64,
-    /// Queries with treewidth exactly 3.
-    pub treewidth_3: u64,
-    /// Queries with treewidth 4 or more (not observed in the paper's corpus).
-    pub treewidth_ge4: u64,
-    /// Total queries classified.
-    pub total: u64,
+sparqlog_algebra::tally! {
+    /// Cumulative shape statistics over a set of query graphs (one column of
+    /// Table 4).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ShapeTally {
+        /// Queries whose graph is a single edge.
+        sum pub single_edge: u64,
+        /// Chains.
+        sum pub chain: u64,
+        /// Chain sets.
+        sum pub chain_set: u64,
+        /// Stars.
+        sum pub star: u64,
+        /// Trees.
+        sum pub tree: u64,
+        /// Forests.
+        sum pub forest: u64,
+        /// Cycles.
+        sum pub cycle: u64,
+        /// Flowers.
+        sum pub flower: u64,
+        /// Flower sets.
+        sum pub flower_set: u64,
+        /// Queries with treewidth ≤ 2.
+        sum pub treewidth_le2: u64,
+        /// Queries with treewidth exactly 3.
+        sum pub treewidth_3: u64,
+        /// Queries with treewidth 4 or more (not observed in the paper's corpus).
+        sum pub treewidth_ge4: u64,
+        /// Total queries classified.
+        sum pub total: u64,
+    }
 }
 
 impl ShapeTally {
@@ -311,43 +313,6 @@ impl ShapeTally {
             3 => self.treewidth_3 += 1,
             _ => self.treewidth_ge4 += 1,
         }
-    }
-
-    /// Merges another tally.
-    pub fn merge(&mut self, other: &ShapeTally) {
-        self.single_edge += other.single_edge;
-        self.chain += other.chain;
-        self.chain_set += other.chain_set;
-        self.star += other.star;
-        self.tree += other.tree;
-        self.forest += other.forest;
-        self.cycle += other.cycle;
-        self.flower += other.flower;
-        self.flower_set += other.flower_set;
-        self.treewidth_le2 += other.treewidth_le2;
-        self.treewidth_3 += other.treewidth_3;
-        self.treewidth_ge4 += other.treewidth_ge4;
-        self.total += other.total;
-    }
-
-    /// Multiplies every counter by `times`: a tally built from one
-    /// [`ShapeTally::add`] and then scaled equals `times` repeated adds of
-    /// the same shape/treewidth pair. Used by the fused engine's
-    /// occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        self.single_edge *= times;
-        self.chain *= times;
-        self.chain_set *= times;
-        self.star *= times;
-        self.tree *= times;
-        self.forest *= times;
-        self.cycle *= times;
-        self.flower *= times;
-        self.flower_set *= times;
-        self.treewidth_le2 *= times;
-        self.treewidth_3 *= times;
-        self.treewidth_ge4 *= times;
-        self.total *= times;
     }
 
     /// The Table-4 rows as `(label, count, share)` in the paper's order.

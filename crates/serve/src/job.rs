@@ -149,9 +149,7 @@ impl JobState {
         self.entries += summary.counts.total;
         *slot = Some((summary, analysis));
         self.completed += 1;
-        self.cache.hits += cache.hits;
-        self.cache.misses += cache.misses;
-        self.cache.distinct += cache.distinct;
+        self.cache.merge(&cache);
         self.snapshot_bytes += snapshot_bytes;
         if self.completed == self.slots.len() && self.failed.is_none() {
             // The single budget-enforcement point: every partition streamed

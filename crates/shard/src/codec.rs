@@ -24,6 +24,7 @@
 //! stream offset where decoding stopped, so a coordinator can report *which
 //! byte* of *which shard's* snapshot went wrong.
 
+use sparqlog_algebra::tally::{Counter, CounterSink, CounterSource};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -440,16 +441,16 @@ impl<'a> Decoder<'a> {
         Err(self.fail(DecodeErrorKind::VarintOverflow))
     }
 
-    /// Reads a varint that must fit a `u32`.
+    /// Reads a varint that must fit a `u32` (else
+    /// [`DecodeErrorKind::LengthOverflow`]).
     pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
-        let value = self.take_varint()?;
-        u32::try_from(value).map_err(|_| self.fail(DecodeErrorKind::LengthOverflow { value }))
+        Counter::take(self)
     }
 
-    /// Reads a varint that must fit a `usize`.
+    /// Reads a varint that must fit a `usize` (else
+    /// [`DecodeErrorKind::LengthOverflow`]).
     pub fn take_usize(&mut self) -> Result<usize, DecodeError> {
-        let value = self.take_varint()?;
-        usize::try_from(value).map_err(|_| self.fail(DecodeErrorKind::LengthOverflow { value }))
+        Counter::take(self)
     }
 
     /// Reads a 16-byte little-endian fingerprint.
@@ -487,6 +488,27 @@ impl<'a> Decoder<'a> {
                 .map(Some)
                 .map_err(|_| self.fail(DecodeErrorKind::LengthOverflow { value })),
         }
+    }
+}
+
+/// A tally's counters go out as varints, in declaration order.
+impl CounterSink for Encoder {
+    fn put(&mut self, value: u64) {
+        self.put_varint(value);
+    }
+}
+
+/// A tally's counters come back as varints; one that does not fit its
+/// field is a [`DecodeErrorKind::LengthOverflow`] just past its varint.
+impl CounterSource for Decoder<'_> {
+    type Error = DecodeError;
+
+    fn take(&mut self) -> Result<u64, DecodeError> {
+        self.take_varint()
+    }
+
+    fn overflow(&self, value: u64) -> DecodeError {
+        self.fail(DecodeErrorKind::LengthOverflow { value })
     }
 }
 

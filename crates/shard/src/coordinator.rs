@@ -542,9 +542,7 @@ pub fn analyze_sharded_all(
     let mut shard_stats = Vec::with_capacity(outputs.len());
     let registry = sparqlog_obs::global();
     for (shard, output) in outputs.into_iter().enumerate() {
-        cache.hits += output.snapshot.epilogue.cache.hits;
-        cache.misses += output.snapshot.epilogue.cache.misses;
-        cache.distinct += output.snapshot.epilogue.cache.distinct;
+        cache.merge(&output.snapshot.epilogue.cache);
         // Fold the worker process's metrics into this process's registry:
         // the per-stage pipeline latencies measured inside the worker
         // surface wherever the coordinator's snapshot is served from.

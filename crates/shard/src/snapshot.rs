@@ -3,11 +3,17 @@
 //! behind [`DatasetAnalysis`], [`CacheStats`], and the framed worker stream
 //! ([`LogFrame`] / [`EpilogueFrame`]) the coordinator consumes.
 //!
-//! Implementations destructure their type **exhaustively** (no `..`
-//! patterns), so adding a field to any tally is a compile error here — the
-//! codec can never silently drop a new counter. Decoding reads fields in
-//! the exact order encoding wrote them; nothing about the wire layout
-//! depends on Rust struct layout.
+//! The wire rule for the ten flat tallies (declared with
+//! [`sparqlog_algebra::tally!`]) is their field view: every scalar is one
+//! varint, in declaration order, and a `[u64; N]` is `N` varints; a `u32` or
+//! `usize` that does not fit fails with
+//! [`LengthOverflow`](DecodeErrorKind::LengthOverflow). A field cannot be
+//! forgotten by the codec, but a new or reordered field changes the bytes:
+//! it needs a [`VERSION`](crate::codec::VERSION) bump and an update of the
+//! golden bytes in `tests/codec.rs`. The irregular records (maps, options,
+//! capped lists, the frames) are written out below; they decode fields in
+//! the exact order they encode them. Nothing about the wire layout depends
+//! on Rust struct layout.
 //!
 //! ```
 //! use sparqlog_core::corpus::{CorpusCounts, LogSummary};
@@ -15,7 +21,7 @@
 //!
 //! let summary = LogSummary {
 //!     label: "DBpedia15".to_string(),
-//!     counts: CorpusCounts { total: 5, valid: 4, unique: 3, bodyless: 1 },
+//!     counts: CorpusCounts { total: 5, valid: 4, unique: 2, ..Default::default() },
 //!     occurrences: vec![(17, 2), (99, 2)],
 //!     errors: Default::default(),
 //! };
@@ -26,6 +32,7 @@
 use crate::codec::{write_frame, Decoder, Encoder};
 use crate::codec::{DecodeError, DecodeErrorKind};
 use sparqlog_algebra::opsets::OperatorSet;
+use sparqlog_algebra::tally::Tally;
 use sparqlog_algebra::{FragmentTally, KeywordTally, OpSetTally, ProjectionTally, TripleHistogram};
 use sparqlog_core::analysis::{DatasetAnalysis, FragmentSizeHistogram, HypertreeTally};
 use sparqlog_core::cache::CacheStats;
@@ -61,33 +68,34 @@ pub trait Snapshot: Sized {
     }
 }
 
-impl Snapshot for CorpusCounts {
-    fn encode(&self, out: &mut Encoder) {
-        let CorpusCounts {
-            total,
-            valid,
-            unique,
-            bodyless,
-        } = *self;
-        out.put_varint(total);
-        out.put_varint(valid);
-        out.put_varint(unique);
-        out.put_varint(bodyless);
-    }
+/// The flat tallies: each is its [`Tally`] field view on the wire, every
+/// counter one varint in declaration order (`sparqlog_algebra::tally!`).
+macro_rules! tally_snapshot {
+    ($($tally:ty),* $(,)?) => {$(
+        impl Snapshot for $tally {
+            fn encode(&self, out: &mut Encoder) {
+                self.put_fields(out);
+            }
 
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let total = input.take_varint()?;
-        let valid = input.take_varint()?;
-        let unique = input.take_varint()?;
-        let bodyless = input.take_varint()?;
-        Ok(CorpusCounts {
-            total,
-            valid,
-            unique,
-            bodyless,
-        })
-    }
+            fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                Self::take_fields(input)
+            }
+        }
+    )*};
 }
+
+tally_snapshot!(
+    CorpusCounts,
+    CacheStats,
+    FusedStats,
+    KeywordTally,
+    TripleHistogram,
+    ProjectionTally,
+    FragmentTally,
+    ShapeTally,
+    FragmentSizeHistogram,
+    HypertreeTally,
+);
 
 impl Snapshot for ErrorTally {
     fn encode(&self, out: &mut Encoder) {
@@ -179,54 +187,6 @@ impl Snapshot for LogSummary {
             counts,
             occurrences,
             errors,
-        })
-    }
-}
-
-impl Snapshot for CacheStats {
-    fn encode(&self, out: &mut Encoder) {
-        let CacheStats {
-            hits,
-            misses,
-            distinct,
-        } = *self;
-        out.put_varint(hits);
-        out.put_varint(misses);
-        out.put_varint(distinct);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let hits = input.take_varint()?;
-        let misses = input.take_varint()?;
-        let distinct = input.take_varint()?;
-        Ok(CacheStats {
-            hits,
-            misses,
-            distinct,
-        })
-    }
-}
-
-impl Snapshot for FusedStats {
-    fn encode(&self, out: &mut Encoder) {
-        let FusedStats {
-            batches,
-            peak_inflight_entries,
-            distinct_forms,
-        } = *self;
-        out.put_varint(batches);
-        out.put_usize(peak_inflight_entries);
-        out.put_varint(distinct_forms);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let batches = input.take_varint()?;
-        let peak_inflight_entries = input.take_usize()?;
-        let distinct_forms = input.take_varint()?;
-        Ok(FusedStats {
-            batches,
-            peak_inflight_entries,
-            distinct_forms,
         })
     }
 }
@@ -333,183 +293,6 @@ impl Snapshot for MetricsSnapshot {
     }
 }
 
-impl Snapshot for KeywordTally {
-    fn encode(&self, out: &mut Encoder) {
-        let KeywordTally {
-            total_queries,
-            select,
-            ask,
-            describe,
-            construct,
-            distinct,
-            limit,
-            offset,
-            order_by,
-            filter,
-            and,
-            union,
-            opt,
-            graph,
-            not_exists,
-            minus,
-            exists,
-            count,
-            max,
-            min,
-            avg,
-            sum,
-            group_by,
-            having,
-            service,
-            bind,
-            values,
-            reduced,
-            subquery,
-            property_path,
-        } = *self;
-        for value in [
-            total_queries,
-            select,
-            ask,
-            describe,
-            construct,
-            distinct,
-            limit,
-            offset,
-            order_by,
-            filter,
-            and,
-            union,
-            opt,
-            graph,
-            not_exists,
-            minus,
-            exists,
-            count,
-            max,
-            min,
-            avg,
-            sum,
-            group_by,
-            having,
-            service,
-            bind,
-            values,
-            reduced,
-            subquery,
-            property_path,
-        ] {
-            out.put_varint(value);
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let total_queries = input.take_varint()?;
-        let select = input.take_varint()?;
-        let ask = input.take_varint()?;
-        let describe = input.take_varint()?;
-        let construct = input.take_varint()?;
-        let distinct = input.take_varint()?;
-        let limit = input.take_varint()?;
-        let offset = input.take_varint()?;
-        let order_by = input.take_varint()?;
-        let filter = input.take_varint()?;
-        let and = input.take_varint()?;
-        let union = input.take_varint()?;
-        let opt = input.take_varint()?;
-        let graph = input.take_varint()?;
-        let not_exists = input.take_varint()?;
-        let minus = input.take_varint()?;
-        let exists = input.take_varint()?;
-        let count = input.take_varint()?;
-        let max = input.take_varint()?;
-        let min = input.take_varint()?;
-        let avg = input.take_varint()?;
-        let sum = input.take_varint()?;
-        let group_by = input.take_varint()?;
-        let having = input.take_varint()?;
-        let service = input.take_varint()?;
-        let bind = input.take_varint()?;
-        let values = input.take_varint()?;
-        let reduced = input.take_varint()?;
-        let subquery = input.take_varint()?;
-        let property_path = input.take_varint()?;
-        Ok(KeywordTally {
-            total_queries,
-            select,
-            ask,
-            describe,
-            construct,
-            distinct,
-            limit,
-            offset,
-            order_by,
-            filter,
-            and,
-            union,
-            opt,
-            graph,
-            not_exists,
-            minus,
-            exists,
-            count,
-            max,
-            min,
-            avg,
-            sum,
-            group_by,
-            having,
-            service,
-            bind,
-            values,
-            reduced,
-            subquery,
-            property_path,
-        })
-    }
-}
-
-impl Snapshot for TripleHistogram {
-    fn encode(&self, out: &mut Encoder) {
-        let TripleHistogram {
-            buckets,
-            eleven_plus,
-            select_ask_queries,
-            all_queries,
-            triple_sum,
-            max_triples,
-        } = *self;
-        for bucket in buckets {
-            out.put_varint(bucket);
-        }
-        out.put_varint(eleven_plus);
-        out.put_varint(select_ask_queries);
-        out.put_varint(all_queries);
-        out.put_varint(triple_sum);
-        out.put_u32(max_triples);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let mut buckets = [0u64; sparqlog_algebra::triples::EXPLICIT_BUCKETS];
-        for bucket in &mut buckets {
-            *bucket = input.take_varint()?;
-        }
-        let eleven_plus = input.take_varint()?;
-        let select_ask_queries = input.take_varint()?;
-        let all_queries = input.take_varint()?;
-        let triple_sum = input.take_varint()?;
-        let max_triples = input.take_u32()?;
-        Ok(TripleHistogram {
-            buckets,
-            eleven_plus,
-            select_ask_queries,
-            all_queries,
-            triple_sum,
-            max_triples,
-        })
-    }
-}
-
 impl Snapshot for OpSetTally {
     fn encode(&self, out: &mut Encoder) {
         let OpSetTally {
@@ -545,235 +328,6 @@ impl Snapshot for OpSetTally {
             pure,
             other_features,
             total,
-        })
-    }
-}
-
-impl Snapshot for ProjectionTally {
-    fn encode(&self, out: &mut Encoder) {
-        let ProjectionTally {
-            select_yes,
-            ask_yes,
-            no,
-            unknown,
-            not_applicable,
-            with_subqueries,
-            total,
-        } = *self;
-        out.put_varint(select_yes);
-        out.put_varint(ask_yes);
-        out.put_varint(no);
-        out.put_varint(unknown);
-        out.put_varint(not_applicable);
-        out.put_varint(with_subqueries);
-        out.put_varint(total);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let select_yes = input.take_varint()?;
-        let ask_yes = input.take_varint()?;
-        let no = input.take_varint()?;
-        let unknown = input.take_varint()?;
-        let not_applicable = input.take_varint()?;
-        let with_subqueries = input.take_varint()?;
-        let total = input.take_varint()?;
-        Ok(ProjectionTally {
-            select_yes,
-            ask_yes,
-            no,
-            unknown,
-            not_applicable,
-            with_subqueries,
-            total,
-        })
-    }
-}
-
-impl Snapshot for FragmentTally {
-    fn encode(&self, out: &mut Encoder) {
-        let FragmentTally {
-            select_ask,
-            aof,
-            cq,
-            cqf,
-            well_designed,
-            cqof,
-            aof_var_predicate,
-            wide_interface,
-        } = *self;
-        out.put_varint(select_ask);
-        out.put_varint(aof);
-        out.put_varint(cq);
-        out.put_varint(cqf);
-        out.put_varint(well_designed);
-        out.put_varint(cqof);
-        out.put_varint(aof_var_predicate);
-        out.put_varint(wide_interface);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let select_ask = input.take_varint()?;
-        let aof = input.take_varint()?;
-        let cq = input.take_varint()?;
-        let cqf = input.take_varint()?;
-        let well_designed = input.take_varint()?;
-        let cqof = input.take_varint()?;
-        let aof_var_predicate = input.take_varint()?;
-        let wide_interface = input.take_varint()?;
-        Ok(FragmentTally {
-            select_ask,
-            aof,
-            cq,
-            cqf,
-            well_designed,
-            cqof,
-            aof_var_predicate,
-            wide_interface,
-        })
-    }
-}
-
-impl Snapshot for ShapeTally {
-    fn encode(&self, out: &mut Encoder) {
-        let ShapeTally {
-            single_edge,
-            chain,
-            chain_set,
-            star,
-            tree,
-            forest,
-            cycle,
-            flower,
-            flower_set,
-            treewidth_le2,
-            treewidth_3,
-            treewidth_ge4,
-            total,
-        } = *self;
-        for value in [
-            single_edge,
-            chain,
-            chain_set,
-            star,
-            tree,
-            forest,
-            cycle,
-            flower,
-            flower_set,
-            treewidth_le2,
-            treewidth_3,
-            treewidth_ge4,
-            total,
-        ] {
-            out.put_varint(value);
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let single_edge = input.take_varint()?;
-        let chain = input.take_varint()?;
-        let chain_set = input.take_varint()?;
-        let star = input.take_varint()?;
-        let tree = input.take_varint()?;
-        let forest = input.take_varint()?;
-        let cycle = input.take_varint()?;
-        let flower = input.take_varint()?;
-        let flower_set = input.take_varint()?;
-        let treewidth_le2 = input.take_varint()?;
-        let treewidth_3 = input.take_varint()?;
-        let treewidth_ge4 = input.take_varint()?;
-        let total = input.take_varint()?;
-        Ok(ShapeTally {
-            single_edge,
-            chain,
-            chain_set,
-            star,
-            tree,
-            forest,
-            cycle,
-            flower,
-            flower_set,
-            treewidth_le2,
-            treewidth_3,
-            treewidth_ge4,
-            total,
-        })
-    }
-}
-
-impl Snapshot for FragmentSizeHistogram {
-    fn encode(&self, out: &mut Encoder) {
-        let FragmentSizeHistogram {
-            buckets,
-            eleven_plus,
-            one_triple,
-            total,
-            max_triples,
-        } = *self;
-        for bucket in buckets {
-            out.put_varint(bucket);
-        }
-        out.put_varint(eleven_plus);
-        out.put_varint(one_triple);
-        out.put_varint(total);
-        out.put_u32(max_triples);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let mut buckets = [0u64; 9];
-        for bucket in &mut buckets {
-            *bucket = input.take_varint()?;
-        }
-        let eleven_plus = input.take_varint()?;
-        let one_triple = input.take_varint()?;
-        let total = input.take_varint()?;
-        let max_triples = input.take_u32()?;
-        Ok(FragmentSizeHistogram {
-            buckets,
-            eleven_plus,
-            one_triple,
-            total,
-            max_triples,
-        })
-    }
-}
-
-impl Snapshot for HypertreeTally {
-    fn encode(&self, out: &mut Encoder) {
-        let HypertreeTally {
-            total,
-            width1,
-            width2,
-            width3,
-            wider_or_unknown,
-            over_100_nodes,
-            max_nodes,
-        } = *self;
-        out.put_varint(total);
-        out.put_varint(width1);
-        out.put_varint(width2);
-        out.put_varint(width3);
-        out.put_varint(wider_or_unknown);
-        out.put_varint(over_100_nodes);
-        out.put_varint(max_nodes);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let total = input.take_varint()?;
-        let width1 = input.take_varint()?;
-        let width2 = input.take_varint()?;
-        let width3 = input.take_varint()?;
-        let wider_or_unknown = input.take_varint()?;
-        let over_100_nodes = input.take_varint()?;
-        let max_nodes = input.take_varint()?;
-        Ok(HypertreeTally {
-            total,
-            width1,
-            width2,
-            width3,
-            wider_or_unknown,
-            over_100_nodes,
-            max_nodes,
         })
     }
 }

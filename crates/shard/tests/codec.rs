@@ -1,9 +1,12 @@
 //! Property tests of the snapshot codec: round-trips over arbitrary
 //! [`LogSummary`] / tally values and over analyses of synthesized corpora,
-//! plus the structured decode errors — truncated input at *every* strict
-//! prefix length, wrong version bytes, bad magic, bad tags, trailing bytes.
+//! the tally laws of the ten flat records, golden bytes that pin the wire
+//! layout, plus the structured decode errors — truncated input at *every*
+//! strict prefix length, wrong version bytes, bad magic, bad tags, trailing
+//! bytes.
 
 use proptest::prelude::*;
+use sparqlog_algebra::tally::Tally;
 use sparqlog_algebra::{
     FragmentTally, KeywordTally, OpSetTally, OperatorSet, ProjectionTally, TripleHistogram,
 };
@@ -12,7 +15,7 @@ use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{
     analyze_streams, CorpusCounts, FusedStats, LogReader, LogSummary, MemoryLogReader,
 };
-use sparqlog_core::{ErrorKind, ErrorTally};
+use sparqlog_core::{ErrorKind, ErrorTally, QueryAnalysis};
 use sparqlog_graph::ShapeTally;
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
 use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
@@ -42,34 +45,85 @@ fn synthesized_entries(dataset: Dataset, count: usize, seed: u64) -> Vec<String>
     generate_single_day_log(dataset, count as u64, seed).entries
 }
 
+/// A flat tally built from generated counters, through its field view.
+fn tally_from<T: Tally>(counters: &[u64]) -> T {
+    let mut encoder = Encoder::new();
+    for &counter in counters {
+        encoder.put_varint(counter);
+    }
+    let bytes = encoder.into_bytes();
+    T::take_fields(&mut Decoder::new(&bytes)).unwrap()
+}
+
+/// The laws of one flat record `$ty` over generated counters `x`, `y` and
+/// scales `(n, a, b)`, through its inherent `merge` / `scale`: the wire
+/// round trip, a commutative `merge`, `scale(n)` as `n` merges into
+/// `Default`, `scale(a)` then `scale(b)` as `scale(a * b)`, and one
+/// `observe` scaled by `n` as `n` of them — the one law that tells a `max`
+/// field from a `sum` field.
+macro_rules! check_tally_laws {
+    ($ty:ty, $x:expr, $y:expr, $scales:expr, $observe:expr) => {{
+        let (n, a, b): (u64, u64, u64) = $scales;
+        let observe: &dyn Fn(&mut $ty) = &$observe;
+        let scaled = |tally: &$ty, times: u64| {
+            let mut tally = tally.clone();
+            tally.scale(times);
+            tally
+        };
+        let (x, y): ($ty, $ty) = (tally_from($x), tally_from($y));
+        assert_eq!(<$ty>::from_bytes(&x.to_bytes()).unwrap(), x, "round trip");
+        let (mut xy, mut yx) = (x.clone(), y.clone());
+        xy.merge(&y);
+        yx.merge(&x);
+        assert_eq!(xy, yx, "merge commutes");
+        let mut merged = <$ty>::default();
+        (0..n).for_each(|_| merged.merge(&x));
+        assert_eq!(scaled(&x, n), merged, "scale(n) is n merges");
+        assert_eq!(
+            scaled(&scaled(&x, a), b),
+            scaled(&x, a * b),
+            "scales compose"
+        );
+        let (mut once, mut repeated) = (<$ty>::default(), <$ty>::default());
+        observe(&mut once);
+        (0..n).for_each(|_| observe(&mut repeated));
+        assert_eq!(scaled(&once, n), repeated, "one observation scaled by n");
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn corpus_counts_round_trip(
-        total in 0u64..=u64::MAX,
-        valid in 0u64..=u64::MAX,
-        unique in 0u64..=u64::MAX,
-        bodyless in 0u64..=u64::MAX,
+    fn flat_tallies_round_trip_and_obey_the_tally_laws(
+        x in prop::collection::vec(0u64..1 << 20, 30..31),
+        y in prop::collection::vec(0u64..1 << 20, 30..31),
+        scales in (1u64..=5, 1u64..=5, 1u64..=5),
+        observed in (1u32..40, 0usize..6, 0usize..200),
     ) {
-        let counts = CorpusCounts { total, valid, unique, bodyless };
-        prop_assert_eq!(CorpusCounts::from_bytes(&counts.to_bytes()).unwrap(), counts);
-    }
-
-    #[test]
-    fn cache_and_fused_stats_round_trip(
-        hits in 0u64..=u64::MAX,
-        misses in 0u64..=u64::MAX,
-        distinct in 0u64..1_000_000,
-    ) {
-        let cache = CacheStats { hits, misses, distinct };
-        prop_assert_eq!(CacheStats::from_bytes(&cache.to_bytes()).unwrap(), cache);
-        let fused = FusedStats {
-            batches: hits,
-            peak_inflight_entries: distinct as usize,
-            distinct_forms: misses,
-        };
-        prop_assert_eq!(FusedStats::from_bytes(&fused.to_bytes()).unwrap(), fused);
+        let (triples, width, nodes) = observed;
+        // One observation per record, from a chain query of `triples`
+        // triples (or, for the hypertree tally, from the generated widths).
+        let chain: String =
+            (0..triples).map(|i| format!("?x{i} <http://p> ?x{} . ", i + 1)).collect();
+        let qa = QueryAnalysis::of_text(&format!("SELECT * WHERE {{ {chain}}}")).unwrap();
+        let s = &qa.structural;
+        check_tally_laws!(CorpusCounts, &x, &y, scales, |_| {});
+        check_tally_laws!(CacheStats, &x, &y, scales, |_| {});
+        check_tally_laws!(FusedStats, &x, &y, scales, |_| {});
+        check_tally_laws!(KeywordTally, &x, &y, scales, |t| t.add(&qa.features));
+        check_tally_laws!(TripleHistogram, &x, &y, scales, |t| t.add(&qa.features));
+        check_tally_laws!(ProjectionTally, &x, &y, scales, |t| {
+            t.record(qa.form, qa.projection, qa.has_subqueries)
+        });
+        check_tally_laws!(FragmentTally, &x, &y, scales, |t| t.add(&s.fragments));
+        check_tally_laws!(ShapeTally, &x, &y, scales, |t| {
+            t.add(s.shape.as_ref().unwrap(), s.treewidth.unwrap_or(1))
+        });
+        check_tally_laws!(FragmentSizeHistogram, &x, &y, scales, |t| t.add(triples));
+        check_tally_laws!(HypertreeTally, &x, &y, scales, |t| {
+            t.add(width, nodes, width % 2 == 0)
+        });
     }
 
     #[test]
@@ -452,66 +506,156 @@ fn summaries_split_across_processes_merge_to_the_whole() {
 
 // ---------------------------------------------------------------------------
 // Golden bytes. The round-trip properties cannot see a reordered field
-// (encode and decode would move together); these literal bytes can. A new
-// field or a new order is a `VERSION` bump and an update here.
+// (encode and decode would move together); these literal bytes can, and
+// they decode back with every irregular member non-empty. A new field or
+// a new order is a `VERSION` bump and an update here.
 // ---------------------------------------------------------------------------
 
-/// A 10-byte varint.
+/// A 10-byte varint, and its bytes.
 const X: u64 = u64::MAX;
+const MAX: &[u8] = &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
 
 /// Every flat record with a distinct value per field, spanning 1-, 2-, 3-,
 /// 5- and 10-byte varints; the irregular members are small but non-empty.
-#[rustfmt::skip]
-fn golden_dataset() -> DatasetAnalysis {
+fn golden_records() -> (DatasetAnalysis, CacheStats, FusedStats) {
+    let cache = CacheStats {
+        hits: 129,
+        misses: X,
+        distinct: 16_384,
+    };
+    let fused = FusedStats {
+        batches: 3,
+        peak_inflight_entries: 2_000_000,
+        distinct_forms: X - 1,
+    };
     let filter = OperatorSet::from_bits(OperatorSet::FILTER).unwrap();
-    let entry = TypeEntry { count: 4, min_k: Some(1), max_k: None };
-    DatasetAnalysis {
+    let entry = TypeEntry {
+        count: 4,
+        min_k: Some(0),
+        max_k: Some(usize::MAX - 1),
+    };
+    let dataset = DatasetAnalysis {
         label: "g".to_string(),
-        counts: CorpusCounts { total: 1, valid: 300, unique: 70_000, bodyless: X },
-        errors: ErrorTally { lex: 1, syntax: 2, exemplars: vec![(1, 300)], ..ErrorTally::default() },
+        counts: CorpusCounts {
+            total: 1,
+            valid: 300,
+            unique: 70_000,
+            bodyless: X,
+        },
+        errors: ErrorTally {
+            lex: X,
+            syntax: 2,
+            exemplars: vec![(1, 300), (5, X)],
+            ..ErrorTally::default()
+        },
         keywords: KeywordTally {
-            total_queries: X, select: 1, ask: 2, describe: 3, construct: 130, distinct: 131,
-            limit: 16_400, offset: 16_401, order_by: 4, filter: 5, and: 132, union: 133,
-            opt: 16_402, graph: 6, not_exists: 7, minus: 134, exists: 8, count: 9, max: 135,
-            min: 16_403, avg: 10, sum: 11, group_by: 136, having: 12, service: 13, bind: 137,
-            values: 16_404, reduced: 14, subquery: 15, property_path: X - 1,
+            total_queries: X,
+            select: 1,
+            ask: 2,
+            describe: 3,
+            construct: 130,
+            distinct: 131,
+            limit: 16_400,
+            offset: 16_401,
+            order_by: 4,
+            filter: 5,
+            and: 132,
+            union: 133,
+            opt: 16_402,
+            graph: 6,
+            not_exists: 7,
+            minus: 134,
+            exists: 8,
+            count: 9,
+            max: 135,
+            min: 16_403,
+            avg: 10,
+            sum: 11,
+            group_by: 136,
+            having: 12,
+            service: 13,
+            bind: 137,
+            values: 16_404,
+            reduced: 14,
+            subquery: 15,
+            property_path: X - 1,
         },
         triples: TripleHistogram {
             buckets: [1, 2, 3, 130, 131, 16_400, 4, 5, 6, 7, 8],
-            eleven_plus: 9, select_ask_queries: 132, all_queries: X, triple_sum: 16_401,
+            eleven_plus: 9,
+            select_ask_queries: 132,
+            all_queries: X,
+            triple_sum: 16_401,
             max_triples: u32::MAX,
         },
-        opsets: OpSetTally { pure: BTreeMap::from([(filter, 5)]), other_features: 6, total: 7 },
+        opsets: OpSetTally {
+            pure: BTreeMap::from([(filter, 5)]),
+            other_features: 6,
+            total: 7,
+        },
         projection: ProjectionTally {
-            select_yes: 1, ask_yes: 130, no: 16_400, unknown: X, not_applicable: 2,
-            with_subqueries: 131, total: 3,
+            select_yes: 1,
+            ask_yes: 130,
+            no: 16_400,
+            unknown: X,
+            not_applicable: 2,
+            with_subqueries: 131,
+            total: 3,
         },
         fragments: FragmentTally {
-            select_ask: X, aof: 1, cq: 2, cqf: 130, well_designed: 16_400, cqof: 3,
-            aof_var_predicate: 131, wide_interface: 4,
+            select_ask: X,
+            aof: 1,
+            cq: 2,
+            cqf: 130,
+            well_designed: 16_400,
+            cqof: 3,
+            aof_var_predicate: 131,
+            wide_interface: 4,
         },
         shapes_cq: ShapeTally {
-            single_edge: 1, chain: 2, chain_set: 130, star: 3, tree: 16_400, forest: 4,
-            cycle: 131, flower: 5, flower_set: 6, treewidth_le2: 132, treewidth_3: 7,
-            treewidth_ge4: 16_401, total: X,
+            single_edge: 1,
+            chain: 2,
+            chain_set: 130,
+            star: 3,
+            tree: 16_400,
+            forest: 4,
+            cycle: 131,
+            flower: 5,
+            flower_set: 6,
+            treewidth_le2: 132,
+            treewidth_3: 7,
+            treewidth_ge4: 16_401,
+            total: X,
         },
         sizes_cqf: FragmentSizeHistogram {
             buckets: [1, 2, 130, 3, 16_400, 4, 5, 131, 6],
-            eleven_plus: 7, one_triple: 132, total: X, max_triples: 70_000,
+            eleven_plus: 7,
+            one_triple: 132,
+            total: X,
+            max_triples: 70_000,
         },
         cycle_lengths: BTreeMap::from([(3, 9)]),
         hypertree: HypertreeTally {
-            total: X, width1: 1, width2: 130, width3: 16_400, wider_or_unknown: 2,
-            over_100_nodes: 3, max_nodes: 131,
+            total: X,
+            width1: 1,
+            width2: 130,
+            width3: 16_400,
+            wider_or_unknown: 2,
+            over_100_nodes: 3,
+            max_nodes: 131,
         },
         paths: PathTally {
-            total: 1, negated_literal: 2, inverse_literal: 3,
+            total: 1,
+            negated_literal: 2,
+            inverse_literal: 3,
             by_type: BTreeMap::from([(PathExpressionType::ALL[0], entry)]),
-            with_inverse: 5, potentially_hard: 6,
+            with_inverse: 5,
+            potentially_hard: 6,
         },
         single_edge_with_constants: 300,
         ..DatasetAnalysis::default()
-    }
+    };
+    (dataset, cache, fused)
 }
 
 const COUNTS: &[u8] = &[
@@ -558,17 +702,7 @@ const HYPERTREE: &[u8] = &[
 
 #[test]
 fn golden_bytes_pin_the_wire_layout() {
-    let dataset = golden_dataset();
-    let cache = CacheStats {
-        hits: 129,
-        misses: X,
-        distinct: 16_384,
-    };
-    let fused = FusedStats {
-        batches: 3,
-        peak_inflight_entries: 2_000_000,
-        distinct_forms: X - 1,
-    };
+    let (dataset, cache, fused) = golden_records();
     let records: [(&str, Vec<u8>, &[u8]); 10] = [
         ("CorpusCounts", dataset.counts.to_bytes(), COUNTS),
         ("CacheStats", cache.to_bytes(), CACHE),
@@ -585,13 +719,16 @@ fn golden_bytes_pin_the_wire_layout() {
         assert_eq!(actual.as_slice(), *expected, "{name}: wire bytes moved");
     }
 
-    // The dataset: label, counts, errors (lex 1, syntax 2, one exemplar),
-    // the tallies in member order with three all-zero shape / size
-    // tallies, one opset, one cycle length, one path type, 300.
+    // The dataset: label, counts, errors (six counts, two exemplars), the
+    // tallies in member order with three all-zero shape / size tallies, one
+    // opset, one cycle length, one path type (`min_k` 0, `max_k`
+    // `usize::MAX - 1`), 300.
     let dataset_bytes = [
         &[0x01, b'g'][..],
         COUNTS,
-        &[0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0xac, 0x02],
+        MAX,
+        &[0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0xac, 0x02, 0x05],
+        MAX,
         KEYWORDS,
         TRIPLES,
         &[0x01, OperatorSet::FILTER, 0x05, 0x06, 0x07],
@@ -603,37 +740,43 @@ fn golden_bytes_pin_the_wire_layout() {
         &[0x00; 13],
         &[0x01, 0x03, 0x09],
         HYPERTREE,
-        &[
-            0x01, 0x02, 0x03, 0x01, 0x00, 0x04, 0x02, 0x00, 0x05, 0x06, 0xac, 0x02,
-        ],
+        &[0x01, 0x02, 0x03, 0x01, 0x00, 0x04, 0x01],
+        MAX,
+        &[0x05, 0x06, 0xac, 0x02],
     ]
     .concat();
     assert_eq!(dataset.to_bytes(), dataset_bytes, "DatasetAnalysis");
+    assert_eq!(
+        DatasetAnalysis::from_bytes(&dataset_bytes).unwrap(),
+        dataset
+    );
 
-    // A log frame: tag, index, the summary (one occurrence, no errors),
-    // then the dataset.
+    // A log frame: tag, index, the summary (two occurrences, fingerprints
+    // little-endian; no errors), then the dataset.
     let frame = Frame::from(LogFrame {
         index: 2,
         summary: LogSummary {
-            label: "g".to_string(),
+            label: "ü".to_string(),
             counts: dataset.counts,
-            occurrences: vec![((1 << 120) | 5, 3)],
+            occurrences: vec![((1 << 120) | 5, 3), (u128::MAX, X)],
             errors: ErrorTally::default(),
         },
         analysis: dataset,
     });
-    let fingerprint_le = [&[0x05][..], &[0x00; 14], &[0x01]].concat();
     let frame_bytes = [
-        &[0x01, 0x02, 0x01, b'g'][..],
+        &[0x01, 0x02, 0x02, 0xc3, 0xbc][..],
         COUNTS,
-        &[0x01],
-        &fingerprint_le,
-        &[0x03],
+        &[0x02, 0x05],
+        &[0x00; 14],
+        &[0x01, 0x03],
+        &[0xff; 16],
+        MAX,
         &[0x00; 7],
         &dataset_bytes,
     ]
     .concat();
     assert_eq!(frame.to_payload(), frame_bytes, "LogFrame payload");
+    assert_eq!(Frame::from_payload(&frame_bytes, 0).unwrap(), frame);
 }
 
 #[test]
