@@ -858,6 +858,31 @@ mod tests {
     }
 
     #[test]
+    fn golden_bytes_pin_the_store_layout() {
+        let dir = scratch("golden");
+        let path = dir.join("store.sqps");
+        let (mut store, _) = SnapshotStore::open(&path).unwrap();
+        assert!(store.record_job(&sample_job()).unwrap());
+        assert_eq!(store.commit().unwrap(), 1);
+        drop(store);
+        let golden: &[&[u8]] = &[
+            // Header: magic + version 1.
+            b"SQPS\x01",
+            // Job record: length 49; tag 2, population Unique, policy
+            // "lenient", one log (key 7 as 16 LE bytes, label, path); CRC32C.
+            b"\x31\x02\x00\x07lenient\x01",
+            b"\x07\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+            b"\x05alpha\x0f/logs/alpha.log",
+            b"\x2f\x8f\xb1\x10",
+            // Commit record: length 3; tag 3, sequence 1, covers 1; CRC32C.
+            b"\x03\x03\x01\x01",
+            b"\x7d\x78\x83\x6b",
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), golden.concat());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn committed_records_survive_reopen_byte_for_byte() {
         let dir = scratch("roundtrip");
         let path = dir.join("store.sqps");
