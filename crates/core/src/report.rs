@@ -1,7 +1,7 @@
 //! Plain-text report rendering: one function per table / figure of the
 //! paper. Each function returns a formatted string whose rows mirror the
-//! paper's presentation, so the harness binaries in `sparqlog-bench` can
-//! print them directly.
+//! paper's presentation, so the `sparqlog-paper` binary can print them
+//! directly.
 
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis};
 use crate::recover::ErrorTally;

@@ -542,17 +542,7 @@ impl SnapshotStore {
         }
         let mut payload = Encoder::new();
         payload.put_u8(TAG_JOB);
-        payload.put_u8(match job.population {
-            Population::Unique => 0,
-            Population::Valid => 1,
-        });
-        payload.put_str(&job.recovery.spelling());
-        payload.put_usize(job.logs.len());
-        for log in &job.logs {
-            payload.put_u128(log.key);
-            payload.put_str(&log.label);
-            payload.put_str(&log.path);
-        }
+        encode_manifest(job, &mut payload);
         self.append_record(&payload.into_bytes())?;
         self.job_identities.insert(identity);
         self.jobs.push(job.clone());
@@ -560,11 +550,7 @@ impl SnapshotStore {
     }
 
     fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Encoder::new();
-        frame.put_usize(payload.len());
-        let mut bytes = frame.into_bytes();
-        bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(&crc32c(payload).to_le_bytes());
+        let bytes = frame_record(payload);
         self.file.write_all(&bytes)?;
         self.length += bytes.len() as u64;
         self.pending += 1;
@@ -599,12 +585,7 @@ impl SnapshotStore {
         payload.put_u8(TAG_COMMIT);
         payload.put_varint(self.seq + 1);
         payload.put_varint(self.pending);
-        let payload = payload.into_bytes();
-        let mut frame = Encoder::new();
-        frame.put_usize(payload.len());
-        let mut bytes = frame.into_bytes();
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc32c(&payload).to_le_bytes());
+        let bytes = frame_record(&payload.into_bytes());
         if fault == Some(FaultMode::DieMidFrame) {
             // A torn write: half the commit record reaches the file.
             let _ = self.file.write_all(&bytes[..bytes.len() / 2]);
@@ -677,6 +658,17 @@ impl SnapshotMemo for SnapshotStore {
 // ---------------------------------------------------------------------------
 // Scan primitives.
 // ---------------------------------------------------------------------------
+
+/// Frames one record payload: `[varint len][payload][crc32c]`, the unit
+/// [`read_record`] reads back.
+fn frame_record(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Encoder::new();
+    frame.put_usize(payload.len());
+    let mut bytes = frame.into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&crc32c(payload).to_le_bytes());
+    bytes
+}
 
 /// Reads one record at `offset`: returns its payload slice and the offset
 /// just past its checksum, or why it cannot be read.
@@ -767,21 +759,26 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
     decoded.map_err(|error| error.to_string())
 }
 
+/// Writes a job manifest as a [`TAG_JOB`] record carries it after its tag.
+fn encode_manifest(job: &JobRecord, out: &mut Encoder) {
+    out.put_u8(match job.population {
+        Population::Unique => 0,
+        Population::Valid => 1,
+    });
+    out.put_str(&job.recovery.spelling());
+    out.put_usize(job.logs.len());
+    for log in &job.logs {
+        out.put_u128(log.key);
+        out.put_str(&log.label);
+        out.put_str(&log.path);
+    }
+}
+
 /// The identity a [`JobRecord`] deduplicates under: FNV-1a over its wire
 /// encoding, so "the same job" means byte-identical manifest.
 fn job_identity(job: &JobRecord) -> u128 {
     let mut payload = Encoder::new();
-    payload.put_u8(match job.population {
-        Population::Unique => 0,
-        Population::Valid => 1,
-    });
-    payload.put_str(&job.recovery.spelling());
-    payload.put_usize(job.logs.len());
-    for log in &job.logs {
-        payload.put_u128(log.key);
-        payload.put_str(&log.label);
-        payload.put_str(&log.path);
-    }
+    encode_manifest(job, &mut payload);
     let mut state: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     for byte in payload.into_bytes() {
         state ^= u128::from(byte);

@@ -50,8 +50,8 @@
 //!   re-analysis (warm starts, resubmission dedup).
 //!
 //! Offline shims for the third-party dependencies live under `vendor/` (see
-//! `vendor/README.md`), and `crates/bench` hosts one harness binary per
-//! table/figure of the paper plus criterion micro-benchmarks.
+//! `vendor/README.md`), and the `sparqlog-paper` binary reproduces every
+//! table, figure and section of the paper (`sparqlog-paper all`).
 //!
 //! # The fused streaming pipeline
 //!
