@@ -4,9 +4,10 @@
 //! The engine, whether run in-process, sharded or served, re-analyzes the
 //! whole corpus on every run. This module adds the HTAP-style shortcut the
 //! ROADMAP's persistent-store item calls for: each log gets a **canonical
-//! identity** (a 128-bit FNV-1a over its population, label and raw bytes —
-//! computed *before* any parsing, so a hit skips the parse/analyze pipeline
-//! entirely), and [`analyze_files_incremental`] consults a [`SnapshotMemo`]
+//! identity** (the lane-wise `bytescan::hash128` of its population, label
+//! and every raw byte — computed *before* any parsing, so a hit skips the
+//! parse/analyze pipeline entirely), and [`analyze_files_incremental`]
+//! consults a [`SnapshotMemo`]
 //! by that identity. A **hit** replays the memoized
 //! ([`LogSummary`], [`DatasetAnalysis`]) pair; a **miss** runs the fused
 //! engine and records the fresh pair back into the memo.
@@ -36,14 +37,9 @@
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
 use crate::fused::{analyze_streams_with, FusedOptions, LogSummary};
 use crate::recover::{enforce_budget, ErrorTally, RecoveryPolicy};
+use sparqlog_parser::bytescan::Hasher128;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-
-/// 128-bit FNV-1a offset basis (the same constants as the canonical
-/// fingerprint hasher in `sparqlog-parser`).
-const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// 128-bit FNV-1a prime.
-const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// How many bytes [`file_identity`] reads per chunk while hashing a log.
 const IDENTITY_CHUNK: usize = 64 * 1024;
@@ -107,9 +103,9 @@ pub struct IncrementalAnalysis {
     pub stats: MemoStats,
 }
 
-/// The canonical identity of a log: 128-bit FNV-1a over the population, the
-/// label (length-prefixed, so `("ab", "c")` and `("a", "bc")` differ) and
-/// the raw log bytes.
+/// The canonical identity of a log: `bytescan::hash128` (`sparqlog-parser`)
+/// of the population byte, the label (length-prefixed, so `("ab", "c")` and
+/// `("a", "bc")` differ) and the raw log bytes.
 ///
 /// The population is part of the key because the per-dataset fold weights
 /// differ between [`Population::Unique`] and [`Population::Valid`] — one
@@ -117,47 +113,37 @@ pub struct IncrementalAnalysis {
 /// policy is *not* part of the key: tallies are policy-independent, and the
 /// policy interplay is handled at lookup time (see the module docs).
 pub fn log_identity(population: Population, label: &str, contents: &[u8]) -> u128 {
-    let mut state = identity_header(population, label);
-    fnv_extend(&mut state, contents);
-    state
+    let mut hasher = identity_header(population, label);
+    hasher.update(contents);
+    hasher.finish()
 }
 
-/// [`log_identity`] streamed over a file, in fixed-size chunked reads
-/// — hashing never loads the log into memory, so identity computation is
-/// cheap even for corpora larger than RAM.
+/// [`log_identity`] streamed through `Hasher128` over every byte of a file
+/// (no size/mtime shortcut), in fixed-size chunked reads — hashing never
+/// loads the log into memory, even for corpora larger than RAM.
 pub fn file_identity(population: Population, label: &str, path: &Path) -> io::Result<u128> {
-    let mut state = identity_header(population, label);
+    let mut hasher = identity_header(population, label);
     let mut file = std::fs::File::open(path)?;
     let mut chunk = vec![0u8; IDENTITY_CHUNK];
     loop {
         match file.read(&mut chunk) {
-            Ok(0) => return Ok(state),
-            Ok(n) => fnv_extend(&mut state, &chunk[..n]),
+            Ok(0) => return Ok(hasher.finish()),
+            Ok(n) => hasher.update(&chunk[..n]),
             Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
             Err(error) => return Err(error),
         }
     }
 }
 
-fn identity_header(population: Population, label: &str) -> u128 {
-    let mut state = FNV_OFFSET;
-    fnv_extend(
-        &mut state,
-        &[match population {
-            Population::Unique => 0,
-            Population::Valid => 1,
-        }],
-    );
-    fnv_extend(&mut state, &(label.len() as u64).to_le_bytes());
-    fnv_extend(&mut state, label.as_bytes());
-    state
-}
-
-fn fnv_extend(state: &mut u128, bytes: &[u8]) {
-    for &byte in bytes {
-        *state ^= u128::from(byte);
-        *state = state.wrapping_mul(FNV_PRIME);
-    }
+fn identity_header(population: Population, label: &str) -> Hasher128 {
+    let mut hasher = Hasher128::default();
+    hasher.update(&[match population {
+        Population::Unique => 0,
+        Population::Valid => 1,
+    }]);
+    hasher.update(&(label.len() as u64).to_le_bytes());
+    hasher.update(label.as_bytes());
+    hasher
 }
 
 /// Whether a memoized pair may substitute for re-analysis under `policy`:
@@ -354,7 +340,37 @@ mod tests {
             file_identity(Population::Unique, "lbl", &path).unwrap(),
             log_identity(Population::Unique, "lbl", b"some log bytes\nmore\n")
         );
+
+        // Past several read chunks, with the 12-byte header leaving every
+        // read a partial block to carry: one flipped byte on either side of
+        // the chunk edge, or at either end, must change the identity.
+        let mut bytes: Vec<u8> = (0..200_001u32).map(|i| (i * 31 % 251) as u8).collect();
+        let identity = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let from_file = file_identity(Population::Valid, "lbl", &path).unwrap();
+            assert_eq!(from_file, log_identity(Population::Valid, "lbl", bytes));
+            from_file
+        };
+        let original = identity(&bytes);
+        let last = bytes.len() - 1;
+        for offset in [0, IDENTITY_CHUNK - 1, IDENTITY_CHUNK, last] {
+            bytes[offset] ^= 0x40;
+            assert_ne!(identity(&bytes), original, "flip at {offset}");
+            bytes[offset] ^= 0x40;
+        }
+        assert_eq!(identity(&bytes), original);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_identity_is_pinned() {
+        // Store keys are persisted: changing how an identity is computed
+        // orphans every stored snapshot, so it must be a deliberate edit
+        // here. (Cross-checked against an independent transcription.)
+        assert_eq!(
+            log_identity(Population::Unique, "lbl", b"some log bytes\nmore\n"),
+            0x676b_e95e_a051_769e_a000_ddce_0268_d7df
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! [`hash128`] lives here for the same reason: it is the other thing the
 //! pipeline does to raw bytes a machine word at a time, before any of them
-//! is a token.
+//! is a token (per entry for the memo, per log file for store identities).
 
 /// `0x01` in every lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -274,6 +274,32 @@ fn fold_multiply(a: u64, b: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
+/// One 16-byte step of [`hash128`]: each accumulator absorbs both words of
+/// the block through one folded multiply, in opposite pairings.
+#[inline(always)]
+fn step((a, b): (u64, u64), block: &[u8; 16]) -> (u64, u64) {
+    let [_, _, k2, k3] = HASH_KEYS;
+    let lo = u64::from_le_bytes(block[..8].try_into().expect("8-byte half"));
+    let hi = u64::from_le_bytes(block[8..].try_into().expect("8-byte half"));
+    (
+        fold_multiply(lo ^ k2, hi ^ a),
+        fold_multiply(hi ^ k3, lo ^ b),
+    )
+}
+
+/// The last step of [`hash128`]: the `tail` (< 16 bytes, possibly empty)
+/// zero-padded to one more block, then the total length folded in.
+#[inline(always)]
+fn finish(state: (u64, u64), tail: &[u8], len: u64) -> u128 {
+    let [k0, k1, k2, k3] = HASH_KEYS;
+    let mut block = [0u8; 16];
+    block[..tail.len()].copy_from_slice(tail);
+    let (a, b) = step(state, &block);
+    let high = fold_multiply(a ^ k0, b ^ len ^ k1);
+    let low = fold_multiply(b ^ k2, a ^ len ^ k3);
+    u128::from(high) << 64 | u128::from(low)
+}
+
 /// A 128-bit hash of raw bytes, 16 bytes per step (the wyhash / rapidhash
 /// construction: two accumulators, each absorbing both words of the step
 /// through one folded multiply, in opposite pairings so a word that blinds
@@ -285,34 +311,93 @@ fn fold_multiply(a: u64, b: u64) -> u64 {
 /// the bytes**: there is no per-process seed, so anything keyed by it
 /// reproduces across runs and hosts. Like the canonical fingerprint it is
 /// not collision-resistant against an adversary; the engine uses it where a
-/// 2⁻¹²⁸ accidental collision is the accepted risk (the raw-entry memo of
-/// `core::fused`).
+/// 2⁻¹²⁸ accidental collision is the accepted risk: the raw-entry memo of
+/// `core::fused` and, through [`Hasher128`], the snapshot store's log
+/// identities (`core::incremental`).
 pub fn hash128(bytes: &[u8]) -> u128 {
-    let [k0, k1, k2, k3] = HASH_KEYS;
-    let step = |(a, b): (u64, u64), chunk: &[u8; 16]| {
-        let lo = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte half"));
-        let hi = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte half"));
-        (
-            fold_multiply(lo ^ k2, hi ^ a),
-            fold_multiply(hi ^ k3, lo ^ b),
-        )
-    };
+    let [k0, k1, _, _] = HASH_KEYS;
     let mut chunks = bytes.chunks_exact(16);
     let state = chunks.by_ref().fold((k0, k1), |state, chunk| {
         step(state, chunk.try_into().expect("16-byte chunk"))
     });
-    let mut tail = [0u8; 16];
-    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-    let (a, b) = step(state, &tail);
-    let len = bytes.len() as u64;
-    let high = fold_multiply(a ^ k0, b ^ len ^ k1);
-    let low = fold_multiply(b ^ k2, a ^ len ^ k3);
-    u128::from(high) << 64 | u128::from(low)
+    finish(state, chunks.remainder(), bytes.len() as u64)
+}
+
+/// [`hash128`] of input that arrives in pieces: however the bytes are split
+/// across [`update`](Hasher128::update) calls, [`finish`](Hasher128::finish)
+/// equals `hash128` of them all. It holds back only `block[..len % 16]`.
+#[derive(Debug, Clone)]
+pub struct Hasher128 {
+    state: (u64, u64),
+    block: [u8; 16],
+    len: u64,
+}
+
+impl Default for Hasher128 {
+    fn default() -> Hasher128 {
+        Hasher128 {
+            state: (HASH_KEYS[0], HASH_KEYS[1]),
+            block: [0; 16],
+            len: 0,
+        }
+    }
+}
+
+// `#[inline]` compiles these where they are called: emitted here, they
+// moved this crate's codegen-unit split and recompiled the lexer.
+impl Hasher128 {
+    /// Absorbs `bytes`, stepping every block they complete.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let held = (self.len % 16) as usize;
+        self.len += bytes.len() as u64;
+        // Top up a held partial block; the rest then starts on a block edge.
+        let (head, bytes) = bytes.split_at(bytes.len().min((16 - held) % 16));
+        self.block[held..held + head.len()].copy_from_slice(head);
+        if held + head.len() == 16 {
+            self.state = step(self.state, &self.block);
+        }
+        let mut chunks = bytes.chunks_exact(16);
+        self.state = chunks.by_ref().fold(self.state, |state, chunk| {
+            step(state, chunk.try_into().expect("16-byte chunk"))
+        });
+        self.block[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    }
+
+    /// The [`hash128`] of every byte absorbed so far.
+    #[inline]
+    pub fn finish(&self) -> u128 {
+        let held = (self.len % 16) as usize;
+        finish(self.state, &self.block[..held], self.len)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Up to 600 bytes cut at up to seven random points, so pieces land
+        /// empty, inside one block, on block edges and across several.
+        #[test]
+        fn streaming_hash_equals_one_shot_at_any_split(
+            bytes in prop::collection::vec(0u8..=255, 0..601),
+            cuts in prop::collection::vec(0usize..601, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|cut| cut % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut hasher = Hasher128::default();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                hasher.update(&bytes[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(hasher.finish(), hash128(&bytes));
+        }
+    }
 
     /// Every scanner must agree with its scalar classifier at every start
     /// offset of a buffer exercising all 256 byte values in every lane

@@ -28,6 +28,14 @@
 //! ambiguous, not a different format: every other query fingerprints as it
 //! did, so the version is not bumped and old stores stay readable.
 //!
+//! Version 1 stores written before log identities
+//! (`sparqlog_core::file_identity`) became the lane-wise `hash128` key their
+//! snapshots by a byte-serial FNV-1a-128 of the same bytes. The layout is
+//! the same, so the version is not bumped: their snapshots stay correct but
+//! are never hit (each log is re-analysed once and recorded under its new
+//! key), and their job manifests still warm-start — warm start reads the
+//! stored keys and never re-hashes a log.
+//!
 //! # Durability protocol
 //!
 //! * Creating the store writes the header, `fsync`s the file, then
@@ -64,6 +72,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The store file's magic bytes.
 pub const MAGIC: [u8; 4] = *b"SQPS";
@@ -284,9 +293,11 @@ pub struct SnapshotStore {
     seq: u64,
     /// Records appended since the last commit.
     pending: u64,
-    index: HashMap<u128, PersistedLog>,
+    /// Shared, not copied, by every job a hit merges into.
+    index: HashMap<u128, Arc<PersistedLog>>,
     jobs: Vec<JobRecord>,
-    job_identities: HashSet<u128>,
+    /// `jobs` encoded: "the same job" means a byte-identical manifest.
+    job_identities: HashSet<Vec<u8>>,
     /// An append error deferred by the infallible [`SnapshotMemo`] hook,
     /// surfaced by the next [`SnapshotStore::commit`].
     poisoned: Option<io::Error>,
@@ -295,7 +306,7 @@ pub struct SnapshotStore {
 /// A record decoded during the recovery scan, held provisionally until its
 /// covering commit record arrives intact.
 enum Decoded {
-    Snapshot(u128, Box<PersistedLog>),
+    Snapshot(u128, Arc<PersistedLog>),
     Job(JobRecord),
     Commit { seq: u64, records: u64 },
 }
@@ -452,10 +463,10 @@ impl SnapshotStore {
     fn apply(&mut self, record: Decoded) {
         match record {
             Decoded::Snapshot(key, log) => {
-                self.index.insert(key, *log);
+                self.index.insert(key, log);
             }
             Decoded::Job(job) => {
-                self.job_identities.insert(job_identity(&job));
+                self.job_identities.insert(encode_manifest(&job));
                 self.jobs.push(job);
             }
             Decoded::Commit { .. } => unreachable!("commits are applied in the scan"),
@@ -467,8 +478,9 @@ impl SnapshotStore {
         &self.path
     }
 
-    /// The persisted analysis for `key`, if present.
-    pub fn get(&self, key: u128) -> Option<&PersistedLog> {
+    /// The persisted analysis for `key`, if present. Callers that keep it
+    /// take an [`Arc::clone`], sharing the store's allocation.
+    pub fn get(&self, key: u128) -> Option<&Arc<PersistedLog>> {
         self.index.get(&key)
     }
 
@@ -527,7 +539,7 @@ impl SnapshotStore {
         log.summary.encode(&mut payload);
         log.analysis.encode(&mut payload);
         self.append_record(&payload.into_bytes())?;
-        self.index.insert(key, log.clone());
+        self.index.insert(key, Arc::new(log.clone()));
         Ok(true)
     }
 
@@ -536,15 +548,14 @@ impl SnapshotStore {
     /// same job after a restart is idempotent. Durable only after
     /// [`SnapshotStore::commit`].
     pub fn record_job(&mut self, job: &JobRecord) -> io::Result<bool> {
-        let identity = job_identity(job);
-        if self.job_identities.contains(&identity) {
+        let manifest = encode_manifest(job);
+        if self.job_identities.contains(&manifest) {
             return Ok(false);
         }
-        let mut payload = Encoder::new();
-        payload.put_u8(TAG_JOB);
-        encode_manifest(job, &mut payload);
-        self.append_record(&payload.into_bytes())?;
-        self.job_identities.insert(identity);
+        let mut payload = vec![TAG_JOB];
+        payload.extend_from_slice(&manifest);
+        self.append_record(&payload)?;
+        self.job_identities.insert(manifest);
         self.jobs.push(job.clone());
         Ok(true)
     }
@@ -640,7 +651,7 @@ impl SnapshotStore {
 
 impl SnapshotMemo for SnapshotStore {
     fn load(&mut self, key: u128) -> Option<PersistedLog> {
-        self.index.get(&key).cloned()
+        self.index.get(&key).map(|log| PersistedLog::clone(log))
     }
 
     /// Appends the snapshot; an I/O failure is deferred (the trait hook is
@@ -721,7 +732,7 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
                 let key = input.take_u128()?;
                 let summary = LogSummary::decode(&mut input)?;
                 let analysis = DatasetAnalysis::decode(&mut input)?;
-                Decoded::Snapshot(key, Box::new(PersistedLog { summary, analysis }))
+                Decoded::Snapshot(key, Arc::new(PersistedLog { summary, analysis }))
             }
             TAG_JOB => {
                 let population = match input.take_u8()? {
@@ -759,8 +770,9 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
     decoded.map_err(|error| error.to_string())
 }
 
-/// Writes a job manifest as a [`TAG_JOB`] record carries it after its tag.
-fn encode_manifest(job: &JobRecord, out: &mut Encoder) {
+/// A job manifest as a [`TAG_JOB`] record carries it after its tag.
+fn encode_manifest(job: &JobRecord) -> Vec<u8> {
+    let mut out = Encoder::new();
     out.put_u8(match job.population {
         Population::Unique => 0,
         Population::Valid => 1,
@@ -772,19 +784,7 @@ fn encode_manifest(job: &JobRecord, out: &mut Encoder) {
         out.put_str(&log.label);
         out.put_str(&log.path);
     }
-}
-
-/// The identity a [`JobRecord`] deduplicates under: FNV-1a over its wire
-/// encoding, so "the same job" means byte-identical manifest.
-fn job_identity(job: &JobRecord) -> u128 {
-    let mut payload = Encoder::new();
-    encode_manifest(job, &mut payload);
-    let mut state: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for byte in payload.into_bytes() {
-        state ^= u128::from(byte);
-        state = state.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-    }
-    state
+    out.into_bytes()
 }
 
 /// `fsync`s the directory holding `path`, making the file's directory
@@ -894,8 +894,8 @@ mod tests {
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::Clean);
         assert_eq!((report.commits, report.snapshots, report.jobs), (1, 2, 1));
-        assert_eq!(store.get(1), Some(&alpha));
-        assert_eq!(store.get(2), Some(&beta));
+        assert_eq!(store.get(1).map(Arc::as_ref), Some(&alpha));
+        assert_eq!(store.get(2).map(Arc::as_ref), Some(&beta));
         assert_eq!(store.jobs(), &[sample_job()]);
         assert_eq!(store.sequence(), 1);
         assert_eq!(store.snapshot_keys(), vec![1, 2]);

@@ -15,13 +15,12 @@
 use crate::protocol::{JobPhase, JobReport, JobStatus};
 use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
-use sparqlog_core::corpus::LogSummary;
 use sparqlog_core::report;
-use sparqlog_core::{ErrorTally, RecoveryPolicy};
+use sparqlog_core::{ErrorTally, PersistedLog, RecoveryPolicy};
 use sparqlog_shard::LogSpec;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a condvar wait may sleep before re-checking its deadline and
@@ -47,8 +46,9 @@ pub struct JobState {
     /// submit time. Used to persist completed partitions and to write the
     /// job manifest that warm-starts the job after a daemon restart.
     pub keys: Vec<Option<u128>>,
-    /// Completed partitions: `slots[i]` holds log `i`'s summary + analysis.
-    slots: Vec<Option<(LogSummary, DatasetAnalysis)>>,
+    /// Completed partitions: `slots[i]` holds log `i`'s summary + analysis,
+    /// shared with the snapshot store when it came from there.
+    slots: Vec<Option<Arc<PersistedLog>>>,
     /// Partitions merged so far.
     completed: usize,
     /// Malformed-entry tallies merged from completed partitions.
@@ -134,8 +134,7 @@ impl JobState {
     pub fn merge_partition(
         &mut self,
         partition: usize,
-        summary: LogSummary,
-        analysis: DatasetAnalysis,
+        log: Arc<PersistedLog>,
         cache: CacheStats,
         snapshot_bytes: u64,
     ) -> bool {
@@ -145,9 +144,9 @@ impl JobState {
         if slot.is_some() {
             return false;
         }
-        self.errors.merge(&summary.errors);
-        self.entries += summary.counts.total;
-        *slot = Some((summary, analysis));
+        self.errors.merge(&log.summary.errors);
+        self.entries += log.summary.counts.total;
+        *slot = Some(log);
         self.completed += 1;
         self.cache.merge(&cache);
         self.snapshot_bytes += snapshot_bytes;
@@ -185,7 +184,7 @@ impl JobState {
             .slots
             .iter()
             .flatten()
-            .map(|(_, analysis)| analysis.clone())
+            .map(|log| log.analysis.clone())
             .collect();
         let mut combined = DatasetAnalysis {
             label: "Total".to_string(),
@@ -316,6 +315,7 @@ impl Jobs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparqlog_core::corpus::LogSummary;
 
     fn sample_logs(n: usize) -> Vec<LogSpec> {
         (0..n)
@@ -332,14 +332,15 @@ mod tests {
         }
     }
 
+    fn log_of(summary: LogSummary) -> Arc<PersistedLog> {
+        Arc::new(PersistedLog {
+            summary,
+            analysis: DatasetAnalysis::default(),
+        })
+    }
+
     fn merge_empty(job: &mut JobState, partition: usize) -> bool {
-        job.merge_partition(
-            partition,
-            empty_summary(),
-            DatasetAnalysis::default(),
-            CacheStats::default(),
-            0,
-        )
+        job.merge_partition(partition, log_of(empty_summary()), CacheStats::default(), 0)
     }
 
     #[test]
@@ -353,26 +354,14 @@ mod tests {
         let merged = jobs
             .with(id, |job| {
                 assert_eq!(job.phase(), JobPhase::Running);
-                job.merge_partition(
-                    0,
-                    summary.clone(),
-                    DatasetAnalysis::default(),
-                    CacheStats::default(),
-                    10,
-                )
+                job.merge_partition(0, log_of(summary.clone()), CacheStats::default(), 10)
             })
             .unwrap();
         assert!(merged);
         // A restarted duplicate of partition 0 must not double-count.
         let merged_again = jobs
             .with(id, |job| {
-                job.merge_partition(
-                    0,
-                    summary.clone(),
-                    DatasetAnalysis::default(),
-                    CacheStats::default(),
-                    10,
-                )
+                job.merge_partition(0, log_of(summary.clone()), CacheStats::default(), 10)
             })
             .unwrap();
         assert!(!merged_again);
@@ -380,13 +369,7 @@ mod tests {
             assert_eq!(job.status().completed, 1);
             assert_eq!(job.phase(), JobPhase::Running);
             assert!(!job.report(false).complete);
-            assert!(job.merge_partition(
-                1,
-                summary.clone(),
-                DatasetAnalysis::default(),
-                CacheStats::default(),
-                12
-            ));
+            assert!(job.merge_partition(1, log_of(summary.clone()), CacheStats::default(), 12));
             assert_eq!(job.phase(), JobPhase::Complete);
             assert!(job.report(true).complete);
             assert_eq!(job.snapshot_bytes, 22);
@@ -511,22 +494,10 @@ mod tests {
                 sample_logs(2),
             );
             jobs.with(id, |job| {
-                assert!(job.merge_partition(
-                    0,
-                    dirty(2, 5_000),
-                    DatasetAnalysis::default(),
-                    CacheStats::default(),
-                    1,
-                ));
+                assert!(job.merge_partition(0, log_of(dirty(2, 5_000)), CacheStats::default(), 1));
                 // Not judged until the last partition merges.
                 assert_eq!(job.phase(), JobPhase::Running);
-                assert!(job.merge_partition(
-                    1,
-                    dirty(0, 5_000),
-                    DatasetAnalysis::default(),
-                    CacheStats::default(),
-                    1,
-                ));
+                assert!(job.merge_partition(1, log_of(dirty(0, 5_000)), CacheStats::default(), 1));
                 let status = job.status();
                 assert_eq!(status.errors, 2);
                 if expect_failed {

@@ -444,7 +444,7 @@ impl Server {
 /// merging each partition straight from its persisted snapshot — a
 /// restarted daemon serves byte-identical reports for committed jobs
 /// without re-analysing a single log.
-fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &EventLog) {
+pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &EventLog) {
     let guard = store.lock().expect("snapshot store");
     let mut restored = 0u64;
     for manifest in guard.jobs() {
@@ -465,13 +465,7 @@ fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &EventLog) {
             state.keys = manifest.logs.iter().map(|log| Some(log.key)).collect();
             for (partition, log) in manifest.logs.iter().enumerate() {
                 let hit = guard.get(log.key).expect("checked above");
-                state.merge_partition(
-                    partition,
-                    hit.summary.clone(),
-                    hit.analysis.clone(),
-                    CacheStats::default(),
-                    0,
-                );
+                state.merge_partition(partition, Arc::clone(hit), CacheStats::default(), 0);
             }
         });
         events.emit(format!(

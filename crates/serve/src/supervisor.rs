@@ -181,7 +181,7 @@ impl Supervisor {
         // — strict must re-analyse and reproduce the failure, exactly like
         // the incremental engine.
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
-        let mut hits: Vec<(usize, PersistedLog)> = Vec::new();
+        let mut hits: Vec<(usize, Arc<PersistedLog>)> = Vec::new();
         if let Some(store) = &self.shared.store {
             keys = hash_identities(population, &logs);
             let policy = recovery.resolve();
@@ -192,7 +192,7 @@ impl Supervisor {
                     continue;
                 };
                 if !matches!(policy, RecoveryPolicy::Strict) || hit.summary.errors.defects() == 0 {
-                    hits.push((partition, hit.clone()));
+                    hits.push((partition, Arc::clone(hit)));
                 }
             }
         }
@@ -391,10 +391,10 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
                 // epilogue frame; fold them into this process's registry so
                 // the service's Metrics answer spans every worker.
                 obs::global().absorb(&output.snapshot.epilogue.metrics);
-                let log = PersistedLog {
+                let log = Arc::new(PersistedLog {
                     summary: frame.summary,
                     analysis: frame.analysis,
-                };
+                });
                 // Staged *before* the merge (and before the job lock — the
                 // store lock is never held across it): whichever partition
                 // completes the job then finds every sibling's snapshot
@@ -505,7 +505,7 @@ fn merge_partition(
     shared: &Shared,
     job: u64,
     partition: usize,
-    log: PersistedLog,
+    log: Arc<PersistedLog>,
     cache: CacheStats,
     snapshot_bytes: u64,
     emit: impl FnOnce(bool),
@@ -513,8 +513,7 @@ fn merge_partition(
     let events = &shared.events;
     let merge = |state: &mut JobState| {
         let was_failed = state.failed.is_some();
-        let merged =
-            state.merge_partition(partition, log.summary, log.analysis, cache, snapshot_bytes);
+        let merged = state.merge_partition(partition, log, cache, snapshot_bytes);
         emit(merged);
         if merged && state.is_complete() {
             events.emit(format!("event=job-complete job={job}"));
@@ -681,5 +680,62 @@ mod tests {
             "{lines:?}"
         );
         supervisor.shutdown();
+    }
+
+    #[test]
+    fn resubmitted_and_warm_started_jobs_share_the_store_allocation() {
+        let dir = std::env::temp_dir().join(format!("sparqlog-serve-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.log");
+        std::fs::write(&path, "ASK { ?s ?p ?o }\n").unwrap();
+        let key = file_identity(Population::Unique, "a", &path).unwrap();
+        let (mut store, _) = SnapshotStore::open(dir.join("store.sqps")).unwrap();
+        let log = PersistedLog {
+            summary: sparqlog_core::LogSummary {
+                label: "a".to_string(),
+                counts: Default::default(),
+                occurrences: Vec::new(),
+                errors: Default::default(),
+            },
+            analysis: Default::default(),
+        };
+        assert!(store.record_snapshot(key, &log).unwrap());
+        store.commit().unwrap();
+        let store = Arc::new(Mutex::new(store));
+
+        // Every log is a store hit, so the unlaunchable worker never runs.
+        let jobs = Arc::new(Jobs::new());
+        let config = SupervisorConfig {
+            worker: WorkerCommand::new("/definitely/not/a/real/worker"),
+            slots: 1,
+            ..SupervisorConfig::default()
+        };
+        let supervisor = Supervisor::start(
+            config,
+            Arc::clone(&jobs),
+            Arc::new(EventLog::new()),
+            Some(Arc::clone(&store)),
+        );
+        let (job, _) = supervisor.submit(
+            Population::Unique,
+            RecoveryPolicy::Lenient,
+            vec![LogSpec::new("a", &path)],
+        );
+        let phase = jobs.with(job, |state| state.phase()).unwrap();
+        assert_eq!(phase, crate::protocol::JobPhase::Complete);
+        // A restarted daemon restores the job from its committed manifest.
+        let restored = Jobs::new();
+        crate::server::warm_start(&store, &restored, &EventLog::new());
+        let phase = restored.with(1, |state| state.phase()).unwrap();
+        assert_eq!(phase, crate::protocol::JobPhase::Complete);
+        // Both jobs' slots and the store's entry are one allocation; a copy
+        // would leave the store's count lower.
+        let shared = Arc::clone(store.lock().unwrap().get(key).unwrap());
+        assert_eq!(Arc::strong_count(&shared), 4);
+        supervisor.shutdown();
+        drop((jobs, restored));
+        assert_eq!(Arc::strong_count(&shared), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
