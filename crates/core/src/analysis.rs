@@ -14,7 +14,7 @@
 use crate::cache::CacheStats;
 use crate::corpus::CorpusCounts;
 use crate::query_analysis::QueryAnalysis;
-use crate::recover::{ErrorTally, RecoveryPolicy};
+use crate::recover::ErrorTally;
 use serde::{Deserialize, Serialize};
 use sparqlog_algebra::opsets::classify_from_features;
 use sparqlog_algebra::{FragmentTally, KeywordTally, OpSetTally, ProjectionTally, TripleHistogram};
@@ -365,40 +365,18 @@ pub(crate) fn chunked_fold_pool<T: Sync>(
     })
 }
 
-/// Merges per-worker accumulators into per-dataset headers (label and
-/// counts already set) and builds the corpus-level "Total" row (all tallies
-/// are commutative sums / maxima).
-pub(crate) fn merge_into_corpus(
-    mut datasets: Vec<DatasetAnalysis>,
-    accumulators: &[Vec<DatasetAnalysis>],
-) -> CorpusAnalysis {
-    for acc in accumulators {
-        for (dataset, partial) in datasets.iter_mut().zip(acc) {
-            dataset.merge(partial);
-        }
-    }
-    let mut combined = DatasetAnalysis {
-        label: "Total".to_string(),
-        ..DatasetAnalysis::default()
-    };
-    for dataset in &datasets {
-        combined.merge(dataset);
-    }
-    CorpusAnalysis { datasets, combined }
-}
-
 impl CorpusAnalysis {
-    /// Checks the corpus's merged error tally (the "Total" row) against the
-    /// policy's error budget: `Ok(())` unless the resolved policy is an
-    /// [`RecoveryPolicy::ErrorBudget`] whose defect rate is exceeded, in
-    /// which case the error carries a
-    /// [`BudgetExceeded`](crate::recover::BudgetExceeded) payload with the
-    /// preserved tally. [`analyze_streams`](crate::fused::analyze_streams)
-    /// runs this check itself; the shard coordinator, which assembles a
-    /// [`CorpusAnalysis`] from worker partitions streamed as Lenient, calls
-    /// it after the merge.
-    pub fn enforce_budget(&self, policy: RecoveryPolicy) -> std::io::Result<()> {
-        crate::recover::enforce_budget(policy, &self.combined.errors, self.combined.counts.total)
+    /// The corpus of `datasets`, in the given order, with the "Total" row
+    /// merged from them (all tallies are commutative sums / maxima).
+    pub fn from_datasets(datasets: Vec<DatasetAnalysis>) -> CorpusAnalysis {
+        let mut combined = DatasetAnalysis {
+            label: "Total".to_string(),
+            ..DatasetAnalysis::default()
+        };
+        for dataset in &datasets {
+            combined.merge(dataset);
+        }
+        CorpusAnalysis { datasets, combined }
     }
 }
 

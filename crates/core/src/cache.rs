@@ -168,7 +168,7 @@ impl AnalysisCache {
         if let Some(hit) = shard
             .map
             .lock()
-            .expect("analysis cache shard poisoned")
+            .expect("analysis cache shard lock")
             .get(&fingerprint)
         {
             shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -179,7 +179,7 @@ impl AnalysisCache {
         // `hits + misses` must keep equalling the valid occurrences.
         let computed = Arc::new(analyze());
         shard.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = shard.map.lock().expect("analysis cache shard poisoned");
+        let mut map = shard.map.lock().expect("analysis cache shard lock");
         Arc::clone(map.entry(fingerprint).or_insert(computed))
     }
 
@@ -205,7 +205,7 @@ impl AnalysisCache {
         self.shards[self.shard_of(fingerprint)]
             .map
             .lock()
-            .expect("analysis cache shard poisoned")
+            .expect("analysis cache shard lock")
             .get(&fingerprint)
             .cloned()
     }
@@ -214,7 +214,7 @@ impl AnalysisCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.map.lock().expect("analysis cache shard poisoned").len())
+            .map(|s| s.map.lock().expect("analysis cache shard lock").len())
             .sum()
     }
 
@@ -258,12 +258,12 @@ impl AnalysisCache {
             let entries = other_shard
                 .map
                 .into_inner()
-                .expect("analysis cache shard poisoned");
+                .expect("analysis cache shard lock");
             for (fingerprint, analysis) in entries {
                 self.shards[self.shard_of(fingerprint)]
                     .map
                     .lock()
-                    .expect("analysis cache shard poisoned")
+                    .expect("analysis cache shard lock")
                     .entry(fingerprint)
                     .or_insert(analysis);
             }

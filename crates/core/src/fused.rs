@@ -76,8 +76,7 @@
 //! ```
 
 use crate::analysis::{
-    chunked_fold_pool, merge_into_corpus, AnalysisStats, CorpusAnalysis, DatasetAnalysis,
-    Population,
+    chunked_fold_pool, AnalysisStats, CorpusAnalysis, DatasetAnalysis, Population,
 };
 use crate::cache::AnalysisCache;
 use crate::corpus::{
@@ -742,7 +741,8 @@ fn fold_populations(
         },
     );
 
-    let datasets: Vec<DatasetAnalysis> = summaries
+    // Per-worker accumulators merge into the per-log headers.
+    let mut datasets: Vec<DatasetAnalysis> = summaries
         .iter()
         .map(|summary| DatasetAnalysis {
             label: summary.label.clone(),
@@ -751,7 +751,12 @@ fn fold_populations(
             ..DatasetAnalysis::default()
         })
         .collect();
-    merge_into_corpus(datasets, &accumulators)
+    for acc in &accumulators {
+        for (dataset, partial) in datasets.iter_mut().zip(acc) {
+            dataset.merge(partial);
+        }
+    }
+    CorpusAnalysis::from_datasets(datasets)
 }
 
 /// The fixture of this crate's unit tests: in-memory readers over

@@ -1,45 +1,40 @@
-//! Incremental (store-aware) ingestion: analyze only the logs a snapshot
-//! memo has not seen, and reuse the persisted per-log results for the rest.
+//! Per-log results and their assembly into a corpus.
 //!
-//! The engine, whether run in-process, sharded or served, re-analyzes the
-//! whole corpus on every run. This module adds the HTAP-style shortcut the
-//! ROADMAP's persistent-store item calls for: each log gets a **canonical
-//! identity** (the lane-wise `bytescan::hash128` of its population, label
-//! and every raw byte — computed *before* any parsing, so a hit skips the
-//! parse/analyze pipeline entirely), and [`analyze_files_incremental`]
-//! consults a [`SnapshotMemo`]
-//! by that identity. A **hit** replays the memoized
-//! ([`LogSummary`], [`DatasetAnalysis`]) pair; a **miss** runs the fused
-//! engine and records the fresh pair back into the memo.
+//! Every table of the paper is one row per log plus a "Total" row, and a
+//! log's row never depends on which other logs share the run: its
+//! [`LogSummary`] and [`DatasetAnalysis`] — a [`PersistedLog`] — are the same
+//! whether the in-process engine, a shard worker or the snapshot store
+//! produced them. This module holds what the multi-process paths share:
 //!
-//! The soundness argument is the same one the shard workers rely on:
-//! per-log summaries and per-dataset folds never depend on which other logs
-//! share the run, so a corpus assembled from any mix of memoized and
-//! freshly-analysed logs renders **byte-identical reports** to a cold
-//! end-to-end run (`tests/persist.rs` gates this against the fused engine).
-//!
-//! The memo itself is just a trait: `sparqlog-core` stays storage-agnostic,
-//! and the durable implementation (CRC-checked append-only log, commit
-//! records, torn-write recovery) lives in the `sparqlog-persist` crate.
+//! * the **canonical identity** of a log ([`log_identity`],
+//!   [`file_identity`]): the lane-wise `bytescan::hash128` of its
+//!   population, label and every raw byte, computed *before* any parsing,
+//!   under which the snapshot store (`sparqlog-persist`) keys results;
+//! * the **store-hit rule** ([`PersistedLog::usable_under`]);
+//! * [`LogSlots`], the one assembly of per-log results: each input-order
+//!   slot fills at most once, the error budget is metered once when the last
+//!   slot fills, and the corpus renders in input order with the "Total" row
+//!   re-merged — byte-identical, once every slot is filled, to the fused
+//!   engine's report over the same logs. The shard coordinator and the serve
+//!   job table both assemble through it.
 //!
 //! # Recovery-policy interplay
 //!
-//! A memoized pair is the *lenient* truth about a log: the tallies are
+//! A persisted result is the *lenient* truth about a log: the tallies are
 //! identical under every policy, but [`RecoveryPolicy::Strict`] would have
 //! failed the run at the log's first defect instead of producing them. So a
-//! hit with a non-empty defect tally is only taken under a policy that
-//! recovers; under `Strict` the log is re-analysed, which reproduces the
-//! exact strict failure. Budgeted runs stream leniently and meter the
-//! budget once over the merged tallies of hits *and* misses — the same
-//! single-enforcement-point contract as the shard coordinator and the serve
-//! job table.
+//! stored result with defects is reused only under a policy that recovers;
+//! under `Strict` the log is re-analysed, which reproduces the exact strict
+//! failure. Budgeted runs stream leniently and meter the budget once over
+//! the merged tallies of stored and fresh results together.
 
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
-use crate::fused::{analyze_streams_with, FusedOptions, LogSummary};
-use crate::recover::{enforce_budget, ErrorTally, RecoveryPolicy};
+use crate::fused::LogSummary;
+use crate::recover::{enforce_budget, BudgetExceeded, ErrorTally, RecoveryPolicy};
 use sparqlog_parser::bytescan::Hasher128;
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
 /// How many bytes [`file_identity`] reads per chunk while hashing a log.
 const IDENTITY_CHUNK: usize = 64 * 1024;
@@ -55,52 +50,14 @@ pub struct PersistedLog {
     pub analysis: DatasetAnalysis,
 }
 
-/// The storage hook of the incremental path: look a log up by identity,
-/// record a fresh analysis under its identity. Implemented by the durable
-/// snapshot store in `sparqlog-persist`; an in-memory `HashMap` works for
-/// tests.
-pub trait SnapshotMemo {
-    /// The persisted pair for `key`, if this log was analysed before.
-    fn load(&mut self, key: u128) -> Option<PersistedLog>;
-
-    /// Records a freshly analysed log under `key`. Implementations decide
-    /// durability (the persist store appends + commits; a map just
-    /// inserts).
-    fn record(&mut self, key: u128, log: &PersistedLog);
-}
-
-/// A [`SnapshotMemo`] that remembers nothing: every log misses, nothing is
-/// recorded. [`analyze_files_incremental`] over it is exactly a cold run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoMemo;
-
-impl SnapshotMemo for NoMemo {
-    fn load(&mut self, _key: u128) -> Option<PersistedLog> {
-        None
+impl PersistedLog {
+    /// The store-hit rule: whether this stored result may stand in for a
+    /// fresh analysis under `policy` — always under a policy that recovers,
+    /// and under a strict one only when the log has no defects (strict would
+    /// have failed the run; the re-analysis reproduces that failure).
+    pub fn usable_under(&self, policy: RecoveryPolicy) -> bool {
+        policy.recovers() || self.summary.errors.defects() == 0
     }
-    fn record(&mut self, _key: u128, _log: &PersistedLog) {}
-}
-
-/// Hit/miss counters of one incremental run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Logs served from the memo without re-analysis.
-    pub hits: u64,
-    /// Logs analysed by the fused engine this run (and recorded back).
-    pub misses: u64,
-}
-
-/// The result of [`analyze_files_incremental`]: per-log summaries and the
-/// corpus analysis in input order — the same shape the fused engine
-/// produces, rendering the same report bytes — plus the memo counters.
-#[derive(Debug, Clone)]
-pub struct IncrementalAnalysis {
-    /// Per-log summaries, in input order.
-    pub summaries: Vec<LogSummary>,
-    /// The corpus analysis (per-dataset records + re-merged "Total" row).
-    pub corpus: CorpusAnalysis,
-    /// How much work the memo absorbed.
-    pub stats: MemoStats,
 }
 
 /// The canonical identity of a log: `bytescan::hash128` (`sparqlog-parser`)
@@ -146,160 +103,122 @@ fn identity_header(population: Population, label: &str) -> Hasher128 {
     hasher
 }
 
-/// Whether a memoized pair may substitute for re-analysis under `policy`:
-/// always, except under a strict policy when the log has defects (strict
-/// would have failed the run — the re-analysis reproduces that failure).
-fn hit_usable(policy: RecoveryPolicy, summary: &LogSummary) -> bool {
-    match policy.resolve() {
-        RecoveryPolicy::Strict => summary.errors.defects() == 0,
-        _ => true,
-    }
+/// Why [`LogSlots::fill`] refused a result; a refused fill changes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// The index names no slot.
+    OutOfRange,
+    /// The slot already holds a result. A log merges at most once, so no
+    /// query occurrence is ever folded twice.
+    Filled,
 }
 
-/// Analyses `(label, path)` logs incrementally: logs whose identity the
-/// memo knows are served from it; the rest run through the fused engine
-/// (one sub-run over all misses) and are recorded back. Reports rendered
-/// from the result are byte-identical to a cold fused run over the same
-/// files — see the module docs for the argument and `tests/persist.rs` for
-/// the gate.
-pub fn analyze_files_incremental(
-    files: &[(String, PathBuf)],
-    population: Population,
-    options: FusedOptions,
-    memo: &mut dyn SnapshotMemo,
-) -> io::Result<IncrementalAnalysis> {
-    let policy = options.recovery.resolve();
+/// One run's per-log results in input order: slot `i` holds log `i` once
+/// it is filled. Results are held as shared `Arc`s, so a stored hit's slot
+/// and the store hold one allocation.
+#[derive(Debug)]
+pub struct LogSlots {
+    slots: Vec<Option<Arc<PersistedLog>>>,
+    policy: RecoveryPolicy,
+    filled: usize,
+    errors: ErrorTally,
+    entries: u64,
+    over_budget: Option<BudgetExceeded>,
+}
 
-    // Identity + lookup pass: no parsing, just one hashing read per file.
-    let mut slots: Vec<Option<PersistedLog>> = Vec::with_capacity(files.len());
-    let mut miss_keys = Vec::new();
-    let mut misses: Vec<(usize, &String, &PathBuf)> = Vec::new();
-    let mut stats = MemoStats::default();
-    for (slot, (label, path)) in files.iter().enumerate() {
-        let key = file_identity(population, label, path)?;
-        match memo
-            .load(key)
-            .filter(|hit| hit_usable(policy, &hit.summary))
-        {
-            Some(hit) => {
-                stats.hits += 1;
-                slots.push(Some(hit));
-            }
-            None => {
-                stats.misses += 1;
-                slots.push(None);
-                miss_keys.push(key);
-                misses.push((slot, label, path));
-            }
+impl LogSlots {
+    /// `total` empty slots for a run under `policy`.
+    pub fn new(total: usize, policy: RecoveryPolicy) -> LogSlots {
+        LogSlots {
+            slots: vec![None; total],
+            policy,
+            filled: 0,
+            errors: ErrorTally::default(),
+            entries: 0,
+            over_budget: None,
         }
     }
 
-    // One fused sub-run over the misses. A budgeted policy streams
-    // leniently here — the budget is a whole-run rate over hits and misses
-    // together, metered once below (the shard-worker contract).
-    if !misses.is_empty() {
-        let readers = misses
-            .iter()
-            .map(|(_, label, path)| {
-                crate::corpus::FileLogReader::open((*label).clone(), path)
-                    .map(|reader| Box::new(reader) as Box<dyn crate::corpus::LogReader>)
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let fused = analyze_streams_with(
-            readers,
-            population,
-            FusedOptions {
-                recovery: match policy {
-                    RecoveryPolicy::ErrorBudget { .. } => RecoveryPolicy::Lenient,
-                    other => other,
-                },
-                ..options
-            },
-        )?;
-        let pairs = fused
-            .summaries
+    /// How many slots there are.
+    pub fn total(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// How many slots are filled.
+    pub fn filled(&self) -> usize {
+        self.filled
+    }
+
+    /// Whether every slot is filled.
+    pub fn is_full(&self) -> bool {
+        self.filled == self.slots.len()
+    }
+
+    /// The malformed-entry tallies of the filled slots, merged.
+    pub fn errors(&self) -> &ErrorTally {
+        &self.errors
+    }
+
+    /// The run's one budget check: once the last slot fills, the policy's
+    /// error budget is metered over every slot's merged tally, and this is
+    /// the failure if the run is over it. `None` while a slot is empty.
+    pub fn over_budget(&self) -> Option<&BudgetExceeded> {
+        self.over_budget.as_ref()
+    }
+
+    /// Fills slot `index` with `log`, or refuses; a refused fill changes
+    /// nothing. The fill that fills the last slot meters the budget
+    /// ([`LogSlots::over_budget`]).
+    pub fn fill(&mut self, index: usize, log: Arc<PersistedLog>) -> Result<(), Refused> {
+        let slot = self.slots.get_mut(index).ok_or(Refused::OutOfRange)?;
+        if slot.is_some() {
+            return Err(Refused::Filled);
+        }
+        self.errors.merge(&log.summary.errors);
+        self.entries += log.summary.counts.total;
+        *slot = Some(log);
+        self.filled += 1;
+        if self.is_full() {
+            self.over_budget = enforce_budget(self.policy, &self.errors, self.entries).err();
+        }
+        Ok(())
+    }
+
+    /// The corpus over the slots filled so far: datasets in input order,
+    /// empty slots skipped, the "Total" row merged from the rest.
+    pub fn corpus(&self) -> CorpusAnalysis {
+        let datasets = self.slots.iter().flatten();
+        CorpusAnalysis::from_datasets(datasets.map(|log| log.analysis.clone()).collect())
+    }
+
+    /// Takes a full slot set apart into the per-log summaries and the
+    /// corpus, both in input order, or names the first empty slot. A result
+    /// held only here moves out; one still shared elsewhere is copied.
+    pub fn into_parts(self) -> Result<(Vec<LogSummary>, CorpusAnalysis), usize> {
+        if let Some(empty) = self.slots.iter().position(Option::is_none) {
+            return Err(empty);
+        }
+        let (summaries, datasets) = self
+            .slots
             .into_iter()
-            .zip(fused.corpus.datasets)
-            .zip(miss_keys);
-        for (((summary, analysis), key), (slot, _, _)) in pairs.zip(&misses) {
-            let log = PersistedLog { summary, analysis };
-            memo.record(key, &log);
-            slots[*slot] = Some(log);
-        }
+            .flatten()
+            .map(|log| {
+                let log = Arc::unwrap_or_clone(log);
+                (log.summary, log.analysis)
+            })
+            .unzip();
+        Ok((summaries, CorpusAnalysis::from_datasets(datasets)))
     }
-
-    // Assemble in input order and re-merge the "Total" row — the same
-    // commutative merge the serve job table uses, which is byte-identical
-    // to the fused engine's own combined row.
-    let logs: Vec<PersistedLog> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every slot is a hit or a recorded miss"))
-        .collect();
-    let mut combined = DatasetAnalysis {
-        label: "Total".to_string(),
-        ..DatasetAnalysis::default()
-    };
-    let mut tally = ErrorTally::default();
-    let mut entries = 0u64;
-    for log in &logs {
-        combined.merge(&log.analysis);
-        tally.merge(&log.summary.errors);
-        entries += log.summary.counts.total;
-    }
-    // The single budget-enforcement point over the whole (hit + miss) run.
-    enforce_budget(policy, &tally, entries)?;
-
-    let mut summaries = Vec::with_capacity(logs.len());
-    let mut datasets = Vec::with_capacity(logs.len());
-    for log in logs {
-        summaries.push(log.summary);
-        datasets.push(log.analysis);
-    }
-    Ok(IncrementalAnalysis {
-        summaries,
-        corpus: CorpusAnalysis { datasets, combined },
-        stats,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::CorpusCounts;
+    use crate::fused::{analyze_streams, test_readers};
     use crate::report::full_report;
-    use std::collections::HashMap;
-    use std::io::Write as _;
-
-    #[derive(Default)]
-    struct MapMemo {
-        map: HashMap<u128, PersistedLog>,
-        loads: u64,
-        records: u64,
-    }
-
-    impl SnapshotMemo for MapMemo {
-        fn load(&mut self, key: u128) -> Option<PersistedLog> {
-            self.loads += 1;
-            self.map.get(&key).cloned()
-        }
-        fn record(&mut self, key: u128, log: &PersistedLog) {
-            self.records += 1;
-            self.map.insert(key, log.clone());
-        }
-    }
-
-    fn write_logs(dir: &Path, logs: &[(&str, &[&str])]) -> Vec<(String, PathBuf)> {
-        logs.iter()
-            .enumerate()
-            .map(|(index, (label, entries))| {
-                let path = dir.join(format!("{index}.log"));
-                let mut file = std::fs::File::create(&path).unwrap();
-                for entry in *entries {
-                    writeln!(file, "{entry}").unwrap();
-                }
-                (label.to_string(), path)
-            })
-            .collect()
-    }
+    use sparqlog_parser::ErrorKind;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -373,151 +292,108 @@ mod tests {
         );
     }
 
-    #[test]
-    fn warm_runs_skip_analysis_and_render_identical_reports() {
-        let dir = scratch("warm");
-        let files = write_logs(&dir, &[("alpha", &CLEAN), ("beta", &CLEAN[..2])]);
-        let mut memo = MapMemo::default();
-
-        let cold = analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions::default(),
-            &mut memo,
-        )
-        .unwrap();
-        assert_eq!(cold.stats, MemoStats { hits: 0, misses: 2 });
-        assert_eq!(memo.records, 2);
-
-        let warm = analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions::default(),
-            &mut memo,
-        )
-        .unwrap();
-        assert_eq!(warm.stats, MemoStats { hits: 2, misses: 0 });
-        assert_eq!(memo.records, 2, "a warm run records nothing new");
-        assert_eq!(full_report(&warm.corpus), full_report(&cold.corpus));
-        assert_eq!(warm.summaries, cold.summaries);
-
-        // And both match a cold fused run exactly (the no-memo reference).
-        let reference = analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions::default(),
-            &mut NoMemo,
-        )
-        .unwrap();
-        assert_eq!(full_report(&reference.corpus), full_report(&cold.corpus));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Three logs' fused results, shareable, and the fused report over them.
+    fn fused_logs() -> (Vec<Arc<PersistedLog>>, String) {
+        let readers = test_readers(&[
+            ("alpha", &CLEAN),
+            ("beta", &CLEAN[..2]),
+            ("gamma", &["ASK { ?s ?p ?o }"]),
+        ]);
+        let fused = analyze_streams(readers, Population::Unique).unwrap();
+        let report = full_report(&fused.corpus);
+        let logs = fused.summaries.into_iter().zip(fused.corpus.datasets);
+        let logs = logs.map(|(summary, analysis)| Arc::new(PersistedLog { summary, analysis }));
+        (logs.collect(), report)
     }
 
-    #[test]
-    fn a_changed_file_misses_and_only_it_reanalyzes() {
-        let dir = scratch("changed");
-        let files = write_logs(&dir, &[("alpha", &CLEAN), ("beta", &CLEAN[..2])]);
-        let mut memo = MapMemo::default();
-        analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions::default(),
-            &mut memo,
-        )
-        .unwrap();
-
-        // Append an entry to beta: alpha stays a hit, beta re-analyzes.
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&files[1].1)
-            .unwrap();
-        writeln!(file, "SELECT ?y WHERE {{ ?y a <http://D> }}").unwrap();
-        drop(file);
-        let second = analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions::default(),
-            &mut memo,
-        )
-        .unwrap();
-        assert_eq!(second.stats, MemoStats { hits: 1, misses: 1 });
-        assert_eq!(second.summaries[1].counts.total, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn strict_policy_refuses_defective_hits_and_reproduces_the_failure() {
-        let dir = scratch("strict");
-        // An invalid-UTF-8 line is a *defect* (not mere invalidity).
-        let path = dir.join("dirty.log");
-        let mut file = std::fs::File::create(&path).unwrap();
-        file.write_all(b"SELECT ?x WHERE { ?x a <http://C> }\n\xFF\xFE\n")
-            .unwrap();
-        drop(file);
-        let files = vec![("dirty".to_string(), path)];
-
-        // Lenient cold run persists the (defective) tally.
-        let mut memo = MapMemo::default();
-        let lenient = |memo: &mut MapMemo| {
-            analyze_files_incremental(
-                &files,
-                Population::Unique,
-                FusedOptions {
-                    recovery: RecoveryPolicy::Lenient,
-                    ..FusedOptions::default()
-                },
-                memo,
-            )
-        };
-        let cold = lenient(&mut memo).unwrap();
-        assert_eq!(cold.summaries[0].errors.defects(), 1);
-
-        // A strict warm run must NOT serve the hit: it re-analyses and
-        // fails exactly like a cold strict run would.
-        let strict = analyze_files_incremental(
-            &files,
-            Population::Unique,
-            FusedOptions {
-                recovery: RecoveryPolicy::Strict,
-                ..FusedOptions::default()
+    /// A log of `total` entries, `defects` of them invalid UTF-8.
+    fn log_with(total: u64, defects: u64) -> Arc<PersistedLog> {
+        let mut summary = LogSummary {
+            label: "log".to_string(),
+            counts: CorpusCounts {
+                total,
+                ..CorpusCounts::default()
             },
-            &mut memo,
-        );
-        assert!(strict.is_err());
-
-        // A lenient warm run still hits.
-        let warm = lenient(&mut memo).unwrap();
-        assert_eq!(warm.stats, MemoStats { hits: 1, misses: 0 });
-        let _ = std::fs::remove_dir_all(&dir);
+            occurrences: Vec::new(),
+            errors: ErrorTally::default(),
+        };
+        for position in 0..defects {
+            summary.errors.record(ErrorKind::InvalidUtf8, position);
+        }
+        Arc::new(PersistedLog {
+            summary,
+            analysis: DatasetAnalysis::default(),
+        })
     }
 
     #[test]
-    fn budget_is_metered_over_hits_and_misses_together() {
-        let dir = scratch("budget");
-        let path = dir.join("dirty.log");
-        let mut file = std::fs::File::create(&path).unwrap();
-        // 1 defect in 2 entries: 5000 per 10k.
-        file.write_all(b"SELECT ?x WHERE { ?x a <http://C> }\n\xFF\xFE\n")
-            .unwrap();
-        drop(file);
-        let files = vec![("dirty".to_string(), path)];
-        let mut memo = MapMemo::default();
-        let run = |memo: &mut MapMemo, max_per_10k| {
-            analyze_files_incremental(
-                &files,
-                Population::Unique,
-                FusedOptions {
-                    recovery: RecoveryPolicy::ErrorBudget { max_per_10k },
-                    ..FusedOptions::default()
-                },
-                memo,
-            )
-        };
-        // Generous budget: cold run persists.
-        run(&mut memo, 9_000).unwrap();
-        // Tight budget on a warm run: the hit is taken, but the budget is
-        // still enforced over the merged tallies — the run fails.
-        assert!(run(&mut memo, 1).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn slots_refuse_bad_fills_and_name_the_first_empty_slot() {
+        let (logs, _) = fused_logs();
+        let mut slots = LogSlots::new(3, RecoveryPolicy::Lenient);
+        let mut fill = |index, log: &Arc<PersistedLog>| slots.fill(index, Arc::clone(log));
+        assert_eq!(fill(3, &logs[0]), Err(Refused::OutOfRange));
+        assert_eq!(fill(0, &logs[0]), Ok(()));
+        assert_eq!(fill(0, &logs[1]), Err(Refused::Filled));
+        assert_eq!(fill(2, &logs[2]), Ok(()));
+        // The refused fills changed nothing; the corpus skips the gap.
+        assert_eq!(slots.filled(), 2);
+        let expected = [&logs[0], &logs[2]].map(|log| log.analysis.clone());
+        assert_eq!(
+            slots.corpus(),
+            CorpusAnalysis::from_datasets(expected.into())
+        );
+        assert_eq!(slots.into_parts().unwrap_err(), 1);
+    }
+
+    #[test]
+    fn any_fill_order_renders_the_fused_report() {
+        let (logs, reference) = fused_logs();
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let mut slots = LogSlots::new(3, RecoveryPolicy::Strict);
+            for index in order {
+                assert_eq!(slots.fill(index, Arc::clone(&logs[index])), Ok(()));
+            }
+            assert!(slots.is_full());
+            assert_eq!(full_report(&slots.corpus()), reference, "{order:?}");
+            let (summaries, corpus) = slots.into_parts().unwrap();
+            assert_eq!(full_report(&corpus), reference, "{order:?}");
+            assert!(summaries.iter().eq(logs.iter().map(|log| &log.summary)));
+        }
+    }
+
+    #[test]
+    fn the_budget_is_metered_once_over_stored_and_fresh_results() {
+        // The stored log has 1 defect in 2 entries, the fresh one 0 in 2:
+        // 2500 per 10k over the run, 5000 over the stored log alone.
+        let store = std::collections::HashMap::from([(7u128, log_with(2, 1))]);
+        for (max_per_10k, passes) in [(2500, true), (2499, false)] {
+            let policy = RecoveryPolicy::ErrorBudget { max_per_10k };
+            let hit = store.get(&7).filter(|hit| hit.usable_under(policy));
+            let hit = hit.expect("a budget recovers, so a defective hit is usable");
+            let mut slots = LogSlots::new(2, policy);
+            // Not judged until the last slot fills.
+            assert_eq!(slots.fill(0, Arc::clone(hit)), Ok(()));
+            assert_eq!(slots.over_budget(), None);
+            assert_eq!(slots.fill(1, log_with(2, 0)), Ok(()));
+            assert_eq!(slots.errors().total(), 1);
+            match slots.over_budget() {
+                None => assert!(passes, "budget {max_per_10k} passed"),
+                Some(error) => {
+                    assert!(!passes, "budget {max_per_10k} failed");
+                    assert_eq!((error.defects, error.total), (1, 4));
+                    assert_eq!(error.tally, *slots.errors());
+                }
+            }
+        }
+        assert!(!log_with(2, 1).usable_under(RecoveryPolicy::Strict));
+        assert!(log_with(2, 0).usable_under(RecoveryPolicy::Strict));
     }
 }

@@ -22,10 +22,11 @@
 //!   sequential, uncached, multi-walk implementation of the same pipeline
 //!   over materialized canonical strings, which the engine is tested
 //!   against byte for byte.
-//! * [`incremental`] — store-aware ingestion: logs are keyed by a
-//!   canonical identity (population + label + raw bytes) and served from a
-//!   [`incremental::SnapshotMemo`] when already analysed — cold ingest
-//!   once, warm re-serve forever, byte-identical reports either way.
+//! * [`incremental`] — per-log results and their one assembly: the
+//!   canonical identity a log is stored under (population + label + raw
+//!   bytes), the store-hit rule, and [`LogSlots`], which the shard
+//!   coordinator and the serve job table fill once per log, meter the error
+//!   budget through, and render the corpus from.
 //! * [`recover`] — the malformed-input error model: the stable
 //!   [`ErrorKind`] taxonomy, the per-log [`ErrorTally`], and the
 //!   [`RecoveryPolicy`] (strict / lenient / error-budget).
@@ -95,10 +96,7 @@ pub use fused::{
     analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,
     FusedStats, LogSummary,
 };
-pub use incremental::{
-    analyze_files_incremental, file_identity, log_identity, IncrementalAnalysis, MemoStats,
-    PersistedLog, SnapshotMemo,
-};
+pub use incremental::{file_identity, log_identity, LogSlots, PersistedLog, Refused};
 pub use query_analysis::QueryAnalysis;
 pub use recover::{BudgetExceeded, ErrorTally, ReaderDefect, RecoveryPolicy};
 pub use sparqlog_parser::ErrorKind;

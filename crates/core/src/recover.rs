@@ -235,7 +235,7 @@ impl RecoveryPolicy {
 /// exceeds the budget. Carried as the payload of an
 /// [`io::Error`] of kind `InvalidData`; downcast to get the
 /// preserved tally.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// Defects observed across the whole run.
     pub defects: u64,
@@ -291,26 +291,34 @@ pub(crate) fn reader_defect(error: &io::Error) -> bool {
         .is_some_and(|payload| payload.is::<ReaderDefect>())
 }
 
+impl From<BudgetExceeded> for io::Error {
+    fn from(error: BudgetExceeded) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, error)
+    }
+}
+
 /// Checks a merged end-of-run tally against a resolved policy's budget.
-/// Called exactly once per run, at the top-level merge point (the
-/// in-process engine checks its own totals; the shard coordinator and
-/// the serve job table check after merging worker partitions).
-pub fn enforce_budget(policy: RecoveryPolicy, tally: &ErrorTally, total: u64) -> io::Result<()> {
+/// Called exactly once per run, at the top-level merge point: the
+/// in-process engine checks its own totals, and
+/// [`LogSlots`](crate::incremental::LogSlots) checks the merged per-log
+/// results of the shard coordinator and the serve job table.
+pub fn enforce_budget(
+    policy: RecoveryPolicy,
+    tally: &ErrorTally,
+    total: u64,
+) -> Result<(), BudgetExceeded> {
     let Some(max_per_10k) = policy.budget() else {
         return Ok(());
     };
     let defects = tally.defects();
     // defects / total > max_per_10k / 10_000, in exact integer arithmetic.
     if u128::from(defects) * 10_000 > u128::from(max_per_10k) * u128::from(total) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            BudgetExceeded {
-                defects,
-                total,
-                max_per_10k,
-                tally: tally.clone(),
-            },
-        ));
+        return Err(BudgetExceeded {
+            defects,
+            total,
+            max_per_10k,
+            tally: tally.clone(),
+        });
     }
     Ok(())
 }
@@ -482,11 +490,7 @@ mod tests {
         let policy = RecoveryPolicy::ErrorBudget { max_per_10k: 10 };
         assert!(enforce_budget(policy, &tally, 1000).is_ok());
         // 1 defect in 999 entries exceeds 10 per 10k.
-        let error = enforce_budget(policy, &tally, 999).unwrap_err();
-        let payload = error
-            .get_ref()
-            .and_then(|e| e.downcast_ref::<BudgetExceeded>())
-            .expect("budget failures carry the tally");
+        let payload = enforce_budget(policy, &tally, 999).unwrap_err();
         assert_eq!(payload.defects, 1);
         assert_eq!(payload.total, 999);
         assert_eq!(payload.tally.worker_panic, 1);

@@ -47,7 +47,7 @@ pub fn set_enabled(on: bool) {
 #[cfg(test)]
 pub(crate) fn set_enabled_for_test(on: bool) -> std::sync::MutexGuard<'static, ()> {
     static FLAG: Mutex<()> = Mutex::new(());
-    let guard = FLAG.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let guard = FLAG.lock().unwrap_or_else(|error| error.into_inner());
     set_enabled(on);
     guard
 }

@@ -15,36 +15,39 @@
 //!   crash drill the same way the shard fault knobs drive the supervisor
 //!   drill.
 //!
-//! The store implements [`SnapshotMemo`](sparqlog_core::SnapshotMemo), so
-//! [`analyze_files_incremental`](sparqlog_core::analyze_files_incremental)
-//! runs cold exactly once per distinct log and re-serves warm forever,
-//! with byte-identical reports either way:
+//! Each log's analysis is keyed by its canonical identity
+//! ([`file_identity`](sparqlog_core::file_identity)): the serve daemon
+//! (`sparqlog-serve --store`) analyses a log once and answers every later
+//! submission of it — across restarts — from the store:
 //!
 //! ```
-//! use sparqlog_core::{analyze_files_incremental, report, FusedOptions, Population};
+//! use sparqlog_core::corpus::{analyze_streams, FileLogReader, LogReader};
+//! use sparqlog_core::{file_identity, PersistedLog, Population};
 //! use sparqlog_persist::SnapshotStore;
 //!
 //! let dir = std::env::temp_dir().join(format!("sparqlog-persist-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir)?;
-//! let log = dir.join("wikidata.log");
-//! std::fs::write(&log, "SELECT ?x WHERE { ?x a <http://example.org/C> }\n")?;
-//! let files = vec![("wikidata".to_string(), log)];
+//! let path = dir.join("wikidata.log");
+//! std::fs::write(&path, "SELECT ?x WHERE { ?x a <http://example.org/C> }\n")?;
+//! let key = file_identity(Population::Unique, "wikidata", &path)?;
+//! let reader = FileLogReader::open("wikidata", &path)?;
+//! let readers: Vec<Box<dyn LogReader>> = vec![Box::new(reader)];
+//! let mut fused = analyze_streams(readers, Population::Unique)?;
+//! let log = PersistedLog {
+//!     summary: fused.summaries.remove(0),
+//!     analysis: fused.corpus.datasets.remove(0),
+//! };
 //!
-//! // Cold: analyse once, persist each log's snapshot, commit durably.
+//! // Stage the snapshot, then make it durable: commit record, then fsync.
 //! let (mut store, _) = SnapshotStore::open(dir.join("snapshots.sqps"))?;
-//! let cold = analyze_files_incremental(
-//!     &files, Population::Unique, FusedOptions::default(), &mut store)?;
+//! assert!(store.record_snapshot(key, &log)?);
 //! store.commit()?;
-//! assert_eq!((cold.stats.hits, cold.stats.misses), (0, 1));
 //! drop(store);
 //!
-//! // Warm: a fresh process re-serves from the store, analysing nothing.
-//! let (mut store, report) = SnapshotStore::open(dir.join("snapshots.sqps"))?;
+//! // A fresh process reopens the store; the recovery scan finds it clean.
+//! let (store, report) = SnapshotStore::open(dir.join("snapshots.sqps"))?;
 //! assert!(report.is_clean());
-//! let warm = analyze_files_incremental(
-//!     &files, Population::Unique, FusedOptions::default(), &mut store)?;
-//! assert_eq!((warm.stats.hits, warm.stats.misses), (1, 0));
-//! assert_eq!(report::full_report(&warm.corpus), report::full_report(&cold.corpus));
+//! assert_eq!(store.get(key).map(|hit| hit.as_ref()), Some(&log));
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```

@@ -62,7 +62,7 @@
 use crate::faults::{self, FaultMode, FAULT_EXIT};
 use sparqlog_core::analysis::{DatasetAnalysis, Population};
 use sparqlog_core::recover::RecoveryPolicy;
-use sparqlog_core::{LogSummary, PersistedLog, SnapshotMemo};
+use sparqlog_core::{LogSummary, PersistedLog};
 use sparqlog_obs as obs;
 use sparqlog_shard::codec::{crc32c, Decoder, Encoder};
 use sparqlog_shard::snapshot::Snapshot;
@@ -298,9 +298,6 @@ pub struct SnapshotStore {
     jobs: Vec<JobRecord>,
     /// `jobs` encoded: "the same job" means a byte-identical manifest.
     job_identities: HashSet<Vec<u8>>,
-    /// An append error deferred by the infallible [`SnapshotMemo`] hook,
-    /// surfaced by the next [`SnapshotStore::commit`].
-    poisoned: Option<io::Error>,
 }
 
 /// A record decoded during the recovery scan, held provisionally until its
@@ -456,7 +453,6 @@ impl SnapshotStore {
             index: HashMap::new(),
             jobs: Vec::new(),
             job_identities: HashSet::new(),
-            poisoned: None,
         }
     }
 
@@ -482,11 +478,6 @@ impl SnapshotStore {
     /// take an [`Arc::clone`], sharing the store's allocation.
     pub fn get(&self, key: u128) -> Option<&Arc<PersistedLog>> {
         self.index.get(&key)
-    }
-
-    /// Whether `key` has a persisted analysis.
-    pub fn contains(&self, key: u128) -> bool {
-        self.index.contains_key(&key)
     }
 
     /// Number of persisted per-log snapshots.
@@ -576,13 +567,10 @@ impl SnapshotStore {
     }
 
     /// Commits every record appended since the last commit: writes the
-    /// commit record, then `fsync`s file data. Surfaces any append error a
-    /// [`SnapshotMemo`] hook deferred. A no-op (returning the current
-    /// sequence) when nothing is pending. Returns the new sequence number.
+    /// commit record, then `fsync`s file data. A no-op (returning the
+    /// current sequence) when nothing is pending. Returns the new sequence
+    /// number.
     pub fn commit(&mut self) -> io::Result<u64> {
-        if let Some(error) = self.poisoned.take() {
-            return Err(error);
-        }
         if self.pending == 0 {
             return Ok(self.seq);
         }
@@ -646,23 +634,6 @@ impl SnapshotStore {
         self.file.seek(SeekFrom::Start(target))?;
         self.file.write_all(&byte)?;
         self.file.sync_data()
-    }
-}
-
-impl SnapshotMemo for SnapshotStore {
-    fn load(&mut self, key: u128) -> Option<PersistedLog> {
-        self.index.get(&key).map(|log| PersistedLog::clone(log))
-    }
-
-    /// Appends the snapshot; an I/O failure is deferred (the trait hook is
-    /// infallible) and surfaced by the next [`SnapshotStore::commit`].
-    fn record(&mut self, key: u128, log: &PersistedLog) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        if let Err(error) = self.record_snapshot(key, log) {
-            self.poisoned = Some(error);
-        }
     }
 }
 
@@ -919,8 +890,8 @@ mod tests {
         assert_eq!(report.reason, RecoveryReason::Uncommitted);
         assert_eq!(report.dropped, Some(committed..total));
         assert_eq!(report.dropped_records, 1);
-        assert!(store.contains(1));
-        assert!(!store.contains(2));
+        assert!(store.get(1).is_some());
+        assert!(store.get(2).is_none());
         assert_eq!(store.total_bytes(), committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -942,7 +913,7 @@ mod tests {
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::TornRecord);
         assert_eq!(report.dropped, Some(committed..committed + 4));
-        assert!(store.contains(1));
+        assert!(store.get(1).is_some());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -970,8 +941,8 @@ mod tests {
             RecoveryReason::ChecksumMismatch { .. }
         ));
         assert_eq!(report.kept_bytes, first);
-        assert!(store.contains(1));
-        assert!(!store.contains(2));
+        assert!(store.get(1).is_some());
+        assert!(store.get(2).is_none());
 
         // The store is immediately usable: re-record what was lost.
         let mut store = store;
@@ -979,7 +950,7 @@ mod tests {
         store.commit().unwrap();
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::Clean);
-        assert!(store.contains(2));
+        assert!(store.get(2).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1017,21 +988,6 @@ mod tests {
         assert!(!store.record_snapshot(1, &sample("alpha", 11)).unwrap());
         assert!(!store.record_job(&sample_job()).unwrap());
         assert_eq!(store.pending_records(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_memo_hook_records_durably_once_committed() {
-        let dir = scratch("memo");
-        let path = dir.join("store.sqps");
-        let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        let log = sample("alpha", 11);
-        SnapshotMemo::record(&mut store, 42, &log);
-        assert_eq!(SnapshotMemo::load(&mut store, 42), Some(log.clone()));
-        store.commit().unwrap();
-        drop(store);
-        let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        assert_eq!(SnapshotMemo::load(&mut store, 42), Some(log));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,22 +1,22 @@
 //! Job state: each accepted job is split into one partition per log (the
 //! reassignment unit — a log never splits, preserving the Unique-population
-//! fold), and completed partitions merge commutatively into slots keyed by
+//! fold), and completed partitions fill the job's [`LogSlots`], keyed by
 //! input position. Reports render from whatever has merged so far; once
 //! every slot is filled the report is byte-identical to the in-process
 //! fused engine's over the same files (the same argument as the batch
 //! coordinator's — see `sparqlog_shard::coordinator`).
 //!
 //! Double-count safety: a partition's snapshot merges **only** when it
-//! decodes completely (log frame + epilogue), and a slot merges **at most
+//! decodes completely (log frame + epilogue), and a slot fills **at most
 //! once** — a restarted worker whose predecessor died mid-stream can never
 //! add to an already-filled slot, so no query occurrence is ever folded
 //! twice.
 
 use crate::protocol::{JobPhase, JobReport, JobStatus};
-use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
+use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::report;
-use sparqlog_core::{ErrorTally, PersistedLog, RecoveryPolicy};
+use sparqlog_core::{LogSlots, PersistedLog, RecoveryPolicy};
 use sparqlog_shard::LogSpec;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,8 +36,9 @@ pub struct JobState {
     /// The population the job folds.
     pub population: Population,
     /// The submitted recovery policy. Workers stream leniently when it
-    /// recovers; an `ErrorBudget` is metered **once**, here, when the last
-    /// partition merges (a budget is a whole-run rate, not per-worker).
+    /// recovers; an `ErrorBudget` is metered **once**, by the slots, when
+    /// the last partition merges (a budget is a whole-run rate, not
+    /// per-worker).
     pub recovery: RecoveryPolicy,
     /// The submitted logs, in report order (partition `i` = log `i`).
     pub logs: Vec<LogSpec>,
@@ -46,15 +47,9 @@ pub struct JobState {
     /// submit time. Used to persist completed partitions and to write the
     /// job manifest that warm-starts the job after a daemon restart.
     pub keys: Vec<Option<u128>>,
-    /// Completed partitions: `slots[i]` holds log `i`'s summary + analysis,
+    /// Completed partitions: slot `i` holds log `i`'s summary + analysis,
     /// shared with the snapshot store when it came from there.
-    slots: Vec<Option<Arc<PersistedLog>>>,
-    /// Partitions merged so far.
-    completed: usize,
-    /// Malformed-entry tallies merged from completed partitions.
-    pub errors: ErrorTally,
-    /// Entries seen across completed partitions (the budget denominator).
-    entries: u64,
+    slots: LogSlots,
     /// Worker restarts performed for this job.
     pub restarts: u64,
     /// The first fatal failure, if any.
@@ -80,18 +75,13 @@ impl JobState {
         recovery: RecoveryPolicy,
         logs: Vec<LogSpec>,
     ) -> JobState {
-        let slots = (0..logs.len()).map(|_| None).collect();
-        let keys = vec![None; logs.len()];
         JobState {
             id,
             population,
             recovery,
+            keys: vec![None; logs.len()],
+            slots: LogSlots::new(logs.len(), recovery),
             logs,
-            keys,
-            slots,
-            completed: 0,
-            errors: ErrorTally::default(),
-            entries: 0,
             restarts: 0,
             failed: None,
             cache: CacheStats::default(),
@@ -115,7 +105,7 @@ impl JobState {
     /// Whether every partition has merged and, on a store-backed daemon,
     /// the completion commit has been attempted.
     pub fn is_complete(&self) -> bool {
-        self.completed == self.slots.len() && self.failed.is_none() && !self.commit_pending
+        self.slots.is_full() && self.failed.is_none() && !self.commit_pending
     }
 
     /// Whether the job can make no further progress (complete or failed).
@@ -130,7 +120,8 @@ impl JobState {
 
     /// Merges one completed partition. Returns `false` (and changes
     /// nothing) if the slot was already filled — the no-double-count
-    /// guarantee for restarted partitions.
+    /// guarantee for restarted partitions. The merge that fills the last
+    /// slot fails the job if the run is over its error budget.
     pub fn merge_partition(
         &mut self,
         partition: usize,
@@ -138,28 +129,14 @@ impl JobState {
         cache: CacheStats,
         snapshot_bytes: u64,
     ) -> bool {
-        let Some(slot) = self.slots.get_mut(partition) else {
-            return false;
-        };
-        if slot.is_some() {
+        if self.slots.fill(partition, log).is_err() {
             return false;
         }
-        self.errors.merge(&log.summary.errors);
-        self.entries += log.summary.counts.total;
-        *slot = Some(log);
-        self.completed += 1;
+        if let Some(error) = self.slots.over_budget() {
+            self.failed.get_or_insert_with(|| error.to_string());
+        }
         self.cache.merge(&cache);
         self.snapshot_bytes += snapshot_bytes;
-        if self.completed == self.slots.len() && self.failed.is_none() {
-            // The single budget-enforcement point: every partition streamed
-            // leniently; the whole-run defect rate is judged exactly once,
-            // over the merged tallies.
-            if let Err(error) =
-                sparqlog_core::recover::enforce_budget(self.recovery, &self.errors, self.entries)
-            {
-                self.failed = Some(error.to_string());
-            }
-        }
         true
     }
 
@@ -168,10 +145,10 @@ impl JobState {
         JobStatus {
             job: self.id,
             phase: self.phase(),
-            total: self.slots.len() as u64,
-            completed: self.completed as u64,
+            total: self.slots.total() as u64,
+            completed: self.slots.filled() as u64,
             restarts: self.restarts,
-            errors: self.errors.total(),
+            errors: self.slots.errors().total(),
             error: self.failed.clone().unwrap_or_default(),
         }
     }
@@ -180,26 +157,13 @@ impl JobState {
     /// gaps skipped, "Total" row re-merged). When the job is complete this
     /// is byte-identical to the fused engine's report over the same files.
     pub fn report(&self, full: bool) -> JobReport {
-        let datasets: Vec<DatasetAnalysis> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|log| log.analysis.clone())
-            .collect();
-        let mut combined = DatasetAnalysis {
-            label: "Total".to_string(),
-            ..DatasetAnalysis::default()
-        };
-        for dataset in &datasets {
-            combined.merge(dataset);
-        }
-        let corpus = CorpusAnalysis { datasets, combined };
+        let corpus = self.slots.corpus();
         JobReport {
             job: self.id,
             complete: self.is_complete(),
-            completed: self.completed as u64,
-            total: self.slots.len() as u64,
-            errors: self.errors.total(),
+            completed: self.slots.filled() as u64,
+            total: self.slots.total() as u64,
+            errors: self.slots.errors().total(),
             text: if full {
                 report::full_report(&corpus)
             } else {
@@ -211,26 +175,19 @@ impl JobState {
 
 /// The server's job table: id allocation, per-job state behind one lock,
 /// and a condvar so waiters (drain, `Wait` requests) block until jobs settle.
+/// [`Jobs::default`] is empty; ids start at 1, since job 0 means "every
+/// job" to an events request.
 #[derive(Debug, Default)]
 pub struct Jobs {
-    next_id: AtomicU64,
+    accepted: AtomicU64,
     table: Mutex<BTreeMap<u64, JobState>>,
     settled: Condvar,
 }
 
 impl Jobs {
-    /// An empty job table; ids start at 1.
-    pub fn new() -> Jobs {
-        Jobs {
-            next_id: AtomicU64::new(1),
-            table: Mutex::new(BTreeMap::new()),
-            settled: Condvar::new(),
-        }
-    }
-
     /// Jobs accepted so far.
     pub fn accepted(&self) -> u64 {
-        self.next_id.load(Ordering::Acquire) - 1
+        self.accepted.load(Ordering::Acquire)
     }
 
     /// Registers a new job and returns its id.
@@ -240,7 +197,7 @@ impl Jobs {
         recovery: RecoveryPolicy,
         logs: Vec<LogSpec>,
     ) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::AcqRel);
+        let id = self.accepted.fetch_add(1, Ordering::AcqRel) + 1;
         let mut table = self.table.lock().expect("jobs lock");
         table.insert(id, JobState::new(id, population, recovery, logs));
         id
@@ -315,6 +272,7 @@ impl Jobs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparqlog_core::analysis::DatasetAnalysis;
     use sparqlog_core::corpus::LogSummary;
 
     fn sample_logs(n: usize) -> Vec<LogSpec> {
@@ -345,7 +303,7 @@ mod tests {
 
     #[test]
     fn partitions_merge_once_and_phase_progresses() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(2));
         assert_eq!(id, 1);
         assert_eq!(jobs.accepted(), 1);
@@ -379,8 +337,18 @@ mod tests {
     }
 
     #[test]
+    fn a_default_table_has_accepted_nothing_and_numbers_jobs_from_one() {
+        // Job 0 would read as "every job" to `Request::Events`.
+        let jobs = Jobs::default();
+        assert_eq!(jobs.accepted(), 0);
+        let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
+        assert_eq!(id, 1);
+        assert_eq!(jobs.accepted(), 1);
+    }
+
+    #[test]
     fn failures_settle_a_job() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Valid, RecoveryPolicy::Strict, sample_logs(1));
         assert!(!jobs.all_settled());
         jobs.with(id, |job| {
@@ -397,7 +365,7 @@ mod tests {
 
     #[test]
     fn wait_settled_is_woken_by_a_merge_on_another_thread() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
         let cancel = AtomicBool::new(false);
         // The merger starts only once the waiter has seen the job running,
@@ -421,7 +389,7 @@ mod tests {
 
     #[test]
     fn wait_settled_times_out_running_and_knows_no_unknown_job() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
         let cancel = AtomicBool::new(false);
         for timeout in [Duration::ZERO, Duration::from_millis(30)] {
@@ -439,7 +407,7 @@ mod tests {
 
     #[test]
     fn wait_settled_returns_when_the_cancel_flag_turns_true() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
         let cancel = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -454,7 +422,7 @@ mod tests {
 
     #[test]
     fn a_pending_commit_keeps_a_merged_job_running_for_clients() {
-        let jobs = Jobs::new();
+        let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
         jobs.with(id, |job| {
             assert!(merge_empty(job, 0));
@@ -487,7 +455,7 @@ mod tests {
 
         // 2 defects in 10_000 entries: within budget:2, over budget:1.
         for (max_per_10k, expect_failed) in [(2u32, false), (1u32, true)] {
-            let jobs = Jobs::new();
+            let jobs = Jobs::default();
             let id = jobs.create(
                 Population::Unique,
                 RecoveryPolicy::ErrorBudget { max_per_10k },

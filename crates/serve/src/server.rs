@@ -312,7 +312,7 @@ impl Server {
             Some(path) => EventLog::with_file(path)?,
             None => EventLog::new(),
         });
-        let jobs = Arc::new(Jobs::new());
+        let jobs = Arc::new(Jobs::default());
         let store = match &config.store_path {
             Some(path) => {
                 let (store, report) = SnapshotStore::open(path)?;
@@ -451,10 +451,11 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
         // A manifest commits in the same fsync as (or after) its
         // snapshots and recovery truncates only suffixes, so the keys
         // must all resolve; guard against a damaged store anyway.
-        if !manifest.logs.iter().all(|log| guard.contains(log.key)) {
+        let hits: Option<Vec<_>> = manifest.logs.iter().map(|log| guard.get(log.key)).collect();
+        let Some(hits) = hits else {
             events.emit("event=warm-skip reason=missing-snapshot");
             continue;
-        }
+        };
         let specs: Vec<LogSpec> = manifest
             .logs
             .iter()
@@ -463,8 +464,7 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
         let job = jobs.create(manifest.population, manifest.recovery, specs);
         jobs.with(job, |state| {
             state.keys = manifest.logs.iter().map(|log| Some(log.key)).collect();
-            for (partition, log) in manifest.logs.iter().enumerate() {
-                let hit = guard.get(log.key).expect("checked above");
+            for (partition, hit) in hits.into_iter().enumerate() {
                 state.merge_partition(partition, Arc::clone(hit), CacheStats::default(), 0);
             }
         });

@@ -24,12 +24,13 @@
 //! With a [`SnapshotStore`] attached, submit hashes each log's canonical
 //! identity first — outside the store lock, the job's logs spread over the
 //! available cores — and then looks the keys up: logs whose analysis the
-//! store already holds merge immediately (`store-hit`, no worker process),
-//! the rest run as usual and each snapshot is staged into the store just
-//! before its partition merges. When the last partition merges, the job's
-//! manifest is staged and everything is committed durably in one fsync
-//! (`store-commit`) — so a restarted daemon warm-starts the job and a
-//! resubmission is pure store hits. Only after that commit has been
+//! store already holds merge immediately (`store-hit`, no worker process)
+//! when the store-hit rule ([`PersistedLog::usable_under`]) allows it under
+//! the job's policy; the rest run as usual and each snapshot is staged into
+//! the store just before its partition merges. When the last partition
+//! merges, the job's manifest is staged and everything is committed durably
+//! in one fsync (`store-commit`) — so a restarted daemon warm-starts the job
+//! and a resubmission is pure store hits. Only after that commit has been
 //! attempted does the job read as `Complete` to clients
 //! ([`JobState::commit_pending`]).
 
@@ -176,39 +177,32 @@ impl Supervisor {
         // Identity pass: hash each log (no parsing), then pull store hits.
         // Hashing is the expensive half and touches no shared state, so it
         // runs before the store lock is taken — concurrent submits hash in
-        // parallel and serialise only on the lookups. A hit is usable unless
-        // the resolved policy is strict and the persisted tally has defects
-        // — strict must re-analyse and reproduce the failure, exactly like
-        // the incremental engine.
+        // parallel and serialise only on the lookups. A hit is taken only
+        // when the store-hit rule allows it under this job's policy.
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
-        let mut hits: Vec<(usize, Arc<PersistedLog>)> = Vec::new();
+        let mut hits: Vec<Option<Arc<PersistedLog>>> = vec![None; logs.len()];
         if let Some(store) = &self.shared.store {
             keys = hash_identities(population, &logs);
-            let policy = recovery.resolve();
             let guard = store.lock().expect("snapshot store");
-            for (partition, key) in keys.iter().enumerate() {
-                // An unhashable log stays keyless; the worker will report it.
-                let Some(hit) = key.and_then(|key| guard.get(key)) else {
-                    continue;
-                };
-                if !matches!(policy, RecoveryPolicy::Strict) || hit.summary.errors.defects() == 0 {
-                    hits.push((partition, Arc::clone(hit)));
-                }
-            }
+            // An unhashable log stays keyless; the worker will report it.
+            let hit = |key: &Option<u128>| key.and_then(|key| guard.get(key)).cloned();
+            let usable = |hit: &Arc<PersistedLog>| hit.usable_under(recovery);
+            hits = keys.iter().map(|key| hit(key).filter(usable)).collect();
         }
         self.shared
             .jobs
             .with(job, |state| state.keys = keys.clone());
 
-        let mut from_store = vec![false; logs.len()];
         let mut completed_now = false;
-        for (partition, hit) in hits {
-            from_store[partition] = true;
+        for (partition, hit) in hits.iter().enumerate() {
+            let Some(hit) = hit else {
+                continue;
+            };
             completed_now |= merge_partition(
                 &self.shared,
                 job,
                 partition,
-                hit,
+                Arc::clone(hit),
                 CacheStats::default(),
                 0,
                 |merged| {
@@ -223,10 +217,8 @@ impl Supervisor {
         }
 
         let mut queue = self.shared.queue.lock().expect("supervisor queue");
-        for (partition, log) in logs.into_iter().enumerate() {
-            if from_store[partition] {
-                continue;
-            }
+        let misses = logs.into_iter().enumerate().zip(&hits);
+        for ((partition, log), _) in misses.filter(|(_, hit)| hit.is_none()) {
             queue.push_back(PartitionTask {
                 job,
                 partition,
@@ -644,7 +636,7 @@ mod tests {
 
     #[test]
     fn spawn_failures_exhaust_restarts_and_fail_the_job() {
-        let jobs = Arc::new(Jobs::new());
+        let jobs = Arc::new(Jobs::default());
         let events = Arc::new(EventLog::new());
         let config = SupervisorConfig {
             worker: WorkerCommand::new("/definitely/not/a/real/worker"),
@@ -682,50 +674,124 @@ mod tests {
         supervisor.shutdown();
     }
 
-    #[test]
-    fn resubmitted_and_warm_started_jobs_share_the_store_allocation() {
-        let dir = std::env::temp_dir().join(format!("sparqlog-serve-share-{}", std::process::id()));
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("sparqlog-serve-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("a.log");
-        std::fs::write(&path, "ASK { ?s ?p ?o }\n").unwrap();
-        let key = file_identity(Population::Unique, "a", &path).unwrap();
+        dir
+    }
+
+    /// A one-log file `label.log` in `dir`.
+    fn write_log(dir: &std::path::Path, label: &str) -> LogSpec {
+        let log = LogSpec::new(label, dir.join(format!("{label}.log")));
+        std::fs::write(&log.path, "ASK { ?s ?p ?o }\n").unwrap();
+        log
+    }
+
+    /// A store in `dir` holding, for each `(log, defects)`, an empty
+    /// snapshot with that many defects under the log's current identity,
+    /// and a one-slot supervisor over it whose worker never launches: a
+    /// partition either merges from the store or fails its job.
+    fn store_only(
+        dir: &std::path::Path,
+        logs: &[(&LogSpec, u64)],
+    ) -> (
+        Supervisor,
+        Arc<Jobs>,
+        Arc<EventLog>,
+        Arc<Mutex<SnapshotStore>>,
+    ) {
         let (mut store, _) = SnapshotStore::open(dir.join("store.sqps")).unwrap();
-        let log = PersistedLog {
-            summary: sparqlog_core::LogSummary {
-                label: "a".to_string(),
+        for (log, defects) in logs {
+            let mut errors = sparqlog_core::ErrorTally::default();
+            for position in 0..*defects {
+                errors.record(sparqlog_core::ErrorKind::InvalidUtf8, position);
+            }
+            let summary = sparqlog_core::LogSummary {
+                label: log.label.clone(),
                 counts: Default::default(),
                 occurrences: Vec::new(),
-                errors: Default::default(),
-            },
-            analysis: Default::default(),
-        };
-        assert!(store.record_snapshot(key, &log).unwrap());
+                errors,
+            };
+            let snapshot = PersistedLog {
+                summary,
+                analysis: Default::default(),
+            };
+            let key = file_identity(Population::Unique, &log.label, &log.path).unwrap();
+            assert!(store.record_snapshot(key, &snapshot).unwrap());
+        }
         store.commit().unwrap();
         let store = Arc::new(Mutex::new(store));
-
-        // Every log is a store hit, so the unlaunchable worker never runs.
-        let jobs = Arc::new(Jobs::new());
+        let jobs = Arc::new(Jobs::default());
+        let events = Arc::new(EventLog::new());
         let config = SupervisorConfig {
             worker: WorkerCommand::new("/definitely/not/a/real/worker"),
             slots: 1,
+            max_restarts: 0,
             ..SupervisorConfig::default()
         };
         let supervisor = Supervisor::start(
             config,
             Arc::clone(&jobs),
-            Arc::new(EventLog::new()),
+            Arc::clone(&events),
             Some(Arc::clone(&store)),
         );
-        let (job, _) = supervisor.submit(
-            Population::Unique,
-            RecoveryPolicy::Lenient,
-            vec![LogSpec::new("a", &path)],
-        );
+        (supervisor, jobs, events, store)
+    }
+
+    /// Where `job`'s partitions went once it settled: the ones merged from
+    /// the store, and the ones sent to the (unlaunchable) worker.
+    fn routed(jobs: &Jobs, events: &EventLog, job: u64) -> [Vec<u64>; 2] {
+        assert!(jobs.wait_all_settled(Duration::from_secs(10)));
+        let records = events.records_for_job(job);
+        ["store-hit", "worker-death"].map(|event| {
+            let records = records.iter().filter(|record| record.event() == event);
+            records
+                .filter_map(|record| record.u64("partition"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn store_hits_follow_the_hit_rule_and_the_current_identity() {
+        let dir = scratch("routing");
+        let logs = vec![write_log(&dir, "clean"), write_log(&dir, "dirty")];
+        let (supervisor, jobs, events, _store) = store_only(&dir, &[(&logs[0], 0), (&logs[1], 1)]);
+        let submit = |policy| {
+            supervisor
+                .submit(Population::Unique, policy, logs.clone())
+                .0
+        };
+        // Strict must re-analyse a log with defects to reproduce its
+        // failure; a recovering policy takes the stored result.
+        let job = submit(RecoveryPolicy::Strict);
+        assert_eq!(routed(&jobs, &events, job), [vec![0], vec![1]]);
+        let job = submit(RecoveryPolicy::Lenient);
+        assert_eq!(routed(&jobs, &events, job), [vec![0, 1], vec![]]);
+        let phase = jobs.with(job, |state| state.phase());
+        assert_eq!(phase, Some(crate::protocol::JobPhase::Complete));
+        // Appending to a log changes its identity: only it misses.
+        let mut file = std::fs::OpenOptions::new().append(true).open(&logs[0].path);
+        std::io::Write::write_all(file.as_mut().unwrap(), b"ASK { ?x ?y ?z }\n").unwrap();
+        let job = submit(RecoveryPolicy::Lenient);
+        assert_eq!(routed(&jobs, &events, job), [vec![1], vec![0]]);
+        supervisor.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resubmitted_and_warm_started_jobs_share_the_store_allocation() {
+        let dir = scratch("share");
+        let log = write_log(&dir, "a");
+        let key = file_identity(Population::Unique, "a", &log.path).unwrap();
+        // Every log is a store hit, so the unlaunchable worker never runs.
+        let (supervisor, jobs, _events, store) = store_only(&dir, &[(&log, 0)]);
+        let (job, _) = supervisor.submit(Population::Unique, RecoveryPolicy::Lenient, vec![log]);
         let phase = jobs.with(job, |state| state.phase()).unwrap();
         assert_eq!(phase, crate::protocol::JobPhase::Complete);
         // A restarted daemon restores the job from its committed manifest.
-        let restored = Jobs::new();
+        let restored = Jobs::default();
         crate::server::warm_start(&store, &restored, &EventLog::new());
         let phase = restored.with(1, |state| state.phase()).unwrap();
         assert_eq!(phase, crate::protocol::JobPhase::Complete);

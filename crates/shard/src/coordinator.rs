@@ -9,10 +9,12 @@
 //! of `n` gets logs `i, i + n, i + 2n, …`). A log never splits across
 //! shards, because the *Unique* population folds each distinct fingerprint
 //! once **per log** — a fingerprint straddling two shards of one log would
-//! double-fold. At log granularity every per-log [`DatasetAnalysis`] a
-//! worker computes is exactly what the unsharded fused engine computes for
-//! that log (per-dataset folds never read other logs), so reassembling the
-//! datasets in input order and re-merging the "Total" row reproduces the
+//! double-fold. At log granularity every per-log
+//! [`DatasetAnalysis`](sparqlog_core::DatasetAnalysis) a worker computes is
+//! exactly what the unsharded fused engine computes for that log
+//! (per-dataset folds never read other logs), so reassembling the datasets
+//! in input order and re-merging the "Total" row — through
+//! [`LogSlots`], as the serve job table does — reproduces the
 //! single-process report byte for byte, at any shard count and any
 //! per-worker thread count. (Summaries of a log *split* across processes
 //! can still be combined with [`LogSummary::merge`] — the wire format
@@ -32,13 +34,14 @@ use crate::codec::DecodeError;
 use crate::snapshot::WorkerSnapshot;
 use crate::supervise::WorkerLaunch;
 use crate::worker::AssignedLog;
-use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
+use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::LogSummary;
-use sparqlog_core::{BudgetExceeded, RecoveryPolicy};
+use sparqlog_core::{BudgetExceeded, LogSlots, PersistedLog, RecoveryPolicy, Refused};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One log of the corpus to analyse: a dataset label and the file holding
 /// its entries (one per line).
@@ -535,9 +538,11 @@ pub fn analyze_sharded_all(
         return Err(ShardFailure { errors });
     }
 
-    // Reassemble the corpus in input order.
-    let mut slots: Vec<Option<(LogSummary, DatasetAnalysis)>> =
-        (0..logs.len()).map(|_| None).collect();
+    // Reassemble the corpus in input order. A budgeted policy is metered
+    // once, when the last slot fills, over the merged tallies: the workers
+    // streamed leniently, so the verdict matches the unsharded engines. It
+    // is reported only once every frame is known to be well placed.
+    let mut slots = LogSlots::new(logs.len(), options.recovery);
     let mut cache = CacheStats::default();
     let mut shard_stats = Vec::with_capacity(outputs.len());
     let registry = sparqlog_obs::global();
@@ -562,61 +567,26 @@ pub fn analyze_sharded_all(
             snapshot_bytes: output.bytes,
         });
         for frame in output.snapshot.logs {
-            let index = usize::try_from(frame.index)
-                .ok()
-                .filter(|&i| i < logs.len())
-                .ok_or(ShardError::UnknownLog {
-                    shard,
-                    index: frame.index,
-                })?;
-            let slot = &mut slots[index];
-            if slot.is_some() {
-                return Err(ShardError::DuplicateLog {
-                    shard,
-                    index: frame.index,
-                }
-                .into());
-            }
-            *slot = Some((frame.summary, frame.analysis));
+            let index = frame.index;
+            let log = Arc::new(PersistedLog {
+                summary: frame.summary,
+                analysis: frame.analysis,
+            });
+            let slot = usize::try_from(index).unwrap_or(usize::MAX);
+            slots.fill(slot, log).map_err(|refused| match refused {
+                Refused::OutOfRange => ShardError::UnknownLog { shard, index },
+                Refused::Filled => ShardError::DuplicateLog { shard, index },
+            })?;
         }
     }
-
-    let mut summaries = Vec::with_capacity(logs.len());
-    let mut datasets = Vec::with_capacity(logs.len());
-    for (index, slot) in slots.into_iter().enumerate() {
-        let Some((summary, analysis)) = slot else {
-            return Err(ShardError::MissingLog {
-                index,
-                label: logs[index].label.clone(),
-            }
-            .into());
-        };
-        summaries.push(summary);
-        datasets.push(analysis);
+    if let Some(error) = slots.over_budget() {
+        let error = error.clone();
+        return Err(ShardError::Budget { error }.into());
     }
-
-    // The deterministic tail of the single-process engine: merge the
-    // per-dataset analyses (exact integer sums and maxima) into the "Total"
-    // row, in input order.
-    let mut combined = DatasetAnalysis {
-        label: "Total".to_string(),
-        ..DatasetAnalysis::default()
-    };
-    for dataset in &datasets {
-        combined.merge(dataset);
-    }
-    let corpus = CorpusAnalysis { datasets, combined };
-    // A budgeted policy is metered exactly once, here, over the merged
-    // tallies — the workers streamed leniently, so every partition's
-    // defects are present and the verdict matches the unsharded engines.
-    if let Err(error) = corpus.enforce_budget(options.recovery) {
-        let budget = error
-            .get_ref()
-            .and_then(|payload| payload.downcast_ref::<BudgetExceeded>())
-            .cloned()
-            .expect("enforce_budget fails only with a BudgetExceeded payload");
-        return Err(ShardError::Budget { error: budget }.into());
-    }
+    let (summaries, corpus) = slots.into_parts().map_err(|index| ShardError::MissingLog {
+        index,
+        label: logs[index].label.clone(),
+    })?;
     Ok(ShardedAnalysis {
         summaries,
         corpus,

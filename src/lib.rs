@@ -45,9 +45,8 @@
 //! * [`persist`] — the crash-safe snapshot store behind `--store`:
 //!   checksummed append-only records, explicit commit points, fsync
 //!   discipline, and a recovery scan that truncates torn tails and names
-//!   exactly what was dropped. [`core::analyze_files_incremental`] and
-//!   the serve daemon use it to re-serve settled work without
-//!   re-analysis (warm starts, resubmission dedup).
+//!   exactly what was dropped. The serve daemon uses it to re-serve
+//!   settled work without re-analysis (warm starts, resubmission dedup).
 //!
 //! Offline shims for the third-party dependencies live under `vendor/` (see
 //! `vendor/README.md`), and the `sparqlog-paper` binary reproduces every

@@ -47,11 +47,8 @@ fn duplicate_heavy_corpus() -> Vec<RawLog> {
     raw
 }
 
-// This test and `fused_reports_match_staged_on_synthesized_corpora` keep
-// "staged" in their names from the pipeline they used to compare against;
-// the reference is now the sequential oracle.
 #[test]
-fn fused_matches_staged_on_the_fixed_corpus_across_workers_and_batches() {
+fn fused_matches_oracle_on_the_fixed_corpus_across_workers_and_batches() {
     let raw = duplicate_heavy_corpus();
     for population in [Population::Unique, Population::Valid] {
         let reference = analyze_reference(&raw, population);
@@ -188,7 +185,7 @@ proptest! {
     /// Fused and oracle reports agree on any synthesized corpus, for any
     /// worker count and batch size, on both populations.
     #[test]
-    fn fused_reports_match_staged_on_synthesized_corpora(
+    fn fused_reports_match_oracle_on_synthesized_corpora(
         seed in 0u64..5_000,
         dataset_idx in 0usize..13,
         workers in 1usize..9,

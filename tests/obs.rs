@@ -120,10 +120,8 @@ fn oracle_report(logs: &[LogSpec]) -> String {
     full_report(&analyze_reference(&raw, Population::Unique))
 }
 
-// ("staged" in the name dates from the pipeline this test used to cover as
-// well; the second party is now the sequential oracle.)
 #[test]
-fn fused_and_staged_reports_are_byte_identical_with_metrics_on_and_off() {
+fn fused_and_oracle_reports_are_byte_identical_with_metrics_on_and_off() {
     let _guard = OBS_LOCK.lock().unwrap();
     let scratch = Scratch::new("fused");
     let logs = write_corpus(scratch.path());

@@ -1,16 +1,15 @@
-//! The persistent snapshot store, end to end: the incremental engine's
-//! cold run must be byte-identical to the fused engine's and its warm run
-//! must re-serve everything from the store with zero re-analyses; the
-//! daemon run with a store must warm-start settled jobs after a restart
-//! and answer resubmissions as pure store hits (no worker processes),
-//! again byte-identically; and a real `sparqlog-serve` process killed at
-//! each injected point of the commit protocol must leave a store its
-//! successor recovers and re-serves from, byte-identically once more.
+//! The persistent snapshot store, end to end: a daemon run with a store must
+//! report byte-identically to the fused engine, warm-start settled jobs
+//! after a restart and answer resubmissions as pure store hits (no worker
+//! processes), again byte-identically, while a submission for the other
+//! population misses; and a real `sparqlog-serve` process killed at each
+//! injected point of the commit protocol must leave a store its successor
+//! recovers and re-serves from, byte-identically once more.
 
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
-use sparqlog::core::{analyze_files_incremental, Population, RecoveryPolicy};
-use sparqlog::persist::{FaultMode, SnapshotStore, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
+use sparqlog::core::{Population, RecoveryPolicy};
+use sparqlog::persist::{FaultMode, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
 use sparqlog::serve::{
     Client, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
 };
@@ -101,12 +100,6 @@ fn fused_reference(logs: &[LogSpec], population: Population) -> String {
     full_report(&fused.corpus)
 }
 
-fn file_specs(logs: &[LogSpec]) -> Vec<(String, PathBuf)> {
-    logs.iter()
-        .map(|log| (log.label.clone(), log.path.clone()))
-        .collect()
-}
-
 fn submit_specs(logs: &[LogSpec]) -> Vec<(String, String)> {
     logs.iter()
         .map(|log| (log.label.clone(), log.path.display().to_string()))
@@ -144,62 +137,6 @@ fn start_server(
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());
     (addr, handle, runner)
-}
-
-#[test]
-fn incremental_cold_run_matches_fused_and_warm_run_reanalyses_nothing() {
-    let scratch = Scratch::new("incremental");
-    let logs = write_corpus(scratch.path());
-    let files = file_specs(&logs);
-    let reference = fused_reference(&logs, Population::Unique);
-    let store_path = scratch.path().join("snapshots.sqps");
-
-    // Cold: every log is a miss, analysed and persisted.
-    let (mut store, report) = SnapshotStore::open(&store_path).expect("create store");
-    assert!(report.is_clean());
-    let cold = analyze_files_incremental(
-        &files,
-        Population::Unique,
-        FusedOptions::default(),
-        &mut store,
-    )
-    .expect("cold incremental run");
-    assert_eq!(cold.stats.hits, 0);
-    assert_eq!(cold.stats.misses, files.len() as u64);
-    assert_eq!(full_report(&cold.corpus), reference);
-    store.commit().expect("commit snapshots");
-    drop(store);
-
-    // Warm, through a fresh open (the recovery scan): zero re-analyses,
-    // byte-identical report.
-    let (mut store, report) = SnapshotStore::open(&store_path).expect("reopen store");
-    assert!(report.is_clean(), "{report}");
-    assert_eq!(store.snapshots(), files.len());
-    let warm = analyze_files_incremental(
-        &files,
-        Population::Unique,
-        FusedOptions::default(),
-        &mut store,
-    )
-    .expect("warm incremental run");
-    assert_eq!(warm.stats.misses, 0);
-    assert_eq!(warm.stats.hits, files.len() as u64);
-    assert_eq!(full_report(&warm.corpus), reference);
-
-    // The populations key separately: a Valid-population run over the same
-    // files is all misses, not wrong answers.
-    let valid = analyze_files_incremental(
-        &files,
-        Population::Valid,
-        FusedOptions::default(),
-        &mut store,
-    )
-    .expect("valid-population run");
-    assert_eq!(valid.stats.hits, 0);
-    assert_eq!(
-        full_report(&valid.corpus),
-        fused_reference(&logs, Population::Valid)
-    );
 }
 
 #[test]
@@ -273,6 +210,21 @@ fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
     assert!(
         !lines.iter().any(|l| l.contains("event=worker-start")),
         "a worker was spawned for fully-persisted logs: {lines:?}"
+    );
+
+    // The population is part of a log's identity: the same logs submitted
+    // for the Valid population miss the warm store and are analysed afresh.
+    let (valid_job, _) = client
+        .submit(Population::Valid, RecoveryPolicy::Auto, submit_specs(&logs))
+        .expect("submit valid");
+    let status = client.wait_settled(valid_job, SETTLE).expect("wait valid");
+    assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+    let valid = client.report(valid_job, true).expect("valid report");
+    assert_eq!(valid.text, fused_reference(&logs, Population::Valid));
+    let lines = client.events(valid_job).expect("events");
+    assert!(
+        !lines.iter().any(|l| l.contains("event=store-hit")),
+        "a Valid-population job hit Unique-population snapshots: {lines:?}"
     );
 
     handle.stop();

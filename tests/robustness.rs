@@ -16,7 +16,7 @@ use sparqlog::core::corpus::{
 use sparqlog::core::report::full_report;
 use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RawLog, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
-use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
+use sparqlog::shard::{analyze_sharded, LogSpec, ShardError, ShardOptions, WorkerCommand};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -305,15 +305,36 @@ fn error_budget_passes_and_fails_on_its_exact_boundary() {
         fused_options(2, RecoveryPolicy::ErrorBudget { max_per_10k: 2307 }),
     )
     .expect_err("one fewer per-10k must trip the budget");
-    let budget = error
-        .get_ref()
-        .and_then(|payload| payload.downcast_ref::<BudgetExceeded>())
-        .expect("budget failures carry the BudgetExceeded payload");
-    assert_eq!(budget.defects, 3);
-    assert_eq!(budget.total, 13);
-    assert_eq!(budget.max_per_10k, 2307);
-    // The tally survives the failure: the caller still sees what went wrong.
-    assert_adversarial_tally(&budget.tally);
+    let over_budget = |budget: &BudgetExceeded| {
+        assert_eq!(budget.defects, 3);
+        assert_eq!(budget.total, 13);
+        assert_eq!(budget.max_per_10k, 2307);
+        // The tally survives the failure: the caller still sees what went
+        // wrong.
+        assert_adversarial_tally(&budget.tally);
+    };
+    over_budget(
+        error
+            .get_ref()
+            .and_then(|payload| payload.downcast_ref::<BudgetExceeded>())
+            .expect("budget failures carry the BudgetExceeded payload"),
+    );
+
+    // The shard coordinator meters the same budget once, over the tallies
+    // its leniently streaming workers shipped, and reaches the same verdict.
+    let sharded = |max_per_10k| {
+        let options = ShardOptions {
+            recovery: RecoveryPolicy::ErrorBudget { max_per_10k },
+            ..ShardOptions::new(WorkerCommand::new(WORKER))
+        };
+        analyze_sharded(&logs, Population::Unique, &options)
+    };
+    let within = sharded(2308).expect("a sharded run on the budget boundary passes");
+    assert_adversarial_tally(&within.summaries[0].errors);
+    match sharded(2307) {
+        Err(ShardError::Budget { error }) => over_budget(&error),
+        other => panic!("expected a sharded budget failure, got {other:?}"),
+    }
 }
 
 #[test]
