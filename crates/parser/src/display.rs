@@ -525,6 +525,133 @@ mod tests {
         }
     }
 
+    /// The canonical writer pinned byte for byte: literal canonical text and
+    /// FNV-1a fingerprint for queries that between them take every branch
+    /// of the writer — the four query forms with dataset clauses, every
+    /// group element and expression variant, every path operator and
+    /// negated sets, aggregates with `SEPARATOR`, `VALUES` with `UNDEF`,
+    /// `LIMIT`/`OFFSET` above 2³², relative IRIs and IRIs that look like
+    /// prefixed names, and literals with escapes, a language tag and a
+    /// datatype. Every canonical form here re-parses to itself, so no
+    /// change to the writer may move any of these bytes.
+    #[test]
+    fn canonical_writer_is_pinned_byte_for_byte() {
+        const GOLDEN: [(&str, &str, u128); 20] = [
+            (
+                r#"SELECT DISTINCT ?s (COUNT(DISTINCT ?o) AS ?n) FROM <http://g> FROM NAMED <http://n> WHERE { ?s <http://p> ?o } GROUP BY ?s (STR(?o) AS ?k) HAVING (COUNT(*) > 1) ORDER BY ASC(?s) DESC(?n) LIMIT 4294967297 OFFSET 18446744073709551615"#,
+                r#"SELECT DISTINCT ?s (COUNT(DISTINCT ?o) AS ?n) FROM <http://g> FROM NAMED <http://n> WHERE { ?s <http://p> ?o . } GROUP BY ?s (STR(?o) AS ?k) HAVING (COUNT(*) > "1"^^<http://www.w3.org/2001/XMLSchema#integer>) ORDER BY ASC(?s) DESC(?n) LIMIT 4294967297 OFFSET 18446744073709551615"#,
+                0x6228aaf70f12c6c2cd2398d5eebd35b9,
+            ),
+            (
+                r#"SELECT REDUCED * WHERE { ?s ?p ?o } LIMIT 0 OFFSET 10"#,
+                r#"SELECT REDUCED * WHERE { ?s ?p ?o . } LIMIT 0 OFFSET 10"#,
+                0x79f3aae356354b6f55614ed7d2181c86,
+            ),
+            (
+                r#"ASK FROM <http://g> FROM NAMED <http://n> { GRAPH ?g { ?s ?p ?o } GRAPH <http://n> { ?s <http://q> ?z } }"#,
+                r#"ASK FROM <http://g> FROM NAMED <http://n> WHERE { GRAPH ?g { ?s ?p ?o . } GRAPH <http://n> { ?s <http://q> ?z . } }"#,
+                0x80943efb06298218223f85cb0c5e1f1c,
+            ),
+            (
+                r#"CONSTRUCT { ?s <http://q> ?o . ?o a <http://C> } FROM <http://g> WHERE { ?s <http://p> ?o }"#,
+                r#"CONSTRUCT { ?s <http://q> ?o . ?o <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://C> . } FROM <http://g> WHERE { ?s <http://p> ?o . }"#,
+                0x5a6f99aef2bede4a889be2a51009ba24,
+            ),
+            (
+                r#"CONSTRUCT WHERE { ?s <http://p> ?o }"#,
+                r#"CONSTRUCT WHERE { ?s <http://p> ?o . }"#,
+                0x5f754ea3aeb0207cbe8b3aacf1d328ef,
+            ),
+            (
+                r#"DESCRIBE ?x <http://r> <ex:local> FROM NAMED <http://n> WHERE { ?x <http://p> <http://r> }"#,
+                r#"DESCRIBE ?x <http://r> ex:local FROM NAMED <http://n> WHERE { ?x <http://p> <http://r> . }"#,
+                0xec9b765524f0425320658cc5b9f2788a,
+            ),
+            (
+                r#"DESCRIBE *"#,
+                r#"DESCRIBE *"#,
+                0xd2b7df10616a682802cec6136525b65e,
+            ),
+            (
+                r#"SELECT * WHERE { ?s ^<http://a>/(<http://b>|<http://c>)*/<http://d>+/<http://e>? ?o . ?o !(<http://a>|^<http://b>) ?z . ?z !<http://c> ?w . ?w !^<http://d> ?v }"#,
+                r#"SELECT * WHERE { ?s (((^(<http://a>)/((<http://b>|<http://c>))*)/(<http://d>)+)/(<http://e>)?) ?o . ?o !(<http://a>|^<http://b>) ?z . ?z !(<http://c>) ?w . ?w !(^<http://d>) ?v . }"#,
+                0x42e49bc30faa7dfd7e30f5db63feb087,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://p> ?y OPTIONAL { ?y <http://q> ?z } { ?x <http://a> ?b } UNION { ?x <http://c> ?b } UNION { ?x <http://d> ?b } MINUS { ?x <http://e> ?y } { ?x <http://f> ?g } }"#,
+                r#"SELECT ?x WHERE { ?x <http://p> ?y . OPTIONAL { ?y <http://q> ?z . } { ?x <http://a> ?b . } UNION { ?x <http://c> ?b . } UNION { ?x <http://d> ?b . } MINUS { ?x <http://e> ?y . } { ?x <http://f> ?g . } }"#,
+                0x9b07c4974526a77c6430d5968231a609,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://a> ?y . SERVICE SILENT <http://e> { ?y <http://b> ?z } SERVICE ?ep { ?z <http://c> ?w } BIND(?y + 1 AS ?k) }"#,
+                r#"SELECT ?x WHERE { ?x <http://a> ?y . SERVICE SILENT <http://e> { ?y <http://b> ?z . } SERVICE ?ep { ?z <http://c> ?w . } BIND(?y + "1"^^<http://www.w3.org/2001/XMLSchema#integer> AS ?k) }"#,
+                0xf2d8fb240a7fb13b911f4e2270f82051,
+            ),
+            (
+                r#"SELECT ?x ?y WHERE { VALUES ?x { <http://v> UNDEF "w"@en 3 } ?x <http://p> ?y } VALUES (?x ?y) { (<http://v> UNDEF) (UNDEF 2.5) (true 1e3) }"#,
+                r#"SELECT ?x ?y WHERE { VALUES (?x) { (<http://v>) (UNDEF) ("w"@en) ("3"^^<http://www.w3.org/2001/XMLSchema#integer>) } ?x <http://p> ?y . } VALUES (?x ?y) { (<http://v> UNDEF) (UNDEF "2.5"^^<http://www.w3.org/2001/XMLSchema#decimal>) ("true"^^<http://www.w3.org/2001/XMLSchema#boolean> "1e3"^^<http://www.w3.org/2001/XMLSchema#double>) }"#,
+                0x4e78bf905cb4b083342766a3d0bf700a,
+            ),
+            (
+                r#"SELECT ?x WHERE { { SELECT DISTINCT ?x (MAX(?v) AS ?m) WHERE { ?x <http://p> ?v } GROUP BY ?x HAVING (MAX(?v) > 1) ORDER BY DESC(?m) LIMIT 5 OFFSET 2 } ?x <http://q> ?w }"#,
+                r#"SELECT ?x WHERE { { SELECT DISTINCT ?x (MAX(?v) AS ?m) WHERE { ?x <http://p> ?v . } GROUP BY ?x HAVING (MAX(?v) > "1"^^<http://www.w3.org/2001/XMLSchema#integer>) ORDER BY DESC(?m) LIMIT 5 OFFSET 2 } ?x <http://q> ?w . }"#,
+                0xa8fb732deac82684e631cfebfdf10fa9,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://p> ?v FILTER(?v = 1 || ?v != 2 && ?v < 3) FILTER(?v > 4 && ?v <= 5 || ?v >= 6) FILTER((?v + 1) - 2 * 3 / 4 > 0) }"#,
+                r#"SELECT ?x WHERE { ?x <http://p> ?v . FILTER((?v = "1"^^<http://www.w3.org/2001/XMLSchema#integer>) || ((?v != "2"^^<http://www.w3.org/2001/XMLSchema#integer>) && (?v < "3"^^<http://www.w3.org/2001/XMLSchema#integer>))) FILTER(((?v > "4"^^<http://www.w3.org/2001/XMLSchema#integer>) && (?v <= "5"^^<http://www.w3.org/2001/XMLSchema#integer>)) || (?v >= "6"^^<http://www.w3.org/2001/XMLSchema#integer>)) FILTER(((?v + "1"^^<http://www.w3.org/2001/XMLSchema#integer>) - (("2"^^<http://www.w3.org/2001/XMLSchema#integer> * "3"^^<http://www.w3.org/2001/XMLSchema#integer>) / "4"^^<http://www.w3.org/2001/XMLSchema#integer>)) > "0"^^<http://www.w3.org/2001/XMLSchema#integer>) }"#,
+                0xa7c19f90caf41638a03d9c863eb07931,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://p> ?v FILTER(?v IN (1, 2.5, "three")) FILTER(?x NOT IN (<http://a>, <http://b>)) FILTER(!BOUND(?w)) FILTER(-?v < +?v) FILTER(!(?v = 1)) }"#,
+                r#"SELECT ?x WHERE { ?x <http://p> ?v . FILTER(?v IN ("1"^^<http://www.w3.org/2001/XMLSchema#integer>, "2.5"^^<http://www.w3.org/2001/XMLSchema#decimal>, "three")) FILTER(?x NOT IN (<http://a>, <http://b>)) FILTER(!BOUND(?w)) FILTER((-?v) < (+?v)) FILTER(!(?v = "1"^^<http://www.w3.org/2001/XMLSchema#integer>)) }"#,
+                0xedf119eea709efa384c79e8deb5acb53,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://p> ?v FILTER(EXISTS { ?x <http://r> ?w } || NOT EXISTS { ?x <http://s> -3 }) FILTER(<http://f/g>(?v, ?x) && <ex:fn>(?v) && REGEX(STR(?x), "^a", "i") && SHA256(?v) != "") }"#,
+                r#"SELECT ?x WHERE { ?x <http://p> ?v . FILTER((EXISTS { ?x <http://r> ?w . }) || (NOT EXISTS { ?x <http://s> "-3"^^<http://www.w3.org/2001/XMLSchema#integer> . })) FILTER(((<http://f/g>(?v, ?x) && <ex:fn>(?v)) && REGEX(STR(?x), "^a", "i")) && (SHA256(?v) != "")) }"#,
+                0x6341304a0746899ffc0c05df3672e205,
+            ),
+            (
+                r#"SELECT (SUM(?v) AS ?s) (MIN(?v) AS ?mi) (AVG(DISTINCT ?v) AS ?a) (SAMPLE(?v) AS ?sa) (GROUP_CONCAT(DISTINCT ?v; SEPARATOR=", ") AS ?g) (GROUP_CONCAT(?v) AS ?h) (COUNT(?v) AS ?c) WHERE { ?x <http://p> ?v } GROUP BY ?x"#,
+                r#"SELECT (SUM(?v) AS ?s) (MIN(?v) AS ?mi) (AVG(DISTINCT ?v) AS ?a) (SAMPLE(?v) AS ?sa) (GROUP_CONCAT(DISTINCT ?v; SEPARATOR = ", ") AS ?g) (GROUP_CONCAT(?v) AS ?h) (COUNT(?v) AS ?c) WHERE { ?x <http://p> ?v . } GROUP BY ?x"#,
+                0x2bcab392c5647065edde29958e85e19e,
+            ),
+            (
+                r#"ASK { ?x <a> ?y . <x> <y> <z> . <ex:pn> <http://p> <?v> . <_:b> <UNDEF> <mailto:me@ex.org> . <urn:isbn:1> <http://p> ?x }"#,
+                r#"ASK WHERE { ?x <a> ?y . <x> <y> <z> . ex:pn <http://p> <?v> . <_:b> <UNDEF> <mailto:me@ex.org> . <urn:isbn:1> <http://p> ?x . }"#,
+                0xcaf6fd420e53dd8ac3bfe201b71af451,
+            ),
+            (
+                r#"BASE <http://b/> PREFIX ex: <http://ex.org/ns#> SELECT ?n WHERE { ?p ex:name ?n . ?p <rel> ex: }"#,
+                r#"SELECT ?n WHERE { ?p <http://ex.org/ns#name> ?n . ?p <rel> <http://ex.org/ns#> . }"#,
+                0xec1b02a91f22a6cb08871539b3ad2e62,
+            ),
+            (
+                r#"SELECT ?x WHERE { ?x <http://p> "tab\there \"quoted\" back\\slash\nnew\rret" , 'single' , "typed"^^<http://dt> , "chat"@fr-BE , """long "quoted" text""" , "café ünï 漢字" }"#,
+                r#"SELECT ?x WHERE { ?x <http://p> "tab\there \"quoted\" back\\slash\nnew\rret" . ?x <http://p> "single" . ?x <http://p> "typed"^^<http://dt> . ?x <http://p> "chat"@fr-BE . ?x <http://p> "long \"quoted\" text" . ?x <http://p> "café ünï 漢字" . }"#,
+                0xb034422872a01fa7f440cf907d85e0c0,
+            ),
+            (
+                r#"SELECT ?n WHERE { ?x <http://knows> [ <http://name> ?n ; a <http://Person> ] . [] <http://p> ?x . ?x <http://list> (1 ?y <http://z>) . ?x <http://q> _:b1 . _:b1 <http://r> false }"#,
+                r#"SELECT ?n WHERE { _:gen1 <http://name> ?n . _:gen1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://Person> . ?x <http://knows> _:gen1 . _:gen2 <http://p> ?x . _:gen3 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://z> . _:gen3 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> . _:gen4 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> ?y . _:gen4 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> _:gen3 . _:gen5 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> "1"^^<http://www.w3.org/2001/XMLSchema#integer> . _:gen5 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> _:gen4 . ?x <http://list> _:gen5 . ?x <http://q> _:b1 . _:b1 <http://r> "false"^^<http://www.w3.org/2001/XMLSchema#boolean> . }"#,
+                0x17886654a14d84e04447b0b0951f270e,
+            ),
+        ];
+        for (query, text, fingerprint) in GOLDEN {
+            let arena = Arena::new();
+            let parsed = parse_query_in(query, &arena).unwrap_or_else(|e| panic!("{query}: {e}"));
+            assert_eq!(to_canonical_string_ref(&parsed), text, "{query}");
+            assert_eq!(
+                canonical_fingerprint_of_ref(&parsed),
+                fingerprint,
+                "{query}: {:#034x}",
+                canonical_fingerprint_of_ref(&parsed)
+            );
+            assert_eq!(canonical_fingerprint(text), fingerprint, "{query}");
+        }
+    }
+
     #[test]
     fn canonical_form_identifies_whitespace_variants() {
         assert_eq!(
