@@ -129,7 +129,7 @@ pub fn analyze_reference(logs: &[RawLog], population: Population) -> CorpusAnaly
         let mut seen: HashSet<u128> = HashSet::new();
         for (position, entry) in log.entries.iter().enumerate() {
             arena.reset();
-            let query = match ctx.parse_entry(entry, &arena, |query| query) {
+            let query = match ctx.parse_entry(entry, &arena, |lexed| lexed.parse()) {
                 Ok(query) => query,
                 Err(error) => {
                     if error.kind == ErrorKind::WorkerPanic {

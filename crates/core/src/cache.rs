@@ -22,13 +22,13 @@
 //! analyses every occurrence from scratch.
 //!
 //! The engine applies the same argument one level down. In front of the
-//! parser each worker keeps a small raw-entry memo ([`crate::fused`]) keyed
-//! by a 128-bit hash of the entry's *bytes* and holding what those bytes
-//! decide — the fingerprint, or a plain lex/syntax failure. Equal bytes ⇒
-//! equal tokens ⇒ equal parse ⇒ equal fingerprint, modulo the same 128-bit
-//! accidental-collision probability accepted above (neither hash is built
-//! to resist an adversary who crafts collisions). Outcomes that depend on
-//! more than the bytes — resource guards, the panic drill, anything the
+//! parser each worker keeps a small entry memo ([`crate::fused`]) keyed by a
+//! 128-bit hash of the entry's *bytes*, or of its *token stream*, and
+//! holding what that key decides — the fingerprint, or a plain lex/syntax
+//! failure. Equal bytes ⇒ equal tokens ⇒ equal parse ⇒ equal fingerprint,
+//! modulo the same 128-bit accidental-collision probability accepted above
+//! (neither hash is built to resist an adversary who crafts collisions).
+//! Outcomes that depend on more than the bytes — resource guards, the panic drill, anything the
 //! run's policy makes fatal — are never held there, and a memoized
 //! fingerprint is only counted when its record is known to exist here. The
 //! oracle has no memo either, so every engine-vs-oracle differential is this

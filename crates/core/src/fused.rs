@@ -6,34 +6,47 @@
 //! canonical form (or to a tallied error) at the cheapest level that knows
 //! it. An entry meets one of three fates:
 //!
-//! * a **memo hit** — these exact bytes were resolved by this worker
+//! * a **memo hit** — this worker resolved these bytes, or these tokens,
 //!   before. A fixed-size, direct-mapped, per-worker entry memo maps a
-//!   128-bit hash of the raw bytes ([`hash128`]) to what the bytes alone
-//!   decide: the canonical fingerprint of a valid entry, or the `Lex` /
-//!   `Syntax` kind of an invalid one. The entry is counted (or tallied at
-//!   its own position) without being lexed, parsed or fingerprinted. Real
-//!   logs repeat byte-identical lines far more often than they respell a
-//!   query, so this is the common case on the paper's corpora;
-//! * a **duplicate form** — new bytes, known canonical form (a respelling,
-//!   or a line another worker or an evicted slot saw). The entry is parsed
-//!   into the worker's arena and fingerprinted by streaming the canonical
-//!   walk into a 128-bit FNV-1a state (no canonical string is built); the
-//!   fingerprint bumps a lock-free per-worker occurrence counter and the
-//!   AST is dropped right there — never pushed into a corpus-wide vec,
-//!   never re-folded;
+//!   128-bit key to what the key alone decides: the canonical fingerprint
+//!   of a valid entry, or the `Lex` / `Syntax` kind of an invalid one. It
+//!   has two kinds of key in one table:
+//!   - the **raw key**, [`hash128`] of the entry's bytes, probed first: a
+//!     hit is counted (or tallied at its own position) without being lexed,
+//!     parsed or fingerprinted. Real logs repeat byte-identical lines far
+//!     more often than they respell a query, so this is the common case on
+//!     the paper's corpora;
+//!   - the **token key**, [`token_key`] of the entry's token stream,
+//!     probed after a raw miss, once the entry is lexed: a hit skips parse,
+//!     fingerprint and analysis, and installs the raw key so a byte-identical
+//!     repeat hits that next time. Keywords arrive case-folded and
+//!     whitespace and comments are not tokens, so this catches the layout
+//!     variants of a query (other whitespace, keyword case, comments,
+//!     quoting and escape style). The serialization starts with a byte no
+//!     UTF-8 text holds, so no raw key can meet a token key; only `Valid`
+//!     and `Syntax` go under it, since a token stream that lexed cannot
+//!     fail to lex;
+//! * a **duplicate form** — a key the memo does not hold, a known canonical
+//!   form (a respelling through `PREFIX`, or a query another worker or an
+//!   evicted slot saw). The tokens are parsed into the worker's arena and
+//!   fingerprinted by streaming the canonical walk into a 128-bit FNV-1a
+//!   state (no canonical string is built); the fingerprint bumps a
+//!   lock-free per-worker occurrence counter and the AST is dropped right
+//!   there — never pushed into a corpus-wide vec, never re-folded;
 //! * a **first occurrence** — parsed and fingerprinted as above, then
 //!   analysed on the spot (one [`QueryAnalysis`] through the worker's term
 //!   [`Interner`](sparqlog_parser::intern)) and memoized in the shared
 //!   [`AnalysisCache`] under its fingerprint — only the fingerprint and the
 //!   analysis survive.
 //!
-//! The memo holds only outcomes that are functions of the bytes: resource
+//! The memo holds only outcomes that are functions of its keys: resource
 //! guard trips, caught panics and anything fatal under
-//! [`RecoveryPolicy::Strict`] always take the guarded parse, and a valid hit
-//! is used only when the form's record is already known to exist. It is
-//! always on, has one size ([`ENTRY_MEMO_SLOTS`]) and overwrites on
-//! collision, so it can forget but never mislead: a forgotten line is a
-//! duplicate form again.
+//! [`RecoveryPolicy::Strict`] always take the guarded parse — whose drill
+//! check runs before the token key is probed — and a valid hit is used
+//! only when the form's record is already known to exist. It is always on,
+//! has one size ([`ENTRY_MEMO_SLOTS`]) and overwrites on collision, so it
+//! can forget but never mislead: a forgotten line is a duplicate form
+//! again.
 //!
 //! After the stream drains, per-worker occurrence maps merge into per-log
 //! [`LogSummary`] records (Table-1 counts plus the distinct fingerprints
@@ -53,7 +66,8 @@
 //! (`tests/{differential,fused,cache}.rs`). The soundness of folding a
 //! memoized record for every occurrence is the cache-key argument of
 //! [`crate::cache`]: the fingerprint *is* the canonical form — and one level
-//! down, equal bytes parse equally.
+//! down, equal bytes lex equally and equal token streams parse equally (the
+//! parser reads nothing but the tokens; spans only place error messages).
 //!
 //! ```
 //! use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
@@ -89,6 +103,7 @@ use serde::{Deserialize, Serialize};
 use sparqlog_obs as obs;
 use sparqlog_parser::bytescan::hash128;
 use sparqlog_parser::intern::{InternStats, Interner};
+use sparqlog_parser::token::token_key;
 use sparqlog_parser::{canonical_fingerprint_of_ref, Arena, ErrorKind};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -238,23 +253,25 @@ pub struct FusedAnalysis {
     pub fused: FusedStats,
 }
 
-/// Slots in each worker's entry memo. An entry's slot is the low bits of
-/// [`hash128`] of its bytes; a slot is 32 bytes, so a worker's table is
-/// 128 KiB, allocated zeroed and paged in only where entries land.
+/// Slots in each worker's entry memo. An entry's slot is the low bits of its
+/// key — [`hash128`] of its bytes, or [`token_key`] of its tokens; a slot
+/// is 32 bytes, so a worker's table is 128 KiB, allocated zeroed and paged
+/// in only where entries land.
 pub const ENTRY_MEMO_SLOTS: usize = 1 << 12;
 
-/// What the bytes of an entry decide on their own, whatever the run's
-/// policy: the canonical fingerprint of a valid entry, or the kind of a
-/// plain lex/syntax failure.
+/// What the bytes (or the tokens) of an entry decide on their own, whatever
+/// the run's policy: the canonical fingerprint of a valid entry, or the kind
+/// of a plain lex/syntax failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryOutcome {
     Valid(u128),
     Invalid(ErrorKind),
 }
 
-/// The per-worker raw-entry memo: a direct-mapped table from the 128-bit
-/// hash of an entry's bytes to its [`EntryOutcome`]. A collision overwrites;
-/// there is no eviction bookkeeping.
+/// The per-worker entry memo: a direct-mapped table from a 128-bit key — the
+/// hash of an entry's bytes or of its token stream — to its
+/// [`EntryOutcome`]. A collision overwrites; there is no eviction
+/// bookkeeping.
 ///
 /// A slot is `[tagged key, fingerprint]`. The key's two low bits are
 /// replaced by the outcome tag (0 = empty, so an all-zero table is an empty
@@ -332,7 +349,7 @@ fn count_occurrence(
 }
 
 /// One worker's private state: lock-free per-log occurrence maps, the
-/// raw-entry memo in front of the parser, the term interner threaded through
+/// entry memo in front of the parser, the term interner threaded through
 /// every analysis, the bump arena every AST is parsed into, and the number
 /// of shared-cache consultations (first-local-occurrence lookups).
 struct FusedWorker {
@@ -340,9 +357,13 @@ struct FusedWorker {
     tallies: Vec<ErrorTally>,
     memo: EntryMemo,
     /// Entries looked up in the memo (all but the oversize ones), and how
-    /// many of those it resolved.
+    /// many of those it resolved, by either key.
     memo_probes: u64,
     memo_hits: u64,
+    /// The hits that came from the token key (a layout variant of an entry
+    /// already resolved), and the buffer the token stream is serialized in.
+    memo_token_hits: u64,
+    token_bytes: Vec<u8>,
     interner: Interner,
     arena: Arena,
     lookups: u64,
@@ -359,6 +380,8 @@ impl FusedWorker {
             memo: EntryMemo::new(),
             memo_probes: 0,
             memo_hits: 0,
+            memo_token_hits: 0,
+            token_bytes: Vec::new(),
             interner: Interner::new(),
             arena: Arena::new(),
             lookups: 0,
@@ -367,7 +390,9 @@ impl FusedWorker {
     }
 
     /// Resolves one batch. An entry whose bytes the memo knows is counted or
-    /// tallied from the memo alone. Every other entry's AST is
+    /// tallied from the memo alone; one whose tokens it knows is lexed and
+    /// then counted or tallied, and its bytes join the memo. Every other
+    /// entry's AST is
     /// bump-allocated into the worker's arena and lives exactly as long as
     /// this loop's iteration: the arena is reset before the next entry
     /// parses, so a first occurrence is analysed into the cache (fingerprint
@@ -380,9 +405,10 @@ impl FusedWorker {
     /// panics either abort with a structured error (strict mode) or are
     /// tallied at the entry's batch-assigned position; plain lex/syntax
     /// failures are tallied in every mode. Only a fingerprint or a plain
-    /// lex/syntax failure is memoized, so a defect — the panic drill
-    /// included — meets the guard at every repeat, and an entry over the
-    /// byte cap is not even hashed.
+    /// lex/syntax failure is memoized (a lex failure only under the raw key:
+    /// it has no tokens), so a defect — the panic drill included, in any
+    /// layout — meets the guard at every repeat, and an entry over the byte
+    /// cap is not even hashed.
     fn process_batch(
         &mut self,
         log_index: usize,
@@ -415,23 +441,56 @@ impl FusedWorker {
             }
 
             self.arena.reset();
+            let memo = &mut self.memo;
+            let token_bytes = &mut self.token_bytes;
             let interner = &mut self.interner;
             let lookups = &mut self.lookups;
             let analyze_us = self.analyze_us;
-            let parsed = ctx.parse_entry(entry, &self.arena, |query| {
-                let fingerprint = canonical_fingerprint_of_ref(&query);
-                count_occurrence(map, fingerprint, || {
-                    cache.get_or_insert_with(fingerprint, || {
-                        let _span = analyze_us.span();
-                        QueryAnalysis::of_ref(&query, interner)
-                    });
-                    *lookups += 1;
-                    true
-                });
-                fingerprint
+            let resolved = ctx.parse_entry(entry, &self.arena, |lexed| {
+                let token_key = token_key(lexed.tokens(), token_bytes);
+                match memo.get(token_key) {
+                    Some(EntryOutcome::Valid(fingerprint))
+                        if count_occurrence(map, fingerprint, || {
+                            cache.get(fingerprint).is_some()
+                        }) =>
+                    {
+                        return Ok((EntryOutcome::Valid(fingerprint), true));
+                    }
+                    Some(invalid @ EntryOutcome::Invalid(_)) => return Ok((invalid, true)),
+                    _ => {}
+                }
+                let outcome = match lexed.parse() {
+                    Ok(query) => {
+                        let fingerprint = canonical_fingerprint_of_ref(&query);
+                        count_occurrence(map, fingerprint, || {
+                            cache.get_or_insert_with(fingerprint, || {
+                                let _span = analyze_us.span();
+                                QueryAnalysis::of_ref(&query, interner)
+                            });
+                            *lookups += 1;
+                            true
+                        });
+                        EntryOutcome::Valid(fingerprint)
+                    }
+                    Err(error) if error.kind == ErrorKind::Syntax => {
+                        EntryOutcome::Invalid(ErrorKind::Syntax)
+                    }
+                    Err(error) => return Err(error),
+                };
+                memo.put(token_key, outcome);
+                Ok((outcome, false))
             });
-            let outcome = match parsed {
-                Ok(fingerprint) => EntryOutcome::Valid(fingerprint),
+            let outcome = match resolved {
+                Ok((outcome, token_hit)) => {
+                    if token_hit {
+                        self.memo_hits += 1;
+                        self.memo_token_hits += 1;
+                    }
+                    if let EntryOutcome::Invalid(kind) = outcome {
+                        self.tallies[log_index].record(kind, position);
+                    }
+                    outcome
+                }
                 Err(error) => {
                     if error.kind == ErrorKind::WorkerPanic {
                         // The unwind may have left a partially filled chunk;
@@ -569,12 +628,13 @@ pub fn analyze_streams_cached(
     let mut tallies: Vec<ErrorTally> = std::mem::take(&mut source.tallies);
     let mut interner_stats = InternStats::default();
     let mut lookups = 0u64;
-    let (mut memo_probes, mut memo_hits) = (0u64, 0u64);
+    let (mut memo_probes, mut memo_hits, mut memo_token_hits) = (0u64, 0u64, 0u64);
     for state in states {
         interner_stats.merge(&state.interner.stats());
         lookups += state.lookups;
         memo_probes += state.memo_probes;
         memo_hits += state.memo_hits;
+        memo_token_hits += state.memo_token_hits;
         for (log_index, tally) in state.tallies.iter().enumerate() {
             tallies[log_index].merge(tally);
         }
@@ -694,6 +754,9 @@ pub fn analyze_streams_cached(
             .set(cache_after.distinct as i64);
         registry.counter("memo_probes_total").add(memo_probes);
         registry.counter("memo_hits_total").add(memo_hits);
+        registry
+            .counter("memo_token_hits_total")
+            .add(memo_token_hits);
     }
 
     Ok(FusedAnalysis {
@@ -973,7 +1036,7 @@ mod tests {
     fn byte_identical_repeats_hit_the_memo_and_defects_never_do() {
         let deep = format!("SELECT * WHERE {}{}", "{ ".repeat(300), "} ".repeat(300));
         let batch: Vec<String> = [
-            ENTRIES[0], ENTRIES[1], // same form, new bytes: a duplicate form, not a hit
+            ENTRIES[0], ENTRIES[1], // same tokens, new layout: the token key resolves it
             ENTRIES[2], // plain syntax failure: memoized
             &deep,      // a defect: guarded every time
             ENTRIES[0], ENTRIES[2], &deep, ENTRIES[1],
@@ -987,8 +1050,8 @@ mod tests {
         worker
             .process_batch(0, 100, &batch, &cache, &ctx, "test")
             .unwrap();
-        assert_eq!((worker.memo_probes, worker.memo_hits), (8, 3));
-        assert_eq!(worker.lookups, 1);
+        assert_eq!((worker.memo_probes, worker.memo_hits), (8, 4));
+        assert_eq!((worker.memo_token_hits, worker.lookups), (1, 1));
         assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [4]);
         let tally = &worker.tallies[0];
         assert_eq!(
@@ -1004,18 +1067,19 @@ mod tests {
         worker
             .process_batch(1, 0, &batch[..1], &cache, &ctx, "test")
             .unwrap();
-        assert_eq!((worker.memo_hits, worker.lookups), (4, 1));
+        assert_eq!((worker.memo_hits, worker.lookups), (5, 1));
         assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
 
         // A cache that never saw the form (cannot happen within one run; the
-        // guard is what makes that not matter): the hit is refused, the
-        // entry takes the full path and its record is made.
+        // guard is what makes that not matter): the raw hit and then the
+        // token hit are refused, the entry takes the full path and its
+        // record is made.
         let cold = AnalysisCache::new();
         worker.counts[1].clear();
         worker
             .process_batch(1, 1, &batch[..1], &cold, &ctx, "test")
             .unwrap();
-        assert_eq!((worker.memo_hits, worker.lookups), (4, 2));
+        assert_eq!((worker.memo_hits, worker.lookups), (5, 2));
         assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
         assert_eq!(cold.len(), 1);
 
@@ -1025,6 +1089,137 @@ mod tests {
             .process_batch(0, 100, &batch, &cache, &strict, "test")
             .unwrap_err();
         assert!(error.to_string().contains("entry 103"), "{error}");
+    }
+
+    fn batch_of(entries: &[&str]) -> Vec<String> {
+        entries.iter().map(|entry| entry.to_string()).collect()
+    }
+
+    #[test]
+    fn layout_variants_resolve_through_the_token_key_and_install_their_bytes() {
+        let base = "SELECT ?x WHERE { ?x a <http://C> }";
+        let tabs = "SELECT\t?x\tWHERE\t{\t?x a <http://C>\t}";
+        let cased = "select ?x Where { ?x a <http://C> } # trailing comment";
+        let invalid = "SELECT WHERE { ?x }";
+        let invalid_variant = "select  where {?x}  # still invalid";
+        // Another token stream, the same canonical form: two keys, one
+        // fingerprint.
+        let prefixed = "PREFIX c: <http://> SELECT ?x WHERE { ?x a c:C }";
+        let entries = [
+            base,
+            tabs,
+            cased,
+            invalid,
+            invalid_variant,
+            tabs,
+            invalid_variant,
+            prefixed,
+            prefixed,
+        ];
+        let batch = batch_of(&entries);
+        let cache = AnalysisCache::new();
+        let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
+        let mut worker = FusedWorker::new(1);
+        worker
+            .process_batch(0, 10, &batch, &cache, &ctx, "test")
+            .unwrap();
+        // Token hits: `tabs`, `cased` and `invalid_variant` on first sight.
+        // Raw hits: their byte-identical repeats — the token hit installed
+        // the raw key — and the second `prefixed`.
+        assert_eq!(worker.memo_probes, 9);
+        assert_eq!((worker.memo_hits, worker.memo_token_hits), (6, 3));
+        assert_eq!(worker.lookups, 1);
+        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [6]);
+        let tally = &worker.tallies[0];
+        assert_eq!((tally.syntax, tally.total()), (3, 3));
+        let positions: Vec<u64> = tally.exemplars.iter().map(|&(_, at)| at).collect();
+        assert_eq!(positions, [13, 14, 16]);
+        for entry in [tabs, cased, invalid_variant] {
+            assert!(
+                worker.memo.get(hash128(entry.as_bytes())).is_some(),
+                "{entry}"
+            );
+        }
+
+        // The same log through the oracle: the same counts and tallies.
+        let oracle = analyze_reference(&[RawLog::new("test", batch)], Population::Valid);
+        let fused = analyze_streams(readers_of(&entries), Population::Valid).unwrap();
+        assert_eq!(fused.summaries[0].counts, oracle.datasets[0].counts);
+        assert_eq!(fused.summaries[0].errors, oracle.datasets[0].errors);
+    }
+
+    #[test]
+    fn a_drill_needle_in_a_layout_variant_of_a_memoized_entry_still_trips() {
+        // The needle sits only where the tokens cannot see it — in a
+        // comment, in a keyword's case — so the variant's token key is the
+        // memoized entry's; the drill is checked before the key is probed.
+        let base = "ASK { ?s <http://p> ?o }";
+        let commented = "ASK { ?s <http://p> ?o } # Needle";
+        let cased = "Needle { ?s <http://p> ?o }".replace("Needle", "ask");
+        let ctx = RecoveryContext::drilled(RecoveryPolicy::Lenient, "Needle");
+        let cased_ctx = RecoveryContext::drilled(RecoveryPolicy::Lenient, "ask");
+        let cache = AnalysisCache::new();
+        let mut worker = FusedWorker::new(1);
+        let batch = batch_of(&[base, commented, commented]);
+        worker
+            .process_batch(0, 0, &batch, &cache, &ctx, "test")
+            .unwrap();
+        worker
+            .process_batch(
+                0,
+                3,
+                &batch_of(&[&cased, &cased]),
+                &cache,
+                &cased_ctx,
+                "test",
+            )
+            .unwrap();
+        assert_eq!((worker.memo_hits, worker.memo_token_hits), (0, 0));
+        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [1]);
+        let tally = &worker.tallies[0];
+        assert_eq!((tally.worker_panic, tally.total()), (4, 4));
+
+        let strict = RecoveryContext::drilled(RecoveryPolicy::Strict, "Needle");
+        let error = worker
+            .process_batch(0, 10, &batch, &cache, &strict, "test")
+            .unwrap_err();
+        assert!(error.to_string().contains("entry 11"), "{error}");
+    }
+
+    #[test]
+    fn guard_trips_are_never_resolved_by_either_key() {
+        let mut ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
+        ctx.limits.max_entry_bytes = 200;
+        ctx.limits.max_tokens = 24;
+        ctx.limits.max_depth = 8;
+        // 21 tokens nested 10 deep; 26 tokens; over 200 bytes.
+        let deep = format!("ASK {}{}", "{ ".repeat(10), "} ".repeat(10));
+        let deep_variant = format!("ask{}{}", "{\t".repeat(10), "}\t".repeat(10));
+        let many = format!("ASK {{ {} }}", ["?s <http://p> ?o"; 6].join(" . "));
+        let many_variant = format!("ask{{{}}}", ["?s <http://p> ?o"; 6].join("."));
+        let (many, many_variant) = (many.as_str(), many_variant.as_str());
+        let long = format!("ASK {{ ?s <http://{}> ?o }}", "p".repeat(200));
+        let long_variant = long.replace(' ', "  ");
+        let entries = [
+            deep.as_str(),
+            &deep_variant,
+            &deep,
+            many,
+            many_variant,
+            many,
+            &long,
+            &long_variant,
+            &long,
+        ];
+        let cache = AnalysisCache::new();
+        let mut worker = FusedWorker::new(1);
+        worker
+            .process_batch(0, 0, &batch_of(&entries), &cache, &ctx, "test")
+            .unwrap();
+        assert_eq!((worker.memo_hits, worker.memo_token_hits), (0, 0));
+        let tally = &worker.tallies[0];
+        assert_eq!((tally.depth_exceeded, tally.oversize_entry), (3, 6));
+        assert!(worker.counts[0].is_empty());
     }
 
     #[test]

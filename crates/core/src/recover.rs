@@ -27,7 +27,10 @@
 //! identical for any worker count, batch size or engine.
 
 use serde::{Deserialize, Serialize};
-use sparqlog_parser::{parse_query_in_with_limits, Arena, ErrorKind, ParseError, ParseLimits};
+use sparqlog_parser::ast_ref::Query;
+use sparqlog_parser::lexer::tokenize_in_limited;
+use sparqlog_parser::token::Spanned;
+use sparqlog_parser::{parse_tokens_in, Arena, ErrorKind, ParseError, ParseLimits};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -346,26 +349,40 @@ impl RecoveryContext {
         }
     }
 
+    /// A context with the panic drill armed on `needle`, whatever the
+    /// environment says.
+    #[cfg(test)]
+    pub(crate) fn drilled(policy: RecoveryPolicy, needle: &str) -> RecoveryContext {
+        RecoveryContext {
+            drill: Some(needle.to_string()),
+            ..RecoveryContext::new(policy)
+        }
+    }
+
     /// Whether a parse failure of `kind` aborts the run under this policy.
     pub(crate) fn fatal(&self, kind: ErrorKind) -> bool {
         !matches!(kind, ErrorKind::Lex | ErrorKind::Syntax) && !self.policy.recovers()
     }
 
-    /// Parses one entry under the guards with panic isolation: the drill
-    /// and any genuine parser panic are caught here, at the batch
-    /// boundary, and surface as a structured
-    /// [`ErrorKind::WorkerPanic`] error instead of unwinding into the
-    /// worker pool (which would poison the shared batch-source mutex).
+    /// The one guarded per-entry parse, shared by the engine and the oracle.
+    /// In order: the panic drill, the byte cap, then lexing under the token
+    /// cap; `resolve` gets the [`Lexed`] entry and may parse it, under the
+    /// depth cap, or settle it from its tokens alone (the engine's token
+    /// key). The drill comes first, so it trips on any spelling of an entry.
     ///
-    /// `convert` runs inside the isolation boundary too, so a panic while
-    /// fingerprinting is also caught.
-    /// After a caught panic the caller must [`Arena::trim`] the arena it
-    /// passed, since the unwind may have left a partially filled chunk.
+    /// All of it runs inside one panic-isolation boundary: the drill and
+    /// any genuine panic — while lexing, parsing, fingerprinting or
+    /// analysing in `resolve` — are caught here, at the batch boundary, and
+    /// surface as a structured [`ErrorKind::WorkerPanic`] error instead of
+    /// unwinding into the worker pool (which would poison the shared
+    /// batch-source mutex). After a caught panic the caller must
+    /// [`Arena::trim`] the arena it passed, since the unwind may have left a
+    /// partially filled chunk.
     pub(crate) fn parse_entry<'a, T>(
         &self,
         entry: &'a str,
         arena: &'a Arena,
-        convert: impl FnOnce(sparqlog_parser::ast_ref::Query<'a>) -> T,
+        resolve: impl FnOnce(Lexed<'a, '_>) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         let guarded = catch_unwind(AssertUnwindSafe(|| {
             if let Some(needle) = &self.drill {
@@ -373,10 +390,27 @@ impl RecoveryContext {
                     panic!("SPARQLOG_PANIC_DRILL tripped");
                 }
             }
-            parse_query_in_with_limits(entry, arena, &self.limits).map(convert)
+            if self.limits.oversize(entry.len()) {
+                return Err(ParseError::with_kind(
+                    ErrorKind::OversizeEntry,
+                    format!(
+                        "entry of {} bytes exceeds the {}-byte cap",
+                        entry.len(),
+                        self.limits.max_entry_bytes
+                    ),
+                    1,
+                    1,
+                ));
+            }
+            let tokens = tokenize_in_limited(entry, arena, self.limits.max_tokens)?;
+            resolve(Lexed {
+                tokens,
+                arena,
+                limits: &self.limits,
+            })
         }));
         match guarded {
-            Ok(parsed) => parsed,
+            Ok(resolved) => resolved,
             Err(payload) => {
                 let message = payload
                     .downcast_ref::<&str>()
@@ -395,6 +429,27 @@ impl RecoveryContext {
             io::ErrorKind::InvalidData,
             format!("log {label:?}, entry {position}: {error}"),
         )
+    }
+}
+
+/// An entry that passed the drill, the byte cap and the token cap, handed
+/// to [`RecoveryContext::parse_entry`]'s `resolve`: its tokens, and a parse
+/// of them under the depth cap.
+pub(crate) struct Lexed<'a, 'c> {
+    tokens: &'a [Spanned<'a>],
+    arena: &'a Arena,
+    limits: &'c ParseLimits,
+}
+
+impl<'a> Lexed<'a, '_> {
+    /// The entry's tokens, in the arena.
+    pub(crate) fn tokens(&self) -> &'a [Spanned<'a>] {
+        self.tokens
+    }
+
+    /// Parses the tokens into the arena under the depth cap.
+    pub(crate) fn parse(&self) -> Result<Query<'a>, ParseError> {
+        parse_tokens_in(self.tokens, self.arena, self.limits)
     }
 }
 
@@ -513,17 +568,21 @@ mod tests {
             drill: Some("DRILL-ME".to_string()),
         };
         let mut arena = Arena::new();
-        let ok = ctx.parse_entry("ASK { ?x <http://p> ?y }", &arena, |q| q.form);
+        let ok = ctx.parse_entry("ASK { ?x <http://p> ?y }", &arena, |lexed| lexed.parse());
         assert!(ok.is_ok());
 
         arena.reset();
         let oversize = format!("SELECT ?x WHERE {{ ?x <http://{}> ?y }}", "p".repeat(80));
-        let error = ctx.parse_entry(&oversize, &arena, |q| q.form).unwrap_err();
+        let error = ctx
+            .parse_entry(&oversize, &arena, |lexed| lexed.parse())
+            .unwrap_err();
         assert_eq!(error.kind, ErrorKind::OversizeEntry);
 
         arena.reset();
         let error = ctx
-            .parse_entry("ASK { ?x <http://DRILL-ME> ?y }", &arena, |q| q.form)
+            .parse_entry("ASK { ?x <http://DRILL-ME> ?y }", &arena, |lexed| {
+                lexed.parse()
+            })
             .unwrap_err();
         assert_eq!(error.kind, ErrorKind::WorkerPanic);
         assert!(error.message.contains("SPARQLOG_PANIC_DRILL"));

@@ -127,43 +127,11 @@ impl<'a> Term<'a> {
 }
 
 impl fmt::Display for Term<'_> {
+    /// The term's canonical spelling, as the canonical form writes it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(i) => {
-                // Bare only what reads back as a prefixed name (an undeclared
-                // `prefix:local`). Anything else keeps its brackets, or
-                // `<?x>` would print as the variable `?x`, `<_:b>` as a blank
-                // node, `<a>` as the keyword `a` and `<UNDEF>` as `UNDEF`.
-                // Absolute IRIs, nearly all there are, leave at the first test.
-                if i.contains("://")
-                    || i.starts_with("urn:")
-                    || i.starts_with("mailto:")
-                    || !i.contains(':')
-                    || i.starts_with(['?', '$'])
-                    || i.starts_with("_:")
-                {
-                    write!(f, "<{i}>")
-                } else {
-                    write!(f, "{i}")
-                }
-            }
-            Term::Literal {
-                lexical,
-                datatype,
-                lang,
-            } => {
-                write!(f, "{:?}", lexical)?;
-                if let Some(dt) = datatype {
-                    write!(f, "^^<{dt}>")?;
-                }
-                if let Some(l) = lang {
-                    write!(f, "@{l}")?;
-                }
-                Ok(())
-            }
-            Term::BlankNode(b) => write!(f, "_:{b}"),
-            Term::Var(v) => write!(f, "?{v}"),
-        }
+        let mut text = String::new();
+        crate::display::write_term(&mut text, self);
+        f.write_str(&text)
     }
 }
 
@@ -208,29 +176,12 @@ impl PropertyPath<'_> {
 }
 
 impl fmt::Display for PropertyPath<'_> {
+    /// The path's canonical spelling, fully parenthesized, as the canonical
+    /// form writes it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PropertyPath::Iri(i) => write!(f, "<{i}>"),
-            PropertyPath::Inverse(p) => write!(f, "^({p})"),
-            PropertyPath::Sequence(a, b) => write!(f, "({a}/{b})"),
-            PropertyPath::Alternative(a, b) => write!(f, "({a}|{b})"),
-            PropertyPath::ZeroOrMore(p) => write!(f, "({p})*"),
-            PropertyPath::OneOrMore(p) => write!(f, "({p})+"),
-            PropertyPath::ZeroOrOne(p) => write!(f, "({p})?"),
-            PropertyPath::NegatedPropertySet(items) => {
-                write!(f, "!(")?;
-                for (i, (iri, inv)) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "|")?;
-                    }
-                    if *inv {
-                        write!(f, "^")?;
-                    }
-                    write!(f, "<{iri}>")?;
-                }
-                write!(f, ")")
-            }
-        }
+        let mut text = String::new();
+        crate::display::write_path(&mut text, self);
+        f.write_str(&text)
     }
 }
 

@@ -311,8 +311,9 @@ fn finish(state: (u64, u64), tail: &[u8], len: u64) -> u128 {
 /// the bytes**: there is no per-process seed, so anything keyed by it
 /// reproduces across runs and hosts. Like the canonical fingerprint it is
 /// not collision-resistant against an adversary; the engine uses it where a
-/// 2⁻¹²⁸ accidental collision is the accepted risk: the raw-entry memo of
-/// `core::fused` and, through [`Hasher128`], the snapshot store's log
+/// 2⁻¹²⁸ accidental collision is the accepted risk: the entry memo of
+/// `core::fused` (raw bytes, and token streams through
+/// [`token_key`](crate::token::token_key)) and, through [`Hasher128`], the snapshot store's log
 /// identities (`core::incremental`).
 pub fn hash128(bytes: &[u8]) -> u128 {
     let [k0, k1, _, _] = HASH_KEYS;

@@ -8,14 +8,26 @@
 //! uses to detect duplicates (Table 1 "Unique") and what the streak detector
 //! measures Levenshtein distance on (Section 8).
 //!
-//! Every writer in this module is generic over [`std::fmt::Write`], so the
-//! one canonical-form walk can fill a `String` ([`to_canonical_string_ref`])
-//! or stream straight into the 128-bit FNV-1a state of a [`CanonicalHasher`]
-//! ([`canonical_fingerprint_of_ref`]) without ever materializing the
-//! canonical string — the duplicate-elimination hot path at corpus scale.
+//! Every writer in this module writes `&str` pieces into a private byte
+//! sink with two implementations: a `String` ([`to_canonical_string_ref`])
+//! and the 128-bit FNV-1a state of a [`CanonicalHasher`]
+//! ([`canonical_fingerprint_of_ref`]), which folds the canonical form into
+//! the fingerprint without ever materializing it — the duplicate-elimination
+//! hot path at corpus scale. Nothing here goes through `core::fmt`: numbers
+//! have a digit writer, literals an escape writer, and the `Display` impls
+//! of [`Term`] and [`PropertyPath`] call the writers below, so a term has
+//! one spelling wherever it is printed.
+//!
+//! The canonical form re-parses to itself. Literals are written with
+//! SPARQL's escapes (`\"`, `\\`, `\n`, `\r`, `\t`, and `\uXXXX` for the
+//! other control characters), everything else raw; a function name is
+//! written bare only if its bare spelling reads back as the same name.
 
-use crate::ast_ref::{self, AggregateKind, OrderDirection, QueryForm};
-use std::fmt::Write;
+use crate::ast_ref::{
+    self, AggregateKind, OrderDirection, PropertyPath, QueryForm, Term, TripleOrPath,
+};
+use crate::bytescan;
+use crate::token::Keyword;
 
 /// FNV-1a 128-bit offset basis.
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -28,7 +40,7 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 /// under the parse-ambiguity noise floor of any real log study.
 pub fn canonical_fingerprint(canonical: &str) -> u128 {
     let mut hasher = CanonicalHasher::new();
-    let _ = hasher.write_str(canonical);
+    hasher.put(canonical);
     hasher.finish()
 }
 
@@ -49,10 +61,11 @@ pub fn canonical_fingerprint_of_ref(q: &ast_ref::Query<'_>) -> u128 {
     hasher.finish()
 }
 
-/// An [`std::fmt::Write`] sink that folds every byte written into a 128-bit
-/// FNV-1a state. Feeding it the canonical-form walk yields the same
-/// fingerprint as hashing [`to_canonical_string_ref`]'s output, minus the
-/// allocation, the copy and the second pass over the bytes.
+/// A sink that folds every byte written into a 128-bit FNV-1a state.
+/// Feeding it the canonical-form walk yields the same fingerprint as hashing
+/// [`to_canonical_string_ref`]'s output, minus the allocation, the copy and
+/// the second pass over the bytes. It also implements [`std::fmt::Write`],
+/// for callers outside this module.
 #[derive(Debug, Clone)]
 pub struct CanonicalHasher {
     state: u128,
@@ -76,362 +89,560 @@ impl Default for CanonicalHasher {
     }
 }
 
-impl Write for CanonicalHasher {
+impl std::fmt::Write for CanonicalHasher {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.put(s);
+        Ok(())
+    }
+}
+
+/// Where the canonical writers put their text: a `String` or a
+/// [`CanonicalHasher`]. Writing cannot fail, so there is no result to drop.
+pub(crate) trait Sink {
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl Sink for CanonicalHasher {
+    #[inline]
+    fn put(&mut self, s: &str) {
         let mut state = self.state;
         for &byte in s.as_bytes() {
             state ^= u128::from(byte);
             state = state.wrapping_mul(FNV_PRIME);
         }
         self.state = state;
-        Ok(())
     }
 }
 
-fn write_query_ref<W: Write>(out: &mut W, q: &ast_ref::Query<'_>) {
+/// Writes `n` in decimal.
+fn put_u64<S: Sink>(out: &mut S, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Writes `text` as a double-quoted SPARQL string the lexer reads back as
+/// `text`: the quote, the backslash, line feed, carriage return and tab get
+/// their short escapes, every other control character a `\uXXXX` escape
+/// (all of them are below U+00A0), and everything else is written raw.
+fn put_quoted<S: Sink>(out: &mut S, text: &str) {
+    const HEX: &str = "0123456789ABCDEF";
+    out.put("\"");
+    let mut from = 0;
+    for (at, c) in text.char_indices() {
+        let short = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            _ if c.is_control() => "",
+            _ => continue,
+        };
+        out.put(&text[from..at]);
+        if short.is_empty() {
+            out.put("\\u00");
+            let code = c as usize;
+            out.put(&HEX[code >> 4..(code >> 4) + 1]);
+            out.put(&HEX[code & 0xF..(code & 0xF) + 1]);
+        } else {
+            out.put(short);
+        }
+        from = at + c.len_utf8();
+    }
+    out.put(&text[from..]);
+    out.put("\"");
+}
+
+/// Whether an IRI written bare reads back as this IRI: only an undeclared
+/// `prefix:local`. Anything else keeps its brackets, or `<?x>` would print
+/// as the variable `?x`, `<_:b>` as a blank node, `<a>` as the keyword `a`
+/// and `<UNDEF>` as `UNDEF`. Absolute IRIs, nearly all there are, leave at
+/// the first test.
+fn bare_iri(i: &str) -> bool {
+    !(i.contains("://")
+        || i.starts_with("urn:")
+        || i.starts_with("mailto:")
+        || !i.contains(':')
+        || i.starts_with(['?', '$'])
+        || i.starts_with("_:"))
+}
+
+/// Whether a function name written bare reads back as this name: only a
+/// built-in's spelling — one identifier token, already upper case (the
+/// parser upper-cases identifiers), that is neither a keyword nor a
+/// boolean. `STR` and `SHA256` qualify; the relative IRI `<f>` does not
+/// (bare, it would read back as the built-in `F`), and nor does any name
+/// with a `:`.
+fn bare_function_name(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    bytes
+        .first()
+        .is_some_and(|&b| bytescan::is_name_start_char(b))
+        && bytescan::scan_name(bytes, 0) == bytes.len()
+        && !bytes.iter().any(u8::is_ascii_lowercase)
+        && Keyword::from_str_ci(name).is_none()
+        && !name.eq_ignore_ascii_case("true")
+        && !name.eq_ignore_ascii_case("false")
+}
+
+/// Writes one term in its canonical spelling (also `Term`'s `Display`).
+pub(crate) fn write_term<S: Sink>(out: &mut S, t: &Term<'_>) {
+    match t {
+        Term::Iri(i) => {
+            if bare_iri(i) {
+                out.put(i);
+            } else {
+                out.put("<");
+                out.put(i);
+                out.put(">");
+            }
+        }
+        Term::Literal {
+            lexical,
+            datatype,
+            lang,
+        } => {
+            put_quoted(out, lexical);
+            if let Some(dt) = datatype {
+                out.put("^^<");
+                out.put(dt);
+                out.put(">");
+            }
+            if let Some(l) = lang {
+                out.put("@");
+                out.put(l);
+            }
+        }
+        Term::BlankNode(b) => {
+            out.put("_:");
+            out.put(b);
+        }
+        Term::Var(v) => put_var(out, v),
+    }
+}
+
+/// Writes one property path, fully parenthesized (also `PropertyPath`'s
+/// `Display`).
+pub(crate) fn write_path<S: Sink>(out: &mut S, p: &PropertyPath<'_>) {
+    match p {
+        PropertyPath::Iri(i) => put_bracketed(out, i),
+        PropertyPath::Inverse(p) => {
+            out.put("^(");
+            write_path(out, p);
+            out.put(")");
+        }
+        PropertyPath::Sequence(a, b) => {
+            out.put("(");
+            write_path(out, a);
+            out.put("/");
+            write_path(out, b);
+            out.put(")");
+        }
+        PropertyPath::Alternative(a, b) => {
+            out.put("(");
+            write_path(out, a);
+            out.put("|");
+            write_path(out, b);
+            out.put(")");
+        }
+        PropertyPath::ZeroOrMore(p) => {
+            out.put("(");
+            write_path(out, p);
+            out.put(")*");
+        }
+        PropertyPath::OneOrMore(p) => {
+            out.put("(");
+            write_path(out, p);
+            out.put(")+");
+        }
+        PropertyPath::ZeroOrOne(p) => {
+            out.put("(");
+            write_path(out, p);
+            out.put(")?");
+        }
+        PropertyPath::NegatedPropertySet(items) => {
+            out.put("!(");
+            for (i, (iri, inverse)) in items.iter().enumerate() {
+                if i > 0 {
+                    out.put("|");
+                }
+                if *inverse {
+                    out.put("^");
+                }
+                put_bracketed(out, iri);
+            }
+            out.put(")");
+        }
+    }
+}
+
+fn put_bracketed<S: Sink>(out: &mut S, iri: &str) {
+    out.put("<");
+    out.put(iri);
+    out.put(">");
+}
+
+fn put_var<S: Sink>(out: &mut S, v: &str) {
+    out.put("?");
+    out.put(v);
+}
+
+/// Writes ` AS ?var)`, the tail of every aliased expression.
+fn put_alias<S: Sink>(out: &mut S, v: &str) {
+    out.put(" AS ?");
+    out.put(v);
+    out.put(")");
+}
+
+fn write_triple_ref<S: Sink>(out: &mut S, t: &TripleOrPath<'_>) {
+    write_term(out, t.subject());
+    out.put(" ");
+    match t {
+        TripleOrPath::Triple(t) => write_term(out, &t.predicate),
+        TripleOrPath::Path(p) => write_path(out, &p.path),
+    }
+    out.put(" ");
+    write_term(out, t.object());
+    out.put(" . ");
+}
+
+fn write_query_ref<S: Sink>(out: &mut S, q: &ast_ref::Query<'_>) {
     match q.form {
         QueryForm::Select => {
-            let _ = out.write_str("SELECT ");
+            out.put("SELECT ");
             if q.modifiers.distinct {
-                let _ = out.write_str("DISTINCT ");
+                out.put("DISTINCT ");
             }
             if q.modifiers.reduced {
-                let _ = out.write_str("REDUCED ");
+                out.put("REDUCED ");
             }
             write_projection_ref(out, &q.projection);
         }
-        QueryForm::Ask => {
-            let _ = out.write_str("ASK");
-        }
+        QueryForm::Ask => out.put("ASK"),
         QueryForm::Construct => {
-            let _ = out.write_str("CONSTRUCT");
+            out.put("CONSTRUCT");
             if let Some(template) = q.construct_template {
-                let _ = out.write_str(" { ");
+                out.put(" { ");
                 for t in template {
-                    let _ = write!(out, "{} {} {} . ", t.subject, t.predicate, t.object);
+                    write_triple_ref(out, &TripleOrPath::Triple(*t));
                 }
-                let _ = out.write_char('}');
+                out.put("}");
             }
         }
         QueryForm::Describe => {
-            let _ = out.write_str("DESCRIBE ");
+            out.put("DESCRIBE ");
             write_projection_ref(out, &q.projection);
         }
     }
     for d in q.dataset {
-        if d.named {
-            let _ = write!(out, " FROM NAMED <{}>", d.iri);
-        } else {
-            let _ = write!(out, " FROM <{}>", d.iri);
-        }
+        out.put(if d.named { " FROM NAMED " } else { " FROM " });
+        put_bracketed(out, d.iri);
     }
     if let Some(body) = &q.where_clause {
-        let _ = out.write_str(" WHERE ");
+        out.put(" WHERE ");
         write_group_ref(out, body);
     }
     write_modifiers_ref(out, &q.modifiers);
     if let Some(values) = &q.values {
-        let _ = out.write_str(" VALUES ");
+        out.put(" VALUES ");
         write_inline_data_ref(out, values);
     }
 }
 
-fn write_projection_ref<W: Write>(out: &mut W, p: &ast_ref::Projection<'_>) {
+fn write_projection_ref<S: Sink>(out: &mut S, p: &ast_ref::Projection<'_>) {
     match p {
-        ast_ref::Projection::All => {
-            let _ = out.write_char('*');
-        }
+        ast_ref::Projection::All => out.put("*"),
         ast_ref::Projection::Items(items) => {
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    let _ = out.write_char(' ');
+                    out.put(" ");
                 }
                 match &item.expr {
                     Some(e) => {
-                        let _ = out.write_char('(');
+                        out.put("(");
                         write_expr_ref(out, e);
-                        let _ = write!(out, " AS ?{})", item.var);
+                        put_alias(out, item.var);
                     }
-                    None => {
-                        let _ = write!(out, "?{}", item.var);
-                    }
+                    None => put_var(out, item.var),
                 }
             }
         }
         ast_ref::Projection::Terms(terms) => {
             for (i, t) in terms.iter().enumerate() {
                 if i > 0 {
-                    let _ = out.write_char(' ');
+                    out.put(" ");
                 }
-                let _ = write!(out, "{t}");
+                write_term(out, t);
             }
         }
         ast_ref::Projection::None => {}
     }
 }
 
-fn write_modifiers_ref<W: Write>(out: &mut W, m: &ast_ref::SolutionModifiers<'_>) {
+fn write_modifiers_ref<S: Sink>(out: &mut S, m: &ast_ref::SolutionModifiers<'_>) {
     if !m.group_by.is_empty() {
-        let _ = out.write_str(" GROUP BY");
+        out.put(" GROUP BY");
         for g in m.group_by {
-            let _ = out.write_char(' ');
+            out.put(" ");
             match &g.alias {
                 Some(a) => {
-                    let _ = out.write_char('(');
+                    out.put("(");
                     write_expr_ref(out, &g.expr);
-                    let _ = write!(out, " AS ?{a})");
+                    put_alias(out, a);
                 }
                 None => write_expr_ref(out, &g.expr),
             }
         }
     }
     if !m.having.is_empty() {
-        let _ = out.write_str(" HAVING");
+        out.put(" HAVING");
         for h in m.having {
-            let _ = out.write_str(" (");
+            out.put(" (");
             write_expr_ref(out, h);
-            let _ = out.write_char(')');
+            out.put(")");
         }
     }
     if !m.order_by.is_empty() {
-        let _ = out.write_str(" ORDER BY");
+        out.put(" ORDER BY");
         for o in m.order_by {
-            match o.direction {
-                OrderDirection::Asc => {
-                    let _ = out.write_str(" ASC(");
-                }
-                OrderDirection::Desc => {
-                    let _ = out.write_str(" DESC(");
-                }
-            }
+            out.put(match o.direction {
+                OrderDirection::Asc => " ASC(",
+                OrderDirection::Desc => " DESC(",
+            });
             write_expr_ref(out, &o.expr);
-            let _ = out.write_char(')');
+            out.put(")");
         }
     }
     if let Some(l) = m.limit {
-        let _ = write!(out, " LIMIT {l}");
+        out.put(" LIMIT ");
+        put_u64(out, l);
     }
     if let Some(o) = m.offset {
-        let _ = write!(out, " OFFSET {o}");
+        out.put(" OFFSET ");
+        put_u64(out, o);
     }
 }
 
-/// Writes a group graph pattern (including braces) into any
-/// [`std::fmt::Write`] sink.
-pub fn write_group_ref<W: Write>(out: &mut W, g: &ast_ref::GroupGraphPattern<'_>) {
-    let _ = out.write_str("{ ");
+/// Writes a group graph pattern, braces included.
+fn write_group_ref<S: Sink>(out: &mut S, g: &ast_ref::GroupGraphPattern<'_>) {
+    out.put("{ ");
     for el in g.elements {
         match el {
             ast_ref::GroupElement::Triples(ts) => {
                 for t in *ts {
-                    match t {
-                        ast_ref::TripleOrPath::Triple(t) => {
-                            let _ = write!(out, "{} {} {} . ", t.subject, t.predicate, t.object);
-                        }
-                        ast_ref::TripleOrPath::Path(p) => {
-                            let _ = write!(out, "{} {} {} . ", p.subject, p.path, p.object);
-                        }
-                    }
+                    write_triple_ref(out, t);
                 }
             }
             ast_ref::GroupElement::Filter(e) => {
-                let _ = out.write_str("FILTER(");
+                out.put("FILTER(");
                 write_expr_ref(out, e);
-                let _ = out.write_str(") ");
+                out.put(") ");
             }
             ast_ref::GroupElement::Bind { expr, var } => {
-                let _ = out.write_str("BIND(");
+                out.put("BIND(");
                 write_expr_ref(out, expr);
-                let _ = write!(out, " AS ?{var}) ");
+                put_alias(out, var);
+                out.put(" ");
             }
             ast_ref::GroupElement::Optional(g) => {
-                let _ = out.write_str("OPTIONAL ");
+                out.put("OPTIONAL ");
                 write_group_ref(out, g);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             ast_ref::GroupElement::Union(branches) => {
                 for (i, b) in branches.iter().enumerate() {
                     if i > 0 {
-                        let _ = out.write_str("UNION ");
+                        out.put("UNION ");
                     }
                     write_group_ref(out, b);
-                    let _ = out.write_char(' ');
+                    out.put(" ");
                 }
             }
             ast_ref::GroupElement::Graph { name, pattern } => {
-                let _ = write!(out, "GRAPH {name} ");
+                out.put("GRAPH ");
+                write_term(out, name);
+                out.put(" ");
                 write_group_ref(out, pattern);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             ast_ref::GroupElement::Minus(g) => {
-                let _ = out.write_str("MINUS ");
+                out.put("MINUS ");
                 write_group_ref(out, g);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             ast_ref::GroupElement::Service {
                 silent,
                 name,
                 pattern,
             } => {
-                let _ = out.write_str("SERVICE ");
-                if *silent {
-                    let _ = out.write_str("SILENT ");
-                }
-                let _ = write!(out, "{name} ");
+                out.put(if *silent {
+                    "SERVICE SILENT "
+                } else {
+                    "SERVICE "
+                });
+                write_term(out, name);
+                out.put(" ");
                 write_group_ref(out, pattern);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             ast_ref::GroupElement::Values(d) => {
-                let _ = out.write_str("VALUES ");
+                out.put("VALUES ");
                 write_inline_data_ref(out, d);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             ast_ref::GroupElement::SubSelect(q) => {
-                let _ = out.write_str("{ ");
+                out.put("{ ");
                 write_query_ref(out, q);
-                let _ = out.write_str(" } ");
+                out.put(" } ");
             }
             ast_ref::GroupElement::Group(g) => {
                 write_group_ref(out, g);
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
         }
     }
-    let _ = out.write_char('}');
+    out.put("}");
 }
 
-fn write_inline_data_ref<W: Write>(out: &mut W, d: &ast_ref::InlineData<'_>) {
-    let _ = out.write_char('(');
+fn write_inline_data_ref<S: Sink>(out: &mut S, d: &ast_ref::InlineData<'_>) {
+    out.put("(");
     for (i, v) in d.variables.iter().enumerate() {
         if i > 0 {
-            let _ = out.write_char(' ');
+            out.put(" ");
         }
-        let _ = write!(out, "?{v}");
+        put_var(out, v);
     }
-    let _ = out.write_str(") { ");
+    out.put(") { ");
     for row in d.rows {
-        let _ = out.write_char('(');
+        out.put("(");
         for (i, cell) in row.iter().enumerate() {
             if i > 0 {
-                let _ = out.write_char(' ');
+                out.put(" ");
             }
             match cell {
-                Some(t) => {
-                    let _ = write!(out, "{t}");
-                }
-                None => {
-                    let _ = out.write_str("UNDEF");
-                }
+                Some(t) => write_term(out, t),
+                None => out.put("UNDEF"),
             }
         }
-        let _ = out.write_str(") ");
+        out.put(") ");
     }
-    let _ = out.write_char('}');
+    out.put("}");
 }
 
-fn write_expr_ref<W: Write>(out: &mut W, e: &ast_ref::Expression<'_>) {
+fn write_expr_ref<S: Sink>(out: &mut S, e: &ast_ref::Expression<'_>) {
+    use ast_ref::Expression as E;
     match e {
-        ast_ref::Expression::Var(v) => {
-            let _ = write!(out, "?{v}");
-        }
-        ast_ref::Expression::Term(t) => {
-            let _ = write!(out, "{t}");
-        }
-        ast_ref::Expression::Or(a, b) => write_binary_ref(out, a, "||", b),
-        ast_ref::Expression::And(a, b) => write_binary_ref(out, a, "&&", b),
-        ast_ref::Expression::Equal(a, b) => write_binary_ref(out, a, "=", b),
-        ast_ref::Expression::NotEqual(a, b) => write_binary_ref(out, a, "!=", b),
-        ast_ref::Expression::Less(a, b) => write_binary_ref(out, a, "<", b),
-        ast_ref::Expression::Greater(a, b) => write_binary_ref(out, a, ">", b),
-        ast_ref::Expression::LessEq(a, b) => write_binary_ref(out, a, "<=", b),
-        ast_ref::Expression::GreaterEq(a, b) => write_binary_ref(out, a, ">=", b),
-        ast_ref::Expression::Add(a, b) => write_binary_ref(out, a, "+", b),
-        ast_ref::Expression::Subtract(a, b) => write_binary_ref(out, a, "-", b),
-        ast_ref::Expression::Multiply(a, b) => write_binary_ref(out, a, "*", b),
-        ast_ref::Expression::Divide(a, b) => write_binary_ref(out, a, "/", b),
-        ast_ref::Expression::In(a, list) => {
+        E::Var(v) => put_var(out, v),
+        E::Term(t) => write_term(out, t),
+        E::Or(a, b) => write_binary_ref(out, a, " || ", b),
+        E::And(a, b) => write_binary_ref(out, a, " && ", b),
+        E::Equal(a, b) => write_binary_ref(out, a, " = ", b),
+        E::NotEqual(a, b) => write_binary_ref(out, a, " != ", b),
+        E::Less(a, b) => write_binary_ref(out, a, " < ", b),
+        E::Greater(a, b) => write_binary_ref(out, a, " > ", b),
+        E::LessEq(a, b) => write_binary_ref(out, a, " <= ", b),
+        E::GreaterEq(a, b) => write_binary_ref(out, a, " >= ", b),
+        E::Add(a, b) => write_binary_ref(out, a, " + ", b),
+        E::Subtract(a, b) => write_binary_ref(out, a, " - ", b),
+        E::Multiply(a, b) => write_binary_ref(out, a, " * ", b),
+        E::Divide(a, b) => write_binary_ref(out, a, " / ", b),
+        E::In(a, list) => {
             write_expr_ref(out, a);
-            let _ = out.write_str(" IN (");
+            out.put(" IN (");
             write_expr_list_ref(out, list);
-            let _ = out.write_char(')');
+            out.put(")");
         }
-        ast_ref::Expression::NotIn(a, list) => {
+        E::NotIn(a, list) => {
             write_expr_ref(out, a);
-            let _ = out.write_str(" NOT IN (");
+            out.put(" NOT IN (");
             write_expr_list_ref(out, list);
-            let _ = out.write_char(')');
+            out.put(")");
         }
-        ast_ref::Expression::Not(a) => {
-            let _ = out.write_char('!');
+        E::Not(a) => {
+            out.put("!");
             write_expr_parens_ref(out, a);
         }
-        ast_ref::Expression::UnaryMinus(a) => {
-            let _ = out.write_char('-');
+        E::UnaryMinus(a) => {
+            out.put("-");
             write_expr_parens_ref(out, a);
         }
-        ast_ref::Expression::UnaryPlus(a) => {
-            let _ = out.write_char('+');
+        E::UnaryPlus(a) => {
+            out.put("+");
             write_expr_parens_ref(out, a);
         }
-        ast_ref::Expression::FunctionCall(name, args) => {
-            if name.contains("://")
-                || name.contains(':') && !name.chars().all(|c| c.is_ascii_uppercase() || c == '_')
-            {
-                let _ = write!(out, "<{name}>(");
+        E::FunctionCall(name, args) => {
+            if bare_function_name(name) {
+                out.put(name);
             } else {
-                let _ = write!(out, "{name}(");
+                put_bracketed(out, name);
             }
+            out.put("(");
             write_expr_list_ref(out, args);
-            let _ = out.write_char(')');
+            out.put(")");
         }
-        ast_ref::Expression::Exists(g) => {
-            let _ = out.write_str("EXISTS ");
+        E::Exists(g) => {
+            out.put("EXISTS ");
             write_group_ref(out, g);
         }
-        ast_ref::Expression::NotExists(g) => {
-            let _ = out.write_str("NOT EXISTS ");
+        E::NotExists(g) => {
+            out.put("NOT EXISTS ");
             write_group_ref(out, g);
         }
-        ast_ref::Expression::Aggregate(agg) => {
-            let name = match agg.kind {
-                AggregateKind::Count => "COUNT",
-                AggregateKind::Sum => "SUM",
-                AggregateKind::Min => "MIN",
-                AggregateKind::Max => "MAX",
-                AggregateKind::Avg => "AVG",
-                AggregateKind::Sample => "SAMPLE",
-                AggregateKind::GroupConcat => "GROUP_CONCAT",
-            };
-            let _ = write!(out, "{name}(");
+        E::Aggregate(agg) => {
+            out.put(match agg.kind {
+                AggregateKind::Count => "COUNT(",
+                AggregateKind::Sum => "SUM(",
+                AggregateKind::Min => "MIN(",
+                AggregateKind::Max => "MAX(",
+                AggregateKind::Avg => "AVG(",
+                AggregateKind::Sample => "SAMPLE(",
+                AggregateKind::GroupConcat => "GROUP_CONCAT(",
+            });
             if agg.distinct {
-                let _ = out.write_str("DISTINCT ");
+                out.put("DISTINCT ");
             }
             match agg.expr {
                 Some(e) => write_expr_ref(out, e),
-                None => {
-                    let _ = out.write_char('*');
-                }
+                None => out.put("*"),
             }
             if let Some(sep) = &agg.separator {
-                let _ = write!(out, "; SEPARATOR = {sep:?}");
+                out.put("; SEPARATOR = ");
+                put_quoted(out, sep);
             }
-            let _ = out.write_char(')');
+            out.put(")");
         }
     }
 }
 
-fn write_binary_ref<W: Write>(
-    out: &mut W,
+/// Writes `a op b`, `op` with its surrounding spaces.
+fn write_binary_ref<S: Sink>(
+    out: &mut S,
     a: &ast_ref::Expression<'_>,
     op: &str,
     b: &ast_ref::Expression<'_>,
 ) {
     write_expr_parens_ref(out, a);
-    let _ = write!(out, " {op} ");
+    out.put(op);
     write_expr_parens_ref(out, b);
 }
 
-fn write_expr_parens_ref<W: Write>(out: &mut W, e: &ast_ref::Expression<'_>) {
+fn write_expr_parens_ref<S: Sink>(out: &mut S, e: &ast_ref::Expression<'_>) {
     let atomic = matches!(
         e,
         ast_ref::Expression::Var(_)
@@ -442,16 +653,16 @@ fn write_expr_parens_ref<W: Write>(out: &mut W, e: &ast_ref::Expression<'_>) {
     if atomic {
         write_expr_ref(out, e);
     } else {
-        let _ = out.write_char('(');
+        out.put("(");
         write_expr_ref(out, e);
-        let _ = out.write_char(')');
+        out.put(")");
     }
 }
 
-fn write_expr_list_ref<W: Write>(out: &mut W, list: &[ast_ref::Expression<'_>]) {
+fn write_expr_list_ref<S: Sink>(out: &mut S, list: &[ast_ref::Expression<'_>]) {
     for (i, e) in list.iter().enumerate() {
         if i > 0 {
-            let _ = out.write_str(", ");
+            out.put(", ");
         }
         write_expr_ref(out, e);
     }
@@ -509,6 +720,15 @@ mod tests {
             // as some other token, or not at all.
             "ASK { ?x <a> ?y }",
             "BASE <http://b/> SELECT * WHERE { <x> <y> <z> }",
+            // Characters Rust's `{:?}` escapes as `\u{…}`, which the lexer
+            // rejects: a combining accent, a control character, and both
+            // in a separator.
+            "SELECT ?x WHERE { ?x <http://p> \"caf\u{e9}\u{301}\" , \"a\u{1}b\" , \"\u{0}\u{7f}\u{85}\" }",
+            "SELECT (GROUP_CONCAT(?y; SEPARATOR=\"\u{301}\") AS ?g) WHERE { ?x <http://p> ?y }",
+            r#"SELECT ?x WHERE { ?x <http://p> "a\u0001b\u0000" }"#,
+            // Function names that bare would read back as another name.
+            "SELECT ?x WHERE { ?x <http://p> ?y FILTER(<f>(?y) && <count>(?y) && <TRUE>(?y)) }",
+            "SELECT ?x WHERE { ?x <http://p> ?y FILTER(<f-1/x>(?y) && <COUNT>(?y) && <>(?y) && <2x>(?y)) }",
         ];
         for q in queries {
             let arena = Arena::new();
@@ -653,6 +873,20 @@ mod tests {
     }
 
     #[test]
+    fn literals_take_sparql_escapes_and_function_names_bare_only_if_they_read_back() {
+        assert_eq!(
+            canonical("ASK { ?x <http://p> \"\t\u{1}caf\u{e9}\u{301}\\\u{7f}\u{9f}\u{a0}\" }"),
+            "ASK WHERE { ?x <http://p> \"\\t\\u0001caf\u{e9}\u{301}\\\\\\u007F\\u009F\u{a0}\" . }"
+        );
+        assert_eq!(
+            canonical(
+                "SELECT ?x WHERE { ?x <http://p> ?y FILTER(<f>(?y) && str(?y) && SHA256(?y)) }"
+            ),
+            "SELECT ?x WHERE { ?x <http://p> ?y . FILTER((<f>(?y) && STR(?y)) && SHA256(?y)) }"
+        );
+    }
+
+    #[test]
     fn canonical_form_identifies_whitespace_variants() {
         assert_eq!(
             canonical("SELECT ?x WHERE { ?x a <http://ex.org/C> }"),
@@ -709,6 +943,7 @@ mod tests {
     fn hasher_streams_multibyte_chars_like_the_string_pass() {
         // write_char on a multibyte char must hash its UTF-8 bytes exactly
         // as the string pass does.
+        use std::fmt::Write;
         let mut h = CanonicalHasher::new();
         let _ = h.write_char('é');
         let _ = h.write_str("αβ");

@@ -12,14 +12,17 @@
 //!   lexer and the corpus line readers.
 //! * [`token`] / [`lexer`] — zero-copy tokenization: [`Token`](token::Token)
 //!   borrows `&str` slices of the input, and the token buffer lives in an
-//!   [`Arena`].
+//!   [`Arena`]. [`token_key`](token::token_key) hashes a token stream's
+//!   injective serialization, the key under which the engine memoizes the
+//!   layout variants of an entry.
 //! * [`arena`] — the bump [`Arena`] that owns every token, AST node and
 //!   expanded string for one parse batch; one [`Arena::reset`] call retires
 //!   the whole batch.
 //! * [`ast_ref`] — the AST: `Copy` nodes borrowing the source text and the
 //!   arena, close to the surface syntax. The one tree every analysis reads.
 //! * [`parser`] — the recursive-descent parser, entry point
-//!   [`parse_query_in`].
+//!   [`parse_query_in`], or [`parse_tokens_in`] over a token stream already
+//!   lexed.
 //! * [`display`] — canonical serialization, entry point
 //!   [`to_canonical_string_ref`], used for duplicate elimination and streak
 //!   similarity, plus the zero-materialization [`CanonicalHasher`] /
@@ -79,4 +82,4 @@ pub use display::{
 };
 pub use error::{ErrorKind, ParseError};
 pub use intern::{InternStats, Interner, Symbol};
-pub use parser::{parse_query_in, parse_query_in_with_limits, ParseLimits};
+pub use parser::{parse_query_in, parse_tokens_in, ParseLimits};

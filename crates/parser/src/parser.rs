@@ -18,7 +18,7 @@
 use crate::arena::{Arena, ArenaVec};
 use crate::ast_ref::*;
 use crate::error::{ErrorKind, ParseError, Result};
-use crate::lexer::tokenize_in_limited;
+use crate::lexer::tokenize_in;
 use crate::token::{Keyword, Spanned, Token};
 
 /// Hard resource guards for parsing adversarial input. Each field is a cap;
@@ -105,38 +105,29 @@ pub const RDF_NIL: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil";
 /// assert!(q.has_body());
 /// ```
 pub fn parse_query_in<'a>(input: &'a str, arena: &'a Arena) -> Result<Query<'a>> {
-    parse_query_in_with_limits(input, arena, &ParseLimits::none())
+    parse_tokens_in(tokenize_in(input, arena)?, arena, &ParseLimits::none())
 }
 
-/// [`parse_query_in`] under hard resource guards: the entry-byte cap is
-/// checked before tokenization, the token cap during it, and the
-/// recursion-depth cap while parsing. Guard trips surface as structured
-/// [`ParseError`]s ([`ErrorKind::OversizeEntry`] /
-/// [`ErrorKind::DepthExceeded`]) — the corpus pipeline tallies or aborts on
-/// them according to its recovery policy.
+/// Parses a token stream from [`tokenize_in`] (or its capped form
+/// [`tokenize_in_limited`](crate::lexer::tokenize_in_limited)) into a
+/// [`Query`], under the recursion-depth cap of `limits`; the byte and token
+/// caps are the caller's to check before and while lexing. A trip surfaces
+/// as a structured [`ErrorKind::DepthExceeded`] error.
+///
+/// The parser reads nothing but the [`Token`]s: spans only place error
+/// messages. Two equal token streams therefore parse to equal queries —
+/// the soundness argument of the engine's token-keyed entry memo.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] if the input is not a syntactically valid SPARQL
-/// 1.1 query (of the supported query subset) or trips one of `limits`.
-pub fn parse_query_in_with_limits<'a>(
-    input: &'a str,
+/// Returns a [`ParseError`] if the tokens do not form a syntactically valid
+/// SPARQL 1.1 query (of the supported query subset) or nest deeper than
+/// `limits` allow.
+pub fn parse_tokens_in<'a>(
+    tokens: &'a [Spanned<'a>],
     arena: &'a Arena,
     limits: &ParseLimits,
 ) -> Result<Query<'a>> {
-    if limits.oversize(input.len()) {
-        return Err(ParseError::with_kind(
-            ErrorKind::OversizeEntry,
-            format!(
-                "entry of {} bytes exceeds the {}-byte cap",
-                input.len(),
-                limits.max_entry_bytes
-            ),
-            1,
-            1,
-        ));
-    }
-    let tokens = tokenize_in_limited(input, arena, limits.max_tokens)?;
     let mut p = Parser::new(tokens, arena, limits.max_depth);
     let q = p.parse_query_unit()?;
     p.expect_eof()?;

@@ -261,6 +261,107 @@ impl fmt::Display for Token<'_> {
     }
 }
 
+/// The first byte of every token-stream serialization, and the end mark of
+/// each text inside one: a byte that never occurs in UTF-8, so no log
+/// entry's raw bytes can equal a serialized token stream and no text can
+/// run into the next.
+pub const TOKEN_STREAM_MARK: u8 = 0xFF;
+
+impl Token<'_> {
+    /// The token's kind, one byte below [`TOKEN_STREAM_MARK`]. The match has
+    /// no wildcard, so a new variant cannot be left without a tag.
+    fn tag(&self) -> u8 {
+        match self {
+            Token::Keyword(_) => 0,
+            Token::Boolean(_) => 1,
+            Token::Ident(_) => 2,
+            Token::IriRef(_) => 3,
+            Token::PrefixedName(_, _) => 4,
+            Token::Var(_) => 5,
+            Token::BlankNodeLabel(_) => 6,
+            Token::String(_) => 7,
+            Token::Integer(_) => 8,
+            Token::Decimal(_) => 9,
+            Token::Double(_) => 10,
+            Token::LangTag(_) => 11,
+            Token::A => 12,
+            Token::DoubleCaret => 13,
+            Token::LParen => 14,
+            Token::RParen => 15,
+            Token::LBrace => 16,
+            Token::RBrace => 17,
+            Token::LBracket => 18,
+            Token::RBracket => 19,
+            Token::Nil => 20,
+            Token::Anon => 21,
+            Token::Dot => 22,
+            Token::Comma => 23,
+            Token::Semicolon => 24,
+            Token::Pipe => 25,
+            Token::Slash => 26,
+            Token::Caret => 27,
+            Token::Star => 28,
+            Token::Plus => 29,
+            Token::Minus => 30,
+            Token::Question => 31,
+            Token::Bang => 32,
+            Token::Equal => 33,
+            Token::NotEqual => 34,
+            Token::Less => 35,
+            Token::Greater => 36,
+            Token::LessEq => 37,
+            Token::GreaterEq => 38,
+            Token::AndAnd => 39,
+            Token::OrOr => 40,
+        }
+    }
+}
+
+/// Appends the serialization of a token stream to `out`: the
+/// [`TOKEN_STREAM_MARK`], then per token its tag byte followed by its
+/// payload — a keyword or boolean as one byte, each text as its UTF-8 bytes
+/// closed by the mark. Spans are left out. Tag and mark make the encoding
+/// injective: equal serializations mean equal token values.
+pub fn serialize_tokens(tokens: &[Spanned<'_>], out: &mut Vec<u8>) {
+    fn text(out: &mut Vec<u8>, text: &str) {
+        out.extend_from_slice(text.as_bytes());
+        out.push(TOKEN_STREAM_MARK);
+    }
+    out.push(TOKEN_STREAM_MARK);
+    for spanned in tokens {
+        let token = &spanned.token;
+        out.push(token.tag());
+        match *token {
+            Token::Keyword(keyword) => out.push(keyword as u8),
+            Token::Boolean(value) => out.push(u8::from(value)),
+            Token::PrefixedName(prefix, local) => {
+                text(out, prefix);
+                text(out, local);
+            }
+            Token::Ident(s)
+            | Token::IriRef(s)
+            | Token::Var(s)
+            | Token::BlankNodeLabel(s)
+            | Token::String(s)
+            | Token::Integer(s)
+            | Token::Decimal(s)
+            | Token::Double(s)
+            | Token::LangTag(s) => text(out, s),
+            _ => {}
+        }
+    }
+}
+
+/// The 128-bit key of a token stream: [`hash128`](crate::bytescan::hash128)
+/// of its [serialization](serialize_tokens), built in `scratch`. Keywords
+/// arrive case-folded and whitespace and comments are not tokens, so
+/// entries that differ only in layout share a key.
+pub fn token_key(tokens: &[Spanned<'_>], scratch: &mut Vec<u8>) -> u128 {
+    scratch.clear();
+    serialize_tokens(tokens, scratch);
+    crate::bytescan::hash128(scratch)
+}
+
 /// A token annotated with its position in the input (byte offset, line, column).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spanned<'src> {
@@ -277,6 +378,249 @@ pub struct Spanned<'src> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every keyword, in declaration order (index = discriminant).
+    const KEYWORDS: [Keyword; 41] = [
+        Keyword::Base,
+        Keyword::Prefix,
+        Keyword::Select,
+        Keyword::Ask,
+        Keyword::Construct,
+        Keyword::Describe,
+        Keyword::Where,
+        Keyword::From,
+        Keyword::Named,
+        Keyword::Distinct,
+        Keyword::Reduced,
+        Keyword::Order,
+        Keyword::By,
+        Keyword::Asc,
+        Keyword::Desc,
+        Keyword::Limit,
+        Keyword::Offset,
+        Keyword::Group,
+        Keyword::Having,
+        Keyword::Optional,
+        Keyword::Union,
+        Keyword::Filter,
+        Keyword::Graph,
+        Keyword::Minus,
+        Keyword::Bind,
+        Keyword::As,
+        Keyword::Values,
+        Keyword::Service,
+        Keyword::Silent,
+        Keyword::Undef,
+        Keyword::Exists,
+        Keyword::Not,
+        Keyword::In,
+        Keyword::Count,
+        Keyword::Sum,
+        Keyword::Min,
+        Keyword::Max,
+        Keyword::Avg,
+        Keyword::Sample,
+        Keyword::GroupConcat,
+        Keyword::Separator,
+    ];
+
+    /// Every token without a payload, in tag order (tags 12..=40).
+    const PLAIN: [Token<'static>; 29] = [
+        Token::A,
+        Token::DoubleCaret,
+        Token::LParen,
+        Token::RParen,
+        Token::LBrace,
+        Token::RBrace,
+        Token::LBracket,
+        Token::RBracket,
+        Token::Nil,
+        Token::Anon,
+        Token::Dot,
+        Token::Comma,
+        Token::Semicolon,
+        Token::Pipe,
+        Token::Slash,
+        Token::Caret,
+        Token::Star,
+        Token::Plus,
+        Token::Minus,
+        Token::Question,
+        Token::Bang,
+        Token::Equal,
+        Token::NotEqual,
+        Token::Less,
+        Token::Greater,
+        Token::LessEq,
+        Token::GreaterEq,
+        Token::AndAnd,
+        Token::OrOr,
+    ];
+
+    /// Reads a serialization back into token values: that this inverts
+    /// [`serialize_tokens`] is what makes the encoding injective.
+    fn deserialize(bytes: &[u8]) -> Vec<Token<'_>> {
+        assert_eq!(bytes.first(), Some(&TOKEN_STREAM_MARK));
+        let mut tokens = Vec::new();
+        let mut rest = &bytes[1..];
+        while let Some((&tag, tail)) = rest.split_first() {
+            rest = tail;
+            let mut text = || {
+                let end = rest
+                    .iter()
+                    .position(|&b| b == TOKEN_STREAM_MARK)
+                    .expect("every text is closed by the mark");
+                let text = std::str::from_utf8(&rest[..end]).expect("texts are UTF-8");
+                rest = &rest[end + 1..];
+                text
+            };
+            let token = match tag {
+                0 | 1 => {
+                    let (&value, tail) = rest.split_first().expect("one payload byte");
+                    rest = tail;
+                    if tag == 0 {
+                        Token::Keyword(KEYWORDS[usize::from(value)])
+                    } else {
+                        assert!(value <= 1, "boolean byte {value}");
+                        Token::Boolean(value == 1)
+                    }
+                }
+                2 => Token::Ident(text()),
+                3 => Token::IriRef(text()),
+                4 => Token::PrefixedName(text(), text()),
+                5 => Token::Var(text()),
+                6 => Token::BlankNodeLabel(text()),
+                7 => Token::String(text()),
+                8 => Token::Integer(text()),
+                9 => Token::Decimal(text()),
+                10 => Token::Double(text()),
+                11 => Token::LangTag(text()),
+                _ => PLAIN[usize::from(tag) - 12],
+            };
+            tokens.push(token);
+        }
+        tokens
+    }
+
+    fn spanned<'a>(tokens: &[Token<'a>], offset: usize) -> Vec<Spanned<'a>> {
+        tokens
+            .iter()
+            .enumerate()
+            .map(|(i, &token)| Spanned {
+                token,
+                offset: offset + i,
+                line: 1 + (offset % 7) as u32,
+                column: 1 + i as u32,
+            })
+            .collect()
+    }
+
+    fn serialized(tokens: &[Token<'_>], offset: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        serialize_tokens(&spanned(tokens, offset), &mut out);
+        out
+    }
+
+    #[test]
+    fn tags_and_discriminants_are_what_the_decoder_reads() {
+        for (i, keyword) in KEYWORDS.iter().enumerate() {
+            assert_eq!(*keyword as usize, i, "{keyword:?}");
+        }
+        for (i, token) in PLAIN.iter().enumerate() {
+            assert_eq!(usize::from(token.tag()), 12 + i, "{token:?}");
+        }
+        // Texts that run together without their end marks stay apart.
+        let pairs: [(&[Token], &[Token]); 3] = [
+            (
+                &[Token::PrefixedName("ab", "c")],
+                &[Token::PrefixedName("a", "bc")],
+            ),
+            (&[Token::Var("x"), Token::Dot], &[Token::Var("x.")]),
+            // Dot's tag is 0x16.
+            (
+                &[Token::String("a"), Token::Dot],
+                &[Token::String("a\u{16}")],
+            ),
+        ];
+        for (a, b) in pairs {
+            assert_ne!(serialized(a, 0), serialized(b, 0), "{a:?} vs {b:?}");
+        }
+    }
+
+    /// Draws a token of any kind: `kind` picks the variant (the tag),
+    /// `text` is arbitrary Unicode scalars, `pick` a keyword, a boolean or
+    /// where a prefixed name splits.
+    fn token_of(kind: usize, text: &str, pick: usize) -> Token<'_> {
+        let split = text
+            .char_indices()
+            .map(|(at, _)| at)
+            .nth(pick)
+            .unwrap_or(text.len());
+        match kind {
+            0 => Token::Keyword(KEYWORDS[pick % KEYWORDS.len()]),
+            1 => Token::Boolean(pick % 2 == 1),
+            2 => Token::Ident(text),
+            3 => Token::IriRef(text),
+            4 => Token::PrefixedName(&text[..split], &text[split..]),
+            5 => Token::Var(text),
+            6 => Token::BlankNodeLabel(text),
+            7 => Token::String(text),
+            8 => Token::Integer(text),
+            9 => Token::Decimal(text),
+            10 => Token::Double(text),
+            11 => Token::LangTag(text),
+            _ => PLAIN[kind - 12],
+        }
+    }
+
+    type Draw = (usize, Vec<u32>, usize);
+
+    fn texts(draws: &[Draw]) -> Vec<String> {
+        draws
+            .iter()
+            .map(|(_, codes, _)| codes.iter().filter_map(|&c| char::from_u32(c)).collect())
+            .collect()
+    }
+
+    fn tokens<'a>(draws: &[Draw], texts: &'a [String]) -> Vec<Token<'a>> {
+        draws
+            .iter()
+            .zip(texts)
+            .map(|(&(kind, _, pick), text)| token_of(kind, text, pick))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The serialization starts with a byte no UTF-8 text holds, reads
+        /// back to the very token values (so it is injective), ignores
+        /// spans, and two streams share a key exactly when their values
+        /// are equal.
+        #[test]
+        fn token_keys_are_injective(
+            a in prop::collection::vec((0usize..41, prop::collection::vec(0u32..0x11_0000, 0..5), 0usize..41), 0..24),
+            b in prop::collection::vec((0usize..41, prop::collection::vec(0u32..0x11_0000, 0..5), 0usize..41), 0..24),
+            offset in 0usize..1000,
+        ) {
+            let (texts_a, texts_b) = (texts(&a), texts(&b));
+            let (a, b) = (tokens(&a, &texts_a), tokens(&b, &texts_b));
+            let bytes = serialized(&a, 0);
+            prop_assert_eq!(bytes[0], TOKEN_STREAM_MARK);
+            prop_assert!(std::str::from_utf8(&bytes).is_err());
+            prop_assert_eq!(deserialize(&bytes), a.clone());
+            prop_assert_eq!(&serialized(&a, offset), &bytes);
+            let mut scratch = Vec::new();
+            let key = |tokens: &[Token<'_>], scratch: &mut Vec<u8>| token_key(&spanned(tokens, offset), scratch);
+            let (key_a, key_b) = (key(&a, &mut scratch), key(&b, &mut scratch));
+            prop_assert_eq!(key_a == key_b, a == b);
+            // A prefix of a stream is another stream, with another key.
+            if !a.is_empty() {
+                prop_assert!(key(&a[..a.len() - 1], &mut scratch) != key_a);
+            }
+        }
+    }
 
     #[test]
     fn keyword_lookup_is_case_insensitive() {

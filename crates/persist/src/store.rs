@@ -28,6 +28,17 @@
 //! ambiguous, not a different format: every other query fingerprints as it
 //! did, so the version is not bumped and old stores stay readable.
 //!
+//! Version 1 stores written before the canonical writer dropped
+//! `core::fmt` hold, for two kinds of query, the fingerprint of a canonical
+//! text that did not re-parse to itself: a literal or `SEPARATOR` holding a
+//! character Rust's `{:?}` escapes (`\u{301}`, `\u{1}`, `\0`; now written
+//! with SPARQL's escapes, or raw), and a function named by a relative IRI
+//! whose bare spelling reads back as another name (`<f>(?y)` written
+//! `f(?y)`, read back as the built-in `F`; now bracketed). Those entries
+//! fingerprint differently today; every other query fingerprints as it
+//! did. No code compares fingerprints across separately stored per-log
+//! summaries, so the version is not bumped and old stores stay readable.
+//!
 //! Version 1 stores written before log identities
 //! (`sparqlog_core::file_identity`) became the lane-wise `hash128` key their
 //! snapshots by a byte-serial FNV-1a-128 of the same bytes. The layout is

@@ -7,8 +7,9 @@
 //! cache-shard boundaries, cross-call cache reuse, and the commutative
 //! merge.
 //!
-//! The same two halves one level down, for the raw-entry memo in front of
-//! the parser (equal bytes ⇒ equal outcome): byte-identical, respelled and
+//! The same two halves one level down, for the entry memo in front of the
+//! parser and its two keys (equal bytes ⇒ equal outcome, equal tokens ⇒
+//! equal parse): byte-identical, layout-variant, `PREFIX`-respelled and
 //! invalid repeats at every worker count and batch size, slots fought over
 //! by more lines than the table holds, and defects that must meet the
 //! guarded parse at every repeat — all against the oracle, which has no
@@ -25,7 +26,7 @@ use sparqlog::core::fused::ENTRY_MEMO_SLOTS;
 use sparqlog::core::report::full_report;
 use sparqlog::core::{CorpusAnalysis, ErrorKind, Population, QueryAnalysis, RecoveryPolicy};
 use sparqlog::parser::bytescan::hash128;
-use sparqlog::parser::token::{Keyword, Token};
+use sparqlog::parser::token::{token_key, Keyword, Token};
 use sparqlog::parser::{
     canonical_fingerprint_of_ref, lexer, parse_query_in, Arena, Interner, ParseError,
 };
@@ -254,6 +255,85 @@ fn assert_matches_oracle(fused: &FusedAnalysis, oracle: &CorpusAnalysis, context
         oracle.combined.counts.valid,
         "{context}"
     );
+}
+
+/// One spelling of a pool line. 0–6 keep its token stream (so the token
+/// key must resolve them): a doubled space, trailing blanks, tabs between
+/// tokens, title-case keywords (`Select`), a trailing `# comment`, `'x'`
+/// for `"x"`, and `"\u0061"` for `"a"`. 7 abbreviates its IRIs through
+/// `PREFIX` declarations: another token stream, the same canonical form —
+/// two keys, one fingerprint. Anything else is the line itself. Lines that
+/// do not lex get the plain-text variants only.
+fn respelled_as(line: &str, spelling: u8) -> String {
+    match spelling {
+        0 => line.replacen(' ', "  ", 1),
+        1 => format!("{line} \t"),
+        2 => retokened(line, "\t", |_, text| text.to_string()),
+        3 => retokened(line, " ", |token, text| match token {
+            Token::Keyword(_) => {
+                let lower = text.to_ascii_lowercase();
+                lower[..1].to_ascii_uppercase() + &lower[1..]
+            }
+            _ => text.to_string(),
+        }),
+        4 => format!("{line} # comment"),
+        5 => retokened(line, " ", |token, text| {
+            match (token, short_string_body(text)) {
+                (Token::String(_), Some(body)) if text.starts_with('"') && !body.contains('\'') => {
+                    format!("'{body}'")
+                }
+                _ => text.to_string(),
+            }
+        }),
+        6 => retokened(line, " ", |token, text| {
+            match (token, short_string_body(text)) {
+                (Token::String(_), Some(body)) if !body.contains('\\') => {
+                    match body.find(|c: char| c.is_ascii_alphanumeric()) {
+                        Some(at) => format!(
+                            "{quote}{}\\u{:04X}{}{quote}",
+                            &body[..at],
+                            u32::from(body.as_bytes()[at]),
+                            &body[at + 1..],
+                            quote = &text[..1]
+                        ),
+                        None => text.to_string(),
+                    }
+                }
+                _ => text.to_string(),
+            }
+        }),
+        7 if lexer::tokenize_in(line, &Arena::new()).is_ok() => respell(line),
+        _ => line.to_string(),
+    }
+}
+
+/// Rewrites a line token by token: each token's source text (its trailing
+/// layout dropped) through `piece`, joined by `separator`. Inserting layout
+/// between two tokens never changes either, so with `piece` the identity
+/// the token stream is unchanged. A line that does not lex is returned as
+/// it is.
+fn retokened(line: &str, separator: &str, piece: impl Fn(&Token<'_>, &str) -> String) -> String {
+    let arena = Arena::new();
+    let Ok(tokens) = lexer::tokenize_in(line, &arena) else {
+        return line.to_string();
+    };
+    let pieces: Vec<String> = tokens
+        .iter()
+        .enumerate()
+        .map(|(i, spanned)| {
+            let end = tokens.get(i + 1).map_or(line.len(), |next| next.offset);
+            piece(&spanned.token, line[spanned.offset..end].trim_end())
+        })
+        .collect();
+    pieces.join(separator)
+}
+
+/// The body of a short-quoted string literal's source text (`"…"` or
+/// `'…'`), or `None` for a long-quoted one.
+fn short_string_body(text: &str) -> Option<&str> {
+    let quote = text.chars().next()?;
+    let long = text.len() >= 6 && text.starts_with(&quote.to_string().repeat(3));
+    (!long && text.len() >= 2).then(|| &text[1..text.len() - 1])
 }
 
 /// A line the recursion guard rejects: a defect, never a memoized outcome.
@@ -516,16 +596,18 @@ proptest! {
         }
     }
 
-    /// The raw-entry memo against the memo-less oracle: a log drawn from a
-    /// pool of synthesized queries, plain invalid lines and one defect, each
-    /// draw spelled byte-identically or with perturbed whitespace, read
-    /// forwards as one log and backwards as another (so every line also
-    /// repeats across logs, at different positions).
+    /// The entry memo, both keys, against the memo-less oracle: a log drawn
+    /// from a pool of synthesized queries, plain invalid lines and one
+    /// defect, each draw spelled byte-identically or as one of the
+    /// [`respelled_as`] variants — layout variants the token key must
+    /// resolve, and a `PREFIX` spelling it must not — read forwards as one
+    /// log and backwards as another (so every line also repeats across
+    /// logs, at different positions).
     #[test]
     fn memoized_entries_match_the_oracle_on_repeat_heavy_logs(
         seed in 0u64..5_000,
         dataset_idx in 0usize..13,
-        draws in proptest::collection::vec((0usize..40, 0u8..6), 120..200),
+        draws in proptest::collection::vec((0usize..40, 0u8..12), 120..200),
     ) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
@@ -537,16 +619,27 @@ proptest! {
             "SELECT ?x WHERE { ?x <http://example.org/\u{0}> ?y }".to_string(),
             too_deep(),
         ]);
+        // The spellings are what they claim: 0–6 keep a query's token
+        // stream, 7 changes it but keeps its canonical form.
+        let arena = Arena::new();
+        let key_of = |line: &str| {
+            let tokens = lexer::tokenize_in(line, &arena).expect("synthesized queries lex");
+            token_key(tokens, &mut Vec::new())
+        };
+        let fingerprint_of = |line: &str| {
+            canonical_fingerprint_of_ref(&parse_query_in(line, &arena).expect("queries parse"))
+        };
+        for line in &pool[..35] {
+            for spelling in 0..7 {
+                let respelled = respelled_as(line, spelling);
+                prop_assert_eq!(key_of(&respelled), key_of(line), "{:?} vs {:?}", respelled, line);
+            }
+            let prefixed = respelled_as(line, 7);
+            prop_assert_eq!(fingerprint_of(&prefixed), fingerprint_of(line), "{}", prefixed);
+        }
         let entries: Vec<String> = draws
             .iter()
-            .map(|&(pick, spelling)| {
-                let line = &pool[pick];
-                match spelling {
-                    0 => line.replacen(' ', "  ", 1),
-                    1 => format!("{line} \t"),
-                    _ => line.clone(),
-                }
-            })
+            .map(|&(pick, spelling)| respelled_as(&pool[pick], spelling))
             .collect();
         let backwards: Vec<String> = entries.iter().rev().cloned().collect();
         let raw = [RawLog::new("forwards", entries), RawLog::new("backwards", backwards)];

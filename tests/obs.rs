@@ -66,7 +66,11 @@ fn write_corpus(dir: &Path) -> Vec<LogSpec> {
         raw.push((day.dataset.label().to_string(), entries));
     }
     let head: Vec<String> = raw[0].1.iter().take(10).cloned().collect();
+    // The same lines again, and respelled: layout variants the entry memo
+    // resolves by their token stream.
+    let respelled: Vec<String> = head.iter().map(|e| format!("\t{e}  # respelled")).collect();
     raw[1].1.extend(head);
+    raw[1].1.extend(respelled);
     raw[1].1.push("THIS IS NOT SPARQL {{{".to_string());
 
     raw.into_iter()
@@ -157,6 +161,7 @@ fn fused_and_oracle_reports_are_byte_identical_with_metrics_on_and_off() {
             "cache_misses_total",
             "memo_probes_total",
             "memo_hits_total",
+            "memo_token_hits_total",
         ] {
             assert!(
                 snapshot.counter(name).is_some(),
@@ -172,7 +177,10 @@ fn fused_and_oracle_reports_are_byte_identical_with_metrics_on_and_off() {
             counter("pipeline_entries_total")
         );
         assert!(counter("memo_hits_total") < counter("memo_probes_total"));
+        // Token hits are the share of the hits a layout variant earned.
+        assert!(counter("memo_token_hits_total") <= counter("memo_hits_total"));
         if workers == 1 {
+            assert!(counter("memo_token_hits_total") > 0);
             assert!(
                 3 * counter("memo_hits_total") >= counter("memo_probes_total"),
                 "{} hits in {} probes",
@@ -240,6 +248,7 @@ fn sharded_reports_are_byte_identical_with_metrics_on_and_off() {
             "pipeline_valid_total",
             "memo_probes_total",
             "memo_hits_total",
+            "memo_token_hits_total",
         ] {
             assert!(
                 snapshot.counter(name).is_some(),
@@ -320,6 +329,7 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
         "cache_misses_total",   // cache (absorbed from workers)
         "memo_probes_total",    // the entry memo in front of it
         "memo_hits_total",
+        "memo_token_hits_total",
         "shard_log_frames_streamed_total", // shard (worker epilogue)
         "persist_opens_total",             // persist (the job store)
         "serve_sessions_total",            // serve (the daemon itself)

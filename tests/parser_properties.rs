@@ -11,14 +11,23 @@ proptest! {
 
     /// Every query the synthesizer produces (for any dataset profile and any
     /// seed) parses, and canonicalization is a fixpoint: parse → print →
-    /// parse → print yields the same string.
+    /// parse → print yields the same string. So it is for a query whose
+    /// literal and `SEPARATOR` are drawn over arbitrary Unicode scalars.
     #[test]
-    fn synthesized_queries_parse_and_canonicalize(seed in 0u64..10_000, dataset_idx in 0usize..13) {
+    fn synthesized_queries_parse_and_canonicalize(
+        seed in 0u64..10_000,
+        dataset_idx in 0usize..13,
+        scalars in prop::collection::vec(0u32..0x11_0000, 0..16),
+    ) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         let mut arena = Arena::new();
-        for _ in 0..5 {
-            let text = synth.fresh_query();
+        let literal = sparql_string(&scalars.iter().filter_map(|&c| char::from_u32(c)).collect::<String>());
+        let drawn = format!(
+            "SELECT (GROUP_CONCAT(?o; SEPARATOR={literal}) AS ?g) WHERE {{ \
+             ?s <http://example.org/p> ?o , {literal}@en FILTER(?o != {literal}) }} GROUP BY ?s"
+        );
+        for text in (0..5).map(|_| synth.fresh_query()).chain([drawn]) {
             arena.reset();
             let parsed = parse_query_in(&text, &arena);
             prop_assert!(parsed.is_ok(), "failed to parse {text:?}: {:?}", parsed.err());
@@ -79,4 +88,26 @@ proptest! {
         }
         let _ = parse_query_in(&text[..boundary], &Arena::new());
     }
+}
+
+/// `text` as a double-quoted SPARQL string: the characters a short string
+/// cannot hold raw get their short escapes, and every third character is
+/// written as a `\u` / `\U` escape so the lexer's unescaping is drawn too.
+fn sparql_string(text: &str) -> String {
+    let mut out = String::from("\"");
+    for (i, c) in text.chars().enumerate() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            _ if i % 3 == 2 && u32::from(c) <= 0xFFFF => {
+                out.push_str(&format!("\\u{:04X}", u32::from(c)))
+            }
+            _ if i % 3 == 2 => out.push_str(&format!("\\U{:08X}", u32::from(c))),
+            _ => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
