@@ -382,7 +382,7 @@ impl RecoveryContext {
         &self,
         entry: &'a str,
         arena: &'a Arena,
-        resolve: impl FnOnce(Lexed<'a, '_>) -> Result<T, ParseError>,
+        resolve: impl FnOnce(Lexed<'a>) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         let guarded = catch_unwind(AssertUnwindSafe(|| {
             if let Some(needle) = &self.drill {
@@ -406,7 +406,7 @@ impl RecoveryContext {
             resolve(Lexed {
                 tokens,
                 arena,
-                limits: &self.limits,
+                limits: self.limits,
             })
         }));
         match guarded {
@@ -435,13 +435,13 @@ impl RecoveryContext {
 /// An entry that passed the drill, the byte cap and the token cap, handed
 /// to [`RecoveryContext::parse_entry`]'s `resolve`: its tokens, and a parse
 /// of them under the depth cap.
-pub(crate) struct Lexed<'a, 'c> {
+pub(crate) struct Lexed<'a> {
     tokens: &'a [Spanned<'a>],
     arena: &'a Arena,
-    limits: &'c ParseLimits,
+    limits: ParseLimits,
 }
 
-impl<'a> Lexed<'a, '_> {
+impl<'a> Lexed<'a> {
     /// The entry's tokens, in the arena.
     pub(crate) fn tokens(&self) -> &'a [Spanned<'a>] {
         self.tokens
@@ -449,7 +449,7 @@ impl<'a> Lexed<'a, '_> {
 
     /// Parses the tokens into the arena under the depth cap.
     pub(crate) fn parse(&self) -> Result<Query<'a>, ParseError> {
-        parse_tokens_in(self.tokens, self.arena, self.limits)
+        parse_tokens_in(self.tokens, self.arena, &self.limits)
     }
 }
 

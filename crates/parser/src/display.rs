@@ -208,9 +208,7 @@ pub(crate) fn write_term<S: Sink>(out: &mut S, t: &Term<'_>) {
             if bare_iri(i) {
                 out.put(i);
             } else {
-                out.put("<");
-                out.put(i);
-                out.put(">");
+                put_bracketed(out, i);
             }
         }
         Term::Literal {

@@ -597,8 +597,8 @@ proptest! {
     }
 
     /// The entry memo, both keys, against the memo-less oracle: a log drawn
-    /// from a pool of synthesized queries, plain invalid lines and one
-    /// defect, each draw spelled byte-identically or as one of the
+    /// from a pool of synthesized queries, twins that differ in one token's
+    /// text, plain invalid lines and one defect, each draw spelled byte-identically or as one of the
     /// [`respelled_as`] variants — layout variants the token key must
     /// resolve, and a `PREFIX` spelling it must not — read forwards as one
     /// log and backwards as another (so every line also repeats across
@@ -607,11 +607,19 @@ proptest! {
     fn memoized_entries_match_the_oracle_on_repeat_heavy_logs(
         seed in 0u64..5_000,
         dataset_idx in 0usize..13,
-        draws in proptest::collection::vec((0usize..40, 0u8..12), 120..200),
+        draws in proptest::collection::vec((0usize..44, 0u8..12), 120..200),
     ) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         let mut pool: Vec<String> = (0..35).map(|_| synth.fresh_query()).collect();
+        // Twins whose token streams differ in one payload only: one key
+        // each, or a lossy serialization would count one as the other.
+        pool.extend([
+            "SELECT ?x WHERE { ?x <http://example.org/p> \"x\" }".to_string(),
+            "SELECT ?x WHERE { ?x <http://example.org/p> \"y\" }".to_string(),
+            "ASK { ?x <http://example.org/p> 1 }".to_string(),
+            "ASK { ?x <http://example.org/p> 2 }".to_string(),
+        ]);
         pool.extend([
             "garbage entry".to_string(),
             "SELECT ?x WHERE { ?x <http://example.org/p> \"unterminated }".to_string(),
@@ -629,7 +637,7 @@ proptest! {
         let fingerprint_of = |line: &str| {
             canonical_fingerprint_of_ref(&parse_query_in(line, &arena).expect("queries parse"))
         };
-        for line in &pool[..35] {
+        for line in &pool[..39] {
             for spelling in 0..7 {
                 let respelled = respelled_as(line, spelling);
                 prop_assert_eq!(key_of(&respelled), key_of(line), "{:?} vs {:?}", respelled, line);
