@@ -353,13 +353,13 @@ pub fn serialize_tokens(tokens: &[Spanned<'_>], out: &mut Vec<u8>) {
 }
 
 /// The 128-bit key of a token stream: [`hash128`](crate::bytescan::hash128)
-/// of its [serialization](serialize_tokens), built in `scratch`. Keywords
+/// of its [serialization](serialize_tokens), built in `buffer`. Keywords
 /// arrive case-folded and whitespace and comments are not tokens, so
 /// entries that differ only in layout share a key.
-pub fn token_key(tokens: &[Spanned<'_>], scratch: &mut Vec<u8>) -> u128 {
-    scratch.clear();
-    serialize_tokens(tokens, scratch);
-    crate::bytescan::hash128(scratch)
+pub fn token_key(tokens: &[Spanned<'_>], buffer: &mut Vec<u8>) -> u128 {
+    buffer.clear();
+    serialize_tokens(tokens, buffer);
+    crate::bytescan::hash128(buffer)
 }
 
 /// A token annotated with its position in the input (byte offset, line, column).
@@ -611,13 +611,13 @@ mod tests {
             prop_assert!(std::str::from_utf8(&bytes).is_err());
             prop_assert_eq!(deserialize(&bytes), a.clone());
             prop_assert_eq!(&serialized(&a, offset), &bytes);
-            let mut scratch = Vec::new();
-            let key = |tokens: &[Token<'_>], scratch: &mut Vec<u8>| token_key(&spanned(tokens, offset), scratch);
-            let (key_a, key_b) = (key(&a, &mut scratch), key(&b, &mut scratch));
+            let mut buffer = Vec::new();
+            let key = |tokens: &[Token<'_>], buffer: &mut Vec<u8>| token_key(&spanned(tokens, offset), buffer);
+            let (key_a, key_b) = (key(&a, &mut buffer), key(&b, &mut buffer));
             prop_assert_eq!(key_a == key_b, a == b);
             // A prefix of a stream is another stream, with another key.
             if !a.is_empty() {
-                prop_assert!(key(&a[..a.len() - 1], &mut scratch) != key_a);
+                prop_assert!(key(&a[..a.len() - 1], &mut buffer) != key_a);
             }
         }
     }
