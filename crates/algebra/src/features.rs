@@ -9,7 +9,7 @@ use sparqlog_parser::ast_ref::*;
 ///
 /// A `QueryFeatures` value is cheap to aggregate, serialize and ship across
 /// threads, which is how the corpus pipeline parallelizes log analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct QueryFeatures {
     /// The query form.
     pub form: QueryForm,
@@ -71,7 +71,7 @@ pub struct QueryFeatures {
 }
 
 /// Which aggregate functions a query uses (Table 2, fourth block).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AggregateUse {
     /// `COUNT` is used.
     pub count: bool,
@@ -158,7 +158,7 @@ impl AggregateUse {
 }
 
 /// A serializable copy of the [`BodyOps`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BodyOpsSummary {
     /// Number of joins (`And` combinations).
     pub joins: u32,

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use sparqlog_parser::ast_ref::*;
 
 /// The fragment membership of one query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FragmentReport {
     /// The query is a SELECT or ASK query (the population the fragment
     /// analysis is carried out on).

@@ -1,5 +1,6 @@
 //! The fingerprint-keyed analysis cache: each distinct canonical form is
-//! analysed exactly once per corpus run.
+//! analysed exactly once per corpus run, and each distinct analysis record
+//! is kept once.
 //!
 //! The source paper's central empirical fact is massive duplication in real
 //! SPARQL logs — most entries repeat earlier queries. Re-running the full
@@ -36,6 +37,28 @@
 //! (byte-identical, respelled and invalid repeats, slot thrashing, repeated
 //! defects).
 //!
+//! **Analysis classes.** A record holds only Table 2–4 outcomes — keyword
+//! and operator sets, a shape, a few widths and counts — so distinct forms
+//! share records heavily: on the seed-1 synthetic corpora the 18 756 forms
+//! of an all-distinct run have 2 742 distinct records, and the 7 827 of a
+//! duplicate-heavy one 102. The cache keeps each distinct record once, as a
+//! *class*: a shard maps a fingerprint to a [`ClassId`] (a `u32`), and one
+//! class table holds each record once behind an `Arc`, with an index from
+//! record to id. A class is an equality class of records under their
+//! derived `Eq`, so the record of a class *is* the record of every
+//! fingerprint in it — nothing a report reads can tell two members apart.
+//! The engine therefore folds once per (log, class), with the summed
+//! weight of the class's fingerprints in that log. That collapse is sound
+//! because [`DatasetAnalysis::add_times`](crate::DatasetAnalysis::add_times)
+//! is linear in its weight — `add_times(r, a)` then `add_times(r, b)`
+//! equals `add_times(r, a + b)`, since both equal `a + b` single folds
+//! (`tests/fused.rs::weighted_fold_equals_repeated_folds`) — and every fold
+//! is a commutative sum or an idempotent extremum, so the order of classes
+//! does not matter either. Ids are handed out in interning order, which
+//! depends on the schedule; they never leave a run: no report, summary,
+//! stats record, wire frame or store record holds one (`tests/cache.rs`
+//! runs one cache over logs in two orders to show it).
+//!
 //! The cache is **range-partitioned by the fingerprint's top bits** into
 //! lock-striped shards: concurrent workers only contend when they touch the
 //! same shard, any single rehash stays O(shard), and two caches (e.g. from
@@ -64,7 +87,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use crate::corpus::FingerprintBuildHasher;
+use crate::corpus::{FingerprintBuildHasher, RecordBuildHasher};
 use crate::query_analysis::QueryAnalysis;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -73,6 +96,12 @@ use std::sync::{Arc, Mutex};
 
 /// Default shard count for [`AnalysisCache`].
 const CACHE_SHARDS: usize = 16;
+
+/// The id of an analysis class: the index of one distinct
+/// [`QueryAnalysis`] record in an [`AnalysisCache`]'s class table. Ids are
+/// dense and handed out in interning order, so they depend on the schedule
+/// and mean something only next to the cache that issued them.
+pub type ClassId = u32;
 
 sparqlog_algebra::tally! {
     /// Cumulative counters of an [`AnalysisCache`]: how many lookups were served
@@ -99,21 +128,31 @@ impl CacheStats {
     }
 }
 
-/// One lock-striped shard: the memo table plus its hit/miss counters.
+/// One lock-striped shard: fingerprint → class, plus its hit/miss counters.
 #[derive(Debug, Default)]
 struct CacheShard {
-    map: Mutex<HashMap<u128, Arc<QueryAnalysis>, FingerprintBuildHasher>>,
+    map: Mutex<HashMap<u128, ClassId, FingerprintBuildHasher>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A sharded, concurrent memo table mapping canonical fingerprints to their
-/// [`QueryAnalysis`] records (see the [module docs](self) for the design and
-/// the soundness argument).
+/// Every distinct record once: class `id` is `records[id]`, and `ids`
+/// finds the class of a record.
+#[derive(Debug, Default)]
+struct ClassTable {
+    records: Vec<Arc<QueryAnalysis>>,
+    ids: HashMap<Arc<QueryAnalysis>, ClassId, RecordBuildHasher>,
+}
+
+/// A sharded, concurrent memo table mapping canonical fingerprints to the
+/// classes of their [`QueryAnalysis`] records, with one table holding each
+/// class's record once (see the [module docs](self) for the design and the
+/// soundness argument).
 #[derive(Debug)]
 pub struct AnalysisCache {
     shards: Vec<CacheShard>,
     bits: u32,
+    classes: Mutex<ClassTable>,
 }
 
 impl Default for AnalysisCache {
@@ -135,6 +174,7 @@ impl AnalysisCache {
         AnalysisCache {
             shards: (0..count).map(|_| CacheShard::default()).collect(),
             bits: count.trailing_zeros(),
+            classes: Mutex::default(),
         }
     }
 
@@ -152,35 +192,50 @@ impl AnalysisCache {
         }
     }
 
-    /// Returns the memoized analysis for `fingerprint`, or computes it with
-    /// `analyze` and memoizes the result.
+    /// Returns the memoized class of `fingerprint`, or computes its record
+    /// with `analyze`, interns it and memoizes the class.
     ///
-    /// The shard lock is **not** held while `analyze` runs, so two workers
-    /// hitting the same cold fingerprint may both compute it; the first
-    /// insert wins and both fold identical records, keeping reports
-    /// deterministic for any schedule.
-    pub fn get_or_insert_with(
+    /// No lock is held while `analyze` runs, so two workers hitting the same
+    /// cold fingerprint may both compute it; their records are equal, so
+    /// they intern to one class, and the first insert wins either way —
+    /// reports stay deterministic for any schedule.
+    pub fn class_or_insert_with(
         &self,
         fingerprint: u128,
         analyze: impl FnOnce() -> QueryAnalysis,
-    ) -> Arc<QueryAnalysis> {
+    ) -> ClassId {
         let shard = &self.shards[self.shard_of(fingerprint)];
-        if let Some(hit) = shard
+        if let Some(&class) = shard
             .map
             .lock()
             .expect("analysis cache shard lock")
             .get(&fingerprint)
         {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+            return class;
         }
         // Counted once the analysis exists: if `analyze` panics the caller
         // tallies the entry as a defect, not as a valid occurrence, and
         // `hits + misses` must keep equalling the valid occurrences.
-        let computed = Arc::new(analyze());
+        let class = self.intern(analyze());
         shard.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = shard.map.lock().expect("analysis cache shard lock");
-        Arc::clone(map.entry(fingerprint).or_insert(computed))
+        *map.entry(fingerprint).or_insert(class)
+    }
+
+    /// The class of `record`, made if the table has no equal record. Holds
+    /// only the table's lock, for one probe (two on a new class); a
+    /// duplicate record is dropped after the lock is released.
+    fn intern(&self, record: QueryAnalysis) -> ClassId {
+        let mut table = self.classes.lock().expect("analysis class table lock");
+        if let Some(&class) = table.ids.get(&record) {
+            return class;
+        }
+        let class = ClassId::try_from(table.records.len()).expect("fewer than 2³² classes");
+        let record = Arc::new(record);
+        table.records.push(Arc::clone(&record));
+        table.ids.insert(record, class);
+        class
     }
 
     /// Records `occurrences` additional cache hits that were served without
@@ -199,15 +254,33 @@ impl AnalysisCache {
             .fetch_add(occurrences, Ordering::Relaxed);
     }
 
-    /// The memoized analysis for a fingerprint, if present. Does not count as
-    /// a hit or a miss.
-    pub fn get(&self, fingerprint: u128) -> Option<Arc<QueryAnalysis>> {
+    /// The memoized class of a fingerprint, if present. Does not count as a
+    /// hit or a miss.
+    pub fn class_of(&self, fingerprint: u128) -> Option<ClassId> {
         self.shards[self.shard_of(fingerprint)]
             .map
             .lock()
             .expect("analysis cache shard lock")
             .get(&fingerprint)
-            .cloned()
+            .copied()
+    }
+
+    /// The memoized analysis for a fingerprint, if present. Does not count as
+    /// a hit or a miss.
+    pub fn get(&self, fingerprint: u128) -> Option<Arc<QueryAnalysis>> {
+        let class = self.class_of(fingerprint)?;
+        let table = self.classes.lock().expect("analysis class table lock");
+        Some(Arc::clone(&table.records[class as usize]))
+    }
+
+    /// Every class's record, indexed by [`ClassId`]: one lock, one `Arc`
+    /// clone per class. A class issued before the call is in the result.
+    pub fn records(&self) -> Vec<Arc<QueryAnalysis>> {
+        self.classes
+            .lock()
+            .expect("analysis class table lock")
+            .records
+            .clone()
     }
 
     /// Number of distinct canonical forms memoized.
@@ -240,13 +313,26 @@ impl AnalysisCache {
         }
     }
 
-    /// Merges another cache into this one (shard-wise map union keeping
-    /// existing entries, counters summed). Entries under the same
-    /// fingerprint are interchangeable — they memoize the same canonical
-    /// form — so the merge is commutative: merging per-process caches in any
-    /// order yields a cache serving identical lookups. This is the
+    /// Merges another cache into this one: the other's classes are
+    /// re-interned here, then its fingerprints join the shards under the
+    /// classes they map to (existing entries kept, counters summed).
+    /// Entries under the same fingerprint are interchangeable — they
+    /// memoize the same canonical form — so the merge is commutative:
+    /// merging per-process caches in any order yields a cache serving
+    /// identical lookups, though under other class ids. This is the
     /// cross-process reuse hook for a future sharded deployment.
     pub fn merge(&self, other: AnalysisCache) {
+        let ClassTable { records, ids } = other
+            .classes
+            .into_inner()
+            .expect("analysis class table lock");
+        // With the index gone each record has one owner, so it moves out of
+        // its `Arc` instead of being cloned.
+        drop(ids);
+        let renamed: Vec<ClassId> = records
+            .into_iter()
+            .map(|record| self.intern(Arc::unwrap_or_clone(record)))
+            .collect();
         for other_shard in other.shards {
             self.shards[0]
                 .hits
@@ -259,13 +345,13 @@ impl AnalysisCache {
                 .map
                 .into_inner()
                 .expect("analysis cache shard lock");
-            for (fingerprint, analysis) in entries {
+            for (fingerprint, class) in entries {
                 self.shards[self.shard_of(fingerprint)]
                     .map
                     .lock()
                     .expect("analysis cache shard lock")
                     .entry(fingerprint)
-                    .or_insert(analysis);
+                    .or_insert(renamed[class as usize]);
             }
         }
     }
@@ -282,14 +368,44 @@ mod tests {
     #[test]
     fn memoizes_per_fingerprint_and_counts_hits() {
         let cache = AnalysisCache::with_shards(4);
-        let a = cache.get_or_insert_with(7, || qa("SELECT ?x WHERE { ?x a <http://C> }"));
-        let b = cache.get_or_insert_with(7, || panic!("must be served from the cache"));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = cache.class_or_insert_with(7, || qa("SELECT ?x WHERE { ?x a <http://C> }"));
+        let b = cache.class_or_insert_with(7, || panic!("must be served from the cache"));
+        assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.distinct), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(cache.class_of(7), Some(a));
         assert!(cache.get(7).is_some());
         assert!(cache.get(8).is_none());
+        assert_eq!(cache.class_of(8), None);
+    }
+
+    #[test]
+    fn equal_records_share_one_class_and_unequal_records_never_do() {
+        let cache = AnalysisCache::with_shards(4);
+        // Two canonical forms (other constants, other variable names) with
+        // one record; and one more triple, which is another record.
+        let texts = [
+            "SELECT ?x WHERE { ?x a <http://C> }",
+            "SELECT ?y WHERE { ?y a <http://D> }",
+            "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?z }",
+        ];
+        let fingerprints = [1u128 << 126, 3u128 << 126, 5];
+        let classes: Vec<ClassId> = texts
+            .iter()
+            .zip(fingerprints)
+            .map(|(text, fp)| cache.class_or_insert_with(fp, || qa(text)))
+            .collect();
+        assert_eq!(classes, [0, 0, 1]);
+        let [a, b, c] = fingerprints.map(|fp| cache.get(fp).expect("memoized"));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_ne!(a, c);
+        assert_eq!(*a, qa(texts[1]));
+        assert_eq!(cache.records().len(), 2);
+        // Forms, not classes, are what the cache counts.
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().distinct, 3);
     }
 
     #[test]
@@ -300,8 +416,8 @@ mod tests {
         // Fingerprints straddling a shard boundary stay distinct entries.
         let low = (1u128 << 126) - 1; // last fingerprint of shard 0
         let high = 1u128 << 126; // first fingerprint of shard 1
-        cache.get_or_insert_with(low, || qa("ASK { ?x <http://p> ?y }"));
-        cache.get_or_insert_with(high, || qa("ASK { ?x <http://q> ?y }"));
+        cache.class_or_insert_with(low, || qa("ASK { ?x <http://p> ?y }"));
+        cache.class_or_insert_with(high, || qa("ASK { ?x <http://q> ?y }"));
         assert_eq!(cache.shard_of(low), 0);
         assert_eq!(cache.shard_of(high), 1);
         assert_eq!(cache.len(), 2);
@@ -313,28 +429,37 @@ mod tests {
             "SELECT ?x WHERE { ?x a <http://C> }",
             "ASK { ?x <http://p> ?y }",
             "DESCRIBE <http://r>",
-            "SELECT ?x WHERE { ?x <http://p> <http://const> }",
+            "SELECT ?x WHERE { ?x <http://p> ?y OPTIONAL { ?y <http://q> ?z } }",
+            "SELECT ?y WHERE { ?y a <http://D> }", // the first query's class
         ];
+        let fingerprint = |i: usize| (i as u128) << 125 | i as u128;
         let build = |indices: &[usize]| {
             let cache = AnalysisCache::with_shards(4);
             for &i in indices {
                 // Spread the keys over every shard.
-                let fp = (i as u128) << 126 | i as u128;
-                cache.get_or_insert_with(fp, || qa(queries[i]));
+                cache.class_or_insert_with(fingerprint(i), || qa(queries[i]));
             }
             cache
         };
         let ab = build(&[0, 1]);
-        ab.merge(build(&[2, 3, 0]));
-        let ba = build(&[2, 3, 0]);
+        ab.merge(build(&[4, 2, 3, 0]));
+        let ba = build(&[4, 2, 3, 0]);
         ba.merge(build(&[0, 1]));
-        assert_eq!(ab.len(), 4);
+        assert_eq!(ab.len(), queries.len());
         assert_eq!(ab.len(), ba.len());
-        for i in 0..queries.len() {
-            let fp = (i as u128) << 126 | i as u128;
-            let left = ab.get(fp).expect("entry present after merge");
-            let right = ba.get(fp).expect("entry present after merge");
-            assert_eq!(format!("{left:?}"), format!("{right:?}"), "fingerprint {i}");
+        assert_eq!(ab.stats(), ba.stats());
+        // Four classes either way, numbered in each cache's own order.
+        assert_eq!((ab.records().len(), ba.records().len()), (4, 4));
+        assert_ne!(ab.class_of(fingerprint(1)), ba.class_of(fingerprint(1)));
+        for (i, query) in queries.iter().enumerate() {
+            let left = ab.get(fingerprint(i)).expect("entry present after merge");
+            let right = ba.get(fingerprint(i)).expect("entry present after merge");
+            assert_eq!(left, right, "fingerprint {i}");
+            assert_eq!(*left, qa(query), "fingerprint {i}");
         }
+        assert!(Arc::ptr_eq(
+            &ab.get(fingerprint(0)).unwrap(),
+            &ab.get(fingerprint(4)).unwrap()
+        ));
     }
 }

@@ -398,6 +398,66 @@ impl Hasher for FingerprintHasher {
 /// through [`FingerprintHasher`] unhashed.
 pub type FingerprintBuildHasher = BuildHasherDefault<FingerprintHasher>;
 
+/// A multiply-rotate hasher for the analysis records the
+/// [`AnalysisCache`](crate::cache::AnalysisCache) interns into classes.
+/// A record's derived `Hash` issues dozens of small integer writes (one per
+/// flag, counter and discriminant); each costs one rotate, xor and multiply
+/// here, where SipHash would pay a full round per write. Unlike SipHash it
+/// does not resist keys crafted to collide — the trade the fingerprint
+/// tables already make: a log's author reaches a record only through the
+/// flags and counts the analyses report.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RecordHasher(u64);
+
+impl RecordHasher {
+    /// ⌊2⁶⁴/φ⌋: odd, so the multiply is a bijection, with well-spread bits.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for RecordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Records hash through the integer writes below; a byte slice only
+        // arrives from a key type with text in it.
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.add(value);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.add(value as u64);
+    }
+}
+
+/// The `BuildHasher` of the analysis cache's class table: records hash
+/// through [`RecordHasher`].
+pub(crate) type RecordBuildHasher = BuildHasherDefault<RecordHasher>;
+
 /// The tag of one claimed batch: which log it belongs to, its sequence
 /// number within that log, and the 0-based position of its first entry.
 /// Positions are assigned here, under the single batch-source lock, which

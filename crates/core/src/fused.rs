@@ -36,8 +36,9 @@
 //! * a **first occurrence** — parsed and fingerprinted as above, then
 //!   analysed on the spot (one [`QueryAnalysis`] through the worker's term
 //!   [`Interner`](sparqlog_parser::intern)) and memoized in the shared
-//!   [`AnalysisCache`] under its fingerprint — only the fingerprint and the
-//!   analysis survive.
+//!   [`AnalysisCache`]: the record joins its *class* (one per distinct
+//!   record) and the fingerprint maps to the class's `u32` id — only the
+//!   fingerprint, the id and, for a new class, the record survive.
 //!
 //! The memo holds only outcomes that are functions of its keys: resource
 //! guard trips, caught panics and anything fatal under
@@ -48,14 +49,18 @@
 //! can forget but never mislead: a forgotten line is a duplicate form
 //! again.
 //!
-//! After the stream drains, per-worker occurrence maps merge into per-log
-//! [`LogSummary`] records (Table-1 counts plus the distinct fingerprints
-//! with their occurrence counts), and one **occurrence-weighted fold**
-//! ([`DatasetAnalysis::add_times`]) builds the corpus analysis: the Unique
-//! population folds each distinct fingerprint once per log, the Valid
-//! population folds it with its occurrence count. Peak residency is
-//! O(in-flight batches + distinct analyses), and each worker holds at most
-//! one AST at a time.
+//! Every per-form structure carries the class id, never the record: a
+//! worker's per-log occurrence map holds `fingerprint → (class, count)`.
+//! After the stream drains, those maps merge into per-log [`LogSummary`]
+//! records (Table-1 counts plus the distinct fingerprints with their
+//! occurrence counts), and one **occurrence-weighted fold**
+//! ([`DatasetAnalysis::add_times`]) builds the corpus analysis once per
+//! (log, class): the Unique population weighs a class by how many of the
+//! log's distinct fingerprints fall into it, the Valid population by their
+//! summed occurrence counts. The epilogue looks nothing up per form: it
+//! reads the class table once. Peak residency is O(in-flight batches +
+//! distinct fingerprints + classes), and each worker holds at most one AST
+//! at a time.
 //!
 //! **Determinism and parity.** Every fold is a commutative sum or an
 //! idempotent extremum over exact integers, so reports are byte-identical
@@ -64,8 +69,10 @@
 //! shares nothing with this module above the guarded per-entry parse and
 //! the tallies, and has no memo of either kind
 //! (`tests/{differential,fused,cache}.rs`). The soundness of folding a
-//! memoized record for every occurrence is the cache-key argument of
-//! [`crate::cache`]: the fingerprint *is* the canonical form — and one level
+//! memoized record for every occurrence, and one class's record for every
+//! fingerprint in the class, is the argument of [`crate::cache`]: the
+//! fingerprint *is* the canonical form, a class is an equality class of
+//! records, and the weighted fold is linear in its weight — and one level
 //! down, equal bytes lex equally and equal token streams parse equally (the
 //! parser reads nothing but the tokens; spans only place error messages).
 //!
@@ -92,10 +99,10 @@
 use crate::analysis::{
     chunked_fold_pool, AnalysisStats, CorpusAnalysis, DatasetAnalysis, Population,
 };
-use crate::cache::AnalysisCache;
+use crate::cache::{AnalysisCache, ClassId};
 use crate::corpus::{
     clamp_workers, default_workers, BatchSource, CorpusCounts, FingerprintBuildHasher, LogReader,
-    INGEST_CHUNK,
+    RecordBuildHasher, INGEST_CHUNK,
 };
 use crate::query_analysis::QueryAnalysis;
 use crate::recover::{enforce_budget, ErrorTally, RecoveryContext, RecoveryPolicy};
@@ -105,8 +112,9 @@ use sparqlog_parser::bytescan::hash128;
 use sparqlog_parser::intern::{InternStats, Interner};
 use sparqlog_parser::token::token_key;
 use sparqlog_parser::{canonical_fingerprint_of_ref, Arena, ErrorKind};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -319,30 +327,31 @@ impl EntryMemo {
     }
 }
 
-/// A worker's occurrence counts for one log.
-type OccurrenceMap = HashMap<u128, u64, FingerprintBuildHasher>;
+/// A worker's occurrences for one log: each fingerprint's analysis class
+/// and occurrence count.
+type OccurrenceMap = HashMap<u128, (ClassId, u64), FingerprintBuildHasher>;
 
 /// Counts one occurrence of `fingerprint` in a worker's map for one log. A
-/// key enters the map only once `record_exists` has said its analysis is in
-/// the shared cache — by putting it there (a parsed entry) or by finding it
-/// (a memo hit, which has no AST to analyse; `false` sends that entry down
-/// the full path). The order matters: memoizing may panic inside the
-/// analysis (the caller catches it and tallies the entry as a worker panic),
-/// and a key must never sit in the map without a record behind it — the
-/// epilogue fetches one for every key, and `counts.unique` is the number of
-/// keys.
+/// key enters the map only once `class_of` has named the class of its
+/// analysis in the shared cache — by putting it there (a parsed entry) or
+/// by finding it (a memo hit, which has no AST to analyse; `None` sends
+/// that entry down the full path). The order matters: memoizing may panic
+/// inside the analysis (the caller catches it and tallies the entry as a
+/// worker panic), and a key must never sit in the map without a class
+/// behind it — the epilogue reads the class's record for every key, and
+/// `counts.unique` is the number of keys.
 fn count_occurrence(
     map: &mut OccurrenceMap,
     fingerprint: u128,
-    record_exists: impl FnOnce() -> bool,
+    class_of: impl FnOnce() -> Option<ClassId>,
 ) -> bool {
     match map.entry(fingerprint) {
-        Entry::Occupied(mut count) => *count.get_mut() += 1,
+        Entry::Occupied(mut entry) => entry.get_mut().1 += 1,
         Entry::Vacant(vacancy) => {
-            if !record_exists() {
+            let Some(class) = class_of() else {
                 return false;
-            }
-            vacancy.insert(1);
+            };
+            vacancy.insert((class, 1));
         }
     }
     true
@@ -426,7 +435,7 @@ impl FusedWorker {
                 self.memo_probes += 1;
                 let hit = match self.memo.get(key) {
                     Some(EntryOutcome::Valid(fingerprint)) => {
-                        count_occurrence(map, fingerprint, || cache.get(fingerprint).is_some())
+                        count_occurrence(map, fingerprint, || cache.class_of(fingerprint))
                     }
                     Some(EntryOutcome::Invalid(kind)) => {
                         self.tallies[log_index].record(kind, position);
@@ -450,9 +459,7 @@ impl FusedWorker {
                 let token_key = token_key(lexed.tokens(), token_bytes);
                 match memo.get(token_key) {
                     Some(EntryOutcome::Valid(fingerprint))
-                        if count_occurrence(map, fingerprint, || {
-                            cache.get(fingerprint).is_some()
-                        }) =>
+                        if count_occurrence(map, fingerprint, || cache.class_of(fingerprint)) =>
                     {
                         return Ok((EntryOutcome::Valid(fingerprint), true));
                     }
@@ -463,12 +470,12 @@ impl FusedWorker {
                     Ok(query) => {
                         let fingerprint = canonical_fingerprint_of_ref(&query);
                         count_occurrence(map, fingerprint, || {
-                            cache.get_or_insert_with(fingerprint, || {
+                            let class = cache.class_or_insert_with(fingerprint, || {
                                 let _span = analyze_us.span();
                                 QueryAnalysis::of_ref(&query, interner)
                             });
                             *lookups += 1;
-                            true
+                            Some(class)
                         });
                         EntryOutcome::Valid(fingerprint)
                     }
@@ -643,43 +650,47 @@ pub fn analyze_streams_cached(
             if target.is_empty() {
                 *target = map;
             } else {
-                for (fingerprint, count) in map {
-                    *target.entry(fingerprint).or_insert(0) += count;
+                for (fingerprint, (class, count)) in map {
+                    target.entry(fingerprint).or_insert((class, 0)).1 += count;
                 }
             }
         }
     }
 
-    // Fetch each distinct record from the shared cache exactly once; the
-    // summary pass and the fold below then read this lock-free map. Its
-    // size is also this run's distinct-form count — correct even when a
-    // caller-owned cache carries entries from other corpora.
-    let mut records: HashMap<u128, Arc<QueryAnalysis>, FingerprintBuildHasher> = HashMap::default();
-    for map in &merged {
-        for &fingerprint in map.keys() {
-            records.entry(fingerprint).or_insert_with(|| {
-                cache
-                    .get(fingerprint)
-                    .expect("every streamed fingerprint is memoized")
-            });
-        }
-    }
-
     // Per-log summaries: sorted occurrence lists make every downstream
-    // iteration deterministic; `bodyless` folds the memoized records'
-    // occurrence counts (body-ness is a function of the canonical form).
+    // iteration deterministic; `bodyless` folds the classes' occurrence
+    // counts (body-ness is a function of the record). Each log's
+    // fingerprints are summed per class, weighted for the population, into
+    // the fold's items. The records come from the cache under one lock.
+    let records = cache.records();
+    let mut in_run = vec![false; records.len()];
+    let mut items: Vec<(usize, ClassId, u64)> = Vec::new();
     let mut summaries = Vec::with_capacity(log_count);
     for (log_index, (label, map)) in labels.into_iter().zip(merged).enumerate() {
-        let mut occurrences: Vec<(u128, u64)> = map.into_iter().collect();
-        occurrences.sort_unstable_by_key(|&(fingerprint, _)| fingerprint);
+        let mut weights: HashMap<ClassId, u64, RecordBuildHasher> = HashMap::default();
         let mut valid = 0u64;
         let mut bodyless = 0u64;
-        for &(fingerprint, count) in &occurrences {
+        for &(class, count) in map.values() {
             valid += count;
-            if !records[&fingerprint].features.has_body {
+            if !records[class as usize].features.has_body {
                 bodyless += count;
             }
+            in_run[class as usize] = true;
+            *weights.entry(class).or_insert(0) += match population {
+                Population::Unique => 1,
+                Population::Valid => count,
+            };
         }
+        items.extend(
+            weights
+                .into_iter()
+                .map(|(class, weight)| (log_index, class, weight)),
+        );
+        let mut occurrences: Vec<(u128, u64)> = map
+            .into_iter()
+            .map(|(fingerprint, (_, count))| (fingerprint, count))
+            .collect();
+        occurrences.sort_unstable_by_key(|&(fingerprint, _)| fingerprint);
         summaries.push(LogSummary {
             label,
             counts: CorpusCounts {
@@ -711,7 +722,7 @@ pub fn analyze_streams_cached(
     let valid_total: u64 = summaries.iter().map(|s| s.counts.valid).sum();
     cache.record_reused(valid_total - lookups);
 
-    let corpus = fold_populations(&summaries, population, &records, workers);
+    let corpus = fold_populations(&summaries, &items, &records, workers);
     let stats = AnalysisStats {
         cache: Some(cache.stats()),
         interner: interner_stats,
@@ -719,7 +730,7 @@ pub fn analyze_streams_cached(
     let fused = FusedStats {
         batches: batches.into_inner(),
         peak_inflight_entries: peak_inflight.into_inner(),
-        distinct_forms: records.len() as u64,
+        distinct_forms: distinct_fingerprints(&summaries),
     };
 
     // The per-entry facts flush as whole-run totals here — one counter add
@@ -742,6 +753,9 @@ pub fn analyze_streams_cached(
         registry
             .counter("pipeline_distinct_forms_total")
             .add(fused.distinct_forms);
+        registry
+            .counter("pipeline_analysis_classes_total")
+            .add(in_run.iter().filter(|&&used| used).count() as u64);
         let cache_after = stats.cache.unwrap_or_default();
         registry
             .counter("cache_hits_total")
@@ -767,40 +781,53 @@ pub fn analyze_streams_cached(
     })
 }
 
-/// The occurrence-weighted fold: each distinct fingerprint of each log folds
-/// its memoized analysis exactly once — with weight 1 on the Unique
-/// population ("distinct fingerprints") and with its occurrence count on the
-/// Valid population. O(distinct) tally work regardless of duplication,
-/// parallelised over a chunked self-scheduling pool; the weighted adds are
-/// exact integer sums, so any schedule yields the same bytes.
+/// The number of distinct fingerprints over every log: a merge of the
+/// logs' sorted occurrence lists, so no run-wide fingerprint set is built.
+fn distinct_fingerprints(summaries: &[LogSummary]) -> u64 {
+    let head = |log: usize, at: usize| {
+        let occurrences = &summaries[log].occurrences;
+        occurrences
+            .get(at)
+            .map(|&(fingerprint, _)| Reverse((fingerprint, log, at)))
+    };
+    let mut heads: BinaryHeap<_> = (0..summaries.len())
+        .filter_map(|log| head(log, 0))
+        .collect();
+    let (mut distinct, mut last) = (0u64, None);
+    while let Some(Reverse((fingerprint, log, at))) = heads.pop() {
+        if last != Some(fingerprint) {
+            distinct += 1;
+            last = Some(fingerprint);
+        }
+        heads.extend(head(log, at + 1));
+    }
+    distinct
+}
+
+/// The occurrence-weighted fold over `(log, class, weight)` items: each
+/// analysis class of each log folds its record exactly once, with the
+/// summed weight of the log's fingerprints in that class — one per
+/// fingerprint on the Unique population ("distinct fingerprints"), its
+/// occurrence count on the Valid population. Sound because
+/// [`DatasetAnalysis::add_times`] is linear in the weight (see
+/// [`crate::cache`]). O(classes per log) tally work regardless of
+/// duplication or distinct forms, parallelised over a chunked
+/// self-scheduling pool; the weighted adds are exact integer sums, so any
+/// schedule yields the same bytes.
 fn fold_populations(
     summaries: &[LogSummary],
-    population: Population,
-    records: &HashMap<u128, Arc<QueryAnalysis>, FingerprintBuildHasher>,
+    items: &[(usize, ClassId, u64)],
+    records: &[Arc<QueryAnalysis>],
     workers: usize,
 ) -> CorpusAnalysis {
-    let items: Vec<(usize, u128, u64)> = summaries
-        .iter()
-        .enumerate()
-        .flat_map(|(log_index, summary)| {
-            summary
-                .occurrences
-                .iter()
-                .map(move |&(fingerprint, count)| (log_index, fingerprint, count))
-        })
-        .collect();
     let chunk_size = (items.len() / (workers * 8).max(1)).clamp(16, 1024);
     let accumulators = chunked_fold_pool(
-        &items,
+        items,
         summaries.len(),
         workers,
         chunk_size,
-        |acc, &(log_index, fingerprint, count)| {
-            let weight = match population {
-                Population::Unique => 1,
-                Population::Valid => count,
-            };
-            acc[log_index].add_times(&records[&fingerprint], weight);
+        |acc, &(log_index, class, weight)| {
+            acc[log_index].add_times(&records[class as usize], weight);
         },
     );
 
@@ -961,31 +988,80 @@ mod tests {
     }
 
     #[test]
+    fn forms_sharing_a_class_fold_once_per_log_and_match_the_reference() {
+        // Three canonical forms with one record (other constants, other
+        // variable names) and one form with its own: four fingerprints, two
+        // classes. The second log repeats two forms of the first.
+        let first = [
+            "SELECT ?x WHERE { ?x a <http://C> }",
+            "SELECT ?y WHERE { ?y a <http://D> }",
+            "SELECT ?y WHERE { ?y a <http://D> }",
+            "DESCRIBE <http://r>",
+        ];
+        let second = [
+            "SELECT ?z WHERE { ?z a <http://E> }",
+            "DESCRIBE <http://r>",
+            "SELECT ?x WHERE { ?x a <http://C> }",
+        ];
+        let logs: [(&str, &[&str]); 2] = [("first", &first), ("second", &second)];
+        let raw: Vec<RawLog> = logs
+            .iter()
+            .map(|(label, entries)| {
+                RawLog::new(*label, entries.iter().map(|s| s.to_string()).collect())
+            })
+            .collect();
+        for population in [Population::Unique, Population::Valid] {
+            for workers in [1, 2] {
+                let cache = AnalysisCache::new();
+                let options = FusedOptions {
+                    workers,
+                    batch: 1,
+                    ..FusedOptions::default()
+                };
+                let fused =
+                    analyze_streams_cached(test_readers(&logs), population, options, &cache)
+                        .unwrap();
+                assert_eq!((cache.len(), cache.records().len()), (4, 2));
+                assert_eq!(fused.fused.distinct_forms, 4);
+                let unique: Vec<u64> = fused.summaries.iter().map(|s| s.counts.unique).collect();
+                assert_eq!(unique, [3, 3]);
+                let reference = analyze_reference(&raw, population);
+                assert_eq!(
+                    full_report(&fused.corpus),
+                    full_report(&reference),
+                    "{population:?}, {workers} workers"
+                );
+                assert_eq!(format!("{:?}", fused.corpus), format!("{reference:?}"));
+            }
+        }
+    }
+
+    #[test]
     fn a_panicking_analysis_leaves_no_key_in_the_occurrence_map() {
         // The caller catches the unwind and tallies the entry as a worker
         // panic; a key left behind (even at count 0) would be counted as a
-        // unique form and looked up in the cache by the epilogue.
+        // unique form, with no class whose record the epilogue could read.
         let cache = AnalysisCache::new();
         let mut map = OccurrenceMap::default();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             count_occurrence(&mut map, 7, || {
-                cache.get_or_insert_with(7, || panic!("analysis panicked"));
-                true
+                Some(cache.class_or_insert_with(7, || panic!("analysis panicked")))
             })
         }));
         assert!(unwound.is_err());
         assert!(map.is_empty(), "{map:?}");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.distinct), (0, 0, 0));
+        assert!(cache.records().is_empty());
 
         // Nor does a refused memo hit; and once the record exists, the
         // first occurrence enters at 1 and a repeat only bumps the counter.
-        assert!(!count_occurrence(&mut map, 7, || cache.get(7).is_some()));
+        assert!(!count_occurrence(&mut map, 7, || cache.class_of(7)));
         assert!(map.is_empty(), "{map:?}");
-        cache.get_or_insert_with(7, || QueryAnalysis::of_text(ENTRIES[0]).unwrap());
-        assert!(count_occurrence(&mut map, 7, || cache.get(7).is_some()));
+        let class = cache.class_or_insert_with(7, || QueryAnalysis::of_text(ENTRIES[0]).unwrap());
+        assert!(count_occurrence(&mut map, 7, || cache.class_of(7)));
         assert!(count_occurrence(&mut map, 7, || unreachable!()));
-        assert_eq!(map.get(&7), Some(&2));
+        assert_eq!(map.get(&7), Some(&(class, 2)));
     }
 
     #[test]
@@ -1052,7 +1128,13 @@ mod tests {
             .unwrap();
         assert_eq!((worker.memo_probes, worker.memo_hits), (8, 4));
         assert_eq!((worker.memo_token_hits, worker.lookups), (1, 1));
-        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [4]);
+        assert_eq!(
+            worker.counts[0]
+                .values()
+                .map(|&(_, count)| count)
+                .collect::<Vec<_>>(),
+            [4]
+        );
         let tally = &worker.tallies[0];
         assert_eq!(
             (tally.syntax, tally.depth_exceeded, tally.total()),
@@ -1068,7 +1150,13 @@ mod tests {
             .process_batch(1, 0, &batch[..1], &cache, &ctx, "test")
             .unwrap();
         assert_eq!((worker.memo_hits, worker.lookups), (5, 1));
-        assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
+        assert_eq!(
+            worker.counts[1]
+                .values()
+                .map(|&(_, count)| count)
+                .collect::<Vec<_>>(),
+            [1]
+        );
 
         // A cache that never saw the form (cannot happen within one run; the
         // guard is what makes that not matter): the raw hit and then the
@@ -1080,7 +1168,13 @@ mod tests {
             .process_batch(1, 1, &batch[..1], &cold, &ctx, "test")
             .unwrap();
         assert_eq!((worker.memo_hits, worker.lookups), (5, 2));
-        assert_eq!(worker.counts[1].values().copied().collect::<Vec<_>>(), [1]);
+        assert_eq!(
+            worker.counts[1]
+                .values()
+                .map(|&(_, count)| count)
+                .collect::<Vec<_>>(),
+            [1]
+        );
         assert_eq!(cold.len(), 1);
 
         // Under Strict the repeated defect is fatal where it first stands.
@@ -1129,7 +1223,13 @@ mod tests {
         assert_eq!(worker.memo_probes, 9);
         assert_eq!((worker.memo_hits, worker.memo_token_hits), (6, 3));
         assert_eq!(worker.lookups, 1);
-        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [6]);
+        assert_eq!(
+            worker.counts[0]
+                .values()
+                .map(|&(_, count)| count)
+                .collect::<Vec<_>>(),
+            [6]
+        );
         let tally = &worker.tallies[0];
         assert_eq!((tally.syntax, tally.total()), (3, 3));
         let positions: Vec<u64> = tally.exemplars.iter().map(|&(_, at)| at).collect();
@@ -1175,7 +1275,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!((worker.memo_hits, worker.memo_token_hits), (0, 0));
-        assert_eq!(worker.counts[0].values().copied().collect::<Vec<_>>(), [1]);
+        assert_eq!(
+            worker.counts[0]
+                .values()
+                .map(|&(_, count)| count)
+                .collect::<Vec<_>>(),
+            [1]
+        );
         let tally = &worker.tallies[0];
         assert_eq!((tally.worker_panic, tally.total()), (4, 4));
 

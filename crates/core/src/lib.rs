@@ -15,7 +15,8 @@
 //!   ([`QueryAnalysis`]): one AST traversal and one canonical-graph
 //!   construction feed every measure.
 //! * [`cache`] — the sharded, fingerprint-keyed [`cache::AnalysisCache`]:
-//!   each distinct canonical form is analysed once per corpus run.
+//!   each distinct canonical form is analysed once per corpus run, and
+//!   each distinct record is kept once, as a class.
 //! * [`analysis`] — the per-dataset / corpus-level record of commutative
 //!   tallies the per-query analyses fold into, and the fold pool.
 //! * [`baseline`] — the oracle ([`baseline::analyze_reference`]): a

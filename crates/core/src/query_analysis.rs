@@ -25,7 +25,7 @@ use sparqlog_paths::PathTally;
 
 /// Everything the corpus tallies need to know about one query, computed in a
 /// single pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryAnalysis {
     /// The query form.
     pub form: QueryForm,

@@ -17,7 +17,7 @@ use sparqlog_parser::ast_ref::Query;
 use sparqlog_parser::intern::Interner;
 
 /// The structural analysis of one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StructuralReport {
     /// Fragment membership (CQ / CQF / CQOF / …).
     pub fragments: FragmentReport,
@@ -38,7 +38,7 @@ pub struct StructuralReport {
 }
 
 /// Serializable summary of a hypertree-width computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HypertreeReportEntry {
     /// The generalized hypertree width.
     pub width: usize,

@@ -11,7 +11,7 @@ use crate::graph::{bits, CanonicalGraph, Components};
 use serde::{Deserialize, Serialize};
 
 /// Membership of one query graph in each shape class of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ShapeReport {
     /// Exactly one edge between two nodes.
     pub single_edge: bool,

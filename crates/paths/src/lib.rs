@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated property-path statistics over a corpus (the inputs to Table 5).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathTally {
     /// Total property paths seen (including trivial / pre-table forms).
     pub total: u64,
@@ -45,7 +45,7 @@ pub struct PathTally {
 pub type PathRow = (String, u64, f64, Option<(usize, usize)>);
 
 /// Count and `k` range for one expression type.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TypeEntry {
     /// Number of expressions of this type.
     pub count: u64,

@@ -93,7 +93,7 @@ fn main() {
         canonical_fingerprint_of_ref(&query)
     );
     println!(
-        "corpus-level keyword census: {} SELECT of {} queries ({} distinct analyses kept)",
+        "corpus-level keyword census: {} SELECT of {} queries ({} distinct forms)",
         fused.corpus.combined.keywords.select,
         fused.corpus.combined.keywords.total_queries,
         fused.fused.distinct_forms

@@ -65,9 +65,11 @@
 //!    fingerprint *without building the canonical string*
 //!    ([`parser::CanonicalHasher`]) and resolves the occurrence against a
 //!    lock-free per-worker map: a first occurrence is analysed on the spot
-//!    and memoized in the [`core::cache::AnalysisCache`], a duplicate's AST
-//!    is dropped inside its batch — peak memory is O(in-flight batches +
-//!    distinct analyses), not O(corpus).
+//!    and memoized in the [`core::cache::AnalysisCache`] — which keeps each
+//!    distinct record once, as a class, and maps the fingerprint to its
+//!    `u32` class id — and a duplicate's AST is dropped inside its batch.
+//!    Peak memory is O(in-flight batches + distinct fingerprints +
+//!    classes), not O(corpus).
 //! 2. [`core::QueryAnalysis`] runs one [`algebra::QueryWalkRef`] per distinct
 //!    canonical form — one traversal feeding features, projection, property
 //!    paths and the AOF pattern tree — and one canonical-graph construction
@@ -81,9 +83,10 @@
 //! 3. The **occurrence-weighted fold**
 //!    ([`core::DatasetAnalysis::add_times`]) turns per-log
 //!    [`core::LogSummary`] records (counts + fingerprint/occurrence pairs)
-//!    into the corpus analysis: the Unique population folds each distinct
-//!    fingerprint once per log, the Valid population folds occurrence
-//!    counts. Results are bit-identical for any worker count or batch
+//!    into the corpus analysis, once per (log, class): the Unique
+//!    population weighs a class by its distinct fingerprints in the log,
+//!    the Valid population by their occurrence counts. Results are
+//!    bit-identical for any worker count or batch
 //!    schedule (see `tests/determinism.rs`, `tests/fused.rs`).
 //!
 //! That engine is the only path production code takes. Its reference is

@@ -5,7 +5,10 @@
 //! oracle (`baseline::analyze_reference`), which analyses every occurrence
 //! from scratch through throwaway interners. Plus duplicate handling at
 //! cache-shard boundaries, cross-call cache reuse, and the commutative
-//! merge.
+//! merge. The cache keeps each distinct record once, as a class, and the
+//! class ids it hands out depend on the schedule: one cache running the
+//! same logs in opposite orders shows they never reach a report, summary
+//! or tally.
 //!
 //! The same two halves one level down, for the entry memo in front of the
 //! parser and its two keys (equal bytes ⇒ equal outcome, equal tokens ⇒
@@ -722,7 +725,9 @@ proptest! {
             let text = synth.fresh_query();
             let (fp, analysis) = fingerprint_and_analysis(&text, &mut arena, &mut interner)
                 .expect("synthesized queries parse");
-            let memoized = cache.get_or_insert_with(fp, || analysis);
+            let class = cache.class_or_insert_with(fp, || analysis);
+            let memoized = cache.get(fp).expect("just memoized");
+            prop_assert_eq!(cache.class_of(fp), Some(class));
             let (_, fresh) = fingerprint_and_analysis(&text, &mut arena, &mut interner)
                 .expect("synthesized queries parse");
             prop_assert_eq!(
@@ -731,5 +736,68 @@ proptest! {
                 "memoized record diverges for {}", text
             );
         }
+    }
+    /// Class ids never leak: one caller-owned cache runs a corpus with one
+    /// log per dataset profile and then the same logs in the opposite
+    /// order (which goes first alternates between cases), so the second
+    /// run's first log holds the ids the first run issued last. Every run
+    /// must equal the oracle over its own log order — report, per-log
+    /// summaries and error tallies — at 1, 2 and 8 workers, and the two
+    /// orders must produce the same summaries, reversed.
+    #[test]
+    fn analysis_classes_never_leak(
+        seed in 0u64..5_000,
+        fresh in 6usize..24,
+        population_idx in 0usize..2,
+    ) {
+        let population = [Population::Unique, Population::Valid][population_idx];
+        let forwards: Vec<RawLog> = Dataset::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, dataset)| {
+                let profile = DatasetProfile::of(*dataset);
+                let mut synth = Synthesizer::new(profile, seed.wrapping_add(i as u64));
+                let mut entries: Vec<String> = (0..fresh).map(|_| synth.fresh_query()).collect();
+                let repeats: Vec<String> = entries.iter().step_by(3).cloned().collect();
+                entries.extend(repeats);
+                entries.push("garbage entry".to_string());
+                RawLog::new(dataset.label(), entries)
+            })
+            .collect();
+        let backwards: Vec<RawLog> = forwards.iter().rev().cloned().collect();
+        let orders = if seed % 2 == 0 {
+            [&forwards, &backwards]
+        } else {
+            [&backwards, &forwards]
+        };
+        let cache = AnalysisCache::new();
+        for workers in [1, 2, 8] {
+            let mut runs = Vec::new();
+            for logs in orders {
+                let options = FusedOptions {
+                    workers,
+                    batch: 7,
+                    recovery: RecoveryPolicy::Lenient,
+                };
+                let fused = analyze_streams_cached(readers(logs), population, options, &cache)
+                    .expect("in-memory streams cannot fail");
+                let oracle = analyze_reference(logs, population);
+                for (summary, dataset) in fused.summaries.iter().zip(&oracle.datasets) {
+                    prop_assert_eq!(&summary.counts, &dataset.counts, "{}", &summary.label);
+                    prop_assert_eq!(&summary.errors, &dataset.errors, "{}", &summary.label);
+                }
+                prop_assert_eq!(
+                    full_report(&fused.corpus),
+                    full_report(&oracle),
+                    "{:?}, {} workers", population, workers
+                );
+                runs.push(fused.summaries);
+            }
+            let mut reversed = runs.pop().expect("two runs");
+            reversed.reverse();
+            prop_assert_eq!(&runs[0], &reversed, "{} workers", workers);
+        }
+        // Forms, not classes, are what the cache counts.
+        prop_assert!(cache.records().len() <= cache.len());
     }
 }

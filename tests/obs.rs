@@ -158,6 +158,8 @@ fn fused_and_oracle_reports_are_byte_identical_with_metrics_on_and_off() {
             "pipeline_valid_total",
             "pipeline_errors_total",
             "pipeline_read_bytes_total",
+            "pipeline_distinct_forms_total",
+            "pipeline_analysis_classes_total",
             "cache_misses_total",
             "memo_probes_total",
             "memo_hits_total",
@@ -175,6 +177,13 @@ fn fused_and_oracle_reports_are_byte_identical_with_metrics_on_and_off() {
         assert_eq!(
             counter("memo_probes_total"),
             counter("pipeline_entries_total")
+        );
+        // Each class is one distinct record, shared by one or more forms.
+        let classes = counter("pipeline_analysis_classes_total");
+        assert!(
+            0 < classes && classes <= counter("pipeline_distinct_forms_total"),
+            "{classes} classes over {} forms",
+            counter("pipeline_distinct_forms_total")
         );
         assert!(counter("memo_hits_total") < counter("memo_probes_total"));
         // Token hits are the share of the hits a layout variant earned.
@@ -246,6 +255,8 @@ fn sharded_reports_are_byte_identical_with_metrics_on_and_off() {
             "shard_log_frames_streamed_total",
             "pipeline_runs_total",
             "pipeline_valid_total",
+            "pipeline_distinct_forms_total",
+            "pipeline_analysis_classes_total",
             "memo_probes_total",
             "memo_hits_total",
             "memo_token_hits_total",
@@ -255,6 +266,10 @@ fn sharded_reports_are_byte_identical_with_metrics_on_and_off() {
                 "missing counter {name} after an enabled sharded run"
             );
         }
+        let counter = |name| snapshot.counter(name).unwrap_or(0);
+        assert!(
+            counter("pipeline_analysis_classes_total") <= counter("pipeline_distinct_forms_total")
+        );
         assert!(
             snapshot.histogram("pipeline_parse_us").is_some(),
             "worker parse latencies should ride home in the epilogue"
@@ -326,8 +341,10 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
     // The acceptance bar: one Metrics answer spanning all five layers.
     for name in [
         "pipeline_valid_total", // pipeline (absorbed from workers)
-        "cache_misses_total",   // cache (absorbed from workers)
-        "memo_probes_total",    // the entry memo in front of it
+        "pipeline_distinct_forms_total",
+        "pipeline_analysis_classes_total",
+        "cache_misses_total", // cache (absorbed from workers)
+        "memo_probes_total",  // the entry memo in front of it
         "memo_hits_total",
         "memo_token_hits_total",
         "shard_log_frames_streamed_total", // shard (worker epilogue)
@@ -343,6 +360,8 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
             "metrics answer missing {name}: {on_text}"
         );
     }
+    let counter = |name| on_snapshot.counter(name).unwrap_or(0);
+    assert!(counter("pipeline_analysis_classes_total") <= counter("pipeline_distinct_forms_total"));
     // The served path's own latencies: the identity pass of the submit and
     // job-accepted → client-visible `Complete`.
     for name in ["serve_identity_us", "serve_job_ms"] {
