@@ -632,6 +632,43 @@ mod tests {
         assert!(format!("{error}").contains("error budget rate"), "{error}");
     }
 
+    /// The frame envelope of a protocol exchange, byte for byte: the
+    /// stream header, a `Ping` request and its `Pong` answer.
+    #[test]
+    fn golden_bytes_pin_the_protocol_envelope() {
+        let mut wire = Vec::new();
+        write_header(&mut wire).unwrap();
+        write_request(&mut wire, &Request::Ping).unwrap();
+        write_response(
+            &mut wire,
+            &Response::Pong {
+                draining: false,
+                jobs: 3,
+            },
+        )
+        .unwrap();
+        let golden: &[&[u8]] = &[
+            // Header: magic + codec version 2.
+            b"SQSN\x02",
+            // Ping: length 1; tag 1.
+            b"\x01\x01",
+            // Pong: length 3; tag 1, not draining, 3 jobs.
+            b"\x03\x01\x00\x03",
+        ];
+        assert_eq!(wire, golden.concat());
+        let mut frames = FrameReader::new(wire.as_slice());
+        frames.read_header().unwrap();
+        assert_eq!(read_request(&mut frames).unwrap(), Some(Request::Ping));
+        assert_eq!(
+            read_response(&mut frames).unwrap(),
+            Some(Response::Pong {
+                draining: false,
+                jobs: 3
+            })
+        );
+        assert_eq!(read_response(&mut frames).unwrap(), None);
+    }
+
     #[test]
     fn framed_exchange_round_trips_over_a_buffer() {
         let mut wire = Vec::new();

@@ -23,7 +23,9 @@ use sparqlog_shard::codec::{
     write_stream_header, DecodeError, DecodeErrorKind, Decoder, Encoder, StreamError, MAGIC,
     VERSION,
 };
-use sparqlog_shard::snapshot::{read_snapshot, EpilogueFrame, Frame, LogFrame, Snapshot};
+use sparqlog_shard::snapshot::{
+    read_snapshot, EpilogueFrame, Frame, HeartbeatFrame, LogFrame, Snapshot,
+};
 use sparqlog_synth::{generate_single_day_log, Dataset};
 use std::collections::BTreeMap;
 
@@ -487,6 +489,47 @@ fn orphan_and_misaligned_checksum_frames_are_structured_errors() {
         ),
         "{error:?}"
     );
+}
+
+/// The frame envelope of a worker stream: the stream header, a heartbeat
+/// and a checked epilogue, byte for byte. The payloads are pinned by
+/// `golden_bytes_pin_the_wire_layout`; this pins what goes around them.
+#[test]
+fn golden_bytes_pin_the_worker_stream_envelope() {
+    let epilogue = EpilogueFrame {
+        log_frames: 0,
+        cache: CacheStats {
+            hits: 5,
+            misses: 2,
+            distinct: 2,
+        },
+        ..EpilogueFrame::default()
+    };
+    let mut stream = Vec::new();
+    write_stream_header(&mut stream).unwrap();
+    Frame::Heartbeat(HeartbeatFrame { seq: 1 })
+        .write_to(&mut stream)
+        .unwrap();
+    Frame::Epilogue(epilogue.clone())
+        .write_checked_to(&mut stream)
+        .unwrap();
+    let golden: &[&[u8]] = &[
+        // Header: magic + codec version 2.
+        b"SQSN\x02",
+        // Heartbeat: length 2; tag 3, sequence 1.
+        b"\x02\x03\x01",
+        // Epilogue: length 11; tag 2, no log frames, cache 5/2/2, fused
+        // 0/0/0, empty metric snapshot.
+        b"\x0b\x02\x00\x05\x02\x02\x00\x00\x00\x00\x00\x00",
+        // Checksum frame: length 7; tag 4, CRC32C 0xe951982e as a varint,
+        // covering 11 bytes.
+        b"\x07\x04\xae\xb0\xc6\xca\x0e\x0b",
+    ];
+    assert_eq!(stream, golden.concat());
+    let (snapshot, bytes) = read_snapshot(stream.as_slice()).unwrap();
+    assert_eq!(bytes, stream.len() as u64);
+    assert!(snapshot.logs.is_empty());
+    assert_eq!(snapshot.epilogue, epilogue);
 }
 
 #[test]
