@@ -1,7 +1,8 @@
 //! Test-only crash injection for the snapshot store, mirroring the worker
 //! fault knobs in `sparqlog_shard::faults`: opt-in via the environment,
 //! free when unset, and fire-at-most-once via an exclusive-create flag file
-//! so a restarted daemon sees the store recover.
+//! (the same claim, `sparqlog_shard::faults::claim_once`) so a restarted
+//! daemon sees the store recover.
 //!
 //! The store consults [`injected`] once per [`commit`], at the top of the
 //! commit path, and then dies at the requested point *of that commit*. The
@@ -78,20 +79,7 @@ impl FaultMode {
 /// across all processes dies.
 pub fn injected() -> Option<FaultMode> {
     let mode = FaultMode::parse(&std::env::var(FAULT_ENV).ok()?)?;
-    if let Ok(flag) = std::env::var(FAULT_FLAG_ENV) {
-        // First exclusive create wins; every later commit runs clean. A
-        // flag path that cannot be created at all (missing directory) also
-        // disables the fault — erring towards clean runs.
-        if std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(flag.trim())
-            .is_err()
-        {
-            return None;
-        }
-    }
-    Some(mode)
+    sparqlog_shard::faults::claim_once(FAULT_FLAG_ENV).then_some(mode)
 }
 
 #[cfg(test)]

@@ -6,11 +6,16 @@
 //!
 //! ```text
 //! "SQPS" version        -- 5-byte header (magic + format version)
-//! record*               -- append-only records, each:
+//! record*               -- append-only records, each one codec frame:
 //!   varint payload-len
 //!   payload             -- first byte is the record tag
 //!   crc32c(payload)     -- 4 bytes little-endian (Castagnoli)
 //! ```
+//!
+//! A record *is* a frame of the shard codec
+//! ([`write_frame`] writes it, [`FrameReader`] reads it back), the same
+//! frame the worker stream and the service protocol use. The store's own
+//! header and version are independent of the codec's `SQSN` stream header.
 //!
 //! Payload tags: [`TAG_SNAPSHOT`] (a per-log analysis keyed by its
 //! canonical identity), [`TAG_JOB`] (a completed serve job's manifest) and
@@ -75,7 +80,9 @@ use sparqlog_core::analysis::{DatasetAnalysis, Population};
 use sparqlog_core::recover::RecoveryPolicy;
 use sparqlog_core::{LogSummary, PersistedLog};
 use sparqlog_obs as obs;
-use sparqlog_shard::codec::{crc32c, Decoder, Encoder};
+use sparqlog_shard::codec::{
+    write_frame, DecodeError, DecodeErrorKind, Decoder, Encoder, FrameReader, StreamError,
+};
 use sparqlog_shard::snapshot::Snapshot;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -93,10 +100,6 @@ pub const VERSION: u8 = 1;
 
 /// Header length: magic + version byte.
 const HEADER_LEN: u64 = 5;
-
-/// Upper bound a record may declare for its payload — a sanity cap, far
-/// above any real snapshot, matching the shard codec's frame cap.
-const MAX_RECORD_BYTES: u64 = 1 << 28;
 
 /// Record tag: a per-log `(key, summary, analysis)` snapshot.
 pub const TAG_SNAPSHOT: u8 = 1;
@@ -319,13 +322,6 @@ enum Decoded {
     Commit { seq: u64, records: u64 },
 }
 
-/// Why the scan stopped before the end of the file.
-enum Stop {
-    Torn,
-    Checksum { expected: u32, found: u32 },
-    Malformed { detail: String },
-}
-
 impl SnapshotStore {
     /// Opens (creating if absent) the store at `path`, running the
     /// recovery scan described in the [module docs](self). Never panics on
@@ -375,28 +371,30 @@ impl SnapshotStore {
 
         // Scan records, applying them only at intact commit points.
         let mut store = SnapshotStore::fresh(file, path);
-        let mut offset = HEADER_LEN as usize;
+        let mut frames = FrameReader::at_offset(&bytes[HEADER_LEN as usize..], HEADER_LEN);
         let mut provisional: Vec<Decoded> = Vec::new();
         let mut commits = 0u64;
-        let mut stop: Option<Stop> = None;
-        while offset < bytes.len() {
-            let (payload, end) = match read_record(&bytes, offset) {
-                Ok(record) => record,
-                Err(found) => {
-                    stop = Some(found);
+        let mut stop: Option<RecoveryReason> = None;
+        loop {
+            let payload = match frames.next_frame() {
+                Ok(Some((payload, _))) => payload,
+                Ok(None) => break,
+                Err(error) => {
+                    stop = Some(scan_stop(error));
                     break;
                 }
             };
-            match decode_record(payload) {
+            let end = frames.offset();
+            match decode_record(&payload) {
                 Ok(Decoded::Commit { seq, records }) => {
                     if seq != store.seq + 1 {
-                        stop = Some(Stop::Malformed {
+                        stop = Some(RecoveryReason::Malformed {
                             detail: format!("commit sequence {seq} after commit {}", store.seq),
                         });
                         break;
                     }
                     if records != provisional.len() as u64 {
-                        stop = Some(Stop::Malformed {
+                        stop = Some(RecoveryReason::Malformed {
                             detail: format!(
                                 "commit covers {records} records but {} were read",
                                 provisional.len()
@@ -408,27 +406,22 @@ impl SnapshotStore {
                         store.apply(record);
                     }
                     store.seq = seq;
-                    store.committed = end as u64;
+                    store.committed = end;
                     commits += 1;
                 }
                 Ok(record) => provisional.push(record),
                 Err(detail) => {
-                    stop = Some(Stop::Malformed { detail });
+                    stop = Some(RecoveryReason::Malformed { detail });
                     break;
                 }
             }
-            offset = end;
         }
 
         let dropped_records = provisional.len() as u64;
         let reason = match stop {
             None if dropped_records == 0 => RecoveryReason::Clean,
             None => RecoveryReason::Uncommitted,
-            Some(Stop::Torn) => RecoveryReason::TornRecord,
-            Some(Stop::Checksum { expected, found }) => {
-                RecoveryReason::ChecksumMismatch { expected, found }
-            }
-            Some(Stop::Malformed { detail }) => RecoveryReason::Malformed { detail },
+            Some(reason) => reason,
         };
         let kept = store.committed;
         if kept < file_bytes {
@@ -563,7 +556,8 @@ impl SnapshotStore {
     }
 
     fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        let bytes = frame_record(payload);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload)?;
         self.file.write_all(&bytes)?;
         self.length += bytes.len() as u64;
         self.pending += 1;
@@ -595,7 +589,8 @@ impl SnapshotStore {
         payload.put_u8(TAG_COMMIT);
         payload.put_varint(self.seq + 1);
         payload.put_varint(self.pending);
-        let bytes = frame_record(&payload.into_bytes());
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload.into_bytes())?;
         if fault == Some(FaultMode::DieMidFrame) {
             // A torn write: half the commit record reaches the file.
             let _ = self.file.write_all(&bytes[..bytes.len() / 2]);
@@ -652,56 +647,22 @@ impl SnapshotStore {
 // Scan primitives.
 // ---------------------------------------------------------------------------
 
-/// Frames one record payload: `[varint len][payload][crc32c]`, the unit
-/// [`read_record`] reads back.
-fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Encoder::new();
-    frame.put_usize(payload.len());
-    let mut bytes = frame.into_bytes();
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&crc32c(payload).to_le_bytes());
-    bytes
-}
-
-/// Reads one record at `offset`: returns its payload slice and the offset
-/// just past its checksum, or why it cannot be read.
-fn read_record(bytes: &[u8], offset: usize) -> Result<(&[u8], usize), Stop> {
-    // Length varint, by hand: a clean EOF inside it is a torn write.
-    let mut length = 0u64;
-    let mut at = offset;
-    loop {
-        let Some(&byte) = bytes.get(at) else {
-            return Err(Stop::Torn);
-        };
-        let shift = (at - offset) * 7;
-        if shift >= 64 {
-            return Err(Stop::Malformed {
-                detail: "record length varint overflows".to_string(),
-            });
-        }
-        length |= u64::from(byte & 0x7F) << shift;
-        at += 1;
-        if byte & 0x80 == 0 {
-            break;
-        }
+/// Why a record could not be read: the file ends inside it, its checksum
+/// trailer does not match, or its frame is malformed.
+fn scan_stop(error: StreamError) -> RecoveryReason {
+    match error {
+        StreamError::Decode(DecodeError {
+            kind: DecodeErrorKind::UnexpectedEof,
+            ..
+        }) => RecoveryReason::TornRecord,
+        StreamError::Decode(DecodeError {
+            kind: DecodeErrorKind::ChecksumMismatch { expected, found },
+            ..
+        }) => RecoveryReason::ChecksumMismatch { expected, found },
+        other => RecoveryReason::Malformed {
+            detail: other.to_string(),
+        },
     }
-    if length > MAX_RECORD_BYTES {
-        return Err(Stop::Malformed {
-            detail: format!("record declares {length} bytes (cap {MAX_RECORD_BYTES})"),
-        });
-    }
-    let payload_end = at + length as usize;
-    let end = payload_end + 4;
-    if end > bytes.len() {
-        return Err(Stop::Torn);
-    }
-    let payload = &bytes[at..payload_end];
-    let expected = u32::from_le_bytes(bytes[payload_end..end].try_into().expect("4 bytes"));
-    let found = crc32c(payload);
-    if expected != found {
-        return Err(Stop::Checksum { expected, found });
-    }
-    Ok((payload, end))
 }
 
 /// Decodes one checksummed payload into a record, or a human-readable

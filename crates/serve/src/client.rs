@@ -8,7 +8,7 @@ use crate::server::ServeAddr;
 use sparqlog_core::analysis::Population;
 use sparqlog_core::RecoveryPolicy;
 use sparqlog_obs::MetricsSnapshot;
-use sparqlog_shard::codec::{FrameReader, StreamError};
+use sparqlog_shard::codec::{write_stream_header, FrameReader, StreamError};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -191,7 +191,7 @@ impl Client {
         let stream = ClientStream::connect(addr)?;
         let read_half = stream.try_clone()?;
         let mut out = BufWriter::new(stream);
-        protocol::write_header(&mut out)?;
+        write_stream_header(&mut out)?;
         out.flush()?;
         let mut frames = FrameReader::new(read_half);
         frames.read_header()?;

@@ -1,10 +1,12 @@
-//! The service wire protocol: length-prefixed request/response frames
-//! layered directly on the shard crate's `SQSN` snapshot codec
-//! ([`sparqlog_shard::codec`]). Both directions of a connection start with
-//! the standard stream header (magic + version), then exchange frames whose
-//! payload is a tag byte followed by codec-encoded fields — the same
-//! varint/length-prefixed primitives the worker snapshots use, so one codec
-//! version covers the whole system.
+//! The service wire protocol: request/response frames layered directly on
+//! the shard crate's `SQSN` snapshot codec ([`sparqlog_shard::codec`]).
+//! Both directions of a connection start with the codec's stream header
+//! ([`write_stream_header`](sparqlog_shard::codec::write_stream_header):
+//! magic + version), then exchange codec frames — length prefix, payload,
+//! CRC32C trailer — whose payload is a tag byte followed by codec-encoded
+//! fields. The worker snapshots use the same frames and primitives, so one
+//! codec version covers the whole system, and a frame corrupted in flight
+//! fails its checksum instead of decoding as another request or response.
 //!
 //! A request frame always produces exactly one response frame, in order.
 //! Jobs are identified by the server-assigned id returned in
@@ -13,9 +15,7 @@
 use sparqlog_core::analysis::Population;
 use sparqlog_core::RecoveryPolicy;
 use sparqlog_obs::MetricsSnapshot;
-use sparqlog_shard::codec::{
-    write_frame, write_stream_header, DecodeError, Decoder, Encoder, FrameReader, StreamError,
-};
+use sparqlog_shard::codec::{write_frame, DecodeError, Decoder, Encoder, FrameReader, StreamError};
 use sparqlog_shard::snapshot::Snapshot;
 use std::io::{self, Read, Write};
 
@@ -462,12 +462,6 @@ impl Response {
     }
 }
 
-/// Writes the protocol stream header (shared with worker snapshots: same
-/// magic, same version byte).
-pub fn write_header(out: &mut impl Write) -> io::Result<()> {
-    write_stream_header(out)
-}
-
 /// Writes one request as a length-prefixed frame and flushes.
 pub fn write_request(out: &mut impl Write, request: &Request) -> io::Result<()> {
     write_frame(out, &request.to_payload())?;
@@ -503,6 +497,7 @@ pub fn read_response<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparqlog_shard::codec::write_stream_header;
 
     fn round_trip_request(request: Request) {
         let payload = request.to_payload();
@@ -637,7 +632,7 @@ mod tests {
     #[test]
     fn golden_bytes_pin_the_protocol_envelope() {
         let mut wire = Vec::new();
-        write_header(&mut wire).unwrap();
+        write_stream_header(&mut wire).unwrap();
         write_request(&mut wire, &Request::Ping).unwrap();
         write_response(
             &mut wire,
@@ -648,12 +643,14 @@ mod tests {
         )
         .unwrap();
         let golden: &[&[u8]] = &[
-            // Header: magic + codec version 2.
-            b"SQSN\x02",
-            // Ping: length 1; tag 1.
+            // Header: magic + codec version 3.
+            b"SQSN\x03",
+            // Ping: length 1; tag 1; CRC32C.
             b"\x01\x01",
-            // Pong: length 3; tag 1, not draining, 3 jobs.
+            b"\x52\xd0\x16\xa0",
+            // Pong: length 3; tag 1, not draining, 3 jobs; CRC32C.
             b"\x03\x01\x00\x03",
+            b"\xf0\xc2\x75\xd6",
         ];
         assert_eq!(wire, golden.concat());
         let mut frames = FrameReader::new(wire.as_slice());
@@ -670,9 +667,38 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_byte_in_a_report_frame_fails_to_read() {
+        let report = Response::Report(JobReport {
+            job: 2,
+            complete: true,
+            completed: 4,
+            total: 4,
+            errors: 0,
+            text: "Table 1\n=======\nDBpedia15  12  10\n".to_string(),
+        });
+        let mut wire = Vec::new();
+        write_stream_header(&mut wire).unwrap();
+        let header = wire.len();
+        write_response(&mut wire, &report).unwrap();
+        let read = |wire: &[u8]| {
+            let mut frames = FrameReader::new(wire);
+            frames.read_header().unwrap();
+            read_response(&mut frames)
+        };
+        assert_eq!(read(&wire).unwrap(), Some(report));
+        // The low bit of a text byte keeps it printable: without the
+        // checksum trailer that flip would read as a different report.
+        for at in header..wire.len() {
+            wire[at] ^= 1;
+            assert!(read(&wire).is_err(), "byte {at} flipped and still read");
+            wire[at] ^= 1;
+        }
+    }
+
+    #[test]
     fn framed_exchange_round_trips_over_a_buffer() {
         let mut wire = Vec::new();
-        write_header(&mut wire).unwrap();
+        write_stream_header(&mut wire).unwrap();
         write_request(&mut wire, &Request::Ping).unwrap();
         write_request(&mut wire, &Request::Drain).unwrap();
 

@@ -32,7 +32,7 @@ use crate::supervisor::{Supervisor, SupervisorConfig};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_obs::{self as obs, EventRecord};
 use sparqlog_persist::SnapshotStore;
-use sparqlog_shard::codec::FrameReader;
+use sparqlog_shard::codec::{write_stream_header, FrameReader};
 use sparqlog_shard::{LogSpec, WorkerCommand};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -507,7 +507,7 @@ impl Read for PatientReader {
 
 fn writer_loop(stream: Box<dyn SessionStream>, outbox: Receiver<Response>, pause: Duration) {
     let mut out = BufWriter::new(stream);
-    if protocol::write_header(&mut out).is_err() || out.flush().is_err() {
+    if write_stream_header(&mut out).is_err() || out.flush().is_err() {
         return;
     }
     while let Ok(response) = outbox.recv() {

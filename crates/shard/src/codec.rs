@@ -1,11 +1,13 @@
 //! The dependency-free binary snapshot codec: varint integers, raw
-//! little-endian fingerprints, length-prefixed frames behind a magic /
-//! version header, and structured decode errors that carry the byte offset
-//! of the fault.
+//! little-endian fingerprints, checksummed length-prefixed frames behind a
+//! magic / version header, and structured decode errors that carry the byte
+//! offset of the fault.
 //!
 //! The wire format is deliberately tiny and explicit — it is the contract
-//! between coordinator and worker *processes*, so it must not depend on the
-//! Rust type layout, the allocator or any serialization framework:
+//! between coordinator and worker *processes*, between the service and its
+//! clients, and (frames only) the record layout of the snapshot store, so it
+//! must not depend on the Rust type layout, the allocator or any
+//! serialization framework:
 //!
 //! * **varint** — unsigned LEB128, at most 10 bytes for a `u64`. All counts
 //!   and lengths use it (corpus tallies are overwhelmingly small integers).
@@ -17,8 +19,14 @@
 //!   [`VERSION`] byte. A decoder refuses any other version up front, which
 //!   is what lets the coordinator surface a version-skewed worker as a
 //!   structured error instead of garbage tallies.
-//! * **frames** — varint payload length + payload. The payload's first byte
-//!   is a frame tag (see [`crate::snapshot`]).
+//! * **frames** — `[varint len][payload][crc32c LE]`: the payload's length,
+//!   the payload, and the [`crc32c`] of the payload as 4 little-endian bytes.
+//!   [`write_frame`] is the one writer and [`FrameReader::next_frame`] the
+//!   one reader; the reader checks the trailer before it hands a payload
+//!   out, so a corrupted frame fails as
+//!   [`ChecksumMismatch`](DecodeErrorKind::ChecksumMismatch) at that frame's
+//!   offset instead of decoding as some other value. The payload's first
+//!   byte is a tag (see [`crate::snapshot`]).
 //!
 //! Every decode error is a [`DecodeError`]: a [`DecodeErrorKind`] plus the
 //! stream offset where decoding stopped, so a coordinator can report *which
@@ -31,22 +39,26 @@ use std::io::{self, Read, Write};
 /// The 4-byte magic prefix of a snapshot stream (`SQSN`: SparQlog SNapshot).
 pub const MAGIC: [u8; 4] = *b"SQSN";
 
-/// The codec version this build writes and accepts. Version 2 added the
-/// per-log error tally to [`LogSummary`](sparqlog_core::fused::LogSummary)
-/// and [`DatasetAnalysis`](sparqlog_core::analysis::DatasetAnalysis) frames.
-pub const VERSION: u8 = 2;
+/// The codec version this build writes and accepts.
+///
+/// * 2: the per-log error tally in
+///   [`LogSummary`](sparqlog_core::fused::LogSummary) and
+///   [`DatasetAnalysis`](sparqlog_core::analysis::DatasetAnalysis) frames.
+/// * 3: every frame carries its CRC32C trailer.
+pub const VERSION: u8 = 3;
 
-/// Upper bound on a single frame's payload (256 MiB). A corrupt or
-/// adversarial length prefix must not make the decoder allocate unbounded
-/// memory before noticing the stream is short.
+/// Upper bound on a single frame's payload (256 MiB), far above any real
+/// snapshot: a longer length prefix is corrupt, and fails before any byte
+/// of its payload is read.
 pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
 /// What went wrong while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeErrorKind {
-    /// The stream ended in the middle of a header, frame length or frame
-    /// payload — a truncated snapshot (e.g. a worker that died mid-write).
+    /// The stream ended in the middle of a header, frame length, frame
+    /// payload or checksum — a truncated snapshot (e.g. a worker that died
+    /// mid-write).
     UnexpectedEof,
     /// The stream does not start with [`MAGIC`].
     BadMagic {
@@ -105,10 +117,10 @@ pub enum DecodeErrorKind {
         /// The log frames seen before it.
         seen: u64,
     },
-    /// A frame's CRC32C checksum did not match its payload — the bytes were
+    /// A frame's CRC32C trailer did not match its payload — the bytes were
     /// corrupted in flight (or at rest), not merely truncated.
     ChecksumMismatch {
-        /// The checksum the producer declared.
+        /// The checksum the frame's trailer declared.
         expected: u32,
         /// The checksum computed over the received payload.
         found: u32,
@@ -276,16 +288,6 @@ impl Encoder {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Writes one raw byte.
@@ -522,17 +524,28 @@ pub fn write_stream_header(out: &mut impl Write) -> io::Result<()> {
     out.write_all(&[VERSION])
 }
 
-/// Writes one frame: varint payload length + payload bytes.
+/// Writes one frame, `[varint len][payload][crc32c LE]`, in a single
+/// `write_all`, so a writer that passes large writes straight through
+/// (`BufWriter`, a socket) never sends a frame in pieces.
 pub fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let mut length = Encoder::new();
     length.put_usize(payload.len());
-    out.write_all(&length.into_bytes())?;
-    out.write_all(payload)
+    let mut frame = length.into_bytes();
+    frame.reserve(payload.len() + 4);
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&crc32c(payload).to_le_bytes());
+    out.write_all(&frame)
 }
 
-/// An incremental reader of a snapshot stream: header first, then frames
-/// until a clean end-of-stream. Tracks the byte offset so every error names
-/// the position it happened at, and so callers can report snapshot sizes.
+/// The most payload bytes [`FrameReader::next_frame`] reserves before they
+/// arrive: a frame's length prefix is only a claim until its bytes are
+/// read, so a corrupt prefix costs at most this much memory up front.
+const RESERVE_BYTES: u64 = 64 << 10;
+
+/// An incremental reader of frames: an optional stream header first (see
+/// [`FrameReader::read_header`]), then frames until a clean end-of-stream.
+/// Tracks the byte offset so every error names the position it happened
+/// at, and so callers can report snapshot sizes.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     reader: R,
@@ -542,7 +555,13 @@ pub struct FrameReader<R> {
 impl<R: Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(reader: R) -> FrameReader<R> {
-        FrameReader { reader, offset: 0 }
+        FrameReader::at_offset(reader, 0)
+    }
+
+    /// Wraps a byte stream whose first byte sits at `offset` of a larger
+    /// file, so offsets and errors count from the file's start.
+    pub fn at_offset(reader: R, offset: u64) -> FrameReader<R> {
+        FrameReader { reader, offset }
     }
 
     /// Bytes consumed so far — after the stream drains, the snapshot size.
@@ -614,10 +633,13 @@ impl<R: Read> FrameReader<R> {
 
     /// Reads the next frame's payload, or `Ok(None)` on a clean end of
     /// stream (EOF exactly at a frame boundary). A stream that ends inside a
-    /// length prefix or payload fails with [`DecodeErrorKind::UnexpectedEof`].
-    /// Returns the payload and its base offset in the stream (for error
-    /// reporting inside the payload).
+    /// length prefix, payload or trailer fails with
+    /// [`DecodeErrorKind::UnexpectedEof`]; a trailer that does not match the
+    /// payload fails with [`DecodeErrorKind::ChecksumMismatch`] at the
+    /// frame's first byte. Returns the payload and its base offset in the
+    /// stream (for error reporting inside the payload).
     pub fn next_frame(&mut self) -> Result<Option<(Vec<u8>, u64)>, StreamError> {
+        let start = self.offset;
         // Varint length, read byte-by-byte so a clean EOF is only accepted
         // before the first byte.
         let Some(first) = self.next_byte()? else {
@@ -645,8 +667,27 @@ impl<R: Read> FrameReader<R> {
             return Err(self.fail(DecodeErrorKind::FrameTooLarge { length }));
         }
         let base = self.offset;
-        let mut payload = vec![0u8; length as usize];
-        self.read_exact(&mut payload)?;
+        // Payload and trailer in one read: on an unbuffered socket a
+        // separate trailer read would cost a system call per frame.
+        let framed = length + 4;
+        let mut payload = Vec::with_capacity(framed.min(RESERVE_BYTES) as usize);
+        let read = (&mut self.reader)
+            .take(framed)
+            .read_to_end(&mut payload)
+            .map_err(StreamError::Io)?;
+        self.offset += read as u64;
+        if (read as u64) < framed {
+            return Err(self.fail(DecodeErrorKind::UnexpectedEof));
+        }
+        let trailer: [u8; 4] = payload[length as usize..].try_into().expect("4 bytes");
+        payload.truncate(length as usize);
+        let (expected, found) = (u32::from_le_bytes(trailer), crc32c(&payload));
+        if expected != found {
+            return Err(StreamError::Decode(DecodeError {
+                kind: DecodeErrorKind::ChecksumMismatch { expected, found },
+                offset: start,
+            }));
+        }
         Ok(Some((payload, base)))
     }
 }
@@ -835,8 +876,9 @@ mod tests {
         let mut stream = Vec::new();
         write_stream_header(&mut stream).unwrap();
         write_frame(&mut stream, b"0123456789").unwrap();
-        // Cut the stream inside the payload.
-        stream.truncate(stream.len() - 4);
+        // Cut the stream inside the payload (the last 4 bytes are the
+        // trailer).
+        stream.truncate(stream.len() - 8);
         let mut reader = FrameReader::new(stream.as_slice());
         reader.read_header().unwrap();
         let StreamError::Decode(error) = reader.next_frame().unwrap_err() else {

@@ -110,20 +110,26 @@ pub fn injected(shard: usize) -> Option<FaultMode> {
             return None;
         }
     }
-    if let Ok(flag) = std::env::var(FAULT_FLAG_ENV) {
-        // First exclusive create wins; every later worker runs clean. A flag
-        // path that cannot be created at all (missing directory) also
-        // disables the fault — erring towards clean runs.
-        if std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(flag.trim())
-            .is_err()
-        {
-            return None;
-        }
-    }
-    Some(mode)
+    claim_once(FAULT_FLAG_ENV).then_some(mode)
+}
+
+/// Claims the once-flag whose path the environment variable `flag_env`
+/// names: `true` when the variable is unset or this call created the flag
+/// file, `false` when the file already exists or cannot be created. The
+/// one claim behind this module's [`FAULT_FLAG_ENV`] and the store's
+/// `SPARQLOG_PERSIST_FAULT_FLAG`.
+pub fn claim_once(flag_env: &str) -> bool {
+    let Ok(flag) = std::env::var(flag_env) else {
+        return true;
+    };
+    // First exclusive create wins; every later process runs clean. A flag
+    // path that cannot be created at all (missing directory) also disables
+    // the fault — erring towards clean runs.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(flag.trim())
+        .is_ok()
 }
 
 fn env_millis(var: &str, default_ms: u64) -> Duration {
@@ -164,7 +170,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let flag = dir.join("claims.flag");
         // Simulate two workers racing for the flag: only the first create
-        // succeeds (the same create_new call `injected` performs).
+        // succeeds (the same create_new call `claim_once` performs).
         let claim = |path: &std::path::Path| {
             std::fs::OpenOptions::new()
                 .write(true)

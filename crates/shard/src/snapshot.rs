@@ -506,6 +506,9 @@ impl Snapshot for DatasetAnalysis {
 // ---------------------------------------------------------------------------
 // The framed worker stream.
 // ---------------------------------------------------------------------------
+//
+// Each frame below is the payload of one codec frame, so each carries its
+// own CRC32C trailer (`crate::codec`).
 
 /// Frame tag: one analysed log (index + summary + per-dataset analysis).
 pub const FRAME_LOG: u8 = 1;
@@ -515,16 +518,6 @@ pub const FRAME_EPILOGUE: u8 = 2;
 
 /// Frame tag: a liveness heartbeat (sequence number only, no payload data).
 pub const FRAME_HEARTBEAT: u8 = 3;
-
-/// Frame tag: a CRC32C checksum covering the immediately preceding frame's
-/// payload. An **append-only** addition to the tag space (the codec version
-/// stays put): streams without checksum frames remain decodable, and a
-/// decoder that sees one verifies the preceding frame on the spot — so
-/// in-flight corruption surfaces as a structured
-/// [`DecodeErrorKind::ChecksumMismatch`] *at the frame that broke*, not as a
-/// confusing [`DecodeErrorKind::TrailingBytes`] deep inside a later field
-/// decode.
-pub const FRAME_CRC: u8 = 4;
 
 /// One analysed log as the worker ships it: the log's index in the
 /// *coordinator's* corpus order, its [`LogSummary`], and its full
@@ -568,19 +561,6 @@ pub struct HeartbeatFrame {
     pub seq: u64,
 }
 
-/// A checksum over the immediately preceding frame's payload bytes, written
-/// by [`Frame::write_checked_to`] and verified by [`read_snapshot`]. Carries
-/// the covered payload length too, so a misaligned checksum (covering the
-/// wrong frame) is caught as a structured error rather than a spurious
-/// mismatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrcFrame {
-    /// CRC32C of the preceding frame's payload bytes.
-    pub crc: u32,
-    /// Byte length of the covered payload.
-    pub covered: u64,
-}
-
 /// A decoded snapshot frame. The log variant is boxed: a [`LogFrame`]
 /// carries a full [`DatasetAnalysis`] and would otherwise dominate the enum
 /// size.
@@ -592,8 +572,6 @@ pub enum Frame {
     Epilogue(EpilogueFrame),
     /// A liveness heartbeat (carries no analysis data).
     Heartbeat(HeartbeatFrame),
-    /// A checksum of the preceding frame.
-    Crc(CrcFrame),
 }
 
 impl From<LogFrame> for Frame {
@@ -623,11 +601,6 @@ impl Frame {
             Frame::Heartbeat(frame) => {
                 encoder.put_u8(FRAME_HEARTBEAT);
                 encoder.put_varint(frame.seq);
-            }
-            Frame::Crc(frame) => {
-                encoder.put_u8(FRAME_CRC);
-                encoder.put_u32(frame.crc);
-                encoder.put_varint(frame.covered);
             }
         }
         encoder.into_bytes()
@@ -665,11 +638,6 @@ impl Frame {
                 let seq = decoder.take_varint()?;
                 Frame::Heartbeat(HeartbeatFrame { seq })
             }
-            FRAME_CRC => {
-                let crc = decoder.take_u32()?;
-                let covered = decoder.take_varint()?;
-                Frame::Crc(CrcFrame { crc, covered })
-            }
             tag => {
                 return Err(DecodeError {
                     kind: DecodeErrorKind::BadFrameTag { tag },
@@ -681,24 +649,10 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Writes the frame (length prefix + payload) to a stream.
-    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        write_frame(out, &self.to_payload())
-    }
-
-    /// Writes the frame followed by a [`FRAME_CRC`] frame covering its
-    /// payload — the checksummed form the worker streams its log and
-    /// epilogue frames in. The two frames go out back-to-back (callers hold
-    /// the writer lock across the pair), so a verifying reader always finds
-    /// the checksum right behind the frame it covers.
+    /// Writes the frame to a stream as one checksummed codec frame
+    /// ([`write_frame`]: length prefix, payload, CRC32C trailer).
     pub fn write_checked_to(&self, out: &mut impl Write) -> io::Result<()> {
-        let payload = self.to_payload();
-        write_frame(out, &payload)?;
-        let check = Frame::Crc(CrcFrame {
-            crc: crate::codec::crc32c(&payload),
-            covered: payload.len() as u64,
-        });
-        write_frame(out, &check.to_payload())
+        write_frame(out, &self.to_payload())
     }
 }
 
@@ -715,10 +669,11 @@ pub struct WorkerSnapshot {
 /// from a byte stream. Returns the snapshot and its total size in bytes.
 ///
 /// Structured failures: a stream ending mid-frame is
-/// [`DecodeErrorKind::UnexpectedEof`]; one ending cleanly before the
-/// epilogue is [`DecodeErrorKind::MissingEpilogue`]; frames after the
-/// epilogue are [`DecodeErrorKind::TrailingFrame`]; an epilogue whose
-/// declared count disagrees with the streamed frames is
+/// [`DecodeErrorKind::UnexpectedEof`]; a frame whose checksum trailer does
+/// not match is [`DecodeErrorKind::ChecksumMismatch`]; a stream ending
+/// cleanly before the epilogue is [`DecodeErrorKind::MissingEpilogue`];
+/// frames after the epilogue are [`DecodeErrorKind::TrailingFrame`]; an
+/// epilogue whose declared count disagrees with the streamed frames is
 /// [`DecodeErrorKind::FrameCountMismatch`].
 pub fn read_snapshot(
     reader: impl std::io::Read,
@@ -738,10 +693,6 @@ pub fn read_snapshot_observed(
     let mut frames = crate::codec::FrameReader::new(reader);
     frames.read_header()?;
     let mut logs = Vec::new();
-    // Checksum of the last coverable (log / epilogue) frame's payload, used
-    // to verify a FRAME_CRC that follows it. Streams without checksum
-    // frames decode exactly as before — the tag is append-only.
-    let mut covered: Option<(u32, u64)> = None;
     loop {
         let Some((payload, base)) = frames.next_frame()? else {
             return Err(crate::codec::StreamError::Decode(DecodeError {
@@ -752,12 +703,8 @@ pub fn read_snapshot_observed(
         let frame = Frame::from_payload(&payload, base)?;
         observe(&frame);
         match frame {
-            Frame::Log(frame) => {
-                covered = Some((crate::codec::crc32c(&payload), payload.len() as u64));
-                logs.push(*frame);
-            }
+            Frame::Log(frame) => logs.push(*frame),
             Frame::Heartbeat(_) => {}
-            Frame::Crc(check) => verify_crc_frame(covered.take(), check, base)?,
             Frame::Epilogue(epilogue) => {
                 if epilogue.log_frames != logs.len() as u64 {
                     return Err(crate::codec::StreamError::Decode(DecodeError {
@@ -768,71 +715,17 @@ pub fn read_snapshot_observed(
                         offset: base,
                     }));
                 }
-                // At most one trailing frame is legal: the epilogue's own
-                // checksum. Anything else after the epilogue is still a
-                // structured TrailingFrame fault.
-                let epilogue_crc = (crate::codec::crc32c(&payload), payload.len() as u64);
-                if let Some((payload, base)) = frames.next_frame()? {
-                    let frame = Frame::from_payload(&payload, base)?;
-                    observe(&frame);
-                    let Frame::Crc(check) = frame else {
-                        return Err(crate::codec::StreamError::Decode(DecodeError {
-                            kind: DecodeErrorKind::TrailingFrame,
-                            offset: base,
-                        }));
-                    };
-                    verify_crc_frame(Some(epilogue_crc), check, base)?;
-                    if frames.next_frame()?.is_some() {
-                        return Err(crate::codec::StreamError::Decode(DecodeError {
-                            kind: DecodeErrorKind::TrailingFrame,
-                            offset: frames.offset(),
-                        }));
-                    }
-                }
                 let bytes = frames.offset();
+                if frames.next_frame()?.is_some() {
+                    return Err(crate::codec::StreamError::Decode(DecodeError {
+                        kind: DecodeErrorKind::TrailingFrame,
+                        offset: bytes,
+                    }));
+                }
                 return Ok((WorkerSnapshot { logs, epilogue }, bytes));
             }
         }
     }
-}
-
-/// Checks a [`CrcFrame`] against the preceding frame's payload checksum.
-/// `covered` is `None` when there is no preceding coverable frame (an orphan
-/// checksum — a framing bug, reported as an invalid value rather than a
-/// mismatch).
-fn verify_crc_frame(
-    covered: Option<(u32, u64)>,
-    check: CrcFrame,
-    offset: u64,
-) -> Result<(), crate::codec::StreamError> {
-    let Some((crc, length)) = covered else {
-        return Err(crate::codec::StreamError::Decode(DecodeError {
-            kind: DecodeErrorKind::InvalidValue {
-                what: "checksum frame with no frame to cover",
-                value: u64::from(check.crc),
-            },
-            offset,
-        }));
-    };
-    if check.covered != length {
-        return Err(crate::codec::StreamError::Decode(DecodeError {
-            kind: DecodeErrorKind::InvalidValue {
-                what: "checksum coverage length",
-                value: check.covered,
-            },
-            offset,
-        }));
-    }
-    if check.crc != crc {
-        return Err(crate::codec::StreamError::Decode(DecodeError {
-            kind: DecodeErrorKind::ChecksumMismatch {
-                expected: check.crc,
-                found: crc,
-            },
-            offset,
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -986,9 +879,11 @@ mod tests {
         };
         let mut stream = Vec::new();
         crate::codec::write_stream_header(&mut stream).unwrap();
-        Frame::from(log.clone()).write_to(&mut stream).unwrap();
+        Frame::from(log.clone())
+            .write_checked_to(&mut stream)
+            .unwrap();
         Frame::Epilogue(epilogue.clone())
-            .write_to(&mut stream)
+            .write_checked_to(&mut stream)
             .unwrap();
 
         let (snapshot, bytes) = read_snapshot(stream.as_slice()).unwrap();
@@ -1000,7 +895,9 @@ mod tests {
         // Missing epilogue: stream ends cleanly after the log frame.
         let mut early = Vec::new();
         crate::codec::write_stream_header(&mut early).unwrap();
-        Frame::from(log.clone()).write_to(&mut early).unwrap();
+        Frame::from(log.clone())
+            .write_checked_to(&mut early)
+            .unwrap();
         let crate::codec::StreamError::Decode(error) = read_snapshot(early.as_slice()).unwrap_err()
         else {
             panic!("expected decode error");
@@ -1010,12 +907,14 @@ mod tests {
         // Count mismatch.
         let mut mismatched = Vec::new();
         crate::codec::write_stream_header(&mut mismatched).unwrap();
-        Frame::from(log.clone()).write_to(&mut mismatched).unwrap();
+        Frame::from(log.clone())
+            .write_checked_to(&mut mismatched)
+            .unwrap();
         Frame::Epilogue(EpilogueFrame {
             log_frames: 2,
             ..epilogue
         })
-        .write_to(&mut mismatched)
+        .write_checked_to(&mut mismatched)
         .unwrap();
         let crate::codec::StreamError::Decode(error) =
             read_snapshot(mismatched.as_slice()).unwrap_err()
@@ -1032,7 +931,7 @@ mod tests {
 
         // Trailing frame after the epilogue.
         let mut trailing = stream.clone();
-        Frame::from(log).write_to(&mut trailing).unwrap();
+        Frame::from(log).write_checked_to(&mut trailing).unwrap();
         let crate::codec::StreamError::Decode(error) =
             read_snapshot(trailing.as_slice()).unwrap_err()
         else {
@@ -1067,14 +966,16 @@ mod tests {
         let mut stream = Vec::new();
         crate::codec::write_stream_header(&mut stream).unwrap();
         Frame::Heartbeat(HeartbeatFrame { seq: 1 })
-            .write_to(&mut stream)
+            .write_checked_to(&mut stream)
             .unwrap();
-        Frame::from(log.clone()).write_to(&mut stream).unwrap();
+        Frame::from(log.clone())
+            .write_checked_to(&mut stream)
+            .unwrap();
         Frame::Heartbeat(HeartbeatFrame { seq: 2 })
-            .write_to(&mut stream)
+            .write_checked_to(&mut stream)
             .unwrap();
         Frame::Epilogue(epilogue.clone())
-            .write_to(&mut stream)
+            .write_checked_to(&mut stream)
             .unwrap();
 
         let mut observed = Vec::new();
@@ -1083,7 +984,6 @@ mod tests {
                 Frame::Log(_) => "log",
                 Frame::Epilogue(_) => "epilogue",
                 Frame::Heartbeat(_) => "heartbeat",
-                Frame::Crc(_) => "crc",
             });
         })
         .unwrap();

@@ -10,11 +10,10 @@
 //! an [`EpilogueFrame`] of counters. All partitioning decisions live in the
 //! coordinator.
 //!
-//! Log and epilogue frames go out **checksummed**
-//! ([`Frame::write_checked_to`]): each is followed by a CRC32C frame over
-//! its payload, so a consumer catches in-flight corruption at the exact
-//! frame that broke instead of failing later inside an unrelated field
-//! decode. Heartbeats are two-byte liveness ticks and stay unchecked.
+//! Every frame — log, epilogue and heartbeat — goes out through
+//! [`Frame::write_checked_to`] as one codec frame with a CRC32C trailer, so
+//! a consumer catches in-flight corruption at the exact frame that broke
+//! instead of failing later inside an unrelated field decode.
 //!
 //! # Command line
 //!
@@ -273,7 +272,7 @@ fn heartbeat_loop<W: Write>(period: Duration, shared: &Mutex<&mut W>, stop: &Ato
         seq += 1;
         let beat = Frame::Heartbeat(HeartbeatFrame { seq });
         if beat
-            .write_to(&mut **guard)
+            .write_checked_to(&mut **guard)
             .and_then(|()| guard.flush())
             .is_err()
         {

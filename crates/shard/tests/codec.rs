@@ -1,9 +1,9 @@
 //! Property tests of the snapshot codec: round-trips over arbitrary
 //! [`LogSummary`] / tally values and over analyses of synthesized corpora,
 //! the tally laws of the ten flat records, golden bytes that pin the wire
-//! layout, plus the structured decode errors — truncated input at *every*
-//! strict prefix length, wrong version bytes, bad magic, bad tags, trailing
-//! bytes.
+//! layout and the frame envelope, plus the structured decode errors —
+//! truncated input at *every* strict prefix length, every bit flip of a
+//! frame, wrong version bytes, bad magic, bad tags, trailing bytes.
 
 use proptest::prelude::*;
 use sparqlog_algebra::tally::Tally;
@@ -20,8 +20,8 @@ use sparqlog_graph::ShapeTally;
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
 use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
 use sparqlog_shard::codec::{
-    write_stream_header, DecodeError, DecodeErrorKind, Decoder, Encoder, StreamError, MAGIC,
-    VERSION,
+    write_frame, write_stream_header, DecodeError, DecodeErrorKind, Decoder, Encoder, FrameReader,
+    StreamError, MAGIC, VERSION,
 };
 use sparqlog_shard::snapshot::{
     read_snapshot, EpilogueFrame, Frame, HeartbeatFrame, LogFrame, Snapshot,
@@ -276,8 +276,8 @@ proptest! {
         };
         let mut stream = Vec::new();
         write_stream_header(&mut stream).unwrap();
-        Frame::from(frame.clone()).write_to(&mut stream).unwrap();
-        Frame::Epilogue(epilogue.clone()).write_to(&mut stream).unwrap();
+        Frame::from(frame.clone()).write_checked_to(&mut stream).unwrap();
+        Frame::Epilogue(epilogue.clone()).write_checked_to(&mut stream).unwrap();
         let (snapshot, bytes) = read_snapshot(stream.as_slice()).unwrap();
         prop_assert_eq!(bytes, stream.len() as u64);
         prop_assert_eq!(&snapshot.logs[..], std::slice::from_ref(&frame));
@@ -414,16 +414,16 @@ fn checksummed_streams_round_trip_and_catch_silent_corruption() {
     frame.write_checked_to(&mut stream).unwrap();
     tiny_epilogue().write_checked_to(&mut stream).unwrap();
 
-    // The checked stream decodes, and the checksum frames are invisible to
+    // The checked stream decodes: the checksum trailers are invisible to
     // the snapshot (no extra logs, same epilogue).
     let (snapshot, bytes) = read_snapshot(stream.as_slice()).unwrap();
     assert_eq!(bytes, stream.len() as u64);
     assert_eq!(snapshot.logs.len(), 1);
 
-    // Flip the low bit of the log payload's last byte: the frame still
+    // Flip the low bit of the log payload's last byte: the payload still
     // *decodes* (a terminal varint changes value, nothing else moves), so
-    // without the checksum this corruption would be silent — the CRC frame
-    // right behind it must catch it.
+    // without the checksum this corruption would be silent — the frame's
+    // CRC trailer must catch it, at the frame's first byte.
     let mut length_prefix = Encoder::new();
     length_prefix.put_usize(payload.len());
     let corrupt_at = header_len + length_prefix.into_bytes().len() + payload.len() - 1;
@@ -436,59 +436,42 @@ fn checksummed_streams_round_trip_and_catch_silent_corruption() {
         matches!(error.kind, DecodeErrorKind::ChecksumMismatch { .. }),
         "{error:?}"
     );
+    assert_eq!(error.offset, header_len as u64);
 }
 
-#[test]
-fn orphan_and_misaligned_checksum_frames_are_structured_errors() {
-    use sparqlog_shard::codec::crc32c;
-    use sparqlog_shard::snapshot::CrcFrame;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // A checksum frame with nothing before it to cover.
-    let mut stream = Vec::new();
-    write_stream_header(&mut stream).unwrap();
-    Frame::Crc(CrcFrame { crc: 7, covered: 9 })
-        .write_to(&mut stream)
-        .unwrap();
-    let StreamError::Decode(error) = read_snapshot(stream.as_slice()).unwrap_err() else {
-        panic!("expected a decode error");
-    };
-    assert!(
-        matches!(
-            error.kind,
-            DecodeErrorKind::InvalidValue {
-                what: "checksum frame with no frame to cover",
-                ..
-            }
-        ),
-        "{error:?}"
-    );
-
-    // A checksum frame declaring the wrong coverage length (misaligned —
-    // it would otherwise be verified against the wrong frame).
-    let frame = tiny_log_frame();
-    let payload = frame.to_payload();
-    let mut stream = Vec::new();
-    write_stream_header(&mut stream).unwrap();
-    frame.write_to(&mut stream).unwrap();
-    Frame::Crc(CrcFrame {
-        crc: crc32c(&payload),
-        covered: payload.len() as u64 + 1,
-    })
-    .write_to(&mut stream)
-    .unwrap();
-    let StreamError::Decode(error) = read_snapshot(stream.as_slice()).unwrap_err() else {
-        panic!("expected a decode error");
-    };
-    assert!(
-        matches!(
-            error.kind,
-            DecodeErrorKind::InvalidValue {
-                what: "checksum coverage length",
-                ..
-            }
-        ),
-        "{error:?}"
-    );
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_frame_fails_to_read(
+        payload in prop::collection::vec(0u8..=255, 0..2049),
+    ) {
+        // The reader hands out only payloads the writer wrote: a corrupted
+        // or cut frame is an error (or, cut to nothing, a clean end of
+        // stream), never some other payload.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload).unwrap();
+        let read = |bytes: &[u8]| FrameReader::new(bytes).next_frame();
+        let (read_back, _) = read(&frame).unwrap().unwrap();
+        prop_assert_eq!(&read_back, &payload);
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            let outcome = read(&frame);
+            prop_assert!(
+                !matches!(outcome, Ok(Some(_))),
+                "bit {bit} of {} flipped and the frame still read",
+                frame.len()
+            );
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..frame.len() {
+            prop_assert!(
+                !matches!(read(&frame[..cut]), Ok(Some(_))),
+                "prefix of {cut}/{} bytes read as a frame",
+                frame.len()
+            );
+        }
+    }
 }
 
 /// The frame envelope of a worker stream: the stream header, a heartbeat
@@ -508,22 +491,21 @@ fn golden_bytes_pin_the_worker_stream_envelope() {
     let mut stream = Vec::new();
     write_stream_header(&mut stream).unwrap();
     Frame::Heartbeat(HeartbeatFrame { seq: 1 })
-        .write_to(&mut stream)
+        .write_checked_to(&mut stream)
         .unwrap();
     Frame::Epilogue(epilogue.clone())
         .write_checked_to(&mut stream)
         .unwrap();
     let golden: &[&[u8]] = &[
-        // Header: magic + codec version 2.
-        b"SQSN\x02",
-        // Heartbeat: length 2; tag 3, sequence 1.
+        // Header: magic + codec version 3.
+        b"SQSN\x03",
+        // Heartbeat: length 2; tag 3, sequence 1; CRC32C.
         b"\x02\x03\x01",
+        b"\x48\x5c\xed\x37",
         // Epilogue: length 11; tag 2, no log frames, cache 5/2/2, fused
-        // 0/0/0, empty metric snapshot.
+        // 0/0/0, empty metric snapshot; CRC32C.
         b"\x0b\x02\x00\x05\x02\x02\x00\x00\x00\x00\x00\x00",
-        // Checksum frame: length 7; tag 4, CRC32C 0xe951982e as a varint,
-        // covering 11 bytes.
-        b"\x07\x04\xae\xb0\xc6\xca\x0e\x0b",
+        b"\x2e\x98\x51\xe9",
     ];
     assert_eq!(stream, golden.concat());
     let (snapshot, bytes) = read_snapshot(stream.as_slice()).unwrap();

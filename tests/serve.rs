@@ -22,7 +22,7 @@ use sparqlog::serve::protocol::{self, Request, Response};
 use sparqlog::serve::{
     Client, ClientError, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SlowConsumerPolicy,
 };
-use sparqlog::shard::codec::FrameReader;
+use sparqlog::shard::codec::{write_stream_header, FrameReader};
 use sparqlog::shard::{LogSpec, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset};
 use std::io::Write as _;
@@ -225,7 +225,7 @@ fn a_slow_consumer_blocks_only_its_own_session() {
     // response: its 2-frame outbox fills and, under the Block policy, its
     // reader thread stalls. Draining takes >= 40 * 50ms = 2s.
     let mut slow = TcpStream::connect(spec.as_str()).expect("connect slow");
-    protocol::write_header(&mut slow).expect("header");
+    write_stream_header(&mut slow).expect("header");
     for _ in 0..40 {
         protocol::write_request(&mut slow, &Request::Ping).expect("pipelined ping");
     }
@@ -268,7 +268,7 @@ fn a_slow_consumer_is_shed_under_the_shed_policy() {
     };
 
     let mut slow = TcpStream::connect(spec.as_str()).expect("connect slow");
-    protocol::write_header(&mut slow).expect("header");
+    write_stream_header(&mut slow).expect("header");
     for _ in 0..10 {
         protocol::write_request(&mut slow, &Request::Ping).expect("pipelined ping");
     }
