@@ -64,22 +64,25 @@ sparqlog_algebra::tally! {
 }
 
 /// The worker count used by the engine's pools when no explicit
-/// count is given: the `SPARQLOG_WORKERS` environment variable if set to a
-/// positive integer, otherwise the available parallelism. The override exists
-/// so CI can pin the pools to 1/2/8 workers and assert that reports stay
-/// byte-identical on real multi-core runners.
+/// count is given: [`workers_override`] if set, otherwise the available
+/// parallelism. The override exists so CI can pin the pools to 1/2/8
+/// workers and assert that reports stay byte-identical on real multi-core
+/// runners.
 pub fn default_workers() -> usize {
-    if let Some(n) = std::env::var("SPARQLOG_WORKERS")
+    workers_override().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// The `SPARQLOG_WORKERS` environment variable if it is set to a positive
+/// integer; `None` when it is unset, empty, `0` or not a number.
+pub fn workers_override() -> Option<usize> {
+    std::env::var("SPARQLOG_WORKERS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        .filter(|&n| n > 0)
 }
 
 /// Entries per parse chunk: large enough to amortize scheduling, small

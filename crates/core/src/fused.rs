@@ -52,8 +52,8 @@
 //! Every per-form structure carries the class id, never the record: a
 //! worker's per-log occurrence map holds `fingerprint → (class, count)`.
 //! After the stream drains, those maps merge into per-log [`LogSummary`]
-//! records (Table-1 counts plus the distinct fingerprints with their
-//! occurrence counts), and one **occurrence-weighted fold**
+//! records (Table-1 counts and error tallies; the fingerprints are counted,
+//! not kept), and one **occurrence-weighted fold**
 //! ([`DatasetAnalysis::add_times`]) builds the corpus analysis once per
 //! (log, class): the Unique population weighs a class by how many of the
 //! log's distinct fingerprints fall into it, the Valid population by their
@@ -112,9 +112,8 @@ use sparqlog_parser::bytescan::hash128;
 use sparqlog_parser::intern::{InternStats, Interner};
 use sparqlog_parser::token::token_key;
 use sparqlog_parser::{canonical_fingerprint_of_ref, Arena, ErrorKind};
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -150,10 +149,9 @@ impl FusedOptions {
     }
 }
 
-/// What the fused engine keeps per log instead of the ASTs: the Table-1
-/// counts and the distinct canonical fingerprints with their occurrence
-/// counts. Two summaries of the same log shards merge by summing matching
-/// fingerprints, which is what a future cross-process deployment combines.
+/// What the fused engine keeps per log instead of the ASTs: the label, the
+/// Table-1 counts and the malformed-entry tally. The distinct fingerprints
+/// themselves do not survive the run; only their number does.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogSummary {
     /// The dataset label.
@@ -161,71 +159,10 @@ pub struct LogSummary {
     /// Table-1 counts (`unique` is the number of distinct fingerprints,
     /// `valid` the sum of their occurrence counts).
     pub counts: CorpusCounts,
-    /// `(fingerprint, occurrences)` for every distinct canonical form, in
-    /// ascending fingerprint order (deterministic for any schedule).
-    pub occurrences: Vec<(u128, u64)>,
     /// The malformed-entry tally of this log: per-kind counts and the
     /// earliest offending entry positions, identical for every engine,
     /// worker count and batch schedule.
     pub errors: ErrorTally,
-}
-
-impl LogSummary {
-    /// Merges another summary of the **same log** (e.g. one produced by a
-    /// different process over a different slice of the log's entries):
-    /// `total`, `valid` and `bodyless` add, matching fingerprints sum their
-    /// occurrence counts, and `unique` is recomputed from the merged
-    /// distinct set. The operation is commutative and keeps the sorted-order
-    /// invariant of [`LogSummary::occurrences`], so per-shard summaries can
-    /// be combined in any order with identical results — the cross-process
-    /// merge hook of the `sparqlog-shard` subsystem.
-    pub fn merge(&mut self, other: &LogSummary) {
-        debug_assert_eq!(
-            self.label, other.label,
-            "LogSummary::merge combines shards of one log"
-        );
-        let mut merged = Vec::with_capacity(self.occurrences.len() + other.occurrences.len());
-        let (mut left, mut right) = (self.occurrences.iter(), other.occurrences.iter());
-        let (mut a, mut b) = (left.next(), right.next());
-        loop {
-            match (a, b) {
-                (Some(&(fa, ca)), Some(&(fb, cb))) => {
-                    if fa < fb {
-                        merged.push((fa, ca));
-                        a = left.next();
-                    } else if fb < fa {
-                        merged.push((fb, cb));
-                        b = right.next();
-                    } else {
-                        merged.push((fa, ca + cb));
-                        a = left.next();
-                        b = right.next();
-                    }
-                }
-                (Some(&pair), None) => {
-                    merged.push(pair);
-                    a = left.next();
-                }
-                (None, Some(&pair)) => {
-                    merged.push(pair);
-                    b = right.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.occurrences = merged;
-        self.counts.merge(&other.counts);
-        self.counts.unique = self.occurrences.len() as u64;
-        self.errors.merge(&other.errors);
-    }
-
-    /// The occurrence count of a fingerprint, or 0 if the log never saw it.
-    pub fn occurrences_of(&self, fingerprint: u128) -> u64 {
-        self.occurrences
-            .binary_search_by_key(&fingerprint, |&(fp, _)| fp)
-            .map(|i| self.occurrences[i].1)
-            .unwrap_or(0)
-    }
 }
 
 sparqlog_algebra::tally! {
@@ -246,7 +183,7 @@ sparqlog_algebra::tally! {
     }
 }
 
-/// The result of a fused run: per-log summaries (counts + fingerprints),
+/// The result of a fused run: per-log summaries (counts + error tallies),
 /// the corpus analysis over the requested population, and the run's
 /// cache/interner/residency counters.
 #[derive(Debug, Clone)]
@@ -657,14 +594,14 @@ pub fn analyze_streams_cached(
         }
     }
 
-    // Per-log summaries: sorted occurrence lists make every downstream
-    // iteration deterministic; `bodyless` folds the classes' occurrence
-    // counts (body-ness is a function of the record). Each log's
-    // fingerprints are summed per class, weighted for the population, into
-    // the fold's items. The records come from the cache under one lock.
+    // Per-log summaries: `bodyless` folds the classes' occurrence counts
+    // (body-ness is a function of the record). Each log's fingerprints are
+    // summed per class, weighted for the population, into the fold's items.
+    // The records come from the cache under one lock.
     let records = cache.records();
     let mut in_run = vec![false; records.len()];
     let mut items: Vec<(usize, ClassId, u64)> = Vec::new();
+    let mut fingerprints: Vec<u128> = Vec::new();
     let mut summaries = Vec::with_capacity(log_count);
     for (log_index, (label, map)) in labels.into_iter().zip(merged).enumerate() {
         let mut weights: HashMap<ClassId, u64, RecordBuildHasher> = HashMap::default();
@@ -686,23 +623,21 @@ pub fn analyze_streams_cached(
                 .into_iter()
                 .map(|(class, weight)| (log_index, class, weight)),
         );
-        let mut occurrences: Vec<(u128, u64)> = map
-            .into_iter()
-            .map(|(fingerprint, (_, count))| (fingerprint, count))
-            .collect();
-        occurrences.sort_unstable_by_key(|&(fingerprint, _)| fingerprint);
+        fingerprints.extend(map.keys());
         summaries.push(LogSummary {
             label,
             counts: CorpusCounts {
                 total: source.totals[log_index],
                 valid,
-                unique: occurrences.len() as u64,
+                unique: map.len() as u64,
                 bodyless,
             },
-            occurrences,
             errors: std::mem::take(&mut tallies[log_index]),
         });
     }
+    // Forms seen by more than one log count once.
+    fingerprints.sort_unstable();
+    fingerprints.dedup();
 
     // The budget check runs once, over the merged end-of-run tallies. The
     // shard workers and the serve path stream as Lenient and leave this
@@ -730,7 +665,7 @@ pub fn analyze_streams_cached(
     let fused = FusedStats {
         batches: batches.into_inner(),
         peak_inflight_entries: peak_inflight.into_inner(),
-        distinct_forms: distinct_fingerprints(&summaries),
+        distinct_forms: fingerprints.len() as u64,
     };
 
     // The per-entry facts flush as whole-run totals here — one counter add
@@ -779,29 +714,6 @@ pub fn analyze_streams_cached(
         stats,
         fused,
     })
-}
-
-/// The number of distinct fingerprints over every log: a merge of the
-/// logs' sorted occurrence lists, so no run-wide fingerprint set is built.
-fn distinct_fingerprints(summaries: &[LogSummary]) -> u64 {
-    let head = |log: usize, at: usize| {
-        let occurrences = &summaries[log].occurrences;
-        occurrences
-            .get(at)
-            .map(|&(fingerprint, _)| Reverse((fingerprint, log, at)))
-    };
-    let mut heads: BinaryHeap<_> = (0..summaries.len())
-        .filter_map(|log| head(log, 0))
-        .collect();
-    let (mut distinct, mut last) = (0u64, None);
-    while let Some(Reverse((fingerprint, log, at))) = heads.pop() {
-        if last != Some(fingerprint) {
-            distinct += 1;
-            last = Some(fingerprint);
-        }
-        heads.extend(head(log, at + 1));
-    }
-    distinct
 }
 
 /// The occurrence-weighted fold over `(log, class, weight)` items: each
@@ -893,42 +805,7 @@ mod tests {
             fused.summaries[0].counts,
             reference(Population::Unique).datasets[0].counts
         );
-        let summary = &fused.summaries[0];
-        assert_eq!(summary.occurrences.len(), 3);
-        let total: u64 = summary.occurrences.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, summary.counts.valid);
-        assert!(summary
-            .occurrences
-            .windows(2)
-            .all(|pair| pair[0].0 < pair[1].0));
-        let (fp, count) = summary.occurrences[0];
-        assert_eq!(summary.occurrences_of(fp), count);
-        let absent = summary
-            .occurrences
-            .iter()
-            .map(|&(f, _)| f)
-            .max()
-            .expect("non-empty summary")
-            .wrapping_add(1);
-        assert_eq!(summary.occurrences_of(absent), 0);
-    }
-
-    #[test]
-    fn split_log_summaries_merge_back_to_the_whole_log() {
-        // Split the log's entries at a point that separates duplicates of
-        // one canonical form, summarize each half independently (the
-        // cross-process scenario), and merge: the result must equal the
-        // whole-log summary, in either merge order.
-        let whole = analyze_streams(readers_of(&ENTRIES), Population::Valid).unwrap();
-        let first = analyze_streams(readers_of(&ENTRIES[..3]), Population::Valid).unwrap();
-        let second = analyze_streams(readers_of(&ENTRIES[3..]), Population::Valid).unwrap();
-        let mut ab = first.summaries[0].clone();
-        ab.merge(&second.summaries[0]);
-        let mut ba = second.summaries[0].clone();
-        ba.merge(&first.summaries[0]);
-        assert_eq!(ab, whole.summaries[0]);
-        assert_eq!(ba, whole.summaries[0]);
-        assert!(ab.occurrences.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(fused.summaries[0].counts.unique, 3);
     }
 
     #[test]
@@ -941,15 +818,6 @@ mod tests {
                 "fused vs reference mismatch on {population:?}"
             );
         }
-    }
-
-    #[test]
-    fn table1_from_summaries_matches_the_analysis_rendering() {
-        let fused = analyze_streams(readers_of(&ENTRIES), Population::Unique).unwrap();
-        assert_eq!(
-            crate::report::table1_from_summaries(&fused.summaries),
-            crate::report::table1(&fused.corpus)
-        );
     }
 
     #[test]

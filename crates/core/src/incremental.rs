@@ -43,8 +43,8 @@ const IDENTITY_CHUNK: usize = 64 * 1024;
 /// and what a job slot merges — the unit of reuse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistedLog {
-    /// The fused engine's per-log summary (Table-1 counts, fingerprint /
-    /// occurrence pairs, error tally).
+    /// The fused engine's per-log summary (label, Table-1 counts, error
+    /// tally).
     pub summary: LogSummary,
     /// The full per-dataset analysis — every tally of the report.
     pub analysis: DatasetAnalysis,
@@ -314,7 +314,6 @@ mod tests {
                 total,
                 ..CorpusCounts::default()
             },
-            occurrences: Vec::new(),
             errors: ErrorTally::default(),
         };
         for position in 0..defects {

@@ -15,44 +15,21 @@ fn pct(fraction: f64) -> String {
 
 /// Table 1: sizes of the query logs (Total / Valid / Unique per dataset).
 pub fn table1(corpus: &CorpusAnalysis) -> String {
-    table1_rows(
-        corpus.datasets.iter().map(|d| (d.label.as_str(), d.counts)),
-        corpus.combined.counts,
-    )
-}
-
-/// Table 1 rendered directly from the fused engine's per-log
-/// [`LogSummary`](crate::fused::LogSummary) records — byte-identical to
-/// [`table1`] over the corresponding analysis, for counts-only runs that
-/// never need the full fold.
-pub fn table1_from_summaries(summaries: &[crate::fused::LogSummary]) -> String {
-    let mut combined = crate::corpus::CorpusCounts::default();
-    for summary in summaries {
-        combined.merge(&summary.counts);
-    }
-    table1_rows(
-        summaries.iter().map(|s| (s.label.as_str(), s.counts)),
-        combined,
-    )
-}
-
-fn table1_rows<'a>(
-    rows: impl Iterator<Item = (&'a str, crate::corpus::CorpusCounts)>,
-    combined: crate::corpus::CorpusCounts,
-) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<14} {:>12} {:>12} {:>12}",
         "Source", "Total #Q", "Valid #Q", "Unique #Q"
     );
-    for (label, counts) in rows {
+    for dataset in &corpus.datasets {
+        let counts = dataset.counts;
         let _ = writeln!(
             out,
             "{:<14} {:>12} {:>12} {:>12}",
-            label, counts.total, counts.valid, counts.unique
+            dataset.label, counts.total, counts.valid, counts.unique
         );
     }
+    let combined = corpus.combined.counts;
     let _ = writeln!(
         out,
         "{:<14} {:>12} {:>12} {:>12}",
@@ -372,33 +349,6 @@ pub fn table5_paths(combined: &DatasetAnalysis) -> String {
 /// [`full_report`] only when the corpus recorded at least one failure, so
 /// clean-corpus reports are byte-identical to earlier releases.
 pub fn error_table(corpus: &CorpusAnalysis) -> String {
-    error_rows(
-        corpus
-            .datasets
-            .iter()
-            .map(|d| (d.label.as_str(), &d.errors)),
-        &corpus.combined.errors,
-    )
-}
-
-/// The error table rendered directly from the fused engine's per-log
-/// [`LogSummary`](crate::fused::LogSummary) records — byte-identical to
-/// [`error_table`] over the corresponding analysis.
-pub fn error_table_from_summaries(summaries: &[crate::fused::LogSummary]) -> String {
-    let mut combined = ErrorTally::default();
-    for summary in summaries {
-        combined.merge(&summary.errors);
-    }
-    error_rows(
-        summaries.iter().map(|s| (s.label.as_str(), &s.errors)),
-        &combined,
-    )
-}
-
-fn error_rows<'a>(
-    rows: impl Iterator<Item = (&'a str, &'a ErrorTally)>,
-    combined: &ErrorTally,
-) -> String {
     let mut out = String::new();
     let mut header = format!("{:<14}", "Source");
     for kind in ErrorKind::ALL {
@@ -412,9 +362,10 @@ fn error_rows<'a>(
         }
         let _ = writeln!(out, "{row} {:>10}", tally.total());
     };
-    for (label, tally) in rows {
-        line(label, tally);
+    for dataset in &corpus.datasets {
+        line(&dataset.label, &dataset.errors);
     }
+    let combined = &corpus.combined.errors;
     line("Total", combined);
     if !combined.exemplars.is_empty() {
         let list = combined

@@ -24,33 +24,9 @@
 //! record leaves them in the file, and the next [`SnapshotStore::open`]
 //! drops them.
 //!
-//! A snapshot's fingerprint/occurrence pairs are fingerprints of canonical
-//! query text (`sparqlog_parser::display`). Version 1 stores written before
-//! relative IRIs kept their angle brackets in that text (`<?x>`, `<_:b>`,
-//! `<a>`, `<UNDEF>`: any IRI with no `:` or starting with `?`, `$` or `_:`)
-//! may hold entries whose fingerprint such a query shared with a query
-//! spelling the variable, blank node or keyword instead. Those values were
-//! ambiguous, not a different format: every other query fingerprints as it
-//! did, so the version is not bumped and old stores stay readable.
-//!
-//! Version 1 stores written before the canonical writer dropped
-//! `core::fmt` hold, for two kinds of query, the fingerprint of a canonical
-//! text that did not re-parse to itself: a literal or `SEPARATOR` holding a
-//! character Rust's `{:?}` escapes (`\u{301}`, `\u{1}`, `\0`; now written
-//! with SPARQL's escapes, or raw), and a function named by a relative IRI
-//! whose bare spelling reads back as another name (`<f>(?y)` written
-//! `f(?y)`, read back as the built-in `F`; now bracketed). Those entries
-//! fingerprint differently today; every other query fingerprints as it
-//! did. No code compares fingerprints across separately stored per-log
-//! summaries, so the version is not bumped and old stores stay readable.
-//!
-//! Version 1 stores written before log identities
-//! (`sparqlog_core::file_identity`) became the lane-wise `hash128` key their
-//! snapshots by a byte-serial FNV-1a-128 of the same bytes. The layout is
-//! the same, so the version is not bumped: their snapshots stay correct but
-//! are never hit (each log is re-analysed once and recorded under its new
-//! key), and their job manifests still warm-start — warm start reads the
-//! stored keys and never re-hashes a log.
+//! Version history: 1 stored each log's fingerprint/occurrence list in its
+//! snapshots; 2 does not. A version-1 file fails the header check and is
+//! reinitialized (see Recovery), so each of its logs is re-analysed once.
 //!
 //! # Durability protocol
 //!
@@ -96,7 +72,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"SQPS";
 
 /// The store format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Header length: magic + version byte.
 const HEADER_LEN: u64 = 5;
@@ -755,12 +731,11 @@ mod tests {
         dir
     }
 
-    fn sample(label: &str, fingerprint: u128) -> PersistedLog {
+    fn sample(label: &str) -> PersistedLog {
         PersistedLog {
             summary: LogSummary {
                 label: label.to_string(),
                 counts: CorpusCounts::default(),
-                occurrences: vec![(fingerprint, 2)],
                 errors: ErrorTally::default(),
             },
             analysis: DatasetAnalysis {
@@ -806,8 +781,8 @@ mod tests {
         assert_eq!(store.commit().unwrap(), 1);
         drop(store);
         let golden: &[&[u8]] = &[
-            // Header: magic + version 1.
-            b"SQPS\x01",
+            // Header: magic + version 2.
+            b"SQPS\x02",
             // Job record: length 49; tag 2, population Unique, policy
             // "lenient", one log (key 7 as 16 LE bytes, label, path); CRC32C.
             b"\x31\x02\x00\x07lenient\x01",
@@ -827,7 +802,7 @@ mod tests {
         let dir = scratch("roundtrip");
         let path = dir.join("store.sqps");
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        let (alpha, beta) = (sample("alpha", 11), sample("beta", 22));
+        let (alpha, beta) = (sample("alpha"), sample("beta"));
         assert!(store.record_snapshot(1, &alpha).unwrap());
         assert!(store.record_snapshot(2, &beta).unwrap());
         assert!(store.record_job(&sample_job()).unwrap());
@@ -850,10 +825,10 @@ mod tests {
         let dir = scratch("uncommitted");
         let path = dir.join("store.sqps");
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        store.record_snapshot(1, &sample("alpha", 11)).unwrap();
+        store.record_snapshot(1, &sample("alpha")).unwrap();
         store.commit().unwrap();
         let committed = store.committed_bytes();
-        store.record_snapshot(2, &sample("beta", 22)).unwrap();
+        store.record_snapshot(2, &sample("beta")).unwrap();
         let total = store.total_bytes();
         assert!(total > committed);
         drop(store); // no commit for beta
@@ -873,7 +848,7 @@ mod tests {
         let dir = scratch("torn");
         let path = dir.join("store.sqps");
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        store.record_snapshot(1, &sample("alpha", 11)).unwrap();
+        store.record_snapshot(1, &sample("alpha")).unwrap();
         store.commit().unwrap();
         let committed = store.committed_bytes();
         drop(store);
@@ -895,10 +870,10 @@ mod tests {
         let dir = scratch("bitflip");
         let path = dir.join("store.sqps");
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        store.record_snapshot(1, &sample("alpha", 11)).unwrap();
+        store.record_snapshot(1, &sample("alpha")).unwrap();
         store.commit().unwrap();
         let first = store.committed_bytes();
-        store.record_snapshot(2, &sample("beta", 22)).unwrap();
+        store.record_snapshot(2, &sample("beta")).unwrap();
         store.commit().unwrap();
         drop(store);
         // Flip a payload bit inside the second snapshot record (skipping
@@ -918,7 +893,7 @@ mod tests {
 
         // The store is immediately usable: re-record what was lost.
         let mut store = store;
-        assert!(store.record_snapshot(2, &sample("beta", 22)).unwrap());
+        assert!(store.record_snapshot(2, &sample("beta")).unwrap());
         store.commit().unwrap();
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::Clean);
@@ -934,7 +909,7 @@ mod tests {
         let (mut store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::BadHeader);
         assert_eq!(report.dropped, Some(0..7));
-        store.record_snapshot(1, &sample("alpha", 11)).unwrap();
+        store.record_snapshot(1, &sample("alpha")).unwrap();
         store.commit().unwrap();
         drop(store);
         let (_, report) = SnapshotStore::open(&path).unwrap();
@@ -943,13 +918,26 @@ mod tests {
     }
 
     #[test]
+    fn a_version_one_store_reopens_empty() {
+        let dir = scratch("version-one");
+        let path = dir.join("store.sqps");
+        std::fs::write(&path, b"SQPS\x01").unwrap();
+        let (store, report) = SnapshotStore::open(&path).unwrap();
+        assert_eq!(report.reason, RecoveryReason::BadHeader);
+        assert_eq!(report.dropped, Some(0..5));
+        assert_eq!(store.snapshots(), 0);
+        assert!(store.jobs().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn duplicate_snapshots_and_jobs_are_not_rewritten() {
         let dir = scratch("dedup");
         let path = dir.join("store.sqps");
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        assert!(store.record_snapshot(1, &sample("alpha", 11)).unwrap());
+        assert!(store.record_snapshot(1, &sample("alpha")).unwrap());
         let bytes = store.total_bytes();
-        assert!(!store.record_snapshot(1, &sample("alpha", 11)).unwrap());
+        assert!(!store.record_snapshot(1, &sample("alpha")).unwrap());
         assert_eq!(store.total_bytes(), bytes);
         assert!(store.record_job(&sample_job()).unwrap());
         assert!(!store.record_job(&sample_job()).unwrap());
@@ -957,7 +945,7 @@ mod tests {
         drop(store);
         // Idempotence holds across a reopen, too.
         let (mut store, _) = SnapshotStore::open(&path).unwrap();
-        assert!(!store.record_snapshot(1, &sample("alpha", 11)).unwrap());
+        assert!(!store.record_snapshot(1, &sample("alpha")).unwrap());
         assert!(!store.record_job(&sample_job()).unwrap());
         assert_eq!(store.pending_records(), 0);
         let _ = std::fs::remove_dir_all(&dir);

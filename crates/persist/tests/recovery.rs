@@ -6,8 +6,8 @@
 //! and a second open of the recovered file is clean.
 //!
 //! The property-case count defaults to 64 and scales with the
-//! `SPARQLOG_FUZZ_CASES` environment variable (the CI fuzz-smoke job runs
-//! an elevated count), matching the root fuzz harness.
+//! `PROPTEST_CASES` environment variable (the CI fuzz-smoke job runs an
+//! elevated count), as the root fuzz harness does.
 
 use proptest::prelude::*;
 use sparqlog_core::analysis::{DatasetAnalysis, Population};
@@ -22,14 +22,6 @@ use std::sync::OnceLock;
 /// The store header (magic + version) — the first commit "boundary".
 const HEADER_LEN: u64 = 5;
 
-/// Cases per property; override with `SPARQLOG_FUZZ_CASES`.
-fn fuzz_cases() -> u32 {
-    std::env::var("SPARQLOG_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 /// A known-good store file with two commits, plus the byte boundary and
 /// the (snapshots, jobs, commits) totals at each commit point.
 struct Golden {
@@ -39,12 +31,11 @@ struct Golden {
     boundaries: Vec<(u64, u64, u64, u64)>,
 }
 
-fn sample(label: &str, fingerprint: u128) -> PersistedLog {
+fn sample(label: &str) -> PersistedLog {
     PersistedLog {
         summary: LogSummary {
             label: label.to_string(),
             counts: CorpusCounts::default(),
-            occurrences: vec![(fingerprint, 2)],
             errors: ErrorTally::default(),
         },
         analysis: DatasetAnalysis {
@@ -60,8 +51,8 @@ fn golden() -> &'static Golden {
         let path = case_path("golden");
         let (mut store, report) = SnapshotStore::open(&path).expect("create golden store");
         assert_eq!(report.reason, RecoveryReason::Created);
-        store.record_snapshot(0xA1, &sample("alpha", 11)).unwrap();
-        store.record_snapshot(0xB2, &sample("beta", 22)).unwrap();
+        store.record_snapshot(0xA1, &sample("alpha")).unwrap();
+        store.record_snapshot(0xB2, &sample("beta")).unwrap();
         store.commit().unwrap();
         let first = store.committed_bytes();
         store
@@ -75,7 +66,7 @@ fn golden() -> &'static Golden {
                 }],
             })
             .unwrap();
-        store.record_snapshot(0xC3, &sample("gamma", 33)).unwrap();
+        store.record_snapshot(0xC3, &sample("gamma")).unwrap();
         store.commit().unwrap();
         let second = store.committed_bytes();
         drop(store);
@@ -186,7 +177,7 @@ fn every_truncation_prefix_recovers_a_valid_prefix() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A single flipped bit anywhere in the file never panics the scan,
     /// never survives into the kept prefix, and recovery converges.

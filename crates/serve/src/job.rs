@@ -285,7 +285,6 @@ mod tests {
         LogSummary {
             label: "log".to_string(),
             counts: Default::default(),
-            occurrences: Vec::new(),
             errors: Default::default(),
         }
     }

@@ -643,8 +643,8 @@ mod tests {
         )
         .unwrap();
         let golden: &[&[u8]] = &[
-            // Header: magic + codec version 3.
-            b"SQSN\x03",
+            // Header: magic + codec version 4.
+            b"SQSN\x04",
             // Ping: length 1; tag 1; CRC32C.
             b"\x01\x01",
             b"\x52\xd0\x16\xa0",

@@ -711,7 +711,6 @@ mod tests {
             let summary = sparqlog_core::LogSummary {
                 label: log.label.clone(),
                 counts: Default::default(),
-                occurrences: Vec::new(),
                 errors,
             };
             let snapshot = PersistedLog {

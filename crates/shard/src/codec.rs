@@ -1,5 +1,5 @@
 //! The dependency-free binary snapshot codec: varint integers, raw
-//! little-endian fingerprints, checksummed length-prefixed frames behind a
+//! little-endian 128-bit hashes, checksummed length-prefixed frames behind a
 //! magic / version header, and structured decode errors that carry the byte
 //! offset of the fault.
 //!
@@ -11,9 +11,9 @@
 //!
 //! * **varint** — unsigned LEB128, at most 10 bytes for a `u64`. All counts
 //!   and lengths use it (corpus tallies are overwhelmingly small integers).
-//! * **fingerprints** — raw 16-byte little-endian `u128`. Canonical
-//!   fingerprints are uniform 128-bit FNV-1a outputs; varint coding would
-//!   *expand* them.
+//! * **128-bit hashes** (the store's log identities) — raw 16-byte
+//!   little-endian `u128`. They are uniform hash outputs; varint coding
+//!   would *expand* them.
 //! * **strings** — varint byte length + UTF-8 bytes.
 //! * **stream header** — the 4-byte magic [`MAGIC`] followed by the
 //!   [`VERSION`] byte. A decoder refuses any other version up front, which
@@ -45,7 +45,8 @@ pub const MAGIC: [u8; 4] = *b"SQSN";
 ///   [`LogSummary`](sparqlog_core::fused::LogSummary) and
 ///   [`DatasetAnalysis`](sparqlog_core::analysis::DatasetAnalysis) frames.
 /// * 3: every frame carries its CRC32C trailer.
-pub const VERSION: u8 = 3;
+/// * 4: log frames carry no fingerprint list.
+pub const VERSION: u8 = 4;
 
 /// Upper bound on a single frame's payload (256 MiB), far above any real
 /// snapshot: a longer length prefix is corrupt, and fails before any byte

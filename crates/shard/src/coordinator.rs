@@ -16,9 +16,7 @@
 //! in input order and re-merging the "Total" row — through
 //! [`LogSlots`], as the serve job table does — reproduces the
 //! single-process report byte for byte, at any shard count and any
-//! per-worker thread count. (Summaries of a log *split* across processes
-//! can still be combined with [`LogSummary::merge`] — the wire format
-//! supports it — but the report path deliberately never needs to.)
+//! per-worker thread count.
 //!
 //! # Fault model
 //!
@@ -36,7 +34,7 @@ use crate::supervise::WorkerLaunch;
 use crate::worker::AssignedLog;
 use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
-use sparqlog_core::corpus::LogSummary;
+use sparqlog_core::corpus::{workers_override, LogSummary};
 use sparqlog_core::{BudgetExceeded, LogSlots, PersistedLog, RecoveryPolicy, Refused};
 use std::fmt;
 use std::io;
@@ -129,8 +127,8 @@ pub struct ShardOptions {
     /// Fused-engine threads *per worker process* (passed as `--workers`).
     /// `0` divides the machine's parallelism across the spawned shards
     /// (N processes each defaulting to N threads would oversubscribe the
-    /// host quadratically) — unless `SPARQLOG_WORKERS` is set, in which
-    /// case the workers inherit it untouched.
+    /// host quadratically) — unless `SPARQLOG_WORKERS` is set to a
+    /// positive integer, in which case the workers inherit it untouched.
     pub worker_threads: usize,
     /// How to launch workers.
     pub worker: WorkerCommand,
@@ -432,7 +430,11 @@ fn run_shard(
         command: options.worker.clone(),
         shard,
         population,
-        worker_threads: worker_thread_budget(options.worker_threads, spawned_shards),
+        worker_threads: worker_thread_budget(
+            options.worker_threads,
+            spawned_shards,
+            workers_override(),
+        ),
         heartbeat: None,
         recovery: options.recovery,
         logs: assignment
@@ -452,16 +454,20 @@ fn run_shard(
 }
 
 /// The `--workers` value to pass a worker process, if any: an explicit
-/// `worker_threads` wins; otherwise, unless the user took control of the
-/// worker pools via `SPARQLOG_WORKERS` (which the workers inherit), the
-/// machine's parallelism is divided across the spawned shards — N worker
-/// processes each defaulting to N threads would oversubscribe the host
-/// quadratically.
-fn worker_thread_budget(worker_threads: usize, spawned_shards: usize) -> Option<usize> {
+/// `worker_threads` wins; otherwise, unless the user pinned the worker
+/// pools ([`workers_override`]: `SPARQLOG_WORKERS` set to a positive
+/// integer, which the workers inherit and honour themselves), the machine's
+/// parallelism is divided across the spawned shards — N worker processes
+/// each defaulting to N threads would oversubscribe the host quadratically.
+fn worker_thread_budget(
+    worker_threads: usize,
+    spawned_shards: usize,
+    workers_override: Option<usize>,
+) -> Option<usize> {
     if worker_threads > 0 {
         return Some(worker_threads);
     }
-    if std::env::var_os("SPARQLOG_WORKERS").is_some() {
+    if workers_override.is_some() {
         return None;
     }
     let cores = std::thread::available_parallelism()
@@ -620,16 +626,17 @@ mod tests {
     #[test]
     fn worker_thread_budget_divides_the_machine() {
         // Explicit thread counts always win.
-        assert_eq!(worker_thread_budget(5, 4), Some(5));
-        // With SPARQLOG_WORKERS unset (never set by the test harness), the
-        // parallelism is divided across shards, never below one thread.
-        if std::env::var_os("SPARQLOG_WORKERS").is_none() {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            assert_eq!(worker_thread_budget(0, 1), Some(cores));
-            assert_eq!(worker_thread_budget(0, cores * 2), Some(1));
-        }
+        assert_eq!(worker_thread_budget(5, 4, None), Some(5));
+        assert_eq!(worker_thread_budget(5, 4, Some(3)), Some(5));
+        // A pinned pool size is left to the workers, which inherit it.
+        assert_eq!(worker_thread_budget(0, 4, Some(3)), None);
+        // Otherwise the parallelism is divided across shards, never below
+        // one thread.
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(worker_thread_budget(0, 1, None), Some(cores));
+        assert_eq!(worker_thread_budget(0, cores * 2, None), Some(1));
     }
 
     #[test]

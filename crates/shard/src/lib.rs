@@ -8,8 +8,7 @@
 //! rendered report is **byte-identical** to the single-process fused
 //! engine's — at any shard count and any per-worker thread count.
 //!
-//! The merge layer was shard-ready by design — [`LogSummary`] merges by
-//! fingerprint summation,
+//! The merge layer was shard-ready by design —
 //! [`DatasetAnalysis::merge`](sparqlog_core::analysis::DatasetAnalysis::merge)
 //! and
 //! [`AnalysisCache::merge`](sparqlog_core::cache::AnalysisCache::merge) are
@@ -71,7 +70,6 @@
 //! let summary = LogSummary {
 //!     label: "example".to_string(),
 //!     counts: CorpusCounts { total: 4, valid: 3, unique: 2, bodyless: 0 },
-//!     occurrences: vec![(0x17, 2), (0x99, 1)],
 //!     errors: Default::default(),
 //! };
 //! let decoded = LogSummary::from_bytes(&summary.to_bytes()).unwrap();

@@ -22,7 +22,6 @@
 //! let summary = LogSummary {
 //!     label: "DBpedia15".to_string(),
 //!     counts: CorpusCounts { total: 5, valid: 4, unique: 2, ..Default::default() },
-//!     occurrences: vec![(17, 2), (99, 2)],
 //!     errors: Default::default(),
 //! };
 //! let bytes = summary.to_bytes();
@@ -158,35 +157,18 @@ impl Snapshot for LogSummary {
         let LogSummary {
             label,
             counts,
-            occurrences,
             errors,
         } = self;
         out.put_str(label);
         counts.encode(out);
-        out.put_usize(occurrences.len());
-        for &(fingerprint, count) in occurrences {
-            out.put_u128(fingerprint);
-            out.put_varint(count);
-        }
         errors.encode(out);
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let label = input.take_str()?;
-        let counts = CorpusCounts::decode(input)?;
-        let length = input.take_usize()?;
-        let mut occurrences = Vec::with_capacity(length.min(1 << 16));
-        for _ in 0..length {
-            let fingerprint = input.take_u128()?;
-            let count = input.take_varint()?;
-            occurrences.push((fingerprint, count));
-        }
-        let errors = ErrorTally::decode(input)?;
         Ok(LogSummary {
-            label,
-            counts,
-            occurrences,
-            errors,
+            label: input.take_str()?,
+            counts: CorpusCounts::decode(input)?,
+            errors: ErrorTally::decode(input)?,
         })
     }
 }
@@ -526,8 +508,8 @@ pub const FRAME_HEARTBEAT: u8 = 3;
 pub struct LogFrame {
     /// Index of this log in the coordinator's input order.
     pub index: u64,
-    /// The fused engine's per-log summary (Table-1 counts + fingerprint /
-    /// occurrence pairs).
+    /// The fused engine's per-log summary (label, Table-1 counts, error
+    /// tally).
     pub summary: LogSummary,
     /// The full per-dataset analysis — every tally of the report.
     pub analysis: DatasetAnalysis,
@@ -793,7 +775,6 @@ mod tests {
                 unique: 7,
                 bodyless: 0,
             },
-            occurrences: vec![(0, 1), (u128::MAX, u64::MAX)],
             errors: ErrorTally {
                 lex: u64::MAX,
                 syntax: 1,
@@ -818,7 +799,6 @@ mod tests {
             summary: LogSummary {
                 label: dataset.label.clone(),
                 counts: dataset.counts,
-                occurrences: vec![(42, 2)],
                 errors: dataset.errors.clone(),
             },
             analysis: dataset,
@@ -843,7 +823,6 @@ mod tests {
             summary: LogSummary {
                 label: dataset.label.clone(),
                 counts: dataset.counts,
-                occurrences: vec![(5, 1), (9, 3)],
                 errors: Default::default(),
             },
             analysis: dataset,
@@ -952,7 +931,6 @@ mod tests {
             summary: LogSummary {
                 label: dataset.label.clone(),
                 counts: dataset.counts,
-                occurrences: vec![(5, 1)],
                 errors: Default::default(),
             },
             analysis: dataset,

@@ -29,11 +29,6 @@ use sparqlog_shard::snapshot::{
 use sparqlog_synth::{generate_single_day_log, Dataset};
 use std::collections::BTreeMap;
 
-/// Builds a `u128` fingerprint from two generated halves.
-fn fingerprint(hi: u64, lo: u64) -> u128 {
-    (u128::from(hi) << 64) | u128::from(lo)
-}
-
 /// An analysed dataset with non-trivial values in every tally family.
 fn analysed_dataset(entries: &[String], label: &str) -> DatasetAnalysis {
     let readers: Vec<Box<dyn LogReader>> =
@@ -131,34 +126,27 @@ proptest! {
     #[test]
     fn arbitrary_log_summaries_round_trip(
         label in "[ -~]{0,40}",
-        pairs in prop::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX), 0..32),
+        defects in prop::collection::vec((0usize..6, 0u64..=u64::MAX), 0..32),
         total in 0u64..=u64::MAX,
+        valid in 0u64..=u64::MAX,
+        unique in 0u64..=u64::MAX,
     ) {
-        // Occurrence lists are sorted by fingerprint in real summaries, but
-        // the codec must round-trip any list faithfully.
-        let occurrences: Vec<(u128, u64)> = pairs
-            .iter()
-            .map(|&(hi, lo, count)| (fingerprint(hi, lo), count))
-            .collect();
-        // An arbitrary (but derived, hence reproducible) error tally: the
-        // codec must carry any kind/position mix faithfully.
+        // An arbitrary error tally: the codec must carry any kind/position
+        // mix faithfully.
         let mut errors = ErrorTally::default();
-        for &(hi, lo, _) in &pairs {
-            errors.record(ErrorKind::ALL[(hi % 6) as usize], lo);
+        for &(kind, position) in &defects {
+            errors.record(ErrorKind::ALL[kind], position);
         }
+        // The counts need not be consistent: overflow-free sums are the
+        // engine's concern, not the wire format's.
         let summary = LogSummary {
             label,
             counts: CorpusCounts {
                 total,
-                // Wrapping: the codec must carry any u64, overflow-free sums
-                // are the engine's concern, not the wire format's.
-                valid: occurrences
-                    .iter()
-                    .fold(1u64, |sum, &(_, count)| sum.wrapping_add(count)),
-                unique: occurrences.len() as u64,
+                valid,
+                unique,
                 bodyless: total / 2,
             },
-            occurrences,
             errors,
         };
         prop_assert_eq!(LogSummary::from_bytes(&summary.to_bytes()).unwrap(), summary);
@@ -247,7 +235,6 @@ proptest! {
             summary: LogSummary {
                 label: analysis.label.clone(),
                 counts: analysis.counts,
-                occurrences: vec![(fingerprint(seed, count as u64), 2)],
                 errors: analysis.errors.clone(),
             },
             analysis,
@@ -387,7 +374,6 @@ fn tiny_log_frame() -> Frame {
         summary: LogSummary {
             label: "crc-test".to_string(),
             counts: CorpusCounts::default(),
-            occurrences: Vec::new(),
             errors: ErrorTally::default(),
         },
         analysis: DatasetAnalysis {
@@ -497,8 +483,8 @@ fn golden_bytes_pin_the_worker_stream_envelope() {
         .write_checked_to(&mut stream)
         .unwrap();
     let golden: &[&[u8]] = &[
-        // Header: magic + codec version 3.
-        b"SQSN\x03",
+        // Header: magic + codec version 4.
+        b"SQSN\x04",
         // Heartbeat: length 2; tag 3, sequence 1; CRC32C.
         b"\x02\x03\x01",
         b"\x48\x5c\xed\x37",
@@ -514,19 +500,32 @@ fn golden_bytes_pin_the_worker_stream_envelope() {
     assert_eq!(snapshot.epilogue, epilogue);
 }
 
+/// A log of `count` distinct forms that all fall into one analysis class.
+fn one_class_log_frame(count: usize) -> Frame {
+    let entries: Vec<String> = (0..count)
+        .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p> <http://o{i}> }}"))
+        .collect();
+    let readers: Vec<Box<dyn LogReader>> =
+        vec![Box::new(MemoryLogReader::new("distinct", entries))];
+    let mut fused = analyze_streams(readers, Population::Unique).expect("in-memory streams");
+    assert_eq!(fused.summaries[0].counts.unique, count as u64);
+    Frame::from(LogFrame {
+        index: 0,
+        summary: fused.summaries.remove(0),
+        analysis: fused.corpus.datasets.remove(0),
+    })
+}
+
 #[test]
-fn summaries_split_across_processes_merge_to_the_whole() {
-    // The wire format's cross-process merge hook: summaries of two halves of
-    // one log, round-tripped through the codec, merge back to the whole-log
-    // summary.
-    let entries = synthesized_entries(Dataset::BioP13, 40, 77);
-    let (first_half, second_half) = entries.split_at(entries.len() / 2);
-    let whole = summary_of(&entries);
-    let first = LogSummary::from_bytes(&summary_of(first_half).to_bytes()).unwrap();
-    let second = LogSummary::from_bytes(&summary_of(second_half).to_bytes()).unwrap();
-    let mut merged = first;
-    merged.merge(&second);
-    assert_eq!(merged, whole);
+fn frame_size_does_not_grow_with_distinct_forms() {
+    // Only counters grow with the log: four times the distinct forms cost a
+    // few varint bytes, never bytes per form.
+    let small = one_class_log_frame(100).to_payload().len();
+    let large = one_class_log_frame(400).to_payload().len();
+    assert!(
+        large.abs_diff(small) < 64,
+        "100 forms: {small} B, 400 forms: {large} B"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -776,14 +775,13 @@ fn golden_bytes_pin_the_wire_layout() {
         dataset
     );
 
-    // A log frame: tag, index, the summary (two occurrences, fingerprints
-    // little-endian; no errors), then the dataset.
+    // A log frame: tag, index, the summary (label, counts, no errors),
+    // then the dataset.
     let frame = Frame::from(LogFrame {
         index: 2,
         summary: LogSummary {
             label: "ü".to_string(),
             counts: dataset.counts,
-            occurrences: vec![((1 << 120) | 5, 3), (u128::MAX, X)],
             errors: ErrorTally::default(),
         },
         analysis: dataset,
@@ -791,11 +789,6 @@ fn golden_bytes_pin_the_wire_layout() {
     let frame_bytes = [
         &[0x01, 0x02, 0x02, 0xc3, 0xbc][..],
         COUNTS,
-        &[0x02, 0x05],
-        &[0x00; 14],
-        &[0x01, 0x03],
-        &[0xff; 16],
-        MAX,
         &[0x00; 7],
         &dataset_bytes,
     ]
@@ -816,16 +809,4 @@ fn a_max_triples_beyond_u32_is_a_length_overflow_at_its_varint() {
             offset: 20,
         }
     );
-}
-
-fn summary_of(entries: &[String]) -> LogSummary {
-    use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
-    let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
-        "merge-test",
-        entries.to_vec(),
-    ))];
-    analyze_streams(readers, Population::Valid)
-        .expect("in-memory streams")
-        .summaries
-        .remove(0)
 }

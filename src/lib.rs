@@ -82,8 +82,9 @@
 //!    query's IRIs and literals are compared in place, never interned.
 //! 3. The **occurrence-weighted fold**
 //!    ([`core::DatasetAnalysis::add_times`]) turns per-log
-//!    [`core::LogSummary`] records (counts + fingerprint/occurrence pairs)
-//!    into the corpus analysis, once per (log, class): the Unique
+//!    occurrence maps into the corpus analysis, once per (log, class),
+//!    beside one [`core::LogSummary`] per log (label, counts, error
+//!    tally; the fingerprints are counted, not kept): the Unique
 //!    population weighs a class by its distinct fingerprints in the log,
 //!    the Valid population by their occurrence counts. Results are
 //!    bit-identical for any worker count or batch
@@ -150,8 +151,8 @@
 //!
 //! # Sharding across processes
 //!
-//! The fused engine's commutative merge layer ([`core::LogSummary`],
-//! [`core::DatasetAnalysis`] merges, [`core::cache::AnalysisCache`]) is a
+//! The fused engine's commutative merge layer ([`core::DatasetAnalysis`]
+//! merges, [`core::cache::AnalysisCache`]) is a
 //! real distribution boundary: the [`shard`] coordinator partitions a
 //! corpus of on-disk logs across N `sparqlog-shard-worker` processes,
 //! decodes their framed binary snapshots (a dependency-free varint codec

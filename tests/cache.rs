@@ -82,12 +82,17 @@ fn fused_into(logs: &[RawLog], population: Population, cache: &AnalysisCache) ->
         .expect("in-memory streams cannot fail")
 }
 
-/// Every fingerprint the run saw, across all logs.
-fn fingerprints(fused: &FusedAnalysis) -> impl Iterator<Item = u128> + '_ {
-    fused
-        .summaries
-        .iter()
-        .flat_map(|summary| summary.occurrences.iter().map(|&(fp, _)| fp))
+/// The canonical fingerprint of every valid entry of the corpus.
+fn fingerprints(logs: &[RawLog]) -> Vec<u128> {
+    let arena = Arena::new();
+    logs.iter()
+        .flat_map(|log| &log.entries)
+        .filter_map(|entry| {
+            parse_query_in(entry, &arena)
+                .ok()
+                .map(|query| canonical_fingerprint_of_ref(&query))
+        })
+        .collect()
 }
 
 /// A fixed duplicate-heavy corpus: three synthesized day logs, each tiled
@@ -203,7 +208,7 @@ fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
         assert!(stats.hits > stats.distinct);
     }
     assert_eq!(single.len(), many.len());
-    for fp in fingerprints(&run) {
+    for fp in fingerprints(&raw) {
         let a = single.get(fp).expect("memoized in the single shard");
         let b = many.get(fp).expect("memoized across 64 shards");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -226,8 +231,7 @@ fn merged_worker_caches_serve_identical_lookups() {
     let ba = build(second_half);
     ba.merge(build(first_half));
     assert_eq!(ab.len(), ba.len());
-    let whole = fused_at(&raw, Population::Valid, 0, 0);
-    for fp in fingerprints(&whole) {
+    for fp in fingerprints(&raw) {
         let a = ab.get(fp).expect("merged cache covers the corpus");
         let b = ba.get(fp).expect("merge is commutative");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

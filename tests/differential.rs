@@ -2,6 +2,7 @@
 //! byte-identical `DatasetAnalysis` / `CorpusAnalysis` results to the
 //! sequential multi-walk oracle on a mixed corpus.
 
+use proptest::prelude::ProptestConfig;
 use sparqlog::core::analysis::Population;
 use sparqlog::core::baseline::{add_query_multiwalk, analyze_reference};
 use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
@@ -177,22 +178,15 @@ fn per_query_fold_is_byte_identical_on_every_handcrafted_query() {
     }
 }
 
-/// Queries per dataset profile; `SPARQLOG_FUZZ_CASES` overrides it, as in
-/// `tests/fuzz_recovery.rs` (the CI fuzz-smoke job runs 512).
-fn queries_per_profile() -> u32 {
-    std::env::var("SPARQLOG_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
-}
-
 #[test]
 fn synthesized_queries_fold_identically_across_datasets() {
     use sparqlog::synth::{DatasetProfile, Synthesizer};
+    // Queries per dataset profile; `PROPTEST_CASES` overrides it.
+    let queries_per_profile = ProptestConfig::with_cases(40).resolved_cases();
     let mut arena = Arena::new();
     for dataset in Dataset::ALL {
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), 77);
-        for _ in 0..queries_per_profile() {
+        for _ in 0..queries_per_profile {
             let text = synth.fresh_query();
             arena.reset();
             let query = parse_query_in(&text, &arena).expect("synthesized queries parse");

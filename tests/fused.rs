@@ -75,10 +75,6 @@ fn fused_matches_oracle_on_the_fixed_corpus_across_workers_and_batches() {
                 );
                 for (summary, dataset) in fused.summaries.iter().zip(&reference.datasets) {
                     assert_eq!(summary.counts, dataset.counts);
-                    let occurrence_total: u64 =
-                        summary.occurrences.iter().map(|&(_, count)| count).sum();
-                    assert_eq!(occurrence_total, summary.counts.valid);
-                    assert_eq!(summary.occurrences.len() as u64, summary.counts.unique);
                 }
             }
         }

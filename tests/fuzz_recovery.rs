@@ -5,8 +5,8 @@
 //! sequential oracle produce byte-identical reports and error tallies.
 //!
 //! The case count defaults to 48 per property and scales with the
-//! `SPARQLOG_FUZZ_CASES` environment variable (the CI fuzz-smoke job runs
-//! an elevated count). Cases are generated deterministically by the
+//! `PROPTEST_CASES` environment variable (the CI fuzz-smoke job runs an
+//! elevated count). Cases are generated deterministically by the
 //! proptest shim; a failure prints the offending inputs, which double as
 //! the reproduction seed.
 
@@ -29,14 +29,6 @@ const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
 const SETTLE: Duration = Duration::from_secs(300);
 const VALID_BEFORE: &str = "SELECT ?x WHERE { ?x a <http://example.org/Widget> }";
 const VALID_AFTER: &str = "ASK { ?a <http://example.org/p> ?b }";
-
-/// Cases per property; override with `SPARQLOG_FUZZ_CASES`.
-fn fuzz_cases() -> u32 {
-    std::env::var("SPARQLOG_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
 
 /// Writes one fuzz corpus to a unique scratch file and returns its path.
 fn write_case(prefix: &str, bytes: &[u8]) -> PathBuf {
@@ -193,7 +185,7 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary byte soup — embedded NULs, stray newlines, invalid UTF-8,
     /// anything — never panics and never diverges between engines.

@@ -90,7 +90,7 @@ fn empty_log_streams_to_zero_counts() {
     assert_eq!(fused.summaries.len(), 1);
     assert_eq!(fused.summaries[0].label, "empty");
     assert_eq!(fused.summaries[0].counts, CorpusCounts::default());
-    assert!(fused.summaries[0].occurrences.is_empty());
+    assert_eq!(fused.summaries[0].counts.unique, 0);
     assert_eq!(fused.corpus.combined.keywords.total_queries, 0);
 }
 

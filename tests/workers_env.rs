@@ -5,18 +5,23 @@
 
 use sparqlog::core::analysis::Population;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{analyze_streams, default_workers, LogReader, RawLog, SliceLogReader};
+use sparqlog::core::corpus::{
+    analyze_streams, default_workers, workers_override, LogReader, RawLog, SliceLogReader,
+};
 
 #[test]
 fn workers_env_override_pins_the_pools_without_changing_reports() {
     // A positive integer pins the worker count.
     std::env::set_var("SPARQLOG_WORKERS", "3");
+    assert_eq!(workers_override(), Some(3));
     assert_eq!(default_workers(), 3);
 
-    // Garbage and zero fall back to the available parallelism.
+    // Garbage and zero are no override: the available parallelism is used.
     std::env::set_var("SPARQLOG_WORKERS", "not-a-number");
+    assert_eq!(workers_override(), None);
     assert!(default_workers() >= 1);
     std::env::set_var("SPARQLOG_WORKERS", "0");
+    assert_eq!(workers_override(), None);
     assert!(default_workers() >= 1);
 
     // Reports are byte-identical whatever the override says.
