@@ -13,8 +13,8 @@
 //! * [`pattern_tree`] — well-designed pattern trees and interface width.
 //! * [`walk`] — the single-pass walker every engine-side measure is derived
 //!   from ([`QueryWalkRef`]) and the per-measure reference walkers.
-//! * [`tally`](mod@tally) — [`tally!`], the one field list behind every flat tally's
-//!   struct, `merge`, `scale` and wire layout.
+//! * [`tally`](mod@tally) — [`tally!`], the one field list behind every
+//!   tally's struct, `merge`, `scale` and wire layout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

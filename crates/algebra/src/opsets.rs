@@ -10,6 +10,7 @@
 //! what to print).
 
 use crate::features::QueryFeatures;
+use crate::tally::{CounterSink, CounterSource, MapKey};
 use crate::walk::BodyOps;
 use serde::{Deserialize, Serialize};
 use sparqlog_parser::ast_ref::Query;
@@ -125,6 +126,25 @@ impl OperatorSet {
     }
 }
 
+/// One raw byte, its flag bits.
+impl<V> MapKey<V> for OperatorSet {
+    const DUPLICATE: &'static str = "duplicate operator-set key";
+
+    fn code(self) -> u64 {
+        u64::from(self.bits())
+    }
+
+    fn put(self, sink: &mut impl CounterSink) {
+        sink.put_byte(self.bits());
+    }
+
+    fn take<S: CounterSource>(source: &mut S) -> Result<OperatorSet, S::Error> {
+        let bits = source.take_byte()?;
+        OperatorSet::from_bits(bits)
+            .ok_or_else(|| source.invalid("operator-set bits", u64::from(bits)))
+    }
+}
+
 /// The classification of one query for Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum OpSetClass {
@@ -178,15 +198,17 @@ pub fn classify_from_features(f: &QueryFeatures) -> OpSetClass {
     ))
 }
 
-/// Aggregated operator-set distribution over SELECT/ASK queries.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OpSetTally {
-    /// Count per exact operator set.
-    pub pure: BTreeMap<OperatorSet, u64>,
-    /// Queries using features outside O.
-    pub other_features: u64,
-    /// Total SELECT/ASK queries recorded.
-    pub total: u64,
+crate::tally! {
+    /// Aggregated operator-set distribution over SELECT/ASK queries.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct OpSetTally {
+        /// Count per exact operator set.
+        sum pub pure: BTreeMap<OperatorSet, u64>,
+        /// Queries using features outside O.
+        sum pub other_features: u64,
+        /// Total SELECT/ASK queries recorded.
+        sum pub total: u64,
+    }
 }
 
 impl OpSetTally {
@@ -202,26 +224,6 @@ impl OpSetTally {
             OpSetClass::Pure(set) => *self.pure.entry(set).or_insert(0) += 1,
             OpSetClass::OtherFeatures => self.other_features += 1,
         }
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &OpSetTally) {
-        for (set, n) in &other.pure {
-            *self.pure.entry(*set).or_insert(0) += n;
-        }
-        self.other_features += other.other_features;
-        self.total += other.total;
-    }
-
-    /// Multiplies every counter by `times`: a tally built from one
-    /// [`OpSetTally::add`] and then scaled equals `times` repeated adds of
-    /// the same class. Used by the fused engine's occurrence-weighted fold.
-    pub fn scale(&mut self, times: u64) {
-        for count in self.pure.values_mut() {
-            *count *= times;
-        }
-        self.other_features *= times;
-        self.total *= times;
     }
 
     /// The number of queries whose body is a conjunctive pattern with filters

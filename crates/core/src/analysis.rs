@@ -17,10 +17,12 @@ use crate::query_analysis::QueryAnalysis;
 use crate::recover::ErrorTally;
 use serde::{Deserialize, Serialize};
 use sparqlog_algebra::opsets::classify_from_features;
+use sparqlog_algebra::tally::{CounterSink, CounterSource, MapKey};
 use sparqlog_algebra::{FragmentTally, KeywordTally, OpSetTally, ProjectionTally, TripleHistogram};
 use sparqlog_graph::{ShapeTally, StructuralReport};
+use sparqlog_parser::ast_ref::PropertyPath;
 use sparqlog_parser::intern::InternStats;
-use sparqlog_paths::PathTally;
+use sparqlog_paths::{classify_path, tractability, PathExpressionType, Tractability};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -103,50 +105,165 @@ impl HypertreeTally {
     }
 }
 
-/// The complete analysis of one dataset (or of the whole corpus, when
-/// merged).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DatasetAnalysis {
-    /// The dataset label.
-    pub label: String,
-    /// Table-1 counts.
-    pub counts: CorpusCounts,
-    /// The malformed-entry tally of this dataset (per-kind counts and the
-    /// earliest offending positions). Set from the log header like
-    /// `counts`, never from the per-query fold — worker accumulators carry
-    /// empty tallies, and the corpus-level merge aggregates them into the
-    /// "Total" row.
-    pub errors: ErrorTally,
-    /// Keyword census (Table 2 / 7).
-    pub keywords: KeywordTally,
-    /// Triples-per-query histogram (Figure 1 / 8).
-    pub triples: TripleHistogram,
-    /// Operator-set distribution over SELECT/ASK queries (Table 3 / 8).
-    pub opsets: OpSetTally,
-    /// Projection statistics (Section 4.4).
-    pub projection: ProjectionTally,
-    /// Fragment shares (Section 5.2).
-    pub fragments: FragmentTally,
-    /// Shape analysis of the (cumulative) CQ fragment (Table 4, left).
-    pub shapes_cq: ShapeTally,
-    /// Shape analysis of the CQF fragment (Table 4, middle).
-    pub shapes_cqf: ShapeTally,
-    /// Shape analysis of the CQOF fragment (Table 4, right).
-    pub shapes_cqof: ShapeTally,
-    /// Size histograms of the CQ / CQF / CQOF fragments (Figure 5 / 9).
-    pub sizes_cq: FragmentSizeHistogram,
-    /// Size histogram of the CQF fragment.
-    pub sizes_cqf: FragmentSizeHistogram,
-    /// Size histogram of the CQOF fragment.
-    pub sizes_cqof: FragmentSizeHistogram,
-    /// Shortest-cycle-length distribution of cyclic queries (Section 6.1).
-    pub cycle_lengths: BTreeMap<usize, u64>,
-    /// Hypertree-width results for variable-predicate queries (Section 6.2).
-    pub hypertree: HypertreeTally,
-    /// Property-path statistics (Table 5 / Figure 10, Section 7).
-    pub paths: PathTally,
-    /// Single-edge CQs whose edge involves a constant (Section 6.1 rerun).
-    pub single_edge_with_constants: u64,
+sparqlog_algebra::tally! {
+    /// Aggregated property-path statistics over a corpus (the inputs to
+    /// Table 5).
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub struct PathTally {
+        /// Total property paths seen (including trivial / pre-table forms).
+        sum pub total: u64,
+        /// `!a` expressions.
+        sum pub negated_literal: u64,
+        /// `^a` expressions.
+        sum pub inverse_literal: u64,
+        /// Navigational expressions (everything else), keyed by expression
+        /// type, with the count and the observed range of `k`.
+        sum pub by_type: BTreeMap<PathExpressionType, TypeEntry>,
+        /// Navigational expressions using reverse navigation (`^`).
+        sum pub with_inverse: u64,
+        /// Expressions outside the syntactic C_tract fragment.
+        sum pub potentially_hard: u64,
+    }
+}
+
+/// One Table-5 row: `(label, count, share of navigational expressions,
+/// observed k range)`.
+pub type PathRow = (String, u64, f64, Option<(usize, usize)>);
+
+sparqlog_algebra::tally! {
+    /// Count and `k` range for one expression type.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub struct TypeEntry {
+        /// Number of expressions of this type.
+        sum pub count: u64,
+        /// Minimum observed `k`, when the type is parameterised.
+        min pub min_k: Option<usize>,
+        /// Maximum observed `k`.
+        max pub max_k: Option<usize>,
+    }
+}
+
+/// One raw byte, the type's wire code.
+impl MapKey<TypeEntry> for PathExpressionType {
+    const DUPLICATE: &'static str = "duplicate path-expression-type key";
+
+    fn code(self) -> u64 {
+        u64::from(PathExpressionType::code(self))
+    }
+
+    fn put(self, sink: &mut impl CounterSink) {
+        sink.put_byte(PathExpressionType::code(self));
+    }
+
+    fn take<S: CounterSource>(source: &mut S) -> Result<PathExpressionType, S::Error> {
+        let code = source.take_byte()?;
+        PathExpressionType::from_code(code)
+            .ok_or_else(|| source.invalid("path-expression-type code", u64::from(code)))
+    }
+}
+
+impl PathTally {
+    /// Records one property path.
+    pub fn add(&mut self, p: &PropertyPath<'_>) {
+        self.total += 1;
+        let c = classify_path(p);
+        match c.ty {
+            PathExpressionType::NegatedLiteral => {
+                self.negated_literal += 1;
+                return;
+            }
+            PathExpressionType::InverseLiteral => {
+                self.inverse_literal += 1;
+                return;
+            }
+            PathExpressionType::Trivial => return,
+            _ => {}
+        }
+        if c.uses_inverse {
+            self.with_inverse += 1;
+        }
+        if tractability(p) == Tractability::PotentiallyHard {
+            self.potentially_hard += 1;
+        }
+        let entry = self.by_type.entry(c.ty).or_default();
+        entry.count += 1;
+        if let Some(k) = c.k {
+            entry.min_k = Some(entry.min_k.map_or(k, |m| m.min(k)));
+            entry.max_k = Some(entry.max_k.map_or(k, |m| m.max(k)));
+        }
+    }
+
+    /// Number of navigational expressions (those entering Table 5).
+    pub fn navigational(&self) -> u64 {
+        self.by_type.values().map(|e| e.count).sum()
+    }
+
+    /// Rows for Table 5: `(label, count, share of navigational, k range)`,
+    /// sorted by descending count.
+    pub fn rows(&self) -> Vec<PathRow> {
+        let nav = self.navigational().max(1) as f64;
+        let mut rows: Vec<_> = self
+            .by_type
+            .iter()
+            .map(|(ty, e)| {
+                let range = match (e.min_k, e.max_k) {
+                    (Some(a), Some(b)) => Some((a, b)),
+                    _ => None,
+                };
+                (ty.label().to_string(), e.count, e.count as f64 / nav, range)
+            })
+            .collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        rows
+    }
+}
+
+sparqlog_algebra::tally! {
+    /// The complete analysis of one dataset (or of the whole corpus, when
+    /// merged).
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct DatasetAnalysis {
+        /// The dataset label.
+        keep pub label: String,
+        /// Table-1 counts.
+        sum pub counts: CorpusCounts,
+        /// The malformed-entry tally of this dataset (per-kind counts and the
+        /// earliest offending positions). Set from the log header like
+        /// `counts`, never from the per-query fold — worker accumulators carry
+        /// empty tallies, and the corpus-level merge aggregates them into the
+        /// "Total" row.
+        sum pub errors: ErrorTally,
+        /// Keyword census (Table 2 / 7).
+        sum pub keywords: KeywordTally,
+        /// Triples-per-query histogram (Figure 1 / 8).
+        sum pub triples: TripleHistogram,
+        /// Operator-set distribution over SELECT/ASK queries (Table 3 / 8).
+        sum pub opsets: OpSetTally,
+        /// Projection statistics (Section 4.4).
+        sum pub projection: ProjectionTally,
+        /// Fragment shares (Section 5.2).
+        sum pub fragments: FragmentTally,
+        /// Shape analysis of the (cumulative) CQ fragment (Table 4, left).
+        sum pub shapes_cq: ShapeTally,
+        /// Shape analysis of the CQF fragment (Table 4, middle).
+        sum pub shapes_cqf: ShapeTally,
+        /// Shape analysis of the CQOF fragment (Table 4, right).
+        sum pub shapes_cqof: ShapeTally,
+        /// Size histograms of the CQ / CQF / CQOF fragments (Figure 5 / 9).
+        sum pub sizes_cq: FragmentSizeHistogram,
+        /// Size histogram of the CQF fragment.
+        sum pub sizes_cqf: FragmentSizeHistogram,
+        /// Size histogram of the CQOF fragment.
+        sum pub sizes_cqof: FragmentSizeHistogram,
+        /// Shortest-cycle-length distribution of cyclic queries (Section 6.1).
+        sum pub cycle_lengths: BTreeMap<usize, u64>,
+        /// Hypertree-width results for variable-predicate queries (Section 6.2).
+        sum pub hypertree: HypertreeTally,
+        /// Property-path statistics (Table 5 / Figure 10, Section 7).
+        sum pub paths: PathTally,
+        /// Single-edge CQs whose edge involves a constant (Section 6.1 rerun).
+        sum pub single_edge_with_constants: u64,
+    }
 }
 
 impl DatasetAnalysis {
@@ -167,39 +284,12 @@ impl DatasetAnalysis {
             _ => {
                 let mut unit = DatasetAnalysis::default();
                 unit.add(qa);
+                // `scale` repeats error exemplars, but `unit` has none: error
+                // tallies are set per log, never by the per-query fold.
                 unit.scale(times);
                 self.merge(&unit);
             }
         }
-    }
-
-    /// Multiplies every additive counter of every tally by `times`, leaving
-    /// extrema (`max_triples`, `max_nodes`, observed path-`k` ranges)
-    /// untouched. A `DatasetAnalysis` built from one [`DatasetAnalysis::add`]
-    /// and then scaled equals `times` repeated adds of the same record —
-    /// the building block of [`DatasetAnalysis::add_times`].
-    pub fn scale(&mut self, times: u64) {
-        // `errors` is deliberately untouched: error tallies are header
-        // state (set per log, like `label`), never part of the per-query
-        // fold, so scaled accumulators always carry an empty tally.
-        self.counts.scale(times);
-        self.keywords.scale(times);
-        self.triples.scale(times);
-        self.opsets.scale(times);
-        self.projection.scale(times);
-        self.fragments.scale(times);
-        self.shapes_cq.scale(times);
-        self.shapes_cqf.scale(times);
-        self.shapes_cqof.scale(times);
-        self.sizes_cq.scale(times);
-        self.sizes_cqf.scale(times);
-        self.sizes_cqof.scale(times);
-        for count in self.cycle_lengths.values_mut() {
-            *count *= times;
-        }
-        self.hypertree.scale(times);
-        self.paths.scale(times);
-        self.single_edge_with_constants *= times;
     }
 
     /// Folds an already-computed per-query analysis into the tallies without
@@ -257,30 +347,6 @@ impl DatasetAnalysis {
                 self.hypertree.add(ht.width, ht.nodes, ht.exact);
             }
         }
-    }
-
-    /// Merges another dataset analysis into this one (used to build the
-    /// corpus-level "all datasets" row).
-    pub fn merge(&mut self, other: &DatasetAnalysis) {
-        self.counts.merge(&other.counts);
-        self.errors.merge(&other.errors);
-        self.keywords.merge(&other.keywords);
-        self.triples.merge(&other.triples);
-        self.opsets.merge(&other.opsets);
-        self.projection.merge(&other.projection);
-        self.fragments.merge(&other.fragments);
-        self.shapes_cq.merge(&other.shapes_cq);
-        self.shapes_cqf.merge(&other.shapes_cqf);
-        self.shapes_cqof.merge(&other.shapes_cqof);
-        self.sizes_cq.merge(&other.sizes_cq);
-        self.sizes_cqf.merge(&other.sizes_cqf);
-        self.sizes_cqof.merge(&other.sizes_cqof);
-        for (len, count) in &other.cycle_lengths {
-            *self.cycle_lengths.entry(*len).or_insert(0) += count;
-        }
-        self.hypertree.merge(&other.hypertree);
-        self.paths.merge(&other.paths);
-        self.single_edge_with_constants += other.single_edge_with_constants;
     }
 }
 
@@ -464,6 +530,56 @@ mod tests {
         assert_eq!(h.eleven_plus, 1);
         assert_eq!(h.max_triples, 25);
         assert!((h.one_triple_share() - 0.25).abs() < 1e-9);
+    }
+
+    /// The path tally of one query with a pattern `?s <expr> ?oN` per `expr`,
+    /// so every expression goes through `PathTally::add` on the same tally.
+    fn path_tally(exprs: &[&str]) -> PathTally {
+        let patterns: Vec<String> = exprs
+            .iter()
+            .enumerate()
+            .map(|(i, expr)| format!("?s {expr} ?o{i}"))
+            .collect();
+        QueryAnalysis::of_text(&format!("ASK {{ {} }}", patterns.join(" . ")))
+            .unwrap()
+            .paths
+    }
+
+    #[test]
+    fn path_tally_separates_pre_table_and_navigational() {
+        let t = path_tally(&["!<a>", "^<a>", "<a>*", "(<a>|<b>)*", "(<a>/<b>)*"]);
+        assert_eq!(t.total, 5);
+        assert_eq!(t.negated_literal, 1);
+        assert_eq!(t.inverse_literal, 1);
+        assert_eq!(t.navigational(), 3);
+        assert_eq!(t.potentially_hard, 1);
+    }
+
+    #[test]
+    fn path_k_ranges_are_tracked() {
+        let t = path_tally(&["<a>/<b>", "<a>/<b>/<c>/<d>/<e>/<f>"]);
+        let entry = t.by_type[&PathExpressionType::SequenceOfLiterals];
+        assert_eq!(entry.count, 2);
+        assert_eq!(entry.min_k, Some(2));
+        assert_eq!(entry.max_k, Some(6));
+    }
+
+    #[test]
+    fn path_rows_sorted_by_count() {
+        let rows = path_tally(&["<a>*", "<a>*", "<a>*", "<a>/<b>"]).rows();
+        assert_eq!(rows[0].0, "a*");
+        assert_eq!(rows[0].1, 3);
+        assert!((rows[0].2 - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn path_merge_combines_ranges() {
+        let mut a = path_tally(&["<a>/<b>"]);
+        a.merge(&path_tally(&["<a>/<b>/<c>", "^<x>/<y>"]));
+        let entry = a.by_type[&PathExpressionType::SequenceOfLiterals];
+        assert_eq!(entry.count, 3);
+        assert_eq!(entry.max_k, Some(3));
+        assert_eq!(a.with_inverse, 1);
     }
 
     #[test]

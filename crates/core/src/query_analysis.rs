@@ -13,6 +13,7 @@
 //! [`crate::baseline`] as the reference the differential tests compare
 //! against.
 
+use crate::analysis::PathTally;
 use sparqlog_algebra::{
     classify_fragments_from_walk_ref, projection_use_from_walk_ref, ProjectionUse, QueryFeatures,
     QueryWalkRef,
@@ -21,7 +22,6 @@ use sparqlog_graph::StructuralReport;
 use sparqlog_parser::ast_ref::{self, QueryForm};
 use sparqlog_parser::intern::Interner;
 use sparqlog_parser::{parse_query_in, Arena, ParseError};
-use sparqlog_paths::PathTally;
 
 /// Everything the corpus tallies need to know about one query, computed in a
 /// single pass.
@@ -70,7 +70,7 @@ impl QueryAnalysis {
         let fragments = classify_fragments_from_walk_ref(query, &walk);
         let structural =
             StructuralReport::from_walk_interned(fragments, walk.tree.as_ref(), interner);
-        let mut paths = PathTally::new();
+        let mut paths = PathTally::default();
         for p in &walk.paths {
             paths.add(p);
         }
@@ -119,7 +119,7 @@ mod tests {
                 "{text}"
             );
             assert_eq!(single.structural, StructuralReport::of(&q), "{text}");
-            let mut paths = PathTally::new();
+            let mut paths = PathTally::default();
             for p in sparqlog_algebra::collect_property_paths(&q) {
                 paths.add(&p);
             }

@@ -40,33 +40,36 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// bound snapshot frames on a pathological corpus.
 pub const EXEMPLAR_CAP: usize = 8;
 
-/// The per-log malformed-entry tally: one counter per [`ErrorKind`] plus the
-/// earliest [`EXEMPLAR_CAP`] offending entry positions.
-///
-/// Positions are 0-based entry indices within the log (a reader-level
-/// defect, e.g. an invalid-UTF-8 line, occupies an entry position of its
-/// own and is counted in the log's `total`). Exemplars are kept sorted by
-/// `(position, wire code)` and truncated to the cap; because each producer
-/// keeps its *earliest* cap-many positions, merging any partition of the
-/// log reproduces the exact same exemplar set — the merge is commutative
-/// and associative like every other fold in the pipeline.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ErrorTally {
-    /// Entries that failed lexical analysis.
-    pub lex: u64,
-    /// Entries that tokenized but did not parse.
-    pub syntax: u64,
-    /// Log lines that were not valid UTF-8 (never reached the lexer).
-    pub invalid_utf8: u64,
-    /// Entries that tripped the byte or token cap.
-    pub oversize_entry: u64,
-    /// Entries that nested deeper than the recursion guard.
-    pub depth_exceeded: u64,
-    /// Entries whose parse panicked; the panic was caught and recorded.
-    pub worker_panic: u64,
-    /// The earliest offending positions, as `(wire code, entry position)`
-    /// sorted by `(position, code)`, at most [`EXEMPLAR_CAP`] of them.
-    pub exemplars: Vec<(u8, u64)>,
+sparqlog_algebra::tally! {
+    /// The per-log malformed-entry tally: one counter per [`ErrorKind`] plus
+    /// the earliest [`EXEMPLAR_CAP`] offending entry positions.
+    ///
+    /// Positions are 0-based entry indices within the log (a reader-level
+    /// defect, e.g. an invalid-UTF-8 line, occupies an entry position of its
+    /// own and is counted in the log's `total`). Exemplars are kept sorted by
+    /// `(position, wire code)` and truncated to the cap; because each
+    /// producer keeps its *earliest* cap-many positions, merging any
+    /// partition of the log reproduces the exact same exemplar set — the
+    /// merge is commutative and associative like every other fold in the
+    /// pipeline.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ErrorTally {
+        /// Entries that failed lexical analysis.
+        sum pub lex: u64,
+        /// Entries that tokenized but did not parse.
+        sum pub syntax: u64,
+        /// Log lines that were not valid UTF-8 (never reached the lexer).
+        sum pub invalid_utf8: u64,
+        /// Entries that tripped the byte or token cap.
+        sum pub oversize_entry: u64,
+        /// Entries that nested deeper than the recursion guard.
+        sum pub depth_exceeded: u64,
+        /// Entries whose parse panicked; the panic was caught and recorded.
+        sum pub worker_panic: u64,
+        /// The earliest offending positions, as `(wire code, entry position)`
+        /// sorted by `(position, code)`, at most [`EXEMPLAR_CAP`] of them.
+        list(EXEMPLAR_CAP) pub exemplars: Vec<(u8, u64)>,
+    }
 }
 
 impl ErrorTally {
@@ -121,32 +124,6 @@ impl ErrorTally {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.total() == 0 && self.exemplars.is_empty()
-    }
-
-    /// Merges another tally (e.g. another worker's or shard's slice of the
-    /// same log, or another log's tally into a corpus total). Counts add;
-    /// exemplars concatenate, re-sort by `(position, code)` and truncate to
-    /// the cap. Commutative and associative.
-    pub fn merge(&mut self, other: &ErrorTally) {
-        let ErrorTally {
-            lex,
-            syntax,
-            invalid_utf8,
-            oversize_entry,
-            depth_exceeded,
-            worker_panic,
-            exemplars,
-        } = other;
-        self.lex += lex;
-        self.syntax += syntax;
-        self.invalid_utf8 += invalid_utf8;
-        self.oversize_entry += oversize_entry;
-        self.depth_exceeded += depth_exceeded;
-        self.worker_panic += worker_panic;
-        self.exemplars.extend_from_slice(exemplars);
-        self.exemplars
-            .sort_unstable_by_key(|&(code, position)| (position, code));
-        self.exemplars.truncate(EXEMPLAR_CAP);
     }
 }
 

@@ -32,7 +32,7 @@
 //! stream offset where decoding stopped, so a coordinator can report *which
 //! byte* of *which shard's* snapshot went wrong.
 
-use sparqlog_algebra::tally::{Counter, CounterSink, CounterSource};
+use sparqlog_algebra::tally::{CounterSink, CounterSource, Field};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -314,11 +314,6 @@ impl Encoder {
         }
     }
 
-    /// Writes a `u32` as a varint.
-    pub fn put_u32(&mut self, value: u32) {
-        self.put_varint(u64::from(value));
-    }
-
     /// Writes a `usize` as a varint.
     pub fn put_usize(&mut self, value: usize) {
         self.put_varint(value as u64);
@@ -333,15 +328,6 @@ impl Encoder {
     pub fn put_str(&mut self, value: &str) {
         self.put_usize(value.len());
         self.bytes.extend_from_slice(value.as_bytes());
-    }
-
-    /// Writes an `Option<usize>` as `0` (None) or `value + 1` (Some), in one
-    /// varint.
-    pub fn put_opt_usize(&mut self, value: Option<usize>) {
-        match value {
-            None => self.put_varint(0),
-            Some(v) => self.put_varint(v as u64 + 1),
-        }
     }
 }
 
@@ -444,16 +430,10 @@ impl<'a> Decoder<'a> {
         Err(self.fail(DecodeErrorKind::VarintOverflow))
     }
 
-    /// Reads a varint that must fit a `u32` (else
-    /// [`DecodeErrorKind::LengthOverflow`]).
-    pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
-        Counter::take(self)
-    }
-
     /// Reads a varint that must fit a `usize` (else
     /// [`DecodeErrorKind::LengthOverflow`]).
     pub fn take_usize(&mut self) -> Result<usize, DecodeError> {
-        Counter::take(self)
+        Field::take(self)
     }
 
     /// Reads a 16-byte little-endian fingerprint.
@@ -481,23 +461,21 @@ impl<'a> Decoder<'a> {
         self.position = end;
         Ok(text)
     }
-
-    /// Reads an `Option<usize>` written by [`Encoder::put_opt_usize`].
-    pub fn take_opt_usize(&mut self) -> Result<Option<usize>, DecodeError> {
-        let value = self.take_varint()?;
-        match value {
-            0 => Ok(None),
-            v => usize::try_from(v - 1)
-                .map(Some)
-                .map_err(|_| self.fail(DecodeErrorKind::LengthOverflow { value })),
-        }
-    }
 }
 
-/// A tally's counters go out as varints, in declaration order.
+/// A tally's counters go out as varints, its wire codes as raw bytes, in
+/// declaration order.
 impl CounterSink for Encoder {
     fn put(&mut self, value: u64) {
         self.put_varint(value);
+    }
+
+    fn put_byte(&mut self, value: u8) {
+        self.put_u8(value);
+    }
+
+    fn put_str(&mut self, value: &str) {
+        Encoder::put_str(self, value);
     }
 }
 
@@ -510,8 +488,20 @@ impl CounterSource for Decoder<'_> {
         self.take_varint()
     }
 
+    fn take_byte(&mut self) -> Result<u8, DecodeError> {
+        self.take_u8()
+    }
+
+    fn take_str(&mut self) -> Result<String, DecodeError> {
+        Decoder::take_str(self)
+    }
+
     fn overflow(&self, value: u64) -> DecodeError {
         self.fail(DecodeErrorKind::LengthOverflow { value })
+    }
+
+    fn invalid(&self, what: &'static str, value: u64) -> DecodeError {
+        Decoder::invalid(self, what, value)
     }
 }
 
@@ -761,25 +751,25 @@ mod tests {
         encoder.put_u8(7);
         encoder.put_bool(true);
         encoder.put_bool(false);
-        encoder.put_u32(u32::MAX);
+        Field::put(&u32::MAX, &mut encoder);
         encoder.put_u128(u128::MAX - 5);
         encoder.put_str("héllo");
         encoder.put_str("");
-        encoder.put_opt_usize(None);
-        encoder.put_opt_usize(Some(0));
-        encoder.put_opt_usize(Some(41));
+        for value in [None, Some(0), Some(41)] {
+            Field::put(&value, &mut encoder);
+        }
         let bytes = encoder.into_bytes();
         let mut decoder = Decoder::new(&bytes);
         assert_eq!(decoder.take_u8().unwrap(), 7);
         assert!(decoder.take_bool().unwrap());
         assert!(!decoder.take_bool().unwrap());
-        assert_eq!(decoder.take_u32().unwrap(), u32::MAX);
+        assert_eq!(<u32 as Field>::take(&mut decoder).unwrap(), u32::MAX);
         assert_eq!(decoder.take_u128().unwrap(), u128::MAX - 5);
         assert_eq!(decoder.take_str().unwrap(), "héllo");
         assert_eq!(decoder.take_str().unwrap(), "");
-        assert_eq!(decoder.take_opt_usize().unwrap(), None);
-        assert_eq!(decoder.take_opt_usize().unwrap(), Some(0));
-        assert_eq!(decoder.take_opt_usize().unwrap(), Some(41));
+        for value in [None, Some(0), Some(41)] {
+            assert_eq!(<Option<usize> as Field>::take(&mut decoder).unwrap(), value);
+        }
         decoder.finish().unwrap();
     }
 
@@ -798,7 +788,7 @@ mod tests {
         let bytes = encoder.into_bytes();
         let mut decoder = Decoder::new(&bytes);
         assert!(matches!(
-            decoder.take_u32().unwrap_err().kind,
+            <u32 as Field>::take(&mut decoder).unwrap_err().kind,
             DecodeErrorKind::LengthOverflow { .. }
         ));
         let mut encoder = Encoder::new();

@@ -3,17 +3,23 @@
 //! behind [`DatasetAnalysis`], [`CacheStats`], and the framed worker stream
 //! ([`LogFrame`] / [`EpilogueFrame`]) the coordinator consumes.
 //!
-//! The wire rule for the ten flat tallies (declared with
-//! [`sparqlog_algebra::tally!`]) is their field view: every scalar is one
-//! varint, in declaration order, and a `[u64; N]` is `N` varints; a `u32` or
-//! `usize` that does not fit fails with
-//! [`LengthOverflow`](DecodeErrorKind::LengthOverflow). A field cannot be
-//! forgotten by the codec, but a new or reordered field changes the bytes:
-//! it needs a [`VERSION`](crate::codec::VERSION) bump and an update of the
-//! golden bytes in `tests/codec.rs`. The irregular records (maps, options,
-//! capped lists, the frames) are written out below; they decode fields in
-//! the exact order they encode them. Nothing about the wire layout depends
-//! on Rust struct layout.
+//! The wire rule for the fifteen tallies (declared with
+//! [`sparqlog_algebra::tally!`], [`DatasetAnalysis`] and everything in it)
+//! is their [`Field`] view, field by field in declaration order: every
+//! scalar is one varint and a `[u64; N]` is `N` varints; an `Option<usize>`
+//! is one varint (`0` for `None`, `v + 1` for `Some(v)`); a string, a map or
+//! an exemplar list is its length and then its contents, with map keys and
+//! exemplar codes one raw byte (cycle lengths, the one `usize` key, a
+//! varint). A `u32` or `usize` that does not fit fails with
+//! [`LengthOverflow`](DecodeErrorKind::LengthOverflow), an unknown code or a
+//! repeated map key with [`InvalidValue`](DecodeErrorKind::InvalidValue). A
+//! field cannot be forgotten by the codec, but a new or reordered field
+//! changes the bytes: it needs a [`VERSION`](crate::codec::VERSION) bump and
+//! an update of the golden bytes in `tests/codec.rs`. The records that are
+//! not tallies ([`LogSummary`], the metric snapshots of `sparqlog-obs`,
+//! which has no dependencies, and the frames) are written out below; they
+//! decode fields in the exact order they encode them. Nothing about the wire
+//! layout depends on Rust struct layout.
 //!
 //! ```
 //! use sparqlog_core::corpus::{CorpusCounts, LogSummary};
@@ -30,17 +36,16 @@
 
 use crate::codec::{write_frame, Decoder, Encoder};
 use crate::codec::{DecodeError, DecodeErrorKind};
-use sparqlog_algebra::opsets::OperatorSet;
-use sparqlog_algebra::tally::Tally;
+use sparqlog_algebra::tally::Field;
 use sparqlog_algebra::{FragmentTally, KeywordTally, OpSetTally, ProjectionTally, TripleHistogram};
-use sparqlog_core::analysis::{DatasetAnalysis, FragmentSizeHistogram, HypertreeTally};
+use sparqlog_core::analysis::{
+    DatasetAnalysis, FragmentSizeHistogram, HypertreeTally, PathTally, TypeEntry,
+};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{CorpusCounts, FusedStats, LogSummary};
 use sparqlog_core::recover::ErrorTally;
 use sparqlog_graph::ShapeTally;
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
-use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 /// A value with a binary snapshot representation in the shard wire format.
@@ -67,17 +72,17 @@ pub trait Snapshot: Sized {
     }
 }
 
-/// The flat tallies: each is its [`Tally`] field view on the wire, every
-/// counter one varint in declaration order (`sparqlog_algebra::tally!`).
+/// The tallies: each is its [`Field`] view on the wire, field by field in
+/// declaration order (`sparqlog_algebra::tally!`).
 macro_rules! tally_snapshot {
     ($($tally:ty),* $(,)?) => {$(
         impl Snapshot for $tally {
             fn encode(&self, out: &mut Encoder) {
-                self.put_fields(out);
+                Field::put(self, out);
             }
 
             fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-                Self::take_fields(input)
+                Field::take(input)
             }
         }
     )*};
@@ -94,63 +99,12 @@ tally_snapshot!(
     ShapeTally,
     FragmentSizeHistogram,
     HypertreeTally,
+    ErrorTally,
+    OpSetTally,
+    TypeEntry,
+    PathTally,
+    DatasetAnalysis,
 );
-
-impl Snapshot for ErrorTally {
-    fn encode(&self, out: &mut Encoder) {
-        let ErrorTally {
-            lex,
-            syntax,
-            invalid_utf8,
-            oversize_entry,
-            depth_exceeded,
-            worker_panic,
-            exemplars,
-        } = self;
-        for value in [
-            *lex,
-            *syntax,
-            *invalid_utf8,
-            *oversize_entry,
-            *depth_exceeded,
-            *worker_panic,
-        ] {
-            out.put_varint(value);
-        }
-        out.put_usize(exemplars.len());
-        for &(code, position) in exemplars {
-            out.put_u8(code);
-            out.put_varint(position);
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let lex = input.take_varint()?;
-        let syntax = input.take_varint()?;
-        let invalid_utf8 = input.take_varint()?;
-        let oversize_entry = input.take_varint()?;
-        let depth_exceeded = input.take_varint()?;
-        let worker_panic = input.take_varint()?;
-        let length = input.take_usize()?;
-        let mut exemplars = Vec::with_capacity(length.min(1 << 8));
-        for _ in 0..length {
-            // The wire code is stored raw: the taxonomy is append-only, so
-            // a newer worker's code decodes (and re-encodes) losslessly.
-            let code = input.take_u8()?;
-            let position = input.take_varint()?;
-            exemplars.push((code, position));
-        }
-        Ok(ErrorTally {
-            lex,
-            syntax,
-            invalid_utf8,
-            oversize_entry,
-            depth_exceeded,
-            worker_panic,
-            exemplars,
-        })
-    }
-}
 
 impl Snapshot for LogSummary {
     fn encode(&self, out: &mut Encoder) {
@@ -183,6 +137,21 @@ fn unzigzag(raw: u64) -> i64 {
     ((raw >> 1) as i64) ^ -((raw & 1) as i64)
 }
 
+/// Fails unless `key`, just read, sorts strictly after the last key of
+/// `entries`: histogram merges, registry merges and metric lookups assume
+/// ascending, distinct keys. The error reports the entry's index.
+fn ascending<K: Ord, V>(
+    input: &Decoder<'_>,
+    entries: &[(K, V)],
+    key: &K,
+    what: &'static str,
+) -> Result<(), DecodeError> {
+    match entries.last() {
+        Some((last, _)) if last >= key => Err(input.invalid(what, entries.len() as u64)),
+        _ => Ok(()),
+    }
+}
+
 impl Snapshot for HistogramSnapshot {
     fn encode(&self, out: &mut Encoder) {
         let HistogramSnapshot {
@@ -209,6 +178,7 @@ impl Snapshot for HistogramSnapshot {
         let mut buckets = Vec::with_capacity(length.min(1 << 10));
         for _ in 0..length {
             let bound = input.take_varint()?;
+            ascending(input, &buckets, &bound, "histogram bucket order")?;
             let bucket_count = input.take_varint()?;
             buckets.push((bound, bucket_count));
         }
@@ -250,6 +220,7 @@ impl Snapshot for MetricsSnapshot {
         let mut counters = Vec::with_capacity(length.min(1 << 10));
         for _ in 0..length {
             let name = input.take_str()?;
+            ascending(input, &counters, &name, "metric name order")?;
             let value = input.take_varint()?;
             counters.push((name, value));
         }
@@ -257,6 +228,7 @@ impl Snapshot for MetricsSnapshot {
         let mut gauges = Vec::with_capacity(length.min(1 << 10));
         for _ in 0..length {
             let name = input.take_str()?;
+            ascending(input, &gauges, &name, "metric name order")?;
             let value = unzigzag(input.take_varint()?);
             gauges.push((name, value));
         }
@@ -264,6 +236,7 @@ impl Snapshot for MetricsSnapshot {
         let mut histograms = Vec::with_capacity(length.min(1 << 10));
         for _ in 0..length {
             let name = input.take_str()?;
+            ascending(input, &histograms, &name, "metric name order")?;
             let histogram = HistogramSnapshot::decode(input)?;
             histograms.push((name, histogram));
         }
@@ -271,216 +244,6 @@ impl Snapshot for MetricsSnapshot {
             counters,
             gauges,
             histograms,
-        })
-    }
-}
-
-impl Snapshot for OpSetTally {
-    fn encode(&self, out: &mut Encoder) {
-        let OpSetTally {
-            pure,
-            other_features,
-            total,
-        } = self;
-        out.put_usize(pure.len());
-        for (set, count) in pure {
-            out.put_u8(set.bits());
-            out.put_varint(*count);
-        }
-        out.put_varint(*other_features);
-        out.put_varint(*total);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let length = input.take_usize()?;
-        let mut pure = BTreeMap::new();
-        for _ in 0..length {
-            let bits = input.take_u8()?;
-            let Some(set) = OperatorSet::from_bits(bits) else {
-                return Err(input.invalid("operator-set bits", u64::from(bits)));
-            };
-            let count = input.take_varint()?;
-            if pure.insert(set, count).is_some() {
-                return Err(input.invalid("duplicate operator-set key", u64::from(bits)));
-            }
-        }
-        let other_features = input.take_varint()?;
-        let total = input.take_varint()?;
-        Ok(OpSetTally {
-            pure,
-            other_features,
-            total,
-        })
-    }
-}
-
-impl Snapshot for TypeEntry {
-    fn encode(&self, out: &mut Encoder) {
-        let TypeEntry {
-            count,
-            min_k,
-            max_k,
-        } = *self;
-        out.put_varint(count);
-        out.put_opt_usize(min_k);
-        out.put_opt_usize(max_k);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let count = input.take_varint()?;
-        let min_k = input.take_opt_usize()?;
-        let max_k = input.take_opt_usize()?;
-        Ok(TypeEntry {
-            count,
-            min_k,
-            max_k,
-        })
-    }
-}
-
-impl Snapshot for PathTally {
-    fn encode(&self, out: &mut Encoder) {
-        let PathTally {
-            total,
-            negated_literal,
-            inverse_literal,
-            by_type,
-            with_inverse,
-            potentially_hard,
-        } = self;
-        out.put_varint(*total);
-        out.put_varint(*negated_literal);
-        out.put_varint(*inverse_literal);
-        out.put_usize(by_type.len());
-        for (ty, entry) in by_type {
-            out.put_u8(ty.code());
-            entry.encode(out);
-        }
-        out.put_varint(*with_inverse);
-        out.put_varint(*potentially_hard);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let total = input.take_varint()?;
-        let negated_literal = input.take_varint()?;
-        let inverse_literal = input.take_varint()?;
-        let length = input.take_usize()?;
-        let mut by_type = BTreeMap::new();
-        for _ in 0..length {
-            let code = input.take_u8()?;
-            let Some(ty) = PathExpressionType::from_code(code) else {
-                return Err(input.invalid("path-expression-type code", u64::from(code)));
-            };
-            let entry = TypeEntry::decode(input)?;
-            if by_type.insert(ty, entry).is_some() {
-                return Err(input.invalid("duplicate path-expression-type key", u64::from(code)));
-            }
-        }
-        let with_inverse = input.take_varint()?;
-        let potentially_hard = input.take_varint()?;
-        Ok(PathTally {
-            total,
-            negated_literal,
-            inverse_literal,
-            by_type,
-            with_inverse,
-            potentially_hard,
-        })
-    }
-}
-
-impl Snapshot for DatasetAnalysis {
-    fn encode(&self, out: &mut Encoder) {
-        let DatasetAnalysis {
-            label,
-            counts,
-            errors,
-            keywords,
-            triples,
-            opsets,
-            projection,
-            fragments,
-            shapes_cq,
-            shapes_cqf,
-            shapes_cqof,
-            sizes_cq,
-            sizes_cqf,
-            sizes_cqof,
-            cycle_lengths,
-            hypertree,
-            paths,
-            single_edge_with_constants,
-        } = self;
-        out.put_str(label);
-        counts.encode(out);
-        errors.encode(out);
-        keywords.encode(out);
-        triples.encode(out);
-        opsets.encode(out);
-        projection.encode(out);
-        fragments.encode(out);
-        shapes_cq.encode(out);
-        shapes_cqf.encode(out);
-        shapes_cqof.encode(out);
-        sizes_cq.encode(out);
-        sizes_cqf.encode(out);
-        sizes_cqof.encode(out);
-        out.put_usize(cycle_lengths.len());
-        for (&girth, &count) in cycle_lengths {
-            out.put_usize(girth);
-            out.put_varint(count);
-        }
-        hypertree.encode(out);
-        paths.encode(out);
-        out.put_varint(*single_edge_with_constants);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let label = input.take_str()?;
-        let counts = CorpusCounts::decode(input)?;
-        let errors = ErrorTally::decode(input)?;
-        let keywords = KeywordTally::decode(input)?;
-        let triples = TripleHistogram::decode(input)?;
-        let opsets = OpSetTally::decode(input)?;
-        let projection = ProjectionTally::decode(input)?;
-        let fragments = FragmentTally::decode(input)?;
-        let shapes_cq = ShapeTally::decode(input)?;
-        let shapes_cqf = ShapeTally::decode(input)?;
-        let shapes_cqof = ShapeTally::decode(input)?;
-        let sizes_cq = FragmentSizeHistogram::decode(input)?;
-        let sizes_cqf = FragmentSizeHistogram::decode(input)?;
-        let sizes_cqof = FragmentSizeHistogram::decode(input)?;
-        let length = input.take_usize()?;
-        let mut cycle_lengths = BTreeMap::new();
-        for _ in 0..length {
-            let girth = input.take_usize()?;
-            let count = input.take_varint()?;
-            if cycle_lengths.insert(girth, count).is_some() {
-                return Err(input.invalid("duplicate cycle-length key", girth as u64));
-            }
-        }
-        let hypertree = HypertreeTally::decode(input)?;
-        let paths = PathTally::decode(input)?;
-        let single_edge_with_constants = input.take_varint()?;
-        Ok(DatasetAnalysis {
-            label,
-            counts,
-            errors,
-            keywords,
-            triples,
-            opsets,
-            projection,
-            fragments,
-            shapes_cq,
-            shapes_cqf,
-            shapes_cqof,
-            sizes_cq,
-            sizes_cqf,
-            sizes_cqof,
-            cycle_lengths,
-            hypertree,
-            paths,
-            single_edge_with_constants,
         })
     }
 }
@@ -715,6 +478,8 @@ mod tests {
     use super::*;
     use sparqlog_core::analysis::Population;
     use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
+    use sparqlog_paths::PathExpressionType;
+    use std::collections::BTreeMap;
 
     fn analysed_dataset() -> DatasetAnalysis {
         let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
@@ -917,6 +682,25 @@ mod tests {
             panic!("expected decode error");
         };
         assert_eq!(error.kind, DecodeErrorKind::TrailingFrame);
+    }
+
+    #[test]
+    fn metric_names_and_bucket_bounds_must_ascend() {
+        let out_of_order = |what| DecodeErrorKind::InvalidValue { what, value: 1 };
+        let counters = vec![("b_total".to_string(), 1), ("a_total".to_string(), 2)];
+        let metrics = MetricsSnapshot {
+            counters,
+            ..MetricsSnapshot::default()
+        };
+        let error = MetricsSnapshot::from_bytes(&metrics.to_bytes()).unwrap_err();
+        assert_eq!(error.kind, out_of_order("metric name order"));
+        let buckets = vec![(8, 1), (8, 1)];
+        let histogram = HistogramSnapshot {
+            buckets,
+            ..HistogramSnapshot::default()
+        };
+        let error = HistogramSnapshot::from_bytes(&histogram.to_bytes()).unwrap_err();
+        assert_eq!(error.kind, out_of_order("histogram bucket order"));
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Property tests of the snapshot codec: round-trips over arbitrary
 //! [`LogSummary`] / tally values and over analyses of synthesized corpora,
-//! the tally laws of the ten flat records, golden bytes that pin the wire
-//! layout and the frame envelope, plus the structured decode errors —
+//! the tally laws of all fifteen `tally!` records, golden bytes that pin the
+//! wire layout and the frame envelope, plus the structured decode errors —
 //! truncated input at *every* strict prefix length, every bit flip of a
 //! frame, wrong version bytes, bad magic, bad tags, trailing bytes.
 
 use proptest::prelude::*;
-use sparqlog_algebra::tally::Tally;
+use sparqlog_algebra::opsets::classify_from_features;
+use sparqlog_algebra::tally::{Counter, Field};
 use sparqlog_algebra::{
-    FragmentTally, KeywordTally, OpSetTally, OperatorSet, ProjectionTally, TripleHistogram,
+    FragmentTally, KeywordTally, OpSetClass, OpSetTally, OperatorSet, ProjectionTally,
+    TripleHistogram,
 };
-use sparqlog_core::analysis::{DatasetAnalysis, FragmentSizeHistogram, HypertreeTally, Population};
+use sparqlog_core::analysis::{
+    DatasetAnalysis, FragmentSizeHistogram, HypertreeTally, PathTally, Population, TypeEntry,
+};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{
     analyze_streams, CorpusCounts, FusedStats, LogReader, LogSummary, MemoryLogReader,
@@ -18,7 +22,7 @@ use sparqlog_core::corpus::{
 use sparqlog_core::{ErrorKind, ErrorTally, QueryAnalysis};
 use sparqlog_graph::ShapeTally;
 use sparqlog_obs::{HistogramSnapshot, MetricsSnapshot};
-use sparqlog_paths::{PathExpressionType, PathTally, TypeEntry};
+use sparqlog_paths::PathExpressionType;
 use sparqlog_shard::codec::{
     write_frame, write_stream_header, DecodeError, DecodeErrorKind, Decoder, Encoder, FrameReader,
     StreamError, MAGIC, VERSION,
@@ -28,6 +32,7 @@ use sparqlog_shard::snapshot::{
 };
 use sparqlog_synth::{generate_single_day_log, Dataset};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 /// An analysed dataset with non-trivial values in every tally family.
 fn analysed_dataset(entries: &[String], label: &str) -> DatasetAnalysis {
@@ -43,60 +48,137 @@ fn synthesized_entries(dataset: Dataset, count: usize, seed: u64) -> Vec<String>
 }
 
 /// A flat tally built from generated counters, through its field view.
-fn tally_from<T: Tally>(counters: &[u64]) -> T {
+fn tally_from<T: Field>(counters: &[u64]) -> T {
     let mut encoder = Encoder::new();
     for &counter in counters {
         encoder.put_varint(counter);
     }
     let bytes = encoder.into_bytes();
-    T::take_fields(&mut Decoder::new(&bytes)).unwrap()
+    T::take(&mut Decoder::new(&bytes)).unwrap()
 }
 
-/// The laws of one flat record `$ty` over generated counters `x`, `y` and
-/// scales `(n, a, b)`, through its inherent `merge` / `scale`: the wire
-/// round trip, a commutative `merge`, `scale(n)` as `n` merges into
-/// `Default`, `scale(a)` then `scale(b)` as `scale(a * b)`, and one
-/// `observe` scaled by `n` as `n` of them — the one law that tells a `max`
-/// field from a `sum` field.
-macro_rules! check_tally_laws {
-    ($ty:ty, $x:expr, $y:expr, $scales:expr, $observe:expr) => {{
-        let (n, a, b): (u64, u64, u64) = $scales;
-        let observe: &dyn Fn(&mut $ty) = &$observe;
-        let scaled = |tally: &$ty, times: u64| {
-            let mut tally = tally.clone();
-            tally.scale(times);
-            tally
-        };
-        let (x, y): ($ty, $ty) = (tally_from($x), tally_from($y));
-        assert_eq!(<$ty>::from_bytes(&x.to_bytes()).unwrap(), x, "round trip");
-        let (mut xy, mut yx) = (x.clone(), y.clone());
-        xy.merge(&y);
-        yx.merge(&x);
-        assert_eq!(xy, yx, "merge commutes");
-        let mut merged = <$ty>::default();
-        (0..n).for_each(|_| merged.merge(&x));
-        assert_eq!(scaled(&x, n), merged, "scale(n) is n merges");
-        assert_eq!(
-            scaled(&scaled(&x, a), b),
-            scaled(&x, a * b),
-            "scales compose"
-        );
-        let (mut once, mut repeated) = (<$ty>::default(), <$ty>::default());
-        observe(&mut once);
-        (0..n).for_each(|_| observe(&mut repeated));
-        assert_eq!(scaled(&once, n), repeated, "one observation scaled by n");
-    }};
+/// [`check_tally_laws`] for a flat tally built from generated counters.
+fn check_flat<T: Counter + Snapshot + Clone + Default + PartialEq + Debug>(
+    x: &[u64],
+    y: &[u64],
+    scales: (u64, u64, u64),
+    observe: impl Fn(&mut T),
+) {
+    check_tally_laws(&tally_from(x), &tally_from(y), scales, observe);
+}
+
+/// The laws of one tally `T` over `x`, `y` and scales `(n, a, b)`, through
+/// the `Counter` impl `tally!` generates (`add` is `merge`, `mul` is
+/// `scale`): the wire round trip, a commutative `merge`, `scale(n)` as `n`
+/// merges into `Default`, `scale(a)` then `scale(b)` as `scale(a * b)`, and
+/// one `observe` scaled by `n` as `n` of them — the one law that tells a
+/// `max` field from a `sum` field.
+fn check_tally_laws<T>(x: &T, y: &T, (n, a, b): (u64, u64, u64), observe: impl Fn(&mut T))
+where
+    T: Counter + Snapshot + Clone + Default + PartialEq + Debug,
+{
+    let name = std::any::type_name::<T>();
+    let scaled = |tally: &T, times: u64| {
+        let mut tally = tally.clone();
+        tally.mul(times);
+        tally
+    };
+    let decoded = T::from_bytes(&x.to_bytes()).unwrap();
+    assert_eq!(&decoded, x, "{name}: round trip");
+    let (mut xy, mut yx) = (x.clone(), y.clone());
+    xy.add(y);
+    yx.add(x);
+    assert_eq!(xy, yx, "{name}: merge commutes");
+    let mut merged = T::default();
+    (0..n).for_each(|_| merged.add(x));
+    assert_eq!(scaled(x, n), merged, "{name}: scale(n) is n merges");
+    let (a_then_b, ab) = (scaled(&scaled(x, a), b), scaled(x, a * b));
+    assert_eq!(a_then_b, ab, "{name}: scales compose");
+    let (mut once, mut repeated) = (T::default(), T::default());
+    observe(&mut once);
+    (0..n).for_each(|_| observe(&mut repeated));
+    assert_eq!(scaled(&once, n), repeated, "{name}: observed n times");
+}
+
+/// An error tally of `(kind, position)` defects.
+fn errors_from(defects: &[(usize, u64)]) -> ErrorTally {
+    let mut errors = ErrorTally::default();
+    defects
+        .iter()
+        .for_each(|&(kind, at)| errors.record(ErrorKind::ALL[kind], at));
+    errors
+}
+
+/// An operator-set tally of classes: flag bits, or 32 for other features.
+fn opsets_from(classes: &[u8]) -> OpSetTally {
+    let mut opsets = OpSetTally::new();
+    for &bits in classes {
+        opsets
+            .add(OperatorSet::from_bits(bits).map_or(OpSetClass::OtherFeatures, OpSetClass::Pure));
+    }
+    opsets
+}
+
+/// `ASK { ?s <expr> ?o }`, where `expr` is a path over `k` literals of the
+/// form `pick` selects.
+fn path_query(pick: usize, k: usize) -> QueryAnalysis {
+    let literals: Vec<String> = (0..k).map(|i| format!("<p{i}>")).collect();
+    let expr = match pick {
+        0 => literals.join("/"),
+        1 => format!("({})*", literals.join("|")),
+        2 => format!("^{}", literals.join("/")),
+        3 => "!<a>".to_string(),
+        _ => "(<a>/<b>)*".to_string(),
+    };
+    QueryAnalysis::of_text(&format!("ASK {{ ?s {expr} ?o }}")).unwrap()
+}
+
+/// A path tally of `(pick, k)` expressions (see [`path_query`]).
+fn paths_from(exprs: &[(usize, usize)]) -> PathTally {
+    let mut paths = PathTally::default();
+    exprs
+        .iter()
+        .for_each(|&(pick, k)| paths.merge(&path_query(pick, k).paths));
+    paths
+}
+
+/// Every type entry of a path tally, merged into one.
+fn entry_of(paths: &PathTally) -> TypeEntry {
+    let mut entry = TypeEntry::default();
+    paths.by_type.values().for_each(|each| entry.merge(each));
+    entry
+}
+
+/// The analysis of a synthesized log. Its label is empty because `merge`
+/// keeps the left label, so labelled analyses would not commute.
+fn unlabelled_analysis(seed: u64) -> DatasetAnalysis {
+    analysed_dataset(&synthesized_entries(Dataset::DBpedia15, 20, seed), "")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn flat_tallies_round_trip_and_obey_the_tally_laws(
+    fn tallies_round_trip_and_obey_the_tally_laws(
         x in prop::collection::vec(0u64..1 << 20, 30..31),
         y in prop::collection::vec(0u64..1 << 20, 30..31),
         scales in (1u64..=5, 1u64..=5, 1u64..=5),
         observed in (1u32..40, 0usize..6, 0usize..200),
+        defects in (
+            prop::collection::vec((0usize..6, 0u64..12), 0..12),
+            prop::collection::vec((0usize..6, 0u64..12), 0..12),
+            (0usize..6, 0u64..12),
+        ),
+        classes in (
+            prop::collection::vec(0u8..33, 0..8),
+            prop::collection::vec(0u8..33, 0..8),
+        ),
+        exprs in (
+            prop::collection::vec((0usize..5, 2usize..7), 0..6),
+            prop::collection::vec((0usize..5, 2usize..7), 0..6),
+            (0usize..5, 2usize..7),
+        ),
+        seeds in (0u64..5000, 0u64..5000),
     ) {
         let (triples, width, nodes) = observed;
         // One observation per record, from a chain query of `triples`
@@ -105,22 +187,43 @@ proptest! {
             (0..triples).map(|i| format!("?x{i} <http://p> ?x{} . ", i + 1)).collect();
         let qa = QueryAnalysis::of_text(&format!("SELECT * WHERE {{ {chain}}}")).unwrap();
         let s = &qa.structural;
-        check_tally_laws!(CorpusCounts, &x, &y, scales, |_| {});
-        check_tally_laws!(CacheStats, &x, &y, scales, |_| {});
-        check_tally_laws!(FusedStats, &x, &y, scales, |_| {});
-        check_tally_laws!(KeywordTally, &x, &y, scales, |t| t.add(&qa.features));
-        check_tally_laws!(TripleHistogram, &x, &y, scales, |t| t.add(&qa.features));
-        check_tally_laws!(ProjectionTally, &x, &y, scales, |t| {
+        check_flat::<CorpusCounts>(&x, &y, scales, |_| {});
+        check_flat::<CacheStats>(&x, &y, scales, |_| {});
+        check_flat::<FusedStats>(&x, &y, scales, |_| {});
+        check_flat::<KeywordTally>(&x, &y, scales, |t| t.add(&qa.features));
+        check_flat::<TripleHistogram>(&x, &y, scales, |t| t.add(&qa.features));
+        check_flat::<ProjectionTally>(&x, &y, scales, |t| {
             t.record(qa.form, qa.projection, qa.has_subqueries)
         });
-        check_tally_laws!(FragmentTally, &x, &y, scales, |t| t.add(&s.fragments));
-        check_tally_laws!(ShapeTally, &x, &y, scales, |t| {
+        check_flat::<FragmentTally>(&x, &y, scales, |t| t.add(&s.fragments));
+        check_flat::<ShapeTally>(&x, &y, scales, |t| {
             t.add(s.shape.as_ref().unwrap(), s.treewidth.unwrap_or(1))
         });
-        check_tally_laws!(FragmentSizeHistogram, &x, &y, scales, |t| t.add(triples));
-        check_tally_laws!(HypertreeTally, &x, &y, scales, |t| {
-            t.add(width, nodes, width % 2 == 0)
+        check_flat::<FragmentSizeHistogram>(&x, &y, scales, |t| t.add(triples));
+        check_flat::<HypertreeTally>(&x, &y, scales, |t| t.add(width, nodes, width % 2 == 0));
+
+        // The nested records, built from observations.
+        let (x_defects, y_defects, (kind, position)) = defects;
+        check_tally_laws(&errors_from(&x_defects), &errors_from(&y_defects), scales, |t| {
+            t.record(ErrorKind::ALL[kind], position)
         });
+        let (x_classes, y_classes) = classes;
+        check_tally_laws(&opsets_from(&x_classes), &opsets_from(&y_classes), scales, |t| {
+            t.add(classify_from_features(&qa.features))
+        });
+        let (x_exprs, y_exprs, (pick, k)) = exprs;
+        let (x_paths, y_paths) = (paths_from(&x_exprs), paths_from(&y_exprs));
+        let path = path_query(pick, k);
+        check_tally_laws(&entry_of(&x_paths), &entry_of(&y_paths), scales, |t| {
+            t.merge(&entry_of(&path.paths))
+        });
+        check_tally_laws(&x_paths, &y_paths, scales, |t| t.merge(&path.paths));
+        check_tally_laws(
+            &unlabelled_analysis(seeds.0),
+            &unlabelled_analysis(seeds.1),
+            scales,
+            |t| t.add(&path),
+        );
     }
 
     #[test]
@@ -133,10 +236,7 @@ proptest! {
     ) {
         // An arbitrary error tally: the codec must carry any kind/position
         // mix faithfully.
-        let mut errors = ErrorTally::default();
-        for &(kind, position) in &defects {
-            errors.record(ErrorKind::ALL[kind], position);
-        }
+        let errors = errors_from(&defects);
         // The counts need not be consistent: overflow-free sums are the
         // engine's concern, not the wire format's.
         let summary = LogSummary {
@@ -795,6 +895,20 @@ fn golden_bytes_pin_the_wire_layout() {
     .concat();
     assert_eq!(frame.to_payload(), frame_bytes, "LogFrame payload");
     assert_eq!(Frame::from_payload(&frame_bytes, 0).unwrap(), frame);
+}
+
+#[test]
+fn an_exemplar_code_is_one_raw_byte_whatever_its_value() {
+    // Code 200 is no kind this build knows (a newer worker's): it is still
+    // one byte, where a varint would take two, and it comes back as is.
+    let errors = ErrorTally {
+        lex: 1,
+        exemplars: vec![(200, 3)],
+        ..ErrorTally::default()
+    };
+    let bytes = [0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 200, 0x03];
+    assert_eq!(errors.to_bytes(), bytes);
+    assert_eq!(ErrorTally::from_bytes(&bytes).unwrap(), errors);
 }
 
 #[test]
