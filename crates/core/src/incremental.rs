@@ -7,9 +7,12 @@
 //! produced them. This module holds what the multi-process paths share:
 //!
 //! * the **canonical identity** of a log ([`log_identity`],
-//!   [`file_identity`]): the lane-wise `bytescan::hash128` of its
-//!   population, label and every raw byte, computed *before* any parsing,
-//!   under which the snapshot store (`sparqlog-persist`) keys results;
+//!   [`file_identity`]): `bytescan::hash128` of its population, label and
+//!   every raw byte, computed *before* any parsing, under which the snapshot
+//!   store (`sparqlog-persist`) keys results. Past 256 bytes — any real log
+//!   — the hash runs four independent lanes per 64-byte block, so hashing
+//!   a resubmitted log is not one chain of multiplies each waiting on the
+//!   last;
 //! * the **store-hit rule** ([`PersistedLog::usable_under`]);
 //! * [`LogSlots`], the one assembly of per-log results: each input-order
 //!   slot fills at most once, the error budget is metered once when the last
@@ -289,6 +292,23 @@ mod tests {
         assert_eq!(
             log_identity(Population::Unique, "lbl", b"some log bytes\nmore\n"),
             0x676b_e95e_a051_769e_a000_ddce_0268_d7df
+        );
+    }
+
+    #[test]
+    fn log_identity_of_a_wide_log_is_pinned() {
+        // Past 256 hashed bytes the identity takes the four-lane path of
+        // `hash128`: this key pins that path, cross-checked against the same
+        // independent transcription.
+        let log: Vec<u8> = (0..8)
+            .flat_map(|i| {
+                format!("SELECT ?x{i} WHERE {{ ?x{i} a <http://example.org/C{i}> }}\n").into_bytes()
+            })
+            .collect();
+        assert_eq!(log.len(), 408);
+        assert_eq!(
+            log_identity(Population::Unique, "lbl", &log),
+            0x47f4_6b2a_c830_71bb_86a2_7da7_f66b_24a4
         );
     }
 

@@ -18,6 +18,10 @@
 //! [`hash128`] lives here for the same reason: it is the other thing the
 //! pipeline does to raw bytes a machine word at a time, before any of them
 //! is a token (per entry for the memo, per log file for store identities).
+//! Its two workloads want different shapes: a log line is short and pays
+//! for any set-up, while a whole log is long and one lane of dependent
+//! multiplies leaves the multiplier idle. So up to 256 bytes it is one lane,
+//! and past that four independent lanes share each 64-byte block.
 
 /// `0x01` in every lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -265,6 +269,20 @@ const HASH_KEYS: [u64; 4] = [
     0x4d5a_2da5_1de1_aa47,
 ];
 
+/// Inputs longer than this many bytes take [`hash128`]'s four-lane bulk loop;
+/// shorter ones, every log line the entry memo keys among them, keep the
+/// one-lane construction and its values. A whole number of 64-byte blocks,
+/// so [`Hasher128`] switches paths on a block edge.
+const WIDE_ABOVE: usize = 256;
+const _: () = assert!(WIDE_ABOVE.is_multiple_of(64));
+
+/// Where the bulk loop's four lanes start: the key pairs rotated, so lane 0
+/// starts where the one-lane path does and no two lanes start alike.
+const LANE_SEEDS: [(u64, u64); 4] = {
+    let [k0, k1, k2, k3] = HASH_KEYS;
+    [(k0, k1), (k1, k2), (k2, k3), (k3, k0)]
+};
+
 /// The folded 64×64→128 multiply every wyhash-family hash is built from: the
 /// two halves of the full product XORed together, so every input bit reaches
 /// every output bit in one instruction pair.
@@ -274,71 +292,115 @@ fn fold_multiply(a: u64, b: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
+/// The two little-endian words of a 16-byte block.
+#[inline(always)]
+fn words(block: &[u8; 16]) -> (u64, u64) {
+    let (lo, hi) = block.split_at(8);
+    (
+        u64::from_le_bytes(lo.try_into().expect("8-byte half")),
+        u64::from_le_bytes(hi.try_into().expect("8-byte half")),
+    )
+}
+
 /// One 16-byte step of [`hash128`]: each accumulator absorbs both words of
 /// the block through one folded multiply, in opposite pairings.
 #[inline(always)]
-fn step((a, b): (u64, u64), block: &[u8; 16]) -> (u64, u64) {
+fn step((a, b): (u64, u64), (lo, hi): (u64, u64)) -> (u64, u64) {
     let [_, _, k2, k3] = HASH_KEYS;
-    let lo = u64::from_le_bytes(block[..8].try_into().expect("8-byte half"));
-    let hi = u64::from_le_bytes(block[8..].try_into().expect("8-byte half"));
     (
         fold_multiply(lo ^ k2, hi ^ a),
         fold_multiply(hi ^ k3, lo ^ b),
     )
 }
 
-/// The last step of [`hash128`]: the `tail` (< 16 bytes, possibly empty)
-/// zero-padded to one more block, then the total length folded in.
+/// One 64-byte block of the bulk loop: lane `i` steps over the block's
+/// `i`-th 16 bytes. The four steps share no data, so their multiplies
+/// overlap instead of each waiting on the one before.
 #[inline(always)]
-fn finish(state: (u64, u64), tail: &[u8], len: u64) -> u128 {
+fn absorb([l0, l1, l2, l3]: [(u64, u64); 4], block: &[u8; 64]) -> [(u64, u64); 4] {
+    let (pieces, _) = block.as_chunks::<16>();
+    // Spelled out: `array::from_fn` is not always inlined, and then every
+    // lane round-trips through memory.
+    [
+        step(l0, words(&pieces[0])),
+        step(l1, words(&pieces[1])),
+        step(l2, words(&pieces[2])),
+        step(l3, words(&pieces[3])),
+    ]
+}
+
+/// Ends the bulk loop: lane 0 absorbs lanes 1, 2 and 3, in that order, as
+/// one block each, so lanes that trade contents hash apart.
+#[inline(always)]
+fn fold_lanes([first, rest @ ..]: [(u64, u64); 4]) -> (u64, u64) {
+    rest.into_iter().fold(first, step)
+}
+
+/// The one-lane path from `state` to the end: one step per whole 16-byte
+/// block of `bytes`, the rest (possibly empty) zero-padded to one more
+/// block, then the total length folded in.
+#[inline(always)]
+fn finish(state: (u64, u64), bytes: &[u8], len: u64) -> u128 {
     let [k0, k1, k2, k3] = HASH_KEYS;
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    let state = blocks
+        .iter()
+        .fold(state, |state, block| step(state, words(block)));
     let mut block = [0u8; 16];
     block[..tail.len()].copy_from_slice(tail);
-    let (a, b) = step(state, &block);
+    let (a, b) = step(state, words(&block));
     let high = fold_multiply(a ^ k0, b ^ len ^ k1);
     let low = fold_multiply(b ^ k2, a ^ len ^ k3);
     u128::from(high) << 64 | u128::from(low)
 }
 
-/// A 128-bit hash of raw bytes, 16 bytes per step (the wyhash / rapidhash
-/// construction: two accumulators, each absorbing both words of the step
-/// through one folded multiply, in opposite pairings so a word that blinds
-/// one lane's multiply still reaches the other).
+/// A 128-bit hash of raw bytes (the wyhash / rapidhash construction: two
+/// accumulators, each absorbing both words of a 16-byte step through one
+/// folded multiply, in opposite pairings so a word that blinds one
+/// accumulator's multiply still reaches the other).
 ///
-/// The tail is zero-padded to a full step — an empty tail still takes one —
-/// and the length is folded into the finish, so inputs that differ only in
-/// length or in trailing NULs hash apart. The output is a **pure function of
-/// the bytes**: there is no per-process seed, so anything keyed by it
-/// reproduces across runs and hosts. Like the canonical fingerprint it is
-/// not collision-resistant against an adversary; the engine uses it where a
-/// 2⁻¹²⁸ accidental collision is the accepted risk: the entry memo of
-/// `core::fused` (raw bytes, and token streams through
-/// [`token_key`](crate::token::token_key)) and, through [`Hasher128`], the snapshot store's log
-/// identities (`core::incremental`).
+/// Up to 256 bytes (`WIDE_ABOVE`) it is one lane, 16 bytes per step. A
+/// longer input runs four such lanes side by side over each whole 64-byte
+/// block, since one lane waits on its last multiply before every step; the
+/// lanes then fold in a fixed order into one, which continues over the
+/// rest. Either way the tail is zero-padded to a full step — an empty tail
+/// still takes one — and the length is folded into the finish, so inputs
+/// that differ only in length or in trailing NULs hash apart.
+///
+/// The output is a **pure function of the bytes**: there is no per-process
+/// seed, so anything keyed by it reproduces across runs and hosts. Like the
+/// canonical fingerprint it is not collision-resistant against an
+/// adversary; the engine uses it where a 2⁻¹²⁸ accidental collision is the
+/// accepted risk: the entry memo of `core::fused` (raw bytes, and token
+/// streams through [`token_key`](crate::token::token_key)) and, through
+/// [`Hasher128`], the snapshot store's log identities (`core::incremental`).
 pub fn hash128(bytes: &[u8]) -> u128 {
-    let [k0, k1, _, _] = HASH_KEYS;
-    let mut chunks = bytes.chunks_exact(16);
-    let state = chunks.by_ref().fold((k0, k1), |state, chunk| {
-        step(state, chunk.try_into().expect("16-byte chunk"))
-    });
-    finish(state, chunks.remainder(), bytes.len() as u64)
+    let len = bytes.len() as u64;
+    if bytes.len() <= WIDE_ABOVE {
+        return finish(LANE_SEEDS[0], bytes, len);
+    }
+    let (blocks, rest) = bytes.as_chunks::<64>();
+    let lanes = blocks.iter().fold(LANE_SEEDS, absorb);
+    finish(fold_lanes(lanes), rest, len)
 }
 
 /// [`hash128`] of input that arrives in pieces: however the bytes are split
 /// across [`update`](Hasher128::update) calls, [`finish`](Hasher128::finish)
-/// equals `hash128` of them all. It holds back only `block[..len % 16]`.
+/// equals `hash128` of them all. Which path applies is known only once more
+/// than 256 bytes have arrived, so it holds back the first 256; after that,
+/// only the `len % 64` bytes of the block in progress.
 #[derive(Debug, Clone)]
 pub struct Hasher128 {
-    state: (u64, u64),
-    block: [u8; 16],
+    lanes: [(u64, u64); 4],
+    held: [u8; WIDE_ABOVE],
     len: u64,
 }
 
 impl Default for Hasher128 {
     fn default() -> Hasher128 {
         Hasher128 {
-            state: (HASH_KEYS[0], HASH_KEYS[1]),
-            block: [0; 16],
+            lanes: LANE_SEEDS,
+            held: [0; WIDE_ABOVE],
             len: 0,
         }
     }
@@ -347,29 +409,44 @@ impl Default for Hasher128 {
 // `#[inline]` compiles these where they are called: emitted here, they
 // moved this crate's codegen-unit split and recompiled the lexer.
 impl Hasher128 {
-    /// Absorbs `bytes`, stepping every block they complete.
+    /// Absorbs `bytes`, stepping the lanes over every block they complete.
     #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        let held = (self.len % 16) as usize;
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.len <= WIDE_ABOVE as u64 {
+            let held = self.len as usize;
+            let (head, rest) = bytes.split_at(bytes.len().min(WIDE_ABOVE - held));
+            self.held[held..held + head.len()].copy_from_slice(head);
+            self.len += head.len() as u64;
+            if rest.is_empty() {
+                return;
+            }
+            // The input is wide: the held bytes are its first whole blocks.
+            let (blocks, _) = self.held.as_chunks::<64>();
+            self.lanes = blocks.iter().fold(LANE_SEEDS, absorb);
+            bytes = rest;
+        }
+        let held = (self.len % 64) as usize;
         self.len += bytes.len() as u64;
         // Top up a held partial block; the rest then starts on a block edge.
-        let (head, bytes) = bytes.split_at(bytes.len().min((16 - held) % 16));
-        self.block[held..held + head.len()].copy_from_slice(head);
-        if held + head.len() == 16 {
-            self.state = step(self.state, &self.block);
+        let (head, bytes) = bytes.split_at(bytes.len().min((64 - held) % 64));
+        self.held[held..held + head.len()].copy_from_slice(head);
+        if held + head.len() == 64 {
+            let block = self.held.first_chunk().expect("a whole block");
+            self.lanes = absorb(self.lanes, block);
         }
-        let mut chunks = bytes.chunks_exact(16);
-        self.state = chunks.by_ref().fold(self.state, |state, chunk| {
-            step(state, chunk.try_into().expect("16-byte chunk"))
-        });
-        self.block[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        let (blocks, rest) = bytes.as_chunks::<64>();
+        self.lanes = blocks.iter().fold(self.lanes, absorb);
+        self.held[..rest.len()].copy_from_slice(rest);
     }
 
     /// The [`hash128`] of every byte absorbed so far.
     #[inline]
     pub fn finish(&self) -> u128 {
-        let held = (self.len % 16) as usize;
-        finish(self.state, &self.block[..held], self.len)
+        if self.len <= WIDE_ABOVE as u64 {
+            return finish(LANE_SEEDS[0], &self.held[..self.len as usize], self.len);
+        }
+        let held = (self.len % 64) as usize;
+        finish(fold_lanes(self.lanes), &self.held[..held], self.len)
     }
 }
 
@@ -381,12 +458,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Up to 600 bytes cut at up to seven random points, so pieces land
-        /// empty, inside one block, on block edges and across several.
+        /// Up to 1 200 bytes cut at up to seven random points, so pieces land
+        /// empty, inside one block, on block edges and across several, on
+        /// both sides of the 256 bytes where the four-lane path starts.
         #[test]
         fn streaming_hash_equals_one_shot_at_any_split(
-            bytes in prop::collection::vec(0u8..=255, 0..601),
-            cuts in prop::collection::vec(0usize..601, 0..8),
+            bytes in prop::collection::vec(0u8..=255, 0..1201),
+            cuts in prop::collection::vec(0usize..1201, 0..8),
         ) {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|cut| cut % (bytes.len() + 1)).collect();
             cuts.sort_unstable();
@@ -499,10 +577,13 @@ mod tests {
 
     #[test]
     fn hash128_separates_lengths_last_bytes_and_trailing_nuls() {
-        // Every length around the 16-byte step boundaries, and for each one
-        // the three near-misses a padded, length-blind hash would conflate.
+        // Every length around the 16-byte step boundaries and the start of
+        // the four-lane path, and for each one the three near-misses a
+        // padded, length-blind hash would conflate.
         let mut keys = std::collections::HashSet::new();
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33] {
+        for len in [
+            0usize, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257, 319, 320, 321,
+        ] {
             let base: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
             let key = hash128(&base);
             assert!(keys.insert(key), "length {len} collides with a shorter one");
@@ -521,10 +602,10 @@ mod tests {
         }
         // Zeros of different lengths share every padded word; only the
         // folded length tells them apart.
-        let zeros = [0u8; 48];
+        let zeros = [0u8; 300];
         let distinct: std::collections::HashSet<u128> =
-            (0..=48).map(|len| hash128(&zeros[..len])).collect();
-        assert_eq!(distinct.len(), 49);
+            (0..=300).map(|len| hash128(&zeros[..len])).collect();
+        assert_eq!(distinct.len(), 301);
     }
 
     #[test]
@@ -541,18 +622,19 @@ mod tests {
         assert_eq!(hash128(&line), hash128(&line.clone()));
     }
 
-    #[test]
-    fn hash128_does_not_collide_on_generated_log_lines() {
-        // 204 800 lines that differ in a few bytes at varying offsets, the
-        // way real log entries do. No two may share a key, and their low
-        // twelve bits (what a 4 096-slot table indexes by) must spread: a
-        // slot load far from the mean of 50 would mean the low bits are weak.
+    /// 204 800 lines that differ in a few bytes at varying offsets, the way
+    /// real log entries do, each with `pad(i, j)` inside its IRI. No two
+    /// may share a key, and their low twelve bits (what a 4 096-slot table
+    /// indexes by) must spread: a slot load far from the mean of 50 would
+    /// mean the low bits are weak.
+    fn sweep_generated_log_lines(pad: impl Fn(u32, u32) -> String) {
         let mut keys = std::collections::HashSet::new();
         let mut slots = vec![0u32; 1 << 12];
         for i in 0..3_200u32 {
             for j in 0..64u32 {
                 let line = format!(
-                    "SELECT ?v{j} WHERE {{ ?v{j} <http://example.org/p{i}> ?o . FILTER(?o > {}) }}",
+                    "SELECT ?v{j} WHERE {{ ?v{j} <http://example.org/{}p{i}> ?o . FILTER(?o > {}) }}",
+                    pad(i, j),
                     i ^ j
                 );
                 let key = hash128(line.as_bytes());
@@ -562,5 +644,60 @@ mod tests {
         }
         let (min, max) = (slots.iter().min().unwrap(), slots.iter().max().unwrap());
         assert!(*min >= 20 && *max <= 90, "slot loads {min}..{max}");
+    }
+
+    #[test]
+    fn hash128_does_not_collide_on_generated_log_lines() {
+        sweep_generated_log_lines(|_, _| String::new());
+    }
+
+    #[test]
+    fn hash128_does_not_collide_on_generated_long_log_lines() {
+        // 250–400 bytes: a few lines stay on the one-lane path, the rest
+        // take the four lanes, and the differing bytes land in varying lanes.
+        sweep_generated_log_lines(|i, j| "segment/".repeat(23 + ((i + j) % 17) as usize));
+    }
+
+    /// 320 bytes: five whole 64-byte blocks, so every byte goes through a
+    /// lane of the bulk loop.
+    fn wide_input() -> Vec<u8> {
+        (0..320u32).map(|i| (i * 37 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn hash128_pins_the_four_lane_path() {
+        // Cross-checked against an independent big-integer transcription
+        // of both paths, like the one-lane pins above.
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        assert_eq!(hash128(&bytes), 0xe7e8_9f01_2bd2_5b17_77ed_b3fe_ad91_6a60);
+    }
+
+    #[test]
+    fn hash128_changes_under_every_single_bit_flip_of_a_wide_input() {
+        let bytes = wide_input();
+        let key = hash128(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(hash128(&flipped), key, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn hash128_separates_swapped_sub_blocks() {
+        // Every pair of the twenty 16-byte sub-blocks: across lanes within
+        // one block (0 and 1), within one lane across blocks (0 and 4), and
+        // everything between. The fold of the lanes is order-sensitive and
+        // so is each lane, so no swap may go unnoticed.
+        let bytes = wide_input();
+        let key = hash128(&bytes);
+        for first in 0..20 {
+            for second in first + 1..20 {
+                let mut swapped = bytes.clone();
+                let (head, tail) = swapped.split_at_mut(second * 16);
+                head[first * 16..first * 16 + 16].swap_with_slice(&mut tail[..16]);
+                assert_ne!(hash128(&swapped), key, "sub-blocks {first} and {second}");
+            }
+        }
     }
 }

@@ -25,8 +25,10 @@
 //! drops them.
 //!
 //! Version history: 1 stored each log's fingerprint/occurrence list in its
-//! snapshots; 2 does not. A version-1 file fails the header check and is
-//! reinitialized (see Recovery), so each of its logs is re-analysed once.
+//! snapshots; 2 does not. 3 has the same records as 2, but keys snapshots by
+//! identities from the four-lane `hash128`, so no version-2 key would ever
+//! be looked up again. A file of an older version fails the header check and
+//! is reinitialized (see Recovery), so each of its logs is re-analysed once.
 //!
 //! # Durability protocol
 //!
@@ -72,7 +74,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"SQPS";
 
 /// The store format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Header length: magic + version byte.
 const HEADER_LEN: u64 = 5;
@@ -781,8 +783,8 @@ mod tests {
         assert_eq!(store.commit().unwrap(), 1);
         drop(store);
         let golden: &[&[u8]] = &[
-            // Header: magic + version 2.
-            b"SQPS\x02",
+            // Header: magic + version 3.
+            b"SQPS\x03",
             // Job record: length 49; tag 2, population Unique, policy
             // "lenient", one log (key 7 as 16 LE bytes, label, path); CRC32C.
             b"\x31\x02\x00\x07lenient\x01",
@@ -927,6 +929,30 @@ mod tests {
         assert_eq!(report.dropped, Some(0..5));
         assert_eq!(store.snapshots(), 0);
         assert!(store.jobs().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_two_store_reopens_empty() {
+        // A committed store with version 2's records: its snapshot keys are
+        // identities no submit computes any more, so all of it is dropped.
+        let dir = scratch("version-two");
+        let path = dir.join("store.sqps");
+        let (mut store, _) = SnapshotStore::open(&path).unwrap();
+        assert!(store.record_snapshot(1, &sample("alpha")).unwrap());
+        assert!(store.record_job(&sample_job()).unwrap());
+        store.commit().unwrap();
+        drop(store);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        let (store, report) = SnapshotStore::open(&path).unwrap();
+        assert_eq!(report.reason, RecoveryReason::BadHeader);
+        assert_eq!(report.dropped, Some(0..bytes.len() as u64));
+        assert_eq!(store.snapshots(), 0);
+        assert!(store.jobs().is_empty());
+        drop(store);
+        assert_eq!(std::fs::read(&path).unwrap(), b"SQPS\x03");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

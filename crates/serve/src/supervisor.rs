@@ -110,6 +110,9 @@ struct Shared {
     jobs: Arc<Jobs>,
     events: Arc<EventLog>,
     store: Option<Arc<Mutex<SnapshotStore>>>,
+    /// `available_parallelism()`, read once at start: it re-reads the
+    /// cgroup files on every call, a cost each submit would otherwise pay.
+    cores: usize,
 }
 
 /// The supervisor: owns the runner threads and the task queue.
@@ -129,12 +132,11 @@ impl Supervisor {
         events: Arc<EventLog>,
         store: Option<Arc<Mutex<SnapshotStore>>>,
     ) -> Supervisor {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let slots = if config.slots > 0 {
             config.slots
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            cores
         };
         let shared = Arc::new(Shared {
             config,
@@ -145,6 +147,7 @@ impl Supervisor {
             jobs,
             events,
             store,
+            cores,
         });
         let runners = (0..slots)
             .map(|_| {
@@ -182,7 +185,7 @@ impl Supervisor {
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
         let mut hits: Vec<Option<Arc<PersistedLog>>> = vec![None; logs.len()];
         if let Some(store) = &self.shared.store {
-            keys = hash_identities(population, &logs);
+            keys = hash_identities(population, &logs, self.shared.cores);
             let guard = store.lock().expect("snapshot store");
             // An unhashable log stays keyless; the worker will report it.
             let hit = |key: &Option<u128>| key.and_then(|key| guard.get(key)).cloned();
@@ -459,13 +462,16 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
 }
 
 /// Hashes every log's canonical identity (`None` = unreadable right now),
-/// the logs claimed by index across up to `available_parallelism()` scoped
-/// threads, the caller's included — a one-log job spawns nothing.
-fn hash_identities(population: Population, logs: &[LogSpec]) -> Vec<Option<u128>> {
+/// the logs claimed by index across up to `cores` scoped threads, the
+/// caller's included. A one-log job, or a one-core host, hashes inline
+/// with no scope at all.
+fn hash_identities(population: Population, logs: &[LogSpec], cores: usize) -> Vec<Option<u128>> {
     let _span = obs::global().histogram("serve_identity_us").span();
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(logs.len());
+    let identity = |log: &LogSpec| file_identity(population, &log.label, &log.path).ok();
+    let threads = cores.min(logs.len());
+    if threads <= 1 {
+        return logs.iter().map(identity).collect();
+    }
     // Relaxed: the counter only hands out indices; the keys are published
     // by the mutex and the scope's joins.
     let next = AtomicUsize::new(0);
@@ -475,7 +481,7 @@ fn hash_identities(population: Population, logs: &[LogSpec]) -> Vec<Option<u128>
         let Some(log) = logs.get(index) else {
             return;
         };
-        let key = file_identity(population, &log.label, &log.path).ok();
+        let key = identity(log);
         keys.lock().expect("identity keys")[index] = key;
     };
     std::thread::scope(|scope| {
