@@ -18,10 +18,11 @@
 //! [`hash128`] lives here for the same reason: it is the other thing the
 //! pipeline does to raw bytes a machine word at a time, before any of them
 //! is a token (per entry for the memo, per log file for store identities).
-//! Its two workloads want different shapes: a log line is short and pays
-//! for any set-up, while a whole log is long and one lane of dependent
-//! multiplies leaves the multiplier idle. So up to 256 bytes it is one lane,
-//! and past that four independent lanes share each 64-byte block.
+//! Its two workloads want different shapes: a short line pays for any
+//! set-up, while a whole log is long and one lane of dependent multiplies
+//! leaves the multiplier idle. So up to 256 bytes it is one lane, and past
+//! that — a whole log, and any line that long — four independent lanes
+//! share each 64-byte block.
 
 /// `0x01` in every lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -270,9 +271,12 @@ const HASH_KEYS: [u64; 4] = [
 ];
 
 /// Inputs longer than this many bytes take [`hash128`]'s four-lane bulk loop;
-/// shorter ones, every log line the entry memo keys among them, keep the
-/// one-lane construction and its values. A whole number of 64-byte blocks,
-/// so [`Hasher128`] switches paths on a block edge.
+/// inputs of at most this many keep the one-lane construction and its
+/// values. On a 2-core x86-64 host the two paths cost the same near 200–230
+/// bytes, so up to here the one lane is never the slower. Log lines cross
+/// it too: 58 % of the benchmark's seed-1 `batch-distinct` lines are longer
+/// (`batch-dup` and the serve pool have none). A whole number of 64-byte
+/// blocks, so [`Hasher128`] switches paths on a block edge.
 const WIDE_ABOVE: usize = 256;
 const _: () = assert!(WIDE_ABOVE.is_multiple_of(64));
 

@@ -463,15 +463,10 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
 
 /// Hashes every log's canonical identity (`None` = unreadable right now),
 /// the logs claimed by index across up to `cores` scoped threads, the
-/// caller's included. A one-log job, or a one-core host, hashes inline
-/// with no scope at all.
+/// caller's included — a one-log job spawns nothing.
 fn hash_identities(population: Population, logs: &[LogSpec], cores: usize) -> Vec<Option<u128>> {
     let _span = obs::global().histogram("serve_identity_us").span();
-    let identity = |log: &LogSpec| file_identity(population, &log.label, &log.path).ok();
     let threads = cores.min(logs.len());
-    if threads <= 1 {
-        return logs.iter().map(identity).collect();
-    }
     // Relaxed: the counter only hands out indices; the keys are published
     // by the mutex and the scope's joins.
     let next = AtomicUsize::new(0);
@@ -481,7 +476,7 @@ fn hash_identities(population: Population, logs: &[LogSpec], cores: usize) -> Ve
         let Some(log) = logs.get(index) else {
             return;
         };
-        let key = identity(log);
+        let key = file_identity(population, &log.label, &log.path).ok();
         keys.lock().expect("identity keys")[index] = key;
     };
     std::thread::scope(|scope| {
