@@ -7,7 +7,7 @@
 //! parse them back into typed records instead of scraping text:
 //!
 //! ```text
-//! t=12 seq=0 event=worker-start job=1 partition=0 attempt=0 pid=4711
+//! t=12 seq=0 event=worker-start job=1 partition=0 attempt=0 pid=4711 threads=2
 //! t=340 seq=1 event=worker-death job=1 partition=0 attempt=0 error="shard 0: worker exited with status 3"
 //! t=395 seq=2 event=partition-recovered job=1 partition=0 latency_ms=55
 //! ```

@@ -62,7 +62,9 @@ pub struct ServeConfig {
     pub worker: WorkerCommand,
     /// Concurrent worker processes (0 = available parallelism).
     pub worker_slots: usize,
-    /// `--workers` analysis threads per worker process (0 = worker default).
+    /// `--workers` analysis threads per worker process (0 = the cores
+    /// divided among the workers running when it starts; see
+    /// [`sparqlog_shard::supervise::worker_thread_budget`]).
     pub worker_threads: usize,
     /// Worker heartbeat period (liveness frames on the snapshot pipe).
     pub heartbeat: Duration,

@@ -15,9 +15,9 @@
 //! at most once ([`crate::job`]). A partition that exhausts its budget
 //! fails the whole job with the last structured error.
 //!
-//! Every transition lands in the [`EventLog`]: `worker-start` (with pid),
-//! `worker-death`, `partition-recovered` (with the death-to-merge latency),
-//! `job-complete`, `job-failed`.
+//! Every transition lands in the [`EventLog`]: `worker-start` (with pid and
+//! analysis threads), `worker-death`, `partition-recovered` (with the
+//! death-to-merge latency), `job-complete`, `job-failed`.
 //!
 //! # Snapshot store
 //!
@@ -38,10 +38,11 @@ use crate::events::{quoted, EventLog};
 use crate::job::{JobState, Jobs};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::CacheStats;
+use sparqlog_core::corpus::workers_override;
 use sparqlog_core::{file_identity, PersistedLog, RecoveryPolicy};
 use sparqlog_obs as obs;
 use sparqlog_persist::{JobLog, JobRecord, SnapshotStore};
-use sparqlog_shard::supervise::WorkerLaunch;
+use sparqlog_shard::supervise::{worker_thread_budget, WorkerLaunch};
 use sparqlog_shard::worker::AssignedLog;
 use sparqlog_shard::{LogSpec, WorkerCommand};
 use std::collections::VecDeque;
@@ -57,7 +58,8 @@ pub struct SupervisorConfig {
     pub worker: WorkerCommand,
     /// Concurrent worker processes (0 = available parallelism).
     pub slots: usize,
-    /// `--workers` per worker process (0 = let the worker default).
+    /// `--workers` per worker process (0 = the cores divided among the
+    /// workers running when it starts; see [`worker_thread_budget`]).
     pub worker_threads: usize,
     /// Worker heartbeat period.
     pub heartbeat: Duration,
@@ -113,6 +115,8 @@ struct Shared {
     /// `available_parallelism()`, read once at start: it re-reads the
     /// cgroup files on every call, a cost each submit would otherwise pay.
     cores: usize,
+    /// Runner threads, so the most worker processes alive at once.
+    slots: usize,
 }
 
 /// The supervisor: owns the runner threads and the task queue.
@@ -148,6 +152,7 @@ impl Supervisor {
             events,
             store,
             cores,
+            slots,
         });
         let runners = (0..slots)
             .map(|_| {
@@ -282,14 +287,15 @@ impl Drop for Supervisor {
 
 fn runner_loop(shared: &Shared) {
     loop {
-        let task = {
+        let claimed = {
             let mut queue = shared.queue.lock().expect("supervisor queue");
             loop {
                 if let Some(task) = queue.pop_front() {
                     // Claim while still holding the lock so idle() can never
                     // observe "queue empty, nothing active" mid-handoff.
-                    shared.active.fetch_add(1, Ordering::AcqRel);
-                    break Some(task);
+                    let active = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
+                    let concurrency = concurrent_workers(shared.slots, active, queue.len());
+                    break Some((task, concurrency));
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     break None;
@@ -301,12 +307,19 @@ fn runner_loop(shared: &Shared) {
                 queue = guard;
             }
         };
-        let Some(task) = task else {
+        let Some((task, concurrency)) = claimed else {
             return;
         };
-        run_partition(shared, &task);
+        run_partition(shared, &task, concurrency);
         shared.active.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// How many worker processes a just-claimed partition shares the machine
+/// with, itself included: the `active` partitions (the claim counted) plus
+/// the `queued` ones the idle runners are about to claim, at most `slots`.
+fn concurrent_workers(slots: usize, active: usize, queued: usize) -> usize {
+    slots.min(active + queued)
 }
 
 /// Exponential backoff for restart `attempt` (1-based), capped.
@@ -318,12 +331,19 @@ fn backoff_delay(config: &SupervisorConfig, attempt: u32) -> Duration {
         .min(config.backoff_cap)
 }
 
-/// Runs one partition to success, fatal job failure, or restart exhaustion.
-fn run_partition(shared: &Shared, task: &PartitionTask) {
+/// Runs one partition to success, fatal job failure, or restart exhaustion,
+/// its workers sized for the `concurrency` counted when it was claimed.
+fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
     let config = &shared.config;
     let events = &shared.events;
     let job = task.job;
     let partition = task.partition;
+    let pinned = workers_override();
+    let worker_threads =
+        worker_thread_budget(config.worker_threads, shared.cores, concurrency, pinned);
+    // What the worker runs: the `--workers` passed, or the pinned value it
+    // inherits (the budget passes nothing only when one is pinned).
+    let threads = worker_threads.or(pinned).unwrap_or_default();
     let mut attempt = 0u32;
     let mut first_failure: Option<Instant> = None;
     loop {
@@ -346,7 +366,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
             // Passed verbatim: the worker itself streams a budget leniently,
             // and the job table meters the budget once at the last merge.
             recovery: task.recovery,
-            worker_threads: (config.worker_threads > 0).then_some(config.worker_threads),
+            worker_threads,
             heartbeat: Some(config.heartbeat),
             logs: vec![AssignedLog {
                 index: partition as u64,
@@ -357,7 +377,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask) {
         let outcome = match launch.spawn() {
             Ok(handle) => {
                 events.emit(format!(
-                    "event=worker-start job={job} partition={partition} attempt={attempt} pid={}",
+                    "event=worker-start job={job} partition={partition} attempt={attempt} pid={} threads={threads}",
                     handle.pid()
                 ));
                 handle.join(config.stall_timeout)
@@ -633,6 +653,15 @@ mod tests {
         assert_eq!(backoff_delay(&config, 3), Duration::from_millis(200));
         assert_eq!(backoff_delay(&config, 4), Duration::from_millis(300));
         assert_eq!(backoff_delay(&config, 30), Duration::from_millis(300));
+    }
+
+    #[test]
+    fn claim_time_concurrency_counts_running_and_queued_partitions_up_to_the_slots() {
+        assert_eq!(concurrent_workers(2, 1, 0), 1);
+        assert_eq!(concurrent_workers(2, 1, 1), 2);
+        assert_eq!(concurrent_workers(2, 2, 0), 2);
+        assert_eq!(concurrent_workers(2, 1, 4), 2);
+        assert_eq!(concurrent_workers(2, 2, 3), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::codec::DecodeError;
 use crate::snapshot::WorkerSnapshot;
-use crate::supervise::WorkerLaunch;
+use crate::supervise::{worker_thread_budget, WorkerLaunch};
 use crate::worker::AssignedLog;
 use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
@@ -126,8 +126,7 @@ pub struct ShardOptions {
     pub shards: usize,
     /// Fused-engine threads *per worker process* (passed as `--workers`).
     /// `0` divides the machine's parallelism across the spawned shards
-    /// (N processes each defaulting to N threads would oversubscribe the
-    /// host quadratically) — unless `SPARQLOG_WORKERS` is set to a
+    /// ([`worker_thread_budget`]) — unless `SPARQLOG_WORKERS` is set to a
     /// positive integer, in which case the workers inherit it untouched.
     pub worker_threads: usize,
     /// How to launch workers.
@@ -420,7 +419,7 @@ struct ShardOutput {
 /// a batch run has no other clients to protect from a slow shard.
 fn run_shard(
     shard: usize,
-    spawned_shards: usize,
+    worker_threads: Option<usize>,
     assignment: &[usize],
     logs: &[LogSpec],
     population: Population,
@@ -430,11 +429,7 @@ fn run_shard(
         command: options.worker.clone(),
         shard,
         population,
-        worker_threads: worker_thread_budget(
-            options.worker_threads,
-            spawned_shards,
-            workers_override(),
-        ),
+        worker_threads,
         heartbeat: None,
         recovery: options.recovery,
         logs: assignment
@@ -451,29 +446,6 @@ fn run_shard(
         snapshot: output.snapshot,
         bytes: output.bytes,
     })
-}
-
-/// The `--workers` value to pass a worker process, if any: an explicit
-/// `worker_threads` wins; otherwise, unless the user pinned the worker
-/// pools ([`workers_override`]: `SPARQLOG_WORKERS` set to a positive
-/// integer, which the workers inherit and honour themselves), the machine's
-/// parallelism is divided across the spawned shards — N worker processes
-/// each defaulting to N threads would oversubscribe the host quadratically.
-fn worker_thread_budget(
-    worker_threads: usize,
-    spawned_shards: usize,
-    workers_override: Option<usize>,
-) -> Option<usize> {
-    if worker_threads > 0 {
-        return Some(worker_threads);
-    }
-    if workers_override.is_some() {
-        return None;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    Some((cores / spawned_shards.max(1)).max(1))
 }
 
 /// Analyses a corpus of on-disk logs across worker processes and merges the
@@ -512,7 +484,13 @@ pub fn analyze_sharded_all(
         default_shards()
     };
     let assignments = partition(logs.len(), shards);
-    let spawned_shards = assignments.len();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let worker_threads = worker_thread_budget(
+        options.worker_threads,
+        cores,
+        assignments.len(),
+        workers_override(),
+    );
 
     // One decoding thread per worker process; results keep shard order so
     // the first failing shard is reported deterministically.
@@ -522,7 +500,7 @@ pub fn analyze_sharded_all(
             .enumerate()
             .map(|(shard, assignment)| {
                 scope.spawn(move || {
-                    run_shard(shard, spawned_shards, assignment, logs, population, options)
+                    run_shard(shard, worker_threads, assignment, logs, population, options)
                 })
             })
             .collect();
@@ -621,22 +599,6 @@ mod tests {
                 .iter()
                 .all(|a| a.windows(2).all(|w| w[0] < w[1])));
         }
-    }
-
-    #[test]
-    fn worker_thread_budget_divides_the_machine() {
-        // Explicit thread counts always win.
-        assert_eq!(worker_thread_budget(5, 4, None), Some(5));
-        assert_eq!(worker_thread_budget(5, 4, Some(3)), Some(5));
-        // A pinned pool size is left to the workers, which inherit it.
-        assert_eq!(worker_thread_budget(0, 4, Some(3)), None);
-        // Otherwise the parallelism is divided across shards, never below
-        // one thread.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(worker_thread_budget(0, 1, None), Some(cores));
-        assert_eq!(worker_thread_budget(0, cores * 2, None), Some(1));
     }
 
     #[test]

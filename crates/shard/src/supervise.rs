@@ -5,7 +5,8 @@
 //!
 //! Extracted from the coordinator so the long-running `sparqlog-serve`
 //! supervisor and the one-shot `analyze_sharded` path share one spawn /
-//! decode / diagnose implementation instead of drifting copies.
+//! decode / diagnose implementation instead of drifting copies — and one
+//! thread policy, [`worker_thread_budget`].
 //!
 //! # Lifecycle
 //!
@@ -82,7 +83,9 @@ pub struct WorkerLaunch {
     pub shard: usize,
     /// The population to fold.
     pub population: Population,
-    /// `--workers` to pass, if any (None = let the worker default).
+    /// `--workers` to pass, if any (None = the worker sizes its own pool,
+    /// e.g. from an inherited `SPARQLOG_WORKERS`); see
+    /// [`worker_thread_budget`].
     pub worker_threads: Option<usize>,
     /// `--heartbeat-ms` to pass, if any (None = no liveness frames).
     pub heartbeat: Option<Duration>,
@@ -92,6 +95,28 @@ pub struct WorkerLaunch {
     pub recovery: RecoveryPolicy,
     /// The logs to assign, in the consumer's index space.
     pub logs: Vec<AssignedLog>,
+}
+
+/// The `--workers` value to pass a worker process, if any: an `explicit`
+/// count (> 0) wins; otherwise, unless the user pinned the worker pools
+/// (`workers_override`, the positive `SPARQLOG_WORKERS` value, which the
+/// workers inherit and honour themselves — then `None`), the machine's
+/// `cores` are divided among the `concurrent_workers` processes running at
+/// once, never below one thread. N worker processes each defaulting to N
+/// threads would oversubscribe the host quadratically.
+pub fn worker_thread_budget(
+    explicit: usize,
+    cores: usize,
+    concurrent_workers: usize,
+    workers_override: Option<usize>,
+) -> Option<usize> {
+    if explicit > 0 {
+        return Some(explicit);
+    }
+    if workers_override.is_some() {
+        return None;
+    }
+    Some((cores / concurrent_workers.max(1)).max(1))
 }
 
 impl WorkerLaunch {
@@ -338,6 +363,23 @@ mod tests {
         assert!(clock.idle() >= Duration::from_millis(20));
         clock.touch();
         assert!(clock.idle() < Duration::from_millis(20));
+    }
+
+    #[test]
+    fn worker_thread_budget_divides_the_machine() {
+        // One worker gets every core; as many workers as cores, or more,
+        // get one thread each.
+        assert_eq!(worker_thread_budget(0, 8, 1, None), Some(8));
+        assert_eq!(worker_thread_budget(0, 8, 3, None), Some(2));
+        assert_eq!(worker_thread_budget(0, 8, 8, None), Some(1));
+        assert_eq!(worker_thread_budget(0, 2, 5, None), Some(1));
+        assert_eq!(worker_thread_budget(0, 1, 0, None), Some(1));
+        // Explicit thread counts always win.
+        assert_eq!(worker_thread_budget(5, 8, 4, None), Some(5));
+        assert_eq!(worker_thread_budget(5, 8, 4, Some(3)), Some(5));
+        // A pinned pool size is left to the workers, which inherit it.
+        assert_eq!(worker_thread_budget(0, 8, 4, Some(3)), None);
+        assert_eq!(worker_thread_budget(0, 8, 1, Some(3)), None);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   `127.0.0.1:0` picks an ephemeral port and prints it)
 //! * `--unix PATH`           listen on a Unix-domain socket instead
 //! * `--slots N`             concurrent worker processes (default: parallelism)
-//! * `--workers N`           analysis threads per worker process
+//! * `--workers N`           analysis threads per worker process (default 0:
+//!   the cores divided among the workers running when it starts)
 //! * `--heartbeat-ms N`      worker liveness heartbeat period (default 200)
 //! * `--stall-timeout-ms N`  kill workers silent this long (default: off)
 //! * `--max-restarts N`      restarts per partition before the job fails
@@ -36,8 +37,8 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sparqlog-serve [--tcp ADDR | --unix PATH] [--slots N] [--workers N] \
-         [--heartbeat-ms N] [--stall-timeout-ms N] [--max-restarts N] [--backoff-ms N] \
+        "usage: sparqlog-serve [--tcp ADDR | --unix PATH] [--slots N] \
+         [--workers N (0 = cores / running workers)] [--heartbeat-ms N] [--stall-timeout-ms N] [--max-restarts N] [--backoff-ms N] \
          [--outbox N] [--shed] [--event-log PATH] [--store PATH]"
     );
     std::process::exit(2);

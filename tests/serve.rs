@@ -12,7 +12,10 @@
 //! logs must not disturb each other.
 //!
 //! The CI determinism matrix pins `SPARQLOG_WORKERS` (analysis threads per
-//! worker process); without it the tests default to 2.
+//! worker process); without it the tests pass `--workers 2`, except
+//! `the_default_thread_budget_divides_the_cores_among_running_workers`,
+//! which runs the daemon's own default: the cores divided among the
+//! workers running when a partition is claimed.
 
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
@@ -107,6 +110,18 @@ fn fused_reference(logs: &[LogSpec], population: Population) -> String {
     let fused = analyze_streams_with(readers, population, FusedOptions::default())
         .expect("fused reference run");
     full_report(&fused.corpus)
+}
+
+/// `(partition, threads=)` of each `worker-start` in `job`'s journal,
+/// sorted by partition.
+fn worker_threads_started(handle: &ServerHandle, job: u64) -> Vec<(u64, u64)> {
+    let records = handle.events().records_for_job(job);
+    let starts = records.iter().filter(|r| r.event() == "worker-start");
+    let mut started: Vec<_> = starts
+        .map(|r| (r.u64("partition").unwrap(), r.u64("threads").unwrap()))
+        .collect();
+    started.sort_unstable();
+    started
 }
 
 fn worker_threads() -> usize {
@@ -683,6 +698,56 @@ fn two_clients_share_one_store_without_disturbing_each_other() {
             .iter()
             .any(|l| l.contains("event=worker-start") && l.contains("partition=1")),
         "{lines:?}"
+    );
+
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn the_default_thread_budget_divides_the_cores_among_running_workers() {
+    let scratch = Scratch::new("thread-budget");
+    let logs = write_corpus(scratch.path());
+    let config = ServeConfig {
+        worker_threads: 0,
+        ..base_config(WorkerCommand::new(WORKER))
+    };
+    assert_eq!(config.worker_slots, 2);
+    let (addr, handle, runner) = start_server(config);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut run = |logs: &[LogSpec]| {
+        let (job, _) = client
+            .submit(Population::Unique, RecoveryPolicy::Auto, submit_specs(logs))
+            .expect("submit");
+        let status = client.wait_settled(job, SETTLE).expect("wait");
+        assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+        assert_eq!(status.restarts, 0);
+        let report = client.report(job, true).expect("report");
+        assert_eq!(report.text, fused_reference(logs, Population::Unique));
+        worker_threads_started(&handle, job)
+    };
+    // The threads a worker runs while `running` workers share the machine;
+    // a pinned `SPARQLOG_WORKERS` is inherited instead.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let budget = |running: usize| {
+        sparqlog::core::corpus::workers_override().unwrap_or((cores / running).max(1)) as u64
+    };
+
+    // A lone log on an idle daemon gets every core. It runs first: a daemon
+    // that has just completed a job may still be releasing that runner.
+    assert_eq!(run(&logs[1..2]), [(0, budget(1))]);
+
+    // Four logs on two slots: the first three claims each see a sibling
+    // running or queued; the last sees one only if partition 2 still runs.
+    let mut four = logs.clone();
+    four.push(LogSpec::new("again", logs[0].path.clone()));
+    let started = run(&four);
+    assert_eq!(started.len(), 4, "{started:?}");
+    let shared = [(0, budget(2)), (1, budget(2)), (2, budget(2))];
+    assert_eq!(started[..3], shared, "{started:?}");
+    assert!(
+        [(3, budget(2)), (3, budget(1))].contains(&started[3]),
+        "{started:?}"
     );
 
     handle.stop();
