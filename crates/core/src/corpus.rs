@@ -6,9 +6,11 @@
 //! stream ([`LineLogReader`] / [`FileLogReader`]: one entry per line, `\n`
 //! or `\r\n` terminated). The fused engine ([`analyze_streams`], defined in
 //! [`crate::fused`] and re-exported here) pulls batches from the readers
-//! through one shared, position-assigning batch source, so raw entries live
-//! only for the duration of their batch and a malformed line is tallied at
-//! the same entry position whatever the worker count.
+//! through a batch source with one lane — one lock — per log. A worker reads
+//! a batch into its one reusable [`EntryBlock`], so raw entries live only for
+//! the duration of their batch and reading allocates nothing per entry; the
+//! lane assigns the batch's entry positions, so a malformed line is tallied
+//! at the same entry position whatever the worker count.
 //!
 //! [`RawLog`] is the fully resident form of a log: what the synthetic corpus
 //! generator produces and what the sequential oracle
@@ -20,6 +22,8 @@ use sparqlog_parser::bytescan::find_newline;
 use sparqlog_parser::ErrorKind;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufRead, BufReader};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub use sparqlog_parser::{canonical_fingerprint, CanonicalHasher};
 
@@ -93,20 +97,98 @@ pub(crate) const INGEST_CHUNK: usize = 512;
 // Streaming log readers.
 // ---------------------------------------------------------------------------
 
+/// A batch of entries in one reusable allocation: the entries' text back to
+/// back in one `String`, and where each entry ends. A worker owns one block,
+/// clears it before every claim and lets the reader append to it, so
+/// steady-state reading allocates nothing per entry.
+#[derive(Debug, Default)]
+pub struct EntryBlock {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl EntryBlock {
+    /// An empty block.
+    pub fn new() -> EntryBlock {
+        EntryBlock::default()
+    }
+
+    /// Forgets every entry and keeps the allocations.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one entry.
+    pub fn push(&mut self, entry: &str) {
+        self.text.push_str(entry);
+        self.ends.push(self.text.len());
+    }
+
+    /// How many entries the block holds.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the block holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The bytes of every entry together (terminators are not stored).
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// The entries in the order they were appended.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let entry = &self.text[start..end];
+            start = end;
+            entry
+        })
+    }
+}
+
 /// A source of raw log entries consumed incrementally, batch by batch, so the
 /// ingestion pipeline never needs a full `&[RawLog]` resident in memory.
 ///
-/// Implementations: [`MemoryLogReader`] (owned entries, moved out),
-/// [`SliceLogReader`] (borrowed entries), and [`LineLogReader`] /
+/// The engine reads through [`read_block`](LogReader::read_block), into a
+/// block its worker reuses for every batch; [`read_batch`](LogReader::read_batch)
+/// is the same read copied out into owned strings.
+///
+/// Implementations: [`MemoryLogReader`] (owned entries, freed as they are
+/// read), [`SliceLogReader`] (borrowed entries), and [`LineLogReader`] /
 /// [`FileLogReader`] (buffered line-oriented streams: one line per entry,
 /// `\n` or `\r\n` terminated, with or without a trailing newline).
 pub trait LogReader: Send {
     /// The dataset label of this log.
     fn label(&self) -> &str;
 
-    /// Appends up to `max` entries to `batch` and returns how many were
+    /// Appends up to `max` entries to `block` and returns how many were
     /// appended. Returning `0` signals the end of the log.
-    fn read_batch(&mut self, batch: &mut Vec<String>, max: usize) -> io::Result<usize>;
+    ///
+    /// A malformed entry is an error whose [`ReaderDefect`] payload names
+    /// it; the entries read before it stay appended, the malformed one takes
+    /// up its position in the log, and the next call resumes after it.
+    fn read_block(&mut self, block: &mut EntryBlock, max: usize) -> io::Result<usize>;
+
+    /// [`read_block`](LogReader::read_block) into owned strings: appends up
+    /// to `max` entries to `batch`, with the same end-of-log and defect
+    /// rules. Entries pass one at a time through a one-entry block, so the
+    /// copy-out does not first build a whole batch's block.
+    fn read_batch(&mut self, batch: &mut Vec<String>, max: usize) -> io::Result<usize> {
+        let mut block = EntryBlock::new();
+        for appended in 0..max {
+            block.clear();
+            if self.read_block(&mut block, 1)? == 0 {
+                return Ok(appended);
+            }
+            batch.extend(block.iter().map(str::to_owned));
+        }
+        Ok(max)
+    }
 
     /// How many entries remain, when cheaply known (in-memory readers). The
     /// pool uses the hint to avoid spawning more workers than there are
@@ -117,8 +199,9 @@ pub trait LogReader: Send {
     }
 }
 
-/// A [`LogReader`] over an owned entry list; entries are *moved* into the
-/// pipeline batch by batch, so the raw log shrinks as ingestion progresses.
+/// A [`LogReader`] over an owned entry list. Each entry is copied into the
+/// reading worker's block and freed, so the raw log shrinks as ingestion
+/// progresses.
 #[derive(Debug)]
 pub struct MemoryLogReader {
     label: String,
@@ -140,16 +223,12 @@ impl LogReader for MemoryLogReader {
         &self.label
     }
 
-    fn read_batch(&mut self, batch: &mut Vec<String>, max: usize) -> io::Result<usize> {
-        let mut appended = 0;
-        while appended < max {
-            let Some(entry) = self.entries.next() else {
-                break;
-            };
-            batch.push(entry);
-            appended += 1;
+    fn read_block(&mut self, block: &mut EntryBlock, max: usize) -> io::Result<usize> {
+        let before = block.len();
+        for entry in self.entries.by_ref().take(max) {
+            block.push(&entry);
         }
-        Ok(appended)
+        Ok(block.len() - before)
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -158,7 +237,7 @@ impl LogReader for MemoryLogReader {
 }
 
 /// A [`LogReader`] over borrowed entries (e.g. a [`RawLog`] the caller keeps
-/// owning); batches are cloned out.
+/// owning); each batch is copied into the reading worker's block.
 #[derive(Debug)]
 pub struct SliceLogReader<'a> {
     label: &'a str,
@@ -187,10 +266,12 @@ impl LogReader for SliceLogReader<'_> {
         self.label
     }
 
-    fn read_batch(&mut self, batch: &mut Vec<String>, max: usize) -> io::Result<usize> {
-        let end = (self.position + max).min(self.entries.len());
+    fn read_block(&mut self, block: &mut EntryBlock, max: usize) -> io::Result<usize> {
+        let end = self.position.saturating_add(max).min(self.entries.len());
+        for entry in &self.entries[self.position..end] {
+            block.push(entry);
+        }
         let appended = end - self.position;
-        batch.extend(self.entries[self.position..end].iter().cloned());
         self.position = end;
         Ok(appended)
     }
@@ -212,10 +293,11 @@ const ESTIMATED_LINE_BYTES: u64 = 128;
 /// line without a trailing newline still counts as an entry, and an empty
 /// stream yields no entries.
 ///
-/// Line boundaries are found by scanning the buffered bytes a machine word
-/// at a time (the parser's SWAR `find_newline` search) rather than per
-/// character; a line that straddles buffer refills accumulates in a carry
-/// buffer whose allocation is moved — not copied — into the produced entry.
+/// Lines are cut straight out of the stream's buffer: the parser's SWAR
+/// `find_newline` search finds the terminator a machine word at a time, the
+/// line is checked as UTF-8 in place and appended to the caller's
+/// [`EntryBlock`]. Only a line that straddles a buffer refill is gathered in
+/// a carry buffer first, which keeps its allocation from line to line.
 #[derive(Debug)]
 pub struct LineLogReader<R> {
     label: String,
@@ -261,61 +343,81 @@ impl<R: BufRead + Send> LineLogReader<R> {
         }
     }
 
-    /// Converts raw line bytes (`\n` already excluded) into the entry
-    /// string. A trailing `\r` is stripped only when a `\n` terminator was
-    /// actually found — `BufRead::read_line` semantics: an unterminated
-    /// final line ending in `\r` keeps that byte. Invalid UTF-8 surfaces as
-    /// an `InvalidData` error whose [`ReaderDefect`] payload names the log
-    /// and the 1-based line number, so a strict-mode failure points at the
-    /// offending line and a lenient run can tally it.
-    fn finish_entry(&mut self, mut line: Vec<u8>, newline_terminated: bool) -> io::Result<String> {
-        self.line += 1;
-        if newline_terminated && line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        String::from_utf8(line).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                ReaderDefect {
-                    label: self.label.clone(),
-                    line: self.line,
-                },
-            )
-        })
-    }
-
-    /// Reads the next line, or `None` at end of stream.
-    fn next_line(&mut self) -> io::Result<Option<String>> {
-        loop {
+    /// Appends lines to `block` until it holds `target` entries or the
+    /// stream ends; stops at the first malformed line, after consuming it.
+    fn fill(&mut self, block: &mut EntryBlock, target: usize) -> io::Result<()> {
+        while block.len() < target {
             let buffer = self.reader.fill_buf()?;
             if buffer.is_empty() {
                 // End of stream: an unterminated final line is still an entry.
                 if self.pending.is_empty() {
-                    return Ok(None);
+                    return Ok(());
                 }
-                let pending = std::mem::take(&mut self.pending);
-                return self.finish_entry(pending, false).map(Some);
+                self.line += 1;
+                let pushed = push_line(block, &self.pending, false, &self.label, self.line);
+                self.pending.clear();
+                return pushed;
             }
-            match find_newline(buffer) {
-                Some(position) => {
-                    let line = if self.pending.is_empty() {
-                        buffer[..position].to_vec()
-                    } else {
-                        let mut line = std::mem::take(&mut self.pending);
-                        line.extend_from_slice(&buffer[..position]);
-                        line
-                    };
-                    self.reader.consume(position + 1);
-                    return self.finish_entry(line, true).map(Some);
-                }
-                None => {
-                    self.pending.extend_from_slice(buffer);
-                    let consumed = buffer.len();
-                    self.reader.consume(consumed);
+            let mut used = 0;
+            let mut pushed = Ok(());
+            while block.len() < target {
+                let Some(position) = find_newline(&buffer[used..]) else {
+                    self.pending.extend_from_slice(&buffer[used..]);
+                    used = buffer.len();
+                    break;
+                };
+                let line = &buffer[used..used + position];
+                used += position + 1;
+                self.line += 1;
+                pushed = if self.pending.is_empty() {
+                    push_line(block, line, true, &self.label, self.line)
+                } else {
+                    self.pending.extend_from_slice(line);
+                    let pushed = push_line(block, &self.pending, true, &self.label, self.line);
+                    self.pending.clear();
+                    pushed
+                };
+                if pushed.is_err() {
+                    break;
                 }
             }
+            self.reader.consume(used);
+            pushed?;
+        }
+        Ok(())
+    }
+}
+
+/// Appends one line (`\n` already excluded) to `block`. A trailing `\r` is
+/// stripped only when a `\n` terminator was actually found —
+/// `BufRead::read_line` semantics: an unterminated final line ending in `\r`
+/// keeps that byte. Invalid UTF-8 surfaces as an `InvalidData` error whose
+/// [`ReaderDefect`] payload names the log and the 1-based line number, so a
+/// strict-mode failure points at the offending line and a lenient run can
+/// tally it.
+fn push_line(
+    block: &mut EntryBlock,
+    mut line: &[u8],
+    newline_terminated: bool,
+    label: &str,
+    number: u64,
+) -> io::Result<()> {
+    if newline_terminated {
+        if let [rest @ .., b'\r'] = line {
+            line = rest;
         }
     }
+    let text = std::str::from_utf8(line).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            ReaderDefect {
+                label: label.to_string(),
+                line: number,
+            },
+        )
+    })?;
+    block.push(text);
+    Ok(())
 }
 
 impl<R: BufRead + Send> LogReader for LineLogReader<R> {
@@ -323,19 +425,14 @@ impl<R: BufRead + Send> LogReader for LineLogReader<R> {
         &self.label
     }
 
-    fn read_batch(&mut self, batch: &mut Vec<String>, max: usize) -> io::Result<usize> {
-        let mut appended = 0;
-        while appended < max {
-            let Some(line) = self.next_line()? else {
-                break;
-            };
-            batch.push(line);
-            appended += 1;
-        }
+    fn read_block(&mut self, block: &mut EntryBlock, max: usize) -> io::Result<usize> {
+        let before = block.len();
+        let filled = self.fill(block, before.saturating_add(max));
+        let appended = block.len() - before;
         if let Some(remaining) = &mut self.estimated_remaining {
             *remaining = remaining.saturating_sub(appended);
         }
-        Ok(appended)
+        filled.map(|()| appended)
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -461,27 +558,53 @@ impl Hasher for RecordHasher {
 /// through [`RecordHasher`].
 pub(crate) type RecordBuildHasher = BuildHasherDefault<RecordHasher>;
 
-/// The tag of one claimed batch: which log it belongs to, its sequence
-/// number within that log, and the 0-based position of its first entry.
-/// Positions are assigned here, under the single batch-source lock, which
-/// is what makes error-exemplar positions identical for every worker count
-/// and batch schedule.
-pub(crate) type BatchTag = (usize, usize, u64);
+/// The tag of one claimed batch: which log it belongs to and the 0-based
+/// position of its first entry in that log. Positions are assigned under
+/// the log's own lane lock, in the log's order, which is what makes
+/// error-exemplar positions identical for every worker count and batch
+/// schedule.
+pub(crate) type BatchTag = (usize, u64);
 
-/// The shared batch dispenser: readers are drained one batch at a time under
-/// a short lock; parsing and fingerprinting happen outside it.
+/// One log's lane of the [`BatchSource`]: its reader and everything the
+/// reader's position decides. Held under the lane's own lock.
+struct Lane<'a> {
+    reader: Box<dyn LogReader + 'a>,
+    /// Entry positions assigned so far (the log's Table-1 total at the end).
+    total: u64,
+    /// Reader-defect tally (only [`ErrorKind::InvalidUtf8`] so far); merged
+    /// into the log's parse tallies at the end of the run.
+    tally: ErrorTally,
+    /// The reader has reported its end.
+    done: bool,
+}
+
+/// The batch dispenser the workers drain: one lane per log, each under its
+/// own lock, so workers reading different logs never wait for each other.
+/// A batch is read under its lane's lock; parsing and fingerprinting happen
+/// outside it.
+///
+/// A worker takes an untaken log from an atomic cursor and claims that
+/// log's batches. Once every log is taken, a worker whose log has run dry
+/// joins an unfinished one, searching onward from its last log, so the
+/// joiners spread over the logs still being read.
+///
+/// A reader error that fails the run stops the lanes of that log and every
+/// later one; earlier logs drain. The run then reports the failure of the
+/// first failing log whatever the schedule, as reading the logs in order
+/// would.
 pub(crate) struct BatchSource<'a> {
-    pub(crate) readers: Vec<Box<dyn LogReader + 'a>>,
-    pub(crate) current: usize,
-    pub(crate) sequence: usize,
-    pub(crate) totals: Vec<u64>,
-    pub(crate) batch_size: usize,
+    lanes: Vec<Mutex<Lane<'a>>>,
+    /// The next log no worker has taken yet (past the end once all are).
+    untaken: AtomicUsize,
+    /// The first failed log (`usize::MAX` while none has): it and the logs
+    /// after it hand out no more batches.
+    stop_from: AtomicUsize,
+    /// The first failed log's index and reader error.
+    failure: Mutex<Option<(usize, io::Error)>>,
+    batch_size: usize,
     /// Whether reader-level defects (malformed lines) recover: tallied
     /// per log here, at the source, instead of failing the run.
-    pub(crate) recover: bool,
-    /// Per-log reader-defect tallies (only [`ErrorKind::InvalidUtf8`] so
-    /// far); merged into the per-log parse tallies at end of run.
-    pub(crate) tallies: Vec<ErrorTally>,
+    recover: bool,
 }
 
 impl<'a> BatchSource<'a> {
@@ -490,66 +613,136 @@ impl<'a> BatchSource<'a> {
         batch_size: usize,
         recover: bool,
     ) -> BatchSource<'a> {
-        let log_count = readers.len();
+        let lanes = readers
+            .into_iter()
+            .map(|reader| {
+                Mutex::new(Lane {
+                    reader,
+                    total: 0,
+                    tally: ErrorTally::default(),
+                    done: false,
+                })
+            })
+            .collect();
         BatchSource {
-            readers,
-            current: 0,
-            sequence: 0,
-            totals: vec![0; log_count],
+            lanes,
+            untaken: AtomicUsize::new(0),
+            stop_from: AtomicUsize::new(usize::MAX),
+            failure: Mutex::new(None),
             batch_size,
             recover,
-            tallies: vec![ErrorTally::default(); log_count],
         }
     }
 
-    /// Fills `batch` with the next batch and returns its [`BatchTag`], or
-    /// `None` when every reader is exhausted.
+    /// Fills the cleared `block` with the next batch of the worker whose
+    /// last lane is `lane` and returns its [`BatchTag`], or `None` when
+    /// every log is drained or stopped. `lane` starts as `None` and follows
+    /// the worker from log to log.
+    pub(crate) fn next_batch(
+        &self,
+        lane: &mut Option<usize>,
+        block: &mut EntryBlock,
+    ) -> Option<BatchTag> {
+        if let Some(index) = *lane {
+            if let Some(start) = self.claim(index, block) {
+                return Some((index, start));
+            }
+        }
+        let count = self.lanes.len();
+        let ticket = loop {
+            let ticket = self.untaken.fetch_add(1, Ordering::Relaxed);
+            if ticket >= count {
+                break ticket;
+            }
+            *lane = Some(ticket);
+            if let Some(start) = self.claim(ticket, block) {
+                return Some((ticket, start));
+            }
+        };
+        // Every log is taken: join an unfinished one. A worker that never
+        // had a log starts where its ticket points, so the joiners fan out.
+        let from = lane.map_or(ticket, |index| index + 1);
+        for step in 0..count {
+            let index = (from + step) % count;
+            if let Some(start) = self.claim(index, block) {
+                *lane = Some(index);
+                return Some((index, start));
+            }
+        }
+        None
+    }
+
+    /// Reads the next batch of lane `index` into `block` under that lane's
+    /// lock and returns the position of its first entry, or `None` when the
+    /// lane is drained.
     ///
     /// A recoverable reader defect (a malformed line, when `recover` is
     /// set) is tallied here and consumes one entry position; the partially
     /// filled batch — the valid lines read before the defect — is returned
-    /// immediately so every batch stays position-contiguous. On a real I/O
-    /// error (or any reader error in strict mode) the source marks itself
-    /// exhausted so other workers drain out.
-    pub(crate) fn next_batch(&mut self, batch: &mut Vec<String>) -> io::Result<Option<BatchTag>> {
+    /// immediately so every batch stays position-contiguous. A real I/O
+    /// error (or any reader error in strict mode) fails the run: it is kept
+    /// for [`finish`](BatchSource::finish) unless an earlier log has failed,
+    /// and this lane and the later ones stop.
+    fn claim(&self, index: usize, block: &mut EntryBlock) -> Option<u64> {
+        debug_assert!(block.is_empty(), "a claim fills a cleared block");
+        let mut lane = self.lanes[index]
+            .lock()
+            .expect("fused workers must not panic");
         loop {
-            if self.current >= self.readers.len() {
-                return Ok(None);
+            if lane.done || index >= self.stop_from.load(Ordering::Relaxed) {
+                return None;
             }
-            let before = batch.len();
-            match self.readers[self.current].read_batch(batch, self.batch_size) {
-                Ok(0) => {
-                    self.current += 1;
-                    self.sequence = 0;
-                }
+            let start = lane.total;
+            match lane.reader.read_block(block, self.batch_size) {
+                Ok(0) => lane.done = true,
                 Ok(appended) => {
-                    let start = self.totals[self.current];
-                    self.totals[self.current] += appended as u64;
-                    let tag = (self.current, self.sequence, start);
-                    self.sequence += 1;
-                    return Ok(Some(tag));
+                    lane.total += appended as u64;
+                    return Some(start);
                 }
                 Err(error) => {
-                    // Lines read before the defect are already in `batch`.
-                    let appended = (batch.len() - before) as u64;
+                    // Lines read before the defect are already in `block`.
+                    let appended = block.len() as u64;
                     if self.recover && reader_defect(&error) {
-                        let start = self.totals[self.current];
-                        self.tallies[self.current].record(ErrorKind::InvalidUtf8, start + appended);
+                        lane.tally.record(ErrorKind::InvalidUtf8, start + appended);
                         // The defective line occupies an entry position of
                         // its own, after the lines that preceded it.
-                        self.totals[self.current] += appended + 1;
+                        lane.total += appended + 1;
                         if appended > 0 {
-                            let tag = (self.current, self.sequence, start);
-                            self.sequence += 1;
-                            return Ok(Some(tag));
+                            return Some(start);
                         }
                         continue;
                     }
-                    self.current = self.readers.len();
-                    return Err(error);
+                    lane.done = true;
+                    block.clear();
+                    let mut failure = self.failure.lock().expect("fused workers must not panic");
+                    if failure.as_ref().is_none_or(|&(first, _)| index < first) {
+                        *failure = Some((index, error));
+                        self.stop_from.fetch_min(index, Ordering::Relaxed);
+                    }
+                    return None;
                 }
             }
         }
+    }
+
+    /// Each log's entry count and reader-defect tally, in reader order, or
+    /// the reader error that failed the run.
+    pub(crate) fn finish(self) -> io::Result<Vec<(u64, ErrorTally)>> {
+        let failure = self
+            .failure
+            .into_inner()
+            .expect("fused workers must not panic");
+        if let Some((_, error)) = failure {
+            return Err(error);
+        }
+        Ok(self
+            .lanes
+            .into_iter()
+            .map(|lane| {
+                let lane = lane.into_inner().expect("fused workers must not panic");
+                (lane.total, lane.tally)
+            })
+            .collect())
     }
 }
 

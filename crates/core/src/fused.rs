@@ -4,7 +4,22 @@
 //! [`analyze_streams`] runs one self-scheduling worker pool: workers pull
 //! batches from [`LogReader`]s and resolve every entry to an occurrence of a
 //! canonical form (or to a tallied error) at the cheapest level that knows
-//! it. An entry meets one of three fates:
+//! it.
+//!
+//! Each log is a **lane** with its own lock. A worker takes a log no other
+//! worker has taken and claims that log's batches; once every log is taken,
+//! a worker whose log has run dry joins an unfinished one, searching onward
+//! from its last log so the joiners spread out. Workers on different logs
+//! never wait for each other. A claim reads the batch, under the lane's
+//! lock, into the worker's one [`EntryBlock`] — the entries back to back in
+//! one `String` — which is cleared and reused on every claim, so
+//! steady-state reading allocates nothing per entry. The lane assigns the
+//! batch's entry positions in log order, so error positions do not depend on
+//! the schedule. A reader error that fails the run stops its log and the
+//! later ones while the earlier logs drain, so the run reports the first
+//! failing log's error, as reading the logs in order would.
+//!
+//! An entry meets one of three fates:
 //!
 //! * a **memo hit** — this worker resolved these bytes, or these tokens,
 //!   before. A fixed-size, direct-mapped, per-worker entry memo maps a
@@ -101,8 +116,8 @@ use crate::analysis::{
 };
 use crate::cache::{AnalysisCache, ClassId};
 use crate::corpus::{
-    clamp_workers, default_workers, BatchSource, CorpusCounts, FingerprintBuildHasher, LogReader,
-    RecordBuildHasher, INGEST_CHUNK,
+    clamp_workers, default_workers, BatchSource, CorpusCounts, EntryBlock, FingerprintBuildHasher,
+    LogReader, RecordBuildHasher, INGEST_CHUNK,
 };
 use crate::query_analysis::QueryAnalysis;
 use crate::recover::{enforce_budget, ErrorTally, RecoveryContext, RecoveryPolicy};
@@ -116,7 +131,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Tuning knobs for the fused engine. The report never depends on them —
 /// only the schedule and the memory profile do.
@@ -359,7 +374,7 @@ impl FusedWorker {
         &mut self,
         log_index: usize,
         start: u64,
-        batch: &[String],
+        batch: &EntryBlock,
         cache: &AnalysisCache,
         ctx: &RecoveryContext,
         label: &str,
@@ -491,7 +506,7 @@ pub fn analyze_streams_cached(
     let ctx = RecoveryContext::new(options.recovery);
     let labels: Vec<String> = readers.iter().map(|r| r.label().to_string()).collect();
     let log_count = readers.len();
-    let mut source = BatchSource::new(readers, batch_size, ctx.policy.recovers());
+    let source = BatchSource::new(readers, batch_size, ctx.policy.recovers());
 
     // Observability handles, hoisted once: spans are batch-granular (one
     // clock pair per batch, never per entry) and counters flush totals in
@@ -516,35 +531,33 @@ pub fn analyze_streams_cached(
         inflight.fetch_sub(entries, Ordering::Relaxed);
     };
 
-    // The one claim loop: take the next batch under the source lock, resolve
-    // it outside the lock, until the source drains or an entry is fatal. A
-    // lone worker runs it on the calling thread.
+    // The one claim loop: read the next batch into the worker's block under
+    // its log's lane lock, resolve it outside the lock, until every lane
+    // drains or an entry is fatal. A lone worker runs it on the calling
+    // thread.
     let states: Vec<FusedWorker> = {
-        let source = Mutex::new(&mut source);
         let run_worker = || -> io::Result<FusedWorker> {
             let mut worker = FusedWorker::new(log_count);
-            let mut batch = Vec::new();
+            let mut block = EntryBlock::new();
+            let mut lane = None;
             loop {
-                batch.clear();
+                block.clear();
                 let claimed = {
                     let _read_span = read_us.span();
-                    source
-                        .lock()
-                        .expect("fused workers must not panic")
-                        .next_batch(&mut batch)?
+                    source.next_batch(&mut lane, &mut block)
                 };
-                let Some((log_index, _sequence, start)) = claimed else {
+                let Some((log_index, start)) = claimed else {
                     return Ok(worker);
                 };
-                note_claimed(batch.len());
+                note_claimed(block.len());
                 if metrics_on {
-                    read_bytes.add(batch.iter().map(|entry| entry.len() as u64).sum());
+                    read_bytes.add(block.text_len() as u64);
                 }
                 let processed = {
                     let _parse_span = parse_us.span();
-                    worker.process_batch(log_index, start, &batch, cache, &ctx, &labels[log_index])
+                    worker.process_batch(log_index, start, &block, cache, &ctx, &labels[log_index])
                 };
-                note_done(batch.len());
+                note_done(block.len());
                 processed?;
             }
         };
@@ -569,7 +582,7 @@ pub fn analyze_streams_cached(
     // budget check and the occurrence-weighted fold.
     let _merge_span = obs::global().histogram("pipeline_merge_us").span();
     let mut merged: Vec<OccurrenceMap> = (0..log_count).map(|_| HashMap::default()).collect();
-    let mut tallies: Vec<ErrorTally> = std::mem::take(&mut source.tallies);
+    let (totals, mut tallies): (Vec<u64>, Vec<ErrorTally>) = source.finish()?.into_iter().unzip();
     let mut interner_stats = InternStats::default();
     let mut lookups = 0u64;
     let (mut memo_probes, mut memo_hits, mut memo_token_hits) = (0u64, 0u64, 0u64);
@@ -627,7 +640,7 @@ pub fn analyze_streams_cached(
         summaries.push(LogSummary {
             label,
             counts: CorpusCounts {
-                total: source.totals[log_index],
+                total: totals[log_index],
                 valid,
                 unique: map.len() as u64,
                 bodyless,
@@ -979,15 +992,13 @@ mod tests {
     #[test]
     fn byte_identical_repeats_hit_the_memo_and_defects_never_do() {
         let deep = format!("SELECT * WHERE {}{}", "{ ".repeat(300), "} ".repeat(300));
-        let batch: Vec<String> = [
+        let batch = batch_of(&[
             ENTRIES[0], ENTRIES[1], // same tokens, new layout: the token key resolves it
             ENTRIES[2], // plain syntax failure: memoized
             &deep,      // a defect: guarded every time
             ENTRIES[0], ENTRIES[2], &deep, ENTRIES[1],
-        ]
-        .iter()
-        .map(|entry| entry.to_string())
-        .collect();
+        ]);
+        let first = batch_of(&ENTRIES[..1]);
         let cache = AnalysisCache::new();
         let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
         let mut worker = FusedWorker::new(2);
@@ -1015,7 +1026,7 @@ mod tests {
         // not counted the form yet. The shared cache has the record, so the
         // hit stands and no lookup is spent.
         worker
-            .process_batch(1, 0, &batch[..1], &cache, &ctx, "test")
+            .process_batch(1, 0, &first, &cache, &ctx, "test")
             .unwrap();
         assert_eq!((worker.memo_hits, worker.lookups), (5, 1));
         assert_eq!(
@@ -1033,7 +1044,7 @@ mod tests {
         let cold = AnalysisCache::new();
         worker.counts[1].clear();
         worker
-            .process_batch(1, 1, &batch[..1], &cold, &ctx, "test")
+            .process_batch(1, 1, &first, &cold, &ctx, "test")
             .unwrap();
         assert_eq!((worker.memo_hits, worker.lookups), (5, 2));
         assert_eq!(
@@ -1053,8 +1064,12 @@ mod tests {
         assert!(error.to_string().contains("entry 103"), "{error}");
     }
 
-    fn batch_of(entries: &[&str]) -> Vec<String> {
-        entries.iter().map(|entry| entry.to_string()).collect()
+    fn batch_of(entries: &[&str]) -> EntryBlock {
+        let mut block = EntryBlock::new();
+        for entry in entries {
+            block.push(entry);
+        }
+        block
     }
 
     #[test]
@@ -1110,7 +1125,8 @@ mod tests {
         }
 
         // The same log through the oracle: the same counts and tallies.
-        let oracle = analyze_reference(&[RawLog::new("test", batch)], Population::Valid);
+        let raw = batch.iter().map(str::to_owned).collect();
+        let oracle = analyze_reference(&[RawLog::new("test", raw)], Population::Valid);
         let fused = analyze_streams(readers_of(&entries), Population::Valid).unwrap();
         assert_eq!(fused.summaries[0].counts, oracle.datasets[0].counts);
         assert_eq!(fused.summaries[0].errors, oracle.datasets[0].errors);

@@ -10,7 +10,9 @@
 //!   raw entries to a [`CorpusAnalysis`].
 //! * [`corpus`] — its input side: [`corpus::RawLog`], the Table-1
 //!   [`CorpusCounts`], the streaming [`corpus::LogReader`]s (in-memory,
-//!   line-oriented, file-backed) and the position-assigning batch source.
+//!   line-oriented, file-backed), the reusable [`corpus::EntryBlock`] a
+//!   worker reads each batch into, and the batch source: one lane per log,
+//!   each under its own lock, assigning entry positions.
 //! * [`query_analysis`] — the single-pass per-query intermediate
 //!   ([`QueryAnalysis`]): one AST traversal and one canonical-graph
 //!   construction feed every measure.
@@ -90,8 +92,8 @@ pub mod report;
 pub use analysis::{AnalysisStats, CorpusAnalysis, DatasetAnalysis, Population};
 pub use cache::{AnalysisCache, CacheStats};
 pub use corpus::{
-    default_workers, CorpusCounts, FileLogReader, LineLogReader, LogReader, MemoryLogReader,
-    RawLog, SliceLogReader,
+    default_workers, CorpusCounts, EntryBlock, FileLogReader, LineLogReader, LogReader,
+    MemoryLogReader, RawLog, SliceLogReader,
 };
 pub use fused::{
     analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,

@@ -351,8 +351,8 @@ impl RecoveryContext {
     /// any genuine panic — while lexing, parsing, fingerprinting or
     /// analysing in `resolve` — are caught here, at the batch boundary, and
     /// surface as a structured [`ErrorKind::WorkerPanic`] error instead of
-    /// unwinding into the worker pool (which would poison the shared
-    /// batch-source mutex). After a caught panic the caller must
+    /// unwinding into the worker pool (which would poison the lane locks
+    /// of the batch source). After a caught panic the caller must
     /// [`Arena::trim`] the arena it passed, since the unwind may have left a
     /// partially filled chunk.
     pub(crate) fn parse_entry<'a, T>(

@@ -8,6 +8,7 @@ use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{
     analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, SliceLogReader,
 };
+use sparqlog::core::report::full_report;
 use sparqlog::core::RawLog;
 use sparqlog::synth::{generate_corpus, CorpusConfig};
 
@@ -85,14 +86,31 @@ fn parallel_ingestion_is_identical_to_sequential() {
 fn streaming_ingestion_is_deterministic_across_schedules() {
     // Worker count and batch size shuffle which worker parses which batch
     // and whose occurrence map counts which duplicate; the per-log
-    // summaries (counts, fingerprint/occurrence lists, tallies) must not
-    // move.
+    // summaries (counts, fingerprint/occurrence lists, tallies) and the
+    // report must not move. Each log is a lane of its own: the 13 skewed
+    // logs give every worker a lane and leave the others to join; one log
+    // puts every worker on one lane, and two logs at 8 workers have more
+    // workers than lanes.
     let logs = corpus_logs();
-    let reference = fused(&logs, Population::Valid, 1, 0).summaries;
-    for workers in [1, 2, 8] {
-        for batch in [1, 7, 512] {
-            let streamed = fused(&logs, Population::Valid, workers, batch).summaries;
-            assert_eq!(streamed, reference, "workers {workers}, batch {batch}");
+    let joined = RawLog::new(
+        "joined",
+        logs.iter().flat_map(|l| l.entries.clone()).collect(),
+    );
+    let shapes = [
+        ("13 logs", logs.clone()),
+        ("1 log", vec![joined]),
+        ("2 logs", logs[..2].to_vec()),
+    ];
+    for (shape, logs) in &shapes {
+        let reference = fused(logs, Population::Valid, 1, 0);
+        let report = full_report(&reference.corpus);
+        for workers in [1, 2, 8] {
+            for batch in [1, 7, 512] {
+                let streamed = fused(logs, Population::Valid, workers, batch);
+                let at = format!("{shape}, workers {workers}, batch {batch}");
+                assert_eq!(streamed.summaries, reference.summaries, "{at}");
+                assert_eq!(full_report(&streamed.corpus), report, "{at}");
+            }
         }
     }
 }
