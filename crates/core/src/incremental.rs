@@ -187,11 +187,15 @@ impl LogSlots {
         Ok(())
     }
 
+    /// The results of the slots filled so far, in input order.
+    pub fn logs(&self) -> impl Iterator<Item = &Arc<PersistedLog>> {
+        self.slots.iter().flatten()
+    }
+
     /// The corpus over the slots filled so far: datasets in input order,
     /// empty slots skipped, the "Total" row merged from the rest.
     pub fn corpus(&self) -> CorpusAnalysis {
-        let datasets = self.slots.iter().flatten();
-        CorpusAnalysis::from_datasets(datasets.map(|log| log.analysis.clone()).collect())
+        CorpusAnalysis::from_datasets(self.logs().map(|log| log.analysis.clone()).collect())
     }
 
     /// Takes a full slot set apart into the per-log summaries and the

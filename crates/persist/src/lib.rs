@@ -10,6 +10,8 @@
 //!   directory entry at creation). [`SnapshotStore::open`] scans the file,
 //!   truncates anything after the last valid commit, and reports exactly
 //!   which byte range was dropped and why. It never panics on any input.
+//!   In memory it keeps only where each snapshot sits in the file;
+//!   [`SnapshotStore::load`] reads one back and checks it.
 //! * [`faults`] — opt-in crash injection (`SPARQLOG_PERSIST_FAULT`) at the
 //!   four interesting instants of the commit protocol, driving the CI
 //!   crash drill the same way the shard fault knobs drive the supervisor
@@ -47,7 +49,7 @@
 //! // A fresh process reopens the store; the recovery scan finds it clean.
 //! let (store, report) = SnapshotStore::open(dir.join("snapshots.sqps"))?;
 //! assert!(report.is_clean());
-//! assert_eq!(store.get(key).map(|hit| hit.as_ref()), Some(&log));
+//! assert_eq!(store.load(key)?, Some(log));
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -59,4 +61,4 @@ pub mod faults;
 pub mod store;
 
 pub use faults::{FaultMode, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
-pub use store::{JobLog, JobRecord, RecoveryReason, RecoveryReport, SnapshotStore};
+pub use store::{JobLog, JobRecord, RecoveryReason, RecoveryReport, SnapshotRef, SnapshotStore};

@@ -30,6 +30,19 @@
 //! be looked up again. A file of an older version fails the header check and
 //! is reinitialized (see Recovery), so each of its logs is re-analysed once.
 //!
+//! # The index holds locations
+//!
+//! In memory the store keeps, per snapshot key, only where its frame sits
+//! in the file (offset and length), the payload behind that one
+//! indirection. [`SnapshotStore::load`] reads the frame back with a
+//! positional read and checks it exactly as the recovery scan does
+//! (trailer checksum, then the record decoding); a record that no longer
+//! checks is an [`io::ErrorKind::InvalidData`] error. A caller that must not
+//! hold the store's lock while decoding takes a [`SnapshotRef`]
+//! ([`SnapshotStore::locate`]) under it and loads through that afterwards.
+//! [`SnapshotStore::get`] is a measuring-harness adapter that keeps the
+//! decoded log of each key it is asked for; no library code calls it.
+//!
 //! # Durability protocol
 //!
 //! * Creating the store writes the header, `fsync`s the file, then
@@ -42,12 +55,14 @@
 //!
 //! # Recovery
 //!
-//! [`SnapshotStore::open`] scans the whole file front to back, verifying
-//! every record's length, checksum and decoding, and applying records to
-//! the in-memory index only when their covering commit record is reached
-//! intact. The first invalid point — torn length varint, short payload,
-//! checksum mismatch, undecodable payload, commit-sequence gap — stops the
-//! scan; the file is truncated back to the end of the **last valid
+//! [`SnapshotStore::open`] streams the whole file front to back through one
+//! buffered reader, verifying every record's length, checksum and decoding,
+//! and applying records to the in-memory index only when their covering
+//! commit record is reached intact; a decoded snapshot is dropped as soon as
+//! it has been checked, so opening costs neither the file's size nor its
+//! snapshots' in memory. The first invalid point — torn length varint, short
+//! payload, checksum mismatch, undecodable payload, commit-sequence gap —
+//! stops the scan; the file is truncated back to the end of the **last valid
 //! commit** and the [`RecoveryReport`] names exactly which byte range was
 //! dropped and why. A file whose header is damaged is reinitialized from
 //! scratch (reported as [`RecoveryReason::BadHeader`] with the full former
@@ -65,10 +80,11 @@ use sparqlog_shard::snapshot::Snapshot;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The store file's magic bytes.
 pub const MAGIC: [u8; 4] = *b"SQPS";
@@ -275,7 +291,8 @@ impl fmt::Display for RecoveryReport {
 /// records, [`SnapshotStore::commit`] makes them durable.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    file: File,
+    /// Shared with every [`SnapshotRef`], which reads through it.
+    file: Arc<File>,
     path: PathBuf,
     /// Bytes written so far, including uncommitted appends.
     length: u64,
@@ -285,19 +302,83 @@ pub struct SnapshotStore {
     seq: u64,
     /// Records appended since the last commit.
     pending: u64,
-    /// Shared, not copied, by every job a hit merges into.
-    index: HashMap<u128, Arc<PersistedLog>>,
+    /// Where each snapshot's frame sits in the file; the payload stays on
+    /// disk until [`SnapshotStore::load`] reads it.
+    index: HashMap<u128, Entry>,
     jobs: Vec<JobRecord>,
     /// `jobs` encoded: "the same job" means a byte-identical manifest.
     job_identities: HashSet<Vec<u8>>,
 }
 
-/// A record decoded during the recovery scan, held provisionally until its
-/// covering commit record arrives intact.
+/// Where one record's whole frame (length varint, payload, checksum) sits
+/// in the store file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Frame {
+    offset: u64,
+    len: u64,
+}
+
+/// One snapshot's index entry: its frame, plus the decoded log once
+/// [`SnapshotStore::get`] has been asked for it (never filled otherwise).
+#[derive(Debug)]
+struct Entry {
+    frame: Frame,
+    decoded: OnceLock<Arc<PersistedLog>>,
+}
+
+/// A record read during the recovery scan, held provisionally until its
+/// covering commit record arrives intact: a snapshot only by where it
+/// sits, a job manifest decoded.
+enum Staged {
+    Snapshot(u128, Frame),
+    Job(JobRecord),
+}
+
+/// A decoded record payload.
 enum Decoded {
-    Snapshot(u128, Arc<PersistedLog>),
+    Snapshot(u128, Box<PersistedLog>),
     Job(JobRecord),
     Commit { seq: u64, records: u64 },
+}
+
+/// One persisted snapshot's place in the store file, taken by
+/// [`SnapshotStore::locate`] (a handle and two numbers, nothing decoded)
+/// and read back by [`SnapshotRef::load`] without the store itself, so a
+/// caller can decode outside whatever lock guards the store.
+#[derive(Debug, Clone)]
+pub struct SnapshotRef {
+    file: Arc<File>,
+    key: u128,
+    frame: Frame,
+}
+
+impl SnapshotRef {
+    /// Reads the snapshot's frame and checks it as the recovery scan does:
+    /// the checksum trailer, then the record's decoding, which must be a
+    /// snapshot under this key. A record that fails either check is an
+    /// [`io::ErrorKind::InvalidData`] error, never a panic.
+    pub fn load(&self) -> io::Result<PersistedLog> {
+        let Frame { offset, len } = self.frame;
+        let invalid = |detail: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("store record at byte {offset}: {detail}"),
+            )
+        };
+        let mut bytes = vec![0u8; len as usize];
+        self.file.read_exact_at(&mut bytes, offset)?;
+        let mut frames = FrameReader::at_offset(bytes.as_slice(), offset);
+        let payload = match frames.next_frame() {
+            Ok(Some((payload, _))) if frames.offset() == offset + len => payload,
+            Ok(_) => return Err(invalid("frame length changed".to_string())),
+            Err(error) => return Err(invalid(error.to_string())),
+        };
+        match decode_record(&payload) {
+            Ok(Decoded::Snapshot(key, log)) if key == self.key => Ok(*log),
+            Ok(_) => Err(invalid(format!("not the snapshot of key {:#x}", self.key))),
+            Err(detail) => Err(invalid(detail)),
+        }
+    }
 }
 
 impl SnapshotStore {
@@ -306,31 +387,35 @@ impl SnapshotStore {
     /// any file content; the report says what was kept and dropped.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(SnapshotStore, RecoveryReport)> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let file_bytes = bytes.len() as u64;
+        let file = Arc::new(
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&path)?,
+        );
+        let file_bytes = file.metadata()?.len();
+        let mut reader = BufReader::new(&*file);
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
+        (&mut reader).take(HEADER_LEN).read_to_end(&mut header)?;
 
         // Header check: empty file → fresh store; damaged header → the
         // content is unreadable by construction, reinitialize.
         let header_ok =
-            bytes.len() >= HEADER_LEN as usize && bytes[..4] == MAGIC && bytes[4] == VERSION;
+            header.len() == HEADER_LEN as usize && header[..4] == MAGIC && header[4] == VERSION;
         if !header_ok {
-            let reason = if bytes.is_empty() {
+            drop(reader);
+            let reason = if file_bytes == 0 {
                 RecoveryReason::Created
             } else {
                 RecoveryReason::BadHeader
             };
             file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
+            (&*file).seek(SeekFrom::Start(0))?;
             let mut header = MAGIC.to_vec();
             header.push(VERSION);
-            file.write_all(&header)?;
+            (&*file).write_all(&header)?;
             file.sync_all()?;
             sync_parent_dir(&path)?;
             let report = RecoveryReport {
@@ -348,12 +433,13 @@ impl SnapshotStore {
         }
 
         // Scan records, applying them only at intact commit points.
-        let mut store = SnapshotStore::fresh(file, path);
-        let mut frames = FrameReader::at_offset(&bytes[HEADER_LEN as usize..], HEADER_LEN);
-        let mut provisional: Vec<Decoded> = Vec::new();
+        let mut frames = FrameReader::at_offset(reader, HEADER_LEN);
+        let mut store = SnapshotStore::fresh(Arc::clone(&file), path);
+        let mut provisional: Vec<Staged> = Vec::new();
         let mut commits = 0u64;
         let mut stop: Option<RecoveryReason> = None;
         loop {
+            let offset = frames.offset();
             let payload = match frames.next_frame() {
                 Ok(Some((payload, _))) => payload,
                 Ok(None) => break,
@@ -387,13 +473,22 @@ impl SnapshotStore {
                     store.committed = end;
                     commits += 1;
                 }
-                Ok(record) => provisional.push(record),
+                // Checked, so only its place is kept.
+                Ok(Decoded::Snapshot(key, _)) => {
+                    let frame = Frame {
+                        offset,
+                        len: end - offset,
+                    };
+                    provisional.push(Staged::Snapshot(key, frame));
+                }
+                Ok(Decoded::Job(job)) => provisional.push(Staged::Job(job)),
                 Err(detail) => {
                     stop = Some(RecoveryReason::Malformed { detail });
                     break;
                 }
             }
         }
+        drop(frames);
 
         let dropped_records = provisional.len() as u64;
         let reason = match stop {
@@ -405,10 +500,10 @@ impl SnapshotStore {
         if kept < file_bytes {
             // Drop the invalid tail durably so a later crash cannot
             // resurrect it behind freshly-appended records.
-            store.file.set_len(kept)?;
-            store.file.sync_data()?;
+            file.set_len(kept)?;
+            file.sync_data()?;
         }
-        store.file.seek(SeekFrom::Start(kept))?;
+        (&*file).seek(SeekFrom::Start(kept))?;
         store.length = kept;
         let report = RecoveryReport {
             file_bytes,
@@ -424,7 +519,7 @@ impl SnapshotStore {
         Ok((store, report))
     }
 
-    fn fresh(file: File, path: PathBuf) -> SnapshotStore {
+    fn fresh(file: Arc<File>, path: PathBuf) -> SnapshotStore {
         SnapshotStore {
             file,
             path,
@@ -438,17 +533,19 @@ impl SnapshotStore {
         }
     }
 
-    fn apply(&mut self, record: Decoded) {
+    fn apply(&mut self, record: Staged) {
         match record {
-            Decoded::Snapshot(key, log) => {
-                self.index.insert(key, log);
-            }
-            Decoded::Job(job) => {
+            Staged::Snapshot(key, frame) => self.index_snapshot(key, frame),
+            Staged::Job(job) => {
                 self.job_identities.insert(encode_manifest(&job));
                 self.jobs.push(job);
             }
-            Decoded::Commit { .. } => unreachable!("commits are applied in the scan"),
         }
+    }
+
+    fn index_snapshot(&mut self, key: u128, frame: Frame) {
+        let decoded = OnceLock::new();
+        self.index.insert(key, Entry { frame, decoded });
     }
 
     /// The store file's path.
@@ -456,10 +553,39 @@ impl SnapshotStore {
         &self.path
     }
 
-    /// The persisted analysis for `key`, if present. Callers that keep it
-    /// take an [`Arc::clone`], sharing the store's allocation.
+    /// Where the snapshot under `key` sits, if one is persisted: a cheap
+    /// handle whose [`SnapshotRef::load`] reads and decodes it later,
+    /// without this store.
+    pub fn locate(&self, key: u128) -> Option<SnapshotRef> {
+        let entry = self.index.get(&key)?;
+        Some(SnapshotRef {
+            file: Arc::clone(&self.file),
+            key,
+            frame: entry.frame,
+        })
+    }
+
+    /// Reads and decodes the snapshot under `key`: `Ok(None)` when none is
+    /// persisted, an [`io::ErrorKind::InvalidData`] error when its record no
+    /// longer passes the checksum or decoding (see [`SnapshotRef::load`]).
+    pub fn load(&self, key: u128) -> io::Result<Option<PersistedLog>> {
+        self.locate(key).map(|located| located.load()).transpose()
+    }
+
+    /// The snapshot under `key`, decoded on first use and then kept for the
+    /// store's lifetime; `None` when none is persisted or it fails to load.
+    ///
+    /// An adapter for the measuring harness, which times a store hit as
+    /// `get` + clone. No library code calls it: a caller that keeps the
+    /// decoded log would grow the daemon with every log it serves, so the
+    /// library reads through [`SnapshotStore::load`] instead.
     pub fn get(&self, key: u128) -> Option<&Arc<PersistedLog>> {
-        self.index.get(&key)
+        let entry = self.index.get(&key)?;
+        if entry.decoded.get().is_none() {
+            let log = self.load(key).ok()??;
+            let _ = entry.decoded.set(Arc::new(log));
+        }
+        entry.decoded.get()
     }
 
     /// Number of persisted per-log snapshots.
@@ -511,8 +637,9 @@ impl SnapshotStore {
         payload.put_u128(key);
         log.summary.encode(&mut payload);
         log.analysis.encode(&mut payload);
-        self.append_record(&payload.into_bytes())?;
-        self.index.insert(key, Arc::new(log.clone()));
+        let offset = self.length;
+        let len = self.append_record(&payload.into_bytes())?;
+        self.index_snapshot(key, Frame { offset, len });
         Ok(true)
     }
 
@@ -533,10 +660,11 @@ impl SnapshotStore {
         Ok(true)
     }
 
-    fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
+    /// Appends one record's frame; returns the frame's length.
+    fn append_record(&mut self, payload: &[u8]) -> io::Result<u64> {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, payload)?;
-        self.file.write_all(&bytes)?;
+        (&*self.file).write_all(&bytes)?;
         self.length += bytes.len() as u64;
         self.pending += 1;
         if obs::enabled() {
@@ -546,7 +674,7 @@ impl SnapshotStore {
                 .counter("persist_appended_bytes_total")
                 .add(bytes.len() as u64);
         }
-        Ok(())
+        Ok(bytes.len() as u64)
     }
 
     /// Commits every record appended since the last commit: writes the
@@ -571,10 +699,10 @@ impl SnapshotStore {
         write_frame(&mut bytes, &payload.into_bytes())?;
         if fault == Some(FaultMode::DieMidFrame) {
             // A torn write: half the commit record reaches the file.
-            let _ = self.file.write_all(&bytes[..bytes.len() / 2]);
+            let _ = (&*self.file).write_all(&bytes[..bytes.len() / 2]);
             std::process::exit(FAULT_EXIT);
         }
-        self.file.write_all(&bytes)?;
+        (&*self.file).write_all(&bytes)?;
         if fault == Some(FaultMode::DieAfterCommitPreFsync) {
             // The commit record is in the page cache but not fsynced; a
             // process death (unlike power loss) keeps it.
@@ -611,12 +739,10 @@ impl SnapshotStore {
             return Ok(());
         }
         let target = HEADER_LEN + span / 2;
-        self.file.seek(SeekFrom::Start(target))?;
         let mut byte = [0u8; 1];
-        self.file.read_exact(&mut byte)?;
+        self.file.read_exact_at(&mut byte, target)?;
         byte[0] ^= 1;
-        self.file.seek(SeekFrom::Start(target))?;
-        self.file.write_all(&byte)?;
+        self.file.write_all_at(&byte, target)?;
         self.file.sync_data()
     }
 }
@@ -653,7 +779,7 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
                 let key = input.take_u128()?;
                 let summary = LogSummary::decode(&mut input)?;
                 let analysis = DatasetAnalysis::decode(&mut input)?;
-                Decoded::Snapshot(key, Arc::new(PersistedLog { summary, analysis }))
+                Decoded::Snapshot(key, Box::new(PersistedLog { summary, analysis }))
             }
             TAG_JOB => {
                 let population = match input.take_u8()? {
@@ -814,11 +940,58 @@ mod tests {
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::Clean);
         assert_eq!((report.commits, report.snapshots, report.jobs), (1, 2, 1));
-        assert_eq!(store.get(1).map(Arc::as_ref), Some(&alpha));
-        assert_eq!(store.get(2).map(Arc::as_ref), Some(&beta));
+        assert_eq!(store.load(1).unwrap(), Some(alpha));
+        assert_eq!(store.load(2).unwrap(), Some(beta));
         assert_eq!(store.jobs(), &[sample_job()]);
         assert_eq!(store.sequence(), 1);
         assert_eq!(store.snapshot_keys(), vec![1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_loads_as_soon_as_it_is_appended_and_keeps_only_its_place() {
+        let dir = scratch("load");
+        let path = dir.join("store.sqps");
+        let (mut store, _) = SnapshotStore::open(&path).unwrap();
+        let alpha = sample("alpha");
+        assert!(store.record_snapshot(1, &alpha).unwrap());
+        // Readable before the commit: the frame is in the file already.
+        assert_eq!(store.load(1).unwrap(), Some(alpha.clone()));
+        assert_eq!(store.load(2).unwrap(), None);
+        let entry = &store.index[&1];
+        assert_eq!(entry.frame.offset, HEADER_LEN);
+        assert_eq!(entry.frame.len, store.total_bytes() - HEADER_LEN);
+        assert!(entry.decoded.get().is_none(), "load must not keep the log");
+        store.commit().unwrap();
+        let located = store.locate(1).unwrap();
+        drop(store);
+        // A handle outlives the store that handed it out.
+        assert_eq!(located.load().unwrap(), alpha);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_damaged_after_open_fails_to_load_as_invalid_data() {
+        let dir = scratch("damaged");
+        let path = dir.join("store.sqps");
+        let (mut store, _) = SnapshotStore::open(&path).unwrap();
+        store.record_snapshot(1, &sample("alpha")).unwrap();
+        let second = store.total_bytes();
+        store.record_snapshot(2, &sample("beta")).unwrap();
+        store.commit().unwrap();
+        // Flip a payload bit of the second snapshot behind the store's back.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[second as usize + 3] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let error = store.load(2).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("checksum"), "{error}");
+        assert!(store.load(1).unwrap().is_some());
+        // A frame whose length no longer matches its place is caught too.
+        bytes[HEADER_LEN as usize] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let error = store.load(1).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -839,8 +1012,8 @@ mod tests {
         assert_eq!(report.reason, RecoveryReason::Uncommitted);
         assert_eq!(report.dropped, Some(committed..total));
         assert_eq!(report.dropped_records, 1);
-        assert!(store.get(1).is_some());
-        assert!(store.get(2).is_none());
+        assert!(store.load(1).unwrap().is_some());
+        assert!(store.load(2).unwrap().is_none());
         assert_eq!(store.total_bytes(), committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -862,7 +1035,7 @@ mod tests {
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::TornRecord);
         assert_eq!(report.dropped, Some(committed..committed + 4));
-        assert!(store.get(1).is_some());
+        assert!(store.load(1).unwrap().is_some());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -890,8 +1063,8 @@ mod tests {
             RecoveryReason::ChecksumMismatch { .. }
         ));
         assert_eq!(report.kept_bytes, first);
-        assert!(store.get(1).is_some());
-        assert!(store.get(2).is_none());
+        assert!(store.load(1).unwrap().is_some());
+        assert!(store.load(2).unwrap().is_none());
 
         // The store is immediately usable: re-record what was lost.
         let mut store = store;
@@ -899,7 +1072,7 @@ mod tests {
         store.commit().unwrap();
         let (store, report) = SnapshotStore::open(&path).unwrap();
         assert_eq!(report.reason, RecoveryReason::Clean);
-        assert!(store.get(2).is_some());
+        assert!(store.load(2).unwrap().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

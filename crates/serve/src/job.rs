@@ -11,14 +11,36 @@
 //! once** — a restarted worker whose predecessor died mid-stream can never
 //! add to an already-filled slot, so no query occurrence is ever folded
 //! twice.
+//!
+//! # Lifecycle
+//!
+//! 1. *Running*: partitions fill the slots, from workers or straight from
+//!    the snapshot store (`store-hit`). The fill of the last slot meters the
+//!    error budget once.
+//! 2. *Commit pending* (store-backed daemon only): every slot is filled and
+//!    the completion commit is under way; clients still read `Running`.
+//! 3. *Complete* or *Failed*. On a store-backed daemon whose completion
+//!    commit succeeded, with every log's snapshot in the store, the job then
+//!    drops its slots ([`JobState::release_logs`]) and keeps only each
+//!    log's key, its total and its error count: the store is the one copy,
+//!    and a report loads the logs back out of it. A store-less daemon's job,
+//!    and one whose commit was skipped or failed, keeps its slots — they
+//!    are its only copy. A warm-started job is registered already released.
+//!
+//! A report is taken in two steps so that neither the job table's lock nor
+//! the store's is held while logs decode or the report renders:
+//! [`JobState::pending_report`] under the job lock, then
+//! [`PendingReport::render`] after it.
 
 use crate::protocol::{JobPhase, JobReport, JobStatus};
-use sparqlog_core::analysis::Population;
+use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::report;
 use sparqlog_core::{LogSlots, PersistedLog, RecoveryPolicy};
+use sparqlog_persist::{SnapshotRef, SnapshotStore};
 use sparqlog_shard::LogSpec;
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -27,6 +49,20 @@ use std::time::{Duration, Instant};
 /// cancel flag (wake-ups on settle are immediate; this only bounds how
 /// late a stopping daemon notices).
 const WAIT_SLICE: Duration = Duration::from_millis(100);
+
+/// Where a job's per-log results live.
+#[derive(Debug)]
+enum Held {
+    /// In memory: slot `i` holds log `i`'s summary + analysis once its
+    /// partition has merged.
+    Slots(Box<LogSlots>),
+    /// Only in the snapshot store, under the job's `keys`: every slot was
+    /// filled and committed, so just the merged error count stays.
+    Stored {
+        /// Malformed entries across every log.
+        errors: u64,
+    },
+}
 
 /// One job's mutable state.
 #[derive(Debug)]
@@ -44,12 +80,12 @@ pub struct JobState {
     pub logs: Vec<LogSpec>,
     /// Each log's canonical identity (`sparqlog_core::file_identity`),
     /// when a snapshot store is attached and the log was hashable at
-    /// submit time. Used to persist completed partitions and to write the
-    /// job manifest that warm-starts the job after a daemon restart.
+    /// submit time. Used to persist completed partitions, to write the
+    /// job manifest that warm-starts the job after a daemon restart, and,
+    /// once the job has released its logs, to load them for a report.
     pub keys: Vec<Option<u128>>,
-    /// Completed partitions: slot `i` holds log `i`'s summary + analysis,
-    /// shared with the snapshot store when it came from there.
-    slots: LogSlots,
+    /// Where the per-log results are: in slots, or only in the store.
+    held: Held,
     /// Worker restarts performed for this job.
     pub restarts: u64,
     /// The first fatal failure, if any.
@@ -80,7 +116,7 @@ impl JobState {
             population,
             recovery,
             keys: vec![None; logs.len()],
-            slots: LogSlots::new(logs.len(), recovery),
+            held: Held::Slots(Box::new(LogSlots::new(logs.len(), recovery))),
             logs,
             restarts: 0,
             failed: None,
@@ -105,7 +141,7 @@ impl JobState {
     /// Whether every partition has merged and, on a store-backed daemon,
     /// the completion commit has been attempted.
     pub fn is_complete(&self) -> bool {
-        self.slots.is_full() && self.failed.is_none() && !self.commit_pending
+        self.completed() == self.logs.len() && self.failed.is_none() && !self.commit_pending
     }
 
     /// Whether the job can make no further progress (complete or failed).
@@ -113,9 +149,31 @@ impl JobState {
         self.failed.is_some() || self.is_complete()
     }
 
+    /// Whether the job still holds its per-log results in memory (false
+    /// once it has released them to the store).
+    pub fn holds_logs(&self) -> bool {
+        matches!(self.held, Held::Slots(_))
+    }
+
     /// Time since the job was accepted.
     pub fn age(&self) -> Duration {
         self.accepted.elapsed()
+    }
+
+    /// Partitions merged so far.
+    fn completed(&self) -> usize {
+        match &self.held {
+            Held::Slots(slots) => slots.filled(),
+            Held::Stored { .. } => self.logs.len(),
+        }
+    }
+
+    /// Malformed entries across the partitions merged so far.
+    fn errors(&self) -> u64 {
+        match &self.held {
+            Held::Slots(slots) => slots.errors().total(),
+            Held::Stored { errors } => *errors,
+        }
     }
 
     /// Merges one completed partition. Returns `false` (and changes
@@ -129,14 +187,36 @@ impl JobState {
         cache: CacheStats,
         snapshot_bytes: u64,
     ) -> bool {
-        if self.slots.fill(partition, log).is_err() {
+        // A released job's slots were all filled.
+        let Held::Slots(slots) = &mut self.held else {
+            return false;
+        };
+        if slots.fill(partition, log).is_err() {
             return false;
         }
-        if let Some(error) = self.slots.over_budget() {
+        if let Some(error) = slots.over_budget() {
             self.failed.get_or_insert_with(|| error.to_string());
         }
         self.cache.merge(&cache);
         self.snapshot_bytes += snapshot_bytes;
+        true
+    }
+
+    /// Drops the job's slots, keeping only its keys and counts, once the
+    /// store holds every log: call it after the completion commit
+    /// succeeded with every key persisted. Refuses (returning `false`,
+    /// changing nothing) unless every slot is filled, the job has not
+    /// failed and every log has a key.
+    pub fn release_logs(&mut self) -> bool {
+        let Held::Slots(slots) = &self.held else {
+            return false;
+        };
+        let keyed = self.keys.iter().all(Option::is_some);
+        if !slots.is_full() || self.failed.is_some() || !keyed {
+            return false;
+        }
+        let errors = slots.errors().total();
+        self.held = Held::Stored { errors };
         true
     }
 
@@ -145,32 +225,103 @@ impl JobState {
         JobStatus {
             job: self.id,
             phase: self.phase(),
-            total: self.slots.total() as u64,
-            completed: self.slots.filled() as u64,
+            total: self.logs.len() as u64,
+            completed: self.completed() as u64,
             restarts: self.restarts,
-            errors: self.slots.errors().total(),
+            errors: self.errors(),
             error: self.failed.clone().unwrap_or_default(),
         }
     }
 
-    /// Renders the report over the partitions merged so far (input order,
-    /// gaps skipped, "Total" row re-merged). When the job is complete this
-    /// is byte-identical to the fused engine's report over the same files.
-    pub fn report(&self, full: bool) -> JobReport {
-        let corpus = self.slots.corpus();
-        JobReport {
-            job: self.id,
-            complete: self.is_complete(),
-            completed: self.slots.filled() as u64,
-            total: self.slots.total() as u64,
-            errors: self.slots.errors().total(),
-            text: if full {
-                report::full_report(&corpus)
-            } else {
-                report::table1(&corpus)
+    /// What a report over the partitions merged so far renders from, taken
+    /// under the job-table lock: the filled slots' shared results, or the
+    /// keys of a job that released its logs. [`PendingReport::render`] does
+    /// the rest after the lock is released.
+    pub fn pending_report(&self, full: bool) -> PendingReport {
+        let source = match &self.held {
+            Held::Slots(slots) => Source::Slots(slots.logs().cloned().collect()),
+            Held::Stored { .. } => Source::Stored(self.keys.iter().flatten().copied().collect()),
+        };
+        PendingReport {
+            header: JobReport {
+                job: self.id,
+                complete: self.is_complete(),
+                completed: self.completed() as u64,
+                total: self.logs.len() as u64,
+                errors: self.errors(),
+                text: String::new(),
             },
+            full,
+            source,
         }
     }
+}
+
+/// A report taken from a job but not yet rendered (see
+/// [`JobState::pending_report`]).
+#[derive(Debug)]
+pub struct PendingReport {
+    /// Every field but the text.
+    header: JobReport,
+    full: bool,
+    source: Source,
+}
+
+#[derive(Debug)]
+enum Source {
+    /// The filled slots' results (input order, gaps skipped).
+    Slots(Vec<Arc<PersistedLog>>),
+    /// The keys of a released job's logs, in input order.
+    Stored(Vec<u128>),
+}
+
+impl PendingReport {
+    /// Renders the report: input order, gaps skipped, "Total" row
+    /// re-merged. A released job's logs are loaded from `store` first and
+    /// merged the same way. When the job is complete the text is
+    /// byte-identical to the fused engine's report over the same files.
+    ///
+    /// Fails when a released job's log cannot be loaded: missing from the
+    /// store, or its record no longer checks (`InvalidData`).
+    pub fn render(self, store: Option<&Mutex<SnapshotStore>>) -> io::Result<JobReport> {
+        let datasets = match self.source {
+            Source::Slots(logs) => logs.iter().map(|log| log.analysis.clone()).collect(),
+            Source::Stored(keys) => {
+                let store = store.ok_or_else(|| io::Error::other("no snapshot store attached"))?;
+                let logs = load_logs(store, &keys)?;
+                logs.into_iter().map(|log| log.analysis).collect()
+            }
+        };
+        let corpus = CorpusAnalysis::from_datasets(datasets);
+        let text = if self.full {
+            report::full_report(&corpus)
+        } else {
+            report::table1(&corpus)
+        };
+        Ok(JobReport {
+            text,
+            ..self.header
+        })
+    }
+}
+
+/// Loads the logs under `keys`, in order: located under the store's lock,
+/// read and decoded after it is released.
+pub(crate) fn load_logs(
+    store: &Mutex<SnapshotStore>,
+    keys: &[u128],
+) -> io::Result<Vec<PersistedLog>> {
+    let located: Option<Vec<SnapshotRef>> = {
+        let guard = store.lock().expect("snapshot store");
+        keys.iter().map(|&key| guard.locate(key)).collect()
+    };
+    let located = located.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            "a stored log is missing from the store",
+        )
+    })?;
+    located.iter().map(SnapshotRef::load).collect()
 }
 
 /// The server's job table: id allocation, per-job state behind one lock,
@@ -325,10 +476,10 @@ mod tests {
         jobs.with(id, |job| {
             assert_eq!(job.status().completed, 1);
             assert_eq!(job.phase(), JobPhase::Running);
-            assert!(!job.report(false).complete);
+            assert!(!job.pending_report(false).header.complete);
             assert!(job.merge_partition(1, log_of(summary.clone()), CacheStats::default(), 12));
             assert_eq!(job.phase(), JobPhase::Complete);
-            assert!(job.report(true).complete);
+            assert!(job.pending_report(true).header.complete);
             assert_eq!(job.snapshot_bytes, 22);
         });
         assert!(jobs.all_settled());
@@ -427,7 +578,7 @@ mod tests {
             assert!(merge_empty(job, 0));
             job.commit_pending = true;
             assert_eq!(job.status().phase, JobPhase::Running);
-            assert!(!job.report(false).complete);
+            assert!(!job.pending_report(false).header.complete);
         });
         assert!(!jobs.all_settled());
         let cancel = AtomicBool::new(false);

@@ -25,7 +25,7 @@
 //! returns from [`Server::run`].
 
 use crate::events::{quoted, EventLog};
-use crate::job::Jobs;
+use crate::job::{load_logs, Jobs};
 use crate::protocol::{self, Request, Response};
 use crate::signal;
 use crate::supervisor::{Supervisor, SupervisorConfig};
@@ -407,6 +407,7 @@ impl Server {
                     obs::global().counter("serve_sessions_total").incr();
                     obs::global().gauge("serve_sessions_open").add(1);
                     let ctx = Arc::clone(&shared);
+                    reap_finished(&mut sessions);
                     sessions.push(std::thread::spawn(move || session(stream, id, &ctx)));
                 }
                 Ok(None) => std::thread::sleep(Duration::from_millis(20)),
@@ -443,20 +444,31 @@ impl Server {
 }
 
 /// Re-registers every job manifest the store recovered as a settled job,
-/// merging each partition straight from its persisted snapshot — a
-/// restarted daemon serves byte-identical reports for committed jobs
+/// each partition merged from its persisted snapshot and the job then
+/// released to keys only, like any job whose completion commit succeeded —
+/// a restarted daemon serves byte-identical reports for committed jobs
 /// without re-analysing a single log.
 pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &EventLog) {
-    let guard = store.lock().expect("snapshot store");
+    let manifests = store.lock().expect("snapshot store").jobs().to_vec();
     let mut restored = 0u64;
-    for manifest in guard.jobs() {
+    for manifest in manifests {
         // A manifest commits in the same fsync as (or after) its
         // snapshots and recovery truncates only suffixes, so the keys
         // must all resolve; guard against a damaged store anyway.
-        let hits: Option<Vec<_>> = manifest.logs.iter().map(|log| guard.get(log.key)).collect();
-        let Some(hits) = hits else {
-            events.emit("event=warm-skip reason=missing-snapshot");
-            continue;
+        let keys: Vec<u128> = manifest.logs.iter().map(|log| log.key).collect();
+        let logs = match load_logs(store, &keys) {
+            Ok(logs) => logs,
+            Err(error) => {
+                let reason = match error.kind() {
+                    io::ErrorKind::NotFound => "missing-snapshot",
+                    _ => "unreadable-snapshot",
+                };
+                events.emit(format!(
+                    "event=warm-skip reason={reason} error={}",
+                    quoted(&error.to_string())
+                ));
+                continue;
+            }
         };
         let specs: Vec<LogSpec> = manifest
             .logs
@@ -465,10 +477,11 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
             .collect();
         let job = jobs.create(manifest.population, manifest.recovery, specs);
         jobs.with(job, |state| {
-            state.keys = manifest.logs.iter().map(|log| Some(log.key)).collect();
-            for (partition, hit) in hits.into_iter().enumerate() {
-                state.merge_partition(partition, Arc::clone(hit), CacheStats::default(), 0);
+            state.keys = keys.into_iter().map(Some).collect();
+            for (partition, log) in logs.into_iter().enumerate() {
+                state.merge_partition(partition, Arc::new(log), CacheStats::default(), 0);
             }
+            state.release_logs();
         });
         events.emit(format!(
             "event=job-warm-start job={job} partitions={}",
@@ -478,6 +491,20 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
     }
     if restored > 0 {
         events.emit(format!("event=warm-start jobs={restored}"));
+    }
+}
+
+/// Joins the sessions whose threads have exited, so each closed
+/// connection's thread is released at the next accept rather than at
+/// shutdown.
+fn reap_finished(sessions: &mut Vec<JoinHandle<()>>) {
+    let mut index = 0;
+    while index < sessions.len() {
+        if sessions[index].is_finished() {
+            let _ = sessions.swap_remove(index).join();
+        } else {
+            index += 1;
+        }
     }
 }
 
@@ -606,6 +633,27 @@ fn unknown_job(job: u64) -> Response {
     }
 }
 
+/// Answers a `Report`: taken under the job-table lock, loaded (for a job
+/// that released its logs to the store) and rendered after it. A stored log
+/// that fails to load is a `store-error` and an error answer; the daemon
+/// keeps serving.
+fn report(ctx: &Shared, job: u64, full: bool) -> Response {
+    let Some(pending) = ctx.jobs.with(job, |state| state.pending_report(full)) else {
+        return unknown_job(job);
+    };
+    match pending.render(ctx.store.as_deref()) {
+        Ok(report) => Response::Report(report),
+        Err(error) => {
+            let message = format!("job {job}: {error}");
+            ctx.events.emit(format!(
+                "event=store-error job={job} error={}",
+                quoted(&message)
+            ));
+            Response::Error { message }
+        }
+    }
+}
+
 /// Computes the one response a request maps to.
 fn answer(ctx: &Shared, request: &Request) -> Response {
     obs::global().counter("serve_requests_total").incr();
@@ -648,10 +696,7 @@ fn answer(ctx: &Shared, request: &Request) -> Response {
                 .wait_settled(*job, Duration::from_millis(*timeout_ms), &ctx.closing)
                 .map_or_else(|| unknown_job(*job), Response::Status)
         }
-        Request::Report { job, full } => ctx
-            .jobs
-            .with(*job, |state| state.report(*full))
-            .map_or_else(|| unknown_job(*job), Response::Report),
+        Request::Report { job, full } => report(ctx, *job, *full),
         Request::Drain => {
             ctx.begin_drain("client request");
             Response::Pong {
@@ -673,5 +718,197 @@ fn answer(ctx: &Shared, request: &Request) -> Response {
             let text = snapshot.render_text();
             Response::Metrics { snapshot, text }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobState;
+    use crate::protocol::JobReport;
+    use sparqlog_core::corpus::{analyze_streams, FileLogReader, LogReader};
+    use sparqlog_core::report::full_report;
+    use sparqlog_core::{file_identity, PersistedLog, Population, RecoveryPolicy};
+    use sparqlog_persist::{JobLog, JobRecord};
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "sparqlog-serve-server-{name}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Two logs on disk (one with an unparsable line), their per-log
+    /// results and keys, and the fused engine's report over both.
+    fn analysed(dir: &std::path::Path) -> (Vec<LogSpec>, Vec<PersistedLog>, Vec<u128>, String) {
+        let texts = [
+            "SELECT ?x WHERE { ?x a <http://C> }\nASK { ?s ?p ?o }\nSELECT ?x WHERE { ?x a <http://C> }\n",
+            "DESCRIBE <http://r>\nnot a query\nSELECT ?y WHERE { ?y <http://p> ?z . ?z <http://q> ?y }\n",
+        ];
+        let specs: Vec<LogSpec> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, text)| {
+                let spec = LogSpec::new(format!("log{i}"), dir.join(format!("{i}.log")));
+                std::fs::write(&spec.path, text).unwrap();
+                spec
+            })
+            .collect();
+        let readers = specs
+            .iter()
+            .map(|spec| {
+                let reader = FileLogReader::open(spec.label.clone(), &spec.path).unwrap();
+                Box::new(reader) as Box<dyn LogReader>
+            })
+            .collect();
+        let fused = analyze_streams(readers, Population::Unique).unwrap();
+        let reference = full_report(&fused.corpus);
+        let logs = fused
+            .summaries
+            .into_iter()
+            .zip(fused.corpus.datasets)
+            .map(|(summary, analysis)| PersistedLog { summary, analysis })
+            .collect();
+        let keys = specs
+            .iter()
+            .map(|spec| file_identity(Population::Unique, &spec.label, &spec.path).unwrap())
+            .collect();
+        (specs, logs, keys, reference)
+    }
+
+    /// A job over `specs` with every partition merged from `logs`.
+    fn merged_job(specs: &[LogSpec], logs: &[PersistedLog], keys: &[u128]) -> (Jobs, u64) {
+        let jobs = Jobs::default();
+        let job = jobs.create(Population::Unique, RecoveryPolicy::Lenient, specs.to_vec());
+        jobs.with(job, |state| {
+            state.keys = keys.iter().copied().map(Some).collect();
+            for (partition, log) in logs.iter().enumerate() {
+                let log = Arc::new(log.clone());
+                assert!(state.merge_partition(partition, log, CacheStats::default(), 0));
+            }
+        });
+        (jobs, job)
+    }
+
+    fn render(jobs: &Jobs, job: u64, store: Option<&Mutex<SnapshotStore>>) -> JobReport {
+        let pending = jobs.with(job, |state| state.pending_report(true)).unwrap();
+        pending.render(store).unwrap()
+    }
+
+    #[test]
+    fn a_report_is_the_same_from_slots_from_the_store_and_after_a_restart() {
+        let dir = scratch("release");
+        let (specs, logs, keys, reference) = analysed(&dir);
+        let path = dir.join("store.sqps");
+        let (mut store, _) = SnapshotStore::open(&path).unwrap();
+        for (key, log) in keys.iter().zip(&logs) {
+            assert!(store.record_snapshot(*key, log).unwrap());
+        }
+        let manifest = JobRecord {
+            population: Population::Unique,
+            recovery: RecoveryPolicy::Lenient,
+            logs: specs
+                .iter()
+                .zip(&keys)
+                .map(|(spec, key)| JobLog {
+                    key: *key,
+                    label: spec.label.clone(),
+                    path: spec.path.to_string_lossy().into_owned(),
+                })
+                .collect(),
+        };
+        assert!(store.record_job(&manifest).unwrap());
+        store.commit().unwrap();
+        let store = Mutex::new(store);
+
+        let (jobs, job) = merged_job(&specs, &logs, &keys);
+        let from_slots = render(&jobs, job, Some(&store));
+        assert!(from_slots.complete);
+        assert!(from_slots.errors > 0, "the unparsable line is tallied");
+        assert_eq!(from_slots.text, reference);
+        assert!(jobs.with(job, JobState::release_logs).unwrap());
+        assert!(!jobs.with(job, |state| state.holds_logs()).unwrap());
+        let status = jobs.with(job, |state| state.status()).unwrap();
+        assert_eq!((status.completed, status.total), (2, 2));
+        assert_eq!(status.errors, from_slots.errors);
+        assert_eq!(render(&jobs, job, Some(&store)), from_slots);
+
+        // A restarted daemon: reopen the store and warm-start the job.
+        drop(store);
+        let (store, report) = SnapshotStore::open(&path).unwrap();
+        assert!(report.is_clean());
+        let store = Mutex::new(store);
+        let restored = Jobs::default();
+        warm_start(&store, &restored, &EventLog::new());
+        assert!(!restored.with(1, |state| state.holds_logs()).unwrap());
+        assert_eq!(
+            render(&restored, 1, Some(&store)),
+            JobReport {
+                job: 1,
+                ..from_slots
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_without_a_store_reports_from_its_slots() {
+        let dir = scratch("store-less");
+        let (specs, logs, keys, reference) = analysed(&dir);
+        let (jobs, job) = merged_job(&specs, &logs, &keys);
+        let report = render(&jobs, job, None);
+        assert!(report.complete);
+        assert_eq!(report.text, reference);
+        assert!(jobs.with(job, |state| state.holds_logs()).unwrap());
+        // Released regardless, it has nowhere to load from: an error, not
+        // a panic.
+        jobs.with(job, JobState::release_logs);
+        let pending = jobs.with(job, |state| state.pending_report(true)).unwrap();
+        assert!(pending.render(None).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_keeps_its_slots_until_every_log_is_filled_and_keyed() {
+        let dir = scratch("refuse");
+        let (specs, logs, keys, _) = analysed(&dir);
+        let jobs = Jobs::default();
+        let job = jobs.create(Population::Unique, RecoveryPolicy::Lenient, specs.clone());
+        jobs.with(job, |state| {
+            state.keys = vec![Some(keys[0]), None];
+            state.merge_partition(0, Arc::new(logs[0].clone()), CacheStats::default(), 0);
+            assert!(!state.release_logs(), "a slot is empty");
+            state.merge_partition(1, Arc::new(logs[1].clone()), CacheStats::default(), 0);
+            assert!(!state.release_logs(), "a log has no key");
+            state.keys[1] = Some(keys[1]);
+            state.failed = Some("boom".to_string());
+            assert!(!state.release_logs(), "the job failed");
+            assert!(state.holds_logs());
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_session_threads_are_joined_and_running_ones_kept() {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let running = std::thread::spawn(move || {
+            let _ = parked.recv();
+        });
+        let exited: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| ())).collect();
+        while !exited.iter().all(JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+        let mut sessions = exited;
+        sessions.insert(1, running);
+        reap_finished(&mut sessions);
+        assert_eq!(sessions.len(), 1);
+        assert!(!sessions[0].is_finished());
+        release.send(()).unwrap();
+        sessions.pop().unwrap().join().unwrap();
+        reap_finished(&mut sessions);
+        assert!(sessions.is_empty());
     }
 }

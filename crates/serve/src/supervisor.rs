@@ -23,14 +23,18 @@
 //!
 //! With a [`SnapshotStore`] attached, submit hashes each log's canonical
 //! identity first — outside the store lock, the job's logs spread over the
-//! available cores — and then looks the keys up: logs whose analysis the
-//! store already holds merge immediately (`store-hit`, no worker process)
-//! when the store-hit rule ([`PersistedLog::usable_under`]) allows it under
-//! the job's policy; the rest run as usual and each snapshot is staged into
-//! the store just before its partition merges. When the last partition
-//! merges, the job's manifest is staged and everything is committed durably
-//! in one fsync (`store-commit`) — so a restarted daemon warm-starts the job
-//! and a resubmission is pure store hits. Only after that commit has been
+//! available cores — and then looks the keys up under the lock and loads
+//! the snapshots found after it: logs whose analysis the store already
+//! holds merge immediately (`store-hit`, no worker process) when the
+//! store-hit rule ([`PersistedLog::usable_under`]) allows it under the job's
+//! policy; a stored snapshot that fails to load is a `store-error` and its
+//! log runs without a key. The rest run as usual and each snapshot is
+//! staged into the store just before its partition merges. When the last
+//! partition merges, the job's manifest is staged and everything is
+//! committed durably in one fsync (`store-commit`) — so a restarted daemon
+//! warm-starts the job and a resubmission is pure store hits. A job whose
+//! commit succeeded then drops its in-memory results and keeps only their
+//! keys ([`JobState::release_logs`]). Only after that commit has been
 //! attempted does the job read as `Complete` to clients
 //! ([`JobState::commit_pending`]).
 
@@ -41,7 +45,7 @@ use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::workers_override;
 use sparqlog_core::{file_identity, PersistedLog, RecoveryPolicy};
 use sparqlog_obs as obs;
-use sparqlog_persist::{JobLog, JobRecord, SnapshotStore};
+use sparqlog_persist::{JobLog, JobRecord, SnapshotRef, SnapshotStore};
 use sparqlog_shard::supervise::{worker_thread_budget, WorkerLaunch};
 use sparqlog_shard::worker::AssignedLog;
 use sparqlog_shard::{LogSpec, WorkerCommand};
@@ -185,17 +189,36 @@ impl Supervisor {
         // Identity pass: hash each log (no parsing), then pull store hits.
         // Hashing is the expensive half and touches no shared state, so it
         // runs before the store lock is taken — concurrent submits hash in
-        // parallel and serialise only on the lookups. A hit is taken only
-        // when the store-hit rule allows it under this job's policy.
+        // parallel and serialise only on the lookups; the hits decode after
+        // the lock is released. A hit is taken only when the store-hit rule
+        // allows it under this job's policy.
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
         let mut hits: Vec<Option<Arc<PersistedLog>>> = vec![None; logs.len()];
         if let Some(store) = &self.shared.store {
             keys = hash_identities(population, &logs, self.shared.cores);
-            let guard = store.lock().expect("snapshot store");
             // An unhashable log stays keyless; the worker will report it.
-            let hit = |key: &Option<u128>| key.and_then(|key| guard.get(key)).cloned();
-            let usable = |hit: &Arc<PersistedLog>| hit.usable_under(recovery);
-            hits = keys.iter().map(|key| hit(key).filter(usable)).collect();
+            let located: Vec<_> = {
+                let guard = store.lock().expect("snapshot store");
+                let locate = |key: &Option<u128>| key.and_then(|key| guard.locate(key));
+                keys.iter().map(locate).collect()
+            };
+            for (partition, located) in located.iter().enumerate() {
+                match located.as_ref().map(SnapshotRef::load) {
+                    Some(Ok(hit)) if hit.usable_under(recovery) => {
+                        hits[partition] = Some(Arc::new(hit));
+                    }
+                    Some(Err(error)) => {
+                        // Re-analysed, and without a key: the job must keep
+                        // its own result rather than point at this record.
+                        keys[partition] = None;
+                        self.shared.events.emit(format!(
+                            "event=store-error job={job} partition={partition} error={}",
+                            quoted(&error.to_string())
+                        ));
+                    }
+                    _ => {}
+                }
+            }
         }
         self.shared
             .jobs
@@ -554,13 +577,18 @@ fn merge_partition(
 
 /// Makes a job whose last partition just merged visible as `Complete`: on a
 /// store-backed daemon only after its completion commit has been attempted
-/// (`store-commit`, `store-skip` or `store-error` is logged by then).
+/// (`store-commit`, `store-skip` or `store-error` is logged by then), and,
+/// when that commit left every log in the store, with its slots released.
 /// Called outside the job lock — the commit fsyncs.
 fn publish_completion(shared: &Shared, job: u64) {
-    if let Some(store) = &shared.store {
-        persist_completion(store, &shared.jobs, &shared.events, job);
-    }
+    let stored = match &shared.store {
+        Some(store) => persist_completion(store, &shared.jobs, &shared.events, job),
+        None => false,
+    };
     shared.jobs.with(job, |state| {
+        if stored {
+            state.release_logs();
+        }
         state.commit_pending = false;
         obs::global()
             .histogram("serve_job_ms")
@@ -570,9 +598,16 @@ fn publish_completion(shared: &Shared, job: u64) {
 
 /// Stages the completed job's manifest and commits everything durably.
 /// Only called once the job is complete; skipped (with an event) if any
-/// partition's log was unhashable at submit time, since a manifest with a
-/// missing key could not warm-start.
-fn persist_completion(store: &Arc<Mutex<SnapshotStore>>, jobs: &Jobs, events: &EventLog, job: u64) {
+/// partition's log has no key — unhashable at submit time, or its stored
+/// snapshot failed to load — since a manifest with a missing key could not
+/// warm-start. Returns whether the commit succeeded with every log's
+/// snapshot in the store, so the job may drop its own copies.
+fn persist_completion(
+    store: &Arc<Mutex<SnapshotStore>>,
+    jobs: &Jobs,
+    events: &EventLog,
+    job: u64,
+) -> bool {
     let manifest = jobs.with(job, |state| {
         if !state.keys.iter().all(Option::is_some) {
             return None;
@@ -593,11 +628,11 @@ fn persist_completion(store: &Arc<Mutex<SnapshotStore>>, jobs: &Jobs, events: &E
         })
     });
     let Some(manifest) = manifest else {
-        return; // job vanished (cannot happen today, but don't panic)
+        return false; // job vanished (cannot happen today, but don't panic)
     };
     let Some(manifest) = manifest else {
-        events.emit(format!("event=store-skip job={job} reason=unhashable-log"));
-        return;
+        events.emit(format!("event=store-skip job={job} reason=unkeyed-log"));
+        return false;
     };
     let mut guard = store.lock().expect("snapshot store");
     let staged = match guard.record_job(&manifest) {
@@ -607,18 +642,26 @@ fn persist_completion(store: &Arc<Mutex<SnapshotStore>>, jobs: &Jobs, events: &E
                 "event=store-error job={job} error={}",
                 quoted(&error.to_string())
             ));
-            return;
+            return false;
         }
     };
     match guard.commit() {
-        Ok(seq) => events.emit(format!(
-            "event=store-commit job={job} seq={seq} staged={staged} snapshots={}",
-            guard.snapshots()
-        )),
-        Err(error) => events.emit(format!(
-            "event=store-error job={job} error={}",
-            quoted(&error.to_string())
-        )),
+        Ok(seq) => {
+            events.emit(format!(
+                "event=store-commit job={job} seq={seq} staged={staged} snapshots={}",
+                guard.snapshots()
+            ));
+            // A snapshot whose staging failed is not in the store.
+            let stored = |log: &JobLog| guard.locate(log.key).is_some();
+            manifest.logs.iter().all(stored)
+        }
+        Err(error) => {
+            events.emit(format!(
+                "event=store-error job={job} error={}",
+                quoted(&error.to_string())
+            ));
+            false
+        }
     }
 }
 
@@ -640,6 +683,7 @@ fn fail_job(shared: &Shared, job: u64, partition: usize, message: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobReport;
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -810,27 +854,39 @@ mod tests {
     }
 
     #[test]
-    fn resubmitted_and_warm_started_jobs_share_the_store_allocation() {
-        let dir = scratch("share");
+    fn committed_and_warm_started_jobs_hold_no_logs() {
+        let dir = scratch("release");
         let log = write_log(&dir, "a");
-        let key = file_identity(Population::Unique, "a", &log.path).unwrap();
         // Every log is a store hit, so the unlaunchable worker never runs.
-        let (supervisor, jobs, _events, store) = store_only(&dir, &[(&log, 0)]);
+        let (supervisor, jobs, events, store) = store_only(&dir, &[(&log, 0)]);
         let (job, _) = supervisor.submit(Population::Unique, RecoveryPolicy::Lenient, vec![log]);
-        let phase = jobs.with(job, |state| state.phase()).unwrap();
+        let (phase, holds) = jobs
+            .with(job, |state| (state.phase(), state.holds_logs()))
+            .unwrap();
         assert_eq!(phase, crate::protocol::JobPhase::Complete);
-        // A restarted daemon restores the job from its committed manifest.
+        // The commit succeeded, so the store is the one copy of the log.
+        assert!(!holds, "a committed job kept its slots");
+        assert!(events
+            .for_job(job)
+            .iter()
+            .any(|l| l.contains("event=store-commit")));
+        let report = |jobs: &Jobs, job| {
+            let pending = jobs.with(job, |state| state.pending_report(true)).unwrap();
+            pending.render(Some(&store)).unwrap()
+        };
+        let served = report(&jobs, job);
+        assert!(served.complete);
+        // A restarted daemon restores the job from its committed manifest,
+        // holding no log either, and renders the same report.
         let restored = Jobs::default();
         crate::server::warm_start(&store, &restored, &EventLog::new());
-        let phase = restored.with(1, |state| state.phase()).unwrap();
+        let (phase, holds) = restored
+            .with(1, |state| (state.phase(), state.holds_logs()))
+            .unwrap();
         assert_eq!(phase, crate::protocol::JobPhase::Complete);
-        // Both jobs' slots and the store's entry are one allocation; a copy
-        // would leave the store's count lower.
-        let shared = Arc::clone(store.lock().unwrap().get(key).unwrap());
-        assert_eq!(Arc::strong_count(&shared), 4);
+        assert!(!holds, "a warm-started job holds its logs");
+        assert_eq!(report(&restored, 1), JobReport { job: 1, ..served });
         supervisor.shutdown();
-        drop((jobs, restored));
-        assert_eq!(Arc::strong_count(&shared), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,16 +8,18 @@
 
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
+use sparqlog::core::PersistedLog;
 use sparqlog::core::{Population, RecoveryPolicy};
-use sparqlog::persist::{FaultMode, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
+use sparqlog::persist::{FaultMode, SnapshotStore, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
 use sparqlog::serve::{
-    Client, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
+    Client, ClientError, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
 };
 use sparqlog::shard::{LogSpec, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The worker binary built alongside this test (same package, profile).
@@ -229,6 +231,98 @@ fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
 
     handle.stop();
     runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn a_store_record_damaged_after_open_fails_its_report_and_the_daemon_keeps_serving() {
+    let scratch = Scratch::new("damaged");
+    let logs = write_corpus(scratch.path());
+    let reference = fused_reference(&logs, Population::Unique);
+    let store_path = scratch.path().join("damaged.sqps");
+    let (addr, handle, runner) = start_server(store_config(&store_path));
+    let mut client = Client::connect(&addr).expect("connect");
+    let (job, _) = client
+        .submit(
+            Population::Unique,
+            RecoveryPolicy::Auto,
+            submit_specs(&logs),
+        )
+        .expect("submit");
+    let status = client.wait_settled(job, SETTLE).expect("wait");
+    assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+    // Committed, so the job keeps only keys and reports from the store.
+    let holds = handle.jobs().with(job, |state| state.holds_logs());
+    assert_eq!(holds, Some(false), "a committed job kept its logs");
+    assert_eq!(client.report(job, true).expect("report").text, reference);
+
+    // Flip a bit inside the first record (a snapshot: manifests are staged
+    // after every partition's snapshot) behind the daemon's back.
+    let mut bytes = std::fs::read(&store_path).expect("read store");
+    bytes[8] ^= 1;
+    std::fs::write(&store_path, &bytes).expect("damage store");
+    match client.report(job, true) {
+        Err(ClientError::Server(message)) => {
+            assert!(message.contains("checksum"), "{message}")
+        }
+        other => panic!("a damaged record must answer an error, got {other:?}"),
+    }
+
+    // The daemon keeps serving: the job's status, and a resubmission that
+    // re-analyses the damaged log and keeps its own results.
+    client.ping().expect("ping after a failed report");
+    let status = client.status(job).expect("status");
+    assert_eq!(status.phase, JobPhase::Complete);
+    let (rejob, _) = client
+        .submit(
+            Population::Unique,
+            RecoveryPolicy::Auto,
+            submit_specs(&logs),
+        )
+        .expect("resubmit");
+    let status = client.wait_settled(rejob, SETTLE).expect("wait resubmit");
+    assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+    assert_eq!(client.report(rejob, true).expect("report").text, reference);
+    let lines = client.events(rejob).expect("events");
+    for event in [
+        "event=store-error",
+        "event=worker-start",
+        "event=store-skip",
+    ] {
+        assert!(
+            lines.iter().any(|l| l.contains(event)),
+            "no {event}: {lines:?}"
+        );
+    }
+    assert_eq!(
+        handle.jobs().with(rejob, |state| state.holds_logs()),
+        Some(true)
+    );
+    drop(client);
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn the_harness_get_adapter_decodes_once_and_matches_load() {
+    let scratch = Scratch::new("get");
+    let logs = write_corpus(scratch.path());
+    let readers: Vec<Box<dyn LogReader>> = vec![Box::new(
+        FileLogReader::open(logs[0].label.clone(), &logs[0].path).expect("open log"),
+    )];
+    let mut fused = analyze_streams_with(readers, Population::Unique, FusedOptions::default())
+        .expect("analyse");
+    let log = PersistedLog {
+        summary: fused.summaries.remove(0),
+        analysis: fused.corpus.datasets.remove(0),
+    };
+    let (mut store, _) = SnapshotStore::open(scratch.path().join("get.sqps")).expect("open");
+    assert!(store.record_snapshot(7, &log).expect("record"));
+    store.commit().expect("commit");
+    assert!(store.get(8).is_none());
+    let first = Arc::clone(store.get(7).expect("persisted"));
+    assert_eq!(*first, log);
+    assert_eq!(store.load(7).expect("load"), Some(log));
+    assert!(Arc::ptr_eq(&first, store.get(7).expect("persisted")));
 }
 
 /// A spawned `sparqlog-serve` process plus the address it reported on

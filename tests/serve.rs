@@ -187,6 +187,9 @@ fn concurrent_clients_read_byte_identical_complete_reports() {
     assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
     assert_eq!(status.completed, logs.len() as u64);
     assert_eq!(status.restarts, 0);
+    // Without a store the job's slots are its only copy: it keeps them.
+    let holds = handle.jobs().with(job, |state| state.holds_logs());
+    assert_eq!(holds, Some(true));
 
     // Several fresh sessions read the complete report concurrently; every
     // copy must be byte-identical to the fused engine's.
