@@ -18,6 +18,7 @@
 
 use crate::recover::{reader_defect, ErrorTally, ReaderDefect};
 use serde::{Deserialize, Serialize};
+use sparqlog_obs::env;
 use sparqlog_parser::bytescan::find_newline;
 use sparqlog_parser::ErrorKind;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -83,10 +84,7 @@ pub fn default_workers() -> usize {
 /// The `SPARQLOG_WORKERS` environment variable if it is set to a positive
 /// integer; `None` when it is unset, empty, `0` or not a number.
 pub fn workers_override() -> Option<usize> {
-    std::env::var("SPARQLOG_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    env::positive(env::WORKERS)
 }
 
 /// Entries per parse chunk: large enough to amortize scheduling, small

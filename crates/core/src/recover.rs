@@ -27,6 +27,7 @@
 //! identical for any worker count, batch size or engine.
 
 use serde::{Deserialize, Serialize};
+use sparqlog_obs::env;
 use sparqlog_parser::ast_ref::Query;
 use sparqlog_parser::lexer::tokenize_in_limited;
 use sparqlog_parser::token::Spanned;
@@ -161,8 +162,7 @@ impl RecoveryPolicy {
     /// environment variable; the other variants resolve to themselves.
     pub fn resolve(self) -> RecoveryPolicy {
         match self {
-            RecoveryPolicy::Auto => std::env::var("SPARQLOG_RECOVERY")
-                .ok()
+            RecoveryPolicy::Auto => env::text(env::RECOVERY)
                 .and_then(|v| RecoveryPolicy::parse(&v))
                 .unwrap_or(RecoveryPolicy::Strict),
             other => other,
@@ -320,9 +320,7 @@ impl RecoveryContext {
         RecoveryContext {
             policy: policy.resolve(),
             limits: ParseLimits::default(),
-            drill: std::env::var("SPARQLOG_PANIC_DRILL")
-                .ok()
-                .filter(|needle| !needle.is_empty()),
+            drill: env::text(env::PANIC_DRILL).filter(|needle| !needle.is_empty()),
         }
     }
 

@@ -43,6 +43,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod journal;
 pub mod metrics;
 pub mod registry;

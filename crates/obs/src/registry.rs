@@ -26,10 +26,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn resolve_from_env() -> bool {
-    let on = !matches!(
-        std::env::var("SPARQLOG_METRICS").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
+    let on = crate::env::switch(crate::env::METRICS);
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     on
 }

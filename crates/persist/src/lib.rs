@@ -12,10 +12,12 @@
 //!   which byte range was dropped and why. It never panics on any input.
 //!   In memory it keeps only where each snapshot sits in the file;
 //!   [`SnapshotStore::load`] reads one back and checks it.
-//! * [`faults`] — opt-in crash injection (`SPARQLOG_PERSIST_FAULT`) at the
-//!   four interesting instants of the commit protocol, driving the CI
-//!   crash drill the same way the shard fault knobs drive the supervisor
-//!   drill.
+//!
+//! [`SnapshotStore::commit`] also hosts the test-only crash injection
+//! (`SPARQLOG_PERSIST_FAULT`) at the four interesting instants of the commit
+//! protocol that drives the CI crash drill; its modes live with the worker
+//! faults in [`sparqlog_shard::faults`] as
+//! [`StoreFault`](sparqlog_shard::faults::StoreFault).
 //!
 //! Each log's analysis is keyed by its canonical identity
 //! ([`file_identity`](sparqlog_core::file_identity)): the serve daemon
@@ -57,8 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod store;
 
-pub use faults::{FaultMode, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
 pub use store::{JobLog, JobRecord, RecoveryReason, RecoveryReport, SnapshotRef, SnapshotStore};

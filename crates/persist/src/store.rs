@@ -68,7 +68,6 @@
 //! scratch (reported as [`RecoveryReason::BadHeader`] with the full former
 //! length dropped). `open` never panics on any input file.
 
-use crate::faults::{self, FaultMode, FAULT_EXIT};
 use sparqlog_core::analysis::{DatasetAnalysis, Population};
 use sparqlog_core::recover::RecoveryPolicy;
 use sparqlog_core::{LogSummary, PersistedLog};
@@ -76,6 +75,7 @@ use sparqlog_obs as obs;
 use sparqlog_shard::codec::{
     write_frame, DecodeError, DecodeErrorKind, Decoder, Encoder, FrameReader, StreamError,
 };
+use sparqlog_shard::faults::{self, StoreFault, STORE_FAULT_EXIT};
 use sparqlog_shard::snapshot::Snapshot;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -626,10 +626,12 @@ impl SnapshotStore {
     }
 
     /// Appends a per-log snapshot under its canonical `key`. Returns
-    /// `false` without writing when the key is already persisted (appends
-    /// are idempotent per key). Durable only after [`SnapshotStore::commit`].
+    /// `false` without writing when an intact record of the key is already
+    /// persisted (appends are idempotent per key); a record that no longer
+    /// loads (damaged on disk) is superseded by the fresh one. Durable only
+    /// after [`SnapshotStore::commit`].
     pub fn record_snapshot(&mut self, key: u128, log: &PersistedLog) -> io::Result<bool> {
-        if self.index.contains_key(&key) {
+        if matches!(self.load(key), Ok(Some(_))) {
             return Ok(false);
         }
         let mut payload = Encoder::new();
@@ -686,10 +688,10 @@ impl SnapshotStore {
             return Ok(self.seq);
         }
         let _commit_span = obs::global().histogram("persist_commit_us").span();
-        let fault = faults::injected();
-        if fault == Some(FaultMode::DieBeforeCommit) {
+        let fault = faults::store_injected();
+        if fault == Some(StoreFault::DieBeforeCommit) {
             // Data records are appended; the commit record never lands.
-            std::process::exit(FAULT_EXIT);
+            std::process::exit(STORE_FAULT_EXIT);
         }
         let mut payload = Encoder::new();
         payload.put_u8(TAG_COMMIT);
@@ -697,16 +699,16 @@ impl SnapshotStore {
         payload.put_varint(self.pending);
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &payload.into_bytes())?;
-        if fault == Some(FaultMode::DieMidFrame) {
+        if fault == Some(StoreFault::DieMidFrame) {
             // A torn write: half the commit record reaches the file.
             let _ = (&*self.file).write_all(&bytes[..bytes.len() / 2]);
-            std::process::exit(FAULT_EXIT);
+            std::process::exit(STORE_FAULT_EXIT);
         }
         (&*self.file).write_all(&bytes)?;
-        if fault == Some(FaultMode::DieAfterCommitPreFsync) {
+        if fault == Some(StoreFault::DieAfterCommitPreFsync) {
             // The commit record is in the page cache but not fsynced; a
             // process death (unlike power loss) keeps it.
-            std::process::exit(FAULT_EXIT);
+            std::process::exit(STORE_FAULT_EXIT);
         }
         {
             let _fsync_span = obs::global().histogram("persist_fsync_us").span();
@@ -724,11 +726,11 @@ impl SnapshotStore {
         self.committed = self.length;
         self.seq += 1;
         self.pending = 0;
-        if fault == Some(FaultMode::BitFlip) {
+        if fault == Some(StoreFault::BitFlip) {
             // At-rest corruption: flip one committed bit mid-file, sync,
             // die. The next open's CRC scan must find it.
             let _ = self.flip_committed_bit();
-            std::process::exit(FAULT_EXIT);
+            std::process::exit(STORE_FAULT_EXIT);
         }
         Ok(self.seq)
     }

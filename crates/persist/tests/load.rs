@@ -134,3 +134,34 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A record damaged on disk after open no longer loads. Recording its key
+/// again appends a fresh record and points the index at it, while over an
+/// intact record the call stays a no-op. A reopen still truncates the file
+/// at the damaged record.
+#[test]
+fn a_damaged_record_is_superseded_by_the_next_record_of_its_key() {
+    let path = case_path();
+    let (mut store, _) = SnapshotStore::open(&path).expect("create store");
+    let header = store.total_bytes();
+    let (alpha, beta) = (log_of(1, 5), log_of(2, 9));
+    store.record_snapshot(1, &alpha).expect("record");
+    store.record_snapshot(2, &beta).expect("record");
+    store.commit().expect("commit");
+    let mut bytes = std::fs::read(&path).expect("read store");
+    bytes[header as usize + 3] ^= 1; // inside the first record's payload
+    std::fs::write(&path, bytes).expect("damage store");
+    assert!(store.load(1).is_err(), "a damaged record must fail to load");
+
+    assert!(store.record_snapshot(1, &alpha).expect("supersede"));
+    assert_eq!(store.load(1).expect("load"), Some(alpha.clone()));
+    assert!(!store.record_snapshot(1, &alpha).expect("intact"));
+    assert!(!store.record_snapshot(2, &beta).expect("intact"));
+    store.commit().expect("commit");
+    drop(store);
+
+    let (store, report) = SnapshotStore::open(&path).expect("reopen");
+    assert_eq!(report.reason.key(), "checksum-mismatch");
+    assert_eq!((report.kept_bytes, store.snapshots()), (header, 0));
+    let _ = std::fs::remove_file(&path);
+}

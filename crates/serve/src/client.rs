@@ -168,12 +168,14 @@ impl ConnectRetry {
             _ => false,
         }
     }
+}
 
-    /// The capped exponential delay before retry `attempt` (1-based).
-    fn delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.backoff.saturating_mul(factor).min(self.backoff_cap)
-    }
+/// The delay before retry `attempt` (1-based): `first` doubled per attempt,
+/// capped at `cap`. Client reconnects and worker restarts both back off by
+/// it.
+pub(crate) fn backoff_delay(first: Duration, cap: Duration, attempt: u32) -> Duration {
+    let factor = 1u32 << attempt.saturating_sub(1).min(16);
+    first.saturating_mul(factor).min(cap)
 }
 
 /// A connected daemon client. Requests are answered in order, one
@@ -210,7 +212,7 @@ impl Client {
                 Ok(client) => return Ok(client),
                 Err(error) if ConnectRetry::transient(&error) && attempt < retry.attempts => {
                     attempt += 1;
-                    std::thread::sleep(retry.delay(attempt));
+                    std::thread::sleep(backoff_delay(retry.backoff, retry.backoff_cap, attempt));
                 }
                 Err(error) => return Err(error),
             }

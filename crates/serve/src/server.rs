@@ -33,7 +33,7 @@ use sparqlog_core::cache::CacheStats;
 use sparqlog_obs::{self as obs, EventRecord};
 use sparqlog_persist::SnapshotStore;
 use sparqlog_shard::codec::{write_stream_header, FrameReader};
-use sparqlog_shard::{LogSpec, WorkerCommand};
+use sparqlog_shard::LogSpec;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -58,25 +58,9 @@ pub enum SlowConsumerPolicy {
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// How to launch `sparqlog-shard-worker` processes.
-    pub worker: WorkerCommand,
-    /// Concurrent worker processes (0 = available parallelism).
-    pub worker_slots: usize,
-    /// `--workers` analysis threads per worker process (0 = the cores
-    /// divided among the workers running when it starts; see
-    /// [`sparqlog_shard::supervise::worker_thread_budget`]).
-    pub worker_threads: usize,
-    /// Worker heartbeat period (liveness frames on the snapshot pipe).
-    pub heartbeat: Duration,
-    /// Kill a worker whose pipe is silent this long (None = EOF-only
-    /// death detection).
-    pub stall_timeout: Option<Duration>,
-    /// Restarts allowed per partition before its job fails.
-    pub max_restarts: u32,
-    /// First restart backoff (doubles per attempt).
-    pub restart_backoff: Duration,
-    /// Restart backoff ceiling.
-    pub backoff_cap: Duration,
+    /// The worker pool: how to launch workers, how many run at once, their
+    /// heartbeat and their restart policy.
+    pub supervisor: SupervisorConfig,
     /// Bounded per-session outbox capacity, in response frames.
     pub outbox_frames: usize,
     /// What to do when a session's outbox fills.
@@ -98,14 +82,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            worker: WorkerCommand::new("sparqlog-shard-worker"),
-            worker_slots: 0,
-            worker_threads: 0,
-            heartbeat: Duration::from_millis(200),
-            stall_timeout: None,
-            max_restarts: 5,
-            restart_backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
+            supervisor: SupervisorConfig::default(),
             outbox_frames: 64,
             slow_policy: SlowConsumerPolicy::Block,
             writer_pause: Duration::ZERO,
@@ -341,16 +318,7 @@ impl Server {
             warm_start(store, &jobs, &events);
         }
         let supervisor = Supervisor::start(
-            SupervisorConfig {
-                worker: config.worker.clone(),
-                slots: config.worker_slots,
-                worker_threads: config.worker_threads,
-                heartbeat: config.heartbeat,
-                stall_timeout: config.stall_timeout,
-                max_restarts: config.max_restarts,
-                backoff: config.restart_backoff,
-                backoff_cap: config.backoff_cap,
-            },
+            config.supervisor.clone(),
             Arc::clone(&jobs),
             Arc::clone(&events),
             store.clone(),

@@ -27,9 +27,10 @@
 //! the snapshots found after it: logs whose analysis the store already
 //! holds merge immediately (`store-hit`, no worker process) when the
 //! store-hit rule ([`PersistedLog::usable_under`]) allows it under the job's
-//! policy; a stored snapshot that fails to load is a `store-error` and its
-//! log runs without a key. The rest run as usual and each snapshot is
-//! staged into the store just before its partition merges. When the last
+//! policy; a stored snapshot that fails to load is a `store-error`, and its
+//! log runs again and stages a fresh snapshot that supersedes the damaged
+//! record. The rest run as usual and each snapshot is staged into the store
+//! just before its partition merges. When the last
 //! partition merges, the job's manifest is staged and everything is
 //! committed durably in one fsync (`store-commit`) — so a restarted daemon
 //! warm-starts the job and a resubmission is pure store hits. A job whose
@@ -38,6 +39,7 @@
 //! attempted does the job read as `Complete` to clients
 //! ([`JobState::commit_pending`]).
 
+use crate::client::backoff_delay;
 use crate::events::{quoted, EventLog};
 use crate::job::{JobState, Jobs};
 use sparqlog_core::analysis::Population;
@@ -208,9 +210,8 @@ impl Supervisor {
                         hits[partition] = Some(Arc::new(hit));
                     }
                     Some(Err(error)) => {
-                        // Re-analysed, and without a key: the job must keep
-                        // its own result rather than point at this record.
-                        keys[partition] = None;
+                        // Re-analysed under its key: the fresh snapshot
+                        // supersedes the damaged record when it is staged.
                         self.shared.events.emit(format!(
                             "event=store-error job={job} partition={partition} error={}",
                             quoted(&error.to_string())
@@ -343,15 +344,6 @@ fn runner_loop(shared: &Shared) {
 /// the `queued` ones the idle runners are about to claim, at most `slots`.
 fn concurrent_workers(slots: usize, active: usize, queued: usize) -> usize {
     slots.min(active + queued)
-}
-
-/// Exponential backoff for restart `attempt` (1-based), capped.
-fn backoff_delay(config: &SupervisorConfig, attempt: u32) -> Duration {
-    let factor = 1u32 << attempt.saturating_sub(1).min(16);
-    config
-        .backoff
-        .saturating_mul(factor)
-        .min(config.backoff_cap)
 }
 
 /// Runs one partition to success, fatal job failure, or restart exhaustion,
@@ -498,7 +490,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
                     );
                     return;
                 }
-                std::thread::sleep(backoff_delay(config, attempt));
+                std::thread::sleep(backoff_delay(config.backoff, config.backoff_cap, attempt));
             }
         }
     }
@@ -598,10 +590,10 @@ fn publish_completion(shared: &Shared, job: u64) {
 
 /// Stages the completed job's manifest and commits everything durably.
 /// Only called once the job is complete; skipped (with an event) if any
-/// partition's log has no key — unhashable at submit time, or its stored
-/// snapshot failed to load — since a manifest with a missing key could not
-/// warm-start. Returns whether the commit succeeded with every log's
-/// snapshot in the store, so the job may drop its own copies.
+/// partition's log has no key (it was unhashable at submit time), since a
+/// manifest with a missing key could not warm-start. Returns whether the
+/// commit succeeded with every log's snapshot in the store, so the job may
+/// drop its own copies.
 fn persist_completion(
     store: &Arc<Mutex<SnapshotStore>>,
     jobs: &Jobs,
@@ -687,16 +679,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let config = SupervisorConfig {
-            backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_millis(300),
-            ..SupervisorConfig::default()
-        };
-        assert_eq!(backoff_delay(&config, 1), Duration::from_millis(50));
-        assert_eq!(backoff_delay(&config, 2), Duration::from_millis(100));
-        assert_eq!(backoff_delay(&config, 3), Duration::from_millis(200));
-        assert_eq!(backoff_delay(&config, 4), Duration::from_millis(300));
-        assert_eq!(backoff_delay(&config, 30), Duration::from_millis(300));
+        // The one formula behind worker restarts (here) and client
+        // reconnects (`Client::connect_with_retry`).
+        let (first, cap) = (Duration::from_millis(50), Duration::from_millis(300));
+        let delays = [1, 2, 3, 4, 30].map(|attempt| backoff_delay(first, cap, attempt));
+        assert_eq!(delays, [50, 100, 200, 300, 300].map(Duration::from_millis));
     }
 
     #[test]

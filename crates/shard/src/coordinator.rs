@@ -36,6 +36,7 @@ use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{workers_override, LogSummary};
 use sparqlog_core::{BudgetExceeded, LogSlots, PersistedLog, RecoveryPolicy, Refused};
+use sparqlog_obs::env;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
@@ -95,7 +96,7 @@ impl WorkerCommand {
     /// `sparqlog-shard-worker` binary next to the current executable (where
     /// Cargo puts workspace binaries built by the same profile).
     pub fn resolve_default() -> io::Result<WorkerCommand> {
-        if let Ok(path) = std::env::var("SPARQLOG_SHARD_WORKER") {
+        if let Some(path) = env::text(env::SHARD_WORKER) {
             return Ok(WorkerCommand::new(path));
         }
         let exe = std::env::current_exe()?;
@@ -154,17 +155,11 @@ impl ShardOptions {
 /// otherwise the available parallelism. The override exists so CI can pin
 /// the process matrix (the same pattern as `SPARQLOG_WORKERS`).
 pub fn default_shards() -> usize {
-    if let Some(n) = std::env::var("SPARQLOG_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env::positive(env::SHARDS).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A failure of a sharded run. Every process-level variant names the shard.

@@ -42,13 +42,13 @@
 //!
 //! # Fault injection (tests only)
 //!
-//! All fault-injection behaviour is defined by [`crate::faults`] — one
-//! documented module for the env knobs (`SPARQLOG_SHARD_FAULT`, shard
-//! scoping, once-only flag files, stall/delay durations) so the worker, the
+//! All fault-injection behaviour is defined by [`crate::faults`] — the
+//! modes, their env knobs (`SPARQLOG_SHARD_FAULT`, shard scoping, once-only
+//! flag files, the delay duration) and the exit status — so the worker, the
 //! coordinator tests and the CI fault matrix cannot drift apart.
 
 use crate::codec::write_stream_header;
-use crate::faults::{self, FaultMode};
+use crate::faults::{self, FaultMode, WORKER_FAULT_EXIT};
 use crate::snapshot::{EpilogueFrame, Frame, HeartbeatFrame, LogFrame};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
@@ -170,7 +170,7 @@ pub fn run(config: &WorkerConfig, out: &mut (impl Write + Send)) -> io::Result<(
     match fault {
         Some(FaultMode::Die) => {
             eprintln!("injected fault: die (shard {})", config.shard);
-            std::process::exit(3);
+            std::process::exit(WORKER_FAULT_EXIT);
         }
         Some(FaultMode::WrongVersion) => {
             out.write_all(&crate::codec::MAGIC)?;
@@ -220,7 +220,7 @@ pub fn run(config: &WorkerConfig, out: &mut (impl Write + Send)) -> io::Result<(
         // heartbeats (the beat thread is not running yet). Only a
         // heartbeat/stall timeout can tell this apart from a slow analysis.
         eprintln!("injected fault: stall (shard {})", config.shard);
-        std::thread::sleep(faults::stall_duration());
+        std::thread::sleep(faults::STALL);
     }
 
     let stop = AtomicBool::new(false);

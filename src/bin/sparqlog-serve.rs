@@ -33,6 +33,7 @@
 use sparqlog::serve::{ServeAddr, ServeConfig, Server, SlowConsumerPolicy};
 use sparqlog::shard::WorkerCommand;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -42,6 +43,13 @@ fn usage() -> ! {
          [--outbox N] [--shed] [--event-log PATH] [--store PATH]"
     );
     std::process::exit(2);
+}
+
+/// The value after a flag; a missing or unparsable one is a usage error.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next()
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 /// Fails fast on an unusable `--store`/`--event-log` path: the file must
@@ -76,53 +84,23 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tcp" => match args.next() {
-                Some(spec) => addr = ServeAddr::Tcp(spec),
-                None => usage(),
-            },
-            "--unix" => match args.next() {
-                Some(path) => addr = ServeAddr::Unix(path.into()),
-                None => usage(),
-            },
-            "--slots" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.worker_slots = n,
-                None => usage(),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.worker_threads = n,
-                None => usage(),
-            },
-            "--heartbeat-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.heartbeat = Duration::from_millis(n),
-                None => usage(),
-            },
-            "--stall-timeout-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(0) => config.stall_timeout = None,
-                Some(n) => config.stall_timeout = Some(Duration::from_millis(n)),
-                None => usage(),
-            },
-            "--max-restarts" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.max_restarts = n,
-                None => usage(),
-            },
-            "--backoff-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.restart_backoff = Duration::from_millis(n),
-                None => usage(),
-            },
-            "--outbox" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.outbox_frames = n,
-                None => usage(),
-            },
+            "--tcp" => addr = ServeAddr::Tcp(value(&mut args)),
+            "--unix" => addr = ServeAddr::Unix(value(&mut args)),
+            "--slots" => config.supervisor.slots = value(&mut args),
+            "--workers" => config.supervisor.worker_threads = value(&mut args),
+            "--heartbeat-ms" => {
+                config.supervisor.heartbeat = Duration::from_millis(value(&mut args))
+            }
+            "--stall-timeout-ms" => {
+                let ms = value(&mut args);
+                config.supervisor.stall_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--max-restarts" => config.supervisor.max_restarts = value(&mut args),
+            "--backoff-ms" => config.supervisor.backoff = Duration::from_millis(value(&mut args)),
+            "--outbox" => config.outbox_frames = value(&mut args),
             "--shed" => config.slow_policy = SlowConsumerPolicy::Shed,
-            "--event-log" => match args.next() {
-                Some(path) => config.event_log_path = Some(path.into()),
-                None => usage(),
-            },
-            "--store" => match args.next() {
-                Some(path) => config.store_path = Some(path.into()),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
+            "--event-log" => config.event_log_path = Some(value(&mut args)),
+            "--store" => config.store_path = Some(value(&mut args)),
             _ => usage(),
         }
     }
@@ -139,7 +117,7 @@ fn main() {
         }
     }
 
-    config.worker = match WorkerCommand::resolve_default() {
+    config.supervisor.worker = match WorkerCommand::resolve_default() {
         Ok(worker) => worker,
         Err(error) => {
             eprintln!("sparqlog-serve: {error}");

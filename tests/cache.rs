@@ -28,6 +28,7 @@ use sparqlog::core::corpus::{
 use sparqlog::core::fused::ENTRY_MEMO_SLOTS;
 use sparqlog::core::report::full_report;
 use sparqlog::core::{CorpusAnalysis, ErrorKind, Population, QueryAnalysis, RecoveryPolicy};
+use sparqlog::obs::env;
 use sparqlog::parser::bytescan::hash128;
 use sparqlog::parser::token::{token_key, Keyword, Token};
 use sparqlog::parser::{
@@ -439,7 +440,7 @@ fn a_repeated_defect_is_guarded_at_every_repeat() {
         let options = ShardOptions {
             shards: 1,
             worker_threads,
-            worker: WorkerCommand::new(WORKER).env("SPARQLOG_PANIC_DRILL", "MemoDrill"),
+            worker: WorkerCommand::new(WORKER).env(env::PANIC_DRILL, "MemoDrill"),
             recovery,
         };
         analyze_sharded(&logs, Population::Valid, &options)

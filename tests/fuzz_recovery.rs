@@ -17,7 +17,9 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RawLog, RecoveryPolicy};
-use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
+use sparqlog::serve::{
+    Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SupervisorConfig,
+};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::path::PathBuf;
@@ -74,10 +76,13 @@ fn serve_client() -> &'static Mutex<Client> {
     static SERVER: OnceLock<(Mutex<Client>, ServerHandle)> = OnceLock::new();
     let (client, _handle) = SERVER.get_or_init(|| {
         let config = ServeConfig {
-            worker: WorkerCommand::new(WORKER),
-            worker_slots: 2,
-            worker_threads: 2,
-            heartbeat: Duration::from_millis(50),
+            supervisor: SupervisorConfig {
+                worker: WorkerCommand::new(WORKER),
+                slots: 2,
+                worker_threads: 2,
+                heartbeat: Duration::from_millis(50),
+                ..SupervisorConfig::default()
+            },
             ..ServeConfig::default()
         };
         let server =

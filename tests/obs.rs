@@ -14,8 +14,8 @@ use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RawLog, RecoveryPolicy};
-use sparqlog::obs::{EventRecord, LatencyHistogram};
-use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server};
+use sparqlog::obs::{env, EventRecord, LatencyHistogram};
+use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, SupervisorConfig};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset};
 use std::io::Write as _;
@@ -224,7 +224,7 @@ fn sharded_reports_are_byte_identical_with_metrics_on_and_off() {
                 shards: 2,
                 worker_threads,
                 worker: WorkerCommand::new(WORKER)
-                    .env("SPARQLOG_METRICS", if metrics { "1" } else { "0" }),
+                    .env(env::METRICS, if metrics { "1" } else { "0" }),
                 recovery: RecoveryPolicy::Lenient,
             };
             let sharded =
@@ -291,11 +291,14 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
     let run = |metrics: bool, store: &Path| {
         sparqlog::obs::set_enabled(metrics);
         let config = ServeConfig {
-            worker: WorkerCommand::new(WORKER)
-                .env("SPARQLOG_METRICS", if metrics { "1" } else { "0" }),
-            worker_slots: 2,
-            worker_threads: 2,
-            heartbeat: Duration::from_millis(50),
+            supervisor: SupervisorConfig {
+                worker: WorkerCommand::new(WORKER)
+                    .env(env::METRICS, if metrics { "1" } else { "0" }),
+                slots: 2,
+                worker_threads: 2,
+                heartbeat: Duration::from_millis(50),
+                ..SupervisorConfig::default()
+            },
             store_path: Some(store.to_path_buf()),
             ..ServeConfig::default()
         };

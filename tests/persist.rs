@@ -6,14 +6,19 @@
 //! injected point of the commit protocol must leave a store its successor
 //! recovers and re-serves from, byte-identically once more.
 
-use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
+use sparqlog::core::corpus::{
+    analyze_streams_with, workers_override, FileLogReader, FusedOptions, LogReader,
+};
 use sparqlog::core::report::full_report;
 use sparqlog::core::PersistedLog;
 use sparqlog::core::{Population, RecoveryPolicy};
-use sparqlog::persist::{FaultMode, SnapshotStore, FAULT_ENV, FAULT_EXIT, FAULT_FLAG_ENV};
+use sparqlog::obs::env;
+use sparqlog::persist::SnapshotStore;
 use sparqlog::serve::{
     Client, ClientError, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
+    SupervisorConfig,
 };
+use sparqlog::shard::faults::{StoreFault, STORE_FAULT_EXIT};
 use sparqlog::shard::{LogSpec, WorkerCommand};
 use sparqlog::synth::{generate_single_day_log, Dataset};
 use std::io::{BufRead, BufReader, Write as _};
@@ -108,20 +113,16 @@ fn submit_specs(logs: &[LogSpec]) -> Vec<(String, String)> {
         .collect()
 }
 
-fn worker_threads() -> usize {
-    std::env::var("SPARQLOG_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(2)
-}
-
 fn store_config(store: &Path) -> ServeConfig {
     ServeConfig {
-        worker: WorkerCommand::new(WORKER),
-        worker_slots: 2,
-        worker_threads: worker_threads(),
-        heartbeat: Duration::from_millis(50),
-        restart_backoff: Duration::from_millis(10),
+        supervisor: SupervisorConfig {
+            worker: WorkerCommand::new(WORKER),
+            slots: 2,
+            worker_threads: workers_override().unwrap_or(2),
+            heartbeat: Duration::from_millis(50),
+            backoff: Duration::from_millis(10),
+            ..SupervisorConfig::default()
+        },
         store_path: Some(store.to_path_buf()),
         ..ServeConfig::default()
     }
@@ -268,7 +269,7 @@ fn a_store_record_damaged_after_open_fails_its_report_and_the_daemon_keeps_servi
     }
 
     // The daemon keeps serving: the job's status, and a resubmission that
-    // re-analyses the damaged log and keeps its own results.
+    // re-analyses the damaged log, supersedes its record and commits.
     client.ping().expect("ping after a failed report");
     let status = client.status(job).expect("status");
     assert_eq!(status.phase, JobPhase::Complete);
@@ -286,17 +287,20 @@ fn a_store_record_damaged_after_open_fails_its_report_and_the_daemon_keeps_servi
     for event in [
         "event=store-error",
         "event=worker-start",
-        "event=store-skip",
+        "event=store-commit",
     ] {
         assert!(
             lines.iter().any(|l| l.contains(event)),
             "no {event}: {lines:?}"
         );
     }
+    assert!(!lines.iter().any(|l| l.contains("event=store-skip")));
     assert_eq!(
         handle.jobs().with(rejob, |state| state.holds_logs()),
-        Some(true)
+        Some(false)
     );
+    // The fresh record serves the first job's report again.
+    assert_eq!(client.report(job, true).expect("report").text, reference);
     drop(client);
     handle.stop();
     runner.join().expect("server thread").expect("server run");
@@ -345,7 +349,7 @@ impl Daemon {
             .arg(store)
             .arg("--event-log")
             .arg(journal)
-            .env("SPARQLOG_SHARD_WORKER", WORKER)
+            .env(env::SHARD_WORKER, WORKER)
             .envs(envs.iter().map(|(key, value)| (key, value)))
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -400,7 +404,7 @@ impl Drop for Daemon {
 /// and a second daemon on the damaged store recovers it and answers a
 /// resubmission of the same logs. `Err` says which expectation broke.
 fn crash_leg(
-    mode: FaultMode,
+    mode: StoreFault,
     scratch: &Path,
     logs: &[LogSpec],
     reference: &str,
@@ -420,8 +424,8 @@ fn crash_leg(
     // processes; the first store commit (at job completion) dies at the
     // injected point with the persist fault exit.
     let envs = [
-        (FAULT_ENV, leg.to_string()),
-        (FAULT_FLAG_ENV, flag.display().to_string()),
+        (env::PERSIST_FAULT, leg.to_string()),
+        (env::PERSIST_FAULT_FLAG, flag.display().to_string()),
     ];
     let mut daemon = Daemon::spawn(&store, &journals[0], &envs);
     let mut client =
@@ -432,9 +436,9 @@ fn crash_leg(
     drop(client); // the daemon dies mid-commit; don't race its last breath
     let exit = daemon.wait_exit(SETTLE);
     drop(daemon);
-    if exit != Some(FAULT_EXIT) {
+    if exit != Some(STORE_FAULT_EXIT) {
         return Err(format!(
-            "daemon exited {exit:?}, expected the fault exit {FAULT_EXIT}"
+            "daemon exited {exit:?}, expected the fault exit {STORE_FAULT_EXIT}"
         ));
     }
 
@@ -475,7 +479,7 @@ fn a_daemon_killed_mid_commit_leaves_a_store_its_successor_recovers() {
     let scratch = Scratch::new("crash");
     let logs = write_corpus(scratch.path());
     let reference = fused_reference(&logs, Population::Unique);
-    for mode in FaultMode::ALL {
+    for mode in StoreFault::ALL {
         let leg = mode.name();
         let journals = [1, 2].map(|n| scratch.path().join(format!("events-{leg}-{n}.log")));
         if let Err(failure) = crash_leg(mode, scratch.path(), &logs, &reference, &journals) {

@@ -15,7 +15,10 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RawLog, RecoveryPolicy};
-use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
+use sparqlog::obs::env;
+use sparqlog::serve::{
+    Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SupervisorConfig,
+};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardError, ShardOptions, WorkerCommand};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -352,7 +355,7 @@ fn planted_worker_panic_is_caught_and_tallied_across_the_process_boundary() {
     let options = ShardOptions {
         shards: 1,
         worker_threads: 2,
-        worker: WorkerCommand::new(WORKER).env("SPARQLOG_PANIC_DRILL", "PanicDrill"),
+        worker: WorkerCommand::new(WORKER).env(env::PANIC_DRILL, "PanicDrill"),
         recovery: RecoveryPolicy::Lenient,
     };
     let sharded =
@@ -399,10 +402,13 @@ fn served_jobs_honor_the_policy_and_report_identical_tallies() {
     let reference_report = full_report(&reference.corpus);
 
     let config = ServeConfig {
-        worker: WorkerCommand::new(WORKER),
-        worker_slots: 2,
-        worker_threads: 2,
-        heartbeat: Duration::from_millis(50),
+        supervisor: SupervisorConfig {
+            worker: WorkerCommand::new(WORKER),
+            slots: 2,
+            worker_threads: 2,
+            heartbeat: Duration::from_millis(50),
+            ..SupervisorConfig::default()
+        },
         ..ServeConfig::default()
     };
     let (addr, handle) = start_server(config);

@@ -17,13 +17,17 @@
 //! which runs the daemon's own default: the cores divided among the
 //! workers running when a partition is claimed.
 
-use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
+use sparqlog::core::corpus::{
+    analyze_streams_with, workers_override, FileLogReader, FusedOptions, LogReader,
+};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RecoveryPolicy};
+use sparqlog::obs::env;
 use sparqlog::persist::SnapshotStore;
 use sparqlog::serve::protocol::{self, Request, Response};
 use sparqlog::serve::{
-    Client, ClientError, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SlowConsumerPolicy,
+    Client, ClientError, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
+    SlowConsumerPolicy, SupervisorConfig,
 };
 use sparqlog::shard::codec::{write_stream_header, FrameReader};
 use sparqlog::shard::{LogSpec, WorkerCommand};
@@ -124,20 +128,16 @@ fn worker_threads_started(handle: &ServerHandle, job: u64) -> Vec<(u64, u64)> {
     started
 }
 
-fn worker_threads() -> usize {
-    std::env::var("SPARQLOG_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(2)
-}
-
 fn base_config(worker: WorkerCommand) -> ServeConfig {
     ServeConfig {
-        worker,
-        worker_slots: 2,
-        worker_threads: worker_threads(),
-        heartbeat: Duration::from_millis(50),
-        restart_backoff: Duration::from_millis(10),
+        supervisor: SupervisorConfig {
+            worker,
+            slots: 2,
+            worker_threads: workers_override().unwrap_or(2),
+            heartbeat: Duration::from_millis(50),
+            backoff: Duration::from_millis(10),
+            ..SupervisorConfig::default()
+        },
         ..ServeConfig::default()
     }
 }
@@ -375,9 +375,9 @@ fn a_killed_worker_is_restarted_and_nothing_is_double_counted() {
         let reference = fused_reference(&logs, Population::Unique);
         let flag = scratch.path().join("fault.flag");
         let worker = WorkerCommand::new(WORKER)
-            .env("SPARQLOG_SHARD_FAULT", fault)
-            .env("SPARQLOG_SHARD_FAULT_SHARD", "1")
-            .env("SPARQLOG_SHARD_FAULT_FLAG", flag.display().to_string());
+            .env(env::SHARD_FAULT, fault)
+            .env(env::SHARD_FAULT_SHARD, "1")
+            .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
         let (addr, handle, runner) = start_server(base_config(worker));
 
         let mut client = Client::connect(&addr).expect("connect");
@@ -434,10 +434,10 @@ fn a_worker_sigkilled_from_outside_is_restarted_and_recovered() {
     let reference = fused_reference(&logs, Population::Unique);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "delay")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0")
-        .env("SPARQLOG_SHARD_FAULT_DELAY_MS", "30000")
-        .env("SPARQLOG_SHARD_FAULT_FLAG", flag.display().to_string());
+        .env(env::SHARD_FAULT, "delay")
+        .env(env::SHARD_FAULT_SHARD, "0")
+        .env(env::SHARD_FAULT_DELAY_MS, "30000")
+        .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
     let (addr, handle, runner) = start_server(base_config(worker));
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -506,14 +506,12 @@ fn heartbeats_keep_a_slow_but_alive_worker_from_being_killed() {
     let reference = fused_reference(&logs, Population::Unique);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "delay")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0")
-        .env("SPARQLOG_SHARD_FAULT_DELAY_MS", "1500")
-        .env("SPARQLOG_SHARD_FAULT_FLAG", flag.display().to_string());
-    let config = ServeConfig {
-        stall_timeout: Some(Duration::from_millis(500)),
-        ..base_config(worker)
-    };
+        .env(env::SHARD_FAULT, "delay")
+        .env(env::SHARD_FAULT_SHARD, "0")
+        .env(env::SHARD_FAULT_DELAY_MS, "1500")
+        .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
+    let mut config = base_config(worker);
+    config.supervisor.stall_timeout = Some(Duration::from_millis(500));
     let (addr, handle, runner) = start_server(config);
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -547,13 +545,11 @@ fn a_stalled_worker_is_killed_by_the_heartbeat_timeout_and_recovered() {
     let reference = fused_reference(&logs, Population::Unique);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "stall")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0")
-        .env("SPARQLOG_SHARD_FAULT_FLAG", flag.display().to_string());
-    let config = ServeConfig {
-        stall_timeout: Some(Duration::from_millis(500)),
-        ..base_config(worker)
-    };
+        .env(env::SHARD_FAULT, "stall")
+        .env(env::SHARD_FAULT_SHARD, "0")
+        .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
+    let mut config = base_config(worker);
+    config.supervisor.stall_timeout = Some(Duration::from_millis(500));
     let (addr, handle, runner) = start_server(config);
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -637,11 +633,11 @@ fn a_complete_status_implies_the_completion_commit() {
 fn two_clients_share_one_store_without_disturbing_each_other() {
     let scratch = Scratch::new("two-clients");
     let logs = write_corpus(scratch.path());
-    let config = ServeConfig {
+    let mut config = ServeConfig {
         store_path: Some(scratch.path().join("store.sqps")),
-        max_restarts: 1,
         ..base_config(WorkerCommand::new(WORKER))
     };
+    config.supervisor.max_restarts = 1;
     let (addr, handle, runner) = start_server(config);
 
     // Overlapping jobs submitted at the same moment: both hash all their
@@ -711,11 +707,9 @@ fn two_clients_share_one_store_without_disturbing_each_other() {
 fn the_default_thread_budget_divides_the_cores_among_running_workers() {
     let scratch = Scratch::new("thread-budget");
     let logs = write_corpus(scratch.path());
-    let config = ServeConfig {
-        worker_threads: 0,
-        ..base_config(WorkerCommand::new(WORKER))
-    };
-    assert_eq!(config.worker_slots, 2);
+    let mut config = base_config(WorkerCommand::new(WORKER));
+    config.supervisor.worker_threads = 0;
+    assert_eq!(config.supervisor.slots, 2);
     let (addr, handle, runner) = start_server(config);
     let mut client = Client::connect(&addr).expect("connect");
     let mut run = |logs: &[LogSpec]| {

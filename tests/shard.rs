@@ -12,6 +12,7 @@
 use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::Population;
+use sparqlog::obs::env;
 use sparqlog::shard::{
     analyze_sharded, DecodeErrorKind, LogSpec, ShardError, ShardOptions, WorkerCommand,
 };
@@ -99,13 +100,7 @@ fn fused_reference(
 /// The shard counts to exercise: `SPARQLOG_SHARDS` pins one (CI matrix),
 /// otherwise the full acceptance list.
 fn shard_counts() -> Vec<usize> {
-    match std::env::var("SPARQLOG_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => vec![n],
-        _ => vec![1, 2, 4],
-    }
+    env::positive(env::SHARDS).map_or(vec![1, 2, 4], |n| vec![n])
 }
 
 fn options(shards: usize, worker_threads: usize) -> ShardOptions {
@@ -161,8 +156,8 @@ fn killed_worker_mid_stream_is_a_structured_error_naming_the_shard() {
     // complete frame; shard 0 stays healthy.
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "abort-mid-stream")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "1");
+        .env(env::SHARD_FAULT, "abort-mid-stream")
+        .env(env::SHARD_FAULT_SHARD, "1");
     let error = analyze_sharded(&logs, Population::Unique, &options).unwrap_err();
     let ShardError::Worker { shard, code, .. } = &error else {
         panic!("expected a worker failure, got {error}");
@@ -178,8 +173,8 @@ fn truncated_frame_is_a_structured_decode_error() {
     let logs = write_corpus(scratch.path());
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "truncate")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0");
+        .env(env::SHARD_FAULT, "truncate")
+        .env(env::SHARD_FAULT_SHARD, "0");
     let error = analyze_sharded(&logs, Population::Unique, &options).unwrap_err();
     let ShardError::Decode {
         shard: 0,
@@ -198,8 +193,8 @@ fn codec_version_mismatch_is_reported_per_shard() {
     let logs = write_corpus(scratch.path());
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "wrong-version")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "1");
+        .env(env::SHARD_FAULT, "wrong-version")
+        .env(env::SHARD_FAULT_SHARD, "1");
     let error = analyze_sharded(&logs, Population::Unique, &options).unwrap_err();
     let ShardError::Decode {
         shard: 1,
@@ -221,8 +216,8 @@ fn early_exit_surfaces_the_status_and_stderr() {
     let logs = write_corpus(scratch.path());
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "die")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0");
+        .env(env::SHARD_FAULT, "die")
+        .env(env::SHARD_FAULT_SHARD, "0");
     let error = analyze_sharded(&logs, Population::Unique, &options).unwrap_err();
     let ShardError::Worker {
         shard: 0,
@@ -247,8 +242,8 @@ fn a_stderr_flooding_worker_does_not_deadlock_the_coordinator() {
     let (reference_report, _) = fused_reference(&logs, Population::Unique);
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
-        .env("SPARQLOG_SHARD_FAULT", "stderr-flood")
-        .env("SPARQLOG_SHARD_FAULT_SHARD", "0");
+        .env(env::SHARD_FAULT, "stderr-flood")
+        .env(env::SHARD_FAULT_SHARD, "0");
     let sharded =
         analyze_sharded(&logs, Population::Unique, &options).expect("flooded worker completes");
     assert_eq!(full_report(&sharded.corpus), reference_report);
