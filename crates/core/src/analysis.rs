@@ -360,6 +360,44 @@ pub enum Population {
     Valid,
 }
 
+impl Population {
+    /// The population's byte in the serve protocol, in the snapshot
+    /// store's job manifests and in log identities: 0 unique, 1 valid.
+    pub fn code(self) -> u8 {
+        match self {
+            Population::Unique => 0,
+            Population::Valid => 1,
+        }
+    }
+
+    /// The population a [`code`](Population::code) names, if any.
+    pub fn from_code(code: u8) -> Option<Population> {
+        match code {
+            0 => Some(Population::Unique),
+            1 => Some(Population::Valid),
+            _ => None,
+        }
+    }
+
+    /// The population's spelling on a worker's command line (`--population
+    /// unique|valid`).
+    pub fn spelling(self) -> &'static str {
+        match self {
+            Population::Unique => "unique",
+            Population::Valid => "valid",
+        }
+    }
+
+    /// The population a [`spelling`](Population::spelling) names, if any.
+    pub fn parse(text: &str) -> Option<Population> {
+        match text {
+            "unique" => Some(Population::Unique),
+            "valid" => Some(Population::Valid),
+            _ => None,
+        }
+    }
+}
+
 /// The analysis of a whole corpus: one record per dataset plus the combined
 /// totals.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -460,6 +498,16 @@ mod tests {
     fn analysis_of(entries: &[&str]) -> DatasetAnalysis {
         let corpus = analyze(&[("t", entries)], Population::Unique);
         corpus.datasets.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn populations_round_trip_through_code_and_spelling() {
+        for population in [Population::Unique, Population::Valid] {
+            assert_eq!(Population::from_code(population.code()), Some(population));
+            assert_eq!(Population::parse(population.spelling()), Some(population));
+        }
+        assert_eq!(Population::from_code(2), None);
+        assert_eq!(Population::parse("Unique"), None);
     }
 
     #[test]

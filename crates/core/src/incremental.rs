@@ -97,10 +97,7 @@ pub fn file_identity(population: Population, label: &str, path: &Path) -> io::Re
 
 fn identity_header(population: Population, label: &str) -> Hasher128 {
     let mut hasher = Hasher128::default();
-    hasher.update(&[match population {
-        Population::Unique => 0,
-        Population::Valid => 1,
-    }]);
+    hasher.update(&[population.code()]);
     hasher.update(&(label.len() as u64).to_le_bytes());
     hasher.update(label.as_bytes());
     hasher

@@ -784,11 +784,9 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
                 Decoded::Snapshot(key, Box::new(PersistedLog { summary, analysis }))
             }
             TAG_JOB => {
-                let population = match input.take_u8()? {
-                    0 => Population::Unique,
-                    1 => Population::Valid,
-                    other => return Err(input.invalid("job population", u64::from(other))),
-                };
+                let code = input.take_u8()?;
+                let population = Population::from_code(code)
+                    .ok_or_else(|| input.invalid("job population", u64::from(code)))?;
                 let spelling = input.take_str()?;
                 let recovery = RecoveryPolicy::parse(&spelling)
                     .ok_or_else(|| input.invalid("job recovery policy", 0))?;
@@ -822,10 +820,7 @@ fn decode_record(payload: &[u8]) -> Result<Decoded, String> {
 /// A job manifest as a [`TAG_JOB`] record carries it after its tag.
 fn encode_manifest(job: &JobRecord) -> Vec<u8> {
     let mut out = Encoder::new();
-    out.put_u8(match job.population {
-        Population::Unique => 0,
-        Population::Valid => 1,
-    });
+    out.put_u8(job.population.code());
     out.put_str(&job.recovery.spelling());
     out.put_usize(job.logs.len());
     for log in &job.logs {

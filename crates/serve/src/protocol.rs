@@ -206,21 +206,6 @@ pub enum Response {
     },
 }
 
-fn population_code(population: Population) -> u8 {
-    match population {
-        Population::Unique => 0,
-        Population::Valid => 1,
-    }
-}
-
-fn population_from(code: u8, decoder: &Decoder<'_>) -> Result<Population, DecodeError> {
-    match code {
-        0 => Ok(Population::Unique),
-        1 => Ok(Population::Valid),
-        other => Err(decoder.invalid("population code", u64::from(other))),
-    }
-}
-
 /// Encodes a recovery policy: one tag byte, plus the budget rate for
 /// `ErrorBudget` (the only variant with a parameter).
 fn put_recovery(out: &mut Encoder, policy: RecoveryPolicy) {
@@ -262,7 +247,7 @@ impl Request {
                 logs,
             } => {
                 out.put_u8(req::SUBMIT);
-                out.put_u8(population_code(*population));
+                out.put_u8(population.code());
                 put_recovery(&mut out, *recovery);
                 out.put_usize(logs.len());
                 for (label, path) in logs {
@@ -303,7 +288,8 @@ impl Request {
             req::PING => Request::Ping,
             req::SUBMIT => {
                 let code = decoder.take_u8()?;
-                let population = population_from(code, &decoder)?;
+                let population = Population::from_code(code)
+                    .ok_or_else(|| decoder.invalid("population code", u64::from(code)))?;
                 let recovery = take_recovery(&mut decoder)?;
                 let count = decoder.take_usize()?;
                 let mut logs = Vec::with_capacity(count.min(1 << 12));

@@ -1,8 +1,8 @@
 //! The worker-pool supervisor: a fixed set of runner threads (std threads +
 //! channels, no async runtime) pulling partition tasks from a shared queue.
 //! Each task spawns one supervised `sparqlog-shard-worker`
-//! ([`sparqlog_shard::supervise`]) over exactly one log, with liveness
-//! heartbeats and an optional stall timeout.
+//! ([`sparqlog_shard::supervise`]) over exactly one log, with an optional
+//! stall timeout fed by liveness heartbeats.
 //!
 //! # Fault model
 //!
@@ -67,7 +67,8 @@ pub struct SupervisorConfig {
     /// `--workers` per worker process (0 = the cores divided among the
     /// workers running when it starts; see [`worker_thread_budget`]).
     pub worker_threads: usize,
-    /// Worker heartbeat period.
+    /// Worker heartbeat period. Workers beat only under a `stall_timeout`,
+    /// the one reader of their activity clock.
     pub heartbeat: Duration,
     /// Kill a worker whose pipe is silent this long (None = EOF-only).
     pub stall_timeout: Option<Duration>,
@@ -382,7 +383,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
             // and the job table meters the budget once at the last merge.
             recovery: task.recovery,
             worker_threads,
-            heartbeat: Some(config.heartbeat),
+            heartbeat: config.stall_timeout.map(|_| config.heartbeat),
             logs: vec![AssignedLog {
                 index: partition as u64,
                 label: task.log.label.clone(),

@@ -463,8 +463,8 @@ pub fn analyze_sharded(
 
 /// [`analyze_sharded`], but a partial failure reports **every** failing
 /// shard (in shard order) instead of only the first — the shape the
-/// `sparqlog-shard` CLI renders as a per-shard error table and the CI fault
-/// jobs assert on.
+/// `sparqlog-shard` CLI renders as a per-shard error table
+/// (`tests/shard.rs::the_cli_prints_one_error_row_per_failing_shard`).
 pub fn analyze_sharded_all(
     logs: &[LogSpec],
     population: Population,

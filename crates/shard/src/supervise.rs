@@ -130,10 +130,7 @@ impl WorkerLaunch {
             command.env(key, value);
         }
         command.arg("--shard").arg(shard.to_string());
-        command.arg("--population").arg(match self.population {
-            Population::Unique => "unique",
-            Population::Valid => "valid",
-        });
+        command.arg("--population").arg(self.population.spelling());
         if let Some(threads) = self.worker_threads {
             command.arg("--workers").arg(threads.to_string());
         }

@@ -110,11 +110,8 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<WorkerConfig
             }
             "--population" => {
                 let value = args.next().ok_or("--population needs a value")?;
-                config.population = match value.as_str() {
-                    "unique" => Population::Unique,
-                    "valid" => Population::Valid,
-                    other => return Err(format!("unknown population {other:?}")),
-                };
+                config.population = Population::parse(&value)
+                    .ok_or_else(|| format!("unknown population {value:?}"))?;
             }
             "--workers" => {
                 let value = args.next().ok_or("--workers needs a value")?;

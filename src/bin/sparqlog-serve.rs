@@ -12,7 +12,8 @@
 //! * `--slots N`             concurrent worker processes (default: parallelism)
 //! * `--workers N`           analysis threads per worker process (default 0:
 //!   the cores divided among the workers running when it starts)
-//! * `--heartbeat-ms N`      worker liveness heartbeat period (default 200)
+//! * `--heartbeat-ms N`      worker liveness heartbeat period (default 200;
+//!   workers beat only under `--stall-timeout-ms`)
 //! * `--stall-timeout-ms N`  kill workers silent this long (default: off)
 //! * `--max-restarts N`      restarts per partition before the job fails
 //! * `--backoff-ms N`        first restart backoff, doubling per attempt

@@ -18,6 +18,9 @@
 //! guarded parse at every repeat — all against the oracle, which has no
 //! memo of any kind.
 
+mod common;
+
+use common::{duplicate_heavy_corpus, Scratch, WORKER};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::cache::AnalysisCache;
@@ -35,7 +38,7 @@ use sparqlog::parser::{
     canonical_fingerprint_of_ref, lexer, parse_query_in, Arena, Interner, ParseError,
 };
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
-use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
+use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 
 fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
     logs.iter()
@@ -94,27 +97,6 @@ fn fingerprints(logs: &[RawLog]) -> Vec<u128> {
                 .map(|query| canonical_fingerprint_of_ref(&query))
         })
         .collect()
-}
-
-/// A fixed duplicate-heavy corpus: three synthesized day logs, each tiled
-/// three times so every canonical form occurs at least three times, with
-/// the first log's head repeated in the last (cross-log duplicates).
-fn duplicate_heavy_corpus() -> Vec<RawLog> {
-    let mut raw = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
-        .iter()
-        .enumerate()
-    {
-        let day = generate_single_day_log(*dataset, 80, 400 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..3 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push(RawLog::new(day.dataset.label(), entries));
-    }
-    let head: Vec<String> = raw[0].entries.iter().take(30).cloned().collect();
-    raw[2].entries.extend(head);
-    raw
 }
 
 #[test]
@@ -416,10 +398,6 @@ fn lines_sharing_a_memo_slot_evict_each_other_and_still_match_the_oracle() {
     }
 }
 
-/// The shard worker built alongside this test: the panic drill is armed
-/// through a child process's environment, never this process's.
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-
 #[test]
 fn a_repeated_defect_is_guarded_at_every_repeat() {
     // The drill line is byte-identical every time; if its first outcome
@@ -431,9 +409,10 @@ fn a_repeated_defect_is_guarded_at_every_repeat() {
     for _ in 0..REPEATS {
         lines.extend([drill, valid]);
     }
-    let dir = std::env::temp_dir().join(format!("sparqlog-cache-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let path = dir.join("drill.log");
+    // The panic drill is armed through the worker process's environment,
+    // never this process's.
+    let scratch = Scratch::new("drill");
+    let path = scratch.path().join("drill.log");
     std::fs::write(&path, lines.join("\n") + "\n").expect("write log");
     let logs = vec![LogSpec::new("drill", path)];
     let run = |worker_threads, recovery| {
@@ -462,7 +441,6 @@ fn a_repeated_defect_is_guarded_at_every_repeat() {
     let strict = run(1, RecoveryPolicy::Strict).expect_err("strict mode fails on the drill");
     let message = strict.to_string();
     assert!(message.contains("entry 2:"), "{message}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Respells a query without changing its canonical form: keywords swap

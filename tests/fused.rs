@@ -6,6 +6,9 @@
 //! switch, cache shard boundaries, and file-backed streams — plus the
 //! occurrence-weighted fold's equivalence to repeated folds.
 
+mod common;
+
+use common::{duplicate_heavy_corpus, Scratch};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::cache::AnalysisCache;
@@ -15,7 +18,7 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{DatasetAnalysis, Population, QueryAnalysis};
-use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
+use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 
 fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + 'static>> {
     logs.iter()
@@ -24,27 +27,6 @@ fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + 'static>> {
                 as Box<dyn LogReader + 'static>
         })
         .collect()
-}
-
-/// A fixed duplicate-heavy corpus: three synthesized day logs, each tiled
-/// three times, with cross-log duplicates (the first log's head is appended
-/// to the last).
-fn duplicate_heavy_corpus() -> Vec<RawLog> {
-    let mut raw = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
-        .iter()
-        .enumerate()
-    {
-        let day = generate_single_day_log(*dataset, 80, 400 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..3 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push(RawLog::new(day.dataset.label(), entries));
-    }
-    let head: Vec<String> = raw[0].entries.iter().take(30).cloned().collect();
-    raw[2].entries.extend(head);
-    raw
 }
 
 #[test]
@@ -149,11 +131,10 @@ fn cache_shard_boundaries_do_not_change_the_fused_report() {
 #[test]
 fn file_backed_streams_match_in_memory_streams() {
     let raw = duplicate_heavy_corpus();
-    let dir = std::env::temp_dir().join(format!("sparqlog-fused-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("crlf");
     let mut file_readers: Vec<Box<dyn LogReader + 'static>> = Vec::new();
     for (index, log) in raw.iter().enumerate() {
-        let path = dir.join(format!("{index}.log"));
+        let path = scratch.path().join(format!("{index}.log"));
         // CRLF terminators and a missing trailing newline exercise the
         // word-at-a-time line scanner's edge cases end to end.
         let mut bytes = log.entries.join("\r\n").into_bytes();
@@ -167,7 +148,6 @@ fn file_backed_streams_match_in_memory_streams() {
     }
     let from_files = analyze_streams(file_readers, Population::Valid).unwrap();
     let from_memory = analyze_streams(memory_readers(&raw), Population::Valid).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(from_files.summaries, from_memory.summaries);
     assert_eq!(
         full_report(&from_files.corpus),

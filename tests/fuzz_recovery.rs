@@ -10,6 +10,9 @@
 //! proptest shim; a failure prints the offending inputs, which double as
 //! the reproduction seed.
 
+mod common;
+
+use common::{readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::corpus::{
@@ -17,34 +20,25 @@ use sparqlog::core::corpus::{
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RawLog, RecoveryPolicy};
-use sparqlog::serve::{
-    Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SupervisorConfig,
-};
+use sparqlog::serve::{Client, JobPhase, ServerHandle};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
 
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-const SETTLE: Duration = Duration::from_secs(300);
 const VALID_BEFORE: &str = "SELECT ?x WHERE { ?x a <http://example.org/Widget> }";
 const VALID_AFTER: &str = "ASK { ?a <http://example.org/p> ?b }";
 
-/// Writes one fuzz corpus to a unique scratch file and returns its path.
-fn write_case(prefix: &str, bytes: &[u8]) -> PathBuf {
+/// Writes one fuzz corpus into its own scratch directory, which goes when
+/// the returned guard drops, and returns both.
+fn write_case(prefix: &str, bytes: &[u8]) -> (Scratch, PathBuf) {
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("sparqlog-fuzz-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create fuzz scratch dir");
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!("{prefix}-{n}.log"));
+    let scratch = Scratch::new(&format!("{prefix}-{n}"));
+    let path = scratch.path().join("case.log");
     std::fs::write(&path, bytes).expect("write fuzz case");
-    path
-}
-
-fn reader(path: &PathBuf) -> Vec<Box<dyn LogReader>> {
-    vec![Box::new(FileLogReader::open("fuzz".to_string(), path).expect("open fuzz log")) as _]
+    (scratch, path)
 }
 
 /// The fuzz corpus as the oracle takes it: the lines as the reader splits
@@ -75,21 +69,7 @@ fn raw_log(path: &PathBuf) -> (RawLog, bool) {
 fn serve_client() -> &'static Mutex<Client> {
     static SERVER: OnceLock<(Mutex<Client>, ServerHandle)> = OnceLock::new();
     let (client, _handle) = SERVER.get_or_init(|| {
-        let config = ServeConfig {
-            supervisor: SupervisorConfig {
-                worker: WorkerCommand::new(WORKER),
-                slots: 2,
-                worker_threads: 2,
-                heartbeat: Duration::from_millis(50),
-                ..SupervisorConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let server =
-            Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
-        let addr = server.local_addr().expect("local addr");
-        let handle = server.handle();
-        std::thread::spawn(move || server.run());
+        let (addr, handle, _runner) = start_server(serve_config(WorkerCommand::new(WORKER)));
         let client = Client::connect(&addr).expect("connect");
         (Mutex::new(client), handle)
     });
@@ -100,10 +80,11 @@ fn serve_client() -> &'static Mutex<Client> {
 /// never fails, and the fused (1/2/8 workers), sharded and served engine
 /// and the oracle agree byte-for-byte on the report and the error tally.
 fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
-    let path = write_case(prefix, bytes);
+    let (_scratch, path) = write_case(prefix, bytes);
+    let logs = vec![LogSpec::new("fuzz", &path)];
 
     let reference = analyze_streams_with(
-        reader(&path),
+        readers(&logs),
         Population::Unique,
         FusedOptions {
             workers: 1,
@@ -116,7 +97,7 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
 
     for (workers, batch) in [(2, 1), (8, 7)] {
         let fused = analyze_streams_with(
-            reader(&path),
+            readers(&logs),
             Population::Unique,
             FusedOptions {
                 workers,
@@ -155,7 +136,6 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
         assert_eq!(full_report(&oracle), report, "oracle");
     }
 
-    let logs = vec![LogSpec::new("fuzz", &path)];
     let options = ShardOptions {
         shards: 2,
         worker_threads: 2,
@@ -172,7 +152,7 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
         .submit(
             Population::Unique,
             RecoveryPolicy::Lenient,
-            vec![("fuzz".to_string(), path.display().to_string())],
+            submit_specs(&logs),
         )
         .expect("submit fuzz job");
     let status = client.wait_settled(job, SETTLE).expect("wait");
@@ -185,8 +165,6 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
     let served = client.report(job, true).expect("report");
     assert_eq!(served.text, report, "served");
     drop(client);
-
-    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {

@@ -9,92 +9,42 @@
 //! every test that toggles it serializes on [`OBS_LOCK`] — the rest of the
 //! suite runs with whatever the environment selected.
 
+mod common;
+
+use common::{
+    readers, serve_config, start_server, submit_specs, tiled_day_logs, write_logs, Scratch, SETTLE,
+    WORKER,
+};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
+use sparqlog::core::corpus::{analyze_streams_with, FusedOptions};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RawLog, RecoveryPolicy};
 use sparqlog::obs::{env, EventRecord, LatencyHistogram};
-use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, SupervisorConfig};
+use sparqlog::serve::{Client, JobPhase, ServeConfig};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
-use sparqlog::synth::{generate_single_day_log, Dataset};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use sparqlog::synth::Dataset;
+use std::path::Path;
 use std::sync::Mutex;
-use std::time::Duration;
-
-/// The worker binary built alongside this test (same package, same profile).
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
 
 /// Serializes tests that flip the process-global metrics switch.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// A scratch directory removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("sparqlog-obs-test-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Writes a duplicate-heavy corpus (two synthesized day logs, tiled, with
 /// cross-log duplicates and one malformed entry) to one file per log. The
 /// malformed entry keeps the error counters honest, so every engine below
 /// runs lenient.
 fn write_corpus(dir: &Path) -> Vec<LogSpec> {
-    let mut raw: Vec<(String, Vec<String>)> = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17].iter().enumerate() {
-        let day = generate_single_day_log(*dataset, 40, 1300 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..3 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push((day.dataset.label().to_string(), entries));
-    }
-    let head: Vec<String> = raw[0].1.iter().take(10).cloned().collect();
+    let mut raw = tiled_day_logs(&[Dataset::DBpedia15, Dataset::WikiData17], 40, 1300, 3, 10);
     // The same lines again, and respelled: layout variants the entry memo
     // resolves by their token stream.
-    let respelled: Vec<String> = head.iter().map(|e| format!("\t{e}  # respelled")).collect();
-    raw[1].1.extend(head);
-    raw[1].1.extend(respelled);
-    raw[1].1.push("THIS IS NOT SPARQL {{{".to_string());
-
-    raw.into_iter()
-        .enumerate()
-        .map(|(index, (label, entries))| {
-            let path = dir.join(format!("{index:02}.log"));
-            let mut file =
-                std::io::BufWriter::new(std::fs::File::create(&path).expect("create log file"));
-            for entry in &entries {
-                writeln!(file, "{entry}").expect("write log line");
-            }
-            file.flush().expect("flush log file");
-            LogSpec::new(label, path)
-        })
-        .collect()
-}
-
-fn readers(logs: &[LogSpec]) -> Vec<Box<dyn LogReader>> {
-    logs.iter()
-        .map(|log| {
-            Box::new(FileLogReader::open(log.label.clone(), &log.path).expect("open log"))
-                as Box<dyn LogReader>
-        })
-        .collect()
+    let respelled: Vec<String> = raw[0].entries[..10]
+        .iter()
+        .map(|e| format!("\t{e}  # respelled"))
+        .collect();
+    raw[1].entries.extend(respelled);
+    raw[1].entries.push("THIS IS NOT SPARQL {{{".to_string());
+    write_logs(dir, &raw)
 }
 
 fn fused_report(logs: &[LogSpec], workers: usize) -> String {
@@ -291,34 +241,19 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
     let run = |metrics: bool, store: &Path| {
         sparqlog::obs::set_enabled(metrics);
         let config = ServeConfig {
-            supervisor: SupervisorConfig {
-                worker: WorkerCommand::new(WORKER)
-                    .env(env::METRICS, if metrics { "1" } else { "0" }),
-                slots: 2,
-                worker_threads: 2,
-                heartbeat: Duration::from_millis(50),
-                ..SupervisorConfig::default()
-            },
             store_path: Some(store.to_path_buf()),
-            ..ServeConfig::default()
+            ..serve_config(
+                WorkerCommand::new(WORKER).env(env::METRICS, if metrics { "1" } else { "0" }),
+            )
         };
-        let server =
-            Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind server");
-        let addr = server.local_addr().expect("local addr");
-        let handle = server.handle();
-        let runner = std::thread::spawn(move || server.run());
+        let (addr, handle, runner) = start_server(config);
 
         let mut client = Client::connect(&addr).expect("connect");
-        let specs = logs
-            .iter()
-            .map(|log| (log.label.clone(), log.path.display().to_string()))
-            .collect();
+        let specs = submit_specs(&logs);
         let (job, _partitions) = client
             .submit(Population::Unique, RecoveryPolicy::Lenient, specs)
             .expect("submit");
-        let status = client
-            .wait_settled(job, Duration::from_secs(300))
-            .expect("settle");
+        let status = client.wait_settled(job, SETTLE).expect("settle");
         assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
         let report = client.report(job, true).expect("report");
         let (snapshot, text) = client.metrics().expect("metrics");

@@ -6,147 +6,47 @@
 //! injected point of the commit protocol must leave a store its successor
 //! recovers and re-serves from, byte-identically once more.
 
-use sparqlog::core::corpus::{
-    analyze_streams_with, workers_override, FileLogReader, FusedOptions, LogReader,
+mod common;
+
+use common::{
+    fused_reference, serve_config, start_server, submit_specs, tiled_day_logs, write_logs, Scratch,
+    SETTLE, THREE_DATASETS, WORKER,
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::PersistedLog;
 use sparqlog::core::{Population, RecoveryPolicy};
 use sparqlog::obs::env;
 use sparqlog::persist::SnapshotStore;
-use sparqlog::serve::{
-    Client, ClientError, ConnectRetry, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
-    SupervisorConfig,
-};
+use sparqlog::serve::{Client, ClientError, ConnectRetry, JobPhase, ServeAddr, ServeConfig};
 use sparqlog::shard::faults::{StoreFault, STORE_FAULT_EXIT};
 use sparqlog::shard::{LogSpec, WorkerCommand};
-use sparqlog::synth::{generate_single_day_log, Dataset};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The worker binary built alongside this test (same package, profile).
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-
 /// The daemon binary built alongside this test.
 const SERVE: &str = env!("CARGO_BIN_EXE_sparqlog-serve");
-
-/// How long to wait for jobs that should succeed.
-const SETTLE: Duration = Duration::from_secs(300);
-
-/// A scratch directory removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!(
-            "sparqlog-persist-test-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Writes a duplicate-heavy three-log corpus (same shape as the serve
 /// tests: synthesized day logs with cross-log duplicates).
 fn write_corpus(dir: &Path) -> Vec<LogSpec> {
-    let mut raw: Vec<(String, Vec<String>)> = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
-        .iter()
-        .enumerate()
-    {
-        let day = generate_single_day_log(*dataset, 40, 4200 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..2 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push((day.dataset.label().to_string(), entries));
-    }
-    let head: Vec<String> = raw[0].1.iter().take(15).cloned().collect();
-    raw[2].1.extend(head);
-
-    raw.into_iter()
-        .enumerate()
-        .map(|(index, (label, entries))| {
-            let path = dir.join(format!("{index:02}.log"));
-            let mut file =
-                std::io::BufWriter::new(std::fs::File::create(&path).expect("create log file"));
-            for entry in &entries {
-                writeln!(file, "{entry}").expect("write log line");
-            }
-            file.flush().expect("flush log file");
-            LogSpec::new(label, path)
-        })
-        .collect()
-}
-
-/// The single-process fused reference over the same on-disk files.
-fn fused_reference(logs: &[LogSpec], population: Population) -> String {
-    let readers: Vec<Box<dyn LogReader>> = logs
-        .iter()
-        .map(|log| {
-            Box::new(FileLogReader::open(log.label.clone(), &log.path).expect("open log"))
-                as Box<dyn LogReader>
-        })
-        .collect();
-    let fused = analyze_streams_with(readers, population, FusedOptions::default())
-        .expect("fused reference run");
-    full_report(&fused.corpus)
-}
-
-fn submit_specs(logs: &[LogSpec]) -> Vec<(String, String)> {
-    logs.iter()
-        .map(|log| (log.label.clone(), log.path.display().to_string()))
-        .collect()
+    write_logs(dir, &tiled_day_logs(&THREE_DATASETS, 40, 4200, 2, 15))
 }
 
 fn store_config(store: &Path) -> ServeConfig {
     ServeConfig {
-        supervisor: SupervisorConfig {
-            worker: WorkerCommand::new(WORKER),
-            slots: 2,
-            worker_threads: workers_override().unwrap_or(2),
-            heartbeat: Duration::from_millis(50),
-            backoff: Duration::from_millis(10),
-            ..SupervisorConfig::default()
-        },
         store_path: Some(store.to_path_buf()),
-        ..ServeConfig::default()
+        ..serve_config(WorkerCommand::new(WORKER))
     }
-}
-
-fn start_server(
-    config: ServeConfig,
-) -> (
-    ServeAddr,
-    ServerHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = server.handle();
-    let runner = std::thread::spawn(move || server.run());
-    (addr, handle, runner)
 }
 
 #[test]
 fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
     let scratch = Scratch::new("daemon");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     let store_path = scratch.path().join("daemon.sqps");
 
     // First daemon lifetime: cold analysis through real worker processes,
@@ -223,7 +123,10 @@ fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
     let status = client.wait_settled(valid_job, SETTLE).expect("wait valid");
     assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
     let valid = client.report(valid_job, true).expect("valid report");
-    assert_eq!(valid.text, fused_reference(&logs, Population::Valid));
+    assert_eq!(
+        valid.text,
+        full_report(&fused_reference(&logs, Population::Valid).corpus)
+    );
     let lines = client.events(valid_job).expect("events");
     assert!(
         !lines.iter().any(|l| l.contains("event=store-hit")),
@@ -238,7 +141,7 @@ fn daemon_restart_warm_starts_jobs_and_resubmission_spawns_no_workers() {
 fn a_store_record_damaged_after_open_fails_its_report_and_the_daemon_keeps_serving() {
     let scratch = Scratch::new("damaged");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     let store_path = scratch.path().join("damaged.sqps");
     let (addr, handle, runner) = start_server(store_config(&store_path));
     let mut client = Client::connect(&addr).expect("connect");
@@ -310,11 +213,7 @@ fn a_store_record_damaged_after_open_fails_its_report_and_the_daemon_keeps_servi
 fn the_harness_get_adapter_decodes_once_and_matches_load() {
     let scratch = Scratch::new("get");
     let logs = write_corpus(scratch.path());
-    let readers: Vec<Box<dyn LogReader>> = vec![Box::new(
-        FileLogReader::open(logs[0].label.clone(), &logs[0].path).expect("open log"),
-    )];
-    let mut fused = analyze_streams_with(readers, Population::Unique, FusedOptions::default())
-        .expect("analyse");
+    let mut fused = fused_reference(&logs[..1], Population::Unique);
     let log = PersistedLog {
         summary: fused.summaries.remove(0),
         analysis: fused.corpus.datasets.remove(0),
@@ -478,7 +377,7 @@ fn crash_leg(
 fn a_daemon_killed_mid_commit_leaves_a_store_its_successor_recovers() {
     let scratch = Scratch::new("crash");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     for mode in StoreFault::ALL {
         let leg = mode.name();
         let journals = [1, 2].map(|n| scratch.path().join(format!("events-{leg}-{n}.log")));

@@ -9,52 +9,21 @@
 //! preserved; and a panic planted in a worker process must be caught and
 //! recorded as a `worker-panic` tally instead of killing the run.
 
+mod common;
+
+use common::{readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER};
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{
-    analyze_streams_with, FileLogReader, FusedOptions, LogReader, SliceLogReader,
-};
+use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RawLog, RecoveryPolicy};
 use sparqlog::obs::env;
-use sparqlog::serve::{
-    Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle, SupervisorConfig,
-};
+use sparqlog::serve::{Client, JobPhase};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardError, ShardOptions, WorkerCommand};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-/// The worker binary built alongside this test (same package, same profile).
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-
-const SETTLE: Duration = Duration::from_secs(300);
+use std::path::Path;
 
 const VALID_A: &str = "SELECT ?x WHERE { ?x a <http://example.org/Widget> }";
 const VALID_B: &str = "ASK { ?a <http://example.org/p> ?b }";
 const VALID_C: &str = "SELECT DISTINCT ?s WHERE { ?s <http://example.org/q> ?o } LIMIT 10";
-
-/// A scratch directory removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!(
-            "sparqlog-robustness-test-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// The adversarial fixture corpus: one log with every malformed shape
 /// interleaved between valid entries, plus one clean log.
@@ -129,15 +98,6 @@ fn adversarial_raw_logs() -> Vec<RawLog> {
                 })
                 .collect();
             RawLog::new(label, entries)
-        })
-        .collect()
-}
-
-fn readers(logs: &[LogSpec]) -> Vec<Box<dyn LogReader>> {
-    logs.iter()
-        .map(|log| {
-            Box::new(FileLogReader::open(log.label.clone(), &log.path).expect("open log"))
-                as Box<dyn LogReader>
         })
         .collect()
 }
@@ -375,20 +335,6 @@ fn planted_worker_panic_is_caught_and_tallied_across_the_process_boundary() {
     );
 }
 
-fn start_server(config: ServeConfig) -> (ServeAddr, ServerHandle) {
-    let server = Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = server.handle();
-    std::thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn submit_specs(logs: &[LogSpec]) -> Vec<(String, String)> {
-    logs.iter()
-        .map(|log| (log.label.clone(), log.path.display().to_string()))
-        .collect()
-}
-
 #[test]
 fn served_jobs_honor_the_policy_and_report_identical_tallies() {
     let scratch = Scratch::new("serve");
@@ -401,17 +347,7 @@ fn served_jobs_honor_the_policy_and_report_identical_tallies() {
     .expect("fused reference");
     let reference_report = full_report(&reference.corpus);
 
-    let config = ServeConfig {
-        supervisor: SupervisorConfig {
-            worker: WorkerCommand::new(WORKER),
-            slots: 2,
-            worker_threads: 2,
-            heartbeat: Duration::from_millis(50),
-            ..SupervisorConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = start_server(config);
+    let (addr, handle, runner) = start_server(serve_config(WorkerCommand::new(WORKER)));
     let mut client = Client::connect(&addr).expect("connect");
 
     // Lenient submit: completes with the full merged tally on status and a
@@ -455,4 +391,5 @@ fn served_jobs_honor_the_policy_and_report_identical_tallies() {
     );
 
     handle.stop();
+    runner.join().expect("server thread").expect("server run");
 }

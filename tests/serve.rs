@@ -17,8 +17,11 @@
 //! which runs the daemon's own default: the cores divided among the
 //! workers running when a partition is claimed.
 
-use sparqlog::core::corpus::{
-    analyze_streams_with, workers_override, FileLogReader, FusedOptions, LogReader,
+mod common;
+
+use common::{
+    fused_reference, serve_config, start_server, submit_specs, tiled_day_logs, write_logs, Scratch,
+    SETTLE, THREE_DATASETS, WORKER,
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RecoveryPolicy};
@@ -26,94 +29,18 @@ use sparqlog::obs::env;
 use sparqlog::persist::SnapshotStore;
 use sparqlog::serve::protocol::{self, Request, Response};
 use sparqlog::serve::{
-    Client, ClientError, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle,
-    SlowConsumerPolicy, SupervisorConfig,
+    Client, ClientError, JobPhase, ServeAddr, ServeConfig, ServerHandle, SlowConsumerPolicy,
 };
 use sparqlog::shard::codec::{write_stream_header, FrameReader};
 use sparqlog::shard::{LogSpec, WorkerCommand};
-use sparqlog::synth::{generate_single_day_log, Dataset};
-use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// The worker binary built alongside this test (same package, same profile).
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-
-/// How long to wait for jobs that should succeed (generous: CI machines
-/// are slow and single-core).
-const SETTLE: Duration = Duration::from_secs(300);
-
-/// A scratch directory removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("sparqlog-serve-test-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Writes a duplicate-heavy corpus (three synthesized day logs, each tiled
 /// three times, with cross-log duplicates) to one file per log.
 fn write_corpus(dir: &Path) -> Vec<LogSpec> {
-    let mut raw: Vec<(String, Vec<String>)> = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
-        .iter()
-        .enumerate()
-    {
-        let day = generate_single_day_log(*dataset, 60, 900 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..3 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push((day.dataset.label().to_string(), entries));
-    }
-    // Cross-log duplicates: the first log's head reappears in the last log.
-    // A reassigned partition that double-counted would shift the Unique
-    // population here.
-    let head: Vec<String> = raw[0].1.iter().take(20).cloned().collect();
-    raw[2].1.extend(head);
-
-    raw.into_iter()
-        .enumerate()
-        .map(|(index, (label, entries))| {
-            let path = dir.join(format!("{index:02}.log"));
-            let mut file =
-                std::io::BufWriter::new(std::fs::File::create(&path).expect("create log file"));
-            for entry in &entries {
-                writeln!(file, "{entry}").expect("write log line");
-            }
-            file.flush().expect("flush log file");
-            LogSpec::new(label, path)
-        })
-        .collect()
-}
-
-/// The single-process fused reference over the same on-disk files.
-fn fused_reference(logs: &[LogSpec], population: Population) -> String {
-    let readers: Vec<Box<dyn LogReader>> = logs
-        .iter()
-        .map(|log| {
-            Box::new(FileLogReader::open(log.label.clone(), &log.path).expect("open log"))
-                as Box<dyn LogReader>
-        })
-        .collect();
-    let fused = analyze_streams_with(readers, population, FusedOptions::default())
-        .expect("fused reference run");
-    full_report(&fused.corpus)
+    write_logs(dir, &tiled_day_logs(&THREE_DATASETS, 60, 900, 3, 20))
 }
 
 /// `(partition, threads=)` of each `worker-start` in `job`'s journal,
@@ -128,48 +55,12 @@ fn worker_threads_started(handle: &ServerHandle, job: u64) -> Vec<(u64, u64)> {
     started
 }
 
-fn base_config(worker: WorkerCommand) -> ServeConfig {
-    ServeConfig {
-        supervisor: SupervisorConfig {
-            worker,
-            slots: 2,
-            worker_threads: workers_override().unwrap_or(2),
-            heartbeat: Duration::from_millis(50),
-            backoff: Duration::from_millis(10),
-            ..SupervisorConfig::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
-/// Binds on an ephemeral port, runs the accept loop on a background
-/// thread, and returns the resolved address plus control handles.
-fn start_server(
-    config: ServeConfig,
-) -> (
-    ServeAddr,
-    ServerHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = server.handle();
-    let runner = std::thread::spawn(move || server.run());
-    (addr, handle, runner)
-}
-
-fn submit_specs(logs: &[LogSpec]) -> Vec<(String, String)> {
-    logs.iter()
-        .map(|log| (log.label.clone(), log.path.display().to_string()))
-        .collect()
-}
-
 #[test]
 fn concurrent_clients_read_byte_identical_complete_reports() {
     let scratch = Scratch::new("concurrent");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
-    let (addr, handle, runner) = start_server(base_config(WorkerCommand::new(WORKER)));
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
+    let (addr, handle, runner) = start_server(serve_config(WorkerCommand::new(WORKER)));
 
     let mut client = Client::connect(&addr).expect("connect");
     let (draining, jobs) = client.ping().expect("ping");
@@ -232,7 +123,7 @@ fn a_slow_consumer_blocks_only_its_own_session() {
         outbox_frames: 2,
         writer_pause: Duration::from_millis(50),
         slow_policy: SlowConsumerPolicy::Block,
-        ..base_config(WorkerCommand::new(WORKER))
+        ..serve_config(WorkerCommand::new(WORKER))
     };
     let (addr, handle, runner) = start_server(config);
     let ServeAddr::Tcp(spec) = &addr else {
@@ -278,7 +169,7 @@ fn a_slow_consumer_is_shed_under_the_shed_policy() {
         outbox_frames: 1,
         writer_pause: Duration::from_millis(100),
         slow_policy: SlowConsumerPolicy::Shed,
-        ..base_config(WorkerCommand::new(WORKER))
+        ..serve_config(WorkerCommand::new(WORKER))
     };
     let (addr, handle, runner) = start_server(config);
     let ServeAddr::Tcp(spec) = &addr else {
@@ -323,8 +214,8 @@ fn a_slow_consumer_is_shed_under_the_shed_policy() {
 fn graceful_drain_finishes_in_flight_jobs_and_rejects_new_ones() {
     let scratch = Scratch::new("drain");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Valid);
-    let (addr, handle, runner) = start_server(base_config(WorkerCommand::new(WORKER)));
+    let reference = full_report(&fused_reference(&logs, Population::Valid).corpus);
+    let (addr, handle, runner) = start_server(serve_config(WorkerCommand::new(WORKER)));
 
     let mut client = Client::connect(&addr).expect("connect");
     let (job, _) = client
@@ -372,13 +263,13 @@ fn a_killed_worker_is_restarted_and_nothing_is_double_counted() {
     for fault in ["die", "wrong-version", "truncate", "abort-mid-stream"] {
         let scratch = Scratch::new(&format!("kill-{fault}"));
         let logs = write_corpus(scratch.path());
-        let reference = fused_reference(&logs, Population::Unique);
+        let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
         let flag = scratch.path().join("fault.flag");
         let worker = WorkerCommand::new(WORKER)
             .env(env::SHARD_FAULT, fault)
             .env(env::SHARD_FAULT_SHARD, "1")
             .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
-        let (addr, handle, runner) = start_server(base_config(worker));
+        let (addr, handle, runner) = start_server(serve_config(worker));
 
         let mut client = Client::connect(&addr).expect("connect");
         let (job, _) = client
@@ -431,14 +322,14 @@ fn a_worker_sigkilled_from_outside_is_restarted_and_recovered() {
     // supervisor sees only a pipe that ends.
     let scratch = Scratch::new("sigkill");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
         .env(env::SHARD_FAULT, "delay")
         .env(env::SHARD_FAULT_SHARD, "0")
         .env(env::SHARD_FAULT_DELAY_MS, "30000")
         .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
-    let (addr, handle, runner) = start_server(base_config(worker));
+    let (addr, handle, runner) = start_server(serve_config(worker));
 
     let mut client = Client::connect(&addr).expect("connect");
     let (job, _) = client
@@ -503,14 +394,14 @@ fn heartbeats_keep_a_slow_but_alive_worker_from_being_killed() {
     // actually feed the activity clock.
     let scratch = Scratch::new("delay");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
         .env(env::SHARD_FAULT, "delay")
         .env(env::SHARD_FAULT_SHARD, "0")
         .env(env::SHARD_FAULT_DELAY_MS, "1500")
         .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
-    let mut config = base_config(worker);
+    let mut config = serve_config(worker);
     config.supervisor.stall_timeout = Some(Duration::from_millis(500));
     let (addr, handle, runner) = start_server(config);
 
@@ -542,13 +433,13 @@ fn a_stalled_worker_is_killed_by_the_heartbeat_timeout_and_recovered() {
     // pipe EOF never comes.
     let scratch = Scratch::new("stall");
     let logs = write_corpus(scratch.path());
-    let reference = fused_reference(&logs, Population::Unique);
+    let reference = full_report(&fused_reference(&logs, Population::Unique).corpus);
     let flag = scratch.path().join("fault.flag");
     let worker = WorkerCommand::new(WORKER)
         .env(env::SHARD_FAULT, "stall")
         .env(env::SHARD_FAULT_SHARD, "0")
         .env(env::SHARD_FAULT_FLAG, flag.display().to_string());
-    let mut config = base_config(worker);
+    let mut config = serve_config(worker);
     config.supervisor.stall_timeout = Some(Duration::from_millis(500));
     let (addr, handle, runner) = start_server(config);
 
@@ -588,7 +479,7 @@ fn a_complete_status_implies_the_completion_commit() {
     let store_path = scratch.path().join("store.sqps");
     let config = ServeConfig {
         store_path: Some(store_path.clone()),
-        ..base_config(WorkerCommand::new(WORKER))
+        ..serve_config(WorkerCommand::new(WORKER))
     };
     let (addr, handle, runner) = start_server(config);
     let mut client = Client::connect(&addr).expect("connect");
@@ -635,7 +526,7 @@ fn two_clients_share_one_store_without_disturbing_each_other() {
     let logs = write_corpus(scratch.path());
     let mut config = ServeConfig {
         store_path: Some(scratch.path().join("store.sqps")),
-        ..base_config(WorkerCommand::new(WORKER))
+        ..serve_config(WorkerCommand::new(WORKER))
     };
     config.supervisor.max_restarts = 1;
     let (addr, handle, runner) = start_server(config);
@@ -649,7 +540,7 @@ fn two_clients_share_one_store_without_disturbing_each_other() {
         for subset in [&logs[..2], &logs[1..]] {
             let (addr, go) = (&addr, &go);
             scope.spawn(move || {
-                let reference = fused_reference(subset, Population::Unique);
+                let reference = full_report(&fused_reference(subset, Population::Unique).corpus);
                 let mut client = Client::connect(addr).expect("connect");
                 go.wait();
                 let (job, partitions) = client
@@ -707,7 +598,7 @@ fn two_clients_share_one_store_without_disturbing_each_other() {
 fn the_default_thread_budget_divides_the_cores_among_running_workers() {
     let scratch = Scratch::new("thread-budget");
     let logs = write_corpus(scratch.path());
-    let mut config = base_config(WorkerCommand::new(WORKER));
+    let mut config = serve_config(WorkerCommand::new(WORKER));
     config.supervisor.worker_threads = 0;
     assert_eq!(config.supervisor.slots, 2);
     let (addr, handle, runner) = start_server(config);
@@ -720,7 +611,10 @@ fn the_default_thread_budget_divides_the_cores_among_running_workers() {
         assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
         assert_eq!(status.restarts, 0);
         let report = client.report(job, true).expect("report");
-        assert_eq!(report.text, fused_reference(logs, Population::Unique));
+        assert_eq!(
+            report.text,
+            full_report(&fused_reference(logs, Population::Unique).corpus)
+        );
         worker_threads_started(&handle, job)
     };
     // The threads a worker runs while `running` workers share the machine;
@@ -749,4 +643,47 @@ fn the_default_thread_budget_divides_the_cores_among_running_workers() {
 
     handle.stop();
     runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn workers_heartbeat_only_under_a_stall_timeout() {
+    // Only a stall timeout reads a worker's activity clock, so only then
+    // does a worker get `--heartbeat-ms`. A shell wrapper records the
+    // worker's arguments, then runs it.
+    let scratch = Scratch::new("heartbeat-argv");
+    let logs = write_corpus(scratch.path());
+    for stall_timeout in [None, Some(Duration::from_secs(60))] {
+        let argv = scratch
+            .path()
+            .join(format!("argv-{}", stall_timeout.is_some()));
+        let mut worker = WorkerCommand::new("/bin/sh");
+        worker.args = vec![
+            "-c".to_string(),
+            r#"out=$1; shift; echo "$@" >> "$out"; exec "$0" "$@""#.to_string(),
+            WORKER.to_string(),
+            argv.display().to_string(),
+        ];
+        let mut config = serve_config(worker);
+        config.supervisor.stall_timeout = stall_timeout;
+        let (addr, handle, runner) = start_server(config);
+        let mut client = Client::connect(&addr).expect("connect");
+        let (job, _) = client
+            .submit(
+                Population::Unique,
+                RecoveryPolicy::Auto,
+                submit_specs(&logs[..1]),
+            )
+            .expect("submit");
+        let status = client.wait_settled(job, SETTLE).expect("wait");
+        assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
+        let recorded = std::fs::read_to_string(&argv).expect("recorded argv");
+        assert_eq!(
+            recorded.contains("--heartbeat-ms 50"),
+            stall_timeout.is_some(),
+            "stall timeout {stall_timeout:?}: {recorded}"
+        );
+
+        handle.stop();
+        runner.join().expect("server thread").expect("server run");
+    }
 }

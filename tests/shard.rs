@@ -9,92 +9,23 @@
 //! CI determinism matrix pins 1/2/4 there); without it the full 1/2/4 list
 //! runs locally.
 
-use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
+mod common;
+
+use common::{fused_reference, tiled_day_logs, write_logs, Scratch, THREE_DATASETS, WORKER};
 use sparqlog::core::report::full_report;
 use sparqlog::core::Population;
 use sparqlog::obs::env;
 use sparqlog::shard::{
-    analyze_sharded, DecodeErrorKind, LogSpec, ShardError, ShardOptions, WorkerCommand,
+    analyze_sharded, analyze_sharded_all, DecodeErrorKind, LogSpec, ShardError, ShardOptions,
+    WorkerCommand,
 };
-use sparqlog::synth::{generate_single_day_log, Dataset};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-/// The worker binary built alongside this test (same package, same profile).
-const WORKER: &str = env!("CARGO_BIN_EXE_sparqlog-shard-worker");
-
-/// A scratch directory removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("sparqlog-shard-test-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
+use std::process::Command;
 
 /// Writes a duplicate-heavy corpus (three synthesized day logs, each tiled
 /// three times, with cross-log duplicates) to one file per log.
 fn write_corpus(dir: &Path) -> Vec<LogSpec> {
-    let mut raw: Vec<(String, Vec<String>)> = Vec::new();
-    for (i, dataset) in [Dataset::DBpedia15, Dataset::WikiData17, Dataset::BioP13]
-        .iter()
-        .enumerate()
-    {
-        let day = generate_single_day_log(*dataset, 60, 500 + i as u64);
-        let mut entries = Vec::new();
-        for _ in 0..3 {
-            entries.extend(day.entries.iter().cloned());
-        }
-        raw.push((day.dataset.label().to_string(), entries));
-    }
-    // Cross-log duplicates: the first log's head reappears in the last log.
-    let head: Vec<String> = raw[0].1.iter().take(20).cloned().collect();
-    raw[2].1.extend(head);
-
-    raw.into_iter()
-        .enumerate()
-        .map(|(index, (label, entries))| {
-            let path = dir.join(format!("{index:02}.log"));
-            let mut file =
-                std::io::BufWriter::new(std::fs::File::create(&path).expect("create log file"));
-            for entry in &entries {
-                assert!(!entry.contains('\n'), "synthesized entries are single-line");
-                writeln!(file, "{entry}").expect("write log line");
-            }
-            file.flush().expect("flush log file");
-            LogSpec::new(label, path)
-        })
-        .collect()
-}
-
-/// The single-process fused reference over the same on-disk files.
-fn fused_reference(
-    logs: &[LogSpec],
-    population: Population,
-) -> (String, Vec<sparqlog::core::LogSummary>) {
-    let readers: Vec<Box<dyn LogReader>> = logs
-        .iter()
-        .map(|log| {
-            Box::new(FileLogReader::open(log.label.clone(), &log.path).expect("open log"))
-                as Box<dyn LogReader>
-        })
-        .collect();
-    let fused = analyze_streams_with(readers, population, FusedOptions::default())
-        .expect("fused reference run");
-    (full_report(&fused.corpus), fused.summaries)
+    write_logs(dir, &tiled_day_logs(&THREE_DATASETS, 60, 500, 3, 20))
 }
 
 /// The shard counts to exercise: `SPARQLOG_SHARDS` pins one (CI matrix),
@@ -117,7 +48,8 @@ fn coordinator_report_is_byte_identical_to_the_fused_engine() {
     let scratch = Scratch::new("matrix");
     let logs = write_corpus(scratch.path());
     for population in [Population::Unique, Population::Valid] {
-        let (reference_report, reference_summaries) = fused_reference(&logs, population);
+        let reference = fused_reference(&logs, population);
+        let reference_report = full_report(&reference.corpus);
         for shards in shard_counts() {
             for worker_threads in [1, 2, 8] {
                 let sharded = analyze_sharded(&logs, population, &options(shards, worker_threads))
@@ -130,7 +62,7 @@ fn coordinator_report_is_byte_identical_to_the_fused_engine() {
                     "report diverged: {population:?}, {shards} shards, {worker_threads} workers"
                 );
                 assert_eq!(
-                    sharded.summaries, reference_summaries,
+                    sharded.summaries, reference.summaries,
                     "summaries diverged: {population:?}, {shards} shards, {worker_threads} workers"
                 );
                 assert_eq!(sharded.shards(), shards.min(logs.len()));
@@ -239,14 +171,14 @@ fn a_stderr_flooding_worker_does_not_deadlock_the_coordinator() {
     // produce the byte-identical report.
     let scratch = Scratch::new("stderr-flood");
     let logs = write_corpus(scratch.path());
-    let (reference_report, _) = fused_reference(&logs, Population::Unique);
+    let reference = fused_reference(&logs, Population::Unique);
     let mut options = options(2, 1);
     options.worker = WorkerCommand::new(WORKER)
         .env(env::SHARD_FAULT, "stderr-flood")
         .env(env::SHARD_FAULT_SHARD, "0");
     let sharded =
         analyze_sharded(&logs, Population::Unique, &options).expect("flooded worker completes");
-    assert_eq!(full_report(&sharded.corpus), reference_report);
+    assert_eq!(full_report(&sharded.corpus), full_report(&reference.corpus));
 }
 
 #[test]
@@ -267,4 +199,50 @@ fn a_missing_log_file_is_a_worker_error_not_a_hang() {
         panic!("expected a worker runtime failure, got {error}");
     };
     assert!(!stderr.is_empty());
+}
+
+#[test]
+fn every_failing_shard_is_reported_in_shard_order() {
+    let scratch = Scratch::new("die-all");
+    let logs = write_corpus(scratch.path());
+    // No `SPARQLOG_SHARD_FAULT_SHARD` scope: every worker dies.
+    let mut options = options(2, 1);
+    options.worker = WorkerCommand::new(WORKER).env(env::SHARD_FAULT, "die");
+    let failure = analyze_sharded_all(&logs, Population::Unique, &options).unwrap_err();
+    let shards: Vec<usize> = failure
+        .errors
+        .iter()
+        .map(|error| match error {
+            ShardError::Worker { shard, .. } => *shard,
+            other => panic!("expected a worker failure, got {other}"),
+        })
+        .collect();
+    assert_eq!(shards, [0, 1], "{failure}");
+}
+
+#[test]
+fn the_cli_prints_one_error_row_per_failing_shard() {
+    let scratch = Scratch::new("cli-die-all");
+    let logs = write_corpus(scratch.path());
+    let output = Command::new(env!("CARGO_BIN_EXE_sparqlog-shard"))
+        .arg("--shards")
+        .arg("2")
+        .args(
+            logs.iter()
+                .map(|log| format!("{}={}", log.label, log.path.display())),
+        )
+        .env(env::SHARD_WORKER, WORKER)
+        .env(env::SHARD_FAULT, "die")
+        .env_remove(env::SHARD_FAULT_SHARD)
+        .output()
+        .expect("run sparqlog-shard");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("2 shard(s) failed"), "{stderr}");
+    let rows: Vec<&str> = stderr
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|first| first.parse::<usize>().is_ok())
+        .collect();
+    assert_eq!(rows, ["0", "1"], "{stderr}");
 }
