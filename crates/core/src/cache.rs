@@ -61,9 +61,9 @@
 //!
 //! The cache is **range-partitioned by the fingerprint's top bits** into
 //! lock-striped shards: concurrent workers only contend when they touch the
-//! same shard, any single rehash stays O(shard), and two caches (e.g. from
-//! different processes) combine with a commutative shard-wise
-//! [`merge`](AnalysisCache::merge).
+//! same shard, and any single rehash stays O(shard). A cache lives in one
+//! process: the shard coordinator and the daemon's job table combine the
+//! workers' [`CacheStats`], never their caches.
 //!
 //! ```
 //! use sparqlog_core::cache::AnalysisCache;
@@ -312,49 +312,6 @@ impl AnalysisCache {
             distinct: self.len() as u64,
         }
     }
-
-    /// Merges another cache into this one: the other's classes are
-    /// re-interned here, then its fingerprints join the shards under the
-    /// classes they map to (existing entries kept, counters summed).
-    /// Entries under the same fingerprint are interchangeable — they
-    /// memoize the same canonical form — so the merge is commutative:
-    /// merging per-process caches in any order yields a cache serving
-    /// identical lookups, though under other class ids. This is the
-    /// cross-process reuse hook for a future sharded deployment.
-    pub fn merge(&self, other: AnalysisCache) {
-        let ClassTable { records, ids } = other
-            .classes
-            .into_inner()
-            .expect("analysis class table lock");
-        // With the index gone each record has one owner, so it moves out of
-        // its `Arc` instead of being cloned.
-        drop(ids);
-        let renamed: Vec<ClassId> = records
-            .into_iter()
-            .map(|record| self.intern(Arc::unwrap_or_clone(record)))
-            .collect();
-        for other_shard in other.shards {
-            self.shards[0]
-                .hits
-                .fetch_add(other_shard.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.shards[0].misses.fetch_add(
-                other_shard.misses.load(Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            let entries = other_shard
-                .map
-                .into_inner()
-                .expect("analysis cache shard lock");
-            for (fingerprint, class) in entries {
-                self.shards[self.shard_of(fingerprint)]
-                    .map
-                    .lock()
-                    .expect("analysis cache shard lock")
-                    .entry(fingerprint)
-                    .or_insert(renamed[class as usize]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -421,45 +378,5 @@ mod tests {
         assert_eq!(cache.shard_of(low), 0);
         assert_eq!(cache.shard_of(high), 1);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let queries = [
-            "SELECT ?x WHERE { ?x a <http://C> }",
-            "ASK { ?x <http://p> ?y }",
-            "DESCRIBE <http://r>",
-            "SELECT ?x WHERE { ?x <http://p> ?y OPTIONAL { ?y <http://q> ?z } }",
-            "SELECT ?y WHERE { ?y a <http://D> }", // the first query's class
-        ];
-        let fingerprint = |i: usize| (i as u128) << 125 | i as u128;
-        let build = |indices: &[usize]| {
-            let cache = AnalysisCache::with_shards(4);
-            for &i in indices {
-                // Spread the keys over every shard.
-                cache.class_or_insert_with(fingerprint(i), || qa(queries[i]));
-            }
-            cache
-        };
-        let ab = build(&[0, 1]);
-        ab.merge(build(&[4, 2, 3, 0]));
-        let ba = build(&[4, 2, 3, 0]);
-        ba.merge(build(&[0, 1]));
-        assert_eq!(ab.len(), queries.len());
-        assert_eq!(ab.len(), ba.len());
-        assert_eq!(ab.stats(), ba.stats());
-        // Four classes either way, numbered in each cache's own order.
-        assert_eq!((ab.records().len(), ba.records().len()), (4, 4));
-        assert_ne!(ab.class_of(fingerprint(1)), ba.class_of(fingerprint(1)));
-        for (i, query) in queries.iter().enumerate() {
-            let left = ab.get(fingerprint(i)).expect("entry present after merge");
-            let right = ba.get(fingerprint(i)).expect("entry present after merge");
-            assert_eq!(left, right, "fingerprint {i}");
-            assert_eq!(*left, qa(query), "fingerprint {i}");
-        }
-        assert!(Arc::ptr_eq(
-            &ab.get(fingerprint(0)).unwrap(),
-            &ab.get(fingerprint(4)).unwrap()
-        ));
     }
 }

@@ -7,14 +7,15 @@
 //! The case count defaults to 64 and scales with `PROPTEST_CASES` (the CI
 //! fuzz-smoke job runs an elevated count).
 
+mod common;
+
+use common::CaseFile;
 use proptest::prelude::*;
 use sparqlog_core::analysis::DatasetAnalysis;
 use sparqlog_core::corpus::CorpusCounts;
 use sparqlog_core::{ErrorKind, ErrorTally, LogSummary, PersistedLog};
 use sparqlog_persist::SnapshotStore;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A log whose every byte depends on `key` and `seed`, so a load that
 /// returned another record's frame could not pass for this one.
@@ -43,15 +44,6 @@ fn log_of(key: u128, seed: u64) -> PersistedLog {
             ..DatasetAnalysis::default()
         },
     }
-}
-
-/// A unique scratch path for one case's store file.
-fn case_path() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("sparqlog-load-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create load scratch dir");
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("case-{n}.sqps"))
 }
 
 /// What the store must answer: committed and appended-but-uncommitted logs
@@ -87,8 +79,9 @@ proptest! {
     fn load_returns_each_committed_log_and_nothing_dropped(
         steps in prop::collection::vec((0u8..7, 0u64..6, 0u64..1 << 20), 1..48),
     ) {
-        let path = case_path();
-        let (mut store, _) = SnapshotStore::open(&path).expect("create store");
+        let case = CaseFile::new("model");
+        let path = case.path();
+        let (mut store, _) = SnapshotStore::open(path).expect("create store");
         let mut model = Model::default();
         for (op, key, seed) in steps {
             let key = u128::from(key);
@@ -113,25 +106,23 @@ proptest! {
                     let (committed, total) = (store.committed_bytes(), store.total_bytes());
                     drop(store);
                     let cut = committed + seed % (total - committed + 1);
-                    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
                     file.set_len(cut).expect("tear the tail");
                     drop(file);
-                    let (reopened, report) = SnapshotStore::open(&path).expect("reopen");
+                    let (reopened, report) = SnapshotStore::open(path).expect("reopen");
                     prop_assert_eq!(report.kept_bytes, committed);
                     store = reopened;
                     model.drop_pending();
                 }
                 _ => {
                     drop(store);
-                    let (reopened, _) = SnapshotStore::open(&path).expect("reopen");
+                    let (reopened, _) = SnapshotStore::open(path).expect("reopen");
                     store = reopened;
                     model.drop_pending();
                 }
             }
             model.check(&store);
         }
-        drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -141,16 +132,17 @@ proptest! {
 /// at the damaged record.
 #[test]
 fn a_damaged_record_is_superseded_by_the_next_record_of_its_key() {
-    let path = case_path();
-    let (mut store, _) = SnapshotStore::open(&path).expect("create store");
+    let case = CaseFile::new("damaged");
+    let path = case.path();
+    let (mut store, _) = SnapshotStore::open(path).expect("create store");
     let header = store.total_bytes();
     let (alpha, beta) = (log_of(1, 5), log_of(2, 9));
     store.record_snapshot(1, &alpha).expect("record");
     store.record_snapshot(2, &beta).expect("record");
     store.commit().expect("commit");
-    let mut bytes = std::fs::read(&path).expect("read store");
+    let mut bytes = std::fs::read(path).expect("read store");
     bytes[header as usize + 3] ^= 1; // inside the first record's payload
-    std::fs::write(&path, bytes).expect("damage store");
+    std::fs::write(path, bytes).expect("damage store");
     assert!(store.load(1).is_err(), "a damaged record must fail to load");
 
     assert!(store.record_snapshot(1, &alpha).expect("supersede"));
@@ -160,8 +152,7 @@ fn a_damaged_record_is_superseded_by_the_next_record_of_its_key() {
     store.commit().expect("commit");
     drop(store);
 
-    let (store, report) = SnapshotStore::open(&path).expect("reopen");
+    let (store, report) = SnapshotStore::open(path).expect("reopen");
     assert_eq!(report.reason.key(), "checksum-mismatch");
     assert_eq!((report.kept_bytes, store.snapshots()), (header, 0));
-    let _ = std::fs::remove_file(&path);
 }

@@ -9,14 +9,15 @@
 //! `PROPTEST_CASES` environment variable (the CI fuzz-smoke job runs an
 //! elevated count), as the root fuzz harness does.
 
+mod common;
+
+use common::CaseFile;
 use proptest::prelude::*;
 use sparqlog_core::analysis::{DatasetAnalysis, Population};
 use sparqlog_core::corpus::CorpusCounts;
 use sparqlog_core::{ErrorTally, LogSummary, PersistedLog, RecoveryPolicy};
 use sparqlog_persist::store::{JobLog, JobRecord};
 use sparqlog_persist::{RecoveryReason, SnapshotStore};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The store header (magic + version) — the first commit "boundary".
@@ -48,8 +49,9 @@ fn sample(label: &str) -> PersistedLog {
 fn golden() -> &'static Golden {
     static GOLDEN: OnceLock<Golden> = OnceLock::new();
     GOLDEN.get_or_init(|| {
-        let path = case_path("golden");
-        let (mut store, report) = SnapshotStore::open(&path).expect("create golden store");
+        let case = CaseFile::new("golden");
+        let path = case.path();
+        let (mut store, report) = SnapshotStore::open(path).expect("create golden store");
         assert_eq!(report.reason, RecoveryReason::Created);
         store.record_snapshot(0xA1, &sample("alpha")).unwrap();
         store.record_snapshot(0xB2, &sample("beta")).unwrap();
@@ -70,7 +72,7 @@ fn golden() -> &'static Golden {
         store.commit().unwrap();
         let second = store.committed_bytes();
         drop(store);
-        let bytes = std::fs::read(&path).expect("read golden store");
+        let bytes = std::fs::read(path).expect("read golden store");
         assert_eq!(bytes.len() as u64, second);
         Golden {
             bytes,
@@ -79,23 +81,15 @@ fn golden() -> &'static Golden {
     })
 }
 
-/// A unique scratch path for one case's store file.
-fn case_path(prefix: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("sparqlog-recovery-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create recovery scratch dir");
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{prefix}-{n}.sqps"))
-}
-
 /// Opens `bytes` as a store file and asserts the recovery contract that
 /// holds for *any* input: a commit-boundary prefix is kept, the dropped
 /// range is named exactly, and a reopen of the recovered file is clean.
 /// Returns what the first open reported.
 fn open_and_check(prefix: &str, bytes: &[u8]) -> sparqlog_persist::RecoveryReport {
-    let path = case_path(prefix);
-    std::fs::write(&path, bytes).expect("write case file");
-    let (store, report) = SnapshotStore::open(&path).expect("open must not fail");
+    let case = CaseFile::new(prefix);
+    let path = case.path();
+    std::fs::write(path, bytes).expect("write case file");
+    let (store, report) = SnapshotStore::open(path).expect("open must not fail");
     let golden = golden();
 
     // The kept prefix ends at a real commit boundary and matches that
@@ -140,14 +134,13 @@ fn open_and_check(prefix: &str, bytes: &[u8]) -> sparqlog_persist::RecoveryRepor
     // Recovery is durable and convergent: the file now holds exactly the
     // kept prefix, and a second open drops nothing.
     assert_eq!(
-        std::fs::metadata(&path).expect("recovered file").len(),
+        std::fs::metadata(path).expect("recovered file").len(),
         report.kept_bytes
     );
     drop(store);
-    let (_, second) = SnapshotStore::open(&path).expect("reopen must not fail");
+    let (_, second) = SnapshotStore::open(path).expect("reopen must not fail");
     assert!(second.is_clean(), "second open must be clean: {second}");
     assert_eq!(second.kept_bytes, report.kept_bytes);
-    let _ = std::fs::remove_file(&path);
     report
 }
 

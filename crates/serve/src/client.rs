@@ -4,13 +4,12 @@
 //! [`Client::wait_settled`] for batch-style callers.
 
 use crate::protocol::{self, JobReport, JobStatus, Request, Response};
-use crate::server::ServeAddr;
+use crate::server::{ServeAddr, Socket};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::RecoveryPolicy;
 use sparqlog_obs::MetricsSnapshot;
 use sparqlog_shard::codec::{write_stream_header, FrameReader, StreamError};
-use std::io::{self, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::time::Duration;
 
 /// A client-side failure.
@@ -20,7 +19,7 @@ pub enum ClientError {
     Io(io::Error),
     /// The server's response stream was malformed.
     Stream(StreamError),
-    /// The server hung up (drain completed, or the session was shed).
+    /// The server hung up (it stopped, or the stream broke).
     Closed,
     /// The server answered with an error or a rejection.
     Server(String),
@@ -51,71 +50,6 @@ impl From<io::Error> for ClientError {
 impl From<StreamError> for ClientError {
     fn from(error: StreamError) -> ClientError {
         ClientError::Stream(error)
-    }
-}
-
-/// One duplex socket, abstracted over address families.
-#[derive(Debug)]
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl ClientStream {
-    fn connect(addr: &ServeAddr) -> io::Result<ClientStream> {
-        match addr {
-            ServeAddr::Tcp(spec) => Ok(ClientStream::Tcp(TcpStream::connect(spec.as_str())?)),
-            ServeAddr::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    Ok(ClientStream::Unix(std::os::unix::net::UnixStream::connect(
-                        path,
-                    )?))
-                }
-                #[cfg(not(unix))]
-                {
-                    let _ = path;
-                    Err(io::Error::other("unix sockets unsupported on this target"))
-                }
-            }
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<ClientStream> {
-        match self {
-            ClientStream::Tcp(stream) => Ok(ClientStream::Tcp(stream.try_clone()?)),
-            #[cfg(unix)]
-            ClientStream::Unix(stream) => Ok(ClientStream::Unix(stream.try_clone()?)),
-        }
-    }
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(stream) => stream.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(stream) => stream.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(stream) => stream.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(stream) => stream.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(stream) => stream.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(stream) => stream.flush(),
-        }
     }
 }
 
@@ -179,25 +113,20 @@ pub(crate) fn backoff_delay(first: Duration, cap: Duration, attempt: u32) -> Dur
 }
 
 /// A connected daemon client. Requests are answered in order, one
-/// response per request.
+/// response per request, over one socket.
 #[derive(Debug)]
 pub struct Client {
-    frames: FrameReader<ClientStream>,
-    out: BufWriter<ClientStream>,
+    frames: FrameReader<Socket>,
 }
 
 impl Client {
     /// Connects and exchanges stream headers (both directions carry the
     /// shared `SQSN` magic + version).
     pub fn connect(addr: &ServeAddr) -> Result<Client, ClientError> {
-        let stream = ClientStream::connect(addr)?;
-        let read_half = stream.try_clone()?;
-        let mut out = BufWriter::new(stream);
-        write_stream_header(&mut out)?;
-        out.flush()?;
-        let mut frames = FrameReader::new(read_half);
+        let mut frames = FrameReader::new(Socket::connect(addr)?);
+        write_stream_header(frames.get_mut())?;
         frames.read_header()?;
-        Ok(Client { frames, out })
+        Ok(Client { frames })
     }
 
     /// Like [`Client::connect`], but retries transient connection failures
@@ -221,7 +150,7 @@ impl Client {
 
     /// Sends one request and reads its response.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        protocol::write_request(&mut self.out, request)?;
+        protocol::write_request(self.frames.get_mut(), request)?;
         match protocol::read_response(&mut self.frames)? {
             Some(response) => Ok(response),
             None => Err(ClientError::Closed),

@@ -135,22 +135,6 @@ impl Default for EventLog {
     }
 }
 
-/// Quotes a value for an event line: whitespace and quotes collapse so the
-/// line stays one-line, token-splittable `key=value` text.
-pub fn quoted(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push('\''),
-            '\n' | '\r' | '\t' => out.push(' '),
-            ch => out.push(ch),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,12 +200,6 @@ mod tests {
             "the mirrored file must list lines in memory order"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quoted_flattens_disruptive_characters() {
-        assert_eq!(quoted("plain"), "\"plain\"");
-        assert_eq!(quoted("a \"b\"\nc"), "\"a 'b' c\"");
     }
 
     #[test]

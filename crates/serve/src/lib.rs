@@ -55,8 +55,8 @@
 //!   semantics and incremental report rendering.
 //! - [`supervisor`] — the worker pool: queue, restarts with exponential
 //!   backoff, reassignment, structured failure.
-//! - [`server`] — listener, sessions, bounded outboxes with a
-//!   slow-consumer policy, graceful drain.
+//! - [`server`] — listener, one thread per session answering its requests
+//!   in order, graceful drain.
 //! - [`client`] — a blocking typed client.
 //! - [`events`] — the structured `key=value` event log.
 //! - [`signal`] — SIGTERM/SIGINT → graceful-drain flag.
@@ -76,5 +76,5 @@ pub use client::{Client, ClientError, ConnectRetry};
 pub use events::EventLog;
 pub use job::{JobState, Jobs};
 pub use protocol::{JobPhase, JobReport, JobStatus, Request, Response};
-pub use server::{ServeAddr, ServeConfig, Server, ServerHandle, SlowConsumerPolicy};
+pub use server::{ServeAddr, ServeConfig, Server, ServerHandle};
 pub use supervisor::{Supervisor, SupervisorConfig};

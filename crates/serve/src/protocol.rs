@@ -470,7 +470,7 @@ pub fn read_request<R: Read>(frames: &mut FrameReader<R>) -> Result<Option<Reque
 }
 
 /// Reads the next response frame, or `None` on clean end-of-stream (the
-/// server hung up — drain completed or the connection was shed).
+/// server hung up — it stopped, or the session ended on a broken stream).
 pub fn read_response<R: Read>(
     frames: &mut FrameReader<R>,
 ) -> Result<Option<Response>, StreamError> {

@@ -8,13 +8,12 @@
 //! # Threading model
 //!
 //! No async runtime: one accept loop (nonblocking, polling the drain/stop
-//! flags and [`crate::signal`] every ~20 ms), two std threads per session
-//! (a reader that decodes requests and a writer fed by a **bounded**
-//! outbox channel), and the supervisor's fixed runner pool. A slow
-//! consumer fills its own outbox and then — per
-//! [`SlowConsumerPolicy`] — either blocks only its own reader thread
-//! (other sessions unaffected) or is shed: the connection closes and an
-//! `outbox-shed` event is logged.
+//! flags and [`crate::signal`] every ~20 ms), one std thread per session,
+//! and the supervisor's fixed runner pool. A session reads a request,
+//! answers it and writes the response to its own socket before it reads
+//! the next. A client that pipelines requests without reading the
+//! responses stalls only its own session, which then holds one response
+//! in memory; other sessions keep serving.
 //!
 //! # Shutdown
 //!
@@ -22,9 +21,11 @@
 //! flag: new `Submit`s are rejected, everything else keeps serving.
 //! [`ServerHandle::stop`] or SIGTERM/SIGINT additionally stops the accept
 //! loop, waits for in-flight jobs to settle, closes every session, and
-//! returns from [`Server::run`].
+//! returns from [`Server::run`]. Session sockets read and write with a
+//! 100 ms timeout and recheck the closing flag between attempts, so a
+//! session blocked on a client that neither sends nor reads still ends.
 
-use crate::events::{quoted, EventLog};
+use crate::events::EventLog;
 use crate::job::{load_logs, Jobs};
 use crate::protocol::{self, Request, Response};
 use crate::signal;
@@ -34,26 +35,17 @@ use sparqlog_obs::{self as obs, EventRecord};
 use sparqlog_persist::SnapshotStore;
 use sparqlog_shard::codec::{write_stream_header, FrameReader};
 use sparqlog_shard::LogSpec;
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What to do with a session whose outbox is full (the client is not
-/// reading responses fast enough).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlowConsumerPolicy {
-    /// Block that session's reader thread until the writer catches up.
-    /// Only the slow session stalls; others keep serving.
-    Block,
-    /// Shed the session: log an `outbox-shed` event and close the
-    /// connection.
-    Shed,
-}
+/// How long a session blocks in one socket read or write before it
+/// rechecks the closing flag.
+const POLL: Duration = Duration::from_millis(100);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -61,13 +53,6 @@ pub struct ServeConfig {
     /// The worker pool: how to launch workers, how many run at once, their
     /// heartbeat and their restart policy.
     pub supervisor: SupervisorConfig,
-    /// Bounded per-session outbox capacity, in response frames.
-    pub outbox_frames: usize,
-    /// What to do when a session's outbox fills.
-    pub slow_policy: SlowConsumerPolicy,
-    /// Artificial delay before each response write (test knob for
-    /// exercising the outbox backpressure path; zero in production).
-    pub writer_pause: Duration,
     /// How long a graceful stop waits for in-flight jobs to settle.
     pub drain_timeout: Duration,
     /// Mirror the event log to this file (the CI fault jobs upload it).
@@ -83,9 +68,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             supervisor: SupervisorConfig::default(),
-            outbox_frames: 64,
-            slow_policy: SlowConsumerPolicy::Block,
-            writer_pause: Duration::ZERO,
             drain_timeout: Duration::from_secs(60),
             event_log_path: None,
             store_path: None,
@@ -103,43 +85,76 @@ pub enum ServeAddr {
     Unix(PathBuf),
 }
 
-/// One duplex client connection, abstracted over TCP and Unix sockets.
-trait SessionStream: Read + Write + Send {
-    /// A second handle onto the same socket (for the writer thread).
-    fn split(&self) -> io::Result<Box<dyn SessionStream>>;
-    /// Sets the socket read timeout.
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-    /// Shuts the socket down in both directions, unblocking any peer
-    /// thread stuck in a read or write.
-    fn close(&self) -> io::Result<()>;
+/// One connected socket, TCP or Unix: the client's connection and each of
+/// the daemon's sessions.
+#[derive(Debug)]
+pub(crate) enum Socket {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(std::os::unix::net::UnixStream),
 }
 
-impl SessionStream for TcpStream {
-    fn split(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
+impl Socket {
+    pub(crate) fn connect(addr: &ServeAddr) -> io::Result<Socket> {
+        match addr {
+            ServeAddr::Tcp(spec) => Ok(Socket::Tcp(TcpStream::connect(spec.as_str())?)),
+            ServeAddr::Unix(path) => {
+                #[cfg(unix)]
+                {
+                    Ok(Socket::Unix(std::os::unix::net::UnixStream::connect(path)?))
+                }
+                #[cfg(not(unix))]
+                {
+                    let _ = path;
+                    Err(io::Error::other("unix sockets unsupported on this target"))
+                }
+            }
+        }
     }
 
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn close(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Both)
+    /// Makes the socket blocking, with `timeout` on every read and write.
+    fn set_timeouts(&self, timeout: Duration) -> io::Result<()> {
+        match self {
+            Socket::Tcp(stream) => {
+                stream.set_nonblocking(false)?;
+                stream.set_read_timeout(Some(timeout))?;
+                stream.set_write_timeout(Some(timeout))
+            }
+            #[cfg(unix)]
+            Socket::Unix(stream) => {
+                stream.set_nonblocking(false)?;
+                stream.set_read_timeout(Some(timeout))?;
+                stream.set_write_timeout(Some(timeout))
+            }
+        }
     }
 }
 
-#[cfg(unix)]
-impl SessionStream for std::os::unix::net::UnixStream {
-    fn split(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(stream) => stream.read(buf),
+            #[cfg(unix)]
+            Socket::Unix(stream) => stream.read(buf),
+        }
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(stream) => stream.write(buf),
+            #[cfg(unix)]
+            Socket::Unix(stream) => stream.write(buf),
+        }
     }
 
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn close(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Both)
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Socket::Tcp(stream) => stream.flush(),
+            #[cfg(unix)]
+            Socket::Unix(stream) => stream.flush(),
+        }
     }
 }
 
@@ -154,25 +169,18 @@ enum Listener {
 impl Listener {
     /// Accepts one pending connection, or `None` if none is waiting
     /// (the listener is nonblocking).
-    fn accept(&self) -> io::Result<Option<Box<dyn SessionStream>>> {
-        match self {
-            Listener::Tcp(listener) => match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    Ok(Some(Box::new(stream)))
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(error) => Err(error),
-            },
+    fn accept(&self) -> io::Result<Option<Socket>> {
+        let accepted = match self {
+            Listener::Tcp(listener) => listener.accept().map(|(stream, _)| Socket::Tcp(stream)),
             #[cfg(unix)]
-            Listener::Unix(listener, _) => match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    Ok(Some(Box::new(stream)))
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(error) => Err(error),
-            },
+            Listener::Unix(listener, _) => {
+                listener.accept().map(|(stream, _)| Socket::Unix(stream))
+            }
+        };
+        match accepted {
+            Ok(socket) => Ok(Some(socket)),
+            Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(error) => Err(error),
         }
     }
 
@@ -212,7 +220,7 @@ impl Shared {
     fn begin_drain(&self, reason: &str) {
         if !self.draining.swap(true, Ordering::AcqRel) {
             self.events
-                .emit(format!("event=drain reason={}", quoted(reason)));
+                .emit_record(EventRecord::new("drain").with("reason", reason));
         }
     }
 }
@@ -367,7 +375,7 @@ impl Server {
                 break;
             }
             match self.listener.accept() {
-                Ok(Some(stream)) => {
+                Ok(Some(socket)) => {
                     let id = shared.sessions.fetch_add(1, Ordering::AcqRel) + 1;
                     shared
                         .events
@@ -376,7 +384,7 @@ impl Server {
                     obs::global().gauge("serve_sessions_open").add(1);
                     let ctx = Arc::clone(&shared);
                     reap_finished(&mut sessions);
-                    sessions.push(std::thread::spawn(move || session(stream, id, &ctx)));
+                    sessions.push(std::thread::spawn(move || session(socket, id, &ctx)));
                 }
                 Ok(None) => std::thread::sleep(Duration::from_millis(20)),
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
@@ -394,10 +402,9 @@ impl Server {
                     "event=store-flush seq={seq} snapshots={}",
                     guard.snapshots()
                 )),
-                Err(error) => shared.events.emit(format!(
-                    "event=store-error error={}",
-                    quoted(&error.to_string())
-                )),
+                Err(error) => shared
+                    .events
+                    .emit_record(EventRecord::new("store-error").with("error", error)),
             }
         }
         shared
@@ -431,10 +438,11 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
                     io::ErrorKind::NotFound => "missing-snapshot",
                     _ => "unreadable-snapshot",
                 };
-                events.emit(format!(
-                    "event=warm-skip reason={reason} error={}",
-                    quoted(&error.to_string())
-                ));
+                events.emit_record(
+                    EventRecord::new("warm-skip")
+                        .with("reason", reason)
+                        .with("error", error),
+                );
                 continue;
             }
         };
@@ -476,21 +484,25 @@ fn reap_finished(sessions: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-/// A socket reader that absorbs read timeouts (the 100 ms poll used so
-/// sessions notice server shutdown) and converts the closing flag into a
-/// clean end-of-stream.
-struct PatientReader {
-    inner: Box<dyn SessionStream>,
-    ctx: Arc<Shared>,
+/// A session's socket under the closing flag: reads and writes absorb the
+/// [`POLL`] timeouts, and once the server is closing a read ends the stream
+/// and a write fails, so the session thread can be joined.
+struct Patient<'a> {
+    socket: Socket,
+    closing: &'a AtomicBool,
 }
 
-impl Read for PatientReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl Patient<'_> {
+    fn retry<T>(
+        &mut self,
+        closed: impl Fn() -> io::Result<T>,
+        mut op: impl FnMut(&mut Socket) -> io::Result<T>,
+    ) -> io::Result<T> {
         loop {
-            if self.ctx.closing.load(Ordering::Acquire) {
-                return Ok(0);
+            if self.closing.load(Ordering::Acquire) {
+                return closed();
             }
-            match self.inner.read(buf) {
+            match op(&mut self.socket) {
                 Err(error)
                     if matches!(
                         error.kind(),
@@ -502,97 +514,44 @@ impl Read for PatientReader {
     }
 }
 
-fn writer_loop(stream: Box<dyn SessionStream>, outbox: Receiver<Response>, pause: Duration) {
-    let mut out = BufWriter::new(stream);
-    if write_stream_header(&mut out).is_err() || out.flush().is_err() {
-        return;
-    }
-    while let Ok(response) = outbox.recv() {
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
-        if protocol::write_response(&mut out, &response).is_err() {
-            return;
-        }
-    }
-    let _ = out.flush();
-}
-
-/// Enqueues one response per the slow-consumer policy. Returns `false`
-/// when the session must close (shed, writer gone, or server closing).
-fn enqueue(
-    ctx: &Shared,
-    session_id: u64,
-    outbox: &SyncSender<Response>,
-    response: Response,
-) -> bool {
-    match ctx.config.slow_policy {
-        SlowConsumerPolicy::Block => {
-            let mut pending = response;
-            loop {
-                if ctx.closing.load(Ordering::Acquire) {
-                    return false;
-                }
-                match outbox.try_send(pending) {
-                    Ok(()) => return true,
-                    Err(TrySendError::Full(back)) => {
-                        pending = back;
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(TrySendError::Disconnected(_)) => return false,
-                }
-            }
-        }
-        SlowConsumerPolicy::Shed => match outbox.try_send(response) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                ctx.events.emit(format!(
-                    "event=outbox-shed session={session_id} capacity={}",
-                    ctx.config.outbox_frames
-                ));
-                obs::global().counter("serve_outbox_shed_total").incr();
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        },
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.retry(|| Ok(0), |socket| socket.read(buf))
     }
 }
 
-fn session(stream: Box<dyn SessionStream>, id: u64, ctx: &Arc<Shared>) {
-    let _ = stream.set_stream_read_timeout(Some(Duration::from_millis(100)));
-    let (Ok(write_half), Ok(control)) = (stream.split(), stream.split()) else {
-        return;
-    };
-    let (outbox, inbox) = sync_channel::<Response>(ctx.config.outbox_frames.max(1));
-    let pause = ctx.config.writer_pause;
-    let writer = std::thread::spawn(move || writer_loop(write_half, inbox, pause));
-
-    let mut forced = false;
-    let mut frames = FrameReader::new(PatientReader {
-        inner: stream,
-        ctx: Arc::clone(ctx),
-    });
-    if frames.read_header().is_ok() {
-        while let Ok(Some(request)) = protocol::read_request(&mut frames) {
-            let response = answer(ctx, &request);
-            if !enqueue(ctx, id, &outbox, response) {
-                forced = true;
-                break;
-            }
-        }
-    } else {
-        forced = true;
+impl Write for Patient<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let closed = || Err(io::Error::new(io::ErrorKind::BrokenPipe, "server closing"));
+        self.retry(closed, |socket| socket.write(buf))
     }
 
-    if forced || ctx.closing.load(Ordering::Acquire) {
-        // Unblock a writer stuck mid-write before joining it.
-        let _ = control.close();
+    fn flush(&mut self) -> io::Result<()> {
+        self.socket.flush()
     }
-    drop(outbox);
-    let _ = writer.join();
-    let _ = control.close();
+}
+
+fn session(socket: Socket, id: u64, ctx: &Shared) {
+    let _ = converse(socket, ctx);
     obs::global().gauge("serve_sessions_open").add(-1);
     ctx.events.emit(format!("event=session-close session={id}"));
+}
+
+/// Serves one connection, one request at a time, until the client hangs
+/// up, the stream breaks or the server closes. The server's stream header
+/// goes out first, so neither end waits on the other's.
+fn converse(socket: Socket, ctx: &Shared) -> Result<(), Box<dyn std::error::Error>> {
+    socket.set_timeouts(POLL)?;
+    let mut frames = FrameReader::new(Patient {
+        socket,
+        closing: &ctx.closing,
+    });
+    write_stream_header(frames.get_mut())?;
+    frames.read_header()?;
+    while let Some(request) = protocol::read_request(&mut frames)? {
+        protocol::write_response(frames.get_mut(), &answer(ctx, &request))?;
+    }
+    Ok(())
 }
 
 fn unknown_job(job: u64) -> Response {
@@ -613,10 +572,11 @@ fn report(ctx: &Shared, job: u64, full: bool) -> Response {
         Ok(report) => Response::Report(report),
         Err(error) => {
             let message = format!("job {job}: {error}");
-            ctx.events.emit(format!(
-                "event=store-error job={job} error={}",
-                quoted(&message)
-            ));
+            ctx.events.emit_record(
+                EventRecord::new("store-error")
+                    .with("job", job)
+                    .with("error", &message),
+            );
             Response::Error { message }
         }
     }
@@ -658,7 +618,7 @@ fn answer(ctx: &Shared, request: &Request) -> Response {
             .map_or_else(|| unknown_job(*job), Response::Status),
         Request::Wait { job, timeout_ms } => {
             obs::global().counter("serve_wait_requests_total").incr();
-            // Blocks this session's reader thread only; `closing` cuts the
+            // Blocks this session's thread only; `closing` cuts the
             // wait short so a stopping daemon can join the session.
             ctx.jobs
                 .wait_settled(*job, Duration::from_millis(*timeout_ms), &ctx.closing)

@@ -40,13 +40,13 @@
 //! ([`JobState::commit_pending`]).
 
 use crate::client::backoff_delay;
-use crate::events::{quoted, EventLog};
+use crate::events::EventLog;
 use crate::job::{JobState, Jobs};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::workers_override;
 use sparqlog_core::{file_identity, PersistedLog, RecoveryPolicy};
-use sparqlog_obs as obs;
+use sparqlog_obs::{self as obs, EventRecord};
 use sparqlog_persist::{JobLog, JobRecord, SnapshotRef, SnapshotStore};
 use sparqlog_shard::supervise::{worker_thread_budget, WorkerLaunch};
 use sparqlog_shard::worker::AssignedLog;
@@ -213,10 +213,12 @@ impl Supervisor {
                     Some(Err(error)) => {
                         // Re-analysed under its key: the fresh snapshot
                         // supersedes the damaged record when it is staged.
-                        self.shared.events.emit(format!(
-                            "event=store-error job={job} partition={partition} error={}",
-                            quoted(&error.to_string())
-                        ));
+                        self.shared.events.emit_record(
+                            EventRecord::new("store-error")
+                                .with("job", job)
+                                .with("partition", partition)
+                                .with("error", error),
+                        );
                     }
                     _ => {}
                 }
@@ -437,10 +439,12 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
                         .expect("snapshot store")
                         .record_snapshot(key, &log);
                     if let Err(error) = staged {
-                        events.emit(format!(
-                            "event=store-error job={job} partition={partition} error={}",
-                            quoted(&error.to_string())
-                        ));
+                        events.emit_record(
+                            EventRecord::new("store-error")
+                                .with("job", job)
+                                .with("partition", partition)
+                                .with("error", error),
+                        );
                     }
                 }
                 let completed_now = merge_partition(
@@ -472,10 +476,13 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
             }
             Err(error) => {
                 first_failure.get_or_insert_with(Instant::now);
-                events.emit(format!(
-                    "event=worker-death job={job} partition={partition} attempt={attempt} error={}",
-                    quoted(&error.to_string())
-                ));
+                events.emit_record(
+                    EventRecord::new("worker-death")
+                        .with("job", job)
+                        .with("partition", partition)
+                        .with("attempt", attempt)
+                        .with("error", &error),
+                );
                 shared.jobs.with(job, |state| state.restarts += 1);
                 obs::global().counter("serve_worker_restarts_total").incr();
                 attempt += 1;
@@ -556,10 +563,12 @@ fn merge_partition(
             // The only way a merge can fail a job: the final partition
             // pushed the defect rate over the budget.
             if let Some(error) = state.failed.as_deref() {
-                events.emit(format!(
-                    "event=job-failed job={job} partition={partition} error={}",
-                    quoted(error)
-                ));
+                events.emit_record(
+                    EventRecord::new("job-failed")
+                        .with("job", job)
+                        .with("partition", partition)
+                        .with("error", error),
+                );
                 obs::global().counter("serve_jobs_failed_total").incr();
             }
         }
@@ -631,10 +640,11 @@ fn persist_completion(
     let staged = match guard.record_job(&manifest) {
         Ok(staged) => staged,
         Err(error) => {
-            events.emit(format!(
-                "event=store-error job={job} error={}",
-                quoted(&error.to_string())
-            ));
+            events.emit_record(
+                EventRecord::new("store-error")
+                    .with("job", job)
+                    .with("error", error),
+            );
             return false;
         }
     };
@@ -649,10 +659,11 @@ fn persist_completion(
             manifest.logs.iter().all(stored)
         }
         Err(error) => {
-            events.emit(format!(
-                "event=store-error job={job} error={}",
-                quoted(&error.to_string())
-            ));
+            events.emit_record(
+                EventRecord::new("store-error")
+                    .with("job", job)
+                    .with("error", error),
+            );
             false
         }
     }
@@ -666,10 +677,12 @@ fn fail_job(shared: &Shared, job: u64, partition: usize, message: &str) {
         }
         // Inside the lock for the same reason as the completion events: a
         // client that sees the failed phase must also see the failure event.
-        shared.events.emit(format!(
-            "event=job-failed job={job} partition={partition} error={}",
-            quoted(message)
-        ));
+        shared.events.emit_record(
+            EventRecord::new("job-failed")
+                .with("job", job)
+                .with("partition", partition)
+                .with("error", message),
+        );
     });
 }
 

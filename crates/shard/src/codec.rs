@@ -535,10 +535,11 @@ impl CounterSource for Decoder<'_> {
 // Stream framing.
 // ---------------------------------------------------------------------------
 
-/// Writes the stream header: [`MAGIC`] + [`VERSION`].
+/// Writes the stream header, [`MAGIC`] + [`VERSION`], in a single
+/// `write_all`, so an unbuffered socket sends it in one piece.
 pub fn write_stream_header(out: &mut impl Write) -> io::Result<()> {
-    out.write_all(&MAGIC)?;
-    out.write_all(&[VERSION])
+    let [m0, m1, m2, m3] = MAGIC;
+    out.write_all(&[m0, m1, m2, m3, VERSION])
 }
 
 /// Writes one frame, `[varint len][payload][crc32c LE]`, in a single
@@ -579,6 +580,11 @@ impl<R: Read> FrameReader<R> {
     /// file, so offsets and errors count from the file's start.
     pub fn at_offset(reader: R, offset: u64) -> FrameReader<R> {
         FrameReader { reader, offset }
+    }
+
+    /// The wrapped stream, e.g. to answer over the socket frames arrive on.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.reader
     }
 
     /// Bytes consumed so far — after the stream drains, the snapshot size.

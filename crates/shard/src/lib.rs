@@ -10,10 +10,10 @@
 //!
 //! The merge layer was shard-ready by design —
 //! [`DatasetAnalysis::merge`](sparqlog_core::analysis::DatasetAnalysis::merge)
-//! and
-//! [`AnalysisCache::merge`](sparqlog_core::cache::AnalysisCache::merge) are
-//! commutative — and this crate freezes those types into a wire format and
-//! exercises them across a real process boundary:
+//! is commutative — and this crate freezes the per-log results into a wire
+//! format and merges them across a real process boundary (each worker's
+//! analysis cache stays in its process; only its
+//! [`CacheStats`](sparqlog_core::cache::CacheStats) travel):
 //!
 //! * [`codec`] — varint/length-prefixed framing with an explicit version
 //!   byte and structured [`DecodeError`]s carrying the fault's byte offset.

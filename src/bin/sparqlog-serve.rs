@@ -17,8 +17,6 @@
 //! * `--stall-timeout-ms N`  kill workers silent this long (default: off)
 //! * `--max-restarts N`      restarts per partition before the job fails
 //! * `--backoff-ms N`        first restart backoff, doubling per attempt
-//! * `--outbox N`            per-session response outbox capacity (frames)
-//! * `--shed`                shed slow consumers instead of blocking them
 //! * `--event-log PATH`      mirror the structured event log to a file
 //! * `--store PATH`          persist completed jobs to a crash-safe snapshot
 //!   store: settled jobs warm-start after a restart and resubmitted logs
@@ -28,10 +26,13 @@
 //! startup (the daemon exits nonzero with a clear message rather than
 //! failing the first commit hours in).
 //!
+//! Each client session is one thread that answers its requests in order; a
+//! client that stops reading stalls only its own session.
+//!
 //! SIGTERM/SIGINT drain gracefully: in-flight jobs finish, new submits are
 //! rejected, then the daemon exits.
 
-use sparqlog::serve::{ServeAddr, ServeConfig, Server, SlowConsumerPolicy};
+use sparqlog::serve::{ServeAddr, ServeConfig, Server};
 use sparqlog::shard::WorkerCommand;
 use std::path::Path;
 use std::str::FromStr;
@@ -41,7 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sparqlog-serve [--tcp ADDR | --unix PATH] [--slots N] \
          [--workers N (0 = cores / running workers)] [--heartbeat-ms N] [--stall-timeout-ms N] [--max-restarts N] [--backoff-ms N] \
-         [--outbox N] [--shed] [--event-log PATH] [--store PATH]"
+         [--event-log PATH] [--store PATH]"
     );
     std::process::exit(2);
 }
@@ -98,8 +99,6 @@ fn main() {
             }
             "--max-restarts" => config.supervisor.max_restarts = value(&mut args),
             "--backoff-ms" => config.supervisor.backoff = Duration::from_millis(value(&mut args)),
-            "--outbox" => config.outbox_frames = value(&mut args),
-            "--shed" => config.slow_policy = SlowConsumerPolicy::Shed,
             "--event-log" => config.event_log_path = Some(value(&mut args)),
             "--store" => config.store_path = Some(value(&mut args)),
             _ => usage(),

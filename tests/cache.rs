@@ -198,29 +198,6 @@ fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
     }
 }
 
-#[test]
-fn merged_worker_caches_serve_identical_lookups() {
-    // Split the corpus in two, analyse each half into its own cache, merge
-    // both ways: every fingerprint of the full corpus resolves identically.
-    let raw = duplicate_heavy_corpus();
-    let (first_half, second_half) = raw.split_at(1);
-    let build = |part: &[RawLog]| {
-        let cache = AnalysisCache::new();
-        fused_into(part, Population::Valid, &cache);
-        cache
-    };
-    let ab = build(first_half);
-    ab.merge(build(second_half));
-    let ba = build(second_half);
-    ba.merge(build(first_half));
-    assert_eq!(ab.len(), ba.len());
-    for fp in fingerprints(&raw) {
-        let a = ab.get(fp).expect("merged cache covers the corpus");
-        let b = ba.get(fp).expect("merge is commutative");
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-}
-
 /// Everything the engine reports must equal the memo-less oracle's: Table-1
 /// counts and error tallies (counts *and* first positions) per log, the
 /// full report, and the cache accounting of one lookup per valid occurrence.

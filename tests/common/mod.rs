@@ -142,7 +142,15 @@ pub fn serve_config(worker: WorkerCommand) -> ServeConfig {
 pub fn start_server(
     config: ServeConfig,
 ) -> (ServeAddr, ServerHandle, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(config, &ServeAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    start_server_on(config, &ServeAddr::Tcp("127.0.0.1:0".to_string()))
+}
+
+/// [`start_server`] on `addr`.
+pub fn start_server_on(
+    config: ServeConfig,
+    addr: &ServeAddr,
+) -> (ServeAddr, ServerHandle, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(config, addr).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());

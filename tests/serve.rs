@@ -1,7 +1,8 @@
 //! The networked analysis service, exercised end-to-end over real sockets
 //! and real worker processes: concurrent clients must read byte-identical
-//! complete reports (equal to the single-process fused engine's), a slow
-//! consumer must not stall other sessions, a graceful drain must finish
+//! complete reports (equal to the single-process fused engine's), a client
+//! that stops reading must stall only its own session and must not keep a
+//! stopping daemon from joining it, a graceful drain must finish
 //! in-flight jobs while refusing new ones, and a worker that dies
 //! mid-partition — by any of the six fault modes: `die`, `wrong-version`,
 //! `truncate`, `abort-mid-stream`, a raw SIGKILL from outside, a
@@ -20,21 +21,21 @@
 mod common;
 
 use common::{
-    fused_reference, serve_config, start_server, submit_specs, tiled_day_logs, write_logs, Scratch,
-    SETTLE, THREE_DATASETS, WORKER,
+    fused_reference, serve_config, start_server, start_server_on, submit_specs, tiled_day_logs,
+    write_logs, Scratch, SETTLE, THREE_DATASETS, WORKER,
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RecoveryPolicy};
 use sparqlog::obs::env;
 use sparqlog::persist::SnapshotStore;
 use sparqlog::serve::protocol::{self, Request, Response};
-use sparqlog::serve::{
-    Client, ClientError, JobPhase, ServeAddr, ServeConfig, ServerHandle, SlowConsumerPolicy,
-};
-use sparqlog::shard::codec::{write_stream_header, FrameReader};
+use sparqlog::serve::{Client, ClientError, JobPhase, ServeAddr, ServeConfig, ServerHandle};
+use sparqlog::shard::codec::{write_frame, write_stream_header, FrameReader};
 use sparqlog::shard::{LogSpec, WorkerCommand};
-use std::net::TcpStream;
+use std::io::{self, BufReader, BufWriter, Write};
+use std::os::unix::net::UnixStream;
 use std::path::Path;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Writes a duplicate-heavy corpus (three synthesized day logs, each tiled
@@ -116,28 +117,58 @@ fn concurrent_clients_read_byte_identical_complete_reports() {
     runner.join().expect("server thread").expect("server run");
 }
 
-#[test]
-fn a_slow_consumer_blocks_only_its_own_session() {
-    // No jobs involved: the outbox path is exercised with pipelined pings.
-    let config = ServeConfig {
-        outbox_frames: 2,
-        writer_pause: Duration::from_millis(50),
-        slow_policy: SlowConsumerPolicy::Block,
-        ..serve_config(WorkerCommand::new(WORKER))
-    };
-    let (addr, handle, runner) = start_server(config);
-    let ServeAddr::Tcp(spec) = &addr else {
+/// Requests a slow client pipelines: `Status` of jobs that do not exist,
+/// so each answer is an error naming its job and the answers show their
+/// order. Their frames and answers overrun the default socket buffers
+/// several times over, so the client's session stalls on a write.
+const PIPELINED: u64 = 100_000;
+const FIRST_UNKNOWN_JOB: u64 = 1 << 40;
+
+/// A daemon listening on a Unix socket in `scratch`.
+fn start_unix_server(scratch: &Scratch) -> (ServeAddr, ServerHandle, JoinHandle<io::Result<()>>) {
+    let addr = ServeAddr::Unix(scratch.path().join("serve.sock"));
+    start_server_on(serve_config(WorkerCommand::new(WORKER)), &addr)
+}
+
+/// Connects to `addr` and, on a thread of its own, writes the stream
+/// header and the [`PIPELINED`] requests without reading a response.
+fn pipeline_unread(addr: &ServeAddr) -> (UnixStream, JoinHandle<io::Result<()>>) {
+    let ServeAddr::Unix(path) = addr else {
         unreachable!()
     };
+    let socket = UnixStream::connect(path).expect("connect slow");
+    let requests = socket.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        let mut out = BufWriter::new(requests);
+        write_stream_header(&mut out)?;
+        for job in FIRST_UNKNOWN_JOB..FIRST_UNKNOWN_JOB + PIPELINED {
+            write_frame(&mut out, &Request::Status { job }.to_payload())?;
+        }
+        out.flush()
+    });
+    (socket, writer)
+}
 
-    // The slow session pipelines 40 requests without reading a single
-    // response: its 2-frame outbox fills and, under the Block policy, its
-    // reader thread stalls. Draining takes >= 40 * 50ms = 2s.
-    let mut slow = TcpStream::connect(spec.as_str()).expect("connect slow");
-    write_stream_header(&mut slow).expect("header");
-    for _ in 0..40 {
-        protocol::write_request(&mut slow, &Request::Ping).expect("pipelined ping");
+/// Watches `pipeliner` for a second, in which the slow session fills the
+/// socket buffers and blocks on a write: its client must still hold
+/// requests it cannot send.
+fn assert_stalled(pipeliner: &JoinHandle<io::Result<()>>) {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < deadline {
+        assert!(
+            !pipeliner.is_finished(),
+            "the slow session never stalled: all its requests were read"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn a_slow_consumer_blocks_only_its_own_session() {
+    let scratch = Scratch::new("slow");
+    let (addr, handle, runner) = start_unix_server(&scratch);
+    let (slow, pipeliner) = pipeline_unread(&addr);
+    assert_stalled(&pipeliner);
 
     // A healthy session served in the meantime must not feel it.
     let started = Instant::now();
@@ -149,65 +180,58 @@ fn a_slow_consumer_blocks_only_its_own_session() {
         "healthy session stalled behind the slow one: {latency:?}"
     );
 
-    // The Block policy loses nothing: all 40 responses eventually arrive.
-    let mut frames = FrameReader::new(slow.try_clone().expect("clone"));
+    // Nothing is lost: once the slow client reads, every response arrives,
+    // in request order.
+    let mut frames = FrameReader::new(BufReader::new(slow));
     frames.read_header().expect("server header");
-    for i in 0..40 {
+    for job in FIRST_UNKNOWN_JOB..FIRST_UNKNOWN_JOB + PIPELINED {
         let response = protocol::read_response(&mut frames)
             .expect("read response")
-            .unwrap_or_else(|| panic!("stream ended after {i} responses"));
-        assert!(matches!(response, Response::Pong { .. }));
+            .unwrap_or_else(|| panic!("stream ended before the answer for job {job}"));
+        let expected = format!("unknown job {job}");
+        assert!(
+            matches!(&response, Response::Error { message } if *message == expected),
+            "{response:?} where {expected:?} was due"
+        );
     }
+    pipeliner
+        .join()
+        .expect("pipeliner")
+        .expect("pipelined requests");
 
     handle.stop();
     runner.join().expect("server thread").expect("server run");
 }
 
 #[test]
-fn a_slow_consumer_is_shed_under_the_shed_policy() {
-    let config = ServeConfig {
-        outbox_frames: 1,
-        writer_pause: Duration::from_millis(100),
-        slow_policy: SlowConsumerPolicy::Shed,
-        ..serve_config(WorkerCommand::new(WORKER))
-    };
-    let (addr, handle, runner) = start_server(config);
-    let ServeAddr::Tcp(spec) = &addr else {
-        unreachable!()
-    };
-
-    let mut slow = TcpStream::connect(spec.as_str()).expect("connect slow");
-    write_stream_header(&mut slow).expect("header");
-    for _ in 0..10 {
-        protocol::write_request(&mut slow, &Request::Ping).expect("pipelined ping");
-    }
-    // The connection must close early: the session is shed, not served.
-    // The shutdown may even beat the server's header onto the wire, so a
-    // failed header read counts as zero responses, not a test failure.
-    let mut frames = FrameReader::new(slow.try_clone().expect("clone"));
-    let mut answered = 0;
-    if frames.read_header().is_ok() {
-        while let Ok(Some(_)) = protocol::read_response(&mut frames) {
-            answered += 1;
-        }
-    }
-    assert!(
-        answered < 10,
-        "shed session still got all {answered} responses"
-    );
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !handle
-        .events()
-        .snapshot()
-        .iter()
-        .any(|l| l.contains("event=outbox-shed"))
-    {
-        assert!(Instant::now() < deadline, "no outbox-shed event logged");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+fn stop_joins_a_session_blocked_on_a_client_that_never_reads() {
+    let scratch = Scratch::new("unread");
+    let (addr, handle, runner) = start_unix_server(&scratch);
+    let (_slow, pipeliner) = pipeline_unread(&addr);
+    // A session that answers means the slow one has been accepted too.
+    Client::connect(&addr)
+        .expect("connect")
+        .ping()
+        .expect("ping");
+    assert_stalled(&pipeliner);
 
     handle.stop();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !runner.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "stop hangs on a session blocked writing"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     runner.join().expect("server thread").expect("server run");
+    // `run` returned, so it joined every session thread: each closed.
+    let records = handle.events().records();
+    let count = |event: &str| records.iter().filter(|r| r.event() == event).count();
+    assert_eq!(count("session-open"), 2);
+    assert_eq!(count("session-close"), 2);
+    // The daemon closed the socket: the writes still pending fail.
+    assert!(pipeliner.join().expect("pipeliner").is_err());
 }
 
 #[test]
