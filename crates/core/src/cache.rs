@@ -8,8 +8,9 @@
 //! treewidth classification) per occurrence would waste almost all of the
 //! analysis time, so the engine memoizes the per-query record under the
 //! 128-bit canonical fingerprint it already computes for duplicate
-//! elimination: duplicate occurrences — within a log, across logs, and
-//! across the Unique/Valid population switch — never reach the analyser.
+//! elimination: duplicate occurrences — within a log and across logs —
+//! never reach the analyser. The engine creates one cache per run and drops
+//! it with the run, so what the cache holds is what the run saw.
 //!
 //! **Soundness.** The cache key is exactly the dedup key: two queries share a
 //! fingerprint iff they share a canonical form (modulo the same 128-bit
@@ -57,17 +58,16 @@
 //! does not matter either. Ids are handed out in interning order, which
 //! depends on the schedule; they never leave a run: no report, summary,
 //! stats record, wire frame or store record holds one (`tests/cache.rs`
-//! runs one cache over logs in two orders to show it).
+//! runs the same logs in two orders to show it).
 //!
-//! The cache is **range-partitioned by the fingerprint's top bits** into
+//! The cache is **range-partitioned by the fingerprint's top bits** into 16
 //! lock-striped shards: concurrent workers only contend when they touch the
 //! same shard, and any single rehash stays O(shard). A cache lives in one
-//! process: the shard coordinator and the daemon's job table combine the
-//! workers' [`CacheStats`], never their caches.
+//! run of one process: the shard coordinator and the daemon's job table
+//! combine the runs' [`CacheStats`], never their caches.
 //!
 //! ```
-//! use sparqlog_core::cache::AnalysisCache;
-//! use sparqlog_core::corpus::{analyze_streams_cached, FusedOptions, LogReader, MemoryLogReader};
+//! use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 //! use sparqlog_core::Population;
 //!
 //! let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
@@ -78,11 +78,9 @@
 //!         "ASK { ?x <http://example.org/p> ?y }".to_string(),
 //!     ],
 //! ))];
-//! let cache = AnalysisCache::new();
-//! let fused =
-//!     analyze_streams_cached(readers, Population::Valid, FusedOptions::default(), &cache)?;
+//! let fused = analyze_streams(readers, Population::Valid)?;
 //! assert_eq!(fused.corpus.combined.keywords.total_queries, 3); // occurrences still count
-//! let stats = cache.stats();
+//! let stats = fused.stats.cache.expect("every run has a cache");
 //! assert_eq!((stats.distinct, stats.hits), (2, 1)); // but one analysis was reused
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -94,7 +92,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default shard count for [`AnalysisCache`].
+/// The shard count of every [`AnalysisCache`] (a power of two).
 const CACHE_SHARDS: usize = 16;
 
 /// The id of an analysis class: the index of one distinct
@@ -150,46 +148,28 @@ struct ClassTable {
 /// soundness argument).
 #[derive(Debug)]
 pub struct AnalysisCache {
-    shards: Vec<CacheShard>,
-    bits: u32,
+    shards: [CacheShard; CACHE_SHARDS],
     classes: Mutex<ClassTable>,
 }
 
 impl Default for AnalysisCache {
     fn default() -> AnalysisCache {
-        AnalysisCache::with_shards(CACHE_SHARDS)
+        AnalysisCache {
+            shards: std::array::from_fn(|_| CacheShard::default()),
+            classes: Mutex::default(),
+        }
     }
 }
 
 impl AnalysisCache {
-    /// Creates a cache with the default shard count.
+    /// Creates an empty cache.
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
     }
 
-    /// Creates a cache with `shard_count` shards, rounded up to a power of
-    /// two (minimum 1).
-    pub fn with_shards(shard_count: usize) -> AnalysisCache {
-        let count = shard_count.max(1).next_power_of_two();
-        AnalysisCache {
-            shards: (0..count).map(|_| CacheShard::default()).collect(),
-            bits: count.trailing_zeros(),
-            classes: Mutex::default(),
-        }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a fingerprint belongs to (its top bits).
-    pub fn shard_of(&self, fingerprint: u128) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (fingerprint >> (128 - self.bits)) as usize
-        }
+    fn shard_of(fingerprint: u128) -> usize {
+        (fingerprint >> (128 - CACHE_SHARDS.trailing_zeros())) as usize
     }
 
     /// Returns the memoized class of `fingerprint`, or computes its record
@@ -204,7 +184,7 @@ impl AnalysisCache {
         fingerprint: u128,
         analyze: impl FnOnce() -> QueryAnalysis,
     ) -> ClassId {
-        let shard = &self.shards[self.shard_of(fingerprint)];
+        let shard = &self.shards[Self::shard_of(fingerprint)];
         if let Some(&class) = shard
             .map
             .lock()
@@ -257,7 +237,7 @@ impl AnalysisCache {
     /// The memoized class of a fingerprint, if present. Does not count as a
     /// hit or a miss.
     pub fn class_of(&self, fingerprint: u128) -> Option<ClassId> {
-        self.shards[self.shard_of(fingerprint)]
+        self.shards[Self::shard_of(fingerprint)]
             .map
             .lock()
             .expect("analysis cache shard lock")
@@ -324,7 +304,7 @@ mod tests {
 
     #[test]
     fn memoizes_per_fingerprint_and_counts_hits() {
-        let cache = AnalysisCache::with_shards(4);
+        let cache = AnalysisCache::new();
         let a = cache.class_or_insert_with(7, || qa("SELECT ?x WHERE { ?x a <http://C> }"));
         let b = cache.class_or_insert_with(7, || panic!("must be served from the cache"));
         assert_eq!(a, b);
@@ -339,7 +319,7 @@ mod tests {
 
     #[test]
     fn equal_records_share_one_class_and_unequal_records_never_do() {
-        let cache = AnalysisCache::with_shards(4);
+        let cache = AnalysisCache::new();
         // Two canonical forms (other constants, other variable names) with
         // one record; and one more triple, which is another record.
         let texts = [
@@ -367,16 +347,16 @@ mod tests {
 
     #[test]
     fn shard_boundary_fingerprints_land_in_distinct_shards() {
-        let cache = AnalysisCache::with_shards(4);
-        assert_eq!(cache.shard_of(0), 0);
-        assert_eq!(cache.shard_of(u128::MAX), 3);
+        let cache = AnalysisCache::new();
+        assert_eq!(AnalysisCache::shard_of(0), 0);
+        assert_eq!(AnalysisCache::shard_of(u128::MAX), CACHE_SHARDS - 1);
         // Fingerprints straddling a shard boundary stay distinct entries.
-        let low = (1u128 << 126) - 1; // last fingerprint of shard 0
-        let high = 1u128 << 126; // first fingerprint of shard 1
+        let low = (1u128 << 124) - 1; // last fingerprint of shard 0
+        let high = 1u128 << 124; // first fingerprint of shard 1
         cache.class_or_insert_with(low, || qa("ASK { ?x <http://p> ?y }"));
         cache.class_or_insert_with(high, || qa("ASK { ?x <http://q> ?y }"));
-        assert_eq!(cache.shard_of(low), 0);
-        assert_eq!(cache.shard_of(high), 1);
+        assert_eq!(AnalysisCache::shard_of(low), 0);
+        assert_eq!(AnalysisCache::shard_of(high), 1);
         assert_eq!(cache.len(), 2);
     }
 }

@@ -2,7 +2,7 @@
 //! streaming [`LogReader`]s and the batch source the workers drain.
 //!
 //! A log reaches the engine as a [`LogReader`] — in-memory entries
-//! ([`MemoryLogReader`], [`SliceLogReader`]) or a buffered line-oriented
+//! ([`MemoryLogReader`]) or a buffered line-oriented
 //! stream ([`LineLogReader`] / [`FileLogReader`]: one entry per line, `\n`
 //! or `\r\n` terminated). The fused engine ([`analyze_streams`], defined in
 //! [`crate::fused`] and re-exported here) pulls batches from the readers
@@ -29,8 +29,7 @@ use std::sync::Mutex;
 pub use sparqlog_parser::{canonical_fingerprint, CanonicalHasher};
 
 pub use crate::fused::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,
-    FusedStats, LogSummary,
+    analyze_streams, analyze_streams_with, FusedAnalysis, FusedOptions, FusedStats, LogSummary,
 };
 
 /// One raw log: a label (dataset name) and its entries in log order.
@@ -157,9 +156,9 @@ impl EntryBlock {
 /// is the same read copied out into owned strings.
 ///
 /// Implementations: [`MemoryLogReader`] (owned entries, freed as they are
-/// read), [`SliceLogReader`] (borrowed entries), and [`LineLogReader`] /
-/// [`FileLogReader`] (buffered line-oriented streams: one line per entry,
-/// `\n` or `\r\n` terminated, with or without a trailing newline).
+/// read) and [`LineLogReader`] / [`FileLogReader`] (buffered line-oriented
+/// streams: one line per entry, `\n` or `\r\n` terminated, with or without
+/// a trailing newline).
 pub trait LogReader: Send {
     /// The dataset label of this log.
     fn label(&self) -> &str;
@@ -231,51 +230,6 @@ impl LogReader for MemoryLogReader {
 
     fn size_hint(&self) -> Option<usize> {
         Some(self.entries.len())
-    }
-}
-
-/// A [`LogReader`] over borrowed entries (e.g. a [`RawLog`] the caller keeps
-/// owning); each batch is copied into the reading worker's block.
-#[derive(Debug)]
-pub struct SliceLogReader<'a> {
-    label: &'a str,
-    entries: &'a [String],
-    position: usize,
-}
-
-impl<'a> SliceLogReader<'a> {
-    /// Creates a reader over a label and a borrowed entry slice.
-    pub fn new(label: &'a str, entries: &'a [String]) -> SliceLogReader<'a> {
-        SliceLogReader {
-            label,
-            entries,
-            position: 0,
-        }
-    }
-
-    /// Creates a reader over a borrowed [`RawLog`].
-    pub fn of(log: &'a RawLog) -> SliceLogReader<'a> {
-        SliceLogReader::new(&log.label, &log.entries)
-    }
-}
-
-impl LogReader for SliceLogReader<'_> {
-    fn label(&self) -> &str {
-        self.label
-    }
-
-    fn read_block(&mut self, block: &mut EntryBlock, max: usize) -> io::Result<usize> {
-        let end = self.position.saturating_add(max).min(self.entries.len());
-        for entry in &self.entries[self.position..end] {
-            block.push(entry);
-        }
-        let appended = end - self.position;
-        self.position = end;
-        Ok(appended)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.entries.len() - self.position)
     }
 }
 

@@ -191,9 +191,9 @@ sparqlog_algebra::tally! {
         /// instant — the in-flight bound (≤ workers × batch size). Each worker
         /// additionally holds at most **one** parsed AST at a time.
         max pub peak_inflight_entries: usize,
-        /// Distinct canonical forms seen by *this run's* streams (what survives
-        /// the stream) — not the size of the backing cache, which may carry
-        /// entries from other corpora when the caller shares it across runs.
+        /// Distinct canonical forms in the run's streams, counted once
+        /// however many logs share them: the `distinct` of the run's own
+        /// [`AnalysisCache`], which holds exactly the forms the run saw.
         sum pub distinct_forms: u64,
     }
 }
@@ -472,7 +472,7 @@ impl FusedWorker {
 }
 
 /// Streams every reader through the fused ingest→analyze pipeline with
-/// default options and a run-scoped [`AnalysisCache`].
+/// default options.
 pub fn analyze_streams(
     readers: Vec<Box<dyn LogReader + '_>>,
     population: Population,
@@ -481,26 +481,14 @@ pub fn analyze_streams(
 }
 
 /// [`analyze_streams`] with explicit options. The output is identical for
-/// any worker count or batch size.
+/// any worker count or batch size. Each run memoizes its analyses in an
+/// [`AnalysisCache`] of its own, dropped when the run returns.
 pub fn analyze_streams_with(
     readers: Vec<Box<dyn LogReader + '_>>,
     population: Population,
     options: FusedOptions,
 ) -> io::Result<FusedAnalysis> {
-    let cache = AnalysisCache::new();
-    analyze_streams_cached(readers, population, options, &cache)
-}
-
-/// [`analyze_streams`] against a caller-owned [`AnalysisCache`]: analyses
-/// memoized by earlier runs — other logs, the other population — are
-/// reused, so switching populations over the same streams re-analyses
-/// nothing.
-pub fn analyze_streams_cached(
-    readers: Vec<Box<dyn LogReader + '_>>,
-    population: Population,
-    options: FusedOptions,
-    cache: &AnalysisCache,
-) -> io::Result<FusedAnalysis> {
+    let cache = &AnalysisCache::new();
     let (workers, batch_size) = options.resolve();
     let workers = clamp_workers(&readers, workers, batch_size).max(1);
     let ctx = RecoveryContext::new(options.recovery);
@@ -514,7 +502,6 @@ pub fn analyze_streams_cached(
     // the benchmark reports as `obs.overhead_pct` — and is entirely free
     // when disabled.
     let metrics_on = obs::enabled();
-    let cache_before = cache.stats();
     let read_us = obs::global().histogram("pipeline_read_us");
     let parse_us = obs::global().histogram("pipeline_parse_us");
     let read_bytes = obs::global().counter("pipeline_read_bytes_total");
@@ -612,9 +599,7 @@ pub fn analyze_streams_cached(
     // summed per class, weighted for the population, into the fold's items.
     // The records come from the cache under one lock.
     let records = cache.records();
-    let mut in_run = vec![false; records.len()];
     let mut items: Vec<(usize, ClassId, u64)> = Vec::new();
-    let mut fingerprints: Vec<u128> = Vec::new();
     let mut summaries = Vec::with_capacity(log_count);
     for (log_index, (label, map)) in labels.into_iter().zip(merged).enumerate() {
         let mut weights: HashMap<ClassId, u64, RecordBuildHasher> = HashMap::default();
@@ -625,7 +610,6 @@ pub fn analyze_streams_cached(
             if !records[class as usize].features.has_body {
                 bodyless += count;
             }
-            in_run[class as usize] = true;
             *weights.entry(class).or_insert(0) += match population {
                 Population::Unique => 1,
                 Population::Valid => count,
@@ -636,7 +620,6 @@ pub fn analyze_streams_cached(
                 .into_iter()
                 .map(|(class, weight)| (log_index, class, weight)),
         );
-        fingerprints.extend(map.keys());
         summaries.push(LogSummary {
             label,
             counts: CorpusCounts {
@@ -648,10 +631,6 @@ pub fn analyze_streams_cached(
             errors: std::mem::take(&mut tallies[log_index]),
         });
     }
-    // Forms seen by more than one log count once.
-    fingerprints.sort_unstable();
-    fingerprints.dedup();
-
     // The budget check runs once, over the merged end-of-run tallies. The
     // shard workers and the serve path stream as Lenient and leave this
     // check to their coordinator, so every deployment reaches the same
@@ -671,20 +650,21 @@ pub fn analyze_streams_cached(
     cache.record_reused(valid_total - lookups);
 
     let corpus = fold_populations(&summaries, &items, &records, workers);
+    // The run's own cache holds exactly the run's forms, a form several
+    // logs share once, and only the classes those forms interned.
+    let cache_stats = cache.stats();
     let stats = AnalysisStats {
-        cache: Some(cache.stats()),
+        cache: Some(cache_stats),
         interner: interner_stats,
     };
     let fused = FusedStats {
         batches: batches.into_inner(),
         peak_inflight_entries: peak_inflight.into_inner(),
-        distinct_forms: fingerprints.len() as u64,
+        distinct_forms: cache_stats.distinct,
     };
 
     // The per-entry facts flush as whole-run totals here — one counter add
-    // per run per fact, instead of one per entry on the hot path. Cache
-    // counters flush as this run's delta, so a caller-owned cache shared
-    // across runs is not double-counted.
+    // per run per fact, instead of one per entry on the hot path.
     if metrics_on {
         let registry = obs::global();
         registry.counter("pipeline_runs_total").incr();
@@ -703,17 +683,14 @@ pub fn analyze_streams_cached(
             .add(fused.distinct_forms);
         registry
             .counter("pipeline_analysis_classes_total")
-            .add(in_run.iter().filter(|&&used| used).count() as u64);
-        let cache_after = stats.cache.unwrap_or_default();
-        registry
-            .counter("cache_hits_total")
-            .add(cache_after.hits.saturating_sub(cache_before.hits));
+            .add(records.len() as u64);
+        registry.counter("cache_hits_total").add(cache_stats.hits);
         registry
             .counter("cache_misses_total")
-            .add(cache_after.misses.saturating_sub(cache_before.misses));
+            .add(cache_stats.misses);
         registry
             .gauge("cache_distinct_forms")
-            .set(cache_after.distinct as i64);
+            .set(cache_stats.distinct as i64);
         registry.counter("memo_probes_total").add(memo_probes);
         registry.counter("memo_hits_total").add(memo_hits);
         registry
@@ -845,30 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_forms_counts_this_run_not_the_shared_cache() {
-        let cache = AnalysisCache::new();
-        let first = analyze_streams_cached(
-            readers_of(&ENTRIES),
-            Population::Valid,
-            FusedOptions::default(),
-            &cache,
-        )
-        .unwrap();
-        assert_eq!(first.fused.distinct_forms, 3);
-        // A second, smaller corpus on the same cache: its stats must count
-        // its own two distinct forms, not the cache's accumulated four.
-        let second = analyze_streams_cached(
-            readers_of(&["ASK { ?a <http://q> ?b }", "DESCRIBE <http://r>"]),
-            Population::Valid,
-            FusedOptions::default(),
-            &cache,
-        )
-        .unwrap();
-        assert_eq!(second.fused.distinct_forms, 2);
-        assert_eq!(cache.len(), 4); // DESCRIBE <http://r> was already memoized
-    }
-
-    #[test]
     fn forms_sharing_a_class_fold_once_per_log_and_match_the_reference() {
         // Three canonical forms with one record (other constants, other
         // variable names) and one form with its own: four fingerprints, two
@@ -893,16 +846,12 @@ mod tests {
             .collect();
         for population in [Population::Unique, Population::Valid] {
             for workers in [1, 2] {
-                let cache = AnalysisCache::new();
                 let options = FusedOptions {
                     workers,
                     batch: 1,
                     ..FusedOptions::default()
                 };
-                let fused =
-                    analyze_streams_cached(test_readers(&logs), population, options, &cache)
-                        .unwrap();
-                assert_eq!((cache.len(), cache.records().len()), (4, 2));
+                let fused = analyze_streams_with(test_readers(&logs), population, options).unwrap();
                 assert_eq!(fused.fused.distinct_forms, 4);
                 let unique: Vec<u64> = fused.summaries.iter().map(|s| s.counts.unique).collect();
                 assert_eq!(unique, [3, 3]);

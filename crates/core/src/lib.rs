@@ -93,11 +93,10 @@ pub use analysis::{AnalysisStats, CorpusAnalysis, DatasetAnalysis, Population};
 pub use cache::{AnalysisCache, CacheStats};
 pub use corpus::{
     default_workers, CorpusCounts, EntryBlock, FileLogReader, LineLogReader, LogReader,
-    MemoryLogReader, RawLog, SliceLogReader,
+    MemoryLogReader, RawLog,
 };
 pub use fused::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,
-    FusedStats, LogSummary,
+    analyze_streams, analyze_streams_with, FusedAnalysis, FusedOptions, FusedStats, LogSummary,
 };
 pub use incremental::{file_identity, log_identity, LogSlots, PersistedLog, Refused};
 pub use query_analysis::QueryAnalysis;

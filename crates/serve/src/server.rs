@@ -7,9 +7,9 @@
 //!
 //! # Threading model
 //!
-//! No async runtime: one accept loop (nonblocking, polling the drain/stop
-//! flags and [`crate::signal`] every ~20 ms), one std thread per session,
-//! and the supervisor's fixed runner pool. A session reads a request,
+//! No async runtime: one accept loop, blocked in `accept` until a client
+//! connects or a stop wakes it, one std thread per session, and the
+//! supervisor's fixed runner pool. A session reads a request,
 //! answers it and writes the response to its own socket before it reads
 //! the next. A client that pipelines requests without reading the
 //! responses stalls only its own session, which then holds one response
@@ -20,10 +20,13 @@
 //! A `Drain` request (or [`ServerHandle::drain`]) only flips the draining
 //! flag: new `Submit`s are rejected, everything else keeps serving.
 //! [`ServerHandle::stop`] or SIGTERM/SIGINT additionally stops the accept
-//! loop, waits for in-flight jobs to settle, closes every session, and
-//! returns from [`Server::run`]. Session sockets read and write with a
-//! 100 ms timeout and recheck the closing flag between attempts, so a
-//! session blocked on a client that neither sends nor reads still ends.
+//! loop, waits (up to 60 s) for in-flight jobs to settle, closes every
+//! session, and returns from [`Server::run`]. `stop` wakes the blocked
+//! `accept` by connecting to the listener; a signal, by shutting the
+//! listening socket down ([`crate::signal`]). Session sockets read and
+//! write with a 100 ms timeout and recheck the closing flag between
+//! attempts, so a session blocked on a client that neither sends nor reads
+//! still ends.
 
 use crate::events::EventLog;
 use crate::job::{load_logs, Jobs};
@@ -47,14 +50,19 @@ use std::time::Duration;
 /// rechecks the closing flag.
 const POLL: Duration = Duration::from_millis(100);
 
+/// How long a graceful stop waits for in-flight jobs to settle.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long the accept loop pauses after a failed `accept` (say, out of
+/// descriptors) before it tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
+
 /// Daemon configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// The worker pool: how to launch workers, how many run at once, their
-    /// heartbeat and their restart policy.
+    /// stall timeout and their restart policy.
     pub supervisor: SupervisorConfig,
-    /// How long a graceful stop waits for in-flight jobs to settle.
-    pub drain_timeout: Duration,
     /// Mirror the event log to this file (the CI fault jobs upload it).
     pub event_log_path: Option<PathBuf>,
     /// Persist completed jobs to a crash-safe snapshot store at this path
@@ -62,17 +70,6 @@ pub struct ServeConfig {
     /// after a restart, and resubmitted logs merge from the store without
     /// spawning workers.
     pub store_path: Option<PathBuf>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            supervisor: SupervisorConfig::default(),
-            drain_timeout: Duration::from_secs(60),
-            event_log_path: None,
-            store_path: None,
-        }
-    }
 }
 
 /// Where the daemon listens (or a client connects).
@@ -112,17 +109,15 @@ impl Socket {
         }
     }
 
-    /// Makes the socket blocking, with `timeout` on every read and write.
+    /// Puts `timeout` on every read and write.
     fn set_timeouts(&self, timeout: Duration) -> io::Result<()> {
         match self {
             Socket::Tcp(stream) => {
-                stream.set_nonblocking(false)?;
                 stream.set_read_timeout(Some(timeout))?;
                 stream.set_write_timeout(Some(timeout))
             }
             #[cfg(unix)]
             Socket::Unix(stream) => {
-                stream.set_nonblocking(false)?;
                 stream.set_read_timeout(Some(timeout))?;
                 stream.set_write_timeout(Some(timeout))
             }
@@ -167,20 +162,23 @@ enum Listener {
 }
 
 impl Listener {
-    /// Accepts one pending connection, or `None` if none is waiting
-    /// (the listener is nonblocking).
-    fn accept(&self) -> io::Result<Option<Socket>> {
-        let accepted = match self {
+    /// Blocks until a client connects.
+    fn accept(&self) -> io::Result<Socket> {
+        match self {
             Listener::Tcp(listener) => listener.accept().map(|(stream, _)| Socket::Tcp(stream)),
             #[cfg(unix)]
             Listener::Unix(listener, _) => {
                 listener.accept().map(|(stream, _)| Socket::Unix(stream))
             }
-        };
-        match accepted {
-            Ok(socket) => Ok(Some(socket)),
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(error) => Err(error),
+        }
+    }
+
+    #[cfg(unix)]
+    fn raw_fd(&self) -> std::os::fd::RawFd {
+        use std::os::fd::AsRawFd;
+        match self {
+            Listener::Tcp(listener) => listener.as_raw_fd(),
+            Listener::Unix(listener, _) => listener.as_raw_fd(),
         }
     }
 
@@ -205,7 +203,9 @@ impl Drop for Listener {
 /// State shared between the accept loop, sessions, and handles.
 #[derive(Debug)]
 struct Shared {
-    config: ServeConfig,
+    /// The listener's own address, which [`ServerHandle::stop`] connects to
+    /// to wake the accept loop.
+    addr: ServeAddr,
     jobs: Arc<Jobs>,
     events: Arc<EventLog>,
     supervisor: Supervisor,
@@ -243,6 +243,9 @@ impl ServerHandle {
     pub fn stop(&self) {
         self.shared.begin_drain("shutdown");
         self.shared.stopping.store(true, Ordering::Release);
+        // Wakes the accept loop, which sees the flag and drops this
+        // connection; a loop that has already returned refuses it.
+        let _ = Socket::connect(&self.shared.addr);
     }
 
     /// Whether the server is draining.
@@ -273,11 +276,7 @@ impl Server {
     /// accept loop does not run until [`Server::run`].
     pub fn bind(config: ServeConfig, addr: &ServeAddr) -> io::Result<Server> {
         let listener = match addr {
-            ServeAddr::Tcp(spec) => {
-                let listener = TcpListener::bind(spec.as_str())?;
-                listener.set_nonblocking(true)?;
-                Listener::Tcp(listener)
-            }
+            ServeAddr::Tcp(spec) => Listener::Tcp(TcpListener::bind(spec.as_str())?),
             ServeAddr::Unix(path) => {
                 #[cfg(unix)]
                 {
@@ -285,7 +284,6 @@ impl Server {
                     // make bind fail with AddrInUse; replace it.
                     let _ = std::fs::remove_file(path);
                     let listener = std::os::unix::net::UnixListener::bind(path)?;
-                    listener.set_nonblocking(true)?;
                     Listener::Unix(listener, path.clone())
                 }
                 #[cfg(not(unix))]
@@ -326,13 +324,13 @@ impl Server {
             warm_start(store, &jobs, &events);
         }
         let supervisor = Supervisor::start(
-            config.supervisor.clone(),
+            config.supervisor,
             Arc::clone(&jobs),
             Arc::clone(&events),
             store.clone(),
         );
         let shared = Arc::new(Shared {
-            config,
+            addr: listener.local_addr()?,
             jobs,
             events,
             supervisor,
@@ -360,22 +358,29 @@ impl Server {
 
     /// Runs the accept loop until [`ServerHandle::stop`] or
     /// SIGTERM/SIGINT, then drains gracefully: waits for in-flight jobs to
-    /// settle (bounded by `drain_timeout`), closes every session, and
-    /// returns.
+    /// settle (for up to a minute), closes every session, and returns.
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
         shared.events.emit("event=serve-start");
-        loop {
+        #[cfg(unix)]
+        let wake = signal::wake_on_termination(self.listener.raw_fd());
+        let stop_requested = || {
             if signal::termination_requested() {
                 shared.begin_drain("signal");
                 shared.stopping.store(true, Ordering::Release);
             }
-            if shared.stopping.load(Ordering::Acquire) {
+            shared.stopping.load(Ordering::Acquire)
+        };
+        // Checked before each accept, for a stop that came before the loop
+        // blocked, and after it, for the connection or shutdown that woke it.
+        while !stop_requested() {
+            let accepted = self.listener.accept();
+            if stop_requested() {
                 break;
             }
-            match self.listener.accept() {
-                Ok(Some(socket)) => {
+            match accepted {
+                Ok(socket) => {
                     let id = shared.sessions.fetch_add(1, Ordering::AcqRel) + 1;
                     shared
                         .events
@@ -386,13 +391,14 @@ impl Server {
                     reap_finished(&mut sessions);
                     sessions.push(std::thread::spawn(move || session(socket, id, &ctx)));
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                Err(_) => std::thread::sleep(ACCEPT_RETRY),
             }
         }
+        #[cfg(unix)]
+        drop(wake);
         shared.begin_drain("shutdown");
-        let settled = shared.jobs.wait_all_settled(shared.config.drain_timeout);
-        shared.supervisor.wait_idle(shared.config.drain_timeout);
+        let settled = shared.jobs.wait_all_settled(DRAIN_TIMEOUT);
+        shared.supervisor.wait_idle(DRAIN_TIMEOUT);
         // Flush anything still staged in the store (a no-op after normal
         // per-job commits, but it catches work settled mid-drain).
         if let Some(store) = &shared.store {

@@ -9,7 +9,7 @@
 //! A worker that dies (pipe EOF, bad exit status, undecodable snapshot) or
 //! stalls (no frame for longer than the stall timeout — heartbeats count)
 //! is restarted with bounded exponential backoff
-//! (`backoff × 2^(attempt−1)`, capped) up to `max_restarts` times; the
+//! (`backoff × 2^(attempt−1)`, capped at 2 s) up to `max_restarts` times; the
 //! partition is re-run from scratch, which is safe because a partition
 //! merges into its job **only** when its snapshot decodes completely, and
 //! at most once ([`crate::job`]). A partition that exhausts its budget
@@ -67,18 +67,18 @@ pub struct SupervisorConfig {
     /// `--workers` per worker process (0 = the cores divided among the
     /// workers running when it starts; see [`worker_thread_budget`]).
     pub worker_threads: usize,
-    /// Worker heartbeat period. Workers beat only under a `stall_timeout`,
-    /// the one reader of their activity clock.
-    pub heartbeat: Duration,
     /// Kill a worker whose pipe is silent this long (None = EOF-only).
+    /// Only this timeout reads a worker's activity clock, so only under it
+    /// does a worker heartbeat, four times per timeout.
     pub stall_timeout: Option<Duration>,
     /// Restarts allowed per partition before the job fails.
     pub max_restarts: u32,
-    /// First restart backoff (doubles per attempt).
+    /// First restart backoff (doubles per attempt, up to 2 s).
     pub backoff: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
 }
+
+/// The longest wait before a worker restart.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
@@ -86,11 +86,9 @@ impl Default for SupervisorConfig {
             worker: WorkerCommand::new("sparqlog-shard-worker"),
             slots: 0,
             worker_threads: 0,
-            heartbeat: Duration::from_millis(200),
             stall_timeout: None,
             max_restarts: 5,
             backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
         }
     }
 }
@@ -385,7 +383,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
             // and the job table meters the budget once at the last merge.
             recovery: task.recovery,
             worker_threads,
-            heartbeat: config.stall_timeout.map(|_| config.heartbeat),
+            heartbeat: config.stall_timeout.map(|stall| stall / 4),
             logs: vec![AssignedLog {
                 index: partition as u64,
                 label: task.log.label.clone(),
@@ -498,7 +496,7 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
                     );
                     return;
                 }
-                std::thread::sleep(backoff_delay(config.backoff, config.backoff_cap, attempt));
+                std::thread::sleep(backoff_delay(config.backoff, BACKOFF_CAP, attempt));
             }
         }
     }

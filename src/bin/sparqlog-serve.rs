@@ -12,9 +12,8 @@
 //! * `--slots N`             concurrent worker processes (default: parallelism)
 //! * `--workers N`           analysis threads per worker process (default 0:
 //!   the cores divided among the workers running when it starts)
-//! * `--heartbeat-ms N`      worker liveness heartbeat period (default 200;
-//!   workers beat only under `--stall-timeout-ms`)
-//! * `--stall-timeout-ms N`  kill workers silent this long (default: off)
+//! * `--stall-timeout-ms N`  kill workers silent this long (default: off);
+//!   under it, workers heartbeat four times per timeout
 //! * `--max-restarts N`      restarts per partition before the job fails
 //! * `--backoff-ms N`        first restart backoff, doubling per attempt
 //! * `--event-log PATH`      mirror the structured event log to a file
@@ -41,7 +40,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: sparqlog-serve [--tcp ADDR | --unix PATH] [--slots N] \
-         [--workers N (0 = cores / running workers)] [--heartbeat-ms N] [--stall-timeout-ms N] [--max-restarts N] [--backoff-ms N] \
+         [--workers N (0 = cores / running workers)] [--stall-timeout-ms N] [--max-restarts N] [--backoff-ms N] \
          [--event-log PATH] [--store PATH]"
     );
     std::process::exit(2);
@@ -90,9 +89,6 @@ fn main() {
             "--unix" => addr = ServeAddr::Unix(value(&mut args)),
             "--slots" => config.supervisor.slots = value(&mut args),
             "--workers" => config.supervisor.worker_threads = value(&mut args),
-            "--heartbeat-ms" => {
-                config.supervisor.heartbeat = Duration::from_millis(value(&mut args))
-            }
             "--stall-timeout-ms" => {
                 let ms = value(&mut args);
                 config.supervisor.stall_timeout = (ms > 0).then(|| Duration::from_millis(ms));

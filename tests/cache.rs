@@ -1,14 +1,12 @@
-//! The fingerprint-keyed analysis cache and the interned-term allocation
-//! diet, stated as tests. Cache soundness has two halves: equal canonical
-//! fingerprint ⇒ equal analysis (respelled queries), and the engine's
-//! reports — every duplicate served from the memo — equal those of the
-//! oracle (`baseline::analyze_reference`), which analyses every occurrence
-//! from scratch through throwaway interners. Plus duplicate handling at
-//! cache-shard boundaries, cross-call cache reuse, and the commutative
-//! merge. The cache keeps each distinct record once, as a class, and the
-//! class ids it hands out depend on the schedule: one cache running the
-//! same logs in opposite orders shows they never reach a report, summary
-//! or tally.
+//! The fingerprint-keyed analysis cache, stated as tests. Cache soundness
+//! has two halves: equal canonical fingerprint ⇒ equal analysis (respelled
+//! queries), and the engine's reports — every duplicate served from the
+//! memo — equal those of the oracle (`baseline::analyze_reference`), which
+//! analyses every occurrence from scratch through throwaway interners. The
+//! cache keeps each distinct
+//! record once, as a class, and the class ids it hands out depend on the
+//! schedule: runs over the same logs in opposite orders show they never
+//! reach a report, summary or tally.
 //!
 //! The same two halves one level down, for the entry memo in front of the
 //! parser and its two keys (equal bytes ⇒ equal outcome, equal tokens ⇒
@@ -20,14 +18,11 @@
 
 mod common;
 
-use common::{duplicate_heavy_corpus, Scratch, WORKER};
+use common::{duplicate_heavy_corpus, memory_readers, Scratch, WORKER};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
 use sparqlog::core::cache::AnalysisCache;
-use sparqlog::core::corpus::{
-    analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, RawLog,
-    SliceLogReader,
-};
+use sparqlog::core::corpus::{analyze_streams_with, FusedAnalysis, FusedOptions, RawLog};
 use sparqlog::core::fused::ENTRY_MEMO_SLOTS;
 use sparqlog::core::report::full_report;
 use sparqlog::core::{CorpusAnalysis, ErrorKind, Population, QueryAnalysis, RecoveryPolicy};
@@ -39,12 +34,6 @@ use sparqlog::parser::{
 };
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
-
-fn readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
-    logs.iter()
-        .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
-        .collect()
-}
 
 fn engine_at(
     logs: &[RawLog],
@@ -58,7 +47,8 @@ fn engine_at(
         batch,
         recovery,
     };
-    analyze_streams_with(readers(logs), population, options).expect("in-memory streams cannot fail")
+    analyze_streams_with(memory_readers(logs), population, options)
+        .expect("in-memory streams cannot fail")
 }
 
 fn fused_at(
@@ -79,24 +69,6 @@ fn lenient_at(
     batch: usize,
 ) -> FusedAnalysis {
     engine_at(logs, population, workers, batch, RecoveryPolicy::Lenient)
-}
-
-fn fused_into(logs: &[RawLog], population: Population, cache: &AnalysisCache) -> FusedAnalysis {
-    analyze_streams_cached(readers(logs), population, FusedOptions::default(), cache)
-        .expect("in-memory streams cannot fail")
-}
-
-/// The canonical fingerprint of every valid entry of the corpus.
-fn fingerprints(logs: &[RawLog]) -> Vec<u128> {
-    let arena = Arena::new();
-    logs.iter()
-        .flat_map(|log| &log.entries)
-        .filter_map(|entry| {
-            parse_query_in(entry, &arena)
-                .ok()
-                .map(|query| canonical_fingerprint_of_ref(&query))
-        })
-        .collect()
 }
 
 #[test]
@@ -140,61 +112,6 @@ fn interned_term_analysis_matches_the_string_term_baseline() {
             format!("{:?}", interned.corpus),
             "interned vs string-term mismatch on {population:?}"
         );
-    }
-}
-
-#[test]
-fn shared_cache_survives_the_population_switch_and_duplicates_across_logs() {
-    let raw = duplicate_heavy_corpus();
-    let cache = AnalysisCache::new();
-    let valid_run = fused_into(&raw, Population::Valid, &cache);
-    let after_valid = cache.stats();
-    let unique_run = fused_into(&raw, Population::Unique, &cache);
-    let after_unique = cache.stats();
-    // Every unique-population query is a canonical form the Valid run
-    // already memoized: the switch must not analyse anything new.
-    assert_eq!(after_valid.misses, after_unique.misses);
-    assert_eq!(after_valid.distinct, after_unique.distinct);
-    assert!(after_unique.hits > after_valid.hits);
-    // A form two logs share is memoized once, not once per log.
-    let per_log_unique: u64 = valid_run.summaries.iter().map(|s| s.counts.unique).sum();
-    assert!(after_valid.distinct < per_log_unique);
-    // And the shared-cache runs agree with the uncached oracle.
-    for (run, population) in [
-        (&valid_run, Population::Valid),
-        (&unique_run, Population::Unique),
-    ] {
-        assert_eq!(
-            full_report(&run.corpus),
-            full_report(&analyze_reference(&raw, population))
-        );
-    }
-}
-
-#[test]
-fn duplicates_straddling_cache_shard_boundaries_are_memoized_once() {
-    // Single-shard and many-shard caches must agree: a fingerprint's shard
-    // assignment never affects what is memoized.
-    let raw = duplicate_heavy_corpus();
-    let single = AnalysisCache::with_shards(1);
-    let many = AnalysisCache::with_shards(64);
-    let run = fused_into(&raw, Population::Valid, &single);
-    fused_into(&raw, Population::Valid, &many);
-    let lookups: u64 = run.summaries.iter().map(|s| s.counts.valid).sum();
-    for cache in [&single, &many] {
-        // Every valid occurrence is exactly one lookup. Exact hit counts are
-        // schedule-dependent under concurrency (a cold fingerprint may be
-        // analysed by two racing workers), but the duplicate-dominated shape
-        // is not: hits must far exceed the distinct-form count.
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, lookups);
-        assert!(stats.hits > stats.distinct);
-    }
-    assert_eq!(single.len(), many.len());
-    for fp in fingerprints(&raw) {
-        let a = single.get(fp).expect("memoized in the single shard");
-        let b = many.get(fp).expect("memoized across 64 shards");
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }
 
@@ -679,7 +596,7 @@ proptest! {
     fn memoized_record_equals_fresh_analysis(seed in 0u64..5_000, dataset_idx in 0usize..13) {
         let dataset = Dataset::ALL[dataset_idx];
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
-        let cache = AnalysisCache::with_shards(4);
+        let cache = AnalysisCache::new();
         let (mut arena, mut interner) = (Arena::new(), Interner::new());
         for _ in 0..8 {
             let text = synth.fresh_query();
@@ -697,13 +614,12 @@ proptest! {
             );
         }
     }
-    /// Class ids never leak: one caller-owned cache runs a corpus with one
-    /// log per dataset profile and then the same logs in the opposite
-    /// order (which goes first alternates between cases), so the second
-    /// run's first log holds the ids the first run issued last. Every run
-    /// must equal the oracle over its own log order — report, per-log
-    /// summaries and error tallies — at 1, 2 and 8 workers, and the two
-    /// orders must produce the same summaries, reversed.
+    /// Class ids never leak: a corpus with one log per dataset profile runs
+    /// forwards and backwards, each order a run with its own cache, so the
+    /// ids one run issues first the other issues last. Every run must equal
+    /// the oracle over its own log order — report, per-log summaries and
+    /// error tallies — at 1, 2 and 8 workers, and the two orders must
+    /// produce the same summaries, reversed.
     #[test]
     fn analysis_classes_never_leak(
         seed in 0u64..5_000,
@@ -725,21 +641,15 @@ proptest! {
             })
             .collect();
         let backwards: Vec<RawLog> = forwards.iter().rev().cloned().collect();
-        let orders = if seed % 2 == 0 {
-            [&forwards, &backwards]
-        } else {
-            [&backwards, &forwards]
-        };
-        let cache = AnalysisCache::new();
         for workers in [1, 2, 8] {
             let mut runs = Vec::new();
-            for logs in orders {
+            for logs in [&forwards, &backwards] {
                 let options = FusedOptions {
                     workers,
                     batch: 7,
                     recovery: RecoveryPolicy::Lenient,
                 };
-                let fused = analyze_streams_cached(readers(logs), population, options, &cache)
+                let fused = analyze_streams_with(memory_readers(logs), population, options)
                     .expect("in-memory streams cannot fail");
                 let oracle = analyze_reference(logs, population);
                 for (summary, dataset) in fused.summaries.iter().zip(&oracle.datasets) {
@@ -757,7 +667,5 @@ proptest! {
             reversed.reverse();
             prop_assert_eq!(&runs[0], &reversed, "{} workers", workers);
         }
-        // Forms, not classes, are what the cache counts.
-        prop_assert!(cache.records().len() <= cache.len());
     }
 }

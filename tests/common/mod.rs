@@ -6,7 +6,7 @@
 
 use sparqlog::core::corpus::{
     analyze_streams_with, workers_override, FileLogReader, FusedAnalysis, FusedOptions, LogReader,
-    RawLog,
+    MemoryLogReader, RawLog,
 };
 use sparqlog::core::Population;
 use sparqlog::serve::{ServeAddr, ServeConfig, Server, ServerHandle, SupervisorConfig};
@@ -86,6 +86,16 @@ pub fn duplicate_heavy_corpus() -> Vec<RawLog> {
     tiled_day_logs(&THREE_DATASETS, 80, 400, 3, 30)
 }
 
+/// One in-memory reader per log, over a copy of its entries.
+pub fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader>> {
+    logs.iter()
+        .map(|log| {
+            Box::new(MemoryLogReader::new(log.label.clone(), log.entries.clone()))
+                as Box<dyn LogReader>
+        })
+        .collect()
+}
+
 /// Writes each log to `dir/{index:02}.log`, one entry per line.
 pub fn write_logs(dir: &Path, logs: &[RawLog]) -> Vec<LogSpec> {
     logs.iter()
@@ -121,15 +131,13 @@ pub fn fused_reference(logs: &[LogSpec], population: Population) -> FusedAnalysi
 }
 
 /// A daemon config with two worker slots, `SPARQLOG_WORKERS` (else 2)
-/// analysis threads per worker, a 50 ms heartbeat and a 10 ms first
-/// restart backoff.
+/// analysis threads per worker and a 10 ms first restart backoff.
 pub fn serve_config(worker: WorkerCommand) -> ServeConfig {
     ServeConfig {
         supervisor: SupervisorConfig {
             worker,
             slots: 2,
             worker_threads: workers_override().unwrap_or(2),
-            heartbeat: Duration::from_millis(50),
             backoff: Duration::from_millis(10),
             ..SupervisorConfig::default()
         },

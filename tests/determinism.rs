@@ -3,11 +3,12 @@
 //! therefore which worker parses and folds what), or the racy order in
 //! which workers claim batches and fold chunks.
 
+mod common;
+
+use common::memory_readers;
 use sparqlog::core::analysis::Population;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{
-    analyze_streams_with, FusedAnalysis, FusedOptions, LogReader, SliceLogReader,
-};
+use sparqlog::core::corpus::{analyze_streams_with, FusedAnalysis, FusedOptions};
 use sparqlog::core::report::full_report;
 use sparqlog::core::RawLog;
 use sparqlog::synth::{generate_corpus, CorpusConfig};
@@ -26,16 +27,13 @@ fn corpus_logs() -> Vec<RawLog> {
 }
 
 fn fused(logs: &[RawLog], population: Population, workers: usize, batch: usize) -> FusedAnalysis {
-    let readers: Vec<Box<dyn LogReader + '_>> = logs
-        .iter()
-        .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-        .collect();
     let options = FusedOptions {
         workers,
         batch,
         ..FusedOptions::default()
     };
-    analyze_streams_with(readers, population, options).expect("in-memory streams cannot fail")
+    analyze_streams_with(memory_readers(logs), population, options)
+        .expect("in-memory streams cannot fail")
 }
 
 #[test]

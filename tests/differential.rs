@@ -2,10 +2,13 @@
 //! byte-identical `DatasetAnalysis` / `CorpusAnalysis` results to the
 //! sequential multi-walk oracle on a mixed corpus.
 
+mod common;
+
+use common::memory_readers;
 use proptest::prelude::ProptestConfig;
 use sparqlog::core::analysis::Population;
 use sparqlog::core::baseline::{add_query_multiwalk, analyze_reference};
-use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
+use sparqlog::core::corpus::{analyze_streams_with, FusedOptions};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{DatasetAnalysis, QueryAnalysis, RawLog, RecoveryPolicy};
 use sparqlog::parser::{parse_query_in, Arena};
@@ -88,12 +91,6 @@ fn mixed_corpus() -> Vec<RawLog> {
     logs
 }
 
-fn slice_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + '_>> {
-    logs.iter()
-        .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
-        .collect()
-}
-
 #[test]
 fn corpus_analysis_is_byte_identical_to_the_multiwalk_path() {
     let raw = mixed_corpus();
@@ -101,7 +98,7 @@ fn corpus_analysis_is_byte_identical_to_the_multiwalk_path() {
         let reference = analyze_reference(&raw, population);
         for workers in [1, 2, 8] {
             let fused = analyze_streams_with(
-                slice_readers(&raw),
+                memory_readers(&raw),
                 population,
                 FusedOptions {
                     workers,
@@ -131,7 +128,7 @@ fn streaming_ingestion_is_byte_identical_to_the_materializing_path() {
         let reference = analyze_reference(&raw, population);
         for (batch, workers) in [(1, 1), (3, 4), (512, 2)] {
             let fused = analyze_streams_with(
-                slice_readers(&raw),
+                memory_readers(&raw),
                 population,
                 FusedOptions {
                     workers,

@@ -1,33 +1,23 @@
 //! The fused ingest→analyze streaming engine: differential proof that
 //! `analyze_streams` renders corpus reports byte-identical to the sequential
-//! oracle (`baseline::analyze_reference`) — over synthesized corpora,
-//! worker counts 1/2/8, batch sizes that force duplicates to straddle batch
-//! boundaries, both populations, a shared cache surviving the population
-//! switch, cache shard boundaries, and file-backed streams — plus the
-//! occurrence-weighted fold's equivalence to repeated folds.
+//! oracle (`baseline::analyze_reference`), which analyses every occurrence
+//! from scratch through throwaway interners — over a fixed duplicate-heavy
+//! corpus and synthesized logs, worker counts 1/2/8, batch sizes that force
+//! duplicates to straddle batch boundaries, both populations, and
+//! file-backed streams — plus the occurrence-weighted fold's equivalence to
+//! repeated folds.
 
 mod common;
 
-use common::{duplicate_heavy_corpus, Scratch};
+use common::{duplicate_heavy_corpus, memory_readers, Scratch};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, FileLogReader, FusedOptions,
-    LogReader, MemoryLogReader, RawLog,
+    analyze_streams, analyze_streams_with, FileLogReader, FusedOptions, LogReader, RawLog,
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{DatasetAnalysis, Population, QueryAnalysis};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
-
-fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + 'static>> {
-    logs.iter()
-        .map(|log| {
-            Box::new(MemoryLogReader::new(log.label.clone(), log.entries.clone()))
-                as Box<dyn LogReader + 'static>
-        })
-        .collect()
-}
 
 #[test]
 fn fused_matches_oracle_on_the_fixed_corpus_across_workers_and_batches() {
@@ -60,71 +50,6 @@ fn fused_matches_oracle_on_the_fixed_corpus_across_workers_and_batches() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn shared_cache_survives_the_population_switch_without_reanalysing() {
-    let raw = duplicate_heavy_corpus();
-    let cache = AnalysisCache::new();
-    let valid = analyze_streams_cached(
-        memory_readers(&raw),
-        Population::Valid,
-        FusedOptions::default(),
-        &cache,
-    )
-    .unwrap();
-    let after_valid = cache.stats();
-    let unique = analyze_streams_cached(
-        memory_readers(&raw),
-        Population::Unique,
-        FusedOptions::default(),
-        &cache,
-    )
-    .unwrap();
-    let after_unique = cache.stats();
-    // The switch re-streams the corpus but every canonical form is already
-    // memoized: no new analyses, no new distinct entries.
-    assert_eq!(after_valid.misses, after_unique.misses);
-    assert_eq!(after_valid.distinct, after_unique.distinct);
-    assert!(after_unique.hits > after_valid.hits);
-    // Both runs agree with the uncached oracle.
-    let valid_ref = analyze_reference(&raw, Population::Valid);
-    let unique_ref = analyze_reference(&raw, Population::Unique);
-    assert_eq!(full_report(&valid.corpus), full_report(&valid_ref));
-    assert_eq!(full_report(&unique.corpus), full_report(&unique_ref));
-}
-
-#[test]
-fn cache_shard_boundaries_do_not_change_the_fused_report() {
-    let raw = duplicate_heavy_corpus();
-    let single = AnalysisCache::with_shards(1);
-    let many = AnalysisCache::with_shards(64);
-    let mut reports = Vec::new();
-    for cache in [&single, &many] {
-        let fused = analyze_streams_cached(
-            memory_readers(&raw),
-            Population::Valid,
-            FusedOptions {
-                workers: 2,
-                batch: 16,
-                recovery: Default::default(),
-            },
-            cache,
-        )
-        .unwrap();
-        reports.push(full_report(&fused.corpus));
-    }
-    assert_eq!(reports[0], reports[1]);
-    assert_eq!(single.len(), many.len());
-    // Occurrence accounting covers every valid entry on both shardings.
-    let lookups = analyze_reference(&raw, Population::Valid)
-        .combined
-        .counts
-        .valid;
-    for cache in [&single, &many] {
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, lookups);
     }
 }
 
@@ -180,10 +105,10 @@ proptest! {
                 memory_readers(&raw),
                 population,
                 FusedOptions {
-                        workers,
-                        batch,
-                        recovery: Default::default(),
-                    },
+                    workers,
+                    batch,
+                    recovery: Default::default(),
+                },
             ).unwrap();
             let reference = analyze_reference(&raw, population);
             prop_assert_eq!(

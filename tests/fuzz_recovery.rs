@@ -12,12 +12,12 @@
 
 mod common;
 
-use common::{readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER};
+use common::{
+    memory_readers, readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER,
+};
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{
-    analyze_streams_with, FileLogReader, FusedOptions, LogReader, SliceLogReader,
-};
+use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RawLog, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServerHandle};
@@ -115,7 +115,7 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
     let (raw, defective) = raw_log(&path);
     let oracle = analyze_reference(std::slice::from_ref(&raw), Population::Unique);
     let in_memory = analyze_streams_with(
-        vec![Box::new(SliceLogReader::of(&raw))],
+        memory_readers(std::slice::from_ref(&raw)),
         Population::Unique,
         FusedOptions {
             workers: 2,

@@ -4,7 +4,8 @@
 //! processes), again byte-identically, while a submission for the other
 //! population misses; and a real `sparqlog-serve` process killed at each
 //! injected point of the commit protocol must leave a store its successor
-//! recovers and re-serves from, byte-identically once more.
+//! recovers and re-serves from, byte-identically once more. SIGTERM wakes
+//! an idle daemon's accept loop, and it drains, flushes and exits 0.
 
 mod common;
 
@@ -243,7 +244,7 @@ impl Daemon {
     /// file and environment, and waits for its "listening on tcp" line.
     fn spawn(store: &Path, journal: &Path, envs: &[(&str, String)]) -> Daemon {
         let mut child = Command::new(SERVE)
-            .args(["--tcp", "127.0.0.1:0", "--heartbeat-ms", "50"])
+            .args(["--tcp", "127.0.0.1:0"])
             .arg("--store")
             .arg(store)
             .arg("--event-log")
@@ -296,6 +297,35 @@ impl Drop for Daemon {
         if let Some(drainer) = self.drainer.take() {
             let _ = drainer.join();
         }
+    }
+}
+
+#[test]
+fn sigterm_drains_an_idle_daemon_and_it_exits_0() {
+    // Between connections the daemon is blocked in `accept`: the signal
+    // itself must wake it. A daemon that ignores SIGTERM is killed by
+    // whoever restarts it, and its store flush is lost.
+    let scratch = Scratch::new("sigterm");
+    let journal = scratch.path().join("events.log");
+    let mut daemon = Daemon::spawn(&scratch.path().join("store.sqps"), &journal, &[]);
+    Client::connect(&daemon.addr)
+        .expect("connect")
+        .ping()
+        .expect("ping");
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    let exit = daemon.wait_exit(Duration::from_secs(5));
+    let events = std::fs::read_to_string(&journal).expect("read journal");
+    assert_eq!(exit, Some(0), "{events}");
+    for event in [
+        "event=drain reason=signal",
+        "event=store-flush",
+        "event=serve-stop settled=true",
+    ] {
+        assert!(events.contains(event), "no {event}: {events}");
     }
 }
 

@@ -11,9 +11,11 @@
 
 mod common;
 
-use common::{readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER};
+use common::{
+    memory_readers, readers, serve_config, start_server, submit_specs, Scratch, SETTLE, WORKER,
+};
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{analyze_streams_with, FusedOptions, LogReader, SliceLogReader};
+use sparqlog::core::corpus::{analyze_streams_with, FusedOptions};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RawLog, RecoveryPolicy};
 use sparqlog::obs::env;
@@ -179,9 +181,7 @@ fn lenient_reports_and_tallies_are_byte_identical_across_every_engine() {
         let oracle = analyze_reference(&raw, population);
         for workers in [1, 2, 8] {
             let in_memory = analyze_streams_with(
-                raw.iter()
-                    .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
-                    .collect(),
+                memory_readers(&raw),
                 population,
                 fused_options(workers, RecoveryPolicy::Lenient),
             )

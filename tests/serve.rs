@@ -130,6 +130,33 @@ fn start_unix_server(scratch: &Scratch) -> (ServeAddr, ServerHandle, JoinHandle<
     start_server_on(serve_config(WorkerCommand::new(WORKER)), &addr)
 }
 
+#[test]
+fn a_new_connection_is_answered_without_waiting_for_the_accept_loop() {
+    // The accept loop blocks in `accept`, so a fresh connection's session
+    // starts at once; a loop that slept between polls made each one wait.
+    let scratch = Scratch::new("connect");
+    let (addr, handle, runner) = start_unix_server(&scratch);
+    let mut times: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            Client::connect(&addr)
+                .expect("connect")
+                .ping()
+                .expect("ping");
+            start.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect + ping {median:?}: {times:?}"
+    );
+
+    handle.stop();
+    runner.join().expect("server thread").expect("server run");
+}
+
 /// Connects to `addr` and, on a thread of its own, writes the stream
 /// header and the [`PIPELINED`] requests without reading a response.
 fn pipeline_unread(addr: &ServeAddr) -> (UnixStream, JoinHandle<io::Result<()>>) {
@@ -672,8 +699,8 @@ fn the_default_thread_budget_divides_the_cores_among_running_workers() {
 #[test]
 fn workers_heartbeat_only_under_a_stall_timeout() {
     // Only a stall timeout reads a worker's activity clock, so only then
-    // does a worker get `--heartbeat-ms`. A shell wrapper records the
-    // worker's arguments, then runs it.
+    // does a worker get `--heartbeat-ms`, at a quarter of the timeout. A
+    // shell wrapper records the worker's arguments, then runs it.
     let scratch = Scratch::new("heartbeat-argv");
     let logs = write_corpus(scratch.path());
     for stall_timeout in [None, Some(Duration::from_secs(60))] {
@@ -702,7 +729,7 @@ fn workers_heartbeat_only_under_a_stall_timeout() {
         assert_eq!(status.phase, JobPhase::Complete, "{}", status.error);
         let recorded = std::fs::read_to_string(&argv).expect("recorded argv");
         assert_eq!(
-            recorded.contains("--heartbeat-ms 50"),
+            recorded.contains("--heartbeat-ms 15000"),
             stall_timeout.is_some(),
             "stall timeout {stall_timeout:?}: {recorded}"
         );

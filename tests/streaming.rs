@@ -2,16 +2,14 @@
 //! zero-materialization `CanonicalHasher` fingerprint equal to the
 //! materializing one on generated queries and the line reader equal to a
 //! per-line oracle on random byte streams, edge-case coverage for the
-//! streaming log readers, and duplicate elimination across batch and
-//! cache-shard boundaries.
+//! streaming log readers, the streaming engine against the materializing
+//! oracle, and defects tallied alike across batch boundaries.
 
 use proptest::prelude::*;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, canonical_fingerprint,
-    CorpusCounts, EntryBlock, FileLogReader, FusedOptions, LineLogReader, LogReader,
-    MemoryLogReader, RawLog, SliceLogReader,
+    analyze_streams, analyze_streams_with, canonical_fingerprint, CorpusCounts, EntryBlock,
+    FileLogReader, FusedOptions, LineLogReader, LogReader, MemoryLogReader, RawLog,
 };
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, ReaderDefect, RecoveryPolicy};
@@ -166,8 +164,10 @@ proptest! {
         entries.push("garbage entry".to_string());
         let log = RawLog::new("prop", entries);
         let reference = analyze_reference(std::slice::from_ref(&log), Population::Unique);
-        let readers: Vec<Box<dyn LogReader + '_>> =
-            vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
+        let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
+            log.label.clone(),
+            log.entries.clone(),
+        ))];
         let streamed = analyze_streams_with(
             readers,
             Population::Unique,
@@ -286,43 +286,6 @@ fn file_reader_size_hint_estimates_from_metadata() {
     );
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&empty).ok();
-}
-
-#[test]
-fn shard_boundary_duplicates_are_eliminated() {
-    // Duplicates must collapse regardless of cache shard count and batch
-    // size: equal fingerprints always land in the same shard, and batch
-    // boundaries (which split the duplicates over both workers' occurrence
-    // maps) must not reset the dedup state.
-    let entries: Vec<String> = (0..40)
-        .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 7))
-        .collect();
-    let log = RawLog::new("dups", entries);
-    for shards in [1, 2, 16, 128] {
-        for batch in [1, 3, 64] {
-            let readers: Vec<Box<dyn LogReader + '_>> =
-                vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
-            let cache = AnalysisCache::with_shards(shards);
-            let streamed = analyze_streams_cached(
-                readers,
-                Population::Unique,
-                FusedOptions {
-                    workers: 2,
-                    batch,
-                    recovery: Default::default(),
-                },
-                &cache,
-            )
-            .unwrap();
-            let counts = streamed.summaries[0].counts;
-            assert_eq!(
-                (counts.total, counts.valid, counts.unique),
-                (40, 40, 7),
-                "shards {shards}, batch {batch}"
-            );
-            assert_eq!(cache.len(), 7);
-        }
-    }
 }
 
 #[test]

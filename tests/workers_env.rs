@@ -3,11 +3,12 @@
 //! with. Kept in its own integration-test binary (and a single `#[test]`)
 //! because environment mutation is process-global.
 
+mod common;
+
+use common::memory_readers;
 use sparqlog::core::analysis::Population;
 use sparqlog::core::baseline::analyze_reference;
-use sparqlog::core::corpus::{
-    analyze_streams, default_workers, workers_override, LogReader, RawLog, SliceLogReader,
-};
+use sparqlog::core::corpus::{analyze_streams, default_workers, workers_override, RawLog};
 
 #[test]
 fn workers_env_override_pins_the_pools_without_changing_reports() {
@@ -35,8 +36,8 @@ fn workers_env_override_pins_the_pools_without_changing_reports() {
     for workers in ["1", "2", "8"] {
         std::env::set_var("SPARQLOG_WORKERS", workers);
         assert_eq!(default_workers(), workers.parse::<usize>().unwrap());
-        let readers: Vec<Box<dyn LogReader + '_>> = vec![Box::new(SliceLogReader::of(&logs[0]))];
-        let run = analyze_streams(readers, Population::Unique).expect("in-memory streams");
+        let run =
+            analyze_streams(memory_readers(&logs), Population::Unique).expect("in-memory streams");
         assert_eq!(
             run.summaries[0].counts, reference.datasets[0].counts,
             "SPARQLOG_WORKERS={workers}"
