@@ -45,11 +45,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a condvar wait may sleep before re-checking its deadline and
-/// cancel flag (wake-ups on settle are immediate; this only bounds how
-/// late a stopping daemon notices).
-const WAIT_SLICE: Duration = Duration::from_millis(100);
-
 /// Where a job's per-log results live.
 #[derive(Debug)]
 enum Held {
@@ -333,6 +328,8 @@ pub struct Jobs {
     accepted: AtomicU64,
     table: Mutex<BTreeMap<u64, JobState>>,
     settled: Condvar,
+    /// Set once by [`Jobs::close`], under the table lock.
+    closed: AtomicBool,
 }
 
 impl Jobs {
@@ -363,10 +360,15 @@ impl Jobs {
         result
     }
 
-    /// Whether every registered job has settled (complete or failed).
-    pub fn all_settled(&self) -> bool {
-        let table = self.table.lock().expect("jobs lock");
-        table.values().all(|job| job.is_settled())
+    /// Ends every [`Jobs::wait_settled`], pending or future: a stopping
+    /// daemon calls it so its sessions answer their `Wait`s and can be
+    /// joined.
+    pub fn close(&self) {
+        let _table = self.table.lock().expect("jobs lock");
+        // Under the lock: a waiter checks the flag and starts waiting
+        // without letting go of it, so it cannot miss this wake-up.
+        self.closed.store(true, Ordering::Release);
+        self.settled.notify_all();
     }
 
     /// Blocks until every job settles or `timeout` elapses. Returns whether
@@ -384,38 +386,37 @@ impl Jobs {
             }
             let (guard, _) = self
                 .settled
-                .wait_timeout(table, (deadline - now).min(WAIT_SLICE))
+                .wait_timeout(table, deadline - now)
                 .expect("jobs lock");
             table = guard;
         }
     }
 
-    /// Blocks until `job` settles, `timeout` elapses or `cancel` turns true
-    /// (checked every 100 ms), woken by the mutation that settles
-    /// the job. Returns the job's status at that moment — still `Running`
-    /// on timeout or cancellation — or `None` for an unknown id.
-    pub fn wait_settled(
-        &self,
-        job: u64,
-        timeout: Duration,
-        cancel: &AtomicBool,
-    ) -> Option<JobStatus> {
+    /// Blocks until `job` settles, `timeout` elapses or the table closes
+    /// ([`Jobs::close`]), woken by the mutation that settles the job or by
+    /// the close. Returns the job's status at that moment — still `Running`
+    /// on timeout or close — or `None` for an unknown id.
+    pub fn wait_settled(&self, job: u64, timeout: Duration) -> Option<JobStatus> {
         // A timeout too large for the clock means "no deadline".
         let deadline = Instant::now().checked_add(timeout);
         let mut table = self.table.lock().expect("jobs lock");
         loop {
             let state = table.get(&job)?;
-            let remaining = deadline.map_or(WAIT_SLICE, |deadline| {
-                deadline.saturating_duration_since(Instant::now())
-            });
-            if state.is_settled() || remaining.is_zero() || cancel.load(Ordering::Acquire) {
+            let remaining =
+                deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            let closed = self.closed.load(Ordering::Acquire);
+            if state.is_settled() || remaining == Some(Duration::ZERO) || closed {
                 return Some(state.status());
             }
-            let (guard, _) = self
-                .settled
-                .wait_timeout(table, remaining.min(WAIT_SLICE))
-                .expect("jobs lock");
-            table = guard;
+            table = match remaining {
+                Some(remaining) => {
+                    self.settled
+                        .wait_timeout(table, remaining)
+                        .expect("jobs lock")
+                        .0
+                }
+                None => self.settled.wait(table).expect("jobs lock"),
+            };
         }
     }
 }
@@ -482,8 +483,8 @@ mod tests {
             assert!(job.pending_report(true).header.complete);
             assert_eq!(job.snapshot_bytes, 22);
         });
-        assert!(jobs.all_settled());
-        assert!(jobs.wait_all_settled(std::time::Duration::from_millis(10)));
+        assert!(jobs.wait_all_settled(Duration::ZERO));
+        assert!(jobs.wait_all_settled(Duration::from_millis(10)));
     }
 
     #[test]
@@ -500,12 +501,12 @@ mod tests {
     fn failures_settle_a_job() {
         let jobs = Jobs::default();
         let id = jobs.create(Population::Valid, RecoveryPolicy::Strict, sample_logs(1));
-        assert!(!jobs.all_settled());
+        assert!(!jobs.wait_all_settled(Duration::ZERO));
         jobs.with(id, |job| {
             job.restarts = 3;
             job.failed = Some("shard 0: worker exited with status 3".to_string());
         });
-        assert!(jobs.all_settled());
+        assert!(jobs.wait_all_settled(Duration::ZERO));
         let status = jobs.with(id, |job| job.status()).unwrap();
         assert_eq!(status.phase, JobPhase::Failed);
         assert_eq!(status.restarts, 3);
@@ -517,7 +518,6 @@ mod tests {
     fn wait_settled_is_woken_by_a_merge_on_another_thread() {
         let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
-        let cancel = AtomicBool::new(false);
         // The merger starts only once the waiter has seen the job running,
         // and with an hour-long timeout only the merge can end the wait.
         let looked = std::sync::Barrier::new(2);
@@ -529,9 +529,7 @@ mod tests {
             let phase = jobs.with(id, |job| job.phase()).unwrap();
             assert_eq!(phase, JobPhase::Running);
             looked.wait();
-            let status = jobs
-                .wait_settled(id, Duration::from_secs(3600), &cancel)
-                .unwrap();
+            let status = jobs.wait_settled(id, Duration::from_secs(3600)).unwrap();
             assert_eq!(status.phase, JobPhase::Complete);
             assert_eq!(status.completed, 1);
         });
@@ -541,33 +539,34 @@ mod tests {
     fn wait_settled_times_out_running_and_knows_no_unknown_job() {
         let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
-        let cancel = AtomicBool::new(false);
         for timeout in [Duration::ZERO, Duration::from_millis(30)] {
-            let status = jobs.wait_settled(id, timeout, &cancel).unwrap();
+            let status = jobs.wait_settled(id, timeout).unwrap();
             assert_eq!(status.phase, JobPhase::Running);
         }
-        assert!(jobs.wait_settled(99, Duration::ZERO, &cancel).is_none());
+        assert!(jobs.wait_settled(99, Duration::ZERO).is_none());
         // u64::MAX milliseconds overflows the clock: no deadline, not a panic.
         jobs.with(id, |job| job.failed = Some("boom".to_string()));
         let status = jobs
-            .wait_settled(id, Duration::from_millis(u64::MAX), &cancel)
+            .wait_settled(id, Duration::from_millis(u64::MAX))
             .unwrap();
         assert_eq!(status.phase, JobPhase::Failed);
     }
 
     #[test]
-    fn wait_settled_returns_when_the_cancel_flag_turns_true() {
+    fn wait_settled_returns_when_the_table_closes() {
         let jobs = Jobs::default();
         let id = jobs.create(Population::Unique, RecoveryPolicy::Lenient, sample_logs(1));
-        let cancel = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| jobs.wait_settled(id, Duration::from_secs(3600), &cancel));
-            // No notification accompanies the flag: the waiter must find it
-            // on its own, within a wait slice.
-            cancel.store(true, Ordering::Release);
+            // With no deadline, only the close can end the wait, whether
+            // it comes before the waiter blocks or after.
+            let waiter = scope.spawn(|| jobs.wait_settled(id, Duration::MAX));
+            jobs.close();
             let status = waiter.join().unwrap().unwrap();
             assert_eq!(status.phase, JobPhase::Running);
         });
+        // A closed table answers later waits at once.
+        let status = jobs.wait_settled(id, Duration::MAX).unwrap();
+        assert_eq!(status.phase, JobPhase::Running);
     }
 
     #[test]
@@ -580,13 +579,12 @@ mod tests {
             assert_eq!(job.status().phase, JobPhase::Running);
             assert!(!job.pending_report(false).header.complete);
         });
-        assert!(!jobs.all_settled());
-        let cancel = AtomicBool::new(false);
-        let status = jobs.wait_settled(id, Duration::ZERO, &cancel).unwrap();
+        assert!(!jobs.wait_all_settled(Duration::ZERO));
+        let status = jobs.wait_settled(id, Duration::ZERO).unwrap();
         assert_eq!(status.phase, JobPhase::Running);
         jobs.with(id, |job| job.commit_pending = false);
-        assert!(jobs.all_settled());
-        let status = jobs.wait_settled(id, Duration::ZERO, &cancel).unwrap();
+        assert!(jobs.wait_all_settled(Duration::ZERO));
+        let status = jobs.wait_settled(id, Duration::ZERO).unwrap();
         assert_eq!(status.phase, JobPhase::Complete);
     }
 

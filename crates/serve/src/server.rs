@@ -23,10 +23,11 @@
 //! loop, waits (up to 60 s) for in-flight jobs to settle, closes every
 //! session, and returns from [`Server::run`]. `stop` wakes the blocked
 //! `accept` by connecting to the listener; a signal, by shutting the
-//! listening socket down ([`crate::signal`]). Session sockets read and
-//! write with a 100 ms timeout and recheck the closing flag between
-//! attempts, so a session blocked on a client that neither sends nor reads
-//! still ends.
+//! listening socket down ([`crate::signal`]). `run` then ends every
+//! pending `Wait` ([`Jobs::close`]) and shuts every session socket down, so
+//! a session blocked reading from a client that sends nothing sees the end
+//! of the stream, and one blocked writing to a client that never reads
+//! fails; it then joins the session threads.
 
 use crate::events::EventLog;
 use crate::job::{load_logs, Jobs};
@@ -39,16 +40,12 @@ use sparqlog_persist::SnapshotStore;
 use sparqlog_shard::codec::{write_stream_header, FrameReader};
 use sparqlog_shard::LogSpec;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long a session blocks in one socket read or write before it
-/// rechecks the closing flag.
-const POLL: Duration = Duration::from_millis(100);
 
 /// How long a graceful stop waits for in-flight jobs to settle.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
@@ -83,7 +80,8 @@ pub enum ServeAddr {
 }
 
 /// One connected socket, TCP or Unix: the client's connection and each of
-/// the daemon's sessions.
+/// the daemon's sessions. It reads and writes through a shared reference
+/// too, so a session's socket can be shut down from another thread.
 #[derive(Debug)]
 pub(crate) enum Socket {
     Tcp(TcpStream),
@@ -109,47 +107,54 @@ impl Socket {
         }
     }
 
-    /// Puts `timeout` on every read and write.
-    fn set_timeouts(&self, timeout: Duration) -> io::Result<()> {
-        match self {
-            Socket::Tcp(stream) => {
-                stream.set_read_timeout(Some(timeout))?;
-                stream.set_write_timeout(Some(timeout))
-            }
+    /// Shuts both directions down: a read blocked on the socket, in any
+    /// thread, returns the end of the stream and a blocked write fails.
+    fn shutdown(&self) {
+        let _ = match self {
+            Socket::Tcp(stream) => stream.shutdown(Shutdown::Both),
             #[cfg(unix)]
-            Socket::Unix(stream) => {
-                stream.set_read_timeout(Some(timeout))?;
-                stream.set_write_timeout(Some(timeout))
-            }
+            Socket::Unix(stream) => stream.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for &Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(stream) => (&*stream).read(buf),
+            #[cfg(unix)]
+            Socket::Unix(stream) => (&*stream).read(buf),
         }
+    }
+}
+
+impl Write for &Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(stream) => (&*stream).write(buf),
+            #[cfg(unix)]
+            Socket::Unix(stream) => (&*stream).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 impl Read for Socket {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Socket::Tcp(stream) => stream.read(buf),
-            #[cfg(unix)]
-            Socket::Unix(stream) => stream.read(buf),
-        }
+        (&*self).read(buf)
     }
 }
 
 impl Write for Socket {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Socket::Tcp(stream) => stream.write(buf),
-            #[cfg(unix)]
-            Socket::Unix(stream) => stream.write(buf),
-        }
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Socket::Tcp(stream) => stream.flush(),
-            #[cfg(unix)]
-            Socket::Unix(stream) => stream.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -212,7 +217,6 @@ struct Shared {
     store: Option<Arc<Mutex<SnapshotStore>>>,
     draining: AtomicBool,
     stopping: AtomicBool,
-    closing: AtomicBool,
     sessions: AtomicU64,
 }
 
@@ -337,7 +341,6 @@ impl Server {
             store,
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
-            closing: AtomicBool::new(false),
             sessions: AtomicU64::new(0),
         });
         Ok(Server { listener, shared })
@@ -361,7 +364,7 @@ impl Server {
     /// settle (for up to a minute), closes every session, and returns.
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
-        let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+        let mut sessions: Vec<(Weak<Socket>, JoinHandle<()>)> = Vec::new();
         shared.events.emit("event=serve-start");
         #[cfg(unix)]
         let wake = signal::wake_on_termination(self.listener.raw_fd());
@@ -389,7 +392,12 @@ impl Server {
                     obs::global().gauge("serve_sessions_open").add(1);
                     let ctx = Arc::clone(&shared);
                     reap_finished(&mut sessions);
-                    sessions.push(std::thread::spawn(move || session(socket, id, &ctx)));
+                    // The session thread holds the socket; the list only
+                    // reaches it to shut it down at stop.
+                    let socket = Arc::new(socket);
+                    let reach = Arc::downgrade(&socket);
+                    let thread = std::thread::spawn(move || session(&socket, id, &ctx));
+                    sessions.push((reach, thread));
                 }
                 Err(_) => std::thread::sleep(ACCEPT_RETRY),
             }
@@ -416,9 +424,14 @@ impl Server {
         shared
             .events
             .emit(format!("event=serve-stop settled={settled}"));
-        shared.closing.store(true, Ordering::Release);
-        for session in sessions {
-            let _ = session.join();
+        shared.jobs.close();
+        for (socket, _) in &sessions {
+            if let Some(socket) = socket.upgrade() {
+                socket.shutdown();
+            }
+        }
+        for (_, thread) in sessions {
+            let _ = thread.join();
         }
         Ok(())
     }
@@ -479,79 +492,28 @@ pub(crate) fn warm_start(store: &Mutex<SnapshotStore>, jobs: &Jobs, events: &Eve
 /// Joins the sessions whose threads have exited, so each closed
 /// connection's thread is released at the next accept rather than at
 /// shutdown.
-fn reap_finished(sessions: &mut Vec<JoinHandle<()>>) {
+fn reap_finished(sessions: &mut Vec<(Weak<Socket>, JoinHandle<()>)>) {
     let mut index = 0;
     while index < sessions.len() {
-        if sessions[index].is_finished() {
-            let _ = sessions.swap_remove(index).join();
+        if sessions[index].1.is_finished() {
+            let _ = sessions.swap_remove(index).1.join();
         } else {
             index += 1;
         }
     }
 }
 
-/// A session's socket under the closing flag: reads and writes absorb the
-/// [`POLL`] timeouts, and once the server is closing a read ends the stream
-/// and a write fails, so the session thread can be joined.
-struct Patient<'a> {
-    socket: Socket,
-    closing: &'a AtomicBool,
-}
-
-impl Patient<'_> {
-    fn retry<T>(
-        &mut self,
-        closed: impl Fn() -> io::Result<T>,
-        mut op: impl FnMut(&mut Socket) -> io::Result<T>,
-    ) -> io::Result<T> {
-        loop {
-            if self.closing.load(Ordering::Acquire) {
-                return closed();
-            }
-            match op(&mut self.socket) {
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                other => return other,
-            }
-        }
-    }
-}
-
-impl Read for Patient<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.retry(|| Ok(0), |socket| socket.read(buf))
-    }
-}
-
-impl Write for Patient<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let closed = || Err(io::Error::new(io::ErrorKind::BrokenPipe, "server closing"));
-        self.retry(closed, |socket| socket.write(buf))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.socket.flush()
-    }
-}
-
-fn session(socket: Socket, id: u64, ctx: &Shared) {
+fn session(socket: &Socket, id: u64, ctx: &Shared) {
     let _ = converse(socket, ctx);
     obs::global().gauge("serve_sessions_open").add(-1);
     ctx.events.emit(format!("event=session-close session={id}"));
 }
 
 /// Serves one connection, one request at a time, until the client hangs
-/// up, the stream breaks or the server closes. The server's stream header
-/// goes out first, so neither end waits on the other's.
-fn converse(socket: Socket, ctx: &Shared) -> Result<(), Box<dyn std::error::Error>> {
-    socket.set_timeouts(POLL)?;
-    let mut frames = FrameReader::new(Patient {
-        socket,
-        closing: &ctx.closing,
-    });
+/// up, the stream breaks or the server shuts the socket down. The server's
+/// stream header goes out first, so neither end waits on the other's.
+fn converse(socket: &Socket, ctx: &Shared) -> Result<(), Box<dyn std::error::Error>> {
+    let mut frames = FrameReader::new(socket);
     write_stream_header(frames.get_mut())?;
     frames.read_header()?;
     while let Some(request) = protocol::read_request(&mut frames)? {
@@ -624,10 +586,10 @@ fn answer(ctx: &Shared, request: &Request) -> Response {
             .map_or_else(|| unknown_job(*job), Response::Status),
         Request::Wait { job, timeout_ms } => {
             obs::global().counter("serve_wait_requests_total").incr();
-            // Blocks this session's thread only; `closing` cuts the
-            // wait short so a stopping daemon can join the session.
+            // Blocks this session's thread only; a stopping daemon cuts
+            // the wait short by closing the job table.
             ctx.jobs
-                .wait_settled(*job, Duration::from_millis(*timeout_ms), &ctx.closing)
+                .wait_settled(*job, Duration::from_millis(*timeout_ms))
                 .map_or_else(|| unknown_job(*job), Response::Status)
         }
         Request::Report { job, full } => report(ctx, *job, *full),
@@ -831,17 +793,18 @@ mod tests {
         let running = std::thread::spawn(move || {
             let _ = parked.recv();
         });
-        let exited: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| ())).collect();
-        while !exited.iter().all(JoinHandle::is_finished) {
+        let mut sessions: Vec<(Weak<Socket>, JoinHandle<()>)> = (0..3)
+            .map(|_| (Weak::new(), std::thread::spawn(|| ())))
+            .collect();
+        while !sessions.iter().all(|(_, thread)| thread.is_finished()) {
             std::thread::yield_now();
         }
-        let mut sessions = exited;
-        sessions.insert(1, running);
+        sessions.insert(1, (Weak::new(), running));
         reap_finished(&mut sessions);
         assert_eq!(sessions.len(), 1);
-        assert!(!sessions[0].is_finished());
+        assert!(!sessions[0].1.is_finished());
         release.send(()).unwrap();
-        sessions.pop().unwrap().join().unwrap();
+        sessions.pop().unwrap().1.join().unwrap();
         reap_finished(&mut sessions);
         assert!(sessions.is_empty());
     }

@@ -52,7 +52,7 @@ use sparqlog_shard::supervise::{worker_thread_budget, WorkerLaunch};
 use sparqlog_shard::worker::AssignedLog;
 use sparqlog_shard::{LogSpec, WorkerCommand};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,13 +107,24 @@ struct PartitionTask {
     key: Option<u128>,
 }
 
+/// The runners' shared state, under one lock.
+#[derive(Debug, Default)]
+struct Queue {
+    tasks: VecDeque<PartitionTask>,
+    /// Partitions claimed and still running.
+    active: usize,
+    /// Set when the supervisor drops: runners exit once `tasks` is empty.
+    shutdown: bool,
+}
+
 #[derive(Debug)]
 struct Shared {
     config: SupervisorConfig,
-    queue: Mutex<VecDeque<PartitionTask>>,
+    queue: Mutex<Queue>,
+    /// Notified when a task is queued and at shutdown.
     available: Condvar,
-    active: AtomicUsize,
-    shutdown: AtomicBool,
+    /// Notified when the last running partition finishes on an empty queue.
+    idle: Condvar,
     jobs: Arc<Jobs>,
     events: Arc<EventLog>,
     store: Option<Arc<Mutex<SnapshotStore>>>,
@@ -149,10 +160,9 @@ impl Supervisor {
         };
         let shared = Arc::new(Shared {
             config,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             available: Condvar::new(),
-            active: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
+            idle: Condvar::new(),
             jobs,
             events,
             store,
@@ -252,7 +262,7 @@ impl Supervisor {
         let mut queue = self.shared.queue.lock().expect("supervisor queue");
         let misses = logs.into_iter().enumerate().zip(&hits);
         for ((partition, log), _) in misses.filter(|(_, hit)| hit.is_none()) {
-            queue.push_back(PartitionTask {
+            queue.tasks.push_back(PartitionTask {
                 job,
                 partition,
                 population,
@@ -266,43 +276,25 @@ impl Supervisor {
         (job, partitions)
     }
 
-    /// Whether no partition is queued or running.
-    pub fn idle(&self) -> bool {
-        self.shared.active.load(Ordering::Acquire) == 0
-            && self
-                .shared
-                .queue
-                .lock()
-                .expect("supervisor queue")
-                .is_empty()
-    }
-
-    /// Blocks until idle or `timeout` elapses; returns whether idle.
+    /// Blocks until no partition is queued or running, or `timeout`
+    /// elapses; returns whether the pool went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.idle() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        true
-    }
-
-    /// Drains and stops the pool: runners finish the queue (and their
-    /// in-flight partitions), then exit.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for runner in self.runners.drain(..) {
-            let _ = runner.join();
-        }
+        let queue = self.shared.queue.lock().expect("supervisor queue");
+        let busy = |queue: &mut Queue| queue.active > 0 || !queue.tasks.is_empty();
+        let (_queue, waited) = self
+            .shared
+            .idle
+            .wait_timeout_while(queue, timeout, busy)
+            .expect("supervisor queue");
+        !waited.timed_out()
     }
 }
 
 impl Drop for Supervisor {
+    /// Drains and stops the pool: runners finish the queue (and their
+    /// in-flight partitions), then exit.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.queue.lock().expect("supervisor queue").shutdown = true;
         self.shared.available.notify_all();
         for runner in self.runners.drain(..) {
             let _ = runner.join();
@@ -311,32 +303,25 @@ impl Drop for Supervisor {
 }
 
 fn runner_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().expect("supervisor queue");
     loop {
-        let claimed = {
-            let mut queue = shared.queue.lock().expect("supervisor queue");
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    // Claim while still holding the lock so idle() can never
-                    // observe "queue empty, nothing active" mid-handoff.
-                    let active = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
-                    let concurrency = concurrent_workers(shared.slots, active, queue.len());
-                    break Some((task, concurrency));
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("supervisor queue");
-                queue = guard;
+        if let Some(task) = queue.tasks.pop_front() {
+            // Claimed under the lock, so `wait_idle` never sees "queue
+            // empty, nothing active" mid-handoff.
+            queue.active += 1;
+            let concurrency = concurrent_workers(shared.slots, queue.active, queue.tasks.len());
+            drop(queue);
+            run_partition(shared, &task, concurrency);
+            queue = shared.queue.lock().expect("supervisor queue");
+            queue.active -= 1;
+            if queue.active == 0 && queue.tasks.is_empty() {
+                shared.idle.notify_all();
             }
-        };
-        let Some((task, concurrency)) = claimed else {
+        } else if queue.shutdown {
             return;
-        };
-        run_partition(shared, &task, concurrency);
-        shared.active.fetch_sub(1, Ordering::AcqRel);
+        } else {
+            queue = shared.available.wait(queue).expect("supervisor queue");
+        }
     }
 }
 
@@ -744,7 +729,7 @@ mod tests {
             lines.iter().any(|l| l.contains("event=job-failed")),
             "{lines:?}"
         );
-        supervisor.shutdown();
+        drop(supervisor);
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -848,7 +833,7 @@ mod tests {
         std::io::Write::write_all(file.as_mut().unwrap(), b"ASK { ?x ?y ?z }\n").unwrap();
         let job = submit(RecoveryPolicy::Lenient);
         assert_eq!(routed(&jobs, &events, job), [vec![1], vec![0]]);
-        supervisor.shutdown();
+        drop(supervisor);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -885,7 +870,7 @@ mod tests {
         assert_eq!(phase, crate::protocol::JobPhase::Complete);
         assert!(!holds, "a warm-started job holds its logs");
         assert_eq!(report(&restored, 1), JobReport { job: 1, ..served });
-        supervisor.shutdown();
+        drop(supervisor);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,12 +17,12 @@
 //!                      └─ WorkerHandle ── join(stall_timeout)
 //! ```
 //!
-//! [`WorkerHandle::join`] blocks until the snapshot decodes (or fails),
-//! polling the [`ActivityClock`] if a stall timeout is given: a worker whose
-//! pipe has produced *no frame* (log, epilogue or heartbeat) for longer than
-//! the timeout is killed and reported as [`ShardError::Stalled`] — the only
-//! failure shape EOF-based detection cannot see, since a wedged process
-//! keeps its pipe open indefinitely.
+//! [`WorkerHandle::join`] blocks until the snapshot decodes (or fails). If
+//! a stall timeout is given it wakes at each stall deadline to re-read the
+//! [`ActivityClock`]: a worker whose pipe has produced *no frame* (log,
+//! epilogue or heartbeat) for the whole timeout is killed and reported as
+//! [`ShardError::Stalled`] — the only failure shape EOF-based detection
+//! cannot see, since a wedged process keeps its pipe open indefinitely.
 
 use crate::codec::StreamError;
 use crate::coordinator::{ShardError, WorkerCommand};
@@ -219,25 +219,15 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// The shard number this worker was launched as.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The worker's OS process id (for observability and kill tests).
     pub fn pid(&self) -> u32 {
         self.pid
     }
 
-    /// Time since the worker last produced a frame (or since spawn).
-    pub fn idle(&self) -> Duration {
-        self.activity.idle()
-    }
-
     /// Waits for the worker to finish and resolves its outcome.
     ///
-    /// With `stall_timeout` set, a worker that produces no frame for longer
-    /// than the timeout is killed and reported as [`ShardError::Stalled`];
+    /// With `stall_timeout` set, a worker that produces no frame for the
+    /// whole timeout is killed and reported as [`ShardError::Stalled`];
     /// heartbeat frames count as activity, so a slow-but-beating worker is
     /// never killed. Without it, this blocks until the pipe closes (the
     /// batch coordinator's behaviour — a dead worker always closes it).
@@ -245,7 +235,24 @@ impl WorkerHandle {
         let shard = self.shard;
         let mut stalled_for: Option<Duration> = None;
         let decoded = loop {
-            match self.frames.recv_timeout(Duration::from_millis(100)) {
+            let received = match stall_timeout {
+                None => self.frames.recv().map_err(mpsc::RecvTimeoutError::from),
+                Some(limit) => {
+                    let idle = self.activity.idle();
+                    if idle >= limit {
+                        // Kill closes the pipe; the decode thread sees EOF
+                        // and sends promptly — drain it so the threads can
+                        // be joined.
+                        let _ = self.child.kill();
+                        let _ = self.frames.recv();
+                        stalled_for = Some(idle);
+                        break Err(StreamError::Io(std::io::Error::other("worker stalled")));
+                    }
+                    // Until the stall deadline; a frame since moves it on.
+                    self.frames.recv_timeout(limit - idle)
+                }
+            };
+            match received {
                 Ok(decoded) => break decoded,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     // The decode thread never sends only if it panicked.
@@ -254,20 +261,7 @@ impl WorkerHandle {
                         error: std::io::Error::other("snapshot decode thread died"),
                     });
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(limit) = stall_timeout {
-                        let idle = self.activity.idle();
-                        if idle > limit {
-                            // Kill closes the pipe; the decode thread sees
-                            // EOF and sends promptly — drain it so the
-                            // threads can be joined.
-                            let _ = self.child.kill();
-                            let _ = self.frames.recv();
-                            stalled_for = Some(idle);
-                            break Err(StreamError::Io(std::io::Error::other("worker stalled")));
-                        }
-                    }
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
             }
         };
 

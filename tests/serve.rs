@@ -2,7 +2,8 @@
 //! and real worker processes: concurrent clients must read byte-identical
 //! complete reports (equal to the single-process fused engine's), a client
 //! that stops reading must stall only its own session and must not keep a
-//! stopping daemon from joining it, a graceful drain must finish
+//! stopping daemon from joining it, idle sessions must end the moment the
+//! daemon stops, a graceful drain must finish
 //! in-flight jobs while refusing new ones, and a worker that dies
 //! mid-partition — by any of the six fault modes: `die`, `wrong-version`,
 //! `truncate`, `abort-mid-stream`, a raw SIGKILL from outside, a
@@ -155,6 +156,39 @@ fn a_new_connection_is_answered_without_waiting_for_the_accept_loop() {
 
     handle.stop();
     runner.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn stop_ends_idle_sessions_at_once() {
+    // A stopping daemon shuts every session socket down, so a session
+    // blocked reading from an idle client ends at once; one that rechecked
+    // a flag between read timeouts ended only when its timeout expired.
+    let scratch = Scratch::new("idle");
+    let mut times: Vec<Duration> = (0..10)
+        .map(|_| {
+            let (addr, handle, runner) = start_unix_server(&scratch);
+            let mut clients: Vec<Client> = (0..3)
+                .map(|_| Client::connect(&addr).expect("connect"))
+                .collect();
+            for client in &mut clients {
+                client.ping().expect("ping");
+            }
+            let start = Instant::now();
+            handle.stop();
+            runner.join().expect("server thread").expect("server run");
+            let elapsed = start.elapsed();
+            for client in &mut clients {
+                assert!(client.ping().is_err(), "a session outlived the daemon");
+            }
+            elapsed
+        })
+        .collect();
+    times.sort_unstable();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median stop with 3 idle sessions {median:?}: {times:?}"
+    );
 }
 
 /// Connects to `addr` and, on a thread of its own, writes the stream
