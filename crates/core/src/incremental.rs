@@ -35,6 +35,7 @@ use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
 use crate::fused::LogSummary;
 use crate::recover::{enforce_budget, BudgetExceeded, ErrorTally, RecoveryPolicy};
 use sparqlog_parser::bytescan::Hasher128;
+use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
@@ -81,9 +82,20 @@ pub fn log_identity(population: Population, label: &str, contents: &[u8]) -> u12
 /// [`log_identity`] streamed through `Hasher128` over every byte of a file
 /// (no size/mtime shortcut), in fixed-size chunked reads — hashing never
 /// loads the log into memory, even for corpora larger than RAM.
+///
+/// This is the pure hash. The serve daemon memoizes it per submitted path
+/// on a stat stamp it trusts only once the file's ctime is old enough
+/// (`sparqlog_serve::identity`); every value it uses is this one.
 pub fn file_identity(population: Population, label: &str, path: &Path) -> io::Result<u128> {
+    identity_of_open_file(population, label, &File::open(path)?)
+}
+
+/// [`file_identity`] over a file already open, read from its current
+/// offset to the end: a caller that stamps the file with `fstat` hashes
+/// the same descriptor, so the stamp and the bytes come from one inode.
+pub fn identity_of_open_file(population: Population, label: &str, file: &File) -> io::Result<u128> {
     let mut hasher = identity_header(population, label);
-    let mut file = std::fs::File::open(path)?;
+    let mut file = file;
     let mut chunk = vec![0u8; IDENTITY_CHUNK];
     loop {
         match file.read(&mut chunk) {

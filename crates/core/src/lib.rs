@@ -98,7 +98,9 @@ pub use corpus::{
 pub use fused::{
     analyze_streams, analyze_streams_with, FusedAnalysis, FusedOptions, FusedStats, LogSummary,
 };
-pub use incremental::{file_identity, log_identity, LogSlots, PersistedLog, Refused};
+pub use incremental::{
+    file_identity, identity_of_open_file, log_identity, LogSlots, PersistedLog, Refused,
+};
 pub use query_analysis::QueryAnalysis;
 pub use recover::{BudgetExceeded, ErrorTally, ReaderDefect, RecoveryPolicy};
 pub use sparqlog_parser::ErrorKind;

@@ -73,11 +73,13 @@ pub struct JobState {
     pub recovery: RecoveryPolicy,
     /// The submitted logs, in report order (partition `i` = log `i`).
     pub logs: Vec<LogSpec>,
-    /// Each log's canonical identity (`sparqlog_core::file_identity`),
-    /// when a snapshot store is attached and the log was hashable at
-    /// submit time. Used to persist completed partitions, to write the
-    /// job manifest that warm-starts the job after a daemon restart, and,
-    /// once the job has released its logs, to load them for a report.
+    /// Each log's canonical identity (`sparqlog_core::file_identity`'s
+    /// value, taken from the supervisor's identity memo when the log's stat
+    /// stamp is trusted and unchanged), when a snapshot store is attached
+    /// and the log was readable at submit time. Used to persist completed
+    /// partitions, to write the job manifest that warm-starts the job after
+    /// a daemon restart, and, once the job has released its logs, to load
+    /// them for a report.
     pub keys: Vec<Option<u128>>,
     /// Where the per-log results are: in slots, or only in the store.
     held: Held,

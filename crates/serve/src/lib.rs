@@ -55,6 +55,8 @@
 //!   semantics and incremental report rendering.
 //! - [`supervisor`] — the worker pool: queue, restarts with exponential
 //!   backoff, reassignment, structured failure.
+//! - [`identity`] — the identity pass of a store-backed submit, memoized
+//!   on stat stamps under the racy rule.
 //! - [`server`] — listener, one thread per session answering its requests
 //!   in order, graceful drain.
 //! - [`client`] — a blocking typed client.
@@ -66,6 +68,7 @@
 
 pub mod client;
 pub mod events;
+pub mod identity;
 pub mod job;
 pub mod protocol;
 pub mod server;

@@ -21,19 +21,22 @@
 //!
 //! # Snapshot store
 //!
-//! With a [`SnapshotStore`] attached, submit hashes each log's canonical
-//! identity first — outside the store lock, the job's logs spread over the
-//! available cores — and then looks the keys up under the lock and loads
-//! the snapshots found after it: logs whose analysis the store already
-//! holds merge immediately (`store-hit`, no worker process) when the
-//! store-hit rule ([`PersistedLog::usable_under`]) allows it under the job's
-//! policy; a stored snapshot that fails to load is a `store-error`, and its
-//! log runs again and stages a fresh snapshot that supersedes the damaged
-//! record. The rest run as usual and each snapshot is staged into the store
-//! just before its partition merges. When the last
+//! With a [`SnapshotStore`] attached, submit first takes each log's
+//! canonical identity: from the supervisor's [`IdentityMemo`] when the
+//! log's stat stamp is unchanged and old enough to trust, otherwise by
+//! hashing it outside the store lock, the misses spread over the available
+//! cores (a fully memoized job starts no thread). It then looks the keys up
+//! under the lock and loads the snapshots found after it: logs whose
+//! analysis the store already holds merge immediately (`store-hit`, no
+//! worker process) when the store-hit rule ([`PersistedLog::usable_under`])
+//! allows it under the job's policy; a stored snapshot that fails to load is
+//! a `store-error`, and its log runs again and stages a fresh snapshot that
+//! supersedes the damaged record. The rest run as usual and each snapshot is
+//! staged into the store just before its partition merges. When the last
 //! partition merges, the job's manifest is staged and everything is
 //! committed durably in one fsync (`store-commit`) — so a restarted daemon
-//! warm-starts the job and a resubmission is pure store hits. A job whose
+//! warm-starts the job (with an empty memo, so each log is hashed once
+//! more) and a resubmission is pure store hits. A job whose
 //! commit succeeded then drops its in-memory results and keeps only their
 //! keys ([`JobState::release_logs`]). Only after that commit has been
 //! attempted does the job read as `Complete` to clients
@@ -41,21 +44,21 @@
 
 use crate::client::backoff_delay;
 use crate::events::EventLog;
+use crate::identity::{IdentityCounts, IdentityMemo};
 use crate::job::{JobState, Jobs};
 use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::workers_override;
-use sparqlog_core::{file_identity, PersistedLog, RecoveryPolicy};
+use sparqlog_core::{PersistedLog, RecoveryPolicy};
 use sparqlog_obs::{self as obs, EventRecord};
 use sparqlog_persist::{JobLog, JobRecord, SnapshotRef, SnapshotStore};
 use sparqlog_shard::supervise::{worker_thread_budget, WorkerLaunch};
 use sparqlog_shard::worker::AssignedLog;
 use sparqlog_shard::{LogSpec, WorkerCommand};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Supervision tuning (a subset of the server config).
 #[derive(Debug, Clone)]
@@ -128,6 +131,9 @@ struct Shared {
     jobs: Arc<Jobs>,
     events: Arc<EventLog>,
     store: Option<Arc<Mutex<SnapshotStore>>>,
+    /// The identities of logs already hashed, present only with a store
+    /// (only then does a submit hash).
+    memo: Option<IdentityMemo>,
     /// `available_parallelism()`, read once at start: it re-reads the
     /// cgroup files on every call, a cost each submit would otherwise pay.
     cores: usize,
@@ -165,6 +171,7 @@ impl Supervisor {
             idle: Condvar::new(),
             jobs,
             events,
+            memo: store.as_ref().map(|_| IdentityMemo::default()),
             store,
             cores,
             slots,
@@ -189,6 +196,19 @@ impl Supervisor {
         recovery: RecoveryPolicy,
         logs: Vec<LogSpec>,
     ) -> (u64, u64) {
+        let (job, partitions, _) = self.submit_at(population, recovery, logs, SystemTime::now());
+        (job, partitions)
+    }
+
+    /// [`Supervisor::submit`] with its identity pass dated `began` (see
+    /// [`IdentityMemo::identify`]); also returns what that pass did.
+    pub(crate) fn submit_at(
+        &self,
+        population: Population,
+        recovery: RecoveryPolicy,
+        logs: Vec<LogSpec>,
+        began: SystemTime,
+    ) -> (u64, u64, IdentityCounts) {
         let partitions = logs.len() as u64;
         let job = self.shared.jobs.create(population, recovery, logs.clone());
         obs::global().counter("serve_jobs_submitted_total").incr();
@@ -197,16 +217,18 @@ impl Supervisor {
             recovery.resolve().spelling()
         ));
 
-        // Identity pass: hash each log (no parsing), then pull store hits.
-        // Hashing is the expensive half and touches no shared state, so it
-        // runs before the store lock is taken — concurrent submits hash in
-        // parallel and serialise only on the lookups; the hits decode after
-        // the lock is released. A hit is taken only when the store-hit rule
-        // allows it under this job's policy.
+        // Identity pass: each log's key from the memo or, failing that, a
+        // hash of its bytes (no parsing), then pull store hits. Hashing is
+        // the expensive half and touches no shared state, so it runs before
+        // the store lock is taken — concurrent submits hash in parallel and
+        // serialise only on the lookups; the hits decode after the lock is
+        // released. A hit is taken only when the store-hit rule allows it
+        // under this job's policy.
         let mut keys: Vec<Option<u128>> = vec![None; logs.len()];
         let mut hits: Vec<Option<Arc<PersistedLog>>> = vec![None; logs.len()];
-        if let Some(store) = &self.shared.store {
-            keys = hash_identities(population, &logs, self.shared.cores);
+        let mut identified = IdentityCounts::default();
+        if let (Some(store), Some(memo)) = (&self.shared.store, &self.shared.memo) {
+            (keys, identified) = memo.identify(population, &logs, self.shared.cores, began);
             // An unhashable log stays keyless; the worker will report it.
             let located: Vec<_> = {
                 let guard = store.lock().expect("snapshot store");
@@ -273,7 +295,7 @@ impl Supervisor {
         }
         drop(queue);
         self.shared.available.notify_all();
-        (job, partitions)
+        (job, partitions, identified)
     }
 
     /// Blocks until no partition is queued or running, or `timeout`
@@ -487,33 +509,6 @@ fn run_partition(shared: &Shared, task: &PartitionTask, concurrency: usize) {
     }
 }
 
-/// Hashes every log's canonical identity (`None` = unreadable right now),
-/// the logs claimed by index across up to `cores` scoped threads, the
-/// caller's included — a one-log job spawns nothing.
-fn hash_identities(population: Population, logs: &[LogSpec], cores: usize) -> Vec<Option<u128>> {
-    let _span = obs::global().histogram("serve_identity_us").span();
-    let threads = cores.min(logs.len());
-    // Relaxed: the counter only hands out indices; the keys are published
-    // by the mutex and the scope's joins.
-    let next = AtomicUsize::new(0);
-    let keys = Mutex::new(vec![None; logs.len()]);
-    let claim = || loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(log) = logs.get(index) else {
-            return;
-        };
-        let key = file_identity(population, &log.label, &log.path).ok();
-        keys.lock().expect("identity keys")[index] = key;
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(claim);
-        }
-        claim();
-    });
-    keys.into_inner().expect("identity keys")
-}
-
 /// Merges one finished partition into its job and logs the outcome.
 /// `emit` (called with whether the slot merged) and the completion/failure
 /// events run while the job-table lock is still held: a client that observes
@@ -673,6 +668,7 @@ fn fail_job(shared: &Shared, job: u64, partition: usize, message: &str) {
 mod tests {
     use super::*;
     use crate::protocol::JobReport;
+    use sparqlog_core::file_identity;
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -833,6 +829,73 @@ mod tests {
         std::io::Write::write_all(file.as_mut().unwrap(), b"ASK { ?x ?y ?z }\n").unwrap();
         let job = submit(RecoveryPolicy::Lenient);
         assert_eq!(routed(&jobs, &events, job), [vec![1], vec![0]]);
+        drop(supervisor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_same_size_rewrite_with_its_mtime_restored_is_rehashed_and_reanalysed() {
+        use crate::identity::tests::{aged, rewrite_same_size};
+        let dir = scratch("rewrite");
+        let logs = vec![write_log(&dir, "a")];
+        let (supervisor, jobs, events, _store) = store_only(&dir, &[(&logs[0], 0)]);
+        let submit = || {
+            let policy = RecoveryPolicy::Lenient;
+            let (job, _, counts) =
+                supervisor.submit_at(Population::Unique, policy, logs.clone(), aged());
+            (routed(&jobs, &events, job), counts.hits, counts.hashed)
+        };
+        assert_eq!(submit(), ([vec![0], vec![]], 0, 1));
+        assert_eq!(submit(), ([vec![0], vec![]], 1, 0));
+        // Only the ctime tells the rewrite: the stamp misses, the new bytes
+        // hash to a key the store lacks, and the log goes to a worker.
+        rewrite_same_size(&logs[0].path);
+        assert_eq!(submit(), ([vec![], vec![0]], 0, 1));
+        drop(supervisor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn after_a_warm_start_a_log_is_hashed_once_and_then_memoized() {
+        use crate::identity::tests::aged;
+        let dir = scratch("warm-memo");
+        let logs = vec![write_log(&dir, "a"), write_log(&dir, "b")];
+        let (supervisor, jobs, events, store) = store_only(&dir, &[(&logs[0], 0), (&logs[1], 0)]);
+        let (job, _) = supervisor.submit(Population::Unique, RecoveryPolicy::Lenient, logs.clone());
+        assert_eq!(routed(&jobs, &events, job), [vec![0, 1], vec![]]);
+        drop(supervisor);
+        // A restarted daemon: the committed job comes back, the memo
+        // starts empty.
+        let (jobs, events) = (Arc::new(Jobs::default()), Arc::new(EventLog::new()));
+        crate::server::warm_start(&store, &jobs, &events);
+        let config = SupervisorConfig {
+            worker: WorkerCommand::new("/definitely/not/a/real/worker"),
+            slots: 1,
+            max_restarts: 0,
+            ..SupervisorConfig::default()
+        };
+        let supervisor =
+            Supervisor::start(config, Arc::clone(&jobs), Arc::clone(&events), Some(store));
+        let submit = || {
+            let policy = RecoveryPolicy::Lenient;
+            let (job, _, counts) =
+                supervisor.submit_at(Population::Unique, policy, logs.clone(), aged());
+            (routed(&jobs, &events, job), counts)
+        };
+        let hashed = IdentityCounts {
+            hits: 0,
+            hashed: 2,
+            spawned: supervisor.shared.cores.min(2) - 1,
+        };
+        assert_eq!(submit(), ([vec![0, 1], vec![]], hashed));
+        let memoized = IdentityCounts {
+            hits: 2,
+            hashed: 0,
+            spawned: 0,
+        };
+        assert_eq!(submit(), ([vec![0, 1], vec![]], memoized));
         drop(supervisor);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -300,6 +300,14 @@ fn serve_reports_are_byte_identical_and_metrics_cover_every_layer() {
     }
     let counter = |name| on_snapshot.counter(name).unwrap_or(0);
     assert!(counter("pipeline_analysis_classes_total") <= counter("pipeline_distinct_forms_total"));
+    // The identity pass hashed every log: they were written just now, so
+    // inside the racy margin, and no stamp could be trusted or hit.
+    assert_eq!(
+        counter("serve_identity_hashed_total"),
+        logs.len() as u64,
+        "{on_text}"
+    );
+    assert_eq!(counter("serve_identity_memo_hits_total"), 0, "{on_text}");
     // The served path's own latencies: the identity pass of the submit and
     // job-accepted → client-visible `Complete`.
     for name in ["serve_identity_us", "serve_job_ms"] {

@@ -25,19 +25,22 @@ use common::{
     fused_reference, serve_config, start_server, start_server_on, submit_specs, tiled_day_logs,
     write_logs, Scratch, SETTLE, THREE_DATASETS, WORKER,
 };
+use proptest::prelude::*;
 use sparqlog::core::report::full_report;
-use sparqlog::core::{Population, RecoveryPolicy};
+use sparqlog::core::{file_identity, Population, RecoveryPolicy};
 use sparqlog::obs::env;
 use sparqlog::persist::SnapshotStore;
+use sparqlog::serve::identity::IdentityMemo;
 use sparqlog::serve::protocol::{self, Request, Response};
 use sparqlog::serve::{Client, ClientError, JobPhase, ServeAddr, ServeConfig, ServerHandle};
 use sparqlog::shard::codec::{write_frame, write_stream_header, FrameReader};
 use sparqlog::shard::{LogSpec, WorkerCommand};
 use std::io::{self, BufReader, BufWriter, Write};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Writes a duplicate-heavy corpus (three synthesized day logs, each tiled
 /// three times, with cross-log duplicates) to one file per log.
@@ -770,5 +773,104 @@ fn workers_heartbeat_only_under_a_stall_timeout() {
 
         handle.stop();
         runner.join().expect("server thread").expect("server run");
+    }
+}
+
+/// A file's ctime, `(seconds, nanoseconds)`.
+fn ctime(path: &Path) -> (i64, i64) {
+    let metadata = std::fs::metadata(path).expect("stat log");
+    (metadata.ctime(), metadata.ctime_nsec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The daemon's identity memo against the always-hash oracle: random
+    /// sequences of writes, appends, same-size rewrites with the mtime put
+    /// back, other files renamed over a log, and submits. Every pass is
+    /// dated a minute ahead, so every stamp is trusted and every log the
+    /// last pass left untouched must be a hit; at each submit the keys must
+    /// equal `file_identity`'s. After each change the test waits for the
+    /// log's ctime to move off its old value: a change in the same tick as
+    /// a trusted stamp is the racy case, which the real margin excludes.
+    #[test]
+    fn identity_memo_keys_equal_file_identity_under_rewrites(
+        steps in proptest::collection::vec((0u8..5, 0usize..3, 0u64..u64::MAX), 4..24),
+    ) {
+        let scratch = Scratch::new("identity-memo");
+        let logs: Vec<LogSpec> = (0..3)
+            .map(|i| LogSpec::new(format!("l{i}"), scratch.path().join(format!("{i}.log"))))
+            .collect();
+        let body = |seed: u64, len: u64| -> Vec<u8> {
+            let len = (len % 300) as usize;
+            let text = format!("ASK {{ ?s <p{seed:x}> ?o }}\n").repeat(len / 16 + 1);
+            text.into_bytes()[..len].to_vec()
+        };
+        for log in &logs {
+            std::fs::write(&log.path, body(0, 40)).unwrap();
+        }
+        let memo = IdentityMemo::default();
+        let mut touched = [true; 3];
+        let submit = |touched: &mut [bool; 3]| {
+            let ahead = SystemTime::now() + Duration::from_secs(60);
+            let (keys, counts) = memo.identify(Population::Unique, &logs, 2, ahead);
+            let oracle: Vec<Option<u128>> = logs
+                .iter()
+                .map(|log| file_identity(Population::Unique, &log.label, &log.path).ok())
+                .collect();
+            prop_assert_eq!(keys, oracle);
+            let untouched = touched.iter().filter(|&&touched| !touched).count();
+            prop_assert_eq!((counts.hits, counts.hashed), (untouched, logs.len() - untouched));
+            *touched = [false; 3];
+            Ok(())
+        };
+        for (op, which, seed) in steps {
+            let path = &logs[which].path;
+            let before = std::fs::metadata(path).unwrap();
+            match op {
+                0 => std::fs::write(path, body(seed, seed >> 32)).unwrap(),
+                1 => {
+                    let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+                    file.write_all(&body(seed, seed >> 32)).unwrap();
+                }
+                2 | 3 => {
+                    // Same length, other bytes, the old mtime: in place, or
+                    // as another file renamed over the log.
+                    let mut bytes = std::fs::read(path).unwrap();
+                    bytes.push(b'\n');
+                    let len = bytes.len();
+                    bytes.rotate_right(1 + (seed as usize % len));
+                    bytes.pop();
+                    let target = match op {
+                        2 => path.clone(),
+                        _ => path.with_extension("next"),
+                    };
+                    let mut file = std::fs::OpenOptions::new()
+                        .write(true)
+                        .create(true)
+                        .truncate(false)
+                        .open(&target)
+                        .unwrap();
+                    file.write_all(&bytes).unwrap();
+                    file.set_modified(before.modified().unwrap()).unwrap();
+                    drop(file);
+                    if op == 3 {
+                        std::fs::rename(&target, path).unwrap();
+                    }
+                }
+                _ => {
+                    submit(&mut touched)?;
+                    continue;
+                }
+            }
+            touched[which] = true;
+            let moved_from = (before.ctime(), before.ctime_nsec());
+            while ctime(path) == moved_from {
+                std::thread::sleep(Duration::from_millis(1));
+                let file = std::fs::File::options().write(true).open(path).unwrap();
+                file.set_modified(file.metadata().unwrap().modified().unwrap()).unwrap();
+            }
+        }
+        submit(&mut touched)?;
     }
 }
